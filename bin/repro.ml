@@ -30,20 +30,38 @@ let topology_arg =
            4x64), or RxSxT for a rack-of-sockets hierarchy (e.g. 2x2x64). \
            Thread counts beyond its capacity run oversubscribed.")
 
+(* Thread counts and windows must be positive: 0 threads or an empty
+   list would reach [Engine.run] (or deadlock Table 1's client fibers),
+   and a window <= 0 measures nothing. Reject them as usage errors. *)
+let positive what s =
+  match int_of_string_opt (String.trim s) with
+  | Some n when n > 0 -> Ok n
+  | _ -> Error (`Msg (Printf.sprintf "%s %S is not a positive integer" what s))
+
 let threads_conv =
   let parse s =
-    try
-      Ok
-        (String.split_on_char ',' s
-        |> List.map String.trim
-        |> List.filter (fun x -> x <> "")
-        |> List.map int_of_string)
-    with Failure _ -> Error (`Msg "expected a comma-separated list of ints")
+    match
+      String.split_on_char ',' s
+      |> List.map String.trim
+      |> List.filter (fun x -> x <> "")
+    with
+    | [] -> Error (`Msg (Printf.sprintf "empty thread-count list %S" s))
+    | items ->
+        let rec all = function
+          | [] -> Ok []
+          | x :: rest ->
+              Result.bind (positive "thread count" x) (fun n ->
+                  Result.map (List.cons n) (all rest))
+        in
+        all items
   in
   let print ppf l =
     Format.fprintf ppf "%s" (String.concat "," (List.map string_of_int l))
   in
   Arg.conv (parse, print)
+
+let duration_conv =
+  Arg.conv (positive "duration", Format.pp_print_int)
 
 let default_threads = [ 1; 2; 4; 8; 16; 32; 64; 128; 192; 256 ]
 let default_app_threads = [ 1; 4; 8; 16; 32; 64; 96; 128 ]
@@ -56,7 +74,7 @@ let threads_arg ~default =
 
 let duration_arg =
   Arg.(
-    value & opt int 10
+    value & opt duration_conv 10
     & info [ "duration-ms" ] ~docv:"MS"
         ~doc:"Simulated measurement window per data point, in milliseconds.")
 
@@ -714,7 +732,7 @@ let collapse_cmd =
   let default_collapse_threads = [ 64; 256; 1024; 4096; 8192 ] in
   let collapse_duration_arg =
     Arg.(
-      value & opt int 2
+      value & opt duration_conv 2
       & info [ "duration-ms" ] ~docv:"MS"
           ~doc:
             "Simulated measurement window per data point, in milliseconds \

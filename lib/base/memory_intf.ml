@@ -56,11 +56,17 @@ module type MEMORY = sig
       test-and-test-and-set style local spinning: under a coherence
       protocol a spinner hits its local cache until the line is
       invalidated by a writer, so the simulator wakes waiters only on
-      writes to the line. The predicate must be pure. *)
+      writes to the line. The predicate must be pure and depend only on
+      the value it is given — not on other cells, refs or mutable fields
+      reachable from that value: the simulator re-checks parked
+      predicates only after a store that physically changes a value on
+      the line, and skips the re-check after a failed CAS or a store of
+      the value already there. *)
 
   val wait_until_for : 'a cell -> ('a -> bool) -> timeout:int -> 'a option
-  (** Like {!wait_until} but gives up after [timeout] ns, returning
-      [None]. Used by abortable (timeout-capable) locks. *)
+  (** Like {!wait_until} (same contract on the predicate) but gives up
+      after [timeout] ns, returning [None]. Used by abortable
+      (timeout-capable) locks. *)
 
   val pause : int -> unit
   (** [pause ns] delays the calling thread for [ns] nanoseconds without

@@ -74,9 +74,10 @@ type stats = {
       (** writes that had to invalidate remote sharers. *)
   mutable remote_txns : int;  (** transactions that crossed the interconnect *)
   mutable waiter_scans : int;
-      (** writes that found parked waiters and scanned the line's wait
-          queue. Writes to waiterless lines do not count here — and do
-          no lookup and no allocation at all (pinned by test_sim). *)
+      (** value-changing writes and RMWs that found parked waiters and
+          walked the line's wait queue. Writes to waiterless lines,
+          failed CASes and stores of the value already in the cell do
+          not count — and walk nothing (pinned by test_sim). *)
   mutable last_xlevel : int;
       (** crossing level of the most recent remote transaction —
           engine-internal plumbing so the interconnect can charge the

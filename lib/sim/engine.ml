@@ -243,19 +243,26 @@ let access eng ~dom ~cluster ~thread line kind =
   end;
   total
 
-(* A write to [line] completed: wake every parked waiter whose predicate
-   now holds. Waiters wake in registration order; each wake performs a
-   charged re-read of the line, so a crowd of spinners re-fetches the line
-   serially — modelling coherence arbitration. The queue lives on the
-   line itself, so the overwhelmingly common waiterless write costs one
-   field load — no table lookup, no allocation (the [waiter_scans]
-   counter pins this: it moves only when a queue is actually walked). *)
+(* A write or RMW to [line] completed: if its payload changed a value on
+   the line ([Waitq.changed], set by [Sim_mem]'s store payloads and
+   consumed here), wake every parked waiter whose predicate now holds.
+   Waiters wake in registration order; each wake performs a charged
+   re-read of the line, so a crowd of spinners re-fetches the line
+   serially — modelling coherence arbitration. A failed CAS or a store
+   of the value already there could wake nobody, so it skips the walk
+   (why that is exact: waitq.ml). The queue lives on the line itself,
+   so a waiterless or unchanged store costs a field load or two — no
+   table lookup, no allocation. [waiter_scans] counts actual walks:
+   one per value-changing store over parked waiters. *)
 let notify eng line =
   let q = line.Coherence.wq in
-  if (not (Waitq.is_empty q)) && q.Waitq.epoch = eng.epoch then begin
-    eng.cstats.Coherence.waiter_scans <-
-      eng.cstats.Coherence.waiter_scans + 1;
-    Waitq.wake q
+  if q.Waitq.changed then begin
+    q.Waitq.changed <- false;
+    if (not (Waitq.is_empty q)) && q.Waitq.epoch = eng.epoch then begin
+      eng.cstats.Coherence.waiter_scans <-
+        eng.cstats.Coherence.waiter_scans + 1;
+      Waitq.wake q
+    end
   end
 
 let add_waiter eng line w =
@@ -294,8 +301,9 @@ let add_waiter eng line w =
      preemption ticks) and Timeout events ahead of any inlined work.
 
    Writes and Rmws additionally require no parked waiters (the same
-   one-field-load guard [notify] uses) — a waiterless write wakes
-   nobody, so skipping [notify] is exact. Explore mode never installs
+   guard [notify] applies) — a waiterless write wakes nobody, so
+   skipping [notify] is exact, and the inline payload leaves
+   [Waitq.changed] alone. Explore mode never installs
    [cur_engine], so a scheduling policy in force means every access
    takes the slow path and the explorer sees every decision point. *)
 

@@ -12,7 +12,13 @@ type line = Coherence.line
    engine has already charged the access and advanced the clock, and the
    payload runs here, inline — the effect perform, handler dispatch and
    heap round trip all disappear. On a miss nothing was touched and the
-   effect path proceeds exactly as before. *)
+   effect path proceeds exactly as before.
+
+   Effect-path store payloads go through [store], which flags the line
+   only when the value physically changes: the completion's
+   [Engine.notify] walks the parked waiters only after such a store (see
+   waitq.ml). Inline stores need no flag — the fast path takes a write
+   or RMW only when nobody is parked on the line. *)
 type 'a cell = { v : 'a ref; cline : Coherence.line; r_eff : 'a Effect.t }
 
 let mk_cell cline v =
@@ -30,6 +36,12 @@ let line_site (l : line) = l.Coherence.name
 let cell cline v = mk_cell cline v
 let cell' ?name v = mk_cell (Coherence.make_line ?name ()) v
 
+let store c x =
+  if !(c.v) != x then begin
+    c.v := x;
+    c.cline.Coherence.wq.Waitq.changed <- true
+  end
+
 let read c =
   if Engine.fast_op c.cline Coherence.Read then !(c.v)
   else Effect.perform c.r_eff
@@ -42,7 +54,7 @@ let write c x =
          {
            o_line = c.cline;
            o_kind = Coherence.Write;
-           o_run = (fun () -> c.v := x);
+           o_run = (fun () -> store c x);
          })
 
 let cas c ~expect ~desire =
@@ -61,7 +73,7 @@ let cas c ~expect ~desire =
            o_run =
              (fun () ->
                if !(c.v) == expect then begin
-                 c.v := desire;
+                 store c desire;
                  true
                end
                else false);
@@ -82,7 +94,7 @@ let swap c x =
            o_run =
              (fun () ->
                let old = !(c.v) in
-               c.v := x;
+               store c x;
                old);
          })
 
@@ -101,7 +113,7 @@ let fetch_and_add c d =
            o_run =
              (fun () ->
                let old = !(c.v) in
-               c.v := old + d;
+               store c (old + d);
                old);
          })
 

@@ -15,15 +15,25 @@
    Queues outlive an engine run only as dead storage: [epoch] tags the
    run that last touched the queue, and a queue whose epoch differs from
    the current run's is logically empty (see [Engine.add_waiter], which
-   resets it before the first park of a run). *)
+   resets it before the first park of a run).
+
+   Walks are change-gated: a store payload that physically changes a
+   value on the line sets [changed], and the engine walks the queue only
+   when it finds the flag set (and clears it). A failed CAS, or a store
+   of the value already in the cell, cannot turn any parked predicate
+   true — predicates depend only on the value they are given, and each
+   active waiter's was false at its last evaluation — so skipping the
+   walk is exact: the next walk unlinks the same inactive waiters and
+   visits the active ones in the same registration order. *)
 
 type waiter = {
   mutable active : bool;
       (** cleared when the waiter is woken or its timeout fires; an
           inactive waiter is unlinked by the next scan that reaches it. *)
   check : unit -> bool;
-      (** re-evaluate the predicate after a write to the line; [true]
-          means the waiter woke (and deactivated itself) — unlink it. *)
+      (** re-evaluate the predicate after a value-changing store to the
+          line; [true] means the waiter woke (and deactivated itself) —
+          unlink it. *)
   mutable next : waiter;  (** [nil]-terminated. *)
 }
 
@@ -33,9 +43,12 @@ type t = {
   mutable head : waiter;
   mutable tail : waiter;
   mutable epoch : int;  (** run that owns the contents; [min_int] = none *)
+  mutable changed : bool;
+      (** a store payload changed a value on the line since the last
+          [Engine.notify] consumed the flag *)
 }
 
-let create () = { head = nil; tail = nil; epoch = min_int }
+let create () = { head = nil; tail = nil; epoch = min_int; changed = false }
 
 let is_empty q = q.head == nil
 
@@ -59,12 +72,13 @@ let push q w =
     q.tail <- w
   end
 
-(* A write to the line landed: walk the queue in registration order,
-   unlinking waiters that are no longer active and waiters whose [check]
-   fires (each check charges its own re-read, so a crowd re-fetches the
-   line serially — see the notify comment in engine.ml). [check] never
-   touches waiter queues (it only schedules future engine events), so
-   in-place unlinking during the walk is safe. *)
+(* A value-changing store to the line landed: walk the queue in
+   registration order, unlinking waiters that are no longer active and
+   waiters whose [check] fires (each check charges its own re-read, so
+   a crowd re-fetches the line serially — see the notify comment in
+   engine.ml). [check] never touches waiter queues (it only schedules
+   future engine events), so in-place unlinking during the walk is
+   safe. *)
 let wake q =
   let prev = ref nil in
   let w = ref q.head in

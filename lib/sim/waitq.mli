@@ -21,6 +21,10 @@ type t = {
   mutable epoch : int;
       (** engine run that owns the contents; a mismatch means the queue
           is logically empty (stale waiters from a finished run). *)
+  mutable changed : bool;
+      (** set by a store payload that physically changes a value on the
+          line; read and cleared by the engine's wake check, which walks
+          the queue only when it was set. *)
 }
 
 val create : unit -> t
@@ -38,4 +42,5 @@ val push : t -> waiter -> unit
 
 val wake : t -> unit
 (** Scan in registration order, unlinking inactive waiters and waiters
-    whose [check] returns [true]. *)
+    whose [check] returns [true]. Called only after a store that changed
+    a value on the line. *)

@@ -149,8 +149,11 @@ let test_rotation_fairness () =
 (* (lock, iterations, migrations) for collapse_run on small (8 contexts)
    at 64 threads (8x oversubscribed), 500 us, seed 2024. Exact pins,
    updated intentionally, never casually — plus the headline ordering:
-   the GCR wrapper must beat the collapsed plain MCS by >= 2x. *)
-let collapse_golden = [ ("MCS", 26, 21); ("GCR-MCS", 996, 654) ]
+   the GCR wrapper must beat the collapsed plain MCS by >= 2x. BO and TKT
+   pin the plain spinner herds; BO's failed-CAS storms over a crowd of
+   parked waiters are the stores whose wake scans the engine skips. *)
+let collapse_golden =
+  [ ("MCS", 26, 21); ("GCR-MCS", 996, 654); ("BO", 10, 3); ("TKT", 9, 6) ]
 
 let collapse_golden_test (name, iters, migs) () =
   let e = Option.get (R.find name) in

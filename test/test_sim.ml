@@ -439,7 +439,27 @@ let test_waiter_scans_counted () =
     r.E.coherence.Numasim.Coherence.waiter_scans
   in
   Alcotest.(check bool)
-    "write over a parked waiter scans the queue" true (with_waiter >= 1)
+    "write over a parked waiter scans the queue" true (with_waiter >= 1);
+  (* Scans are change-gated: a failed CAS and a store of the value
+     already in the cell cannot satisfy a parked predicate, so only the
+     value-changing write that releases the waiter walks the queue. *)
+  let no_op_stores =
+    let flag = M.cell' 0 in
+    let r =
+      E.run ~topology:topo ~n_threads:2 (fun ~tid ~cluster:_ ->
+          if tid = 0 then begin
+            M.pause 5_000;
+            assert (not (M.cas flag ~expect:5 ~desire:1));
+            M.write flag 0;
+            M.write flag 1
+          end
+          else ignore (M.wait_until flag (fun v -> v = 1)))
+    in
+    r.E.coherence.Numasim.Coherence.waiter_scans
+  in
+  Alcotest.(check int)
+    "failed CAS and same-value write over a parked waiter scan nothing" 1
+    no_op_stores
 
 let test_fastpath_counter_parity () =
   (* [waiter_scans] and the hit counters must count identically whether
