@@ -1,80 +1,53 @@
-(* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation on the simulated T5440, plus Bechamel
-   microbenchmarks of native (Atomic-based) lock primitive costs.
+(* The benchmark harness: Bechamel microbenchmarks of native
+   (Atomic-based) lock primitive costs, then every table and figure of the
+   paper's evaluation on the simulated T5440 \u{2014} the same plan as
+   [repro all] (Harness.Catalogue.plan).
 
-     dune exec bench/main.exe            # everything (~2 minutes)
-     dune exec bench/main.exe -- quick   # reduced sweep (~20 s)
+     dune exec bench/main.exe            # repro all's parameters (~2 min)
+     dune exec bench/main.exe -- quick   # the plan's quick parameters (~20 s)
 
    Extra flags:
-     --emit-bench-json FILE   versioned BENCH artifact from the two
-                              sweeps (sim results only — deterministic,
+     --emit-bench-json FILE   versioned BENCH artifact from the plan's
+                              sweeps (sim results only \u{2014} deterministic,
                               byte-identical across same-seed runs)
-     --trace FILE             lock-event trace of the sweeps; .jsonl
+     --trace FILE             lock-event trace of the runs; .jsonl
                               streams JSONL, anything else writes a
                               Chrome trace_event file
      --profile                per-site coherence attribution report for
-                              the microbenchmark sweep (stdout only;
-                              never changes schedules or artifacts)
+                              the microbenchmark sweep
+     --predict                predicted-vs-measured throughput for the
+                              microbenchmark sweep
+     --fastpath on|off        engine fast path (schedule-invisible)
 
-   Figures 2-5 derive from one LBench sweep; Figure 6 from the abortable
-   sweep; Tables 1-2 from the KV-store and allocator workloads. The
-   Bechamel section measures single-thread acquire+release latency of
-   each lock over real atomics — the low-contention overhead that
-   Figure 4 shows must stay competitive. *)
+   --profile and --predict only print: sweeps and artifacts are identical
+   with and without them. The Bechamel section measures single-thread
+   acquire+release latency of each lock over real atomics \u{2014} the
+   low-contention overhead that Figure 4 shows must stay competitive. *)
 
 open Bechamel
-module X = Harness.Experiments
-module R = Harness.Lock_registry
-module W = Apps.Kv_workload
-module Nm = Numa_native.Nat_mem
+module C = Harness.Catalogue
+module NR = Harness.Native.Registry
 module LI = Cohort.Lock_intf
-
-let topology = Numa_base.Topology.t5440
 
 (* --- Bechamel: native uncontended lock cost ----------------------------- *)
 
-module NBo = Cohort.Bo_lock.Make (Nm)
-module NTkt = Cohort.Ticket_lock.Make (Nm)
-module NMcs = Cohort.Mcs_lock.Make (Nm)
-module NClh = Cohort.Clh_lock.Make (Nm)
-module NC_bo_bo = Cohort.Cohort_locks.C_bo_bo (Nm)
-module NC_tkt_tkt = Cohort.Cohort_locks.C_tkt_tkt (Nm)
-module NC_bo_mcs = Cohort.Cohort_locks.C_bo_mcs (Nm)
-module NC_tkt_mcs = Cohort.Cohort_locks.C_tkt_mcs (Nm)
-module NC_mcs_mcs = Cohort.Cohort_locks.C_mcs_mcs (Nm)
-module NCna = Cohort.Cna_lock.Make (Nm)
-module NPtl = Cohort.Ptl_lock.Make (Nm)
-module NHbo = Baselines.Hbo_lock.Make (Nm)
-module NFcmcs = Baselines.Fc_mcs.Make (Nm)
-module NHclh = Baselines.Hclh_lock.Make (Nm)
-
-let native_cycle_test name (module L : LI.LOCK) =
-  let cfg = { LI.default with LI.clusters = 4; max_threads = 8 } in
-  let l = L.create cfg in
-  Nm.set_identity ~tid:0 ~cluster:0;
+let native_cycle_test (e : Harness.Lock_registry.entry) =
+  let (module L : LI.LOCK) = e.lock in
+  let l = L.create (e.tweak { LI.default with LI.clusters = 4; max_threads = 8 }) in
+  Numa_native.Nat_mem.set_identity ~tid:0 ~cluster:0;
   let th = L.register l ~tid:0 ~cluster:0 in
-  Test.make ~name
+  Test.make ~name:e.name
     (Staged.stage (fun () ->
          L.acquire th;
          L.release th))
 
+(* The microbenchmark line-up plus the plain BO/TKT/CLH building blocks. *)
 let native_tests =
-  [
-    native_cycle_test "BO" (module NBo.Plain);
-    native_cycle_test "TKT" (module NTkt.Plain);
-    native_cycle_test "MCS" (module NMcs.Plain);
-    native_cycle_test "CLH" (module NClh.Plain);
-    native_cycle_test "HBO" (module NHbo.Lock);
-    native_cycle_test "HCLH" (module NHclh);
-    native_cycle_test "FC-MCS" (module NFcmcs);
-    native_cycle_test "C-BO-BO" (module NC_bo_bo);
-    native_cycle_test "C-TKT-TKT" (module NC_tkt_tkt);
-    native_cycle_test "C-BO-MCS" (module NC_bo_mcs);
-    native_cycle_test "C-TKT-MCS" (module NC_tkt_mcs);
-    native_cycle_test "C-MCS-MCS" (module NC_mcs_mcs);
-    native_cycle_test "CNA" (module NCna.Plain);
-    native_cycle_test "PTL" (module NPtl.Plain);
-  ]
+  List.filter (fun (e : Harness.Lock_registry.entry) ->
+      List.mem e.name [ "BO"; "TKT"; "CLH" ])
+    NR.extra_locks
+  @ NR.microbench_locks
+  |> List.map native_cycle_test
 
 let run_bechamel () =
   print_endline
@@ -99,219 +72,6 @@ let run_bechamel () =
         analyzed)
     native_tests;
   print_newline ()
-
-(* --- Simulated figures and tables --------------------------------------- *)
-
-(* [--trace FILE]: a sink for the sweeps plus the finaliser that lands
-   the file. JSONL streams as events happen; the Chrome export buffers
-   in a ring and writes on completion. *)
-let trace_sink = function
-  | None -> (Numa_trace.Sink.noop, fun () -> ())
-  | Some path when Filename.check_suffix path ".jsonl" ->
-      let sink = Numa_trace.Jsonl.to_file path in
-      (sink, fun () -> Numa_trace.Sink.close sink)
-  | Some path ->
-      let ring = Numa_trace.Ring.create ~capacity:1_048_576 in
-      ( Numa_trace.Ring.sink ring,
-        fun () -> Numa_trace.Chrome.write_file path (Numa_trace.Ring.events ring) )
-
-let sweep_entries ~experiment (sweep : X.sweep) =
-  Array.to_list sweep.X.cells
-  |> List.concat_map (fun col ->
-         Array.to_list col
-         |> List.map (Harness.Bench_json.entry_of_result ~experiment))
-
-(* [--profile]: attribution tables for the sweep's highest thread count.
-   Purely a stdout report — the sweep results and any emitted artifact are
-   identical with and without it (profiling mutates stats only). *)
-let print_profiles (sweep : X.sweep) =
-  print_endline "=== Coherence attribution (--profile) ===";
-  List.iteri
-    (fun i name ->
-      let col = sweep.X.cells.(i) in
-      let r = col.(Array.length col - 1) in
-      match r.Harness.Lbench.profile with
-      | None -> ()
-      | Some p ->
-          let acquires = r.Harness.Lbench.iterations in
-          Printf.printf "\n-- %s @ %d threads --\n" name
-            r.Harness.Lbench.n_threads;
-          Format.printf "%a" Numa_trace.Profile.pp p;
-          Printf.printf
-            "remote transfers / acquisition = %.3f   invalidations / release \
-             = %.3f\n%!"
-            (Numa_trace.Profile.remote_transfers_per_acquire p ~acquires)
-            (Numa_trace.Profile.invalidations_per_release p ~releases:acquires))
-    sweep.X.columns;
-  print_newline ()
-
-(* [--predict]: predicted-vs-measured throughput for the main sweep,
-   ranked by |error|. Stdout only, like --profile: predictions are pure
-   arithmetic over the rollups, so sweeps and artifacts are identical
-   with and without the flag. *)
-let print_predictions (sweep : X.sweep) =
-  print_endline "=== Analytic throughput prediction (--predict) ===";
-  let points =
-    List.concat
-      (List.mapi
-         (fun i name ->
-           Array.to_list sweep.X.cells.(i)
-           |> List.map (fun (r : Harness.Lbench.result) -> (name, r)))
-         sweep.X.columns)
-  in
-  let ranked =
-    List.stable_sort
-      (fun (_, (a : Harness.Lbench.result)) (_, b) ->
-        let key (r : Harness.Lbench.result) =
-          match r.Harness.Lbench.predicted with
-          | Some p when not (Float.is_nan p.Numa_trace.Predict.err) ->
-              Float.abs p.Numa_trace.Predict.err
-          | _ -> Float.neg_infinity
-        in
-        Float.compare (key b) (key a))
-      points
-  in
-  Printf.printf "  %-12s %4s  %11s  %11s  %7s\n" "lock" "thr" "measured"
-    "predicted" "err";
-  List.iter
-    (fun (name, (r : Harness.Lbench.result)) ->
-      match r.Harness.Lbench.predicted with
-      | None ->
-          Printf.printf "  %-12s %4d  %11.3e  %11s  %7s\n" name
-            r.Harness.Lbench.n_threads r.Harness.Lbench.throughput "-" "-"
-      | Some p ->
-          Printf.printf "  %-12s %4d  %11.3e  %11.3e  %+6.1f%%\n" name
-            r.Harness.Lbench.n_threads r.Harness.Lbench.throughput
-            p.Numa_trace.Predict.throughput (100. *. p.Numa_trace.Predict.err))
-    ranked;
-  print_newline ()
-
-let run_sim ~quick ~trace ~emit ~profile ~predict =
-  let seed = 42 in
-  let duration = if quick then 2_000_000 else 5_000_000 in
-  let fig_threads =
-    if quick then [ 1; 8; 64; 256 ]
-    else [ 1; 2; 4; 8; 16; 32; 64; 128; 192; 256 ]
-  in
-  let t1_threads =
-    if quick then [ 1; 8; 32; 128 ] else [ 1; 4; 8; 16; 32; 64; 96; 128 ]
-  in
-  let t2_threads =
-    if quick then [ 1; 8; 64; 255 ] else [ 1; 2; 4; 8; 16; 32; 64; 128; 255 ]
-  in
-  Printf.printf "%s\n\n%!" (X.params_summary ~topology ~duration ~seed);
-  let sink, finish_trace = trace_sink trace in
-  let rollup = emit <> None || predict in
-  let sweep =
-    X.microbench_sweep
-      ~locks:(List.map (R.with_trace sink) R.microbench_locks)
-      ~rollup ~profile ~topology ~threads:fig_threads ~duration ~seed ()
-  in
-  X.print_fig2 sweep;
-  X.print_fig3 sweep;
-  X.print_fig4 sweep;
-  X.print_fig5 sweep;
-  X.print_fig5_latency sweep;
-  if profile then print_profiles sweep;
-  if predict then print_predictions sweep;
-  let asweep =
-    X.abortable_sweep
-      ~locks:(List.map (R.with_trace_abortable sink) R.abortable_locks)
-      ~rollup ~topology ~threads:fig_threads ~duration ~seed
-      ~patience:2_000_000 ()
-  in
-  X.print_fig6 asweep;
-  List.iter
-    (fun mix ->
-      X.print_table
-        (X.table1 ~topology ~threads:t1_threads ~duration ~seed ~mix ()))
-    [ W.read_heavy; W.mixed; W.write_heavy ];
-  X.print_table (X.table2 ~topology ~threads:t2_threads ~duration ~seed ());
-  X.print_table
-    (X.ablation_handoff_bound ~topology ~n_threads:64 ~duration ~seed ());
-  X.print_table (X.ablation_hbo_tuning ~topology ~duration ~seed ());
-  X.print_table (X.ablation_policy ~topology ~n_threads:64 ~duration ~seed ());
-  X.print_table
-    (X.extension_blocking ~topology ~threads:t1_threads ~duration ~seed ());
-  X.print_table (X.extension_rw ~topology ~n_threads:64 ~duration ~seed ());
-  X.print_table
-    (X.extension_bimodal ~topology ~n_threads:32 ~duration ~seed ());
-  X.print_table (X.topology_sensitivity ~n_threads:64 ~duration ~seed ());
-  X.print_table
-    (X.composition_matrix ~topology ~n_threads:64 ~duration ~seed ());
-  X.print_table
-    (X.successor_comparison ~topology ~n_threads:64 ~duration ~seed ());
-  (* Extension: the same LBench curve on the hierarchical rack preset
-     (two racks x two sockets, three latency tiers), plus the flat-vs-rack
-     head-to-head. Same seed and durations as the main sweep. *)
-  let rack = Numa_base.Topology.rack in
-  let rsweep =
-    X.microbench_sweep
-      ~locks:(List.map (R.with_trace sink) R.microbench_locks)
-      ~rollup ~topology:rack ~threads:fig_threads ~duration ~seed ()
-  in
-  Harness.Report.print_series
-    ~title:
-      "Extension: LBench throughput on the rack preset (2 racks x 2 sockets, \
-       pairs / s)"
-    ~x_label:"threads" ~columns:rsweep.X.columns
-    ~rows:(X.throughput_rows rsweep) ~fmt:Harness.Report.fmt_si ();
-  X.print_table (X.hierarchy_comparison ~n_threads:64 ~duration ~seed ());
-  (* Extension: oversubscription. 2048 logical threads wrap onto the
-     T5440's 256 contexts (8 fibers per hardware thread); short window,
-     queue-lock subset — the point is that the sweep completes and the
-     cohort ordering survives heavy multiplexing. *)
-  let oversub_threads = [ 512; 2048 ] in
-  let oversub_locks =
-    List.filter
-      (fun e -> List.mem e.R.name [ "MCS"; "C-BO-MCS"; "C-TKT-MCS"; "CNA" ])
-      R.microbench_locks
-  in
-  let osweep =
-    X.microbench_sweep
-      ~locks:(List.map (R.with_trace sink) oversub_locks)
-      ~rollup ~topology ~threads:oversub_threads
-      ~duration:(if quick then 400_000 else 1_000_000)
-      ~seed ()
-  in
-  Harness.Report.print_series
-    ~title:
-      "Extension: oversubscribed LBench (logical threads wrapped onto the \
-       T5440's 256 contexts, pairs / s)"
-    ~x_label:"threads" ~columns:osweep.X.columns
-    ~rows:(X.throughput_rows osweep) ~fmt:Harness.Report.fmt_si ();
-  (* Extension: saturation collapse (the GCR concurrency-restriction
-     story). Thread counts far past capacity under the explicit
-     preemption model; the expensive extreme rows live in bin/repro.exe
-     collapse — here a short sweep keeps every collapse lock on the
-     perf trajectory (bench_diff's coverage gate reads these curves). *)
-  let collapse_threads =
-    if quick then [ 64; 1024; 2048 ] else [ 64; 1024; 2048; 4096 ]
-  in
-  let csweep =
-    X.collapse_sweep
-      ~locks:(List.map (R.with_trace sink) R.collapse_locks)
-      ~topology ~threads:collapse_threads
-      ~duration:(if quick then 500_000 else 1_000_000)
-      ~seed ()
-  in
-  X.print_collapse ~topology csweep;
-  finish_trace ();
-  (match trace with
-  | Some path -> Printf.printf "Wrote lock-event trace to %s\n%!" path
-  | None -> ());
-  match emit with
-  | None -> ()
-  | Some path ->
-      let entries =
-        sweep_entries ~experiment:"lbench" sweep
-        @ sweep_entries ~experiment:"lbench-abortable" asweep
-        @ sweep_entries ~experiment:"lbench-rack" rsweep
-        @ sweep_entries ~experiment:"lbench-oversub" osweep
-        @ sweep_entries ~experiment:"collapse" csweep
-      in
-      Harness.Bench_json.(write path (make ~substrate:"sim" ~seed entries));
-      Printf.printf "Wrote bench artifact to %s\n%!" path
 
 let () =
   let rec parse (quick, trace, emit, profile, predict) = function
@@ -339,4 +99,5 @@ let () =
     parse (false, None, None, false, false) (List.tl (Array.to_list Sys.argv))
   in
   run_bechamel ();
-  run_sim ~quick ~trace ~emit ~profile ~predict
+  let all = C.all ~quick in
+  C.run ?trace ?emit ~profile ~predict all all.C.defaults

@@ -12,12 +12,11 @@
 module Make (M : Numa_base.Memory_intf.MEMORY) : Cohort.Lock_intf.LOCK =
 struct
   module I = Cohort.Instr.Make (M)
+  module P = Cohort.Park_lock.Make (M)
 
   let free = 0
   let locked = 1
   let contended = 2
-  let park_cost = 800 (* ns: trap into the kernel to sleep *)
-  let resume_cost = 2_500 (* ns: wakeup + dispatch latency *)
   let adaptive_spin = 4_000 (* ns: spin before parking (adaptive mutex) *)
   let spin_pause = 400 (* ns between CAS retries while spinning *)
 
@@ -67,9 +66,7 @@ struct
           else begin
             if v = locked then
               ignore (M.cas state ~expect:locked ~desire:contended);
-            M.pause park_cost;
-            ignore (M.wait_until state (fun v -> v = free));
-            M.pause resume_cost;
+            ignore (P.park state (fun v -> v = free));
             slow ()
           end
         in

@@ -53,12 +53,7 @@ module Wrap_gen
     (B : BUG) : Lock_intf.LOCK = struct
   module Event = Numa_trace.Event
   module I = Instr.Make (M)
-
-  (* Same cost model as Park_lock: spin briefly, then pay a kernel trap
-     to sleep and a wakeup cost to resume. *)
-  let spin_before_park = 3_000 (* ns *)
-  let park_cost = 800 (* ns *)
-  let resume_cost = 2_500 (* ns *)
+  module P = Park_lock.Make (M)
 
   type t = {
     inner : L.t;
@@ -152,14 +147,7 @@ module Wrap_gen
         M.write g.slots.(t mod Array.length g.slots) (th.tid + 1);
         emit Event.Gcr_park;
         check_queue g;
-        (match
-           M.wait_until_for park (fun v -> v = 1) ~timeout:spin_before_park
-         with
-        | Some _ -> ()
-        | None ->
-            M.pause park_cost;
-            ignore (M.wait_until park (fun v -> v = 1));
-            M.pause resume_cost);
+        ignore (P.spin_then_park park (fun v -> v = 1));
         emit Event.Gcr_unpark
       end
     in

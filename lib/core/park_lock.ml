@@ -29,20 +29,19 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
   let park_cost = 800 (* ns: kernel trap to sleep *)
   let resume_cost = 2_500 (* ns: wakeup + dispatch *)
 
-  (* Wait for [state] to leave [busy], spinning first and parking if the
-     lock stays held; returns the observed non-busy value. *)
-  let await state =
-    let parked () =
-      M.pause park_cost;
-      let s = M.wait_until state (fun v -> v <> busy) in
-      M.pause resume_cost;
-      s
-    in
-    match
-      M.wait_until_for state (fun v -> v <> busy) ~timeout:spin_before_park
-    with
-    | Some s -> s
-    | None -> parked ()
+  let park cell pred =
+    M.pause park_cost;
+    let v = M.wait_until cell pred in
+    M.pause resume_cost;
+    v
+
+  let spin_then_park cell pred =
+    match M.wait_until_for cell pred ~timeout:spin_before_park with
+    | Some v -> v
+    | None -> park cell pred
+
+  (* Wait for [state] to leave [busy]; returns the observed non-busy value. *)
+  let await state = spin_then_park state (fun v -> v <> busy)
 
   module Plain : Lock_intf.LOCK = struct
     type t = { state : int M.cell }

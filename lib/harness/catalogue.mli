@@ -1,0 +1,83 @@
+(** The experiment catalogue: one entry per experiment of the evaluation
+    (Figures 2-6, Tables 1-2, the ablations and extensions).
+    [bin/repro.exe] builds one subcommand per entry of {!commands}, its
+    flags from the entry's {!knob}s; [repro all] and [bench/main.exe]
+    both fold over {!plan}. *)
+
+type params = {
+  topology : Numa_base.Topology.t;
+  threads : int list;
+  n_threads : int;
+  duration : int;  (** simulated ns per data point. *)
+  seed : int;
+  patience : int;  (** ns. *)
+  mixes : Apps.Kv_workload.mix list;
+  locks : string list;
+  check : bool;
+}
+
+(** What a run observes: the trace sink its locks write to, whether
+    points carry metric rollups, the [--profile]/[--predict] printers,
+    and the CSV directory. *)
+type env = {
+  sink : Numa_trace.Sink.t;
+  rollup : bool;
+  profile : bool;
+  predict : bool;
+  csv_dir : string option;
+}
+
+(** A sweep carries the artifact experiment its entries are filed under. *)
+type output = Sweep of string * Experiments.sweep | Table of Experiments.table
+
+(** The command-line knobs an entry exposes. *)
+type knob =
+  | Topology
+  | Threads
+  | N_threads of string  (** doc. *)
+  | Duration
+  | Seed
+  | Patience
+  | Mix
+  | Locks of string * string list  (** doc, accepted names. *)
+  | Check of string  (** doc. *)
+  | Csv
+  | Trace
+  | Emit
+  | Profile
+
+type entry = {
+  name : string;
+  doc : string;
+  knobs : knob list;
+  defaults : params;  (** standalone defaults. *)
+  in_all : params -> params;  (** adjustments as a step of the plan. *)
+  quick : params -> params;  (** further adjustments under [bench quick]. *)
+  run : env -> params -> output list;  (** run and print. *)
+}
+
+val commands : entry list
+(** The [repro] subcommands, in help order; the last is [all]. *)
+
+val plan : entry list
+(** Every step [repro all] and [bench/main.exe] run, in order. It
+    includes the plan-only [rack] and [oversub] LBench sweeps. *)
+
+val all : quick:bool -> entry
+(** The fold over {!plan}: each step takes the run's topology, window
+    and seed, then its [in_all] and, if [quick], its [quick]
+    adjustments. Under [quick] the default window is 2 ms. *)
+
+val run :
+  ?csv_dir:string ->
+  ?trace:string ->
+  ?emit:string ->
+  ?profile:bool ->
+  ?predict:bool ->
+  entry ->
+  params ->
+  unit
+(** One invocation: prints the parameter banner, runs the entry, then
+    lands the trace file ([.jsonl] streams JSONL, anything else writes a
+    Chrome trace) and the cohort-bench artifact of its sweeps. Rollups
+    are on under [emit] or [predict]. *)

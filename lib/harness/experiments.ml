@@ -320,6 +320,10 @@ let print_table t =
   Report.print_series ~title:t.t_title ~x_label:t.t_xlabel ~columns:t.t_columns
     ~rows:t.t_rows ~fmt:Report.fmt_fixed2 ()
 
+(* "0=a, 1=b, ...": the row legend of a table whose rows are indices. *)
+let legend names =
+  String.concat ", " (List.mapi (fun i n -> Printf.sprintf "%d=%s" i n) names)
+
 (* --- Ablations ---------------------------------------------------------- *)
 
 let ablation_handoff_bound ~topology ~n_threads ~duration ~seed () =
@@ -436,10 +440,7 @@ let ablation_policy ~topology ~n_threads ~duration ~seed () =
       Printf.sprintf
         "Ablation: may-pass-local policy on C-TKT-MCS at %d threads (rows: %s)"
         n_threads
-        (String.concat ", "
-           (List.mapi
-              (fun i (n, _) -> Printf.sprintf "%d=%s" i n)
-              policies));
+        (legend (List.map fst policies));
     t_xlabel = "policy#";
     t_threads = List.mapi (fun i _ -> i) policies;
     t_columns = [ "Mops/s"; "unfair%"; "migrations" ];
@@ -567,25 +568,10 @@ let print_fig5_latency s =
     ~x_label:"threads" ~columns:s.columns ~rows:(latency_p99_rows s)
     ~fmt:Report.fmt_si ()
 
-(* --- Topology sensitivity ------------------------------------------------ *)
+(* --- Cohort gain across machines ------------------------------------------- *)
 
-(* The cohort advantage should grow with the machine's NUMA factor and
-   vanish on a UMA machine (negative control). *)
-let topology_sensitivity ~n_threads ~duration ~seed () =
-  let topologies =
-    [
-      ( "uma",
-        Topology.make ~name:"uma" ~clusters:4 ~threads_per_cluster:64
-          Latency.uniform );
-      ( "2-socket",
-        Topology.make ~name:"2s" ~clusters:2 ~threads_per_cluster:32
-          Latency.two_socket_x86 );
-      ("t5440", Topology.t5440);
-      ( "8-socket",
-        Topology.make ~name:"8s" ~clusters:8 ~threads_per_cluster:32
-          Latency.t5440 );
-    ]
-  in
+(* MCS vs C-BO-MCS on each machine, at [n_threads] capped to its contexts. *)
+let cohort_gain ~title ~topologies ~n_threads ~duration ~seed =
   let mcs = Option.get (R.find "MCS") in
   let cbm = Option.get (R.find "C-BO-MCS") in
   let rows =
@@ -604,17 +590,31 @@ let topology_sensitivity ~n_threads ~duration ~seed () =
   in
   {
     t_title =
-      Printf.sprintf
-        "Topology sensitivity at %d threads (rows: %s)" n_threads
-        (String.concat ", "
-           (List.mapi (fun i (n, _) -> Printf.sprintf "%d=%s" i n) topologies));
+      Printf.sprintf "%s at %d threads (rows: %s)" title n_threads
+        (legend (List.map fst topologies));
     t_xlabel = "machine#";
     t_threads = List.mapi (fun i _ -> i) topologies;
     t_columns = [ "MCS Mops/s"; "C-BO-MCS Mops/s"; "cohort gain" ];
     t_rows = rows;
   }
 
-(* --- Extension: hierarchical machines ------------------------------------ *)
+(* The cohort advantage should grow with the machine's NUMA factor and
+   vanish on a UMA machine (negative control). *)
+let topology_sensitivity ~n_threads ~duration ~seed () =
+  cohort_gain ~title:"Topology sensitivity" ~n_threads ~duration ~seed
+    ~topologies:
+      [
+        ( "uma",
+          Topology.make ~name:"uma" ~clusters:4 ~threads_per_cluster:64
+            Latency.uniform );
+        ( "2-socket",
+          Topology.make ~name:"2s" ~clusters:2 ~threads_per_cluster:32
+            Latency.two_socket_x86 );
+        ("t5440", Topology.t5440);
+        ( "8-socket",
+          Topology.make ~name:"8s" ~clusters:8 ~threads_per_cluster:32
+            Latency.t5440 );
+      ]
 
 (* Same shape (4 clusters x 64), different cost structure: t5440 pays one
    flat tier for every cross-cluster transfer, the rack preset pays a
@@ -622,36 +622,10 @@ let topology_sensitivity ~n_threads ~duration ~seed () =
    lock migrates. Cohorting should widen its lead when migration can
    cross a rack. *)
 let hierarchy_comparison ~n_threads ~duration ~seed () =
-  let topologies = [ ("t5440", Topology.t5440); ("rack", Topology.rack) ] in
-  let mcs = Option.get (R.find "MCS") in
-  let cbm = Option.get (R.find "C-BO-MCS") in
-  let rows =
-    List.mapi
-      (fun i (_, topology) ->
-        let n = min n_threads (Topology.total_threads topology) in
-        let cfg = base_cfg topology in
-        let run (e : R.entry) =
-          (Lbench.run ~name:e.R.name e.R.lock ~topology ~cfg:(e.R.tweak cfg)
-             ~n_threads:n ~duration ~seed)
-            .Lbench.throughput /. 1e6
-        in
-        let m = run mcs and c = run cbm in
-        (i, [| m; c; c /. m |]))
-      topologies
-  in
-  {
-    t_title =
-      Printf.sprintf
-        "Extension: hierarchical machine (flat t5440 vs 2-rack x 2-socket) at \
-         %d threads (rows: %s)"
-        n_threads
-        (String.concat ", "
-           (List.mapi (fun i (n, _) -> Printf.sprintf "%d=%s" i n) topologies));
-    t_xlabel = "machine#";
-    t_threads = List.mapi (fun i _ -> i) topologies;
-    t_columns = [ "MCS Mops/s"; "C-BO-MCS Mops/s"; "cohort gain" ];
-    t_rows = rows;
-  }
+  cohort_gain ~n_threads ~duration ~seed
+    ~title:
+      "Extension: hierarchical machine (flat t5440 vs 2-rack x 2-socket)"
+    ~topologies:[ ("t5440", Topology.t5440); ("rack", Topology.rack) ]
 
 (* --- Extension: bi-modal workload ----------------------------------------- *)
 
@@ -726,9 +700,7 @@ let successor_comparison ~topology ~n_threads ~duration ~seed () =
       Printf.sprintf
         "Successors: cohort flagship vs CNA and partition ticket at %d \
          threads (rows: %s)"
-        n_threads
-        (String.concat ", "
-           (List.mapi (fun i n -> Printf.sprintf "%d=%s" i n) names));
+        n_threads (legend names);
     t_xlabel = "lock#";
     t_threads = List.mapi (fun i _ -> i) names;
     t_columns = [ "Mops/s"; "xfers/acq"; "lock lines" ];
@@ -949,8 +921,7 @@ let composition_matrix ~topology ~n_threads ~duration ~seed () =
                 .Lbench.throughput /. 1e6)
             Matrix.locals
         in
-        ignore gi;
-        (List.assoc g (List.mapi (fun i x -> (x, i)) Matrix.globals), Array.of_list vals))
+        (gi, Array.of_list vals))
       Matrix.globals
   in
   {

@@ -5,7 +5,7 @@
     its views. Every runner is deterministic in [seed]. Durations are
     simulated nanoseconds: the paper measures 60 s windows, but LBench
     reaches steady state in well under a millisecond, so the default
-    windows (set by the callers in [bench/] and [bin/]) are 5-20 ms. *)
+    windows (set by {!Catalogue}) are 0.4-10 ms. *)
 
 type sweep = {
   threads : int list;

@@ -333,8 +333,64 @@ let test_trace_timeline_paints_holder () =
   let line = T.render_timeline ~width:10 evs in
   Alcotest.(check bool) "holder digit present" true (String.contains line '2')
 
+(* Every catalogue entry at tiny parameters: the subcommands (bar [all],
+   the fold over the plan) plus the plan steps that are not subcommands. *)
+module C = Harness.Catalogue
+
+let names es = List.map (fun e -> e.C.name) es
+
+let test_catalogue_names_unique () =
+  List.iter
+    (fun (what, es) ->
+      let ns = names es in
+      Alcotest.(check int) what (List.length ns)
+        (List.length (List.sort_uniq compare ns)))
+    [ ("commands", C.commands); ("plan", C.plan) ]
+
+let test_catalogue_entries_run () =
+  let entries =
+    List.filter (fun e -> e.C.name <> "all") C.commands
+    @ List.filter (fun e -> not (List.mem e.C.name (names C.commands))) C.plan
+  in
+  List.iter
+    (fun e ->
+      let events = ref 0 in
+      let env =
+        { C.sink = Numa_trace.Sink.make (fun _ -> incr events); rollup = false;
+          profile = false; predict = false; csv_dir = None }
+      in
+      let p =
+        { e.C.defaults with C.topology = Topology.small; threads = [ 1; 4 ];
+          n_threads = 4; duration = 200_000 }
+      in
+      let outputs = e.C.run env p in
+      Alcotest.(check bool) (e.C.name ^ " produced output") true (outputs <> []);
+      (* An entry with --trace records its runs, in the plan as alone. *)
+      if List.mem C.Trace e.C.knobs then
+        Alcotest.(check bool) (e.C.name ^ " traced") true (!events > 0);
+      List.iter
+        (function
+          | C.Sweep (_, s) ->
+              Alcotest.(check int) (e.C.name ^ " columns")
+                (List.length s.X.columns) (Array.length s.X.cells);
+              Array.iter
+                (fun col ->
+                  Alcotest.(check int) (e.C.name ^ " rows")
+                    (List.length s.X.threads) (Array.length col))
+                s.X.cells
+          | C.Table t ->
+              Alcotest.(check bool) (e.C.name ^ " table rows") true
+                (t.X.t_rows <> []))
+        outputs)
+    entries
+
 let suite =
   [
+    ( "catalogue",
+      [
+        Alcotest.test_case "unique names" `Quick test_catalogue_names_unique;
+        Alcotest.test_case "every entry runs" `Quick test_catalogue_entries_run;
+      ] );
     ( "lbench",
       [
         Alcotest.test_case "counts consistent" `Quick
