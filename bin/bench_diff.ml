@@ -162,7 +162,10 @@ let current =
 
 let threshold =
   let doc = "Fail on throughput drops larger than $(docv) percent." in
-  Arg.(value & opt float 10.0 & info [ "threshold" ] ~docv:"PCT" ~doc)
+  Arg.(
+    value
+    & opt (Cli.bounded ~strict:false ~zero:0. "threshold" float) 10.0
+    & info [ "threshold" ] ~docv:"PCT" ~doc)
 
 let allow_missing =
   Arg.(

@@ -1,0 +1,30 @@
+(* Argument converters shared by the command-line binaries. Out-of-range
+   counts, windows and thresholds are usage errors (exit 124), rejected
+   before anything runs: a zero thread count reaches [Engine.run] or
+   [Nat_runtime.run], a zero budget or window checks or measures nothing,
+   and a negative threshold flags every entry. *)
+
+open Cmdliner
+
+(* [conv]'s values above [zero] (at or above it when not [strict]). *)
+let bounded ~strict ~zero what conv =
+  let parse s =
+    match Arg.conv_parser conv (String.trim s) with
+    | Ok n when if strict then n > zero else n >= zero -> Ok n
+    | _ ->
+        Error
+          (`Msg
+            (Printf.sprintf "%s %S must be a %s number" what s
+               (if strict then "positive" else "non-negative")))
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive what = bounded ~strict:true ~zero:0 what Arg.int
+let non_negative what = bounded ~strict:false ~zero:0 what Arg.int
+
+let topology =
+  let parse s =
+    Result.map_error (fun e -> `Msg e) (Numa_base.Topology.of_spec s)
+  in
+  let print ppf t = Format.fprintf ppf "%s" t.Numa_base.Topology.name in
+  Arg.conv (parse, print)

@@ -286,12 +286,14 @@ let fastpath_arg =
 
 let quota_arg =
   Arg.(
-    value & opt float 0.5
+    value
+    & opt (Cli.bounded ~strict:true ~zero:0. "quota" Arg.float) 0.5
     & info [ "quota" ] ~docv:"SECS" ~doc:"Bechamel time quota per measurement.")
 
 let rounds_arg =
   Arg.(
-    value & opt int 5
+    value
+    & opt (Cli.positive "round count") 5
     & info [ "rounds" ] ~docv:"N" ~doc:"A/B rounds per workload (default 5).")
 
 let emit_arg =

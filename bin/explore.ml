@@ -172,21 +172,21 @@ let mode_arg =
     & info [ "mode" ] ~docv:"MODE" ~doc:"exhaustive or fuzz.")
 
 let preemptions_arg =
-  Arg.(value & opt int 2 & info [ "preemptions" ] ~doc:"Preemption bound (exhaustive).")
+  Arg.(value & opt (Cli.non_negative "preemption bound") 2 & info [ "preemptions" ] ~doc:"Preemption bound (exhaustive).")
 
 let budget_arg =
-  Arg.(value & opt int 10_000 & info [ "budget" ] ~doc:"Max schedules per lock (exhaustive).")
+  Arg.(value & opt (Cli.positive "budget") 10_000 & info [ "budget" ] ~doc:"Max schedules per lock (exhaustive).")
 
 let threads_arg =
-  Arg.(value & opt int 3 & info [ "threads" ] ~doc:"Threads in the scenario.")
+  Arg.(value & opt (Cli.positive "thread count") 3 & info [ "threads" ] ~doc:"Threads in the scenario.")
 
 let sections_arg =
-  Arg.(value & opt int 3 & info [ "sections" ] ~doc:"Critical sections per thread.")
+  Arg.(value & opt (Cli.positive "section count") 3 & info [ "sections" ] ~doc:"Critical sections per thread.")
 
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Fuzz seed.")
 
 let runs_arg =
-  Arg.(value & opt int 500 & info [ "runs" ] ~doc:"Fuzzed schedules per lock.")
+  Arg.(value & opt (Cli.positive "run count") 500 & info [ "runs" ] ~doc:"Fuzzed schedules per lock.")
 
 let replay_arg =
   Arg.(
@@ -201,17 +201,10 @@ let mutants_arg =
 let quick_arg =
   Arg.(value & flag & info [ "quick" ] ~doc:"CI smoke: C-BO-MCS clean + skip-limit mutant caught.")
 
-let topology_conv =
-  let parse s =
-    Result.map_error (fun e -> `Msg e) (Numa_base.Topology.of_spec s)
-  in
-  let print ppf t = Format.fprintf ppf "%s" t.Numa_base.Topology.name in
-  Arg.conv (parse, print)
-
 let topology_arg =
   Arg.(
     value
-    & opt (some topology_conv) None
+    & opt (some Cli.topology) None
     & info [ "topology" ] ~docv:"SPEC"
         ~doc:
           "Machine model for the scenarios: t5440|small|rack, CxT for a flat \

@@ -123,18 +123,27 @@ let run_bench domains clusters millis filters abortable patience seed trace
 
 let domains =
   let doc = "Number of domains (threads) to contend on the lock." in
-  Arg.(value & opt int 4 & info [ "d"; "domains" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt (Cli.positive "domain count") 4
+    & info [ "d"; "domains" ] ~docv:"N" ~doc)
 
 let clusters =
   let doc =
     "Number of NUMA clusters declared in the topology; domains are placed \
      round-robin across them."
   in
-  Arg.(value & opt int 2 & info [ "c"; "clusters" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt (Cli.positive "cluster count") 2
+    & info [ "c"; "clusters" ] ~docv:"N" ~doc)
 
 let millis =
   let doc = "Measurement window in milliseconds (per lock)." in
-  Arg.(value & opt int 100 & info [ "t"; "millis" ] ~docv:"MS" ~doc)
+  Arg.(
+    value
+    & opt (Cli.positive "window") 100
+    & info [ "t"; "millis" ] ~docv:"MS" ~doc)
 
 let locks =
   let doc =

@@ -13,26 +13,6 @@ open Cmdliner
 module C = Harness.Catalogue
 module W = Apps.Kv_workload
 
-let topology_conv =
-  let parse s =
-    Result.map_error (fun e -> `Msg e) (Numa_base.Topology.of_spec s)
-  in
-  let print ppf t = Format.fprintf ppf "%s" t.Numa_base.Topology.name in
-  Arg.conv (parse, print)
-
-(* Counts and windows must be positive: 0 threads or an empty list would
-   reach [Engine.run] (or deadlock Table 1's client fibers), and a window
-   <= 0 measures nothing. Reject them as usage errors. *)
-let int_conv what ok desc =
-  let parse s =
-    match int_of_string_opt (String.trim s) with
-    | Some n when ok n -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "%s %S is not a %s integer" what s desc))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
-let positive what = int_conv what (fun n -> n > 0) "positive"
-
 let threads_conv =
   let parse s =
     match
@@ -44,7 +24,7 @@ let threads_conv =
     | items ->
         List.fold_right
           (fun x acc ->
-            Result.bind (Arg.conv_parser (positive "thread count") x)
+            Result.bind (Arg.conv_parser (Cli.positive "thread count") x)
               (fun n -> Result.map (List.cons n) acc))
           items (Ok [])
   in
@@ -82,7 +62,7 @@ let knob_term (d : C.params) knob : (C.params -> C.params) Term.t =
   match knob with
   | C.Topology ->
       set (fun topology p -> { p with C.topology })
-      @@ opt topology_conv d.topology [ "topology" ] "SPEC"
+      @@ opt Cli.topology d.topology [ "topology" ] "SPEC"
            "Machine model: t5440|small|rack, CxT for a flat machine (e.g. \
             4x64), or RxSxT for a rack-of-sockets hierarchy (e.g. 2x2x64). \
             Thread counts beyond its capacity run oversubscribed."
@@ -92,19 +72,18 @@ let knob_term (d : C.params) knob : (C.params -> C.params) Term.t =
            "Thread counts to sweep."
   | N_threads doc ->
       set (fun n_threads p -> { p with C.n_threads })
-      @@ opt (positive "thread count") d.n_threads [ "n-threads" ] "N" doc
+      @@ opt (Cli.positive "thread count") d.n_threads [ "n-threads" ] "N" doc
   | Duration ->
       set (fun v p -> { p with C.duration = v * ms })
-      @@ opt (positive "duration") (d.duration / ms) [ "duration-ms" ] "MS"
+      @@ opt (Cli.positive "duration") (d.duration / ms) [ "duration-ms" ] "MS"
            "Simulated measurement window per data point, in milliseconds."
   | Seed ->
       set (fun seed p -> { p with C.seed })
       @@ opt Arg.int d.seed [ "seed" ] "SEED" "PRNG seed."
   | Patience ->
       set (fun v p -> { p with C.patience = v * 1_000 })
-      @@ opt
-           (int_conv "patience" (fun n -> n >= 0) "non-negative")
-           (d.patience / 1_000) [ "patience-us" ] "US"
+      @@ opt (Cli.non_negative "patience") (d.patience / 1_000)
+           [ "patience-us" ] "US"
            "Abortable-lock patience in microseconds (Figure 6)."
   | Mix ->
       set (fun mixes p -> { p with C.mixes })

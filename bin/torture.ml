@@ -23,31 +23,10 @@
 module Sim_torture =
   Harness.Torture_core.Make (Numasim.Sim_mem) (Numasim.Sim_runtime)
 
-let () =
-  let rec parse native oracles topology positional = function
-    | [] -> (native, oracles, topology, List.rev positional)
-    | "--native" :: rest -> parse true oracles topology positional rest
-    | "--oracle" :: rest -> parse native true topology positional rest
-    | "--topology" :: spec :: rest -> (
-        match Numa_base.Topology.of_spec spec with
-        | Ok t -> parse native oracles (Some t) positional rest
-        | Error e ->
-            prerr_endline ("torture: " ^ e);
-            exit 2)
-    | [ "--topology" ] ->
-        prerr_endline "torture: --topology needs a SPEC";
-        exit 2
-    | a :: rest -> parse native oracles topology (a :: positional) rest
-  in
-  let native, oracles, topology, positional =
-    parse false false None [] (List.tl (Array.to_list Sys.argv))
-  in
+let run rounds seed native oracles topology =
   let rounds =
-    match positional with
-    | r :: _ -> int_of_string r
-    | [] -> if native then 10 else 200
+    match rounds with Some r -> r | None -> if native then 10 else 200
   in
-  let seed = match positional with _ :: s :: _ -> int_of_string s | _ -> 1 in
   let log msg = Printf.printf "%s\n%!" msg in
   let failures =
     if native then
@@ -65,9 +44,44 @@ let () =
     Printf.printf
       "torture (%s): %d rounds x (every lock pool + abortable)%s — all clean\n"
       substrate rounds suffix;
-    exit 0
+    0
   end
   else begin
     Printf.printf "torture (%s): %d failures\n" substrate failures;
-    exit 1
+    1
   end
+
+open Cmdliner
+
+let cmd =
+  let rounds =
+    Arg.(
+      value
+      & pos 0 (some (Cli.positive "round count")) None
+      & info [] ~docv:"ROUNDS"
+          ~doc:"Rounds in the campaign (default 200, or 10 with --native).")
+  in
+  let seed =
+    Arg.(value & pos 1 int 1 & info [] ~docv:"SEED" ~doc:"Campaign seed.")
+  in
+  let native =
+    Arg.(value & flag & info [ "native" ] ~doc:"Drive real domains.")
+  in
+  let oracles =
+    Arg.(
+      value & flag
+      & info [ "oracle" ]
+          ~doc:"Add the handoff-legality and FIFO property oracles (sim only).")
+  in
+  let topology =
+    Arg.(
+      value
+      & opt (some Cli.topology) None
+      & info [ "topology" ] ~docv:"SPEC"
+          ~doc:"Pin every case to one machine (t5440|small|rack|CxT|RxSxT).")
+  in
+  Cmd.v
+    (Cmd.info "torture" ~doc:"randomized torture campaign over every lock")
+    Term.(const run $ rounds $ seed $ native $ oracles $ topology)
+
+let () = exit (Cmd.eval' cmd)

@@ -6,20 +6,28 @@
    Each column is a slice of simulated time; the digit is the cluster
    that owned the lock. A NUMA-oblivious lock shows confetti; a cohort
    lock shows long same-digit runs — the batches that keep the critical
-   section's cache lines on one socket. *)
+   section's cache lines on one socket. "Mean batch" is acquisitions per
+   global-lock tenure, so a non-cohort lock reads exactly 1.0. *)
 
 module M = Numasim.Sim_mem
 module E = Numasim.Engine
 module LI = Cohort.Lock_intf
-module T = Harness.Trace
+module T = Numa_trace
 
 let topology = Numa_base.Topology.t5440
 let n_threads = 32
 let duration = 200_000 (* a short window so individual batches are visible *)
 
-let show name (lock : (module LI.LOCK)) =
-  let (module L), events = T.wrap lock in
-  let cfg = { LI.default with LI.clusters = 4; max_threads = 256 } in
+let show name (module L : LI.LOCK) =
+  let ring = T.Ring.create ~capacity:65_536 in
+  let cfg =
+    {
+      LI.default with
+      LI.clusters = 4;
+      max_threads = 256;
+      trace = T.Ring.sink ring;
+    }
+  in
   let l = L.create cfg in
   ignore
     (E.run ~topology ~n_threads (fun ~tid ~cluster ->
@@ -35,11 +43,11 @@ let show name (lock : (module LI.LOCK)) =
            end
          in
          loop ()));
-  let evs = events () in
-  Printf.printf "%-10s |%s|\n" name (T.render_timeline ~width:64 evs);
+  let evs = T.Ring.events ring in
+  let m = T.Metrics.of_events evs in
+  Printf.printf "%-10s |%s|\n" name (T.Metrics.render_timeline ~width:64 evs);
   Printf.printf "%10s  mean batch %.1f, %d migrations, %d acquisitions\n\n" ""
-    (T.mean_batch evs) (T.migration_count evs)
-    (List.length (T.acquisitions evs))
+    m.T.Metrics.batch_mean m.T.Metrics.migrations m.T.Metrics.acquires
 
 let () =
   Printf.printf

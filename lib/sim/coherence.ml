@@ -2,6 +2,17 @@ module Tp = Numa_base.Topology
 
 type kind = Read | Write | Rmw
 
+type transition =
+  | L1_hit
+  | Local_hit
+  | Upgrade
+  | Fetch_modified
+  | Fetch_shared
+  | Invalidate
+  | Steal
+  | Miss_invalidate
+  | Memory
+
 (* Per-site attribution row (see profiler below). Mutable so the hot
    path bumps fields in place; exported immutably via [sites]. *)
 type site_stats = {
@@ -218,57 +229,58 @@ let p_memory row l =
       r.sp_memory_misses <- r.sp_memory_misses + 1;
       r.sp_stall_memory_ns <- r.sp_stall_memory_ns + l
 
-(* Fast-path classification (see doc/SIMULATOR.md "Engine fast path"):
-   the latency an epoch-current same-domain hit would charge, or -1 when
-   the access is anything else. Pure — no state transition, no counter —
-   so the engine can probe a line and fall back to the effect path
-   having touched nothing. Covers exactly the branches of [access] below
-   that never call [transfer] (no [busy_until] read or write), never
-   cross the interconnect and never emit a trace event: L1 hits (same
-   thread, line cached by [domain] — Modified for writes, Modified or
-   Shared for reads), local hits (different thread, same cache) and the
-   silent upgrade (write to a line Shared by [domain] alone). The Rmw
-   [atomic_extra] is the engine's to add — like in [access], it is
-   latency only, never stall attribution. *)
-let fast_hit_ns (topo : Tp.t) line ~epoch ~domain ~thread kind =
-  if line.epoch <> epoch then -1
+(* The one place each transition's conditions are written. Pure, so the
+   engine fast path can classify a line and fall back to the effect path
+   having touched nothing. A line not yet touched this epoch is Invalid
+   everywhere: whatever its stale fields say, the access is a memory
+   miss ([charge] resets the line first). *)
+let[@inline] classify line ~epoch ~domain ~thread kind =
+  if line.epoch <> epoch then Memory
   else
-    let lat = topo.Tp.latency in
     match kind with
     | Read ->
         if line.owner = domain || line.sharers land bit domain <> 0 then
-          if line.last_thread = thread then lat.l1_hit else lat.local_hit
-        else -1
+          if line.last_thread = thread then L1_hit else Local_hit
+        else if line.owner >= 0 then Fetch_modified
+        else if line.sharers <> 0 then Fetch_shared
+        else Memory
     | Write | Rmw ->
         if line.owner = domain then
-          if line.last_thread = thread then lat.l1_hit else lat.local_hit
-        else if line.sharers = bit domain then lat.upgrade_local
-        else -1
+          if line.last_thread = thread then L1_hit else Local_hit
+        else if line.sharers = bit domain then Upgrade
+        else if line.sharers land bit domain <> 0 then Invalidate
+        else if line.owner >= 0 then Steal
+        else if line.sharers <> 0 then Miss_invalidate
+        else Memory
 
-(* Charge an inlined same-domain hit: byte-for-byte the counter,
-   attribution and state movements of the matching [access] branch.
-   [ns] is the stall [fast_hit_ns] returned (the Rmw extra never lands
-   in [sp_stall_local_ns]). The branch is re-derived from the line —
-   unchanged since the probe, which ran in the same engine step. State
-   stores are replayed literally: reads touch [last_thread] only; the
-   write branches also set [owner]/[sharers] (value-preserving except
-   for the upgrade, which really does take ownership). [line.prow] is
-   [Some] exactly when a profiler attributed this line this epoch, so
-   profiled runs keep attributing every access. *)
-let charge_fast_hit st line ~domain ~thread kind ~ns =
+let[@inline] hit_ns (topo : Tp.t) tr =
+  let lat = topo.Tp.latency in
+  match tr with
+  | L1_hit -> lat.l1_hit
+  | Local_hit -> lat.local_hit
+  | Upgrade -> lat.upgrade_local
+  | Fetch_modified | Fetch_shared | Invalidate | Steal | Miss_invalidate
+  | Memory ->
+      -1
+
+(* What every access ends with: it is counted, and a write leaves the
+   line Modified by [domain] alone. *)
+let[@inline] settle st line row ~domain ~thread kind =
   st.accesses <- st.accesses + 1;
-  let row = line.prow in
   (match row with
   | None -> ()
   | Some r -> r.sp_accesses <- r.sp_accesses + 1);
-  let l1 =
-    line.last_thread = thread
-    &&
-    match kind with
-    | Read -> line.owner = domain || line.sharers land bit domain <> 0
-    | Write | Rmw -> line.owner = domain
-  in
-  if l1 then begin
+  (match kind with
+  | Read -> ()
+  | Write | Rmw ->
+      line.owner <- domain;
+      line.sharers <- 0);
+  line.last_thread <- thread
+
+(* Counters and attribution of a same-domain hit. The Rmw [atomic_extra]
+   is latency only: it never lands in [sp_stall_local_ns]. *)
+let[@inline] count_hit st row tr ns =
+  if tr = L1_hit then begin
     st.l1_hits <- st.l1_hits + 1;
     match row with
     | None -> ()
@@ -279,17 +291,29 @@ let charge_fast_hit st line ~domain ~thread kind ~ns =
   else begin
     st.local_hits <- st.local_hits + 1;
     p_local row ns
-  end;
-  (match kind with
-  | Read -> ()
-  | Write | Rmw ->
-      line.owner <- domain;
-      line.sharers <- 0);
-  line.last_thread <- thread
+  end
 
-let access ?prof st (topo : Tp.t) line ~now ~epoch ~domain ~thread kind =
-  let lat = topo.Tp.latency in
-  let cluster = domain in
+(* The engine fast path: with the helpers above inlined, one call into
+   the model per access. [line.prow] is [Some] exactly when a profiler
+   attributed this line this epoch, so profiled runs keep attributing
+   every access. *)
+let try_hit st (topo : Tp.t) line ~epoch ~domain ~thread kind ~within =
+  let tr = classify line ~epoch ~domain ~thread kind in
+  let ns = hit_ns topo tr in
+  let l =
+    match kind with
+    | Rmw -> ns + topo.Tp.latency.atomic_extra
+    | Read | Write -> ns
+  in
+  if ns < 0 || l > within then -1
+  else begin
+    let row = line.prow in
+    count_hit st row tr ns;
+    settle st line row ~domain ~thread kind;
+    l
+  end
+
+let charge ?prof st (topo : Tp.t) line ~now ~epoch ~domain ~thread kind tr =
   if line.epoch <> epoch then begin
     line.epoch <- epoch;
     line.owner <- -1;
@@ -298,7 +322,6 @@ let access ?prof st (topo : Tp.t) line ~now ~epoch ~domain ~thread kind =
     line.busy_until <- 0;
     line.prow <- None
   end;
-  st.accesses <- st.accesses + 1;
   (* The row is cached on the line for the rest of the epoch, so the
      profiled fast path costs one option branch plus field bumps; the
      unprofiled path costs one [None] branch. *)
@@ -314,130 +337,76 @@ let access ?prof st (topo : Tp.t) line ~now ~epoch ~domain ~thread kind =
             r.sp_lines <- r.sp_lines + 1;
             Some r)
   in
-  (match row with
-  | None -> ()
-  | Some r -> r.sp_accesses <- r.sp_accesses + 1);
-  let extra = match kind with Rmw -> lat.atomic_extra | Read | Write -> 0 in
-  let latency =
-    match kind with
-    | Read ->
-        if line.owner = cluster || line.sharers land bit cluster <> 0 then
-          if line.last_thread = thread then begin
-            st.l1_hits <- st.l1_hits + 1;
-            (match row with
-            | None -> ()
-            | Some r ->
-                r.sp_l1_hits <- r.sp_l1_hits + 1;
-                r.sp_stall_local_ns <- r.sp_stall_local_ns + lat.l1_hit);
-            lat.l1_hit
-          end
-          else begin
-            st.local_hits <- st.local_hits + 1;
-            p_local row lat.local_hit;
-            lat.local_hit
-          end
-        else if line.owner >= 0 then begin
-          (* Modified in a remote domain: cache-to-cache transfer,
-             demoting the owner to Shared. The cost depends on how far
-             the owner is — read it before the transition clears
-             [owner]. *)
-          st.coherence_misses <- st.coherence_misses + 1;
-          st.remote_txns <- st.remote_txns + 1;
-          st.last_xlevel <- Tp.cross_level topo cluster line.owner;
-          let cost = Tp.xfer_cost topo cluster line.owner in
-          line.sharers <- bit line.owner lor bit cluster;
-          line.owner <- -1;
-          let l = transfer line ~now ~cost in
-          p_remote row l;
-          l
-        end
-        else if line.sharers <> 0 then begin
-          (* Shared remotely only: fetch from the nearest sharer. *)
-          st.coherence_misses <- st.coherence_misses + 1;
-          st.remote_txns <- st.remote_txns + 1;
-          let src = nearest_sharer topo ~from:cluster line.sharers in
-          st.last_xlevel <- Tp.cross_level topo cluster src;
-          let cost = Tp.xfer_cost topo cluster src in
-          line.sharers <- line.sharers lor bit cluster;
-          let l = transfer line ~now ~cost in
-          p_remote row l;
-          l
-        end
-        else begin
-          st.memory_misses <- st.memory_misses + 1;
-          line.sharers <- bit cluster;
-          p_memory row lat.mem_access;
-          lat.mem_access
-        end
-    | Write | Rmw ->
-        let l =
-          if line.owner = cluster then
-            if line.last_thread = thread then begin
-              st.l1_hits <- st.l1_hits + 1;
-              (match row with
-              | None -> ()
-              | Some r ->
-                  r.sp_l1_hits <- r.sp_l1_hits + 1;
-                  r.sp_stall_local_ns <- r.sp_stall_local_ns + lat.l1_hit);
-              lat.l1_hit
-            end
-            else begin
-              st.local_hits <- st.local_hits + 1;
-              p_local row lat.local_hit;
-              lat.local_hit
-            end
-          else if line.sharers = bit cluster then begin
-            (* Only we share it: silent-ish upgrade. *)
-            st.local_hits <- st.local_hits + 1;
-            p_local row lat.upgrade_local;
-            lat.upgrade_local
-          end
-          else if line.sharers land bit cluster <> 0 then begin
-            (* We share it but so do remote domains: invalidate them.
-               The round trip is bounded by the furthest victim. *)
-            st.invalidations <- st.invalidations + 1;
-            st.remote_txns <- st.remote_txns + 1;
-            let vmask = line.sharers land lnot (bit cluster) in
-            let victims = popcount vmask in
-            let far = furthest_sharer topo ~from:cluster vmask in
-            st.last_xlevel <- Tp.cross_level topo cluster far;
-            let l = transfer line ~now ~cost:(Tp.xfer_cost topo cluster far) in
-            p_remote ~transfer:false ~inval_sent:1 ~inval_received:victims row
-              l;
-            l
-          end
-          else if line.owner >= 0 then begin
-            (* Steal a remotely modified line: the owner's copy is
-               invalidated by the ownership transfer. *)
-            st.coherence_misses <- st.coherence_misses + 1;
-            st.remote_txns <- st.remote_txns + 1;
-            st.last_xlevel <- Tp.cross_level topo cluster line.owner;
-            let l =
-              transfer line ~now ~cost:(Tp.xfer_cost topo cluster line.owner)
-            in
-            p_remote ~inval_received:1 row l;
-            l
-          end
-          else if line.sharers <> 0 then begin
-            st.coherence_misses <- st.coherence_misses + 1;
-            st.invalidations <- st.invalidations + 1;
-            st.remote_txns <- st.remote_txns + 1;
-            let victims = popcount line.sharers in
-            let far = furthest_sharer topo ~from:cluster line.sharers in
-            st.last_xlevel <- Tp.cross_level topo cluster far;
-            let l = transfer line ~now ~cost:(Tp.xfer_cost topo cluster far) in
-            p_remote ~inval_sent:1 ~inval_received:victims row l;
-            l
-          end
-          else begin
-            st.memory_misses <- st.memory_misses + 1;
-            p_memory row lat.mem_access;
-            lat.mem_access
-          end
-        in
-        line.owner <- cluster;
-        line.sharers <- 0;
+  let lat = topo.Tp.latency in
+  let l =
+    match tr with
+    | L1_hit | Local_hit | Upgrade ->
+        let ns = hit_ns topo tr in
+        count_hit st row tr ns;
+        ns
+    | Fetch_modified ->
+        (* Cache-to-cache transfer, demoting the owner to Shared. The
+           cost depends on how far the owner is — read it before the
+           transition clears [owner]. *)
+        st.coherence_misses <- st.coherence_misses + 1;
+        st.remote_txns <- st.remote_txns + 1;
+        st.last_xlevel <- Tp.cross_level topo domain line.owner;
+        let cost = Tp.xfer_cost topo domain line.owner in
+        line.sharers <- bit line.owner lor bit domain;
+        line.owner <- -1;
+        let l = transfer line ~now ~cost in
+        p_remote row l;
         l
+    | Fetch_shared ->
+        st.coherence_misses <- st.coherence_misses + 1;
+        st.remote_txns <- st.remote_txns + 1;
+        let src = nearest_sharer topo ~from:domain line.sharers in
+        st.last_xlevel <- Tp.cross_level topo domain src;
+        let cost = Tp.xfer_cost topo domain src in
+        line.sharers <- line.sharers lor bit domain;
+        let l = transfer line ~now ~cost in
+        p_remote row l;
+        l
+    | Invalidate ->
+        (* The round trip is bounded by the furthest victim. *)
+        st.invalidations <- st.invalidations + 1;
+        st.remote_txns <- st.remote_txns + 1;
+        let vmask = line.sharers land lnot (bit domain) in
+        let far = furthest_sharer topo ~from:domain vmask in
+        st.last_xlevel <- Tp.cross_level topo domain far;
+        let l = transfer line ~now ~cost:(Tp.xfer_cost topo domain far) in
+        p_remote ~transfer:false ~inval_sent:1 ~inval_received:(popcount vmask)
+          row l;
+        l
+    | Steal ->
+        (* The owner's copy is invalidated by the ownership transfer. *)
+        st.coherence_misses <- st.coherence_misses + 1;
+        st.remote_txns <- st.remote_txns + 1;
+        st.last_xlevel <- Tp.cross_level topo domain line.owner;
+        let l =
+          transfer line ~now ~cost:(Tp.xfer_cost topo domain line.owner)
+        in
+        p_remote ~inval_received:1 row l;
+        l
+    | Miss_invalidate ->
+        st.coherence_misses <- st.coherence_misses + 1;
+        st.invalidations <- st.invalidations + 1;
+        st.remote_txns <- st.remote_txns + 1;
+        let far = furthest_sharer topo ~from:domain line.sharers in
+        st.last_xlevel <- Tp.cross_level topo domain far;
+        let l = transfer line ~now ~cost:(Tp.xfer_cost topo domain far) in
+        p_remote ~inval_sent:1 ~inval_received:(popcount line.sharers) row l;
+        l
+    | Memory ->
+        (* a write's [settle] then takes the line Modified *)
+        st.memory_misses <- st.memory_misses + 1;
+        line.sharers <- bit domain;
+        p_memory row lat.mem_access;
+        lat.mem_access
   in
-  line.last_thread <- thread;
-  latency + extra
+  settle st line row ~domain ~thread kind;
+  match kind with Rmw -> l + lat.atomic_extra | Read | Write -> l
+
+let access ?prof st topo line ~now ~epoch ~domain ~thread kind =
+  charge ?prof st topo line ~now ~epoch ~domain ~thread kind
+    (classify line ~epoch ~domain ~thread kind)

@@ -13,6 +13,13 @@
     critical section that increments a counter several times cost one
     transfer plus cheap L1 traffic (as on real hardware).
 
+    An access is decided once and applied once: {!classify} names the
+    {!transition} from the line state alone, and {!charge} applies it.
+    Each transition's conditions live only in [classify] and its effects
+    only in [charge]; the engine fast path, {!try_hit}, classifies with
+    the same [classify] and applies the three same-domain hits with the
+    same code as [charge], so it cannot drift from the effect path. {!access} is the two in sequence.
+
     Optionally, a {!profiler} attributes every access to the line's
     allocation-site label ([?name] of {!make_line}): per-site hit/miss
     counts, invalidations sent and received, and stall nanoseconds by
@@ -21,6 +28,28 @@
     one (pinned by test_profile). *)
 
 type kind = Read | Write | Rmw
+
+(** Which MESI transition an access takes, as decided by {!classify}. The
+    first three stay inside the accessing domain; the others cross it. *)
+type transition =
+  | L1_hit
+      (** the last accessor again, on a line its domain caches
+          (Modified, for writes). *)
+  | Local_hit  (** another thread of the domain that caches the line. *)
+  | Upgrade  (** write to a line Shared by the writer's domain alone. *)
+  | Fetch_modified
+      (** read of a line Modified in a remote domain: cache-to-cache
+          transfer, the owner demoted to Shared. *)
+  | Fetch_shared
+      (** read of a line Shared remotely only: from the nearest sharer. *)
+  | Invalidate
+      (** write to a line Shared by the writer's domain and remote ones:
+          invalidate them, bounded by the furthest victim. *)
+  | Steal  (** write to a line Modified in a remote domain. *)
+  | Miss_invalidate
+      (** write to a line Shared remotely only: fetch and invalidate
+          every sharer. *)
+  | Memory  (** no cache holds the line. *)
 
 type site_stats = {
   sp_site : string;  (** the site label this row attributes to. *)
@@ -98,30 +127,45 @@ val sites : profiler -> Numa_trace.Profile.site list
 val export : stats -> Numa_trace.Profile.coherence
 (** Immutable snapshot of the engine-global counters. *)
 
-val fast_hit_ns :
+val classify :
+  line -> epoch:int -> domain:int -> thread:int -> kind -> transition
+(** The transition an access by [thread] on leaf domain [domain] would
+    take now. Pure: no state, no counter. A line not yet touched in
+    [epoch] is Invalid everywhere, so it classifies as [Memory]. *)
+
+val hit_ns : Numa_base.Topology.t -> transition -> int
+(** The stall of a same-domain hit ([L1_hit], [Local_hit], [Upgrade]),
+    or [-1] for every other class. Excludes the Rmw [atomic_extra]. *)
+
+val try_hit :
+  stats ->
   Numa_base.Topology.t ->
   line ->
   epoch:int ->
   domain:int ->
   thread:int ->
   kind ->
+  within:int ->
   int
-(** Engine fast-path probe: the stall {!access} would charge if this
-    access is an epoch-current same-domain hit — an L1 hit, a local hit
-    or a silent upgrade, i.e. any branch of {!access} that performs no
-    cross-domain transfer (no [busy_until] traffic, no interconnect
-    charge, no trace event) — or [-1] for any other class. Pure: no
-    state, no counters — a failed probe leaves the line untouched for
-    {!access}. Callers add the Rmw [atomic_extra] themselves, as
-    latency only. *)
+(** The engine fast path: if {!classify} finds a same-domain hit whose
+    latency (Rmw [atomic_extra] included) is at most [within], apply it
+    exactly as {!charge} does — attributed to [line.prow] — and return
+    that latency; otherwise return [-1] having touched nothing. *)
 
-val charge_fast_hit :
-  stats -> line -> domain:int -> thread:int -> kind -> ns:int -> unit
-(** Charge an inlined same-domain hit: the exact counter, attribution
-    and state movements of the matching {!access} branch ([ns] = the
-    stall {!fast_hit_ns} returned). Only meaningful directly after
-    {!fast_hit_ns} returned [ns >= 0] for the same arguments, with the
-    line untouched in between. *)
+val charge :
+  ?prof:profiler ->
+  stats ->
+  Numa_base.Topology.t ->
+  line ->
+  now:int ->
+  epoch:int ->
+  domain:int ->
+  thread:int ->
+  kind ->
+  transition ->
+  int
+(** Apply the transition {!classify} returned for the same arguments:
+    counters, attribution and state; returns the latency, as {!access}. *)
 
 val access :
   ?prof:profiler ->
@@ -134,8 +178,8 @@ val access :
   thread:int ->
   kind ->
   int
-(** [access stats topo line ~now ~epoch ~domain ~thread kind] performs the
-    state transition for [kind] by [thread] on leaf domain [domain] at
+(** [access stats topo line ~now ~epoch ~domain ~thread kind] is
+    [charge (classify …)]: it performs the state transition for [kind] by [thread] on leaf domain [domain] at
     time [now] and returns the total latency (including any queueing on a
     busy line). Cross-domain costs come from [topo]'s distance matrix: a
     read fetches from the nearest sharer, an invalidating write pays the

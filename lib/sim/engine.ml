@@ -200,48 +200,43 @@ let schedule eng ~tid ~cls ~line time thunk =
         };
       ex.ex_seq <- ex.ex_seq + 1
 
-(* Charge a memory access: coherence latency plus interconnect queueing
-   when the transaction crossed domains. The coherence model reports the
-   crossing level of a remote transaction in [last_xlevel]; the matching
-   channel pool is charged (always pool 0 on flat machines). Attribution
-   (profiler rows, coherence trace events) reads counters and mutates
-   stats only, so the charged latency — and hence the schedule — is
-   independent of both. *)
+(* The tail of an access whose transition crossed domains: queueing on
+   the interconnect channel pool of its crossing level ([last_xlevel];
+   always pool 0 on flat machines), then one coherence trace event. *)
+let cross eng ~cluster ~thread line lat ~inval =
+  let q =
+    Interconnect.acquire eng.icx ~level:eng.cstats.Coherence.last_xlevel
+      ~now:eng.now
+  in
+  (if q > 0 then
+     match line.Coherence.prow with
+     | Some r ->
+         r.Coherence.sp_stall_interconnect_ns <-
+           r.Coherence.sp_stall_interconnect_ns + q
+     | None -> ());
+  let ns = lat + q in
+  (if Numa_trace.Sink.enabled eng.trace then
+     let site = line.Coherence.name in
+     Numa_trace.Sink.record eng.trace ~at:eng.now ~tid:thread ~cluster
+       (if inval then Numa_trace.Event.Coh_invalidate { site; ns }
+        else Numa_trace.Event.Coh_transfer { site; ns }));
+  ns
+
+(* Charge a memory access. Attribution (profiler rows, trace events)
+   mutates stats only, so the charged latency — and hence the schedule —
+   is independent of both. *)
 let access eng ~dom ~cluster ~thread line kind =
-  let st = eng.cstats in
-  let misses0 = st.Coherence.coherence_misses in
-  let inval0 = st.Coherence.invalidations in
-  let remote0 = st.Coherence.remote_txns in
+  let tr = Coherence.classify line ~epoch:eng.epoch ~domain:dom ~thread kind in
   let lat =
-    Coherence.access ?prof:eng.prof st eng.topo line ~now:eng.now
-      ~epoch:eng.epoch ~domain:dom ~thread kind
+    Coherence.charge ?prof:eng.prof eng.cstats eng.topo line ~now:eng.now
+      ~epoch:eng.epoch ~domain:dom ~thread kind tr
   in
-  let total =
-    if st.Coherence.remote_txns > remote0 then begin
-      let q =
-        Interconnect.acquire eng.icx ~level:st.Coherence.last_xlevel
-          ~now:eng.now
-      in
-      (if q > 0 then
-         match line.Coherence.prow with
-         | Some r ->
-             r.Coherence.sp_stall_interconnect_ns <-
-               r.Coherence.sp_stall_interconnect_ns + q
-         | None -> ());
-      lat + q
-    end
-    else lat
-  in
-  if Numa_trace.Sink.enabled eng.trace then begin
-    let site = line.Coherence.name in
-    if st.Coherence.invalidations > inval0 then
-      Numa_trace.Sink.record eng.trace ~at:eng.now ~tid:thread ~cluster
-        (Numa_trace.Event.Coh_invalidate { site; ns = total })
-    else if st.Coherence.coherence_misses > misses0 then
-      Numa_trace.Sink.record eng.trace ~at:eng.now ~tid:thread ~cluster
-        (Numa_trace.Event.Coh_transfer { site; ns = total })
-  end;
-  total
+  match tr with
+  | L1_hit | Local_hit | Upgrade | Memory -> lat
+  | Fetch_modified | Fetch_shared | Steal ->
+      cross eng ~cluster ~thread line lat ~inval:false
+  | Invalidate | Miss_invalidate ->
+      cross eng ~cluster ~thread line lat ~inval:true
 
 (* A write or RMW to [line] completed: if its payload changed a value on
    the line ([Waitq.changed], set by [Sim_mem]'s store payloads and
@@ -285,12 +280,14 @@ let add_waiter eng line w =
    bump the event counter, execute the payload. Two restrictions make
    the gate sound and cheap:
 
-   - Epoch-current same-domain hits only (L1, local, silent upgrade).
-     Their classification is pure (no [transfer], no [busy_until], no
-     interconnect charge, no coherence trace event), so a failed probe
-     falls through to the effect path having touched nothing, and a
-     successful one needs no state transition beyond
-     [Coherence.charge_fast_hit]'s replayed stores.
+   - Epoch-current same-domain hits only (L1, local, silent upgrade),
+     taken by [Coherence.try_hit]: their conditions live only in
+     [Coherence.classify], which is pure, so a non-hit (or a hit that
+     does not fit, below) falls through to the effect path having
+     touched nothing, and a hit is applied by the very code
+     [Coherence.charge] runs for it. None of them calls [transfer],
+     reads [busy_until], crosses the interconnect or emits a coherence
+     trace event.
 
    - Completion strictly before every pending heap event
      ([Event_heap.min_time], one array load) and within the horizon. A
@@ -311,92 +308,62 @@ let fp_enabled = ref true
 let set_fastpath b = fp_enabled := b
 let fastpath_enabled () = !fp_enabled
 
-(* The engine whose heap-mode run loop is currently live. The sim
-   substrate is single-domain by design (fibers, not domains), so a
-   plain ref is safe; nested runs save/restore it. *)
-let cur_engine : t option ref = ref None
+(* The engine whose heap-mode run loop is currently live, with its
+   heap — installed at run start only when the fast path is on, so this
+   one load is the whole guard. The sim substrate is single-domain by
+   design (fibers, not domains), so a plain ref is safe; nested runs
+   save/restore it. *)
+let cur_engine : (t * (unit -> unit) Event_heap.t) option ref = ref None
+
+(* The most latency an inline completion may take: finishing strictly
+   before every pending heap event and within the horizon makes it
+   exactly the heap path's next pop. *)
+let room eng h =
+  let t = Event_heap.min_time h - 1 in
+  (if t < eng.fp_limit then t else eng.fp_limit) - eng.now
+
+(* Replay the pop: advance the clock, count the event. *)
+let retire eng lat =
+  eng.now <- eng.now + lat;
+  eng.events <- eng.events + 1;
+  eng.fp_hits <- eng.fp_hits + 1;
+  true
 
 let fast_op line kind =
-  !fp_enabled
-  &&
   match !cur_engine with
   | None -> false
-  | Some eng -> (
-      match eng.mode with
-      | Explore _ -> false
-      | Heap h ->
-          let ns =
-            Coherence.fast_hit_ns eng.topo line ~epoch:eng.epoch
-              ~domain:eng.cur_dom ~thread:eng.cur_tid kind
-          in
-          ns >= 0
-          && (match kind with
-             | Coherence.Read -> true
-             | Coherence.Write | Coherence.Rmw ->
-                 let q = line.Coherence.wq in
-                 Waitq.is_empty q || q.Waitq.epoch <> eng.epoch)
-          &&
-          let total =
-            match kind with
-            | Coherence.Rmw -> ns + eng.topo.Topology.latency.Latency.atomic_extra
-            | Coherence.Read | Coherence.Write -> ns
-          in
-          let c = eng.now + total in
-          c < Event_heap.min_time h
-          && c <= eng.fp_limit
-          && begin
-               Coherence.charge_fast_hit eng.cstats line ~domain:eng.cur_dom
-                 ~thread:eng.cur_tid kind ~ns;
-               eng.now <- c;
-               eng.events <- eng.events + 1;
-               eng.fp_hits <- eng.fp_hits + 1;
-               true
-             end)
+  | Some (eng, h) ->
+      (match kind with
+      | Coherence.Read -> true
+      | Coherence.Write | Coherence.Rmw ->
+          let q = line.Coherence.wq in
+          Waitq.is_empty q || q.Waitq.epoch <> eng.epoch)
+      &&
+      let lat =
+        Coherence.try_hit eng.cstats eng.topo line ~epoch:eng.epoch
+          ~domain:eng.cur_dom ~thread:eng.cur_tid kind ~within:(room eng h)
+      in
+      lat >= 0 && retire eng lat
 
 (* A pause is pure scheduling: if its expiry beats every pending event,
    the pop would resume us immediately — skip the round trip. *)
 let fast_pause d =
-  !fp_enabled
-  &&
   match !cur_engine with
   | None -> false
-  | Some eng -> (
-      match eng.mode with
-      | Explore _ -> false
-      | Heap h ->
-          let c = eng.now + max 0 d in
-          c < Event_heap.min_time h
-          && c <= eng.fp_limit
-          && begin
-               eng.now <- c;
-               eng.events <- eng.events + 1;
-               eng.fp_hits <- eng.fp_hits + 1;
-               true
-             end)
+  | Some (eng, h) ->
+      let d = if d > 0 then d else 0 in
+      d <= room eng h && retire eng d
 
 (* [Now]/[Self] schedule nothing on the slow path either, so answering
    from the engine record is unconditionally neutral; -1 = unavailable
    (no heap run live), perform the effect. *)
-let fast_now () =
-  if not !fp_enabled then -1
-  else
-    match !cur_engine with
-    | Some ({ mode = Heap _; _ } as eng) -> eng.now
-    | _ -> -1
+let fast_now () = match !cur_engine with Some (eng, _) -> eng.now | None -> -1
 
 let fast_self_tid () =
-  if not !fp_enabled then -1
-  else
-    match !cur_engine with
-    | Some ({ mode = Heap _; _ } as eng) -> eng.cur_tid
-    | _ -> -1
+  match !cur_engine with Some (eng, _) -> eng.cur_tid | None -> -1
 
 let fast_self_cluster () =
-  if not !fp_enabled then -1
-  else
-    match !cur_engine with
-    | Some ({ mode = Heap _; _ } as eng) -> eng.cur_cluster
-    | _ -> -1
+  match !cur_engine with Some (eng, _) -> eng.cur_cluster | None -> -1
 
 (* [dom] is the thread's leaf domain (drives coherence distances);
    [cluster] its cohort cluster (what locks and trace events see). On
@@ -686,7 +653,7 @@ let run ~topology ~n_threads ?horizon ?policy ?max_events ?(profile = false)
              under a policy every access must reach the effect handler
              so the explorer sees every decision point. *)
           let saved = !cur_engine in
-          cur_engine := Some eng;
+          cur_engine := if !fp_enabled then Some (eng, heap) else None;
           Fun.protect
             ~finally:(fun () -> cur_engine := saved)
             (fun () -> run_heap eng heap ~n_threads ~horizon))

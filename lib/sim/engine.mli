@@ -128,15 +128,16 @@ val run :
 
     Heap-mode runs retire eligible accesses inline — no effect perform,
     no heap event — when doing so is provably indistinguishable from
-    the effect path: the access is an epoch-current L1 hit (for writes,
-    on a waiterless line) whose completion time strictly precedes every
+    the effect path: {!Coherence.classify} finds an epoch-current
+    same-domain hit (for writes, on a waiterless line) whose completion time strictly precedes every
     pending heap event and fits the horizon, i.e. it would have been
     the very next event popped anyway. See doc/SIMULATOR.md "Engine
     fast path" for the full argument. Explore mode (a [policy]) always
     takes the slow path. *)
 
 val set_fastpath : bool -> unit
-(** Process-wide toggle, default on. Turning it off forces every
+(** Process-wide toggle, default on, read when a run starts (a run
+    keeps the setting it started with). Turning it off forces every
     operation through the effect handler — same schedules, same stats,
     same artifacts, byte for byte (pinned by test_fastpath and the CI
     determinism stage); only host speed and [result.fp_hits] change.

@@ -117,6 +117,31 @@ let of_events ?(wait_p50 = Float.nan) ?(wait_p99 = Float.nan) events =
     wait_p99;
   }
 
+let render_timeline ?(width = 80) events =
+  let t_end = List.fold_left (fun m (e : Event.t) -> max m e.at) 1 events in
+  let col t = min (width - 1) (t * width / t_end) in
+  let buf = Bytes.make width '.' in
+  let rec go = function
+    | [] -> ()
+    | (e : Event.t) :: rest ->
+        if Event.is_acquire e.kind then begin
+          let upto =
+            match
+              List.find_opt (fun (r : Event.t) -> Event.is_release r.kind) rest
+            with
+            | Some r -> r.at
+            | None -> t_end
+          in
+          let c0 = col e.at in
+          Bytes.fill buf c0
+            (max c0 (col upto) - c0 + 1)
+            (Char.chr (Char.code '0' + (e.cluster mod 10)))
+        end;
+        go rest
+  in
+  go events;
+  Bytes.to_string buf
+
 let to_fields m =
   [
     ("trace_events", float_of_int m.events);

@@ -32,6 +32,12 @@ val of_events : ?wait_p50:float -> ?wait_p99:float -> Event.t list -> t
 (** Events must be chronological. Quantile fields are [nan] when the
     window holds no sample. *)
 
+val render_timeline : ?width:int -> Event.t list -> string
+(** An ASCII chart of lock ownership over a chronological event window:
+    each of [width] (default 80) columns is a time bucket showing the
+    digit of the cluster that held the lock — painted from each acquire
+    to the next release — or ['.'] when it was free. *)
+
 val to_fields : t -> (string * float) list
 (** Flat metric list, integral values exact — the form merged into
     [BENCH_*.json] entries. *)

@@ -139,6 +139,123 @@ let test_access_total_counted () =
   done;
   Alcotest.(check int) "all accesses counted" 10 st.C.accesses
 
+(* --- transition table ------------------------------------------------------
+   One row per [C.transition]; [row] is an exhaustive match, so a new
+   constructor does not compile until it gets a row here. Each row sets a
+   line up (accesses by (domain, thread, kind), spaced out so nothing
+   queues; [stale] = set up in an earlier epoch), then pins what
+   [classify] answers for the probe access and what charging it does. *)
+
+type row = {
+  setup : (int * int * C.kind) list;
+  stale : bool;
+  probe : int * int * C.kind;  (** domain, thread, kind *)
+  latency : int;
+  counts : int * int * int * int;
+      (** l1 hits, local hits, coherence misses, memory misses *)
+  crosses : bool;  (** a remote transaction *)
+  invalidates : bool;
+  after : int * int * int;  (** owner, sharers, last_thread *)
+}
+
+let xfer = lat.Latency.remote_transfer
+
+let row : C.transition -> row = function
+  | C.L1_hit ->
+      { setup = [ (0, 0, C.Read) ]; stale = false; probe = (0, 0, C.Read);
+        latency = lat.Latency.l1_hit; counts = (1, 0, 0, 0);
+        crosses = false; invalidates = false; after = (-1, 0b1, 0) }
+  | C.Local_hit ->
+      { setup = [ (0, 0, C.Write) ]; stale = false; probe = (0, 1, C.Write);
+        latency = lat.Latency.local_hit; counts = (0, 1, 0, 0);
+        crosses = false; invalidates = false; after = (0, 0, 1) }
+  | C.Upgrade ->
+      { setup = [ (0, 0, C.Read) ]; stale = false; probe = (0, 1, C.Write);
+        latency = lat.Latency.upgrade_local; counts = (0, 1, 0, 0);
+        crosses = false; invalidates = false; after = (0, 0, 1) }
+  | C.Fetch_modified ->
+      { setup = [ (1, 4, C.Write) ]; stale = false; probe = (0, 0, C.Read);
+        latency = xfer; counts = (0, 0, 1, 0);
+        crosses = true; invalidates = false; after = (-1, 0b11, 0) }
+  | C.Fetch_shared ->
+      { setup = [ (1, 4, C.Read) ]; stale = false; probe = (0, 0, C.Read);
+        latency = xfer; counts = (0, 0, 1, 0);
+        crosses = true; invalidates = false; after = (-1, 0b11, 0) }
+  | C.Invalidate ->
+      { setup = [ (0, 0, C.Read); (1, 4, C.Read) ]; stale = false;
+        probe = (0, 0, C.Write); latency = xfer; counts = (0, 0, 0, 0);
+        crosses = true; invalidates = true; after = (0, 0, 0) }
+  | C.Steal ->
+      { setup = [ (1, 4, C.Write) ]; stale = false; probe = (0, 0, C.Rmw);
+        latency = xfer + lat.Latency.atomic_extra; counts = (0, 0, 1, 0);
+        crosses = true; invalidates = false; after = (0, 0, 0) }
+  | C.Miss_invalidate ->
+      { setup = [ (1, 4, C.Read); (2, 8, C.Read) ]; stale = false;
+        probe = (0, 0, C.Write); latency = xfer; counts = (0, 0, 1, 0);
+        crosses = true; invalidates = true; after = (0, 0, 0) }
+  | C.Memory ->
+      (* owned by the prober last epoch: stale state reads as Invalid *)
+      { setup = [ (0, 0, C.Write) ]; stale = true; probe = (0, 0, C.Read);
+        latency = lat.Latency.mem_access; counts = (0, 0, 0, 1);
+        crosses = false; invalidates = false; after = (-1, 0b1, 0) }
+
+let transitions =
+  C.[ L1_hit; Local_hit; Upgrade; Fetch_modified; Fetch_shared; Invalidate;
+      Steal; Miss_invalidate; Memory ]
+
+let test_transition_table () =
+  List.iteri
+    (fun i tr ->
+      let r = row tr in
+      let name what = Printf.sprintf "row %d: %s" i what in
+      let line, st = fresh () in
+      List.iteri
+        (fun k (domain, thread, kind) ->
+          ignore
+            (C.access st topo line ~now:(k * 1_000)
+               ~epoch:(if r.stale then 0 else 1) ~domain ~thread kind))
+        r.setup;
+      let domain, thread, kind = r.probe in
+      let snapshot () =
+        C.(line.owner, line.sharers, line.last_thread, line.busy_until)
+      in
+      let before = snapshot () in
+      let got = C.classify line ~epoch:1 ~domain ~thread kind in
+      Alcotest.(check bool) (name "classify") true (got = tr);
+      Alcotest.(check bool) (name "classify is pure") true (snapshot () = before);
+      let hit = C.hit_ns topo tr in
+      Alcotest.(check bool)
+        (name "hit_ns >= 0 exactly for same-domain hits")
+        ((not r.crosses) && tr <> C.Memory)
+        (hit >= 0);
+      let module P = Numa_trace.Profile in
+      let c0 = C.export st in
+      let l =
+        C.charge st topo line ~now:100_000 ~epoch:1 ~domain ~thread kind got
+      in
+      let c1 = C.export st in
+      Alcotest.(check int) (name "latency") r.latency l;
+      if hit >= 0 then
+        Alcotest.(check int) (name "latency = hit_ns (+ atomic extra)")
+          (if kind = C.Rmw then hit + lat.Latency.atomic_extra else hit)
+          l;
+      Alcotest.(check (list int)) (name "counter deltas")
+        (let l1, local, coh, mem = r.counts in
+         [ 1; l1; local; coh; mem ])
+        [ c1.P.accesses - c0.P.accesses; c1.P.l1_hits - c0.P.l1_hits;
+          c1.P.local_hits - c0.P.local_hits;
+          c1.P.coherence_misses - c0.P.coherence_misses;
+          c1.P.memory_misses - c0.P.memory_misses ];
+      Alcotest.(check bool) (name "crosses") r.crosses
+        (c1.P.remote_txns > c0.P.remote_txns);
+      Alcotest.(check bool) (name "invalidates") r.invalidates
+        (c1.P.invalidations > c0.P.invalidations);
+      let owner, sharers, last = r.after in
+      Alcotest.(check (list int)) (name "owner, sharers, last_thread")
+        [ owner; sharers; last ]
+        C.[ line.owner; line.sharers; line.last_thread ])
+    transitions
+
 (* --- interconnect ------------------------------------------------------- *)
 
 let test_interconnect_free_channel_no_delay () =
@@ -267,6 +384,7 @@ let suite =
         Alcotest.test_case "transfers queue" `Quick test_transfers_queue_on_line;
         Alcotest.test_case "epoch reset" `Quick test_epoch_resets_state;
         Alcotest.test_case "totals" `Quick test_access_total_counted;
+        Alcotest.test_case "transition table" `Quick test_transition_table;
         QCheck_alcotest.to_alcotest prop_latency_positive;
       ] );
     ( "interconnect",

@@ -43,7 +43,7 @@ type mop =
 let n_cells = 3
 let n_threads = 3
 
-let run_mops ~fastpath (threads_ops : mop list array) =
+let run_mops ~topology ~profile ~fastpath (threads_ops : mop list array) =
   with_fastpath fastpath @@ fun () ->
   let cells =
     Array.init n_cells (fun i ->
@@ -51,8 +51,7 @@ let run_mops ~fastpath (threads_ops : mop list array) =
   in
   let logs = Array.make (Array.length threads_ops) [] in
   let r =
-    E.run ~topology:Topology.small ~n_threads:(Array.length threads_ops)
-      ~profile:true
+    E.run ~topology ~n_threads:(Array.length threads_ops) ~profile
       (fun ~tid ~cluster:_ ->
         let push v = logs.(tid) <- v :: logs.(tid) in
         List.iter
@@ -118,10 +117,24 @@ let arb_threads_ops =
               (fun ops -> String.concat ";" (List.map mop_print ops))
               a)))
 
+(* Unprofiled runs take the [prow = None] hit path; round-robin placement
+   puts the three threads on rack domains 0, 1 (socket-mates) and 2 (the
+   other rack), so fetches and invalidations pick nearest and furthest
+   sharers across levels. *)
 let prop_paths_agree =
   QCheck.Test.make ~name:"fastpath on/off outcomes agree (random ops)"
     ~count:150 arb_threads_ops (fun ops ->
-      outcome_equal (run_mops ~fastpath:true ops) (run_mops ~fastpath:false ops))
+      List.for_all
+        (fun (topology, profile) ->
+          outcome_equal
+            (run_mops ~topology ~profile ~fastpath:true ops)
+            (run_mops ~topology ~profile ~fastpath:false ops))
+        [
+          (Topology.small, true);
+          (Topology.small, false);
+          (Topology.rack, true);
+          (Topology.rack, false);
+        ])
 
 (* --- deterministic differentials: waits, wakes, timeouts ---------------
    Parked waiters woken by a write: the precharged park and the

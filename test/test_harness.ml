@@ -265,74 +265,6 @@ let test_check_lock_reentrant_acquire () =
          L.acquire th;
          L.acquire th))
 
-(* --- trace ---------------------------------------------------------------- *)
-
-module T = Harness.Trace
-module Sm = Numasim.Sim_mem
-
-let mk_ev at cluster kind = { T.at; tid = cluster; cluster; kind }
-
-let test_trace_batches () =
-  let evs =
-    [
-      mk_ev 0 0 `Acquire; mk_ev 1 0 `Release;
-      mk_ev 2 0 `Acquire; mk_ev 3 0 `Release;
-      mk_ev 4 1 `Acquire; mk_ev 5 1 `Release;
-      mk_ev 6 0 `Acquire; mk_ev 7 0 `Release;
-    ]
-  in
-  Alcotest.(check (list int)) "batches" [ 2; 1; 1 ] (T.batches evs);
-  Alcotest.(check int) "migrations" 2 (T.migration_count evs);
-  Alcotest.(check (float 0.01)) "mean batch" (4. /. 3.) (T.mean_batch evs)
-
-let test_trace_empty () =
-  Alcotest.(check (list int)) "no events" [] (T.batches []);
-  Alcotest.(check int) "no migrations" 0 (T.migration_count []);
-  Alcotest.(check (float 0.)) "mean 0" 0. (T.mean_batch []);
-  Alcotest.(check int) "timeline width" 40
-    (String.length (T.render_timeline ~width:40 []))
-
-let test_trace_wrap_preserves_behaviour () =
-  let (module L), events = T.wrap mcs.R.lock in
-  let l = L.create cfg in
-  let in_cs = ref 0 in
-  let violations = ref 0 in
-  ignore
-    (Numasim.Engine.run ~topology:Numa_base.Topology.small ~n_threads:4
-       (fun ~tid ~cluster ->
-         let th = L.register l ~tid ~cluster in
-         for _ = 1 to 25 do
-           L.acquire th;
-           incr in_cs;
-           if !in_cs <> 1 then incr violations;
-           Sm.pause 50;
-           decr in_cs;
-           L.release th;
-           Sm.pause 100
-         done));
-  Alcotest.(check int) "wrapped lock still excludes" 0 !violations;
-  let evs = events () in
-  Alcotest.(check int) "all events logged" (4 * 25 * 2) (List.length evs);
-  Alcotest.(check int) "acquires" (4 * 25) (List.length (T.acquisitions evs));
-  (* Events must strictly alternate acquire/release (mutual exclusion). *)
-  let rec alternates expecting = function
-    | [] -> true
-    | e :: rest -> e.T.kind = expecting
-        && alternates (if expecting = `Acquire then `Release else `Acquire) rest
-  in
-  Alcotest.(check bool) "alternating" true (alternates `Acquire evs);
-  (* Timestamps are non-decreasing. *)
-  let rec sorted = function
-    | a :: (b :: _ as rest) -> a.T.at <= b.T.at && sorted rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "chronological" true (sorted evs)
-
-let test_trace_timeline_paints_holder () =
-  let evs = [ mk_ev 0 2 `Acquire; mk_ev 100 2 `Release ] in
-  let line = T.render_timeline ~width:10 evs in
-  Alcotest.(check bool) "holder digit present" true (String.contains line '2')
-
 (* Every catalogue entry at tiny parameters: the subcommands (bar [all],
    the fold over the plan) plus the plan steps that are not subcommands. *)
 module C = Harness.Catalogue
@@ -432,14 +364,6 @@ let suite =
           test_check_lock_release_without_acquire;
         Alcotest.test_case "reentrant acquire" `Quick
           test_check_lock_reentrant_acquire;
-      ] );
-    ( "trace",
-      [
-        Alcotest.test_case "batches" `Quick test_trace_batches;
-        Alcotest.test_case "empty" `Quick test_trace_empty;
-        Alcotest.test_case "wrap preserves" `Quick
-          test_trace_wrap_preserves_behaviour;
-        Alcotest.test_case "timeline" `Quick test_trace_timeline_paints_holder;
       ] );
     ( "report",
       [

@@ -279,6 +279,43 @@ let test_metrics_rollup () =
     (m.T.Metrics.migration_rate >= 0. && m.T.Metrics.migration_rate <= 1.);
   Alcotest.(check bool) "hold times positive" true (m.T.Metrics.hold_p50 > 0.)
 
+(* --- ownership timeline over hand-built windows ------------------------- *)
+
+let ev at cluster kind = { Ev.at; tid = cluster; cluster; kind }
+
+(* Clusters 0, 0 (one cohort tenure: a local handoff), 1, 0. *)
+let test_batches () =
+  let m =
+    T.Metrics.of_events
+      [
+        ev 0 0 Ev.Acquire_global; ev 1 0 Ev.Handoff_within_cohort;
+        ev 2 0 Ev.Acquire_local; ev 3 0 Ev.Handoff_global;
+        ev 4 1 Ev.Acquire_global; ev 5 1 Ev.Handoff_global;
+        ev 6 0 Ev.Acquire_global; ev 7 0 Ev.Handoff_global;
+      ]
+  in
+  Alcotest.(check int) "batches" 3 m.T.Metrics.batches;
+  Alcotest.(check int) "longest batch" 2 m.T.Metrics.batch_max;
+  Alcotest.(check int) "migrations" 2 m.T.Metrics.migrations;
+  Alcotest.(check (float 0.01)) "mean batch" (4. /. 3.) m.T.Metrics.batch_mean
+
+let test_empty () =
+  let m = T.Metrics.of_events [] in
+  Alcotest.(check int) "no batches" 0 m.T.Metrics.batches;
+  Alcotest.(check int) "no migrations" 0 m.T.Metrics.migrations;
+  Alcotest.(check string) "blank timeline" (String.make 40 '.')
+    (T.Metrics.render_timeline ~width:40 [])
+
+(* The holder is painted from its acquire to the next release, across
+   the other events in between; the rest of the window stays free. *)
+let test_timeline () =
+  Alcotest.(check string) "holder painted" "22222....."
+    (T.Metrics.render_timeline ~width:10
+       [
+         ev 0 2 Ev.Acquire_global; ev 10 1 Ev.Enqueue;
+         ev 40 2 Ev.Handoff_global; ev 100 1 Ev.Abort;
+       ])
+
 (* --- native smoke ------------------------------------------------------- *)
 
 let test_native_smoke () =
@@ -335,6 +372,12 @@ let suite =
         Alcotest.test_case "chrome trace_event schema" `Quick
           test_chrome_schema;
         Alcotest.test_case "metrics rollup" `Quick test_metrics_rollup;
+      ] );
+    ( "trace",
+      [
+        Alcotest.test_case "batches" `Quick test_batches;
+        Alcotest.test_case "empty" `Quick test_empty;
+        Alcotest.test_case "timeline" `Quick test_timeline;
       ] );
     ( "native",
       [ Alcotest.test_case "native smoke" `Quick test_native_smoke ] );
