@@ -2,21 +2,22 @@
     (Euro-Par'06).
 
     Requests gather in a per-cluster CLH queue; the thread at the head of
-    a local queue is the cluster {e master}: after a short combining
-    window it closes the local queue (swapping its tail to empty) and
-    splices the whole batch into the global CLH queue with a single swap
-    of the global tail. Batch members hand the lock CLH-style to their
-    local successor; the batch tail's release is observed by the next
-    batch's master.
+    a local queue is the cluster {e master}: it closes the local queue
+    (swapping its tail to empty) and splices the whole batch into the
+    global CLH queue with a single swap of the global tail. Batch members
+    hand the lock CLH-style to their local successor; the batch tail's
+    release is observed by the next batch's master.
 
     Structural simplification vs. the published algorithm: we close the
     local queue with a tail swap instead of flagging the spliced tail
     ([tail_when_spliced]), which removes the flag/state bookkeeping while
     preserving what the paper's evaluation exercises — per-cluster
     batching, the SWAP contention bottleneck on the local tail (every
-    enqueue hits the same line), and the master's splice delay that bounds
-    batch size. These are exactly the drawbacks the cohorting paper
-    attributes HCLH's mid-pack performance to (section 1, section 4.1.2). *)
+    enqueue hits the same line), and short batches from a master that
+    merges promptly. These are exactly the drawbacks the cohorting paper
+    attributes HCLH's mid-pack performance to (section 1, section 4.1.2);
+    EXPERIMENTS.md "Which HCLH" measures this lock against the published
+    protocol. *)
 
 module Make (M : Numa_base.Memory_intf.MEMORY) : Cohort.Lock_intf.LOCK =
 struct
@@ -80,15 +81,12 @@ struct
         I.emit th.tr ~tid:th.tid ~cluster:th.cluster
           Numa_trace.Event.Acquire_local
     | None ->
-        (* Cluster master: optionally wait out a combining window so a
-           cohort can gather behind us, then close the local queue, splice
-           the batch into the global queue, and wait on the global
-           predecessor. The default window is 0: as the cohorting paper
-           notes (section 1), the master must "either wait for a long
-           period or globally merge an unacceptably short local queue";
-           merging promptly is what the measured implementations do, and
-           short batches are why HCLH trails FC-MCS. *)
-        if th.l.cfg.LI.hclh_window > 0 then M.pause th.l.cfg.LI.hclh_window;
+        (* Cluster master: close the local queue, splice the batch into
+           the global queue, and wait on the global predecessor. As the
+           cohorting paper notes (section 1), the master must "either wait
+           for a long period or globally merge an unacceptably short local
+           queue"; merging promptly is what the measured implementations
+           do, and short batches are why HCLH trails FC-MCS. *)
         let batch_tail =
           match M.swap ltail None with
           | Some t -> t

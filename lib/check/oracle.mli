@@ -58,5 +58,7 @@ module Make (M : Numa_base.Memory_intf.MEMORY) : sig
     (module Cohort.Lock_intf.LOCK)
   (** Violations raise {!Violation.Violation}; inside an engine-managed
       run this surfaces as the runtime's [Thread_failure]. Defaults to
-      {!me_only}. *)
+      {!me_only}, which catches [release] on a handle that is not
+      holding, [acquire] on a handle that already holds (no reentrancy),
+      and either one observing another handle as holder. *)
 end

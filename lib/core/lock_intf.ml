@@ -44,7 +44,6 @@ type config = {
   hbo_local_max : int;
   hbo_remote_min : int;  (** HBO backoff when the holder is remote, ns. *)
   hbo_remote_max : int;
-  hclh_window : int;  (** HCLH master combining window, ns. *)
   gcr_max_active : int;
       (** GCR admission bound: at most this many threads may hold or
           actively compete for a {!Gcr_lock}-wrapped lock; the overflow
@@ -73,7 +72,6 @@ let default =
     hbo_local_max = 2_000;
     hbo_remote_min = 800;
     hbo_remote_max = 50_000;
-    hclh_window = 0;
     gcr_max_active = 4;
     gcr_rotate_every = 64;
     trace = Numa_trace.Sink.noop;

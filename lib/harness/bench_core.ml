@@ -90,13 +90,20 @@ module Make (M : Memory_intf.MEMORY) (RT : Runtime_intf.RUNTIME) = struct
         | _ -> None);
     }
 
-  (* Body shared by the two entry points; instrumentation state is either
-     per-thread (counts, aborts, latency histograms, merged after the
-     join) or mutated only inside the critical section (migrations), so
-     it is race-free under native domains and does not perturb the
-     simulation. *)
-  let run_generic ~lock_name ~profile ~register_and_loop ~topology ~n_threads
-      ~duration ~seed =
+  let non_cs_delay rng = Prng.int rng 4_000 (* idle spin of up to 4 us *)
+
+  (* Mean of the uniform non-critical delay above — the analytic model's
+     per-iteration idle term. Keep in lock-step with [non_cs_delay]. *)
+  let non_cs_delay_mean_ns = 2_000.
+
+  (* The one measurement loop behind both entry points: [register]
+     returns a thread's [acquire] (false = aborted) and [release].
+     Instrumentation state is either per-thread (counts, aborts, latency
+     histograms, merged after the join) or mutated only inside the
+     critical section (migrations), so it is race-free under native
+     domains and does not perturb the simulation. *)
+  let run_generic ~lock_name ~profile ~register ~topology ~n_threads ~duration
+      ~seed =
     let counts = Array.make n_threads 0 in
     let aborts = Array.make n_threads 0 in
     let migrations = ref 0 in
@@ -107,8 +114,27 @@ module Make (M : Memory_intf.MEMORY) (RT : Runtime_intf.RUNTIME) = struct
       RT.run ~topology ~n_threads ~stop_after:duration ~profile
         (fun ~stop ~tid ~cluster ->
           let rng = Prng.create (seed + (tid * 7919) + 13) in
-          register_and_loop ~stop ~tid ~cluster ~rng ~data ~counts ~aborts
-            ~migrations ~last_cluster ~latencies:latencies.(tid))
+          let acquire, release = register ~tid ~cluster in
+          let latencies = latencies.(tid) in
+          let rec loop () =
+            if not (RT.stopped stop) then begin
+              let t0 = M.now () in
+              if acquire () then begin
+                Stats.Histogram.add latencies (M.now () - t0);
+                if !last_cluster <> cluster then begin
+                  incr migrations;
+                  last_cluster := cluster
+                end;
+                run_cs data;
+                counts.(tid) <- counts.(tid) + 1;
+                release ()
+              end
+              else aborts.(tid) <- aborts.(tid) + 1;
+              M.pause (non_cs_delay rng);
+              loop ()
+            end
+          in
+          loop ())
     in
     let merged =
       Array.fold_left Stats.Histogram.merge (Stats.Histogram.create ())
@@ -117,12 +143,6 @@ module Make (M : Memory_intf.MEMORY) (RT : Runtime_intf.RUNTIME) = struct
     summarise ~lock_name ~n_threads ~duration ~counts ~migrations:!migrations
       ~aborts:(Array.fold_left ( + ) 0 aborts)
       ~latencies:merged ~stats
-
-  let non_cs_delay rng = Prng.int rng 4_000 (* idle spin of up to 4 us *)
-
-  (* Mean of the uniform non-critical delay above — the analytic model's
-     per-iteration idle term. Keep in lock-step with [non_cs_delay]. *)
-  let non_cs_delay_mean_ns = 2_000.
 
   (* Analytic throughput prediction (doc/SIMULATOR.md "Model
      validation"): pure arithmetic over the rollup + engine-global
@@ -176,6 +196,7 @@ module Make (M : Memory_intf.MEMORY) (RT : Runtime_intf.RUNTIME) = struct
       { res with rollup = Some m }
     end
 
+  (* A plain lock is the abortable case whose acquire always succeeds. *)
   let run ?name ?(rollup = false) ?(profile = false) (module L : LI.LOCK)
       ~topology ~cfg ~n_threads ~duration ~seed =
     attach_prediction ~topology
@@ -183,26 +204,12 @@ module Make (M : Memory_intf.MEMORY) (RT : Runtime_intf.RUNTIME) = struct
     @@ fun cfg ->
     let l = L.create cfg in
     run_generic ~lock_name:(Option.value name ~default:L.name) ~profile
-      ~register_and_loop:(fun ~stop ~tid ~cluster ~rng ~data ~counts ~aborts:_
-                              ~migrations ~last_cluster ~latencies ->
+      ~register:(fun ~tid ~cluster ->
         let th = L.register l ~tid ~cluster in
-        let rec loop () =
-          if not (RT.stopped stop) then begin
-            let t0 = M.now () in
+        ( (fun () ->
             L.acquire th;
-            Stats.Histogram.add latencies (M.now () - t0);
-            if !last_cluster <> cluster then begin
-              incr migrations;
-              last_cluster := cluster
-            end;
-            run_cs data;
-            counts.(tid) <- counts.(tid) + 1;
-            L.release th;
-            M.pause (non_cs_delay rng);
-            loop ()
-          end
-        in
-        loop ())
+            true),
+          fun () -> L.release th ))
       ~topology ~n_threads ~duration ~seed
 
   let run_abortable ?name ?(rollup = false) ?(profile = false)
@@ -213,27 +220,8 @@ module Make (M : Memory_intf.MEMORY) (RT : Runtime_intf.RUNTIME) = struct
     @@ fun cfg ->
     let l = L.create cfg in
     run_generic ~lock_name:(Option.value name ~default:L.name) ~profile
-      ~register_and_loop:(fun ~stop ~tid ~cluster ~rng ~data ~counts ~aborts
-                              ~migrations ~last_cluster ~latencies ->
+      ~register:(fun ~tid ~cluster ->
         let th = L.register l ~tid ~cluster in
-        let rec loop () =
-          if not (RT.stopped stop) then begin
-            let t0 = M.now () in
-            if L.try_acquire th ~patience then begin
-              Stats.Histogram.add latencies (M.now () - t0);
-              if !last_cluster <> cluster then begin
-                incr migrations;
-                last_cluster := cluster
-              end;
-              run_cs data;
-              counts.(tid) <- counts.(tid) + 1;
-              L.release th
-            end
-            else aborts.(tid) <- aborts.(tid) + 1;
-            M.pause (non_cs_delay rng);
-            loop ()
-          end
-        in
-        loop ())
+        ((fun () -> L.try_acquire th ~patience), fun () -> L.release th))
       ~topology ~n_threads ~duration ~seed
 end

@@ -475,58 +475,45 @@ module RwMutex = Cohort.Cohort_locks.C_bo_mcs (Numasim.Sim_mem)
 
 (* Threads share a structure under either a plain cohort mutex (writers
    and readers both take it) or the RW cohort lock; returns Mops/s. *)
+(* One loop for both locks: a thread's [lock]/[unlock] take [write]; the
+   plain mutex ignores it. *)
 let rw_run ~use_rw ~topology ~n_threads ~write_ratio ~duration ~seed =
   let cfg = cfg_for_n topology n_threads in
   let ops = ref 0 in
   let shared = M.cell' 0 in
-  if use_rw then begin
-    let l = Rw.create cfg in
-    ignore
-      (E.run ~topology ~n_threads (fun ~tid ~cluster ->
-           let th = Rw.register l ~tid ~cluster in
-           let rng = Prng.create (seed + tid) in
-           let rec loop () =
-             if M.now () < duration then begin
-               if Prng.chance rng write_ratio then begin
-                 Rw.write_lock th;
-                 M.write shared (M.read shared + 1);
-                 M.pause 150;
-                 Rw.write_unlock th
-               end
-               else begin
-                 Rw.read_lock th;
-                 ignore (M.read shared);
-                 M.pause 150;
-                 Rw.read_unlock th
-               end;
-               incr ops;
-               M.pause (500 + Prng.int rng 500);
-               loop ()
-             end
-           in
-           loop ()))
-  end
-  else begin
-    let l = RwMutex.create cfg in
-    ignore
-      (E.run ~topology ~n_threads (fun ~tid ~cluster ->
-           let th = RwMutex.register l ~tid ~cluster in
-           let rng = Prng.create (seed + tid) in
-           let rec loop () =
-             if M.now () < duration then begin
-               RwMutex.acquire th;
-               if Prng.chance rng write_ratio then
-                 M.write shared (M.read shared + 1)
-               else ignore (M.read shared);
-               M.pause 150;
-               RwMutex.release th;
-               incr ops;
-               M.pause (500 + Prng.int rng 500);
-               loop ()
-             end
-           in
-           loop ()))
-  end;
+  let register =
+    if use_rw then begin
+      let l = Rw.create cfg in
+      fun ~tid ~cluster ->
+        let th = Rw.register l ~tid ~cluster in
+        ( (fun write -> if write then Rw.write_lock th else Rw.read_lock th),
+          fun write -> if write then Rw.write_unlock th else Rw.read_unlock th )
+    end
+    else begin
+      let l = RwMutex.create cfg in
+      fun ~tid ~cluster ->
+        let th = RwMutex.register l ~tid ~cluster in
+        ((fun _ -> RwMutex.acquire th), fun _ -> RwMutex.release th)
+    end
+  in
+  ignore
+    (E.run ~topology ~n_threads (fun ~tid ~cluster ->
+         let lock, unlock = register ~tid ~cluster in
+         let rng = Prng.create (seed + tid) in
+         let rec loop () =
+           if M.now () < duration then begin
+             let write = Prng.chance rng write_ratio in
+             lock write;
+             if write then M.write shared (M.read shared + 1)
+             else ignore (M.read shared);
+             M.pause 150;
+             unlock write;
+             incr ops;
+             M.pause (500 + Prng.int rng 500);
+             loop ()
+           end
+         in
+         loop ()));
   float_of_int !ops /. (float_of_int duration *. 1e-9)
 
 let extension_rw ~topology ~n_threads ~duration ~seed () =

@@ -85,7 +85,6 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
   module A_c_bo_clh = Cohort.A_c_bo_clh.Make (M)
   module Hbo = Baselines.Hbo_lock.Make (M)
   module Hclh = Baselines.Hclh_lock.Make (M)
-  module Hclh_full = Baselines.Hclh_full.Make (M)
   module Fcmcs = Baselines.Fc_mcs.Make (M)
   module Fibbo = Baselines.Fib_bo.Make (M)
   module Pthread = Baselines.Pthread_like.Make (M)
@@ -143,7 +142,7 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
 
   let extra_locks : entry list =
     [ plain "BO" (module Bo.Plain); plain "TKT" (module Tkt.Plain);
-      plain "CLH" (module Clh.Plain); plain "HCLH-full" (module Hclh_full) ]
+      plain "CLH" (module Clh.Plain) ]
 
   (* The saturation-collapse line-up (see the [collapse] experiment):
      plain locks that collapse past capacity, their GCR-wrapped

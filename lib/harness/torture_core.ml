@@ -40,7 +40,7 @@ let pp_case c =
 
 module Make (M : Memory_intf.MEMORY) (RT : Runtime_intf.RUNTIME) = struct
   module R = Lock_registry.Make (M)
-  module CL = Check_lock.Make (M)
+  module CL = Numa_check.Oracle.Make (M)
 
   (* A [?topology] override (the --topology CLI flag) pins every case to
      one machine instead of the generated flat one; cases whose thread
@@ -114,7 +114,7 @@ module Make (M : Memory_intf.MEMORY) (RT : Runtime_intf.RUNTIME) = struct
           else Ok ()
         with
         | Runtime_intf.Thread_failure
-            { exn = Check_lock.Protocol_violation v; _ } ->
+            { exn = Numa_check.Violation.Violation v; _ } ->
             Error (Numa_check.Violation.to_string v))
 
   let run_abortable_case ?topology c =

@@ -2,7 +2,7 @@
     [bin/torture.exe]: throws random configurations (lock, topology,
     thread count, critical/non-critical section lengths, handoff policy,
     patience) at every lock in the registry and verifies mutual
-    exclusion (via {!Check_lock} and an independent in-CS counter), full
+    exclusion (via {!Numa_check.Oracle} and an independent in-CS counter), full
     progress, and post-abort lock health.
 
     Under the simulated runtime every case is deterministic given its

@@ -141,8 +141,8 @@ val set_fastpath : bool -> unit
     operation through the effect handler — same schedules, same stats,
     same artifacts, byte for byte (pinned by test_fastpath and the CI
     determinism stage); only host speed and [result.fp_hits] change.
-    For A/B measurement ([bin/enginebench.exe]) and differential
-    testing. *)
+    For A/B measurement (the repo benchmark's
+    [engine.fastpath_saving_pct]) and differential testing. *)
 
 val fastpath_enabled : unit -> bool
 

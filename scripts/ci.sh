@@ -23,9 +23,6 @@
 #                parking/rotation machinery must be as deterministic as
 #                the rest of the sim (the >= 2x survival claim itself is
 #                gated by test/test_gcr.ml's ordering check)
-#   enginebench  engine host-throughput smoke: NON-gating on the numbers
-#                (host wall-clock is noisy) — it only has to run; the
-#                figures land in the log for eyeballing trends
 #   paper-claim  coherence attribution gates (repro profile --check):
 #                C-BO-MCS must move strictly fewer remote transfers per
 #                acquisition than MCS (the paper claim), and CNA must
@@ -61,7 +58,7 @@
 # build lock, so nested dune invocations would hang).
 set -euo pipefail
 
-STAGES=(check runtest torture explore collapse enginebench paper-claim predict determinism bench-diff)
+STAGES=(check runtest torture explore collapse paper-claim predict determinism bench-diff)
 
 usage() {
   echo "usage: scripts/ci.sh [--stage NAME]..."
@@ -89,7 +86,6 @@ done
 if [[ -n "${INSIDE_DUNE:-}" ]]; then
   torture() { bin/torture.exe "$@"; }
   explore() { bin/explore.exe "$@"; }
-  enginebench() { bin/enginebench.exe "$@"; }
   repro() { bin/repro.exe "$@"; }
   bench() { bench/main.exe "$@"; }
   bench_diff() { bin/bench_diff.exe "$@"; }
@@ -97,7 +93,6 @@ else
   cd "$(dirname "$0")/.."
   torture() { dune exec --no-build bin/torture.exe -- "$@"; }
   explore() { dune exec --no-build bin/explore.exe -- "$@"; }
-  enginebench() { dune exec --no-build bin/enginebench.exe -- "$@"; }
   repro() { dune exec --no-build bin/repro.exe -- "$@"; }
   bench() { dune exec --no-build bench/main.exe -- "$@"; }
   bench_diff() { dune exec --no-build bin/bench_diff.exe -- "$@"; }
@@ -218,16 +213,6 @@ if want collapse; then
   end
 else
   skip collapse "skipped (--stage)"
-fi
-
-# --- enginebench ----------------------------------------------------------
-
-if want enginebench; then
-  begin enginebench
-  enginebench --smoke
-  end "pass (non-gating)"
-else
-  skip enginebench "skipped (--stage)"
 fi
 
 # --- paper-claim ----------------------------------------------------------

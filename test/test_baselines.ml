@@ -10,7 +10,6 @@ let topo = Topology.small
 
 module Hbo = Baselines.Hbo_lock.Make (M)
 module Hclh = Baselines.Hclh_lock.Make (M)
-module Hclh_full = Baselines.Hclh_full.Make (M)
 module Fcmcs = Baselines.Fc_mcs.Make (M)
 module Fibbo = Baselines.Fib_bo.Make (M)
 module Pthread = Baselines.Pthread_like.Make (M)
@@ -69,7 +68,6 @@ let all_baselines : (string * (module LI.LOCK)) list =
   [
     ("HBO", (module Hbo.Lock));
     ("HCLH", (module Hclh));
-    ("HCLH-full", (module Hclh_full));
     ("FC-MCS", (module Fcmcs));
     ("Fib-BO", (module Fibbo));
     ("pthread", (module Pthread));
@@ -159,16 +157,13 @@ let migrations (module L : LI.LOCK) =
 
 module Mcs = Cohort.Mcs_lock.Make (M)
 
-(* The two HCLH implementations (simplified close-the-queue vs published
-   tail_when_spliced) must both batch per cluster. *)
-let test_hclh_variants_batch () =
-  let simple = migrations (module Hclh) in
-  let full = migrations (module Hclh_full) in
+(* HCLH splices whole per-cluster batches into the global queue. *)
+let test_hclh_batches () =
+  let hclh = migrations (module Hclh) in
   let mcs = migrations (module Mcs.Plain) in
   Alcotest.(check bool)
-    (Printf.sprintf "both under MCS (%d, %d < %d)" simple full mcs)
-    true
-    (simple < mcs && full < mcs)
+    (Printf.sprintf "HCLH migrates less than MCS (%d < %d)" hclh mcs)
+    true (hclh < mcs)
 
 let test_fcmcs_batches () =
   let fc = migrations (module Fcmcs) in
@@ -192,8 +187,7 @@ let suite =
         Alcotest.test_case "A-HBO timeouts" `Quick test_ahbo_timeouts_and_recovers;
         Alcotest.test_case "HBO affinity" `Quick test_hbo_affinity;
         Alcotest.test_case "FC-MCS batches" `Quick test_fcmcs_batches;
-        Alcotest.test_case "HCLH variants batch" `Quick
-          test_hclh_variants_batch;
+        Alcotest.test_case "HCLH batches" `Quick test_hclh_batches;
       ] );
   ]
 

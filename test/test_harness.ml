@@ -206,10 +206,10 @@ let test_csv_roundtrip () =
   Alcotest.(check string) "row 1" "1,1.5,2.5" (List.nth lines 1);
   Alcotest.(check string) "nan blank" "2,3," (List.nth lines 2)
 
-(* --- check_lock ---------------------------------------------------------- *)
+(* --- check_lock: lock-usage checking by the oracle's wrap ---------------- *)
 
-module CL = Harness.Check_lock
-module CLS = CL.Make (Numasim.Sim_mem)
+module CLS = Numa_check.Oracle.Make (Numasim.Sim_mem)
+module V = Numa_check.Violation
 
 let test_check_lock_clean_usage () =
   let (module L) = CLS.wrap mcs.R.lock in
@@ -235,8 +235,8 @@ let check_violation body =
          (fun ~tid ~cluster -> body ~tid ~cluster));
     false
   with
-  | CL.Protocol_violation _ -> true
-  | Numasim.Engine.Thread_failure { exn = CL.Protocol_violation _; _ } -> true
+  | V.Violation _ -> true
+  | Numasim.Engine.Thread_failure { exn = V.Violation _; _ } -> true
 
 let test_check_lock_double_release () =
   let (module L) = CLS.wrap mcs.R.lock in

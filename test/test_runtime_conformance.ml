@@ -10,9 +10,9 @@
 open Numa_base
 module LI = Cohort.Lock_intf
 
-(* A deliberately broken "lock" (acquire is a no-op): Check_lock.wrap
-   must turn concurrent critical sections into a Protocol_violation on
-   either substrate. *)
+(* A deliberately broken "lock" (acquire is a no-op): the oracle's wrap
+   must turn concurrent critical sections into a Violation on either
+   substrate. *)
 module Broken : LI.LOCK = struct
   type t = unit
   type thread = unit
@@ -181,7 +181,7 @@ struct
       (Array.exists Fun.id parked)
 
   let test_checker_violation_raised () =
-    let module CL = Harness.Check_lock.Make (M) in
+    let module CL = Numa_check.Oracle.Make (M) in
     let (module L) = CL.wrap (module Broken) in
     let l = L.create { LI.default with clusters = 4; max_threads = 8 } in
     let raised =
@@ -198,11 +198,11 @@ struct
         false
       with
       | Runtime_intf.Thread_failure
-          { exn = Harness.Check_lock.Protocol_violation _; _ } ->
+          { exn = Numa_check.Violation.Violation _; _ } ->
           true
     in
     Alcotest.(check bool)
-      "broken mutual exclusion surfaced as Protocol_violation" true raised
+      "broken mutual exclusion surfaced as a Violation" true raised
 
   let suite speed =
     [
