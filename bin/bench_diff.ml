@@ -120,7 +120,7 @@ let check_coverage (b : BJ.t) ~allow_missing ~path =
           "COVERAGE: registry lock %s has no curve in baseline %s\n" name path)
       blocked;
     Printf.eprintf
-      "bench_diff: regenerate and commit the benchmark artifact (bench quick \
+      "bench_diff: regenerate and commit the benchmark artifact (repro quick \
        --emit-bench-json BENCH_<next>.json), or stage intentionally with \
        --allow-missing LOCK\n";
     exit 1

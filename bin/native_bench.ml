@@ -1,21 +1,25 @@
-(* Contended throughput of the NATIVE (Atomic-backed) locks on real
-   domains, measured by the same substrate-generic benchmark core (and
-   the same lock registry) as the simulated LBench.
+(* Uncontended cost and contended throughput of the NATIVE
+   (Atomic-backed) locks on real domains, the contended part measured
+   by the same substrate-generic benchmark core (and the same lock
+   registry) as the simulated LBench.
 
      dune exec bin/native_bench.exe -- [-d DOMAINS] [-c CLUSTERS]
                                        [-t MILLIS] [-l LOCK]... [--abortable]
                                        [--trace FILE] [--emit-bench-json FILE]
 
-   Complements bench/main.exe's Bechamel section (uncontended cost) with
-   a contended measurement reporting the full LBench metric set
-   (throughput, fairness stddev, acquire p50/p99, migrations from the
-   declared clusters). Caveat for interpreting numbers: when domains
-   outnumber cores — certainly in this container — spin locks progress
-   through pre-emption and Nat_mem's sleep escalation, so this measures
-   lock overhead under oversubscription, not NUMA behaviour; use the
-   simulator for the paper's experiments. Coherence misses per CS exist
-   only in the simulator and are reported as "-" here. *)
+   Each row reports the full LBench metric set (throughput, fairness
+   stddev, acquire p50/p99, migrations from the declared clusters) plus,
+   for non-abortable locks, the uncontended acquire+release latency
+   measured by Bechamel on one thread before the contended run: the
+   low-contention overhead that Figure 4 shows must stay competitive.
+   Caveat for interpreting numbers: when domains outnumber cores, spin
+   locks progress through pre-emption and Nat_mem's sleep escalation,
+   so this measures lock overhead under oversubscription, not NUMA
+   behaviour; use the simulator for the paper's experiments. Coherence
+   misses per CS exist only in the simulator and are reported as "-"
+   here. *)
 
+open Bechamel
 open Cmdliner
 module LI = Cohort.Lock_intf
 module LR = Harness.Lock_registry
@@ -24,30 +28,43 @@ module Bench = Harness.Native.Bench
 module Rep = Harness.Report
 
 let header () =
-  Printf.printf "  %-14s %12s %9s %10s %10s %9s %8s\n" "lock" "acquires/s"
-    "fair.%" "p50 ns" "p99 ns" "migr." "abort%"
+  Printf.printf "  %-14s %12s %9s %10s %10s %9s %8s %11s\n" "lock" "acquires/s"
+    "fair.%" "p50 ns" "p99 ns" "migr." "abort%" "uncont. ns"
 
-let row (r : Harness.Bench_core.result) =
-  Printf.printf "  %-14s %12s %9s %10s %10s %9d %8s\n%!" r.lock_name
+let row ?uncontended (r : Harness.Bench_core.result) =
+  Printf.printf "  %-14s %12s %9s %10s %10s %9d %8s %11s\n%!" r.lock_name
     (Rep.fmt_si r.throughput)
     (Rep.fmt_fixed1 r.fairness_stddev_pct)
     (Rep.fmt_si r.acquire_p50) (Rep.fmt_si r.acquire_p99) r.migrations
     (if r.aborts = 0 && r.abort_rate = 0. then "-"
      else Rep.fmt_fixed2 (100. *. r.abort_rate))
+    (Option.fold ~none:"-" ~some:Rep.fmt_fixed1 uncontended)
 
-(* [--trace FILE]: .jsonl streams JSONL; anything else buffers in a ring
-   and writes a Chrome trace_event file on exit. Native timestamps are
-   real monotonic ns, so the Chrome view shows wall-clock handoffs. *)
-let trace_sink = function
-  | None -> (Numa_trace.Sink.noop, fun () -> ())
-  | Some path when Filename.check_suffix path ".jsonl" ->
-      let sink = Numa_trace.Jsonl.to_file path in
-      (sink, fun () -> Numa_trace.Sink.close sink)
-  | Some path ->
-      let ring = Numa_trace.Ring.create ~capacity:1_048_576 in
-      ( Numa_trace.Ring.sink ring,
-        fun () ->
-          Numa_trace.Chrome.write_file path (Numa_trace.Ring.events ring) )
+(* Single-thread acquire+release latency over real atomics, in ns per
+   cycle: Bechamel's OLS estimate against the monotonic clock, if it has
+   one. The lock is untraced, so the trace holds only the contended
+   run. *)
+let uncontended_ns (e : LR.entry) cfg =
+  let (module L : LI.LOCK) = e.LR.lock in
+  let l = L.create (e.LR.tweak cfg) in
+  Numa_native.Nat_mem.set_identity ~tid:0 ~cluster:0;
+  let th = L.register l ~tid:0 ~cluster:0 in
+  let test =
+    Test.make ~name:e.LR.name
+      (Staged.stage (fun () ->
+           L.acquire th;
+           L.release th))
+  in
+  let ols =
+    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
+  in
+  let instance = Toolkit.Instance.monotonic_clock in
+  let bcfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:None () in
+  Hashtbl.fold
+    (fun _ ols est ->
+      match Analyze.OLS.estimates ols with Some (ns :: _) -> Some ns | _ -> est)
+    (Analyze.all ols instance (Benchmark.all bcfg [ instance ] test))
+    None
 
 let run_bench domains clusters millis filters abortable patience seed trace
     emit =
@@ -80,17 +97,18 @@ let run_bench domains clusters millis filters abortable patience seed trace
      (1-core container: measures oversubscribed overhead, not NUMA)\n"
     domains clusters millis seed;
   header ();
-  let sink, finish_trace = trace_sink trace in
+  let sink, finish_trace = Numa_trace.Chrome.open_trace trace in
   let rollup = emit <> None in
   let results =
     List.map
       (fun (e : LR.entry) ->
+        let uncontended = uncontended_ns e cfg in
         let e = LR.with_trace sink e in
         let r =
           Bench.run ~name:e.LR.name e.LR.lock ~topology ~cfg:(e.LR.tweak cfg)
             ~n_threads:domains ~duration ~seed ~rollup
         in
-        row r;
+        row ?uncontended r;
         ("native-lbench", r))
       entries
     @ List.map
@@ -167,7 +185,8 @@ let seed =
 let trace =
   let doc =
     "Write a lock-event trace to $(docv): JSON-lines if it ends in .jsonl, \
-     Chrome trace_event format otherwise."
+     Chrome trace_event format otherwise. Timestamps are real monotonic \
+     ns, so the Chrome view shows wall-clock handoffs."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
@@ -175,7 +194,7 @@ let emit =
   let doc =
     "Write a versioned benchmark artifact (cohort-bench JSON, with per-lock \
      trace-metric rollups) to $(docv). Native artifacts are timing-dependent \
-     and not byte-reproducible; use bench/main.exe for the gated sim \
+     and not byte-reproducible; use $(b,repro quick) for the gated sim \
      artifact."
   in
   Arg.(
@@ -185,8 +204,8 @@ let emit =
 
 let cmd =
   let doc =
-    "contended native lock throughput over the shared registry and benchmark \
-     core"
+    "native lock costs over the shared registry and benchmark core: \
+     contended LBench metrics, plus the uncontended acquire+release latency"
   in
   Cmd.v
     (Cmd.info "native_bench" ~doc)

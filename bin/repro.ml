@@ -7,7 +7,8 @@
      repro fig6 --patience-us 300
      repro table1 --mix write
      repro table2 --threads 1,2,4,8,16,32,64,128,255
-     repro all --duration-ms 20 --csv-dir out/ *)
+     repro all --duration-ms 20 --csv-dir out/
+     repro quick --emit-bench-json BENCH_head.json   # the CI artifact *)
 
 open Cmdliner
 module C = Harness.Catalogue
@@ -95,7 +96,7 @@ let knob_term (d : C.params) knob : (C.params -> C.params) Term.t =
   | Check doc ->
       set (fun check p -> { p with C.check })
       @@ Arg.(value & flag & info [ "check" ] ~doc)
-  | Csv | Trace | Emit | Profile -> Term.const Fun.id
+  | Csv | Trace | Emit | Profile | Fastpath -> Term.const Fun.id
 
 let file_opt names doc =
   Arg.(value & opt (some string) None & info names ~docv:"FILE" ~doc)
@@ -126,6 +127,17 @@ let profile_arg =
            transfers, invalidations, stall-ns split) for every lock at the \
            highest thread count of the sweep.")
 
+(* Artifacts must be byte-identical either way (ci.sh diffs them); the
+   flag exists so that check is cheap to run. *)
+let fastpath_arg =
+  Arg.(
+    value
+    & opt (enum [ ("on", true); ("off", false) ]) true
+    & info [ "fastpath" ] ~docv:"on|off"
+        ~doc:
+          "Engine fast path for local cache hits. It never changes a \
+           simulated result, only host time.")
+
 let cmd (e : C.entry) =
   let params =
     List.fold_left
@@ -134,13 +146,15 @@ let cmd (e : C.entry) =
       (Term.const Fun.id) e.knobs
   in
   let only k arg none = if List.mem k e.knobs then arg else Term.const none in
-  let run f csv_dir trace emit profile =
+  let run f csv_dir trace emit profile fastpath =
+    Numasim.Engine.set_fastpath fastpath;
     C.run ?csv_dir ?trace ?emit ~profile e (f e.defaults)
   in
   Cmd.v (Cmd.info e.name ~doc:e.doc)
     Term.(
       const run $ params $ only Csv csv_dir_arg None $ only Trace trace_arg None
-      $ only Emit emit_arg None $ only Profile profile_arg false)
+      $ only Emit emit_arg None $ only Profile profile_arg false
+      $ only Fastpath fastpath_arg true)
 
 let () =
   let info =

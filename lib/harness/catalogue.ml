@@ -21,7 +21,6 @@ type env = {
   sink : Numa_trace.Sink.t;
   rollup : bool;
   profile : bool;
-  predict : bool;
   csv_dir : string option;
 }
 
@@ -41,6 +40,7 @@ type knob =
   | Trace
   | Emit
   | Profile
+  | Fastpath
 
 type entry = {
   name : string;
@@ -80,19 +80,6 @@ let contending = N_threads "Contending threads."
 let observed = [ Csv; Trace; Emit ]
 
 (* --- Observation: trace sink, CSV, artifact ----------------------------- *)
-
-(* [--trace FILE]: a .jsonl suffix streams events as they happen; anything
-   else buffers them in a ring and writes a Chrome trace on completion. *)
-let trace_sink = function
-  | None -> (Numa_trace.Sink.noop, fun () -> ())
-  | Some path when Filename.check_suffix path ".jsonl" ->
-      let sink = Numa_trace.Jsonl.to_file path in
-      (sink, fun () -> Numa_trace.Sink.close sink)
-  | Some path ->
-      let ring = Numa_trace.Ring.create ~capacity:1_048_576 in
-      ( Numa_trace.Ring.sink ring,
-        fun () ->
-          Numa_trace.Chrome.write_file path (Numa_trace.Ring.events ring) )
 
 let traced env = List.map (LR.with_trace env.sink)
 
@@ -220,7 +207,6 @@ let fig name which doc =
             let col = s.X.cells.(i) in
             print_profile ~name col.(Array.length col - 1))
           s.X.columns;
-      if env.predict then print_predictions s;
       [ Sweep ("lbench", s) ])
 
 let figs = fig "figs" [ `F2; `F3; `F4; `F5 ] "Figures 2-5 from one sweep."
@@ -562,7 +548,7 @@ let predict =
 
 (* --- The plan ------------------------------------------------------------ *)
 
-(* Everything [repro all] and [bench/main.exe] run, in order. *)
+(* Everything [repro all] and [repro quick] run, in order. *)
 let plan =
   [
     figs; fig6; table1; table2; ablation_handoff; ablation_hbo;
@@ -580,7 +566,15 @@ let step_params ~quick (g : params) e =
   if quick then e.quick p else p
 
 let all ~quick =
-  entry "all" "Run every figure and table." ~knobs:(Topology :: Duration :: Seed :: observed)
+  let name, doc =
+    if quick then
+      ( "quick",
+        "Run every figure and table at the plan's quick parameters (2 ms \
+         windows, fewer thread counts)." )
+    else ("all", "Run every figure and table.")
+  in
+  entry name doc
+    ~knobs:([ Topology; Duration; Seed; Profile; Fastpath ] @ observed)
     ~defaults:{ base with duration = (if quick then 2_000_000 else base.duration) }
     (fun env g ->
       List.concat_map (fun e -> e.run env (step_params ~quick g e)) plan)
@@ -595,14 +589,15 @@ let commands =
     figs; fig6; table1; table2; ablation_handoff; ablation_hbo;
     ablation_policy; topology; hier; ext_blocking; ext_rw; ext_bimodal;
     matrix; successors; collapse; profile; predict; all ~quick:false;
+    all ~quick:true;
   ]
 
 (* --- One invocation ------------------------------------------------------ *)
 
 (* Banner, the entry's run, then the trace file and the artifact. *)
-let run ?csv_dir ?trace ?emit ?(profile = false) ?(predict = false) e p =
-  let sink, finish = trace_sink trace in
-  let env = { sink; rollup = emit <> None || predict; profile; predict; csv_dir } in
+let run ?csv_dir ?trace ?emit ?(profile = false) e p =
+  let sink, finish = Numa_trace.Chrome.open_trace trace in
+  let env = { sink; rollup = emit <> None; profile; csv_dir } in
   Printf.printf "%s\n%!"
     (X.params_summary ~topology:p.topology ~duration:p.duration ~seed:p.seed);
   let outputs = e.run env p in

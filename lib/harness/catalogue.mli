@@ -1,8 +1,8 @@
 (** The experiment catalogue: one entry per experiment of the evaluation
     (Figures 2-6, Tables 1-2, the ablations and extensions).
     [bin/repro.exe] builds one subcommand per entry of {!commands}, its
-    flags from the entry's {!knob}s; [repro all] and [bench/main.exe]
-    both fold over {!plan}. *)
+    flags from the entry's {!knob}s; [repro all] and [repro quick] both
+    fold over {!plan}. *)
 
 type params = {
   topology : Numa_base.Topology.t;
@@ -17,13 +17,12 @@ type params = {
 }
 
 (** What a run observes: the trace sink its locks write to, whether
-    points carry metric rollups, the [--profile]/[--predict] printers,
-    and the CSV directory. *)
+    points carry metric rollups, the [--profile] printer, and the CSV
+    directory. *)
 type env = {
   sink : Numa_trace.Sink.t;
   rollup : bool;
   profile : bool;
-  predict : bool;
   csv_dir : string option;
 }
 
@@ -45,6 +44,7 @@ type knob =
   | Trace
   | Emit
   | Profile
+  | Fastpath  (** the engine fast path, on or off (schedule-invisible). *)
 
 type entry = {
   name : string;
@@ -52,32 +52,33 @@ type entry = {
   knobs : knob list;
   defaults : params;  (** standalone defaults. *)
   in_all : params -> params;  (** adjustments as a step of the plan. *)
-  quick : params -> params;  (** further adjustments under [bench quick]. *)
+  quick : params -> params;  (** further adjustments under [repro quick]. *)
   run : env -> params -> output list;  (** run and print. *)
 }
 
 val commands : entry list
-(** The [repro] subcommands, in help order; the last is [all]. *)
+(** The [repro] subcommands, in help order; the last two are
+    [all ~quick:false] and [all ~quick:true]. *)
 
 val plan : entry list
-(** Every step [repro all] and [bench/main.exe] run, in order. It
+(** Every step [repro all] and [repro quick] run, in order. It
     includes the plan-only [rack] and [oversub] LBench sweeps. *)
 
 val all : quick:bool -> entry
-(** The fold over {!plan}: each step takes the run's topology, window
-    and seed, then its [in_all] and, if [quick], its [quick]
-    adjustments. Under [quick] the default window is 2 ms. *)
+(** The fold over {!plan}, named [all], or [quick] under [quick]: each
+    step takes the run's topology, window and seed, then its [in_all]
+    and, if [quick], its [quick] adjustments. Under [quick] the default
+    window is 2 ms. *)
 
 val run :
   ?csv_dir:string ->
   ?trace:string ->
   ?emit:string ->
   ?profile:bool ->
-  ?predict:bool ->
   entry ->
   params ->
   unit
 (** One invocation: prints the parameter banner, runs the entry, then
     lands the trace file ([.jsonl] streams JSONL, anything else writes a
     Chrome trace) and the cohort-bench artifact of its sweeps. Rollups
-    are on under [emit] or [predict]. *)
+    are on under [emit]. *)

@@ -94,3 +94,12 @@ let write_file path events =
     (fun () ->
       output_string oc (Json.to_string ~pretty:true (of_events events));
       output_char oc '\n')
+
+let open_trace = function
+  | None -> (Sink.noop, fun () -> ())
+  | Some path when Filename.check_suffix path ".jsonl" ->
+      let sink = Jsonl.to_file path in
+      (sink, fun () -> Sink.close sink)
+  | Some path ->
+      let ring = Ring.create ~capacity:1_048_576 in
+      (Ring.sink ring, fun () -> write_file path (Ring.events ring))

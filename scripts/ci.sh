@@ -33,11 +33,11 @@
 #                the core curves (MCS, C-BO-MCS, CNA at the pinned
 #                thread counts) must stay within the band stated in
 #                Harness.Gates / EXPERIMENTS.md "Prediction"
-#   determinism  quick sim benchmark emitting BENCH_head.json — run with
-#                --profile AND --predict — then the same seed re-run
-#                with neither flag byte-compared against it (profiling
-#                and prediction are pure observation, so the artifacts
-#                must be identical); the same seed re-run with
+#   determinism  the quick plan (repro quick) emitting BENCH_head.json —
+#                run with --profile — then the same seed re-run without
+#                it byte-compared against it (profiling is pure
+#                observation, so the artifacts must be identical); the
+#                same seed re-run with
 #                --fastpath off byte-compared too (the engine fast path
 #                must be invisible in every simulated result); plus a
 #                same-seed fig2 byte-diff on the rack preset (the
@@ -87,14 +87,12 @@ if [[ -n "${INSIDE_DUNE:-}" ]]; then
   torture() { bin/torture.exe "$@"; }
   explore() { bin/explore.exe "$@"; }
   repro() { bin/repro.exe "$@"; }
-  bench() { bench/main.exe "$@"; }
   bench_diff() { bin/bench_diff.exe "$@"; }
 else
   cd "$(dirname "$0")/.."
   torture() { dune exec --no-build bin/torture.exe -- "$@"; }
   explore() { dune exec --no-build bin/explore.exe -- "$@"; }
   repro() { dune exec --no-build bin/repro.exe -- "$@"; }
-  bench() { dune exec --no-build bench/main.exe -- "$@"; }
   bench_diff() { dune exec --no-build bin/bench_diff.exe -- "$@"; }
 fi
 
@@ -240,8 +238,8 @@ fi
 # --- determinism ----------------------------------------------------------
 
 emit_bench_head() {
-  echo "   quick sim benchmark -> BENCH_head.json (with --profile --predict)"
-  bench quick --profile --predict --emit-bench-json "$tmp/BENCH_head.json" \
+  echo "   quick plan -> BENCH_head.json (with --profile)"
+  repro quick --profile --emit-bench-json "$tmp/BENCH_head.json" \
     >"$tmp/bench1.log"
   tail -n 3 "$tmp/bench1.log"
 }
@@ -249,18 +247,18 @@ emit_bench_head() {
 if want determinism; then
   begin determinism
   emit_bench_head
-  echo "   same-seed re-run without --profile/--predict, byte diff"
-  bench quick --emit-bench-json "$tmp/BENCH_head2.json" >"$tmp/bench2.log"
+  echo "   same-seed re-run without --profile, byte diff"
+  repro quick --emit-bench-json "$tmp/BENCH_head2.json" >"$tmp/bench2.log"
   if ! cmp "$tmp/BENCH_head.json" "$tmp/BENCH_head2.json"; then
     echo "ci: FAIL — same-seed benchmark artifacts differ; the simulation" >&2
     echo "has picked up wall-clock or global-Random nondeterminism (or" >&2
-    echo "--profile/--predict perturbed schedules/artifacts, which they" >&2
-    echo "must never do)." >&2
+    echo "--profile perturbed schedules/artifacts, which it must never" >&2
+    echo "do)." >&2
     exit 1
   fi
   echo "   artifacts byte-identical"
   echo "   same-seed re-run with --fastpath off, byte diff"
-  bench quick --fastpath off --emit-bench-json "$tmp/BENCH_head3.json" \
+  repro quick --fastpath off --emit-bench-json "$tmp/BENCH_head3.json" \
     >"$tmp/bench3.log"
   if ! cmp "$tmp/BENCH_head.json" "$tmp/BENCH_head3.json"; then
     echo "ci: FAIL — the engine fast path changed a simulated result;" >&2
