@@ -16,7 +16,12 @@
     lock is modelled by the harness as uncharged think-time. *)
 
 module Make (M : Numa_base.Memory_intf.MEMORY) = struct
-  type item = { key : int; value : int M.cell; lru : int M.cell }
+  type item = {
+    key : int;
+    value : int M.cell;
+    lru : int M.cell;
+    seeded : bool;  (* loaded by [populate], not inserted by [set] *)
+  }
 
   (* memcached bumps an item's LRU recency at most once per interval, so
      a read-heavy workload generates almost no write traffic per get. *)
@@ -30,6 +35,7 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
         (* memcached keeps statistics per worker thread precisely so the
            counters do not become a coherence hot spot. *)
     mutable n_items : int;
+    mutable n_seeded : int;
   }
 
   let hash k =
@@ -49,6 +55,7 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
         Array.init max_threads (fun i ->
             M.cell' ~name:(Printf.sprintf "kv.stats.%d" i) 0);
       n_items = 0;
+      n_seeded = 0;
     }
 
   let n_items t = t.n_items
@@ -87,7 +94,9 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
         M.write it.lru (M.now ())
     | b, None ->
         let ln = M.line ~name:"kv.item" () in
-        let it = { key = k; value = M.cell ln v; lru = M.cell ln 0 } in
+        let it =
+          { key = k; value = M.cell ln v; lru = M.cell ln 0; seeded = false }
+        in
         M.write t.bucket_tags.(b) 1;
         M.write it.lru (M.now ());
         t.buckets.(b) <- it :: t.buckets.(b);
@@ -95,13 +104,42 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
 
   let mem t k = match find_item t k with _, Some _ -> true | _ -> false
 
+  let peek t k =
+    match find_item t k with
+    | _, Some it ->
+        let v = M.read it.value in
+        Some (v, M.read it.lru)
+    | _, None -> None
+
   (* Pre-populate without charging simulated time (host-side setup). *)
   let populate t ~n_keys =
     for k = 0 to n_keys - 1 do
       let b = hash k mod t.n_buckets in
       let ln = M.line ~name:"kv.item" () in
-      let it = { key = k; value = M.cell ln k; lru = M.cell ln 0 } in
+      let it =
+        { key = k; value = M.cell ln k; lru = M.cell ln 0; seeded = true }
+      in
       t.buckets.(b) <- it :: t.buckets.(b);
-      t.n_items <- t.n_items + 1
+      t.n_items <- t.n_items + 1;
+      t.n_seeded <- t.n_seeded + 1
     done
+
+  (* Host-side, between runs: [List.filter] keeps the seeded items in
+     their populate order, so lookups walk the same chains as in a fresh
+     store. *)
+  let reset t =
+    if t.n_items > t.n_seeded then begin
+      Array.iteri
+        (fun b items ->
+          t.buckets.(b) <- List.filter (fun it -> it.seeded) items)
+        t.buckets;
+      t.n_items <- t.n_seeded
+    end;
+    Array.iter
+      (List.iter (fun it ->
+           M.init it.value it.key;
+           M.init it.lru 0))
+      t.buckets;
+    Array.iter (fun c -> M.init c 0) t.bucket_tags;
+    Array.iter (fun c -> M.init c 0) t.thread_stats
 end

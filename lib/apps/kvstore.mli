@@ -27,7 +27,17 @@ module Make (_ : Numa_base.Memory_intf.MEMORY) : sig
 
   val mem : t -> int -> bool
 
+  val peek : t -> int -> (int * int) option
+  (** The item's value and LRU stamp. Charges the same bucket and item
+      reads as {!get} but writes nothing: no LRU touch, no stats bump. *)
+
   val populate : t -> n_keys:int -> unit
   (** Pre-load keys [0..n_keys-1] with value = key, without charging
       simulated time (host-side setup). *)
+
+  val reset : t -> unit
+  (** Restore the state {!populate} left: every value is its key again,
+      every LRU stamp and every bucket and stats counter is 0, and any
+      item a {!set} inserted is removed. Host-side, between runs (it
+      writes through [MEMORY.init]), so one store can serve many runs. *)
 end

@@ -35,6 +35,12 @@ module type MEMORY = sig
   (** [cell' v] allocates a cell on a fresh private line: the common case
       for lock words, which must not false-share. *)
 
+  val init : 'a cell -> 'a -> unit
+  (** [init c v] sets [c]'s value from the host, like the initial value
+      given to {!cell}: it charges nothing and wakes nobody. Call it only
+      between runs (e.g. to restore a long-lived structure before the
+      next one), never from a thread body. *)
+
   val read : 'a cell -> 'a
 
   val write : 'a cell -> 'a -> unit

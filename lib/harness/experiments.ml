@@ -162,12 +162,23 @@ let client_rtt = 17_000 (* ns: network round trip + client processing *)
 let kv_get_work = 300 (* ns: hash walk / response assembly under the lock *)
 let kv_set_work = 550 (* ns: sets also allocate and fix up LRU chains *)
 
-let kv_run ~make_workload (e : R.entry) ~topology ~n_threads ~duration ~seed =
+let kv_keys = 16_384
+
+(* A table's cells share one store: [kv_store] builds it once per
+   experiment call and [kv_run] resets it before each cell, which leaves
+   every cell exactly where a freshly built store would (doc/SIMULATOR.md
+   "Lines and cells outlive a run"). *)
+let kv_store () =
+  let store = Kv.create ~n_buckets:4096 () in
+  Kv.populate store ~n_keys:kv_keys;
+  store
+
+let kv_run store ~make_workload (e : R.entry) ~topology ~n_threads ~duration
+    ~seed =
   let module L = (val e.lock : LI.LOCK) in
   let cfg = e.tweak (cfg_for_n topology n_threads) in
   let l = L.create cfg in
-  let store = Kv.create ~n_buckets:4096 () in
-  Kv.populate store ~n_keys:16_384;
+  Kv.reset store;
   let ops = ref 0 in
   (* Connection queue between client and server fibers: clients bump
      [issued]; servers claim tickets in FIFO order and bump [done] when a
@@ -223,10 +234,11 @@ let kv_run ~make_workload (e : R.entry) ~topology ~n_threads ~duration ~seed =
          end));
   float_of_int !ops /. (float_of_int duration *. 1e-9)
 
-let kv_ops_per_sec (e : R.entry) ~topology ~n_threads ~duration ~seed ~mix =
-  kv_run
+let kv_ops_per_sec store (e : R.entry) ~topology ~n_threads ~duration ~seed
+    ~mix =
+  kv_run store
     ~make_workload:(fun ~tid ->
-      W.make ~seed:(seed + (tid * 131) + 7) ~n_keys:16_384 ~mix)
+      W.make ~seed:(seed + (tid * 131) + 7) ~n_keys:kv_keys ~mix)
     e ~topology ~n_threads ~duration ~seed
 
 let table1 ?(locks = R.app_locks) ~topology ~threads ~duration ~seed ~mix () =
@@ -234,8 +246,9 @@ let table1 ?(locks = R.app_locks) ~topology ~threads ~duration ~seed ~mix () =
   let pthread =
     match R.find "pthread" with Some e -> e | None -> assert false
   in
+  let store = kv_store () in
   let base =
-    kv_ops_per_sec pthread ~topology ~n_threads:1 ~duration ~seed ~mix
+    kv_ops_per_sec store pthread ~topology ~n_threads:1 ~duration ~seed ~mix
   in
   let rows =
     List.map
@@ -244,7 +257,8 @@ let table1 ?(locks = R.app_locks) ~topology ~threads ~duration ~seed ~mix () =
           Array.of_list
             (List.map
                (fun e ->
-                 kv_ops_per_sec e ~topology ~n_threads:n ~duration ~seed ~mix
+                 kv_ops_per_sec store e ~topology ~n_threads:n ~duration ~seed
+                   ~mix
                  /. base)
                locks) ))
       threads
@@ -367,6 +381,7 @@ let ablation_hbo_tuning ~topology ~duration ~seed () =
   in
   let thread_counts = [ 32; 128 ] in
   let hbo = Option.get (R.find "HBO") in
+  let store = kv_store () in
   let rows =
     List.map
       (fun n ->
@@ -379,7 +394,7 @@ let ablation_hbo_tuning ~topology ~duration ~seed () =
                   ~duration ~seed
               in
               let kv =
-                kv_ops_per_sec
+                kv_ops_per_sec store
                   { hbo with R.tweak = tweak }
                   ~topology ~n_threads:n ~duration ~seed ~mix:W.write_heavy
               in
@@ -627,10 +642,11 @@ let extension_bimodal ~topology ~n_threads ~duration ~seed () =
         List.mem e.R.name [ "pthread"; "MCS"; "HBO"; "C-BO-MCS"; "C-TKT-MCS" ])
       R.app_locks
   in
+  let store = kv_store () in
   let run e =
-    kv_run
+    kv_run store
       ~make_workload:(fun ~tid ->
-        W.make_bimodal ~seed:(seed + (tid * 131) + 7) ~n_keys:16_384
+        W.make_bimodal ~seed:(seed + (tid * 131) + 7) ~n_keys:kv_keys
           ~period:500 ~mix_a:W.read_heavy ~mix_b:W.write_heavy)
       e ~topology ~n_threads ~duration ~seed
   in

@@ -35,6 +35,7 @@ let cell (_ : line) v = Atomic.make v
 let cell' ?(name = "") v =
   count_site name;
   Atomic.make v
+let init = Atomic.set
 let read = Atomic.get
 let write = Atomic.set
 let cas c ~expect ~desire = Atomic.compare_and_set c expect desire

@@ -36,7 +36,6 @@ type site_stats = {
 }
 
 type line = {
-  id : int;
   name : string;
   mutable owner : int;
   mutable sharers : int;
@@ -61,11 +60,8 @@ type stats = {
 
 type profiler = (string, site_stats) Hashtbl.t
 
-let next_id = Atomic.make 0
-
 let make_line ?(name = "") () =
   {
-    id = Atomic.fetch_and_add next_id 1;
     name;
     owner = -1;
     sharers = 0;

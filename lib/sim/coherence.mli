@@ -74,7 +74,6 @@ type site_stats = {
     at its own call site; export via {!sites} for immutable data. *)
 
 type line = private {
-  id : int;
   name : string;  (** allocation-site label; [""] if unlabelled. *)
   mutable owner : int;  (** cluster holding the line Modified; -1 if none *)
   mutable sharers : int;  (** bitmask of clusters holding it Shared *)

@@ -192,3 +192,6 @@ let self_id () =
 let self_cluster () =
   let cl = Engine.fast_self_cluster () in
   if cl >= 0 then cl else snd (Effect.perform Engine.Self)
+
+(* Host-side, between runs: no effect, no charge, no wake (sim_mem.mli). *)
+let init c x = c.v := x

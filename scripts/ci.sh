@@ -42,7 +42,10 @@
 #                must be invisible in every simulated result); plus a
 #                same-seed fig2 byte-diff on the rack preset (the
 #                multi-level path must be as deterministic as the flat
-#                one). Only freshly emitted BENCH artifacts participate;
+#                one); and a same-seed byte-diff of a write-heavy
+#                Table 1 CSV at 1 and 32 threads (tables emit no BENCH
+#                artifact, so the CSV is what gets compared). Only
+#                freshly emitted artifacts participate;
 #                HOSTPERF_*.json is host wall-clock and never
 #                byte-compared.
 #   bench-diff   regression gate: bench_diff of BENCH_head.json against
@@ -278,6 +281,17 @@ if want determinism; then
     exit 1
   fi
   echo "   artifacts byte-identical"
+  echo "   Table 1 determinism (same-seed table1 CSV byte diff)"
+  for side in a b; do
+    repro table1 --mix write --threads 1,32 --duration-ms 1 \
+      --csv-dir "$tmp/T1_$side" >/dev/null
+  done
+  if ! cmp "$tmp"/T1_{a,b}/table1_90pct_sets.csv; then
+    echo "ci: FAIL — same-seed Table 1 CSVs differ; the KV runner or the" >&2
+    echo "store reset between its cells is nondeterministic." >&2
+    exit 1
+  fi
+  echo "   tables byte-identical"
   end
 else
   skip determinism "skipped (--stage)"

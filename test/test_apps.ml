@@ -416,6 +416,48 @@ let test_kv_charged_in_sim () =
     "cross-cluster item traffic" true
     (r.Numasim.Engine.coherence.Numasim.Coherence.coherence_misses >= 1)
 
+(* A set-heavy body that also inserts an absent key per thread and
+   spaces its operations past [lru_resolution], so LRU stamps, bucket
+   tags and stats counters all move. *)
+let kv_set_heavy t =
+  Numasim.Engine.run ~topology:Topology.small ~n_threads:2
+    (fun ~tid ~cluster:_ ->
+      for i = 0 to 19 do
+        let k = ((i * 7) + tid) mod 32 in
+        if i mod 4 = 3 then ignore (SKv.get t ~tid k)
+        else SKv.set t ~tid k (1_000 + i);
+        Sm.pause 150_000
+      done;
+      SKv.set t ~tid (100 + tid) 5)
+
+let test_kv_reset_exact () =
+  let t = SKv.create ~n_buckets:8 () in
+  SKv.populate t ~n_keys:32;
+  let r1 = kv_set_heavy t in
+  Alcotest.(check int) "two inserts" 34 (SKv.n_items t);
+  SKv.reset t;
+  Alcotest.(check int) "n_items restored" 32 (SKv.n_items t);
+  let seen = Array.make 32 None and inserted = ref [] in
+  ignore
+    (Numasim.Engine.run ~topology:Topology.small ~n_threads:1
+       (fun ~tid:_ ~cluster:_ ->
+         Array.iteri (fun k _ -> seen.(k) <- SKv.peek t k) seen;
+         inserted := [ SKv.mem t 100; SKv.mem t 101 ]));
+  Alcotest.(check (list bool)) "inserts removed" [ false; false ] !inserted;
+  Array.iteri
+    (fun k p ->
+      Alcotest.(check (option (pair int int)))
+        (Printf.sprintf "key %d: value is its key, LRU stamp 0" k)
+        (Some (k, 0)) p)
+    seen;
+  (* [peek] wrote nothing, so the store is still as reset: the same body
+     costs it exactly what it cost the fresh store. *)
+  let r2 = kv_set_heavy t in
+  let open Numasim.Engine in
+  Alcotest.(check int) "end time" r1.end_time r2.end_time;
+  Alcotest.(check int) "events" r1.events r2.events;
+  Alcotest.(check bool) "coherence counters" true (r1.coherence = r2.coherence)
+
 let suite =
   [
     ( "splay",
@@ -459,6 +501,7 @@ let suite =
       [
         Alcotest.test_case "allocator charged" `Quick test_alloc_charged_in_sim;
         Alcotest.test_case "kvstore charged" `Quick test_kv_charged_in_sim;
+        Alcotest.test_case "kvstore reset exact" `Quick test_kv_reset_exact;
       ] );
   ]
 

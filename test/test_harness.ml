@@ -145,6 +145,20 @@ let test_table1_smoke () =
   let v4 = snd (List.nth t.X.t_rows 1) in
   Alcotest.(check bool) "scaling positive" true (v4.(0) > v1.(0))
 
+(* The cells of one table share a store reset between them: a column
+   must not depend on which cells ran before it. A read-heavy 1 ms
+   window has enough gets for a leaked LRU stamp to move a column. *)
+let test_table1_cells_independent () =
+  let table locks =
+    X.table1 ~locks ~topology:topo ~threads:[ 1; 4 ] ~duration:1_000_000
+      ~seed:1 ~mix:Apps.Kv_workload.read_heavy ()
+  in
+  let col i t = List.map (fun (_, r) -> Int64.bits_of_float r.(i)) t.X.t_rows in
+  Alcotest.(check (list int64))
+    "MCS column after C-BO-MCS = MCS alone"
+    (col 0 (table [ mcs ]))
+    (col 1 (table [ cbomcs; mcs ]))
+
 let test_table2_smoke () =
   let t =
     X.table2 ~locks:small_locks ~topology:topo ~threads:[ 1; 8 ]
@@ -346,6 +360,8 @@ let suite =
         Alcotest.test_case "low contention filter" `Quick
           test_low_contention_filter;
         Alcotest.test_case "table1 smoke" `Quick test_table1_smoke;
+        Alcotest.test_case "table1 cells independent" `Quick
+          test_table1_cells_independent;
         Alcotest.test_case "table2 smoke" `Quick test_table2_smoke;
         Alcotest.test_case "ablation handoff" `Quick
           test_ablation_handoff_smoke;

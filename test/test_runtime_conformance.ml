@@ -204,6 +204,43 @@ struct
     Alcotest.(check bool)
       "broken mutual exclusion surfaced as a Violation" true raised
 
+  (* [init] writes from the host between runs; the next run reads the
+     value. On the simulator a re-initialised cell on a line an earlier
+     run touched is charged as a fresh line: the epoch leaves it Invalid,
+     so the first read is a memory miss, not the L1 hit the same thread
+     would have had within one run. *)
+  let test_init_between_runs () =
+    let read_once c =
+      let seen = ref (-1) in
+      let stats =
+        RT.run ~topology:topo4 ~n_threads:1 (fun ~stop:_ ~tid:_ ~cluster:_ ->
+            seen := M.read c)
+      in
+      (!seen, stats)
+    in
+    let c = M.cell' ~name:"conf.init" 0 in
+    ignore
+      (RT.run ~topology:topo4 ~n_threads:1 (fun ~stop:_ ~tid:_ ~cluster:_ ->
+           M.write c 5));
+    M.init c 7;
+    let v, reused = read_once c in
+    Alcotest.(check int) "init then read" 7 v;
+    let v, fresh = read_once (M.cell' ~name:"conf.init" 7) in
+    Alcotest.(check int) "fresh cell read" 7 v;
+    if RT.deterministic then begin
+      Alcotest.(check int)
+        "same cost as a fresh line" fresh.Runtime_intf.elapsed_ns
+        reused.Runtime_intf.elapsed_ns;
+      Alcotest.(check bool)
+        "same coherence counters as a fresh line" true
+        (fresh.Runtime_intf.coherence = reused.Runtime_intf.coherence);
+      Alcotest.(check (option int))
+        "one memory miss" (Some 1)
+        (Option.map
+           (fun c -> c.Numa_trace.Profile.memory_misses)
+           reused.Runtime_intf.coherence)
+    end
+
   let suite speed =
     [
       Alcotest.test_case "topology placement" speed test_placement;
@@ -215,6 +252,7 @@ struct
         test_park_oversubscribed;
       Alcotest.test_case "checker violation raised" speed
         test_checker_violation_raised;
+      Alcotest.test_case "init between runs" speed test_init_between_runs;
     ]
 end
 
