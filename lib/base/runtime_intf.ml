@@ -78,8 +78,9 @@ module type RUNTIME = sig
     (stop:stop_flag -> tid:int -> cluster:int -> unit) ->
     run_stats
   (** [run ~topology ~n_threads body] starts [n_threads] threads; thread
-      [tid] runs [body ~stop ~tid ~cluster] on the cluster given by the
-      topology's placement, and the call returns when every thread has.
+      [tid] runs [body ~stop ~tid ~cluster] on cluster
+      [Topology.cluster_of_thread topology tid] (round-robin over the
+      clusters), and the call returns when every thread has.
       [stop_after] arms the stop flag [stop_after] ns into the run;
       bodies poll [stopped] and wind down cooperatively. [profile] asks
       for per-site coherence attribution ([run_stats.sites]); runtimes

@@ -6,17 +6,11 @@ type level = {
   l_occupancy : int;
 }
 
-type placement = Round_robin | Packed | Explicit of int array
-
 type t = {
   name : string;
   levels : level array;
-  threads_per_domain : int;
-  domains : int;
-  cohort_level : int;
   clusters : int;
   threads_per_cluster : int;
-  placement : placement;
   latency : Latency.t;
   xfer : int array;
   xlevel : int array;
@@ -35,9 +29,9 @@ let level ?(channels = 1) ?(occupancy = 0) ~name ~arity ~transfer () =
     l_occupancy = occupancy;
   }
 
-(* The sharer set in the coherence model is a bitmask over leaf domains
-   in one OCaml int, so a machine cannot have more than 62 of them. *)
-let max_domains = 62
+(* The sharer set in the coherence model is a bitmask over clusters in
+   one OCaml int, so a machine cannot have more than 62 of them. *)
+let max_clusters = 62
 
 (* Crossing level of two distinct leaves: the outermost level at which
    their ancestor paths diverge. [strides.(i)] is the number of leaves
@@ -53,79 +47,36 @@ let crossing_level levels a b =
   let rec find i = if a / strides.(i) = b / strides.(i) then find (i + 1) else i in
   if a = b then -1 else find 0
 
-let make_hier ?(name = "custom") ?(placement = Round_robin) ?cohort_level
-    ~levels ~threads_per_domain latency =
+let make_hier ?(name = "custom") ~levels ~threads_per_cluster latency =
   let levels = Array.of_list levels in
-  let k = Array.length levels in
-  if k = 0 then invalid_arg "Topology.make_hier: no levels";
-  if threads_per_domain < 1 then
-    invalid_arg "Topology.make_hier: threads_per_domain < 1";
-  let domains = Array.fold_left (fun acc l -> acc * l.l_arity) 1 levels in
-  if domains > max_domains then
+  if Array.length levels = 0 then invalid_arg "Topology.make_hier: no levels";
+  if threads_per_cluster < 1 then
+    invalid_arg "Topology.make_hier: threads_per_cluster < 1";
+  let clusters = Array.fold_left (fun acc l -> acc * l.l_arity) 1 levels in
+  if clusters > max_clusters then
     invalid_arg
-      (Printf.sprintf "Topology.make_hier: %d leaf domains exceed %d" domains
-         max_domains);
-  let cohort_level = Option.value cohort_level ~default:(k - 1) in
-  if cohort_level < 0 || cohort_level >= k then
-    invalid_arg "Topology.make_hier: cohort_level out of range";
-  let clusters = ref 1 in
-  for i = 0 to cohort_level do
-    clusters := !clusters * levels.(i).l_arity
-  done;
-  let clusters = !clusters in
-  let total = domains * threads_per_domain in
-  let placement =
-    match placement with
-    | Round_robin | Packed -> placement
-    | Explicit a ->
-        if Array.length a <> total then
-          invalid_arg
-            (Printf.sprintf
-               "Topology.make_hier: explicit map has %d entries, need %d"
-               (Array.length a) total);
-        Array.iter
-          (fun d ->
-            if d < 0 || d >= domains then
-              invalid_arg
-                (Printf.sprintf
-                   "Topology.make_hier: explicit map entry %d out of [0,%d)" d
-                   domains))
-          a;
-        Explicit (Array.copy a)
-  in
+      (Printf.sprintf "Topology.make_hier: %d clusters exceed %d" clusters
+         max_clusters);
   (* Precompute the leaf-to-leaf transfer cost and crossing-level
      matrices once: the coherence hot path indexes them directly. *)
-  let xfer = Array.make (domains * domains) 0 in
-  let xlevel = Array.make (domains * domains) 0 in
-  for a = 0 to domains - 1 do
-    for b = 0 to domains - 1 do
+  let xfer = Array.make (clusters * clusters) 0 in
+  let xlevel = Array.make (clusters * clusters) 0 in
+  for a = 0 to clusters - 1 do
+    for b = 0 to clusters - 1 do
       if a <> b then begin
         let c = crossing_level levels a b in
-        xfer.((a * domains) + b) <- levels.(c).l_transfer;
-        xlevel.((a * domains) + b) <- c
+        xfer.((a * clusters) + b) <- levels.(c).l_transfer;
+        xlevel.((a * clusters) + b) <- c
       end
     done
   done;
-  {
-    name;
-    levels;
-    threads_per_domain;
-    domains;
-    cohort_level;
-    clusters;
-    threads_per_cluster = total / clusters;
-    placement;
-    latency;
-    xfer;
-    xlevel;
-  }
+  { name; levels; clusters; threads_per_cluster; latency; xfer; xlevel }
 
-let make ?(name = "custom") ?(placement = Round_robin) ~clusters
-    ~threads_per_cluster latency =
+let make ?(name = "custom") ~clusters ~threads_per_cluster latency =
   if clusters < 1 then invalid_arg "Topology.make: clusters < 1";
   if threads_per_cluster < 1 then
     invalid_arg "Topology.make: threads_per_cluster < 1";
-  make_hier ~name ~placement
+  make_hier ~name
     ~levels:
       [
         level ~name:"cluster" ~arity:clusters
@@ -133,7 +84,7 @@ let make ?(name = "custom") ?(placement = Round_robin) ~clusters
           ~channels:latency.Latency.interconnect_channels
           ~occupancy:latency.Latency.interconnect_occupancy ();
       ]
-    ~threads_per_domain:threads_per_cluster latency
+    ~threads_per_cluster latency
 
 let t5440 =
   make ~name:"t5440" ~clusters:4 ~threads_per_cluster:64 Latency.t5440
@@ -141,9 +92,9 @@ let t5440 =
 let small = make ~name:"small" ~clusters:2 ~threads_per_cluster:4 Latency.t5440
 
 (* Two racks of two sockets: three latency tiers (local 20 ns, socket
-   125 ns, rack 300 ns on the T5440 base). The cohort level is the
-   socket, so cohort locks see 4 clusters of 64 — same shape as t5440,
-   different cost structure above the socket. *)
+   125 ns, rack 300 ns on the T5440 base). Each socket is a cluster, so
+   cohort locks see 4 clusters of 64 — same shape as t5440, different
+   cost structure above the socket. *)
 let rack =
   make_hier ~name:"rack"
     ~levels:
@@ -151,9 +102,9 @@ let rack =
         level ~name:"rack" ~arity:2 ~transfer:300 ~channels:1 ~occupancy:120 ();
         level ~name:"socket" ~arity:2 ~transfer:125 ~channels:2 ~occupancy:60 ();
       ]
-    ~threads_per_domain:64 Latency.t5440
+    ~threads_per_cluster:64 Latency.t5440
 
-let total_threads t = t.domains * t.threads_per_domain
+let total_threads t = t.clusters * t.threads_per_cluster
 let depth t = Array.length t.levels
 
 let context_of_thread t tid =
@@ -161,24 +112,16 @@ let context_of_thread t tid =
     invalid_arg (Printf.sprintf "Topology.context_of_thread: tid %d < 0" tid);
   tid mod total_threads t
 
-let domain_of_context t ctx =
-  match t.placement with
-  | Round_robin -> ctx mod t.domains
-  | Packed -> ctx / t.threads_per_domain
-  | Explicit a -> a.(ctx)
-
-let domain_of_thread t tid = domain_of_context t (context_of_thread t tid)
-let cluster_of_domain t d = d / (t.domains / t.clusters)
-let cluster_of_thread t tid = cluster_of_domain t (domain_of_thread t tid)
-let xfer_cost t a b = t.xfer.((a * t.domains) + b)
-let cross_level t a b = t.xlevel.((a * t.domains) + b)
+let cluster_of_thread t tid = context_of_thread t tid mod t.clusters
+let xfer_cost t a b = t.xfer.((a * t.clusters) + b)
+let cross_level t a b = t.xlevel.((a * t.clusters) + b)
 
 let mean_remote_transfer_ns t =
-  if t.domains = 1 then float_of_int t.levels.(0).l_transfer
+  if t.clusters = 1 then float_of_int t.levels.(0).l_transfer
   else begin
     let sum = ref 0 and pairs = ref 0 in
-    for a = 0 to t.domains - 1 do
-      for b = a + 1 to t.domains - 1 do
+    for a = 0 to t.clusters - 1 do
+      for b = a + 1 to t.clusters - 1 do
         sum := !sum + xfer_cost t a b;
         incr pairs
       done
@@ -192,56 +135,12 @@ let predict_calib t =
     remote_ns = mean_remote_transfer_ns t;
     atomic_ns = float_of_int t.latency.Latency.atomic_extra }
 
-(* Reference counting loop, still the only option for explicit maps. *)
-let threads_on_cluster_loop t ~n c =
-  let count = ref 0 in
-  for tid = 0 to n - 1 do
-    if cluster_of_thread t tid = c then incr count
-  done;
-  !count
-
-let threads_on_cluster t ~n_threads c =
-  let n = min n_threads (total_threads t) in
-  match t.placement with
-  | Round_robin ->
-      (* Contexts [0,n) land on domain [tid mod domains]; cluster [c]
-         owns the contiguous domain window [lo,hi). Each domain gets
-         [n / domains] full rounds plus one more for the first
-         [n mod domains] domains. *)
-      let dpc = t.domains / t.clusters in
-      let lo = c * dpc and hi = (c + 1) * dpc in
-      (n / t.domains * dpc) + max 0 (min hi (n mod t.domains) - lo)
-  | Packed ->
-      let tpc = t.threads_per_cluster in
-      max 0 (min n ((c + 1) * tpc) - (c * tpc))
-  | Explicit _ -> threads_on_cluster_loop t ~n c
-
-let pp_placement ppf = function
-  | Round_robin -> Format.fprintf ppf "round-robin"
-  | Packed -> Format.fprintf ppf "packed"
-  | Explicit _ -> Format.fprintf ppf "explicit"
-
-let pp ppf t =
-  if depth t = 1 then
-    Format.fprintf ppf "%s: %d clusters x %d threads (%a)" t.name t.clusters
-      t.threads_per_cluster pp_placement t.placement
-  else begin
-    Format.fprintf ppf "%s:" t.name;
-    Array.iter
-      (fun l -> Format.fprintf ppf " %d %s x" l.l_arity l.l_name)
-      t.levels;
-    Format.fprintf ppf " %d threads (%a); tiers" t.threads_per_domain
-      pp_placement t.placement;
-    Array.iteri
-      (fun i l ->
-        Format.fprintf ppf "%s %s=%dns/%dch" (if i = 0 then "" else ",")
-          l.l_name l.l_transfer l.l_channels)
-      t.levels;
-    Format.fprintf ppf ", local=%dns; cohort level %s" t.latency.Latency.local_hit
-      t.levels.(t.cohort_level).l_name
-  end
-
 let of_spec s =
+  let too_many n =
+    Error
+      (Printf.sprintf "topology spec %S: %d clusters exceed %d" s n
+         max_clusters)
+  in
   match s with
   | "t5440" -> Ok t5440
   | "small" -> Ok small
@@ -250,15 +149,14 @@ let of_spec s =
       let parts = String.split_on_char 'x' (String.lowercase_ascii s) in
       match List.map int_of_string_opt parts with
       | [ Some c; Some tpc ] when c >= 1 && tpc >= 1 ->
-          Ok
-            (make
-               ~name:(Printf.sprintf "%dx%d" c tpc)
-               ~clusters:c ~threads_per_cluster:tpc Latency.t5440)
+          if c > max_clusters then too_many c
+          else
+            Ok
+              (make
+                 ~name:(Printf.sprintf "%dx%d" c tpc)
+                 ~clusters:c ~threads_per_cluster:tpc Latency.t5440)
       | [ Some r; Some sk; Some tpc ] when r >= 1 && sk >= 1 && tpc >= 1 ->
-          if r * sk > max_domains then
-            Error
-              (Printf.sprintf "topology spec %S: %d domains exceed %d" s
-                 (r * sk) max_domains)
+          if r * sk > max_clusters then too_many (r * sk)
           else
             Ok
               (make_hier
@@ -270,7 +168,7 @@ let of_spec s =
                      level ~name:"socket" ~arity:sk ~transfer:125 ~channels:2
                        ~occupancy:60 ();
                    ]
-                 ~threads_per_domain:tpc Latency.t5440)
+                 ~threads_per_cluster:tpc Latency.t5440)
       | _ ->
           Error
             (Printf.sprintf

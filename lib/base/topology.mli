@@ -1,21 +1,22 @@
 (** NUMA machine topology: an N-level cache/interconnect hierarchy.
 
     A machine is a tree of [levels] (outermost first — e.g. rack →
-    socket); the leaves are {e domains}, each with a domain-shared cache
-    and [threads_per_domain] hardware thread contexts. Every level
-    carries its own transfer cost and interconnect channel pool: the
-    cost of a cross-domain transaction is that of the outermost level
-    boundary it crosses (the lowest common ancestor of the two
-    domains). A single-level topology is exactly the historical flat
+    socket); the leaves are the {e clusters} that lock cohorting
+    operates on (the paper's T5440 sockets), each with a cluster-shared
+    cache and [threads_per_cluster] hardware thread contexts. Every
+    level carries its own transfer cost and interconnect channel pool:
+    the cost of a cross-cluster transaction is that of the outermost
+    level boundary it crosses (the lowest common ancestor of the two
+    clusters). A single-level topology is exactly the historical flat
     {clusters x threads_per_cluster} machine, with the level's transfer
     cost equal to [Latency.remote_transfer].
 
     Logical threads are identified by a dense integer id and are
-    decoupled from hardware contexts: thread [tid] occupies context
-    [tid mod total_threads] (oversubscription wraps), and a placement
-    policy maps contexts to leaf domains. The designated [cohort_level]
-    groups domains into the [clusters] that lock-cohorting operates on;
-    by default it is the innermost level, so clusters = domains. *)
+    decoupled from hardware contexts by one rule: thread [tid] occupies
+    context [ctx = tid mod total_threads] (oversubscription wraps), and
+    context [ctx] lives on cluster [ctx mod clusters] (round-robin, so
+    thread counts are balanced across clusters at every concurrency
+    level, as the OS spreads unbound threads). *)
 
 type level = private {
   l_name : string;
@@ -40,33 +41,17 @@ val level :
     @raise Invalid_argument if [arity] or [channels] < 1, or [transfer]
       or [occupancy] < 0. *)
 
-type placement =
-  | Round_robin
-      (** Context [i] lives on domain [i mod domains]: thread counts are
-          balanced across domains at every concurrency level. This is the
-          default and matches how the OS spreads unbound threads. *)
-  | Packed
-      (** Contexts fill domain 0 first, then domain 1, ... Used to study
-          the single-cluster regime. *)
-  | Explicit of int array
-      (** [a.(ctx)] is the leaf domain of context [ctx]; must cover
-          every context with an in-range domain. *)
-
 type t = private {
   name : string;
   levels : level array;  (** outermost first; never empty. *)
-  threads_per_domain : int;  (** hardware contexts per leaf domain. *)
-  domains : int;  (** leaf count = product of level arities; <= 62. *)
-  cohort_level : int;  (** index into [levels]; the lock-cohort tier. *)
   clusters : int;
-      (** nodes at [cohort_level] = what [Lock_intf.config.clusters]
-          and every lock sees; equals [domains] when the cohort level is
-          innermost. *)
-  threads_per_cluster : int;  (** contexts per cohort cluster. *)
-  placement : placement;
+      (** leaf domains = cohort clusters: the product of the level
+          arities, <= 62; what [Lock_intf.config.clusters] and every
+          lock sees. *)
+  threads_per_cluster : int;  (** hardware contexts per cluster. *)
   latency : Latency.t;
   xfer : int array;
-      (** flattened [domains x domains] transfer-cost matrix; diagonal
+      (** flattened [clusters x clusters] transfer-cost matrix; diagonal
           0. Prefer {!xfer_cost}. *)
   xlevel : int array;
       (** flattened crossing-level matrix; diagonal unused. Prefer
@@ -74,46 +59,38 @@ type t = private {
 }
 
 val make :
-  ?name:string ->
-  ?placement:placement ->
-  clusters:int ->
-  threads_per_cluster:int ->
-  Latency.t ->
-  t
-(** The flat two-tier machine: one level of [clusters] domains whose
-    transfer cost, channel count and occupancy come from the latency
-    preset ([remote_transfer] / [interconnect_*]) — bit-identical to the
+  ?name:string -> clusters:int -> threads_per_cluster:int -> Latency.t -> t
+(** The flat two-tier machine: one level of [clusters] whose transfer
+    cost, channel count and occupancy come from the latency preset
+    ([remote_transfer] / [interconnect_*]) — bit-identical to the
     historical model.
     @raise Invalid_argument if [clusters] or [threads_per_cluster] < 1. *)
 
 val make_hier :
   ?name:string ->
-  ?placement:placement ->
-  ?cohort_level:int ->
   levels:level list ->
-  threads_per_domain:int ->
+  threads_per_cluster:int ->
   Latency.t ->
   t
-(** General constructor; [levels] is outermost first, [cohort_level]
-    defaults to the innermost level. The latency preset still provides
-    the within-domain costs (l1/local/memory/upgrade/atomic); its
+(** General constructor; [levels] is outermost first and its innermost
+    level's nodes are the clusters. The latency preset still provides
+    the within-cluster costs (l1/local/memory/upgrade/atomic); its
     [remote_transfer] and [interconnect_*] fields are superseded by the
     per-level values.
-    @raise Invalid_argument on an empty level list, more than 62 leaf
-      domains, an out-of-range [cohort_level], or an invalid explicit
-      placement map. *)
+    @raise Invalid_argument on an empty level list, a
+      [threads_per_cluster] < 1 or more than 62 clusters. *)
 
 val t5440 : t
 (** The paper's machine: 4 clusters x 64 hardware threads, T5440
-    latencies, round-robin placement. *)
+    latencies. *)
 
 val small : t
 (** 2 clusters x 4 threads; convenient in unit tests. *)
 
 val rack : t
 (** 2 racks x 2 sockets x 64 threads: three latency tiers (local 20 ns,
-    socket 125 ns, rack 300 ns), cohort level = socket, so locks see the
-    same 4x64 shape as {!t5440} over a deeper interconnect. *)
+    socket 125 ns, rack 300 ns); each socket is a cluster, so locks see
+    the same 4x64 shape as {!t5440} over a deeper interconnect. *)
 
 val of_spec : string -> (t, string) result
 (** Parse a topology selector: a preset name ([t5440]|[small]|[rack]),
@@ -121,8 +98,8 @@ val of_spec : string -> (t, string) result
     (e.g. [2x2x32]). *)
 
 val total_threads : t -> int
-(** Hardware contexts in the machine ([domains * threads_per_domain]).
-    Logical thread counts may exceed this: placement wraps. *)
+(** Hardware contexts in the machine ([clusters * threads_per_cluster]).
+    Logical thread counts may exceed this: thread ids wrap. *)
 
 val depth : t -> int
 (** Number of levels. *)
@@ -132,48 +109,28 @@ val context_of_thread : t -> int -> int
     [tid]: [tid mod total_threads t] — oversubscribed threads share
     contexts round-robin. @raise Invalid_argument if [tid < 0]. *)
 
-val domain_of_context : t -> int -> int
-(** The leaf domain of a hardware context, per the placement policy. *)
-
-val domain_of_thread : t -> int -> int
-(** [domain_of_context] after [context_of_thread]. *)
-
-val cluster_of_domain : t -> int -> int
-(** The cohort cluster containing a leaf domain. *)
-
 val cluster_of_thread : t -> int -> int
-(** [cluster_of_thread t tid] is the cohort cluster thread [tid] runs
-    on; oversubscribed tids wrap onto contexts.
+(** [cluster_of_thread t tid] is the cluster thread [tid] runs on:
+    [context_of_thread t tid mod clusters].
     @raise Invalid_argument if [tid < 0]. *)
 
 val xfer_cost : t -> int -> int -> int
-(** [xfer_cost t a b] is the ns cost of moving a line between leaf
-    domains [a] and [b]: the transfer cost of their crossing level, or 0
+(** [xfer_cost t a b] is the ns cost of moving a line between clusters
+    [a] and [b]: the transfer cost of their crossing level, or 0
     when [a = b]. *)
 
 val cross_level : t -> int -> int -> int
 (** The index into [levels] of the outermost boundary separating two
-    distinct leaf domains. *)
+    distinct clusters. *)
 
 val mean_remote_transfer_ns : t -> float
-(** Mean of {!xfer_cost} over the distinct leaf-domain pairs — the
+(** Mean of {!xfer_cost} over the distinct cluster pairs — the
     expected cost of a cross-cluster line transfer under uniformly
     mixed traffic. Equals [remote_transfer] on a flat machine; a
-    degenerate single-domain machine reports its level's transfer
+    degenerate single-cluster machine reports its level's transfer
     cost. *)
 
 val predict_calib : t -> Numa_trace.Predict.calib
 (** Calibration constants for {!Numa_trace.Predict.predict}: context
     count, [local_hit], {!mean_remote_transfer_ns} and [atomic_extra]
     (see doc/SIMULATOR.md "Model validation"). *)
-
-val threads_on_cluster : t -> n_threads:int -> int -> int
-(** [threads_on_cluster t ~n_threads c] is how many of the first
-    [min n_threads (total_threads t)] thread ids are placed on cluster
-    [c]. Closed-form for [Round_robin]/[Packed]; a counting loop only
-    for explicit maps. *)
-
-val pp : Format.formatter -> t -> unit
-(** Single-level topologies print the historical
-    ["name: C clusters x T threads (placement)"] line; deeper ones add
-    the full level structure and per-level transfer tiers. *)

@@ -26,7 +26,7 @@ struct
       l;
       back =
         Cohort.Backoff.make ~policy:Cohort.Backoff.Fibonacci
-          ~min:l.cfg.LI.bo_min ~max:l.cfg.LI.bo_max ~salt:tid ();
+          ~min:LI.bo_min ~max:LI.bo_max ~salt:tid ();
       tid;
       cluster;
       tr = l.cfg.LI.trace;

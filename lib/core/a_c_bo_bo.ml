@@ -74,7 +74,7 @@ struct
       l;
       cs = l.locals.(cluster);
       back =
-        Backoff.make ~min:l.cfg.Lock_intf.bo_min ~max:l.cfg.Lock_intf.bo_max
+        Backoff.make ~min:Lock_intf.bo_min ~max:Lock_intf.bo_max
           ~salt:tid ();
       tid;
       cluster;

@@ -79,7 +79,7 @@ struct
       l;
       cs = l.locals.(cluster);
       back =
-        Backoff.make ~min:l.cfg.Lock_intf.bo_min ~max:l.cfg.Lock_intf.bo_max
+        Backoff.make ~min:Lock_intf.bo_min ~max:Lock_intf.bo_max
           ~salt:tid ();
       cur = make_node Release_global;
       tid;

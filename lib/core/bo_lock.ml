@@ -39,7 +39,7 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
       {
         l;
         back =
-          Backoff.make ~min:l.cfg.Lock_intf.bo_min ~max:l.cfg.Lock_intf.bo_max
+          Backoff.make ~min:Lock_intf.bo_min ~max:Lock_intf.bo_max
             ~salt:tid ();
         tid;
         cluster;
@@ -100,7 +100,7 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
       {
         l;
         back =
-          Backoff.make ~min:l.cfg.Lock_intf.bo_min ~max:l.cfg.Lock_intf.bo_max
+          Backoff.make ~min:Lock_intf.bo_min ~max:Lock_intf.bo_max
             ~salt:tid ();
       }
 

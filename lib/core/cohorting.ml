@@ -18,8 +18,7 @@
     [config.handoff_policy]: the paper's consecutive-handoff counter
     (bound 64, section 3.7), a time budget on continuous global-lock
     retention (suggested in section 2.1), their combination, or
-    unbounded. The resulting module also exposes batching statistics
-    ({!Lock_intf.cohort_stats}) used by the ablation experiments. *)
+    unbounded. *)
 
 module Make
     (Name : sig
@@ -27,7 +26,7 @@ module Make
     end)
     (M : Numa_base.Memory_intf.MEMORY)
     (G : Lock_intf.GLOBAL)
-    (L : Lock_intf.LOCAL) : Lock_intf.COHORT_LOCK = struct
+    (L : Lock_intf.LOCAL) : Lock_intf.LOCK = struct
   module I = Instr.Make (M)
 
   type t = {
@@ -40,7 +39,6 @@ module Make
     held_since : int M.cell array;
         (* when this cluster last acquired the global lock; same
            holder-only access discipline as [counts]. *)
-    st : Lock_intf.cohort_stats;
   }
 
   type thread = {
@@ -67,24 +65,7 @@ module Make
       held_since =
         Array.init cfg.Lock_intf.clusters (fun i ->
             M.cell' ~name:(Printf.sprintf "cohort.since.%d" i) 0);
-      st =
-        {
-          Lock_intf.local_handoffs = 0;
-          global_releases = 0;
-          batch_count = 0;
-          batch_total = 0;
-          batch_max = 0;
-        };
     }
-
-  let stats l = l.st
-
-  let reset_stats l =
-    l.st.Lock_intf.local_handoffs <- 0;
-    l.st.Lock_intf.global_releases <- 0;
-    l.st.Lock_intf.batch_count <- 0;
-    l.st.Lock_intf.batch_total <- 0;
-    l.st.Lock_intf.batch_max <- 0
 
   let register l ~tid ~cluster =
     if cluster < 0 || cluster >= Array.length l.locals then
@@ -126,12 +107,10 @@ module Make
         && M.now () - M.read th.since < budget
 
   let release th =
-    let st = th.l.st in
     let c = M.read th.count in
     let pass = may_pass_local th c in
     if pass && not (L.alone th.lt) then begin
       M.write th.count (c + 1);
-      st.Lock_intf.local_handoffs <- st.Lock_intf.local_handoffs + 1;
       I.emit th.tr ~tid:th.tid ~cluster:th.cluster
         Numa_trace.Event.Handoff_within_cohort;
       L.release th.lt Lock_intf.Local_release
@@ -144,11 +123,6 @@ module Make
         I.emit th.tr ~tid:th.tid ~cluster:th.cluster
           Numa_trace.Event.Starvation_limit_hit;
       M.write th.count 0;
-      let batch = c + 1 in
-      st.Lock_intf.global_releases <- st.Lock_intf.global_releases + 1;
-      st.Lock_intf.batch_count <- st.Lock_intf.batch_count + 1;
-      st.Lock_intf.batch_total <- st.Lock_intf.batch_total + batch;
-      if batch > st.Lock_intf.batch_max then st.Lock_intf.batch_max <- batch;
       I.emit th.tr ~tid:th.tid ~cluster:th.cluster
         Numa_trace.Event.Handoff_global;
       G.release th.gt;

@@ -26,4 +26,4 @@ module Make (_ : sig
 end)
 (M : Numa_base.Memory_intf.MEMORY)
 (_ : Lock_intf.GLOBAL)
-(_ : Lock_intf.LOCAL) : Lock_intf.COHORT_LOCK
+(_ : Lock_intf.LOCAL) : Lock_intf.LOCK

@@ -30,6 +30,12 @@ type handoff_policy =
           ns, whichever first. *)
   | Unbounded  (** never voluntarily release (deeply unfair). *)
 
+(** Backoff window of the BO-family locks (BO, Fib-BO and the BO tiers
+    of the cohort locks), ns. *)
+let bo_min = 100
+
+let bo_max = 10_000
+
 type config = {
   clusters : int;  (** number of NUMA clusters. *)
   max_threads : int;  (** upper bound on registered threads. *)
@@ -38,8 +44,6 @@ type config = {
           may pass the lock locally before it must release the global
           lock (64 in the paper, section 3.7). *)
   handoff_policy : handoff_policy;
-  bo_min : int;  (** min backoff, ns (BO-family locks). *)
-  bo_max : int;  (** max backoff, ns (BO-family locks). *)
   hbo_local_min : int;  (** HBO backoff when the holder is local, ns. *)
   hbo_local_max : int;
   hbo_remote_min : int;  (** HBO backoff when the holder is remote, ns. *)
@@ -66,8 +70,6 @@ let default =
     max_threads = 256;
     max_local_handoffs = 64;
     handoff_policy = Counted;
-    bo_min = 100;
-    bo_max = 10_000;
     hbo_local_min = 100;
     hbo_local_max = 2_000;
     hbo_remote_min = 800;
@@ -93,27 +95,6 @@ module type LOCK = sig
   val register : t -> tid:int -> cluster:int -> thread
   val acquire : thread -> unit
   val release : thread -> unit
-end
-
-(** Aggregate behaviour counters of a cohort lock. Maintained host-side
-    (they cost nothing in simulated time); under native parallel
-    execution they are approximate. A {e batch} is the run of consecutive
-    acquisitions a cluster performs between taking and surrendering the
-    global lock. *)
-type cohort_stats = {
-  mutable local_handoffs : int;
-  mutable global_releases : int;
-  mutable batch_count : int;
-  mutable batch_total : int;  (** sum of batch lengths. *)
-  mutable batch_max : int;
-}
-
-(** What {!Cohorting.Make} produces: a {!LOCK} plus introspection. *)
-module type COHORT_LOCK = sig
-  include LOCK
-
-  val stats : t -> cohort_stats
-  val reset_stats : t -> unit
 end
 
 (** A lock supporting timeout (the paper's "abortable" property,

@@ -141,7 +141,6 @@ let print_fig6 s =
 type table = {
   t_title : string;
   t_xlabel : string;
-  t_threads : int list;
   t_columns : string list;
   t_rows : (int * float array) list;
 }
@@ -270,7 +269,6 @@ let table1 ?(locks = R.app_locks) ~topology ~threads ~duration ~seed ~mix () =
          thread)"
         mix.W.label;
     t_xlabel = "threads";
-    t_threads = threads;
     t_columns = List.map (fun (e : R.entry) -> e.name) locks;
     t_rows = rows;
   }
@@ -325,7 +323,6 @@ let table2 ?(locks = R.app_locks) ~topology ~threads ~duration ~seed () =
   {
     t_title = "Table 2: libc-style allocator, mmicro (malloc-free pairs / ms)";
     t_xlabel = "threads";
-    t_threads = threads;
     t_columns = List.map (fun (e : R.entry) -> e.name) locks;
     t_rows = rows;
   }
@@ -369,7 +366,6 @@ let ablation_handoff_bound ~topology ~n_threads ~duration ~seed () =
          fairness stddev%%)"
         n_threads;
     t_xlabel = "bound";
-    t_threads = bounds;
     t_columns =
       List.concat_map (fun n -> [ n ^ " tput"; n ^ " unfair%" ]) locks;
     t_rows = rows;
@@ -409,7 +405,6 @@ let ablation_hbo_tuning ~topology ~duration ~seed () =
       "Ablation: HBO backoff-parameter instability (Mops/s; columns: preset x \
        workload)";
     t_xlabel = "threads";
-    t_threads = thread_counts;
     t_columns =
       List.concat_map
         (fun (p, _) -> [ p ^ " | LBench"; p ^ " | KV wr-heavy" ])
@@ -457,7 +452,6 @@ let ablation_policy ~topology ~n_threads ~duration ~seed () =
         n_threads
         (legend (List.map fst policies));
     t_xlabel = "policy#";
-    t_threads = List.mapi (fun i _ -> i) policies;
     t_columns = [ "Mops/s"; "unfair%"; "migrations" ];
     t_rows = rows;
   }
@@ -555,7 +549,6 @@ let extension_rw ~topology ~n_threads ~duration ~seed () =
          at %d threads"
         n_threads;
     t_xlabel = "write%";
-    t_threads = List.map (fun r -> int_of_float (r *. 100.)) ratios;
     t_columns = [ "mutex Mops/s"; "C-RW-WP Mops/s"; "speedup" ];
     t_rows = rows;
   }
@@ -595,7 +588,6 @@ let cohort_gain ~title ~topologies ~n_threads ~duration ~seed =
       Printf.sprintf "%s at %d threads (rows: %s)" title n_threads
         (legend (List.map fst topologies));
     t_xlabel = "machine#";
-    t_threads = List.mapi (fun i _ -> i) topologies;
     t_columns = [ "MCS Mops/s"; "C-BO-MCS Mops/s"; "cohort gain" ];
     t_rows = rows;
   }
@@ -661,7 +653,6 @@ let extension_bimodal ~topology ~n_threads ~duration ~seed () =
          at %d threads (speedup over pthread)"
         n_threads;
     t_xlabel = "threads";
-    t_threads = [ n_threads ];
     t_columns = List.map (fun (e : R.entry) -> e.R.name) locks;
     t_rows = rows;
   }
@@ -705,7 +696,6 @@ let successor_comparison ~topology ~n_threads ~duration ~seed () =
          threads (rows: %s)"
         n_threads (legend names);
     t_xlabel = "lock#";
-    t_threads = List.mapi (fun i _ -> i) names;
     t_columns = [ "Mops/s"; "xfers/acq"; "lock lines" ];
     t_rows = rows;
   }
@@ -935,7 +925,6 @@ let composition_matrix ~topology ~n_threads ~duration ~seed () =
         n_threads
         (String.concat "/" Matrix.globals);
     t_xlabel = "global#";
-    t_threads = List.mapi (fun i _ -> i) Matrix.globals;
     t_columns = Matrix.locals;
     t_rows = rows;
   }

@@ -66,7 +66,6 @@ val print_fig6 : sweep -> unit
 type table = {
   t_title : string;
   t_xlabel : string;
-  t_threads : int list;
   t_columns : string list;
   t_rows : (int * float array) list;
 }

@@ -74,7 +74,7 @@ module type S = sig
     module Local : LI.LOCAL
   end
 
-  module C_blk_blk : LI.COHORT_LOCK
+  module C_blk_blk : LI.LOCK
 end
 
 module Make (M : Numa_base.Memory_intf.MEMORY) : S

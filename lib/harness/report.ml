@@ -12,7 +12,6 @@ let fmt_si v =
 
 let fmt_fixed2 v = Printf.sprintf "%.2f" v
 let fmt_fixed1 v = Printf.sprintf "%.1f" v
-let fmt_int v = Printf.sprintf "%.0f" v
 
 (* A series table: first column is the x value (thread count), then one
    column per lock. *)

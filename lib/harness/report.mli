@@ -7,7 +7,6 @@ val fmt_si : float -> string
 
 val fmt_fixed2 : float -> string
 val fmt_fixed1 : float -> string
-val fmt_int : float -> string
 
 val print_series :
   ?out:Format.formatter ->

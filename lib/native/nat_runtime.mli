@@ -1,7 +1,7 @@
 (** {!Numa_base.Runtime_intf.RUNTIME} over real domains.
 
     [run] spawns one [Domain] per thread, calls [Nat_mem.set_identity]
-    with the cluster assigned by the topology's placement, and joins them
+    with the cluster [Topology.cluster_of_thread] assigns, and joins them
     all. [stop_after] is served by the spawning thread sleeping and then
     raising the stop flag — bodies must poll [stopped] to terminate. The
     stop flag and barriers are built from [Nat_mem] cells, so waiters

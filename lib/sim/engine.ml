@@ -130,7 +130,6 @@ type t = {
          completion event unrun *)
   mutable fp_hits : int;  (* events retired inline by the fast path *)
   mutable cur_tid : int;
-  mutable cur_dom : int;
   mutable cur_cluster : int;
       (* identity of the fiber currently executing — refreshed before
          every [continue]/[match_with], read by the fast path below *)
@@ -225,11 +224,13 @@ let cross eng ~cluster ~thread line lat ~inval =
 (* Charge a memory access. Attribution (profiler rows, trace events)
    mutates stats only, so the charged latency — and hence the schedule —
    is independent of both. *)
-let access eng ~dom ~cluster ~thread line kind =
-  let tr = Coherence.classify line ~epoch:eng.epoch ~domain:dom ~thread kind in
+let access eng ~cluster ~thread line kind =
+  let tr =
+    Coherence.classify line ~epoch:eng.epoch ~domain:cluster ~thread kind
+  in
   let lat =
     Coherence.charge ?prof:eng.prof eng.cstats eng.topo line ~now:eng.now
-      ~epoch:eng.epoch ~domain:dom ~thread kind tr
+      ~epoch:eng.epoch ~domain:cluster ~thread kind tr
   in
   match tr with
   | L1_hit | Local_hit | Upgrade | Memory -> lat
@@ -341,7 +342,7 @@ let fast_op line kind =
       &&
       let lat =
         Coherence.try_hit eng.cstats eng.topo line ~epoch:eng.epoch
-          ~domain:eng.cur_dom ~thread:eng.cur_tid kind ~within:(room eng h)
+          ~domain:eng.cur_cluster ~thread:eng.cur_tid kind ~within:(room eng h)
       in
       lat >= 0 && retire eng lat
 
@@ -365,17 +366,15 @@ let fast_self_tid () =
 let fast_self_cluster () =
   match !cur_engine with Some (eng, _) -> eng.cur_cluster | None -> -1
 
-(* [dom] is the thread's leaf domain (drives coherence distances);
-   [cluster] its cohort cluster (what locks and trace events see). On
-   every flat preset the two coincide. *)
-let handler eng ~tid ~dom ~cluster =
+(* [cluster] is the thread's leaf domain: it drives coherence distances
+   and is what locks and trace events see. *)
+let handler eng ~tid ~cluster =
   (* Fibers only (re)gain control through a [continue] below (or the
      Start thunk's [match_with]); stamping the engine there keeps
-     [cur_tid]/[cur_dom]/[cur_cluster] equal to the running fiber, which
+     [cur_tid]/[cur_cluster] equal to the running fiber, which
      the fast path's hit classification depends on. *)
   let set_ctx () =
     eng.cur_tid <- tid;
-    eng.cur_dom <- dom;
     eng.cur_cluster <- cluster
   in
   {
@@ -394,7 +393,7 @@ let handler eng ~tid ~dom ~cluster =
             Some
               (fun (k : (b, unit) continuation) ->
                 let lat =
-                  access eng ~dom ~cluster ~thread:tid o.o_line o.o_kind
+                  access eng ~cluster ~thread:tid o.o_line o.o_kind
                 in
                 let cls =
                   match o.o_kind with
@@ -440,7 +439,7 @@ let handler eng ~tid ~dom ~cluster =
                               if untimed then eng.blocked <- eng.blocked - 1;
                               cur := None;
                               let lat =
-                                access eng ~dom ~cluster ~thread:tid d.w_line
+                                access eng ~cluster ~thread:tid d.w_line
                                   Coherence.Read
                               in
                               schedule eng ~tid ~cls:Spin_wake ~line:d.w_line
@@ -482,7 +481,7 @@ let handler eng ~tid ~dom ~cluster =
                           continue k None
                         end);
                   let lat =
-                    access eng ~dom ~cluster ~thread:tid d.w_line Coherence.Read
+                    access eng ~cluster ~thread:tid d.w_line Coherence.Read
                   in
                   schedule eng ~tid ~cls:Spin_check ~line:d.w_line
                     (eng.now + lat) attempt
@@ -620,21 +619,17 @@ let run ~topology ~n_threads ?horizon ?policy ?max_events ?(profile = false)
       fp_limit = (match horizon with Some h -> h | None -> max_int);
       fp_hits = 0;
       cur_tid = -1;
-      cur_dom = -1;
       cur_cluster = -1;
     }
   in
   for tid = 0 to n_threads - 1 do
     (* Oversubscription: logical threads beyond the machine's contexts
-       wrap onto hardware contexts, so both placements below are taken
-       through [context_of_thread]. *)
-    let dom = Topology.domain_of_thread topology tid in
+       wrap onto hardware contexts inside [cluster_of_thread]. *)
     let cluster = Topology.cluster_of_thread topology tid in
-    let h = handler eng ~tid ~dom ~cluster in
+    let h = handler eng ~tid ~cluster in
     (* 1 ns stagger breaks the t=0 symmetry deterministically. *)
     schedule eng ~tid ~cls:Start ~line:no_line tid (fun () ->
         eng.cur_tid <- tid;
-        eng.cur_dom <- dom;
         eng.cur_cluster <- cluster;
         match_with (fun () -> body ~tid ~cluster) () h)
   done;

@@ -92,14 +92,14 @@ val run :
   (tid:int -> cluster:int -> unit) ->
   result
 (** [run ~topology ~n_threads body] starts [n_threads] fibers; thread
-    [tid] runs [body ~tid ~cluster] with its cluster given by the
-    topology's placement. Thread starts are staggered by 1 ns per tid to
+    [tid] runs [body ~tid ~cluster] with its cluster given by
+    [Topology.cluster_of_thread]. Thread starts are staggered by 1 ns per tid to
     break symmetry deterministically.
 
     [n_threads] may exceed the machine's hardware contexts
     ([Topology.total_threads]): the surplus logical threads wrap onto
     contexts via [Topology.context_of_thread] (oversubscription), sharing
-    their context's domain and cluster. The simulation is still
+    their context's cluster. The simulation is still
     deterministic — fibers are cooperative, so wrapping changes placement
     only, not the event machinery.
 

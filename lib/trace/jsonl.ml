@@ -22,18 +22,6 @@ let event_of_json j =
   | Some kind -> Ok { Event.at; tid; cluster; kind }
   | None -> Error (Printf.sprintf "unknown event kind %S" kind_s)
 
-let to_channel oc =
-  let mu = Mutex.create () in
-  Sink.make
-    ~flush:(fun () -> flush oc)
-    ~close:(fun () -> flush oc)
-    (fun ev ->
-      let line = Json.to_string (event_to_json ev) in
-      Mutex.lock mu;
-      output_string oc line;
-      output_char oc '\n';
-      Mutex.unlock mu)
-
 let to_file path =
   let oc = open_out path in
   let mu = Mutex.create () in

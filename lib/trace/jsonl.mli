@@ -6,9 +6,6 @@
 val event_to_json : Event.t -> Json.t
 val event_of_json : Json.t -> (Event.t, string) result
 
-val to_channel : out_channel -> Sink.t
-(** The caller owns the channel; [Sink.close] only flushes. *)
-
 val to_file : string -> Sink.t
 (** Opens (truncates) [path]; [Sink.close] closes it. *)
 

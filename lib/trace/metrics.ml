@@ -47,7 +47,7 @@ let of_events ?(wait_p50 = Float.nan) ?(wait_p99 = Float.nan) events =
   let last_cluster = ref (-1) in
   (* Batch = run of consecutive within-cohort handoffs closed by a global
      handoff (length counts acquisitions, so a lone global handoff is a
-     batch of 1 — same convention as Lock_intf.cohort_stats). *)
+     batch of 1). *)
   let batch_run = ref 0 in
   let batches = ref [] in
   let holds = ref [] in

@@ -4,7 +4,7 @@
     single immediate-constructor test that instrumentation sites branch
     on, so disabled tracing costs one comparison and performs no memory
     operation, no timestamp read and no allocation — or a real sink built
-    with {!make} ({!Ring.sink} and {!Jsonl.to_channel} are the two
+    with {!make} ({!Ring.sink} and {!Jsonl.to_file} are the two
     in-tree producers).
 
     Instrumentation idiom (inside a lock functor over [MEMORY]):

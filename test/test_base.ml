@@ -13,24 +13,6 @@ let test_round_robin_placement () =
   Alcotest.(check int) "tid 5" 1 (Topology.cluster_of_thread t 5);
   Alcotest.(check int) "tid 255" 3 (Topology.cluster_of_thread t 255)
 
-let test_packed_placement () =
-  let t =
-    Topology.make ~placement:Topology.Packed ~clusters:2
-      ~threads_per_cluster:4 Latency.t5440
-  in
-  Alcotest.(check int) "tid 0" 0 (Topology.cluster_of_thread t 0);
-  Alcotest.(check int) "tid 3" 0 (Topology.cluster_of_thread t 3);
-  Alcotest.(check int) "tid 4" 1 (Topology.cluster_of_thread t 4)
-
-let test_threads_on_cluster () =
-  let t = Topology.t5440 in
-  Alcotest.(check int) "16 rr on c0" 4
-    (Topology.threads_on_cluster t ~n_threads:16 0);
-  Alcotest.(check int) "5 rr on c0" 2
-    (Topology.threads_on_cluster t ~n_threads:5 0);
-  Alcotest.(check int) "5 rr on c3" 1
-    (Topology.threads_on_cluster t ~n_threads:5 3)
-
 let test_topology_validation () =
   Alcotest.check_raises "clusters<1"
     (Invalid_argument "Topology.make: clusters < 1") (fun () ->
@@ -228,8 +210,6 @@ let suite =
       [
         Alcotest.test_case "t5440" `Quick test_topology_t5440;
         Alcotest.test_case "round robin" `Quick test_round_robin_placement;
-        Alcotest.test_case "packed" `Quick test_packed_placement;
-        Alcotest.test_case "threads_on_cluster" `Quick test_threads_on_cluster;
         Alcotest.test_case "validation" `Quick test_topology_validation;
       ] );
     ( "prng",

@@ -302,8 +302,8 @@ let test_interconnect_zero_occupancy () =
    round trip to the furthest victim. *)
 let test_hier_read_costs_by_level () =
   let tr = Topology.rack in
-  let inner = tr.Topology.xfer.(0 * tr.Topology.domains + 1) in
-  let outer = tr.Topology.xfer.(0 * tr.Topology.domains + 2) in
+  let inner = Topology.xfer_cost tr 0 1 in
+  let outer = Topology.xfer_cost tr 0 2 in
   Alcotest.(check bool) "tiers differ" true (inner < outer);
   let line, st = fresh () in
   ignore (C.access st tr line ~now:0 ~epoch:1 ~domain:0 ~thread:0 C.Write);
@@ -322,7 +322,7 @@ let test_hier_read_costs_by_level () =
 
 let test_hier_invalidate_pays_furthest () =
   let tr = Topology.rack in
-  let outer = tr.Topology.xfer.(0 * tr.Topology.domains + 2) in
+  let outer = Topology.xfer_cost tr 0 2 in
   let line, st = fresh () in
   (* Sharers in both racks; a write from domain 0 must reach domain 2. *)
   ignore (C.access st tr line ~now:0 ~epoch:1 ~domain:0 ~thread:0 C.Read);

@@ -1,11 +1,13 @@
-(* Tests for the extension features: handoff policies, cohort statistics,
-   the blocking cohort lock (C-BLK-BLK) and the NUMA-aware reader-writer
-   lock (C-RW-WP). *)
+(* Tests for the extension features: handoff policies, the cohort
+   batching they produce (read from the lock's trace), the blocking
+   cohort lock (C-BLK-BLK) and the NUMA-aware reader-writer lock
+   (C-RW-WP). *)
 
 open Numa_base
 module E = Numasim.Engine
 module M = Numasim.Sim_mem
 module LI = Cohort.Lock_intf
+module Mt = Numa_trace.Metrics
 
 let topo = Topology.small
 let cfg = { LI.default with LI.clusters = topo.Topology.clusters }
@@ -18,100 +20,74 @@ module Rw = Cohort.Cohort_locks.C_rw_bo_mcs (M)
 
 (* --- handoff policies ------------------------------------------------- *)
 
-(* Run a contended loop and return (cohort stats, migrations). *)
-let run_policy (policy : LI.handoff_policy) =
-  let cfg = { cfg with LI.handoff_policy = policy } in
-  let l = C_tkt_mcs.create cfg in
-  let migs = ref 0 in
-  let last = ref (-1) in
+(* Run [n_threads] x [iters] contended acquisitions of [L] and roll its
+   lock-event trace up into cohort metrics (handoffs, batches). Tracing
+   is schedule-neutral, so the run is the untraced one. *)
+let cohort_metrics ?(iters = 50) (module L : LI.LOCK) cfg =
+  let ring = Numa_trace.Ring.create ~capacity:16_384 in
+  let l = L.create { cfg with LI.trace = Numa_trace.Ring.sink ring } in
   ignore
     (E.run ~topology:topo ~n_threads:8 (fun ~tid ~cluster ->
-         let th = C_tkt_mcs.register l ~tid ~cluster in
-         for _ = 1 to 50 do
-           C_tkt_mcs.acquire th;
-           if !last <> cluster then begin
-             incr migs;
-             last := cluster
-           end;
+         let th = L.register l ~tid ~cluster in
+         for _ = 1 to iters do
+           L.acquire th;
            M.pause 80;
-           C_tkt_mcs.release th;
+           L.release th;
            M.pause 120
          done));
-  (C_tkt_mcs.stats l, !migs)
+  Alcotest.(check int) "trace ring kept every event" 0
+    (Numa_trace.Ring.dropped ring);
+  Numa_trace.Metrics.of_events (Numa_trace.Ring.events ring)
+
+let run_policy (policy : LI.handoff_policy) =
+  cohort_metrics (module C_tkt_mcs) { cfg with LI.handoff_policy = policy }
 
 let test_policy_counted_bounds_batches () =
-  let cfg = { cfg with LI.max_local_handoffs = 4 } in
-  let l = C_tkt_mcs.create cfg in
-  ignore
-    (E.run ~topology:topo ~n_threads:8 (fun ~tid ~cluster ->
-         let th = C_tkt_mcs.register l ~tid ~cluster in
-         for _ = 1 to 50 do
-           C_tkt_mcs.acquire th;
-           M.pause 80;
-           C_tkt_mcs.release th;
-           M.pause 120
-         done));
-  let st = C_tkt_mcs.stats l in
-  Alcotest.(check bool)
-    (Printf.sprintf "batch_max %d <= bound+1" st.LI.batch_max)
-    true
-    (st.LI.batch_max <= 5)
-
-let test_policy_unbounded_batches_more () =
-  let st_bounded, _ = run_policy LI.Counted in
-  let st_unbounded, _ = run_policy LI.Unbounded in
-  let avg st =
-    float_of_int st.LI.batch_total /. float_of_int (max 1 st.LI.batch_count)
+  let m =
+    cohort_metrics (module C_tkt_mcs) { cfg with LI.max_local_handoffs = 4 }
   in
   Alcotest.(check bool)
+    (Printf.sprintf "batch_max %d <= bound+1" m.Mt.batch_max)
+    true (m.Mt.batch_max <= 5)
+
+let test_policy_unbounded_batches_more () =
+  let bounded = run_policy LI.Counted in
+  let unbounded = run_policy LI.Unbounded in
+  Alcotest.(check bool)
     (Printf.sprintf "unbounded batches (%.1f) >= bounded (%.1f)"
-       (avg st_unbounded) (avg st_bounded))
+       unbounded.Mt.batch_mean bounded.Mt.batch_mean)
     true
-    (avg st_unbounded >= avg st_bounded)
+    (unbounded.Mt.batch_mean >= bounded.Mt.batch_mean)
 
 let test_policy_timed_forces_release () =
   (* A tiny time budget must cause frequent global releases even though
      the count bound is huge. *)
-  let st, _ =
+  let m =
     run_policy (LI.Timed 500)
     (* 500 ns budget; each CS is ~100+ ns *)
   in
   Alcotest.(check bool)
-    (Printf.sprintf "time budget bounds batches (max %d)" st.LI.batch_max)
-    true
-    (st.LI.batch_max <= 8);
-  Alcotest.(check bool) "many global releases" true (st.LI.global_releases > 10)
+    (Printf.sprintf "time budget bounds batches (max %d)" m.Mt.batch_max)
+    true (m.Mt.batch_max <= 8);
+  Alcotest.(check bool) "many global releases" true (m.Mt.handoffs_global > 10)
 
 let test_policy_counted_or_timed () =
-  let st, _ = run_policy (LI.Counted_or_timed 500) in
+  let m = run_policy (LI.Counted_or_timed 500) in
   Alcotest.(check bool) "combined policy bounds batches" true
-    (st.LI.batch_max <= 8)
+    (m.Mt.batch_max <= 8)
 
 let test_stats_consistency () =
-  let l = C_bo_mcs.create cfg in
   let acquires = 8 * 40 in
-  ignore
-    (E.run ~topology:topo ~n_threads:8 (fun ~tid ~cluster ->
-         let th = C_bo_mcs.register l ~tid ~cluster in
-         for _ = 1 to 40 do
-           C_bo_mcs.acquire th;
-           M.pause 80;
-           C_bo_mcs.release th;
-           M.pause 120
-         done));
-  let st = C_bo_mcs.stats l in
+  let m = cohort_metrics ~iters:40 (module C_bo_mcs) cfg in
+  Alcotest.(check int) "every acquisition traced" acquires m.Mt.acquires;
   Alcotest.(check int) "every release counted" acquires
-    (st.LI.local_handoffs + st.LI.global_releases);
+    (m.Mt.handoffs_within_cohort + m.Mt.handoffs_global);
   Alcotest.(check int) "batches partition the acquisitions" acquires
-    st.LI.batch_total;
-  Alcotest.(check int) "batch_count = global releases" st.LI.global_releases
-    st.LI.batch_count;
+    (Float.to_int (Float.round (m.Mt.batch_mean *. float_of_int m.Mt.batches)));
+  Alcotest.(check int) "batch_count = global releases" m.Mt.handoffs_global
+    m.Mt.batches;
   Alcotest.(check bool) "batch_max sane" true
-    (st.LI.batch_max >= 1 && st.LI.batch_max <= cfg.LI.max_local_handoffs + 1);
-  C_bo_mcs.reset_stats l;
-  let st = C_bo_mcs.stats l in
-  Alcotest.(check int) "reset" 0
-    (st.LI.local_handoffs + st.LI.global_releases + st.LI.batch_total)
+    (m.Mt.batch_max >= 1 && m.Mt.batch_max <= cfg.LI.max_local_handoffs + 1)
 
 (* --- blocking cohort lock ---------------------------------------------- *)
 
@@ -148,23 +124,11 @@ let test_c_blk_blk_mutual_exclusion () =
   Alcotest.(check int) "C-BLK-BLK: all done" 320 d
 
 let test_c_blk_blk_batches () =
-  let l = C_blk_blk.create cfg in
-  ignore
-    (E.run ~topology:topo ~n_threads:8 (fun ~tid ~cluster ->
-         let th = C_blk_blk.register l ~tid ~cluster in
-         for _ = 1 to 50 do
-           C_blk_blk.acquire th;
-           M.pause 80;
-           C_blk_blk.release th;
-           M.pause 120
-         done));
-  let st = C_blk_blk.stats l in
-  let avg =
-    float_of_int st.LI.batch_total /. float_of_int (max 1 st.LI.batch_count)
-  in
+  let m = cohort_metrics (module C_blk_blk) cfg in
   Alcotest.(check bool)
-    (Printf.sprintf "blocking cohort batches locally (avg %.1f)" avg)
-    true (avg > 1.5)
+    (Printf.sprintf "blocking cohort batches locally (avg %.1f)"
+       m.Mt.batch_mean)
+    true (m.Mt.batch_mean > 1.5)
 
 (* --- reader-writer lock ------------------------------------------------ *)
 

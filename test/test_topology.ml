@@ -1,27 +1,18 @@
-(* Property suite for the hierarchical Topology model. The closed-form
-   placement arithmetic (threads_on_cluster, cluster_of_thread) and the
-   precomputed transfer/crossing-level matrices feed both the coherence
-   model and every lock's cluster assignment, so each is checked here
-   against an independent reference: a counting loop for placement, a
-   mixed-radix digit walk for the level structure, and the historical
-   flat constructor for the single-level case. *)
+(* Property suite for the hierarchical Topology model. The placement
+   rule (cluster_of_thread) and the precomputed transfer/crossing-level
+   matrices feed both the coherence model and every lock's cluster
+   assignment, so each is checked here against an independent
+   reference: the closed form for placement, a mixed-radix digit walk
+   for the level structure, and the historical flat constructor for the
+   single-level case. *)
 
 open Numa_base
 module T = Topology
 
 (* A random machine, described by data simple enough to print on
-   failure: level arities (outermost first, product <= 27 domains),
-   contexts per domain, a cohort level, and a placement policy (explicit
-   maps are derived deterministically from the seed). *)
-type spec = {
-  s_arities : int list;
-  s_tpd : int;
-  s_cohort : int;
-  s_placement : int;  (* 0 = Round_robin, 1 = Packed, 2+ = Explicit *)
-  s_seed : int;
-}
-
-let domains_of s = List.fold_left ( * ) 1 s.s_arities
+   failure: level arities (outermost first, product <= 27 clusters) and
+   contexts per cluster. *)
+type spec = { s_arities : int list; s_tpc : int }
 
 let build s =
   let levels =
@@ -37,71 +28,26 @@ let build s =
           ~occupancy:(10 * i) ())
       s.s_arities
   in
-  let domains = domains_of s in
-  let placement =
-    match s.s_placement with
-    | 0 -> T.Round_robin
-    | 1 -> T.Packed
-    | _ ->
-        let rng = Prng.create s.s_seed in
-        T.Explicit
-          (Array.init (domains * s.s_tpd) (fun _ -> Prng.int rng domains))
-  in
-  T.make_hier ~name:"qc" ~placement ~cohort_level:s.s_cohort ~levels
-    ~threads_per_domain:s.s_tpd Latency.t5440
+  T.make_hier ~name:"qc" ~levels ~threads_per_cluster:s.s_tpc Latency.t5440
 
 let gen_spec =
   QCheck.Gen.(
     let* depth = 1 -- 3 in
     let* s_arities = list_repeat depth (1 -- 3) in
-    let* s_tpd = 1 -- 8 in
-    let* s_cohort = 0 -- (depth - 1) in
-    let* s_placement = 0 -- 2 in
-    let* s_seed = 0 -- 10_000 in
-    return { s_arities; s_tpd; s_cohort; s_placement; s_seed })
+    let* s_tpc = 1 -- 8 in
+    return { s_arities; s_tpc })
 
 let print_spec s =
-  Printf.sprintf "arities=[%s] tpd=%d cohort=%d placement=%d seed=%d"
+  Printf.sprintf "arities=[%s] tpc=%d"
     (String.concat ";" (List.map string_of_int s.s_arities))
-    s.s_tpd s.s_cohort s.s_placement s.s_seed
+    s.s_tpc
 
 let arb_spec = QCheck.make ~print:print_spec gen_spec
-let arb_spec_n = QCheck.(pair arb_spec (make ~print:string_of_int Gen.(0 -- 80)))
 
 (* --- placement --------------------------------------------------------- *)
 
-(* threads_on_cluster is a partition of the first min(n, contexts)
-   thread ids: the per-cluster counts must sum back to that total. *)
-let prop_partition =
-  QCheck.Test.make ~name:"threads_on_cluster partitions the thread ids"
-    ~count:500 arb_spec_n (fun (s, n) ->
-      let t = build s in
-      let sum = ref 0 in
-      for c = 0 to t.T.clusters - 1 do
-        sum := !sum + T.threads_on_cluster t ~n_threads:n c
-      done;
-      !sum = min n (T.total_threads t))
-
-(* The closed forms for Round_robin/Packed must agree with the obvious
-   counting loop over cluster_of_thread (which is also the loop still
-   used for explicit maps). *)
-let prop_closed_form =
-  QCheck.Test.make ~name:"threads_on_cluster = counting loop" ~count:500
-    arb_spec_n (fun (s, n) ->
-      let t = build s in
-      let upto = min n (T.total_threads t) in
-      let ok = ref true in
-      for c = 0 to t.T.clusters - 1 do
-        let reference = ref 0 in
-        for tid = 0 to upto - 1 do
-          if T.cluster_of_thread t tid = c then incr reference
-        done;
-        if T.threads_on_cluster t ~n_threads:n c <> !reference then ok := false
-      done;
-      !ok)
-
-(* Every thread id — oversubscribed ones included — lands on a cluster
-   in range, and wrapping is exactly modular in the context count. *)
+(* Every thread id — oversubscribed ones included — wraps modulo the
+   context count and lands round-robin on the clusters. *)
 let prop_cluster_in_range =
   QCheck.Test.make ~name:"cluster_of_thread in range, wraps modulo contexts"
     ~count:500 arb_spec (fun s ->
@@ -109,18 +55,17 @@ let prop_cluster_in_range =
       let total = T.total_threads t in
       let ok = ref true in
       for tid = 0 to (3 * total) - 1 do
-        let c = T.cluster_of_thread t tid in
-        if c < 0 || c >= t.T.clusters then ok := false;
-        if c <> T.cluster_of_thread t (tid mod total) then ok := false;
+        if T.cluster_of_thread t tid <> tid mod total mod t.T.clusters then
+          ok := false;
         if T.context_of_thread t tid <> tid mod total then ok := false
       done;
       !ok)
 
 (* --- level structure --------------------------------------------------- *)
 
-(* Reference crossing level: write each domain in the mixed radix given
+(* Reference crossing level: write each cluster in the mixed radix given
    by the level arities (outermost digit first); the crossing level is
-   the first digit where the two domains differ. *)
+   the first digit where the two clusters differ. *)
 let digits arities d =
   let rec go acc d = function
     | [] -> acc
@@ -133,7 +78,7 @@ let digits arities d =
 let ref_cross_level arities a b =
   let rec first i = function
     | da :: ra, db :: rb -> if da <> db then i else first (i + 1) (ra, rb)
-    | _ -> invalid_arg "ref_cross_level: equal domains"
+    | _ -> invalid_arg "ref_cross_level: equal clusters"
   in
   first 0 (digits arities a, digits arities b)
 
@@ -143,8 +88,8 @@ let prop_matrices =
     arb_spec (fun s ->
       let t = build s in
       let ok = ref true in
-      for a = 0 to t.T.domains - 1 do
-        for b = 0 to t.T.domains - 1 do
+      for a = 0 to t.T.clusters - 1 do
+        for b = 0 to t.T.clusters - 1 do
           if a = b then begin
             if T.xfer_cost t a b <> 0 then ok := false
           end
@@ -160,7 +105,7 @@ let prop_matrices =
       !ok)
 
 (* A single-level hierarchy built through make_hier is the flat machine:
-   same shape, same placement map, and every off-diagonal transfer is
+   same shape, same placement, and every off-diagonal transfer is
    the latency preset's remote_transfer — exactly what Topology.make
    produces. *)
 let prop_flat_equivalence =
@@ -179,7 +124,7 @@ let prop_flat_equivalence =
                 ~channels:lat.Latency.interconnect_channels
                 ~occupancy:lat.Latency.interconnect_occupancy ();
             ]
-          ~threads_per_domain:tpc lat
+          ~threads_per_cluster:tpc lat
       in
       let ok = ref (flat.T.clusters = hier.T.clusters) in
       ok := !ok && T.total_threads flat = T.total_threads hier;
@@ -196,40 +141,21 @@ let prop_flat_equivalence =
       done;
       !ok)
 
-(* The cohort level groups whole subtrees: domains in the same cluster
-   never cross a boundary at or outside the cohort level, and domains in
-   different clusters always do. *)
-let prop_cohort_grouping =
-  QCheck.Test.make ~name:"clusters = subtrees at the cohort level"
-    ~count:500 arb_spec (fun s ->
-      let t = build s in
-      let ok = ref true in
-      for a = 0 to t.T.domains - 1 do
-        for b = 0 to t.T.domains - 1 do
-          if a <> b then begin
-            let same = T.cluster_of_domain t a = T.cluster_of_domain t b in
-            let crosses_cohort = T.cross_level t a b <= t.T.cohort_level in
-            if same = crosses_cohort then ok := false
-          end
-        done
-      done;
-      !ok)
-
 (* The prediction calibration's mean transfer cost agrees with a
-   reference loop over every ordered domain pair (the matrix is
+   reference loop over every ordered cluster pair (the matrix is
    symmetric, so ordered = unordered); a flat machine reports exactly
    the preset's remote_transfer. *)
 let prop_mean_remote =
   QCheck.Test.make ~name:"mean_remote_transfer_ns = reference mean" ~count:200
     arb_spec (fun s ->
       let t = build s in
-      if t.T.domains = 1 then
+      if t.T.clusters = 1 then
         T.mean_remote_transfer_ns t
         = float_of_int t.T.levels.(0).T.l_transfer
       else begin
         let sum = ref 0 and n = ref 0 in
-        for a = 0 to t.T.domains - 1 do
-          for b = 0 to t.T.domains - 1 do
+        for a = 0 to t.T.clusters - 1 do
+          for b = 0 to t.T.clusters - 1 do
             if a <> b then begin
               sum := !sum + T.xfer_cost t a b;
               incr n
@@ -240,6 +166,15 @@ let prop_mean_remote =
         Float.abs (T.mean_remote_transfer_ns t -. reference) < 1e-6
       end)
 
+(* Both spec grammars enforce the coherence model's 62-cluster bound:
+   an oversized flat or rack spec is an error, not an exception. *)
+let test_of_spec_bounds () =
+  let is_error s = Result.is_error (T.of_spec s) in
+  Alcotest.(check bool) "70x1 rejected" true (is_error "70x1");
+  Alcotest.(check bool) "8x8x1 rejected" true (is_error "8x8x1");
+  Alcotest.(check bool) "62x1 accepted" false (is_error "62x1");
+  Alcotest.(check bool) "2x31x1 accepted" false (is_error "2x31x1")
+
 let test_mean_remote_flat () =
   Alcotest.(check (float 0.))
     "t5440 mean transfer = remote_transfer" 125.
@@ -249,16 +184,13 @@ let () =
   Alcotest.run "topology"
     [
       ( "placement",
-        List.map QCheck_alcotest.to_alcotest
-          [ prop_partition; prop_closed_form; prop_cluster_in_range ] );
+        List.map QCheck_alcotest.to_alcotest [ prop_cluster_in_range ] );
       ( "hierarchy",
         List.map QCheck_alcotest.to_alcotest
-          [
-            prop_matrices; prop_flat_equivalence; prop_cohort_grouping;
-            prop_mean_remote;
-          ]
+          [ prop_matrices; prop_flat_equivalence; prop_mean_remote ]
         @ [
             Alcotest.test_case "flat mean transfer" `Quick
               test_mean_remote_flat;
+            Alcotest.test_case "of_spec bounds" `Quick test_of_spec_bounds;
           ] );
     ]
