@@ -18,9 +18,10 @@
    schedules visited and deviations pruned.
 
    Lock names resolve through the registry first, then the mutants
-   (C-BO-MCS!skip-limit, TKT!lost-ticket, MCS!late-reset). Exit status is
-   nonzero when a genuine lock fails, when a mutant is NOT caught, or
-   when a --replay trace does not parse. *)
+   (C-BO-MCS!skip-limit, TKT!lost-ticket, MCS!late-reset,
+   GCR-MCS!dropped-unpark). Exit status is nonzero when a genuine lock
+   fails, when a mutant is NOT caught, or when a --replay trace does not
+   parse or does not apply in full. *)
 
 module E = Numa_check.Explore
 module D = Numa_check.Decision
@@ -80,6 +81,19 @@ let explore_one ~mode ~preemptions ~budget ?topology ~threads ~sections ~seed
               pp_failure sc f;
               `Caught))
 
+(* Why a requested deviation left no mark in [r.taken]: its decision
+   point had too few candidates, or the run never got that far. *)
+let print_unapplied (r : E.run) (d : D.deviation) =
+  match List.find_opt (fun st -> st.D.s_dp = d.at) r.E.steps with
+  | Some st ->
+      Printf.printf "  %d:%d  pick out of range (%d candidates)\n" d.at d.pick
+        st.D.s_n
+  | None ->
+      Printf.printf
+        "  %d:%d  decision point never reached (the run has %d of them)\n" d.at
+        d.pick
+        (List.length (List.filter (fun st -> st.D.s_dp >= 0) r.E.steps))
+
 let run_replay ?topology ~threads ~sections name trace_str =
   match (find_lock name, D.of_string trace_str) with
   | None, _ ->
@@ -92,15 +106,25 @@ let run_replay ?topology ~threads ~sections name trace_str =
   | Some lock, Some trace -> (
       let sc = E.scenario ?topology ~n_threads:threads ~sections lock in
       let r = E.run_once ~record:true sc trace in
-      Format.printf "%a@." D.pp_interleaving r.E.steps;
-      match r.E.outcome with
-      | E.Pass ->
-          Printf.printf "replay of %s on %s: PASS\n" (D.to_string trace) name;
-          0
-      | E.Fail v ->
-          Printf.printf "replay of %s on %s: FAIL — %s\n" (D.to_string trace)
-            name (V.to_string v);
-          0)
+      (* A deviation that did not take effect means the run was some
+         other schedule: report which, never that schedule's verdict. *)
+      match List.filter (fun d -> not (List.mem d r.E.taken)) trace with
+      | _ :: _ as unapplied ->
+          Printf.printf "replay of %s on %s: not applied:\n"
+            (D.to_string trace) name;
+          List.iter (print_unapplied r) unapplied;
+          1
+      | [] -> (
+          Format.printf "%a@." D.pp_interleaving r.E.steps;
+          match r.E.outcome with
+          | E.Pass ->
+              Printf.printf "replay of %s on %s: PASS\n" (D.to_string trace)
+                name;
+              0
+          | E.Fail v ->
+              Printf.printf "replay of %s on %s: FAIL — %s\n"
+                (D.to_string trace) name (V.to_string v);
+              0))
 
 let run_mutants ~preemptions ~budget ?topology ~threads ~sections ~prune () =
   let bad = ref 0 in
@@ -193,10 +217,10 @@ let replay_arg =
     value
     & opt (some string) None
     & info [ "replay" ] ~docv:"TRACE"
-        ~doc:"Replay a decision trace (\"at:pick,...\" or \"default\") on the given LOCK and print the interleaving.")
+        ~doc:"Replay a decision trace (\"at:pick,...\" or \"default\") on the given LOCK and print the interleaving. Exits 1, naming them, if some deviations do not apply (pick out of range, decision point never reached).")
 
 let mutants_arg =
-  Arg.(value & flag & info [ "mutants" ] ~doc:"Check the three seeded mutants are caught.")
+  Arg.(value & flag & info [ "mutants" ] ~doc:"Check the four seeded mutants are caught.")
 
 let quick_arg =
   Arg.(value & flag & info [ "quick" ] ~doc:"CI smoke: C-BO-MCS clean + skip-limit mutant caught.")

@@ -88,24 +88,14 @@ let scenario ?checks ?(topology = Numa_base.Topology.small) ?(n_threads = 3)
 
 type outcome = Pass | Fail of Violation.t
 
-type run = {
-  outcome : outcome;
-  taken : Decision.t;
-  dp_alts : int array array;
-  dp_kept : int array array;
-  steps : Decision.step list;
-}
+type run = { outcome : outcome; taken : Decision.t; steps : Decision.step list }
 
 (* Alternatives a deviation may pick at a decision point: every
    candidate except the default, minus Timeout events — firing a timeout
    before other same-instant work would make timed locks abort spuriously
    (a modelling artefact, not a schedule the substrate can produce). *)
-let eligible_alts (cands : Engine.candidate array) =
-  let out = ref [] in
-  for i = Array.length cands - 1 downto 1 do
-    if cands.(i).Engine.c_class <> Engine.Timeout then out := i :: !out
-  done;
-  Array.of_list !out
+let eligible (cands : Engine.candidate array) p =
+  cands.(p).Engine.c_class <> Engine.Timeout
 
 (* Sleep-set-style reduction: promoting candidate [p] to the front only
    yields a genuinely different interleaving if [p]'s event interferes
@@ -137,27 +127,24 @@ let interferes (cands : Engine.candidate array) p =
   in
   scan 0
 
-let run_with ?(record = false) ?(prune = false) sc ~chooser =
+let run_with ?(record = false) sc ~chooser =
   let n_dps = ref 0 in
-  let dp_alts = ref [] in
-  let dp_kept = ref [] in
   let taken = ref [] in
   let steps = ref [] in
   let policy ~step:_ (cands : Engine.candidate array) =
     let n = Array.length cands in
-    let pick =
-      if n < 2 then 0
+    let dp =
+      if n < 2 then -1
       else begin
         let dp = !n_dps in
         incr n_dps;
-        let alts = eligible_alts cands in
-        dp_alts := alts :: !dp_alts;
-        if prune then
-          dp_kept :=
-            Array.of_list
-              (List.filter (interferes cands) (Array.to_list alts))
-            :: !dp_kept;
-        let p = chooser ~dp ~alts in
+        dp
+      end
+    in
+    let pick =
+      if dp < 0 then 0
+      else begin
+        let p = chooser ~dp cands in
         let p = if p < 0 || p >= n then 0 else p in
         if p > 0 then taken := { Decision.at = dp; pick = p } :: !taken;
         p
@@ -167,7 +154,7 @@ let run_with ?(record = false) ?(prune = false) sc ~chooser =
       let c = cands.(pick) in
       steps :=
         {
-          Decision.s_dp = (if n < 2 then -1 else !n_dps - 1);
+          Decision.s_dp = dp;
           s_time = c.Engine.c_time;
           s_tid = c.Engine.c_tid;
           s_what =
@@ -210,19 +197,10 @@ let run_with ?(record = false) ?(prune = false) sc ~chooser =
                 "%d threads live (%d parked) with no runnable event" live
                 blocked))
   in
-  let dp_alts = Array.of_list (List.rev !dp_alts) in
-  {
-    outcome;
-    taken = List.rev !taken;
-    dp_alts;
-    dp_kept =
-      (if prune then Array.of_list (List.rev !dp_kept) else dp_alts);
-    steps = List.rev !steps;
-  }
+  { outcome; taken = List.rev !taken; steps = List.rev !steps }
 
-let run_once ?record ?prune sc trace =
-  run_with ?record ?prune sc ~chooser:(fun ~dp ~alts:_ ->
-      Decision.pick_at trace dp)
+let run_once ?record sc trace =
+  run_with ?record sc ~chooser:(fun ~dp _ -> Decision.pick_at trace dp)
 
 (* --- exhaustive exploration ------------------------------------------- *)
 
@@ -235,9 +213,12 @@ type exhaustive_report = {
 
 (* Stateless BFS over deviation sequences, dscheck-style: a child extends
    its (passing) parent with one extra deviation at a decision point
-   after the parent's last one, using the alternative counts the parent's
-   run observed — valid because the schedule up to that point is a pure
-   function of the decision prefix.
+   after the parent's last one, using the candidates the parent's run
+   presented there — valid because the schedule up to that point is a
+   pure function of the decision prefix. Only those points can branch,
+   and only while the parent is under the preemption bound, so the
+   children are collected there and nowhere else: a run at the bound
+   (most of the BFS) builds no bookkeeping at all.
 
    With [prune], children whose new deviation only commutes with the
    events it jumps over (see [interferes]) are never enqueued; [pruned]
@@ -253,27 +234,29 @@ let exhaustive ?(preemptions = 2) ?(budget = 10_000) ?(prune = false) sc =
   while !failure = None && (not (Queue.is_empty q)) && !schedules < budget do
     let trace = Queue.take q in
     incr schedules;
-    let r = run_once ~prune sc trace in
-    match r.outcome with
+    (* Children deviate strictly after [branch_after]. *)
+    let branch_after =
+      if List.length trace >= preemptions then max_int
+      else
+        match List.rev trace with [] -> -1 | d :: _ -> d.Decision.at
+    in
+    let children = ref [] in
+    let cut = ref 0 in
+    let chooser ~dp cands =
+      if dp > branch_after then
+        for p = 1 to Array.length cands - 1 do
+          if eligible cands p then
+            if (not prune) || interferes cands p then
+              children := { Decision.at = dp; pick = p } :: !children
+            else incr cut
+        done;
+      Decision.pick_at trace dp
+    in
+    match (run_with sc ~chooser).outcome with
     | Fail v -> failure := Some (trace, v)
     | Pass ->
-        if List.length trace < preemptions then begin
-          let last =
-            match List.rev trace with
-            | [] -> -1
-            | d :: _ -> d.Decision.at
-          in
-          Array.iteri
-            (fun dp kept ->
-              if dp > last then begin
-                pruned := !pruned + Array.length r.dp_alts.(dp) - Array.length kept;
-                Array.iter
-                  (fun p ->
-                    Queue.add (trace @ [ { Decision.at = dp; pick = p } ]) q)
-                  kept
-              end)
-            r.dp_kept
-        end
+        pruned := !pruned + !cut;
+        List.iter (fun d -> Queue.add (trace @ [ d ]) q) (List.rev !children)
   done;
   {
     schedules = !schedules;
@@ -293,32 +276,43 @@ let fuzz ?(deviate_prob = 0.1) ~seed ~runs sc =
   let rng = Prng.create seed in
   let failure = ref None in
   let n = ref 0 in
+  (* Most decision points do not deviate, so alternatives are only
+     counted there; the [k]-th is located only when one is picked. *)
+  let chooser ~dp:_ cands =
+    let k = ref 0 in
+    for p = 1 to Array.length cands - 1 do
+      if eligible cands p then incr k
+    done;
+    let k = !k in
+    if k = 0 || not (Prng.chance rng deviate_prob) then 0
+    else begin
+      (* Weight alternative j by 1/(j+1): near-default perturbations
+         are likelier, matching how real schedules drift. *)
+      let total = ref 0. in
+      for j = 0 to k - 1 do
+        total := !total +. (1. /. float_of_int (j + 1))
+      done;
+      let x = ref (Prng.float rng !total) in
+      let choice = ref (k - 1) in
+      (try
+         for j = 0 to k - 1 do
+           x := !x -. (1. /. float_of_int (j + 1));
+           if !x < 0. then begin
+             choice := j;
+             raise Exit
+           end
+         done
+       with Exit -> ());
+      let rec nth p j =
+        if not (eligible cands p) then nth (p + 1) j
+        else if j = 0 then p
+        else nth (p + 1) (j - 1)
+      in
+      nth 1 !choice
+    end
+  in
   while !failure = None && !n < runs do
     incr n;
-    let chooser ~dp:_ ~alts =
-      let k = Array.length alts in
-      if k = 0 || not (Prng.chance rng deviate_prob) then 0
-      else begin
-        (* Weight alternative j by 1/(j+1): near-default perturbations
-           are likelier, matching how real schedules drift. *)
-        let total = ref 0. in
-        for j = 0 to k - 1 do
-          total := !total +. (1. /. float_of_int (j + 1))
-        done;
-        let x = ref (Prng.float rng !total) in
-        let choice = ref (k - 1) in
-        (try
-           for j = 0 to k - 1 do
-             x := !x -. (1. /. float_of_int (j + 1));
-             if !x < 0. then begin
-               choice := j;
-               raise Exit
-             end
-           done
-         with Exit -> ());
-        alts.(!choice)
-      end
-    in
     let r = run_with sc ~chooser in
     match r.outcome with
     | Fail v -> failure := Some (r.taken, v)

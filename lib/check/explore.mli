@@ -52,30 +52,21 @@ type run = {
   taken : Decision.t;
       (** deviations actually applied (clamped/no-op picks dropped) —
           the canonical replayable trace of this run. *)
-  dp_alts : int array array;
-      (** per decision point, the candidate indices a deviation may
-          pick (non-default, non-timeout). *)
-  dp_kept : int array array;
-      (** [dp_alts] minus prunable alternatives (equal to [dp_alts]
-          when [prune] is off): an alternative is prunable when its
-          event neither shares a thread nor a cache line with any event
-          it would jump over, so promoting it commutes with all of them
-          and yields a schedule equivalent to one reached by deviating
-          later. *)
   steps : Decision.step list;  (** executed events, when [record]. *)
 }
 
 val run_with :
   ?record:bool ->
-  ?prune:bool ->
   scenario ->
-  chooser:(dp:int -> alts:int array -> int) ->
+  chooser:(dp:int -> Numasim.Engine.candidate array -> int) ->
   run
-(** One run under an online chooser (0 = default choice). [prune]
-    (default off) populates [dp_kept]; the chooser always sees the full
-    [dp_alts]. *)
+(** One run under an online chooser, called at every decision point
+    [dp] with the runnable candidates (index 0 = the default choice)
+    and answering the index to run; out-of-range answers run the
+    default. The array is the engine's, valid only during the call
+    (see {!Numasim.Engine.candidate}). *)
 
-val run_once : ?record:bool -> ?prune:bool -> scenario -> Decision.t -> run
+val run_once : ?record:bool -> scenario -> Decision.t -> run
 (** Replay a decision trace. Deterministic: same scenario + same trace =
     same run, bit for bit. *)
 
@@ -98,11 +89,20 @@ val exhaustive :
     one deviation at a decision point after the parent's last. Defaults:
     [preemptions = 2], [budget = 10_000] runs, [prune = false].
 
-    [prune] enables a sleep-set-style reduction (see {!run}'s
-    [dp_kept]): the pruned BFS visits a subset of the full search in
-    the same order, so a clean verdict is conserved and any failure it
-    reports is real; completeness under the reduction is validated
-    empirically by the mutant cross-checks in test_explore.ml. *)
+    A deviation may pick any non-default candidate except a Timeout.
+    [prune] enables a sleep-set-style reduction: a deviation is not
+    enqueued when its event shares neither a thread nor a cache line
+    with any event it would jump over (and is not an RMW), so promoting
+    it commutes with all of them and yields a schedule equivalent to one
+    reached by deviating later. The pruned BFS visits a subset of the
+    full search in the same order, so a clean verdict is conserved and
+    any failure it reports is real; completeness under the reduction is
+    validated empirically by the mutant cross-checks in
+    test_explore.ml.
+
+    Alternatives are collected only where a child can branch: after the
+    trace's last deviation, and only while the trace is under the
+    bound. *)
 
 type fuzz_report = {
   fuzz_runs : int;

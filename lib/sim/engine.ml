@@ -63,6 +63,11 @@ let class_to_string = function
   | Timeout -> "timeout"
   | Resume -> "resume"
 
+let[@inline] op_class = function
+  | Coherence.Read -> Op_read
+  | Coherence.Write -> Op_write
+  | Coherence.Rmw -> Op_rmw
+
 (* Mutable so explore mode can reuse candidate arrays across steps
    instead of allocating n records per step (see [run_explore]): the
    array a policy receives is valid only for the duration of the call. *)
@@ -94,6 +99,7 @@ type pend = {
    upper bound by time alone. *)
 type explore_state = {
   ex_policy : policy;
+  ex_cap : int;  (* [max_events], or [max_int] *)
   mutable ex_pend : pend array;  (* first [ex_n] slots live, sorted *)
   mutable ex_n : int;
   mutable ex_seq : int;
@@ -179,6 +185,38 @@ let ex_remove ex i =
   Array.blit a (i + 1) a i (n - i);
   a.(n) <- dummy_pend;
   ex.ex_n <- n
+
+(* The reused [n]-candidate array, built on first use. *)
+let ex_pool ex n =
+  if Array.length ex.ex_pool <= n then begin
+    let cap = max (n + 1) ((2 * Array.length ex.ex_pool) + 1) in
+    let pool' = Array.make cap [||] in
+    Array.blit ex.ex_pool 0 pool' 0 (Array.length ex.ex_pool);
+    ex.ex_pool <- pool'
+  end;
+  if Array.length ex.ex_pool.(n) <> n then
+    ex.ex_pool.(n) <-
+      Array.init n (fun _ ->
+          { c_time = 0; c_tid = -1; c_class = Start; c_line = "" });
+  ex.ex_pool.(n)
+
+let set_candidate c ~time ~tid ~cls line =
+  c.c_time <- time;
+  c.c_tid <- tid;
+  c.c_class <- cls;
+  c.c_line <- line.Coherence.name
+
+(* Hand the policy the pending events as candidates, in (time, seq)
+   order — [ex_pend] is already sorted, so this is a straight copy into
+   a per-length array reused across steps. *)
+let ex_candidates ex n =
+  let cands = ex_pool ex n in
+  for i = 0 to n - 1 do
+    let p = ex.ex_pend.(i) in
+    set_candidate cands.(i) ~time:p.pe_time ~tid:p.pe_tid ~cls:p.pe_class
+      p.pe_line
+  done;
+  cands
 
 (* The metadata arguments are immediates (or values already in hand), so
    the default heap path allocates and branches exactly as before the
@@ -273,13 +311,15 @@ let add_waiter eng line w =
   Waitq.push q w
 
 (* --- fast path (doc/SIMULATOR.md "Engine fast path") -------------------
-   An access may retire inline — no effect, no heap event — exactly when
-   running it inline is indistinguishable from the heap path. The heap
-   path charges the access at perform time, schedules its completion at
-   [now + lat], and (gate below) that completion would be the very next
-   event popped; inlining replays the pop verbatim: advance the clock,
-   bump the event counter, execute the payload. Two restrictions make
-   the gate sound and cheap:
+   An access may retire inline — no effect, no pending event — exactly
+   when running it inline is indistinguishable from the slow path. The
+   slow path charges the access at perform time, schedules its
+   completion, and (gates below) that completion would be the very next
+   event run; inlining replays that step verbatim: advance the clock,
+   bump the event counter, execute the payload. The gate depends on the
+   mode.
+
+   Heap mode (no policy):
 
    - Epoch-current same-domain hits only (L1, local, silent upgrade),
      taken by [Coherence.try_hit]: their conditions live only in
@@ -298,23 +338,37 @@ let add_waiter eng line w =
      epoch boundaries (plain heap events, e.g. the collapse model's
      preemption ticks) and Timeout events ahead of any inlined work.
 
-   Writes and Rmws additionally require no parked waiters (the same
-   guard [notify] applies) — a waiterless write wakes nobody, so
-   skipping [notify] is exact, and the inline payload leaves
-   [Waitq.changed] alone. Explore mode never installs
-   [cur_engine], so a scheduling policy in force means every access
-   takes the slow path and the explorer sees every decision point. *)
+   Explore mode (a policy): only forced steps. When nothing else is
+   pending ([ex_n = 0]) and the event budget is not spent, the fiber's
+   completion would be the sole candidate of the next step, so any
+   access qualifies, hit or miss: it is charged by the same [access]
+   call the handler makes, and the policy is still shown the
+   one-candidate step — same time, tid, class and line — so step
+   numbering and recorded interleavings are unchanged. Every step with
+   two or more candidates still goes through the pending set, so the
+   explorer sees every decision point.
+
+   In both modes writes and Rmws additionally require no parked waiters
+   (the same guard [notify] applies) — a waiterless write wakes nobody,
+   so skipping [notify] is exact, and the inline payload leaves
+   [Waitq.changed] alone. *)
 
 let fp_enabled = ref true
 let set_fastpath b = fp_enabled := b
 let fastpath_enabled () = !fp_enabled
 
-(* The engine whose heap-mode run loop is currently live, with its
-   heap — installed at run start only when the fast path is on, so this
-   one load is the whole guard. The sim substrate is single-domain by
+(* The run whose loop is currently live, with its mode's state in hand
+   (one load reaches both engine and heap on the heap-mode hot path) —
+   installed at run start only when the fast path is on, so this one
+   load is the whole guard. The sim substrate is single-domain by
    design (fibers, not domains), so a plain ref is safe; nested runs
    save/restore it. *)
-let cur_engine : (t * (unit -> unit) Event_heap.t) option ref = ref None
+type live =
+  | Idle
+  | Heap_run of t * (unit -> unit) Event_heap.t
+  | Explore_run of t * explore_state
+
+let cur_engine = ref Idle
 
 (* The most latency an inline completion may take: finishing strictly
    before every pending heap event and within the horizon makes it
@@ -330,41 +384,86 @@ let retire eng lat =
   eng.fp_hits <- eng.fp_hits + 1;
   true
 
+(* An explore step is forced when the running fiber's next event will be
+   the only candidate: nothing else pending, budget left. *)
+let forced eng ex = ex.ex_n = 0 && eng.events < ex.ex_cap
+
+(* Replay a forced explore step: show the policy its one candidate (its
+   answer is clamped to 0 on the slow path too), then retire the event
+   at [time]. *)
+let retire_forced eng ex ~cls ~line time =
+  let cands = ex_pool ex 1 in
+  set_candidate cands.(0) ~time ~tid:eng.cur_tid ~cls line;
+  ignore (ex.ex_policy ~step:ex.ex_steps cands : int);
+  ex.ex_steps <- ex.ex_steps + 1;
+  retire eng (time - eng.now)
+
+let forced_access eng ex line kind ~cls =
+  forced eng ex
+  &&
+  let lat =
+    access eng ~cluster:eng.cur_cluster ~thread:eng.cur_tid line kind
+  in
+  retire_forced eng ex ~cls ~line (eng.now + lat)
+
+let[@inline] waiterless eng line = function
+  | Coherence.Read -> true
+  | Coherence.Write | Coherence.Rmw ->
+      let q = line.Coherence.wq in
+      Waitq.is_empty q || q.Waitq.epoch <> eng.epoch
+
 let fast_op line kind =
   match !cur_engine with
-  | None -> false
-  | Some (eng, h) ->
-      (match kind with
-      | Coherence.Read -> true
-      | Coherence.Write | Coherence.Rmw ->
-          let q = line.Coherence.wq in
-          Waitq.is_empty q || q.Waitq.epoch <> eng.epoch)
+  | Idle -> false
+  | Heap_run (eng, h) ->
+      waiterless eng line kind
       &&
       let lat =
         Coherence.try_hit eng.cstats eng.topo line ~epoch:eng.epoch
           ~domain:eng.cur_cluster ~thread:eng.cur_tid kind ~within:(room eng h)
       in
       lat >= 0 && retire eng lat
+  | Explore_run (eng, ex) ->
+      waiterless eng line kind
+      && forced_access eng ex line kind ~cls:(op_class kind)
 
-(* A pause is pure scheduling: if its expiry beats every pending event,
-   the pop would resume us immediately — skip the round trip. *)
-let fast_pause d =
+(* A [wait_until]'s first read: the heap gate is [fast_op]'s, but a
+   forced explore step presents it as the [Spin_check] the handler would
+   have scheduled. *)
+let fast_check line =
   match !cur_engine with
-  | None -> false
-  | Some (eng, h) ->
-      let d = if d > 0 then d else 0 in
-      d <= room eng h && retire eng d
+  | Explore_run (eng, ex) ->
+      forced_access eng ex line Coherence.Read ~cls:Spin_check
+  | Idle | Heap_run _ -> fast_op line Coherence.Read
+
+(* A pause is pure scheduling: if its expiry would be the next event
+   run, skip the round trip. *)
+let fast_pause d =
+  let d = if d > 0 then d else 0 in
+  match !cur_engine with
+  | Idle -> false
+  | Heap_run (eng, h) -> d <= room eng h && retire eng d
+  | Explore_run (eng, ex) ->
+      forced eng ex
+      && retire_forced eng ex ~cls:Resume ~line:no_line (eng.now + d)
 
 (* [Now]/[Self] schedule nothing on the slow path either, so answering
    from the engine record is unconditionally neutral; -1 = unavailable
-   (no heap run live), perform the effect. *)
-let fast_now () = match !cur_engine with Some (eng, _) -> eng.now | None -> -1
+   (no run live with the fast path on), perform the effect. *)
+let fast_now () =
+  match !cur_engine with
+  | Heap_run (eng, _) | Explore_run (eng, _) -> eng.now
+  | Idle -> -1
 
 let fast_self_tid () =
-  match !cur_engine with Some (eng, _) -> eng.cur_tid | None -> -1
+  match !cur_engine with
+  | Heap_run (eng, _) | Explore_run (eng, _) -> eng.cur_tid
+  | Idle -> -1
 
 let fast_self_cluster () =
-  match !cur_engine with Some (eng, _) -> eng.cur_cluster | None -> -1
+  match !cur_engine with
+  | Heap_run (eng, _) | Explore_run (eng, _) -> eng.cur_cluster
+  | Idle -> -1
 
 (* [cluster] is the thread's leaf domain: it drives coherence distances
    and is what locks and trace events see. *)
@@ -395,13 +494,8 @@ let handler eng ~tid ~cluster =
                 let lat =
                   access eng ~cluster ~thread:tid o.o_line o.o_kind
                 in
-                let cls =
-                  match o.o_kind with
-                  | Coherence.Read -> Op_read
-                  | Coherence.Write -> Op_write
-                  | Coherence.Rmw -> Op_rmw
-                in
-                schedule eng ~tid ~cls ~line:o.o_line (eng.now + lat)
+                schedule eng ~tid ~cls:(op_class o.o_kind) ~line:o.o_line
+                  (eng.now + lat)
                   (fun () ->
                     let v = o.o_run () in
                     (match o.o_kind with
@@ -501,31 +595,6 @@ let handler eng ~tid ~cluster =
         | _ -> None);
   }
 
-(* Hand the policy the pending events as candidates, in (time, seq)
-   order — [ex_pend] is already sorted, so this is a straight copy into
-   a per-length array reused across steps. *)
-let ex_candidates ex n =
-  if Array.length ex.ex_pool <= n then begin
-    let cap = max (n + 1) ((2 * Array.length ex.ex_pool) + 1) in
-    let pool' = Array.make cap [||] in
-    Array.blit ex.ex_pool 0 pool' 0 (Array.length ex.ex_pool);
-    ex.ex_pool <- pool'
-  end;
-  if Array.length ex.ex_pool.(n) <> n then
-    ex.ex_pool.(n) <-
-      Array.init n (fun _ ->
-          { c_time = 0; c_tid = -1; c_class = Start; c_line = "" });
-  let cands = ex.ex_pool.(n) in
-  for i = 0 to n - 1 do
-    let p = ex.ex_pend.(i) in
-    let c = cands.(i) in
-    c.c_time <- p.pe_time;
-    c.c_tid <- p.pe_tid;
-    c.c_class <- p.pe_class;
-    c.c_line <- p.pe_line.Coherence.name
-  done;
-  cands
-
 let mk_result eng ~n_threads =
   {
     end_time = eng.now;
@@ -538,27 +607,27 @@ let mk_result eng ~n_threads =
     sites = Option.map Coherence.sites eng.prof;
   }
 
-let run_explore eng ex ~n_threads ~max_events =
+let run_explore eng ex ~n_threads =
   let hit_cap = ref false in
   let stop = ref false in
   while not !stop do
     if ex.ex_n = 0 then stop := true
-    else
-      match max_events with
-      | Some m when eng.events >= m ->
-          hit_cap := true;
-          stop := true
-      | _ ->
-          let n = ex.ex_n in
-          let cands = ex_candidates ex n in
-          let idx = ex.ex_policy ~step:ex.ex_steps cands in
-          let idx = if idx < 0 || idx >= n then 0 else idx in
-          ex.ex_steps <- ex.ex_steps + 1;
-          let chosen = ex.ex_pend.(idx) in
-          ex_remove ex idx;
-          if chosen.pe_time > eng.now then eng.now <- chosen.pe_time;
-          eng.events <- eng.events + 1;
-          chosen.pe_run ()
+    else if eng.events >= ex.ex_cap then begin
+      hit_cap := true;
+      stop := true
+    end
+    else begin
+      let n = ex.ex_n in
+      let cands = ex_candidates ex n in
+      let idx = ex.ex_policy ~step:ex.ex_steps cands in
+      let idx = if idx < 0 || idx >= n then 0 else idx in
+      ex.ex_steps <- ex.ex_steps + 1;
+      let chosen = ex.ex_pend.(idx) in
+      ex_remove ex idx;
+      if chosen.pe_time > eng.now then eng.now <- chosen.pe_time;
+      eng.events <- eng.events + 1;
+      chosen.pe_run ()
+    end
   done;
   if (not !hit_cap) && eng.live > 0 then
     raise (Deadlock { live = eng.live; blocked = eng.blocked; at = eng.now });
@@ -595,6 +664,7 @@ let run ~topology ~n_threads ?horizon ?policy ?max_events ?(profile = false)
         Explore
           {
             ex_policy = p;
+            ex_cap = (match max_events with Some m -> m | None -> max_int);
             ex_pend = [||];
             ex_n = 0;
             ex_seq = 0;
@@ -633,8 +703,16 @@ let run ~topology ~n_threads ?horizon ?policy ?max_events ?(profile = false)
         eng.cur_cluster <- cluster;
         match_with (fun () -> body ~tid ~cluster) () h)
   done;
+  let saved = !cur_engine in
+  (cur_engine :=
+     if not !fp_enabled then Idle
+     else
+       match eng.mode with
+       | Heap h -> Heap_run (eng, h)
+       | Explore ex -> Explore_run (eng, ex));
   Fun.protect
     ~finally:(fun () ->
+      cur_engine := saved;
       (* Waiters still parked (deadlock, horizon, event cap) or parked
          dead (woken but never unlinked) hold continuations; don't let
          them leak past the run through long-lived lock lines. *)
@@ -642,13 +720,5 @@ let run ~topology ~n_threads ?horizon ?policy ?max_events ?(profile = false)
       eng.wlines <- [])
     (fun () ->
       match eng.mode with
-      | Explore ex -> run_explore eng ex ~n_threads ~max_events
-      | Heap heap ->
-          (* Install the engine for the fast path only in heap mode —
-             under a policy every access must reach the effect handler
-             so the explorer sees every decision point. *)
-          let saved = !cur_engine in
-          cur_engine := if !fp_enabled then Some (eng, heap) else None;
-          Fun.protect
-            ~finally:(fun () -> cur_engine := saved)
-            (fun () -> run_heap eng heap ~n_threads ~horizon))
+      | Explore ex -> run_explore eng ex ~n_threads
+      | Heap heap -> run_heap eng heap ~n_threads ~horizon)

@@ -20,9 +20,10 @@ type result = {
   threads_finished : int;
   fp_hits : int;
       (** events retired inline by the fast path (see {!set_fastpath});
-          a subset of [events]. Always [0] in explore mode and with the
-          fast path disabled. Diagnostic only — every other field, and
-          the schedule itself, is independent of it. *)
+          a subset of [events]. In explore mode these are forced steps
+          only; always [0] with the fast path disabled. Diagnostic only —
+          every other field, and the schedule itself, is independent of
+          it. *)
   icx : Numa_trace.Profile.interconnect;
       (** interconnect occupancy/queueing statistics for the run,
           aggregated over every level. *)
@@ -79,7 +80,9 @@ type policy = step:int -> candidate array -> int
 (** [policy ~step candidates] returns the index of the event to run at
     decision [step] (0-based, counted over every event including forced
     singleton choices). The candidate array is never empty and is owned
-    by the engine — see {!candidate}. *)
+    by the engine — see {!candidate}. A forced singleton step may be
+    presented from inside the running fiber (see "Fast path" below), so
+    a policy must not raise or call into {!Sim_mem}. *)
 
 val run :
   topology:Numa_base.Topology.t ->
@@ -131,9 +134,12 @@ val run :
     the effect path: {!Coherence.classify} finds an epoch-current
     same-domain hit (for writes, on a waiterless line) whose completion time strictly precedes every
     pending heap event and fits the horizon, i.e. it would have been
-    the very next event popped anyway. See doc/SIMULATOR.md "Engine
-    fast path" for the full argument. Explore mode (a [policy]) always
-    takes the slow path. *)
+    the very next event popped anyway. Explore mode (a [policy])
+    inlines only forced steps: an access or pause issued while no other
+    event is pending, whose completion would be the sole candidate of
+    the next step. The policy is still shown that one-candidate step, so
+    it sees every step and every decision point. See doc/SIMULATOR.md
+    "Engine fast path" for the full argument. *)
 
 val set_fastpath : bool -> unit
 (** Process-wide toggle, default on, read when a run starts (a run
@@ -172,12 +178,17 @@ val fast_op : Coherence.line -> Coherence.kind -> bool
     must apply the operation's payload now, inline. [false]: perform
     the {!Op} effect; nothing was touched. *)
 
+val fast_check : Coherence.line -> bool
+(** [fast_op line Read] for the first predicate check of an untimed
+    [wait_until]: in explore mode a forced step shows the policy a
+    [Spin_check], not an [Op_read]. *)
+
 val fast_pause : int -> bool
 (** [true]: the pause elapsed inline (clock advanced). *)
 
 val fast_now : unit -> int
-(** Current simulated time, or [-1] when no heap-mode run is live (then
-    perform {!Now}). *)
+(** Current simulated time, or [-1] when no run with the fast path on is
+    live (then perform {!Now}). *)
 
 val fast_self_tid : unit -> int
 

@@ -119,14 +119,16 @@ let fetch_and_add c d =
 
 (* An untimed wait's first predicate check is a charged read followed by
    either a return (pred holds) or a park: when the charged read itself
-   fast-paths, evaluate the predicate here — at the check's exact
-   simulated time — and either return without any effect at all, or park
-   through a [w_precharged] descriptor so the handler neither re-charges
-   nor schedules the already-consumed first check. Timed waits always
-   take the effect path: their deadline is computed from [now] at
-   perform time, which the precharge has already advanced. *)
+   fast-paths ([Engine.fast_check], which a forced explore step presents
+   as the spin-check it replaces), evaluate the predicate here — at the
+   check's exact simulated time — and either return without any effect
+   at all, or park through a [w_precharged] descriptor so the handler
+   neither re-charges nor schedules the already-consumed first check.
+   Timed waits always take the effect path: their deadline is computed
+   from [now] at perform time, which the precharge has already
+   advanced. *)
 let wait_until c p =
-  if Engine.fast_op c.cline Coherence.Read then begin
+  if Engine.fast_check c.cline then begin
     let v = !(c.v) in
     if p v then v
     else

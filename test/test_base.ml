@@ -107,6 +107,38 @@ let test_prng_chance () =
     "p=0.3 frequency" true
     (!hits > 2_700 && !hits < 3_300)
 
+(* Known answers: the splitmix64 reference outputs for seed 0, then a
+   fixed draw sequence for seed 42 (one draw per [let], so evaluation
+   order is explicit). Any change to the generator's state handling
+   that alters a single bit of the stream fails here. *)
+let test_prng_known_answers () =
+  let z = Prng.create 0 in
+  List.iter
+    (fun want ->
+      Alcotest.(check int64) "splitmix64 seed 0" want (Prng.next_int64 z))
+    [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL ];
+  let t = Prng.create 42 in
+  let i1 = Prng.int t 100 in
+  let i2 = Prng.int t 1_000_000 in
+  let f1 = Prng.float t 1.0 in
+  let f2 = Prng.float t 10.0 in
+  let c1 = Prng.chance t 0.5 in
+  let c2 = Prng.chance t 0.5 in
+  let c3 = Prng.chance t 0.1 in
+  let c4 = Prng.chance t 0.9 in
+  let ii = Prng.int_in t (-5) 5 in
+  let b = Prng.bool t in
+  let s = Prng.split t in
+  let s1 = Prng.next_int64 s in
+  let t1 = Prng.next_int64 t in
+  Alcotest.(check (list int)) "int, int_in" [ 53; 723072; 0 ] [ i1; i2; ii ];
+  Alcotest.(check (float 0.)) "float 1.0" 0x1.1d499d5c4c3e6p-2 f1;
+  Alcotest.(check (float 0.)) "float 10.0" 0x1.b89069fb47766p+1 f2;
+  Alcotest.(check (list bool))
+    "chance, bool" [ true; false; false; true; false ] [ c1; c2; c3; c4; b ];
+  Alcotest.(check int64) "split stream" 0xd4403a5bfe881589L s1;
+  Alcotest.(check int64) "parent stream after split" 0x7e348a0e451650beL t1
+
 let test_stats_basic () =
   let s = Stats.of_array [| 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. |] in
   Alcotest.(check (float 1e-9)) "mean" 5.0 (Stats.mean s);
@@ -220,6 +252,7 @@ let suite =
         Alcotest.test_case "uniformity" `Quick test_prng_rough_uniformity;
         Alcotest.test_case "chance" `Quick test_prng_chance;
         Alcotest.test_case "copy" `Quick test_prng_copy_diverges_original;
+        Alcotest.test_case "known answers" `Quick test_prng_known_answers;
         QCheck_alcotest.to_alcotest prop_prng_int_in_range;
         QCheck_alcotest.to_alcotest prop_prng_int_in_bounds;
         QCheck_alcotest.to_alcotest prop_prng_float_in_range;

@@ -1,6 +1,6 @@
 (* Schedule-exploration suite (Numa_check): exhaustive bounded
    exploration is clean on every genuine registry lock at a small
-   configuration, each of the three seeded mutants is caught, and the
+   configuration, each of the four seeded mutants is caught, and the
    shrunk counterexample decision traces are golden-pinned and replay
    bit-identically. The pins document the minimal schedules that expose
    each bug; like test_golden.ml they move only with an intentional

@@ -3,8 +3,11 @@
    value histories, timestamps, event counts, coherence stats, profiler
    attribution and trace streams all byte-equal with the fast path on vs
    forced off. Only [result.fp_hits] (and host speed) may differ, so every
-   comparison here deliberately excludes it. Plus pins: explore mode and a
-   disabled toggle always take the slow path. *)
+   comparison here deliberately excludes it. Explore mode inlines only
+   forced steps, so schedule exploration (steps, reports, fuzz traces)
+   must agree on/off for every microbench lock and every mutant. Plus
+   pins: explore mode inlines forced steps only and shows the policy
+   every step, and a disabled toggle takes the slow path. *)
 
 module M = Numasim.Sim_mem
 module E = Numasim.Engine
@@ -278,19 +281,108 @@ let contended_run ?policy () =
         L.release th
       done)
 
-let test_explore_always_slow () =
-  with_fastpath true @@ fun () ->
-  let heap = contended_run () in
+let test_explore_forced_only () =
+  (* Log every step the policy sees: forced inline steps must show the
+     very candidate (time, tid, class, line) the pending set would. *)
+  let logged ~fastpath =
+    with_fastpath fastpath @@ fun () ->
+    let log = ref [] in
+    let policy ~step (cands : E.candidate array) =
+      let c = cands.(0) in
+      log :=
+        (step, Array.length cands, c.E.c_time, c.E.c_tid, c.E.c_class, c.E.c_line)
+        :: !log;
+      0
+    in
+    let r = contended_run ~policy () in
+    (r, List.rev !log)
+  in
+  let heap = with_fastpath true contended_run in
+  let on, log_on = logged ~fastpath:true in
+  let off, log_off = logged ~fastpath:false in
+  let forced =
+    List.length (List.filter (fun (_, n, _, _, _, _) -> n = 1) log_on)
+  in
   Alcotest.(check bool) "heap mode inlines" true (heap.E.fp_hits > 0);
-  let explore = contended_run ~policy:(fun ~step:_ _ -> 0) () in
-  Alcotest.(check int) "explore mode never inlines" 0 explore.E.fp_hits;
+  Alcotest.(check bool) "explore mode inlines" true (on.E.fp_hits > 0);
+  Alcotest.(check bool)
+    "explore inlines forced steps only" true (on.E.fp_hits <= forced);
+  Alcotest.(check int) "explore with the toggle off inlines nothing" 0
+    off.E.fp_hits;
+  Alcotest.(check bool) "policy sees identical steps" true (log_on = log_off);
+  Alcotest.(check int) "every event is a step" on.E.events (List.length log_on);
   Alcotest.(check int)
-    "identity policy replays the heap schedule" heap.E.events explore.E.events;
-  Alcotest.(check int) "same end time" heap.E.end_time explore.E.end_time
+    "identity policy replays the heap schedule" heap.E.events on.E.events;
+  Alcotest.(check int) "same end time" heap.E.end_time on.E.end_time
 
 let test_toggle_off_disables () =
   let r = with_fastpath false contended_run in
   Alcotest.(check int) "disabled toggle never inlines" 0 r.E.fp_hits
+
+(* --- explore mode: schedule exploration on vs off ----------------------- *)
+
+module X = Numa_check.Explore
+module D = Numa_check.Decision
+module Mut = Numa_check.Mutants.Make (M)
+
+let explore_subjects =
+  List.map (fun (e : R.entry) -> (e.R.name, e.R.lock)) R.microbench_locks
+  @ List.map (fun (module L : LI.LOCK) -> (L.name, (module L : LI.LOCK))) Mut.all
+
+let explore_agree what f =
+  List.iter
+    (fun (name, lock) ->
+      let sc = X.scenario lock in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s agree" name what)
+        true
+        (compare (with_fastpath true (fun () -> f sc))
+           (with_fastpath false (fun () -> f sc))
+        = 0))
+    explore_subjects
+
+let test_explore_replays_agree () =
+  List.iter
+    (fun trace ->
+      explore_agree
+        ("replay of " ^ D.to_string trace)
+        (fun sc -> X.run_once ~record:true sc trace))
+    [ D.default; [ { D.at = 3; pick = 1 } ] ]
+
+let test_explore_exhaustive_agrees () =
+  explore_agree "exhaustive reports" (fun sc ->
+      X.exhaustive ~preemptions:1 ~prune:true sc)
+
+let test_explore_fuzz_agrees () =
+  explore_agree "fuzz reports" (fun sc -> X.fuzz ~seed:3 ~runs:50 sc)
+
+(* The first failing fuzz traces of the lost-ticket mutant at fixed
+   seeds: a pure function of the PRNG stream and of the steps each run
+   presents. The second one passes a run first, so it also pins the
+   stream across runs. *)
+let test_fuzz_trace_pinned () =
+  let lost_ticket = Option.get (Mut.find "TKT!lost-ticket") in
+  List.iter
+    (fun (sc, seed, runs, trace, invariant) ->
+      List.iter
+        (fun fastpath ->
+          let r = with_fastpath fastpath (fun () -> X.fuzz ~seed ~runs:200 sc) in
+          Alcotest.(check int) "runs to the failure" runs r.X.fuzz_runs;
+          match r.X.fuzz_failure with
+          | None -> Alcotest.fail "lost-ticket mutant escaped fuzzing"
+          | Some (t, v) ->
+              Alcotest.(check string) "failing trace" trace (D.to_string t);
+              Alcotest.(check string)
+                "invariant" invariant v.Numa_check.Violation.invariant)
+        [ true; false ])
+    [
+      ( X.scenario ~n_threads:4 ~sections:4 lost_ticket,
+        17,
+        1,
+        "4:1,5:2,6:2,8:1",
+        "fifo" );
+      (X.scenario lost_ticket, 7, 2, "default", "fifo");
+    ]
 
 let () =
   Alcotest.run "fastpath"
@@ -309,10 +401,17 @@ let () =
             test_registry_locks_agree;
           Alcotest.test_case "trace streams" `Quick test_trace_stream_agrees;
         ] );
+      ( "explore",
+        [
+          Alcotest.test_case "replays" `Quick test_explore_replays_agree;
+          Alcotest.test_case "exhaustive" `Quick test_explore_exhaustive_agrees;
+          Alcotest.test_case "fuzz" `Quick test_explore_fuzz_agrees;
+          Alcotest.test_case "fuzz trace pinned" `Quick test_fuzz_trace_pinned;
+        ] );
       ( "pins",
         [
-          Alcotest.test_case "explore always slow" `Quick
-            test_explore_always_slow;
+          Alcotest.test_case "explore inlines forced steps only" `Quick
+            test_explore_forced_only;
           Alcotest.test_case "toggle off" `Quick test_toggle_off_disables;
         ] );
     ]
