@@ -2,7 +2,8 @@
    counts, windows and thresholds are usage errors (exit 124), rejected
    before anything runs: a zero thread count reaches [Engine.run] or
    [Nat_runtime.run], a zero budget or window checks or measures nothing,
-   and a negative threshold flags every entry. *)
+   and a negative threshold flags every entry. So is an output path in a
+   missing directory. *)
 
 open Cmdliner
 
@@ -28,3 +29,26 @@ let topology =
   in
   let print ppf t = Format.fprintf ppf "%s" t.Numa_base.Topology.name in
   Arg.conv (parse, print)
+
+let is_dir p = Sys.file_exists p && Sys.is_directory p
+
+(* An optional output path, checked before anything runs: a FILE's
+   directory must exist, and a DIR (created by the run if missing) must
+   be a directory or have an existing parent. Otherwise the first write
+   raises [Sys_error] — with a Chrome trace or an artifact, only after
+   the whole run. *)
+let output ?(dir = false) names ~doc =
+  let parse s =
+    let parent = Filename.dirname s in
+    if dir && Sys.file_exists s then
+      if Sys.is_directory s then Ok s
+      else Error (`Msg (Printf.sprintf "%S is not a directory" s))
+    else if is_dir parent then Ok s
+    else
+      Error (`Msg (Printf.sprintf "%S: directory %S does not exist" s parent))
+  in
+  let docv = if dir then "DIR" else "FILE" in
+  Arg.(
+    value
+    & opt (some (conv (parse, Format.pp_print_string))) None
+    & info names ~docv ~doc)

@@ -47,7 +47,6 @@ let row ?uncontended (r : Harness.Bench_core.result) =
 let uncontended_ns (e : LR.entry) cfg =
   let (module L : LI.LOCK) = e.LR.lock in
   let l = L.create (e.LR.tweak cfg) in
-  Numa_native.Nat_mem.set_identity ~tid:0 ~cluster:0;
   let th = L.register l ~tid:0 ~cluster:0 in
   let test =
     Test.make ~name:e.LR.name
@@ -188,7 +187,7 @@ let trace =
      Chrome trace_event format otherwise. Timestamps are real monotonic \
      ns, so the Chrome view shows wall-clock handoffs."
   in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
+  Cli.output [ "trace" ] ~doc
 
 let emit =
   let doc =
@@ -197,10 +196,7 @@ let emit =
      and not byte-reproducible; use $(b,repro quick) for the gated sim \
      artifact."
   in
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "emit-bench-json" ] ~docv:"FILE" ~doc)
+  Cli.output [ "emit-bench-json" ] ~doc
 
 let cmd =
   let doc =

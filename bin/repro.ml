@@ -98,25 +98,21 @@ let knob_term (d : C.params) knob : (C.params -> C.params) Term.t =
       @@ Arg.(value & flag & info [ "check" ] ~doc)
   | Csv | Trace | Emit | Profile | Fastpath -> Term.const Fun.id
 
-let file_opt names doc =
-  Arg.(value & opt (some string) None & info names ~docv:"FILE" ~doc)
-
 let csv_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "csv-dir" ] ~docv:"DIR" ~doc:"Also write CSV files into $(docv).")
+  Cli.output ~dir:true [ "csv-dir" ] ~doc:"Also write CSV files into $(docv)."
 
 let trace_arg =
-  file_opt [ "trace" ]
-    "Write a lock-event trace of the runs to $(docv): a .jsonl suffix \
-     streams JSONL (one event per line), anything else writes a Chrome \
-     trace_event file for chrome://tracing / Perfetto."
+  Cli.output [ "trace" ]
+    ~doc:
+      "Write a lock-event trace of the runs to $(docv): a .jsonl suffix \
+       streams JSONL (one event per line), anything else writes a Chrome \
+       trace_event file for chrome://tracing / Perfetto."
 
 let emit_arg =
-  file_opt [ "emit-bench-json" ]
-    "Write a versioned benchmark artifact (throughput plus trace-derived \
-     lock metrics per lock and thread count) to $(docv)."
+  Cli.output [ "emit-bench-json" ]
+    ~doc:
+      "Write a versioned benchmark artifact (throughput plus trace-derived \
+       lock metrics per lock and thread count) to $(docv)."
 
 let profile_arg =
   Arg.(

@@ -7,7 +7,8 @@
    here we instantiate C-BO-MCS (global backoff lock + per-cluster MCS
    queues) over the native Atomic-backed substrate. Because portable
    thread pinning is unavailable, each domain declares which NUMA cluster
-   it runs on when it registers. *)
+   it runs on by passing it to [register]: the lock reads the thread's
+   identity from its handle, never from the substrate. *)
 
 module Mem = Numa_native.Nat_mem
 module Lock = Cohort.Cohort_locks.C_bo_mcs (Mem)
@@ -26,7 +27,6 @@ let () =
   let worker tid =
     Domain.spawn (fun () ->
         let cluster = tid mod 2 in
-        Mem.set_identity ~tid ~cluster;
         let th = Lock.register lock ~tid ~cluster in
         for _ = 1 to increments do
           Lock.acquire th;

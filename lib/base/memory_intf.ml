@@ -9,7 +9,11 @@
       real multicore execution.
 
     Writing each algorithm once as a functor over [MEMORY] guarantees the
-    benchmarked algorithm and the shipped algorithm are the same code. *)
+    benchmarked algorithm and the shipped algorithm are the same code.
+
+    The substrate knows nothing of thread identity. A lock learns its
+    caller's tid and cluster once, from the [~tid ~cluster] arguments of
+    its [register], and carries them in the handle ([Cohort.Instr]). *)
 
 module type MEMORY = sig
   type line
@@ -83,10 +87,4 @@ module type MEMORY = sig
 
   val now : unit -> int
   (** Nanoseconds since the start of the run (simulated or monotonic). *)
-
-  val self_id : unit -> int
-  (** Dense id of the calling thread. *)
-
-  val self_cluster : unit -> int
-  (** NUMA cluster of the calling thread. *)
 end

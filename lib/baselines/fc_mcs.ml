@@ -41,14 +41,7 @@ struct
     cfg : LI.config;
   }
 
-  type thread = {
-    l : t;
-    cs : cluster_state;
-    slot : slot;
-    tid : int;
-    cluster : int;
-    tr : Numa_trace.Sink.t;
-  }
+  type thread = { l : t; cs : cluster_state; slot : slot; ev : Cohort.Instr.t }
 
   let name = "FC-MCS"
 
@@ -79,7 +72,7 @@ struct
     if i >= Array.length cs.slots then
       invalid_arg "Fc_mcs.register: more threads than config.max_threads";
     incr cs.n_slots;
-    { l; cs; slot = cs.slots.(i); tid; cluster; tr = l.cfg.LI.trace }
+    { l; cs; slot = cs.slots.(i); ev = Cohort.Instr.make l.cfg ~tid ~cluster }
 
   (* Collect every posted request (ours included) into an MCS chain and
      splice it into the global queue. *)
@@ -155,10 +148,10 @@ struct
         (M.wait_until th.slot.node.Q.nstate (fun s -> s = Q.ngranted_local));
       M.write th.slot.rstate idle
     end;
-    I.emit th.tr ~tid:th.tid ~cluster:th.cluster Numa_trace.Event.Acquire_global
+    I.emit th.ev Numa_trace.Event.Acquire_global
 
   let release th =
-    I.emit th.tr ~tid:th.tid ~cluster:th.cluster Numa_trace.Event.Handoff_global;
+    I.emit th.ev Numa_trace.Event.Handoff_global;
     let n = th.slot.node in
     match M.read n.Q.next with
     | Some s -> M.write s.Q.nstate Q.ngranted_local

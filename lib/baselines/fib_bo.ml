@@ -10,13 +10,7 @@ struct
 
   type t = { state : int M.cell; cfg : LI.config }
 
-  type thread = {
-    l : t;
-    back : Cohort.Backoff.t;
-    tid : int;
-    cluster : int;
-    tr : Numa_trace.Sink.t;
-  }
+  type thread = { l : t; back : Cohort.Backoff.t; ev : Cohort.Instr.t }
 
   let name = "Fib-BO"
   let create cfg = { state = M.cell' ~name:"fibbo.state" 0; cfg }
@@ -27,9 +21,7 @@ struct
       back =
         Cohort.Backoff.make ~policy:Cohort.Backoff.Fibonacci
           ~min:LI.bo_min ~max:LI.bo_max ~salt:tid ();
-      tid;
-      cluster;
-      tr = l.cfg.LI.trace;
+      ev = Cohort.Instr.make l.cfg ~tid ~cluster;
     }
 
   let acquire th =
@@ -43,9 +35,9 @@ struct
       end
     in
     loop ();
-    I.emit th.tr ~tid:th.tid ~cluster:th.cluster Numa_trace.Event.Acquire_global
+    I.emit th.ev Numa_trace.Event.Acquire_global
 
   let release th =
-    I.emit th.tr ~tid:th.tid ~cluster:th.cluster Numa_trace.Event.Handoff_global;
+    I.emit th.ev Numa_trace.Event.Handoff_global;
     M.write th.l.state 0
 end

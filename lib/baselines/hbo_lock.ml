@@ -24,9 +24,7 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
 
   type thread = {
     l : t;
-    tid : int;
-    cluster : int;
-    tr : Numa_trace.Sink.t;
+    ev : Cohort.Instr.t;
     local_back : Cohort.Backoff.t;
     remote_back : Cohort.Backoff.t;
   }
@@ -35,9 +33,7 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
     let cfg = l.cfg in
     {
       l;
-      tid;
-      cluster;
-      tr = cfg.LI.trace;
+      ev = Cohort.Instr.make cfg ~tid ~cluster;
       local_back =
         Cohort.Backoff.make ~min:cfg.LI.hbo_local_min ~max:cfg.LI.hbo_local_max
           ~salt:tid ();
@@ -50,7 +46,7 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
   let attempt th =
     let state = th.l.state in
     let v = M.read state in
-    if v = free && M.cas state ~expect:free ~desire:th.cluster then begin
+    if v = free && M.cas state ~expect:free ~desire:th.ev.cluster then begin
       Cohort.Backoff.reset th.local_back;
       Cohort.Backoff.reset th.remote_back;
       true
@@ -58,7 +54,7 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
     else begin
       let v = M.read state in
       let delay =
-        if v = th.cluster then Cohort.Backoff.next th.local_back
+        if v = th.ev.cluster then Cohort.Backoff.next th.local_back
         else Cohort.Backoff.next th.remote_back
       in
       M.pause delay;
@@ -76,12 +72,10 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
     let acquire th =
       let rec loop () = if not (attempt th) then loop () in
       loop ();
-      I.emit th.tr ~tid:th.tid ~cluster:th.cluster
-        Numa_trace.Event.Acquire_global
+      I.emit th.ev Numa_trace.Event.Acquire_global
 
     let release th =
-      I.emit th.tr ~tid:th.tid ~cluster:th.cluster
-        Numa_trace.Event.Handoff_global;
+      I.emit th.ev Numa_trace.Event.Handoff_global;
       M.write th.l.state free
   end
 
@@ -104,14 +98,13 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
         else loop ()
       in
       let won = loop () in
-      I.emit th.tr ~tid:th.tid ~cluster:th.cluster
+      I.emit th.ev
         (if won then Numa_trace.Event.Acquire_global
          else Numa_trace.Event.Abort);
       won
 
     let release th =
-      I.emit th.tr ~tid:th.tid ~cluster:th.cluster
-        Numa_trace.Event.Handoff_global;
+      I.emit th.ev Numa_trace.Event.Handoff_global;
       M.write th.l.state free
   end
 end

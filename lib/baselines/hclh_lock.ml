@@ -39,13 +39,7 @@ struct
     cfg : LI.config;
   }
 
-  type thread = {
-    l : t;
-    tid : int;
-    cluster : int;
-    tr : Numa_trace.Sink.t;
-    mutable my : node;
-  }
+  type thread = { l : t; ev : Cohort.Instr.t; mutable my : node }
 
   let name = "HCLH"
 
@@ -62,15 +56,15 @@ struct
     }
 
   let register l ~tid ~cluster =
-    { l; tid; cluster; tr = l.cfg.LI.trace; my = make_node false }
+    { l; ev = Cohort.Instr.make l.cfg ~tid ~cluster; my = make_node false }
 
   let acquire th =
     let n = make_node false in
     th.my <- n;
-    let ltail = th.l.ltails.(th.cluster) in
+    let ltail = th.l.ltails.(th.ev.cluster) in
     (* Tag the node with the queue phase/cluster id: shared metadata every
        enqueue reads and writes in the published algorithm. *)
-    let meta = th.l.lmeta.(th.cluster) in
+    let meta = th.l.lmeta.(th.ev.cluster) in
     let phase = M.read meta in
     M.write meta (phase + 1);
     match M.swap ltail (Some n) with
@@ -78,8 +72,7 @@ struct
         (* Batch member: our predecessor is in the same (eventual) batch;
            its release grants us the lock. *)
         ignore (M.wait_until p.granted (fun g -> g));
-        I.emit th.tr ~tid:th.tid ~cluster:th.cluster
-          Numa_trace.Event.Acquire_local
+        I.emit th.ev Numa_trace.Event.Acquire_local
     | None ->
         (* Cluster master: close the local queue, splice the batch into
            the global queue, and wait on the global predecessor. As the
@@ -94,10 +87,9 @@ struct
         in
         let gpred = M.swap th.l.gtail batch_tail in
         ignore (M.wait_until gpred.granted (fun g -> g));
-        I.emit th.tr ~tid:th.tid ~cluster:th.cluster
-          Numa_trace.Event.Acquire_global
+        I.emit th.ev Numa_trace.Event.Acquire_global
 
   let release th =
-    I.emit th.tr ~tid:th.tid ~cluster:th.cluster Numa_trace.Event.Handoff_global;
+    I.emit th.ev Numa_trace.Event.Handoff_global;
     M.write th.my.granted true
 end

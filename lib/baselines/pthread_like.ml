@@ -22,18 +22,13 @@ struct
 
   type t = { state : int M.cell; cfg : Cohort.Lock_intf.config }
 
-  type thread = {
-    l : t;
-    tid : int;
-    cluster : int;
-    tr : Numa_trace.Sink.t;
-  }
+  type thread = { l : t; ev : Cohort.Instr.t }
 
   let name = "pthread"
   let create cfg = { state = M.cell' ~name:"pthread.state" free; cfg }
 
   let register l ~tid ~cluster =
-    { l; tid; cluster; tr = l.cfg.Cohort.Lock_intf.trace }
+    { l; ev = Cohort.Instr.make l.cfg ~tid ~cluster }
 
   let acquire th =
     let state = th.l.state in
@@ -73,9 +68,9 @@ struct
         slow ()
       end
     end;
-    I.emit th.tr ~tid:th.tid ~cluster:th.cluster Numa_trace.Event.Acquire_global
+    I.emit th.ev Numa_trace.Event.Acquire_global
 
   let release th =
-    I.emit th.tr ~tid:th.tid ~cluster:th.cluster Numa_trace.Event.Handoff_global;
+    I.emit th.ev Numa_trace.Event.Handoff_global;
     ignore (M.swap th.l.state free)
 end

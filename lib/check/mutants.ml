@@ -23,13 +23,7 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
       cfg : LI.config;
     }
 
-    type thread = {
-      gt : G.thread;
-      lt : L.thread;
-      tid : int;
-      cluster : int;
-      tr : Numa_trace.Sink.t;
-    }
+    type thread = { gt : G.thread; lt : L.thread; ev : Cohort.Instr.t }
 
     let name = "C-BO-MCS!skip-limit"
 
@@ -44,28 +38,25 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
       {
         gt = G.register l.g ~tid ~cluster;
         lt = L.register l.locals.(cluster) ~tid ~cluster;
-        tid;
-        cluster;
-        tr = l.cfg.LI.trace;
+        ev = Cohort.Instr.make l.cfg ~tid ~cluster;
       }
 
     let acquire th =
       match L.acquire th.lt with
       | LI.Local_release ->
-          I.emit th.tr ~tid:th.tid ~cluster:th.cluster Event.Acquire_local
+          I.emit th.ev Event.Acquire_local
       | LI.Global_release ->
           G.acquire th.gt;
-          I.emit th.tr ~tid:th.tid ~cluster:th.cluster Event.Acquire_global
+          I.emit th.ev Event.Acquire_global
 
     let release th =
       (* BUG: no may-pass-local consultation — [alone?] alone decides. *)
       if not (L.alone th.lt) then begin
-        I.emit th.tr ~tid:th.tid ~cluster:th.cluster
-          Event.Handoff_within_cohort;
+        I.emit th.ev Event.Handoff_within_cohort;
         L.release th.lt LI.Local_release
       end
       else begin
-        I.emit th.tr ~tid:th.tid ~cluster:th.cluster Event.Handoff_global;
+        I.emit th.ev Event.Handoff_global;
         G.release th.gt;
         L.release th.lt LI.Global_release
       end
@@ -82,12 +73,7 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
       cfg : LI.config;
     }
 
-    type thread = {
-      l : t;
-      tid : int;
-      cluster : int;
-      tr : Numa_trace.Sink.t;
-    }
+    type thread = { l : t; ev : Cohort.Instr.t }
 
     let name = "TKT!lost-ticket"
 
@@ -96,18 +82,18 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
       { request = M.cell ln 0; grant = M.cell ln 0; cfg }
 
     let register l ~tid ~cluster =
-      { l; tid; cluster; tr = l.cfg.LI.trace }
+      { l; ev = Cohort.Instr.make l.cfg ~tid ~cluster }
 
     let acquire th =
       (* BUG: the increment is not atomic. *)
       let tkt = M.read th.l.request in
       M.write th.l.request (tkt + 1);
-      I.emit th.tr ~tid:th.tid ~cluster:th.cluster Event.Enqueue;
+      I.emit th.ev Event.Enqueue;
       ignore (M.wait_until th.l.grant (fun g -> g = tkt));
-      I.emit th.tr ~tid:th.tid ~cluster:th.cluster Event.Acquire_global
+      I.emit th.ev Event.Acquire_global
 
     let release th =
-      I.emit th.tr ~tid:th.tid ~cluster:th.cluster Event.Handoff_global;
+      I.emit th.ev Event.Handoff_global;
       let g = M.read th.l.grant in
       M.write th.l.grant (g + 1)
   end
@@ -123,26 +109,20 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
       cfg : LI.config;
     }
 
-    type thread = {
-      l : t;
-      node : Mcs.node;
-      tid : int;
-      cluster : int;
-      tr : Numa_trace.Sink.t;
-    }
+    type thread = { l : t; node : Mcs.node; ev : Cohort.Instr.t }
 
     let name = "MCS!late-reset"
 
     let create cfg = { tail = M.cell' ~name:"mcs.tail" None; cfg }
 
     let register l ~tid ~cluster =
-      { l; node = Mcs.make_node (); tid; cluster; tr = l.cfg.LI.trace }
+      { l; node = Mcs.make_node (); ev = Cohort.Instr.make l.cfg ~tid ~cluster }
 
     let acquire th =
       let n = th.node in
       M.write n.Mcs.next None;
       let p = M.swap th.l.tail (Mcs.some n) in
-      I.emit th.tr ~tid:th.tid ~cluster:th.cluster Event.Enqueue;
+      I.emit th.ev Event.Enqueue;
       (match p with
       | None -> ()
       | Some p ->
@@ -152,10 +132,10 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
           M.write n.Mcs.nstate Mcs.nbusy;
           ignore
             (M.wait_until n.Mcs.nstate (fun s -> s = Mcs.ngranted_local)));
-      I.emit th.tr ~tid:th.tid ~cluster:th.cluster Event.Acquire_global
+      I.emit th.ev Event.Acquire_global
 
     let release th =
-      I.emit th.tr ~tid:th.tid ~cluster:th.cluster Event.Handoff_global;
+      I.emit th.ev Event.Handoff_global;
       Mcs.pass_or_close th.l.tail th.node ~code:Mcs.ngranted_local
         ~may_close:true
   end

@@ -44,14 +44,7 @@ struct
     locals : cluster_state array;
   }
 
-  type thread = {
-    l : t;
-    cs : cluster_state;
-    back : Backoff.t;
-    tid : int;
-    cluster : int;
-    tr : Numa_trace.Sink.t;
-  }
+  type thread = { l : t; cs : cluster_state; back : Backoff.t; ev : Instr.t }
 
   let name = "A-C-BO-BO"
 
@@ -76,15 +69,13 @@ struct
       back =
         Backoff.make ~min:Lock_intf.bo_min ~max:Lock_intf.bo_max
           ~salt:tid ();
-      tid;
-      cluster;
-      tr = l.cfg.Lock_intf.trace;
+      ev = Instr.make l.cfg ~tid ~cluster;
     }
 
   (* Release the cohort lock globally: global first, then local, as in
      the non-abortable transformation. *)
   let release_globally th =
-    I.emit th.tr ~tid:th.tid ~cluster:th.cluster Numa_trace.Event.Handoff_global;
+    I.emit th.ev Numa_trace.Event.Handoff_global;
     M.write th.cs.count 0;
     M.write th.l.gstate free_global;
     M.write th.cs.state (mk free_global)
@@ -148,17 +139,15 @@ struct
     let deadline = M.now () + patience in
     match local_try_acquire th ~deadline with
     | None ->
-        I.emit th.tr ~tid:th.tid ~cluster:th.cluster Numa_trace.Event.Abort;
+        I.emit th.ev Numa_trace.Event.Abort;
         false
     | Some s when s = free_local ->
         (* inherited the global lock *)
-        I.emit th.tr ~tid:th.tid ~cluster:th.cluster
-          Numa_trace.Event.Acquire_local;
+        I.emit th.ev Numa_trace.Event.Acquire_local;
         true
     | Some _ ->
         if global_try_acquire th ~deadline then begin
-          I.emit th.tr ~tid:th.tid ~cluster:th.cluster
-            Numa_trace.Event.Acquire_global;
+          I.emit th.ev Numa_trace.Event.Acquire_global;
           true
         end
         else begin
@@ -166,7 +155,7 @@ struct
              ours; publish release-global so the next local acquirer goes
              to the global lock itself. *)
           M.write th.cs.state (mk free_global);
-          I.emit th.tr ~tid:th.tid ~cluster:th.cluster Numa_trace.Event.Abort;
+          I.emit th.ev Numa_trace.Event.Abort;
           false
         end
 
@@ -188,18 +177,15 @@ struct
         && M.cas cs.state ~expect:handoff ~desire:(mk free_global)
       then begin
         M.write cs.count 0;
-        I.emit th.tr ~tid:th.tid ~cluster:th.cluster
-          Numa_trace.Event.Handoff_global;
+        I.emit th.ev Numa_trace.Event.Handoff_global;
         M.write th.l.gstate free_global
       end
       else
-        I.emit th.tr ~tid:th.tid ~cluster:th.cluster
-          Numa_trace.Event.Handoff_within_cohort
+        I.emit th.ev Numa_trace.Event.Handoff_within_cohort
     end
     else begin
       if not pass then
-        I.emit th.tr ~tid:th.tid ~cluster:th.cluster
-          Numa_trace.Event.Starvation_limit_hit;
+        I.emit th.ev Numa_trace.Event.Starvation_limit_hit;
       release_globally th
     end
 end

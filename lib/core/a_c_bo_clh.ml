@@ -53,9 +53,7 @@ struct
     cs : cluster_state;
     back : Backoff.t;
     mutable cur : anode;  (* our node while we hold the lock *)
-    tid : int;
-    cluster : int;
-    tr : Numa_trace.Sink.t;
+    ev : Instr.t;
   }
 
   let name = "A-C-BO-CLH"
@@ -82,9 +80,7 @@ struct
         Backoff.make ~min:Lock_intf.bo_min ~max:Lock_intf.bo_max
           ~salt:tid ();
       cur = make_node Release_global;
-      tid;
-      cluster;
-      tr = l.cfg.Lock_intf.trace;
+      ev = Instr.make l.cfg ~tid ~cluster;
     }
 
   let global_try_acquire th ~deadline =
@@ -115,20 +111,18 @@ struct
     let take_global () =
       if global_try_acquire th ~deadline then begin
         th.cur <- n;
-        I.emit th.tr ~tid:th.tid ~cluster:th.cluster
-          Numa_trace.Event.Acquire_global;
+        I.emit th.ev Numa_trace.Event.Acquire_global;
         true
       end
       else begin
         M.write n.w { wst = Release_global; wsa = false };
-        I.emit th.tr ~tid:th.tid ~cluster:th.cluster Numa_trace.Event.Abort;
+        I.emit th.ev Numa_trace.Event.Abort;
         false
       end
     in
     let take_local () =
       th.cur <- n;
-      I.emit th.tr ~tid:th.tid ~cluster:th.cluster
-        Numa_trace.Event.Acquire_local;
+      I.emit th.ev Numa_trace.Event.Acquire_local;
       true
     in
     let rec watch pred =
@@ -158,7 +152,7 @@ struct
           if M.cas pred.w ~expect:wv ~desire:{ wst = Busy; wsa = true } then begin
             (* Predecessor warned; make it explicit for our successor. *)
             M.write n.w { wst = Aborted_to pred; wsa = false };
-            I.emit th.tr ~tid:th.tid ~cluster:th.cluster Numa_trace.Event.Abort;
+            I.emit th.ev Numa_trace.Event.Abort;
             false
           end
           else
@@ -171,8 +165,7 @@ struct
     let n = th.cur in
     let cs = th.cs in
     let release_global () =
-      I.emit th.tr ~tid:th.tid ~cluster:th.cluster
-        Numa_trace.Event.Handoff_global;
+      I.emit th.ev Numa_trace.Event.Handoff_global;
       M.write cs.count 0;
       M.write th.l.gstate gfree;
       M.write n.w { wst = Release_global; wsa = false }
@@ -182,14 +175,12 @@ struct
     let has_cohort = M.read cs.ltail != n in
     let pass = c < th.l.cfg.Lock_intf.max_local_handoffs in
     if not pass then
-      I.emit th.tr ~tid:th.tid ~cluster:th.cluster
-        Numa_trace.Event.Starvation_limit_hit;
+      I.emit th.ev Numa_trace.Event.Starvation_limit_hit;
     if pass && has_cohort && (not wv.wsa) && wv.wst = Busy then begin
       if M.cas n.w ~expect:wv ~desire:{ wst = Release_local; wsa = false }
       then begin
         M.write cs.count (c + 1);
-        I.emit th.tr ~tid:th.tid ~cluster:th.cluster
-          Numa_trace.Event.Handoff_within_cohort
+        I.emit th.ev Numa_trace.Event.Handoff_within_cohort
       end
       else
         (* Our successor aborted between the read and the CAS. *)

@@ -23,13 +23,7 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
   module Abortable : Lock_intf.ABORTABLE_LOCK = struct
     type t = { tail : node M.cell; cfg : Lock_intf.config }
 
-    type thread = {
-      l : t;
-      mutable cur : node;
-      tid : int;
-      cluster : int;
-      tr : Numa_trace.Sink.t;
-    }
+    type thread = { l : t; mutable cur : node; ev : Instr.t }
 
     let name = "A-CLH"
 
@@ -37,7 +31,7 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
       { tail = M.cell' ~name:"aclh.tail" (make_node Granted); cfg }
 
     let register l ~tid ~cluster =
-      { l; cur = make_node Granted; tid; cluster; tr = l.cfg.Lock_intf.trace }
+      { l; cur = make_node Granted; ev = Instr.make l.cfg ~tid ~cluster }
 
     let try_acquire th ~patience =
       let deadline = M.now () + patience in
@@ -54,8 +48,7 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
           with
           | Some Granted ->
               th.cur <- n;
-              I.emit th.tr ~tid:th.tid ~cluster:th.cluster
-                Numa_trace.Event.Acquire_global;
+              I.emit th.ev Numa_trace.Event.Acquire_global;
               true
           | Some (Aborted_to p) -> watch p
           | Some Waiting -> assert false
@@ -66,8 +59,7 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
         match M.read pred.ast with
         | Granted ->
             th.cur <- n;
-            I.emit th.tr ~tid:th.tid ~cluster:th.cluster
-              Numa_trace.Event.Acquire_global;
+            I.emit th.ev Numa_trace.Event.Acquire_global;
             true
         | Aborted_to p -> abort p
         | Waiting ->
@@ -75,14 +67,13 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
                the grant, when it comes, persists on [pred] and will be
                claimed by whoever unwinds to it. *)
             M.write n.ast (Aborted_to pred);
-            I.emit th.tr ~tid:th.tid ~cluster:th.cluster Numa_trace.Event.Abort;
+            I.emit th.ev Numa_trace.Event.Abort;
             false
       in
       watch pred0
 
     let release th =
-      I.emit th.tr ~tid:th.tid ~cluster:th.cluster
-        Numa_trace.Event.Handoff_global;
+      I.emit th.ev Numa_trace.Event.Handoff_global;
       M.write th.cur.ast Granted
   end
 end

@@ -24,13 +24,7 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
   module Plain : Lock_intf.LOCK = struct
     type t = { state : int M.cell; cfg : Lock_intf.config }
 
-    type thread = {
-      l : t;
-      back : Backoff.t;
-      tid : int;
-      cluster : int;
-      tr : Numa_trace.Sink.t;
-    }
+    type thread = { l : t; back : Backoff.t; ev : Instr.t }
 
     let name = "BO"
     let create cfg = { state = M.cell' ~name:"bo.state" free_global; cfg }
@@ -41,9 +35,7 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
         back =
           Backoff.make ~min:Lock_intf.bo_min ~max:Lock_intf.bo_max
             ~salt:tid ();
-        tid;
-        cluster;
-        tr = l.cfg.Lock_intf.trace;
+        ev = Instr.make l.cfg ~tid ~cluster;
       }
 
     let acquire th =
@@ -58,10 +50,10 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
         end
       in
       loop ();
-      I.emit th.tr ~tid:th.tid ~cluster:th.cluster Numa_trace.Event.Acquire_global
+      I.emit th.ev Numa_trace.Event.Acquire_global
 
     let release th =
-      I.emit th.tr ~tid:th.tid ~cluster:th.cluster Numa_trace.Event.Handoff_global;
+      I.emit th.ev Numa_trace.Event.Handoff_global;
       M.write th.l.state free_global
   end
 

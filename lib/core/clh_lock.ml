@@ -20,9 +20,7 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
       l : t;
       mutable my : node;
       mutable pred : node;
-      tid : int;
-      cluster : int;
-      tr : Numa_trace.Sink.t;
+      ev : Instr.t;
     }
 
     let name = "CLH"
@@ -35,9 +33,7 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
         l;
         my = make_node false;
         pred = make_node false;
-        tid;
-        cluster;
-        tr = l.cfg.Lock_intf.trace;
+        ev = Instr.make l.cfg ~tid ~cluster;
       }
 
     let acquire th =
@@ -45,13 +41,13 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
       M.write n.locked true;
       let p = M.swap th.l.tail n in
       (* Tail swap = queue-join linearisation point (FIFO oracle). *)
-      I.emit th.tr ~tid:th.tid ~cluster:th.cluster Numa_trace.Event.Enqueue;
+      I.emit th.ev Numa_trace.Event.Enqueue;
       th.pred <- p;
       ignore (M.wait_until p.locked (fun v -> not v));
-      I.emit th.tr ~tid:th.tid ~cluster:th.cluster Numa_trace.Event.Acquire_global
+      I.emit th.ev Numa_trace.Event.Acquire_global
 
     let release th =
-      I.emit th.tr ~tid:th.tid ~cluster:th.cluster Numa_trace.Event.Handoff_global;
+      I.emit th.ev Numa_trace.Event.Handoff_global;
       M.write th.my.locked false;
       (* Steal the predecessor's node: ours is still being watched. *)
       th.my <- th.pred

@@ -126,9 +126,7 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
     type thread = {
       l : t;
       node : node;
-      tid : int;
-      cluster : int;
-      tr : Numa_trace.Sink.t;
+      ev : Instr.t;
       mutable sec : node option;
           (* secondary-queue head while holding; received via the grant
              word, handed on with the lock. *)
@@ -147,9 +145,7 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
       {
         l;
         node = make_node ~cluster;
-        tid;
-        cluster;
-        tr = l.cfg.Lock_intf.trace;
+        ev = Instr.make l.cfg ~tid ~cluster;
         sec = None;
       }
 
@@ -160,12 +156,11 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
       let p = M.swap th.l.tail (some n) in
       (* Tail swap = queue-join linearisation point (intra-socket FIFO
          oracle). *)
-      I.emit th.tr ~tid:th.tid ~cluster:th.cluster Numa_trace.Event.Enqueue;
+      I.emit th.ev Numa_trace.Event.Enqueue;
       match p with
       | None ->
           th.sec <- None;
-          I.emit th.tr ~tid:th.tid ~cluster:th.cluster
-            Numa_trace.Event.Acquire_global
+          I.emit th.ev Numa_trace.Event.Acquire_global
       | Some p -> (
           M.write p.next (some n);
           let g =
@@ -174,16 +169,13 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
           match g with
           | Granted ->
               th.sec <- None;
-              I.emit th.tr ~tid:th.tid ~cluster:th.cluster
-                Numa_trace.Event.Acquire_global
+              I.emit th.ev Numa_trace.Event.Acquire_global
           | Granted_local ->
               th.sec <- None;
-              I.emit th.tr ~tid:th.tid ~cluster:th.cluster
-                Numa_trace.Event.Acquire_local
+              I.emit th.ev Numa_trace.Event.Acquire_local
           | Sec h ->
               th.sec <- Some h;
-              I.emit th.tr ~tid:th.tid ~cluster:th.cluster
-                Numa_trace.Event.Acquire_local
+              I.emit th.ev Numa_trace.Event.Acquire_local
           | Waiting -> assert false)
 
     let release th =
@@ -196,8 +188,7 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
              half-finished enqueue. With a secondary queue pending, the
              queue "closes" onto the secondary chain instead: its tail
              becomes the lock tail and its head gets the lock. *)
-          I.emit th.tr ~tid:th.tid ~cluster:th.cluster
-            Numa_trace.Event.Handoff_global;
+          I.emit th.ev Numa_trace.Event.Handoff_global;
           M.write l.hand 0;
           match sec with
           | None ->
@@ -216,13 +207,12 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
           let hand = M.read l.hand in
           let local =
             if hand >= l.cfg.Lock_intf.max_local_handoffs then None
-            else find_successor ~my:th.cluster ~sec s
+            else find_successor ~my:th.ev.cluster ~sec s
           in
           match local with
           | Some (m, sec') ->
               M.write l.hand (hand + 1);
-              I.emit th.tr ~tid:th.tid ~cluster:th.cluster
-                Numa_trace.Event.Handoff_within_cohort;
+              I.emit th.ev Numa_trace.Event.Handoff_within_cohort;
               M.write m.spin
                 (match sec' with Some h -> Sec h | None -> Granted_local)
           | None -> (
@@ -231,8 +221,7 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
                  secondary queue go back in front of the main queue,
                  preserving per-socket enqueue order. *)
               M.write l.hand 0;
-              I.emit th.tr ~tid:th.tid ~cluster:th.cluster
-                Numa_trace.Event.Handoff_global;
+              I.emit th.ev Numa_trace.Event.Handoff_global;
               match sec with
               | None -> M.write s.spin Granted
               | Some h ->

@@ -47,9 +47,7 @@ module Make
     lt : L.thread;
     count : int M.cell;
     since : int M.cell;
-    tid : int;
-    cluster : int;
-    tr : Numa_trace.Sink.t;
+    ev : Instr.t;
   }
 
   let name = Name.name
@@ -76,23 +74,20 @@ module Make
       lt = L.register l.locals.(cluster) ~tid ~cluster;
       count = l.counts.(cluster);
       since = l.held_since.(cluster);
-      tid;
-      cluster;
-      tr = l.cfg.Lock_intf.trace;
+      ev = Instr.make l.cfg ~tid ~cluster;
     }
 
   let acquire th =
     match L.acquire th.lt with
     | Lock_intf.Local_release ->
-        I.emit th.tr ~tid:th.tid ~cluster:th.cluster Numa_trace.Event.Acquire_local
+        I.emit th.ev Numa_trace.Event.Acquire_local
     | Lock_intf.Global_release ->
         G.acquire th.gt;
         (match th.l.cfg.Lock_intf.handoff_policy with
         | Lock_intf.Timed _ | Lock_intf.Counted_or_timed _ ->
             M.write th.since (M.now ())
         | Lock_intf.Counted | Lock_intf.Unbounded -> ());
-        I.emit th.tr ~tid:th.tid ~cluster:th.cluster
-          Numa_trace.Event.Acquire_global
+        I.emit th.ev Numa_trace.Event.Acquire_global
 
   (* The may-pass-local predicate: may this release stay within the
      cohort, given [c] consecutive local handoffs so far? *)
@@ -111,8 +106,7 @@ module Make
     let pass = may_pass_local th c in
     if pass && not (L.alone th.lt) then begin
       M.write th.count (c + 1);
-      I.emit th.tr ~tid:th.tid ~cluster:th.cluster
-        Numa_trace.Event.Handoff_within_cohort;
+      I.emit th.ev Numa_trace.Event.Handoff_within_cohort;
       L.release th.lt Lock_intf.Local_release
     end
     else begin
@@ -120,11 +114,9 @@ module Make
         (* The may-pass-local predicate denied a within-cohort handoff:
            the starvation bound (count or time budget) forced this
            global release. *)
-        I.emit th.tr ~tid:th.tid ~cluster:th.cluster
-          Numa_trace.Event.Starvation_limit_hit;
+        I.emit th.ev Numa_trace.Event.Starvation_limit_hit;
       M.write th.count 0;
-      I.emit th.tr ~tid:th.tid ~cluster:th.cluster
-        Numa_trace.Event.Handoff_global;
+      I.emit th.ev Numa_trace.Event.Handoff_global;
       G.release th.gt;
       L.release th.lt Lock_intf.Global_release
     end

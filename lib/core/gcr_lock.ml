@@ -69,10 +69,10 @@ module Wrap_gen
         (** per-tid park word: [0] armed, [1] promotion granted. *)
     k : int;
     rotate_every : int;
-    tr : Numa_trace.Sink.t;
+    cfg : Lock_intf.config;
   }
 
-  type thread = { g : t; it : L.thread; tid : int; cluster : int }
+  type thread = { g : t; it : L.thread; ev : Instr.t }
 
   let name =
     "GCR-" ^ L.name ^ if B.drop_rescue then "!dropped-unpark" else ""
@@ -95,11 +95,15 @@ module Wrap_gen
             M.cell' ~name:(Printf.sprintf "gcr.park:%d" i) 0);
       k = max 1 cfg.gcr_max_active;
       rotate_every = max 1 cfg.gcr_rotate_every;
-      tr = cfg.trace;
+      cfg;
     }
 
   let register g ~tid ~cluster =
-    { g; it = L.register g.inner ~tid ~cluster; tid; cluster }
+    {
+      g;
+      it = L.register g.inner ~tid ~cluster;
+      ev = Instr.make g.cfg ~tid ~cluster;
+    }
 
   (* Promote the oldest passive waiter, transferring the caller's active
      slot to it; [false] iff the passive ring was empty. *)
@@ -132,7 +136,7 @@ module Wrap_gen
 
   let acquire th =
     let g = th.g in
-    let emit k = I.emit g.tr ~tid:th.tid ~cluster:th.cluster k in
+    let emit k = I.emit th.ev k in
     let rec gate () =
       let a = M.read g.active in
       if a < g.k then
@@ -141,10 +145,10 @@ module Wrap_gen
       else begin
         (* Passive path: arm the park word, claim and publish a ring
            slot, then run the drain rescue before sleeping. *)
-        let park = g.parks.(th.tid) in
+        let park = g.parks.(th.ev.tid) in
         M.write park 0;
         let t = M.fetch_and_add g.p_tail 1 in
-        M.write g.slots.(t mod Array.length g.slots) (th.tid + 1);
+        M.write g.slots.(t mod Array.length g.slots) (th.ev.tid + 1);
         emit Event.Gcr_park;
         check_queue g;
         ignore (P.spin_then_park park (fun v -> v = 1));
@@ -157,7 +161,7 @@ module Wrap_gen
   let release th =
     let g = th.g in
     L.release th.it;
-    I.emit g.tr ~tid:th.tid ~cluster:th.cluster Event.Gcr_exit;
+    I.emit th.ev Event.Gcr_exit;
     let grant = M.fetch_and_add g.grants 1 in
     if (grant + 1) mod g.rotate_every = 0 then begin
       if not (promote g) then retire g

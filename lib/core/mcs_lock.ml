@@ -74,34 +74,28 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
   module Plain : Lock_intf.LOCK = struct
     type t = { tail : node option M.cell; cfg : Lock_intf.config }
 
-    type thread = {
-      l : t;
-      node : node;
-      tid : int;
-      cluster : int;
-      tr : Numa_trace.Sink.t;
-    }
+    type thread = { l : t; node : node; ev : Instr.t }
 
     let name = "MCS"
     let create cfg = { tail = M.cell' ~name:"mcs.tail" None; cfg }
 
     let register l ~tid ~cluster =
-      { l; node = make_node (); tid; cluster; tr = l.cfg.Lock_intf.trace }
+      { l; node = make_node (); ev = Instr.make l.cfg ~tid ~cluster }
 
     let acquire th =
       let n = th.node in
       let p = enqueue th.l.tail n in
       (* Tail swap = queue-join linearisation point (FIFO oracle). *)
-      I.emit th.tr ~tid:th.tid ~cluster:th.cluster Numa_trace.Event.Enqueue;
+      I.emit th.ev Numa_trace.Event.Enqueue;
       (match p with
       | None -> ()
       | Some p ->
           M.write p.next (some n);
           ignore (M.wait_until n.nstate (fun s -> s = ngranted_local)));
-      I.emit th.tr ~tid:th.tid ~cluster:th.cluster Numa_trace.Event.Acquire_global
+      I.emit th.ev Numa_trace.Event.Acquire_global
 
     let release th =
-      I.emit th.tr ~tid:th.tid ~cluster:th.cluster Numa_trace.Event.Handoff_global;
+      I.emit th.ev Numa_trace.Event.Handoff_global;
       pass_or_close th.l.tail th.node ~code:ngranted_local ~may_close:true
   end
 

@@ -6,9 +6,10 @@
     briefly and then park, paying a kernel-trap cost to sleep and a
     wakeup cost to resume.
 
-    - {!Make.Plain}: the blocking mutex.
     - {!Make.Global}: thread-oblivious by construction (any thread may
       store the free state).
+    - {!Make.Plain}: the blocking mutex — {!Make.Global} under the name
+      ["BLK"].
     - {!Make.Local}: 3-state release word plus cohort detection through a
       waiter counter: acquirers announce themselves with a fetch-and-add
       {e before} first attempting the lock and retract after winning, so
@@ -43,25 +44,6 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
   (* Wait for [state] to leave [busy]; returns the observed non-busy value. *)
   let await state = spin_then_park state (fun v -> v <> busy)
 
-  module Plain : Lock_intf.LOCK = struct
-    type t = { state : int M.cell }
-    type thread = { l : t }
-
-    let name = "BLK"
-    let create _cfg = { state = M.cell' ~name:"blk.state" free_global }
-    let register l ~tid:_ ~cluster:_ = { l }
-
-    let acquire th =
-      let state = th.l.state in
-      let rec loop () =
-        let s = await state in
-        if not (M.cas state ~expect:s ~desire:busy) then loop ()
-      in
-      loop ()
-
-    let release th = M.write th.l.state free_global
-  end
-
   module Global : Lock_intf.GLOBAL = struct
     type t = { state : int M.cell }
     type thread = { l : t }
@@ -78,6 +60,14 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
       loop ()
 
     let release th = M.write th.l.state free_global
+  end
+
+  (* Thread-obliviousness costs the blocking lock nothing, so the plain
+     mutex is the global one under a name. *)
+  module Plain : Lock_intf.LOCK = struct
+    include Global
+
+    let name = "BLK"
   end
 
   module Local : Lock_intf.LOCAL = struct

@@ -28,13 +28,7 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
       cfg : Lock_intf.config;
     }
 
-    type thread = {
-      l : t;
-      tid : int;
-      cluster : int;
-      tr : Numa_trace.Sink.t;
-      mutable ticket : int;
-    }
+    type thread = { l : t; ev : Instr.t; mutable ticket : int }
 
     let name = "PTL"
 
@@ -50,21 +44,19 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
       }
 
     let register l ~tid ~cluster =
-      { l; tid; cluster; tr = l.cfg.Lock_intf.trace; ticket = 0 }
+      { l; ev = Instr.make l.cfg ~tid ~cluster; ticket = 0 }
 
     let acquire th =
       let t = M.fetch_and_add th.l.request 1 in
       th.ticket <- t;
       (* The FAA is the queue-join linearisation point (FIFO oracle). *)
-      I.emit th.tr ~tid:th.tid ~cluster:th.cluster Numa_trace.Event.Enqueue;
+      I.emit th.ev Numa_trace.Event.Enqueue;
       let slot = th.l.slots.(t mod Array.length th.l.slots) in
       ignore (M.wait_until slot (fun v -> v = t));
-      I.emit th.tr ~tid:th.tid ~cluster:th.cluster
-        Numa_trace.Event.Acquire_global
+      I.emit th.ev Numa_trace.Event.Acquire_global
 
     let release th =
-      I.emit th.tr ~tid:th.tid ~cluster:th.cluster
-        Numa_trace.Event.Handoff_global;
+      I.emit th.ev Numa_trace.Event.Handoff_global;
       let t = th.ticket in
       let n = Array.length th.l.slots in
       M.write th.l.slots.((t + 1) mod n) (t + 1)

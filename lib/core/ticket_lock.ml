@@ -14,12 +14,7 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
   module Plain : Lock_intf.LOCK = struct
     type t = { request : int M.cell; grant : int M.cell; cfg : Lock_intf.config }
 
-    type thread = {
-      l : t;
-      tid : int;
-      cluster : int;
-      tr : Numa_trace.Sink.t;
-    }
+    type thread = { l : t; ev : Instr.t }
 
     let name = "TKT"
 
@@ -28,18 +23,18 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
       { request = M.cell ln 0; grant = M.cell ln 0; cfg }
 
     let register l ~tid ~cluster =
-      { l; tid; cluster; tr = l.cfg.Lock_intf.trace }
+      { l; ev = Instr.make l.cfg ~tid ~cluster }
 
     let acquire th =
       let tkt = M.fetch_and_add th.l.request 1 in
       (* The FAA is the queue-join linearisation point; [Enqueue] lets
          the FIFO oracle check acquire order against join order. *)
-      I.emit th.tr ~tid:th.tid ~cluster:th.cluster Numa_trace.Event.Enqueue;
+      I.emit th.ev Numa_trace.Event.Enqueue;
       ignore (M.wait_until th.l.grant (fun g -> g = tkt));
-      I.emit th.tr ~tid:th.tid ~cluster:th.cluster Numa_trace.Event.Acquire_global
+      I.emit th.ev Numa_trace.Event.Acquire_global
 
     let release th =
-      I.emit th.tr ~tid:th.tid ~cluster:th.cluster Numa_trace.Event.Handoff_global;
+      I.emit th.ev Numa_trace.Event.Handoff_global;
       let g = M.read th.l.grant in
       M.write th.l.grant (g + 1)
   end

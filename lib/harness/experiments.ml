@@ -38,47 +38,33 @@ let cfg_for topology threads =
 
 let cfg_for_n topology n = cfg_for topology [ n ]
 
+(* The (lock x thread count) grid every sweep fills: [run lock n] is one
+   cell; cells run lock by lock, thread counts in order. *)
+let grid ~threads ~name locks run =
+  let row lock = Array.of_list (List.map (run lock) threads) in
+  {
+    threads;
+    columns = List.map name locks;
+    cells = Array.of_list (List.map row locks);
+  }
+
 let microbench_sweep ?(locks = R.microbench_locks) ?(rollup = false)
     ?(profile = false) ~topology ~threads ~duration ~seed () =
   let cfg = cfg_for topology threads in
-  let cells =
-    List.map
-      (fun (e : R.entry) ->
-        let cfg = e.tweak cfg in
-        Array.of_list
-          (List.map
-             (fun n ->
-               Lbench.run ~name:e.name ~rollup ~profile e.lock ~topology ~cfg
-                 ~n_threads:n ~duration ~seed)
-             threads))
-      locks
-  in
-  {
-    threads;
-    columns = List.map (fun (e : R.entry) -> e.name) locks;
-    cells = Array.of_list cells;
-  }
+  grid ~threads ~name:(fun (e : R.entry) -> e.name) locks (fun e ->
+      let cfg = e.tweak cfg in
+      fun n ->
+        Lbench.run ~name:e.name ~rollup ~profile e.lock ~topology ~cfg
+          ~n_threads:n ~duration ~seed)
 
 let abortable_sweep ?(locks = R.abortable_locks) ?(rollup = false)
     ?(profile = false) ~topology ~threads ~duration ~seed ~patience () =
   let cfg = cfg_for topology threads in
-  let cells =
-    List.map
-      (fun (e : R.abortable_entry) ->
-        let cfg = e.a_tweak cfg in
-        Array.of_list
-          (List.map
-             (fun n ->
-               Lbench.run_abortable ~name:e.a_name ~rollup ~profile e.a_lock
-                 ~topology ~cfg ~n_threads:n ~duration ~seed ~patience)
-             threads))
-      locks
-  in
-  {
-    threads;
-    columns = List.map (fun (e : R.abortable_entry) -> e.a_name) locks;
-    cells = Array.of_list cells;
-  }
+  grid ~threads ~name:(fun (e : R.abortable_entry) -> e.a_name) locks (fun e ->
+      let cfg = e.a_tweak cfg in
+      fun n ->
+        Lbench.run_abortable ~name:e.a_name ~rollup ~profile e.a_lock
+          ~topology ~cfg ~n_threads:n ~duration ~seed ~patience)
 
 let rows_of sweep f =
   List.mapi
@@ -873,20 +859,8 @@ let collapse_run (e : R.entry) ~topology ~n_threads ~duration ~seed =
 
 let collapse_sweep ?(locks = R.collapse_locks) ~topology ~threads ~duration
     ~seed () =
-  let cells =
-    List.map
-      (fun (e : R.entry) ->
-        Array.of_list
-          (List.map
-             (fun n -> collapse_run e ~topology ~n_threads:n ~duration ~seed)
-             threads))
-      locks
-  in
-  {
-    threads;
-    columns = List.map (fun (e : R.entry) -> e.name) locks;
-    cells = Array.of_list cells;
-  }
+  grid ~threads ~name:(fun (e : R.entry) -> e.name) locks (fun e n ->
+      collapse_run e ~topology ~n_threads:n ~duration ~seed)
 
 let print_collapse ~topology s =
   Report.print_series

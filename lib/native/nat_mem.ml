@@ -93,8 +93,3 @@ let pause ns =
       Domain.cpu_relax ()
     done
   end
-
-let identity = Domain.DLS.new_key (fun () -> (0, 0))
-let set_identity ~tid ~cluster = Domain.DLS.set identity (tid, cluster)
-let self_id () = fst (Domain.DLS.get identity)
-let self_cluster () = snd (Domain.DLS.get identity)

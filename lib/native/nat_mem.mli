@@ -7,14 +7,11 @@
     live even on machines with fewer cores than domains.
 
     Because portable thread pinning is unavailable, the NUMA cluster of a
-    domain is declared, not discovered: call {!set_identity} right after
-    spawning a domain, before using any lock handle registered for it. *)
+    domain is declared, not discovered: it is the [~cluster] the domain
+    passes to a lock's [register], and the substrate itself keeps no
+    thread identity. *)
 
 include Numa_base.Memory_intf.MEMORY
-
-val set_identity : tid:int -> cluster:int -> unit
-(** Declare the calling domain's thread id and NUMA cluster (as used by
-    {!self_id} / {!self_cluster}). *)
 
 val site_creations : unit -> (string * int) list
 (** How many lines each allocation site has created since process start

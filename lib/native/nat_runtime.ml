@@ -33,7 +33,6 @@ let run ~topology ~n_threads ?stop_after ?profile:_ body =
            placement repeats. *)
         let cluster = Topology.cluster_of_thread topology tid in
         Domain.spawn (fun () ->
-            Nat_mem.set_identity ~tid ~cluster;
             try body ~stop ~tid ~cluster
             with exn ->
               let backtrace = Printexc.get_backtrace () in

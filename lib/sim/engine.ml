@@ -25,7 +25,6 @@ type _ Effect.t +=
   | Wait : 'a wait_desc -> 'a option Effect.t
   | Pause : int -> unit Effect.t
   | Now : int Effect.t
-  | Self : (int * int) Effect.t
 
 type result = {
   end_time : int;
@@ -447,22 +446,12 @@ let fast_pause d =
       forced eng ex
       && retire_forced eng ex ~cls:Resume ~line:no_line (eng.now + d)
 
-(* [Now]/[Self] schedule nothing on the slow path either, so answering
-   from the engine record is unconditionally neutral; -1 = unavailable
-   (no run live with the fast path on), perform the effect. *)
+(* [Now] schedules nothing on the slow path either, so answering from
+   the engine record is unconditionally neutral; -1 = unavailable (no
+   run live with the fast path on), perform the effect. *)
 let fast_now () =
   match !cur_engine with
   | Heap_run (eng, _) | Explore_run (eng, _) -> eng.now
-  | Idle -> -1
-
-let fast_self_tid () =
-  match !cur_engine with
-  | Heap_run (eng, _) | Explore_run (eng, _) -> eng.cur_tid
-  | Idle -> -1
-
-let fast_self_cluster () =
-  match !cur_engine with
-  | Heap_run (eng, _) | Explore_run (eng, _) -> eng.cur_cluster
   | Idle -> -1
 
 (* [cluster] is the thread's leaf domain: it drives coherence distances
@@ -589,9 +578,6 @@ let handler eng ~tid ~cluster =
                     set_ctx ();
                     continue k ()))
         | Now -> Some (fun (k : (b, unit) continuation) -> continue k eng.now)
-        | Self ->
-            Some
-              (fun (k : (b, unit) continuation) -> continue k (tid, cluster))
         | _ -> None);
   }
 

@@ -190,14 +190,8 @@ val fast_now : unit -> int
 (** Current simulated time, or [-1] when no run with the fast path on is
     live (then perform {!Now}). *)
 
-val fast_self_tid : unit -> int
-
-val fast_self_cluster : unit -> int
-(** Running fiber's tid / cohort cluster, or [-1] (perform {!Self}). *)
-
 type _ Effect.t +=
   | Op : 'a op -> 'a Effect.t
   | Wait : 'a wait_desc -> 'a option Effect.t
   | Pause : int -> unit Effect.t
   | Now : int Effect.t
-  | Self : (int * int) Effect.t

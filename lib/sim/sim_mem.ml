@@ -187,13 +187,5 @@ let now () =
   let t = Engine.fast_now () in
   if t >= 0 then t else Effect.perform Engine.Now
 
-let self_id () =
-  let tid = Engine.fast_self_tid () in
-  if tid >= 0 then tid else fst (Effect.perform Engine.Self)
-
-let self_cluster () =
-  let cl = Engine.fast_self_cluster () in
-  if cl >= 0 then cl else snd (Effect.perform Engine.Self)
-
 (* Host-side, between runs: no effect, no charge, no wake (sim_mem.mli). *)
 let init c x = c.v := x

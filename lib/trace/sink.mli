@@ -7,10 +7,17 @@
     with {!make} ({!Ring.sink} and {!Jsonl.to_file} are the two
     in-tree producers).
 
-    Instrumentation idiom (inside a lock functor over [MEMORY]):
+    Instrumentation idiom (inside a lock functor over [MEMORY]): the
+    handle built by [register ~tid ~cluster] holds
+    [ev = Cohort.Instr.make cfg ~tid ~cluster], and each event site is
     {[
-      if Sink.enabled tr then
-        Sink.record tr ~at:(M.now ()) ~tid ~cluster Event.Acquire_global
+      I.emit th.ev Event.Acquire_global
+    ]}
+    which stamps the event with the identity given at [register]:
+    {[
+      if Sink.enabled ev.sink then
+        Sink.record ev.sink ~at:(M.now ()) ~tid:ev.tid ~cluster:ev.cluster
+          Event.Acquire_global
     ]}
     The [enabled] guard keeps the [M.now ()] read and the event
     allocation out of the untraced fast path. On the simulator [now] is

@@ -44,7 +44,11 @@
 #                multi-level path must be as deterministic as the flat
 #                one); and a same-seed byte-diff of a write-heavy
 #                Table 1 CSV at 1 and 32 threads (tables emit no BENCH
-#                artifact, so the CSV is what gets compared). Only
+#                artifact, so the CSV is what gets compared); and a
+#                same-seed byte-diff of the JSONL lock-event traces of
+#                fig2 and fig6 at 1, 8 and 64 threads (the artifacts'
+#                rollups drop tids, so only the trace shows who
+#                acquired when). Only
 #                freshly emitted artifacts participate;
 #                HOSTPERF_*.json is host wall-clock and never
 #                byte-compared.
@@ -292,6 +296,19 @@ if want determinism; then
     exit 1
   fi
   echo "   tables byte-identical"
+  echo "   lock-trace determinism (same-seed fig2/fig6 JSONL byte diff)"
+  for fig in fig2 fig6; do
+    for side in a b; do
+      repro "$fig" --threads 1,8,64 --duration-ms 1 \
+        --trace "$tmp/TR_${fig}_$side.jsonl" >/dev/null
+    done
+    if ! cmp "$tmp/TR_${fig}_a.jsonl" "$tmp/TR_${fig}_b.jsonl"; then
+      echo "ci: FAIL — same-seed $fig lock-event traces differ; some lock" >&2
+      echo "event (or the identity it is stamped with) is nondeterministic." >&2
+      exit 1
+    fi
+  done
+  echo "   traces byte-identical"
   end
 else
   skip determinism "skipped (--stage)"

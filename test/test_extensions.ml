@@ -261,7 +261,6 @@ let test_native_rw () =
   let ds =
     List.init 3 (fun tid ->
         Domain.spawn (fun () ->
-            Nm.set_identity ~tid ~cluster:(tid mod 2);
             let th = NRw.register l ~tid ~cluster:(tid mod 2) in
             if tid = 0 then
               for _ = 1 to 50 do
@@ -286,7 +285,6 @@ let test_native_blk () =
   let ds =
     List.init 3 (fun tid ->
         Domain.spawn (fun () ->
-            Nm.set_identity ~tid ~cluster:(tid mod 2);
             let th = NBlk.register l ~tid ~cluster:(tid mod 2) in
             for _ = 1 to 30 do
               NBlk.acquire th;

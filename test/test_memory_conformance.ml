@@ -102,12 +102,6 @@ module Checks (M : MEM) = struct
     M.pause (-1);
     M.cpu_relax ()
 
-  let identity () =
-    (* Identity is substrate-specific in value but must be stable. *)
-    let a = (M.self_id (), M.self_cluster ()) in
-    let b = (M.self_id (), M.self_cluster ()) in
-    check_bool "identity stable" (a = b)
-
   let all =
     [
       ("roundtrip", roundtrip);
@@ -122,7 +116,6 @@ module Checks (M : MEM) = struct
       ("wait_until_for timeout", wait_until_for_timeout);
       ("now monotonic", now_monotonic);
       ("pause edge cases", pause_edge_cases);
-      ("identity", identity);
     ]
 end
 
@@ -196,7 +189,6 @@ let arb_mops =
 let prop_substrates_agree =
   QCheck.Test.make ~name:"Sim_mem and Nat_mem value histories agree"
     ~count:300 arb_mops (fun ops ->
-      Numa_native.Nat_mem.set_identity ~tid:0 ~cluster:0;
       let nat = Nat_diff.history ops in
       let sim = ref [] in
       ignore
@@ -204,10 +196,7 @@ let prop_substrates_agree =
            (fun ~tid:_ ~cluster:_ -> sim := Sim_diff.history ops));
       nat = !sim)
 
-let native_case (name, f) =
-  Alcotest.test_case name `Quick (fun () ->
-      Numa_native.Nat_mem.set_identity ~tid:0 ~cluster:0;
-      f ())
+let native_case (name, f) = Alcotest.test_case name `Quick f
 
 (* Simulated checks run inside an engine fiber. *)
 let sim_case (name, f) =

@@ -23,7 +23,6 @@ let counter_test ?(cfg = cfg) name (module L : LI.LOCK) ~domains ~iters () =
   let counter = ref 0 in
   let spawn tid =
     Domain.spawn (fun () ->
-        M.set_identity ~tid ~cluster:(tid mod cfg.LI.clusters);
         let th = L.register l ~tid ~cluster:(tid mod cfg.LI.clusters) in
         for _ = 1 to iters do
           L.acquire th;
@@ -46,7 +45,6 @@ let abortable_counter_test name (module L : LI.ABORTABLE_LOCK) ~domains ~iters
   let successes = Atomic.make 0 in
   let spawn tid =
     Domain.spawn (fun () ->
-        M.set_identity ~tid ~cluster:(tid mod 2);
         let th = L.register l ~tid ~cluster:(tid mod 2) in
         for _ = 1 to iters do
           if L.try_acquire th ~patience:50_000_000 then begin
@@ -67,7 +65,6 @@ let abortable_counter_test name (module L : LI.ABORTABLE_LOCK) ~domains ~iters
     (Atomic.get successes) (Atomic.get counter)
 
 let single_domain_test name (module L : LI.LOCK) () =
-  M.set_identity ~tid:0 ~cluster:0;
   let l = L.create cfg in
   let th = L.register l ~tid:0 ~cluster:0 in
   for _ = 1 to 1000 do
@@ -134,18 +131,12 @@ let test_wait_until_for_native () =
   Alcotest.(check bool) "timed out" true (r = None);
   Alcotest.(check bool) "waited roughly the timeout" true (dt >= 2_000_000)
 
-let test_identity () =
-  M.set_identity ~tid:5 ~cluster:3;
-  Alcotest.(check int) "tid" 5 (M.self_id ());
-  Alcotest.(check int) "cluster" 3 (M.self_cluster ())
-
 let suite =
   [
     ( "nat_mem",
       [
         Alcotest.test_case "primitives" `Quick test_memory_primitives;
         Alcotest.test_case "wait timeout" `Quick test_wait_until_for_native;
-        Alcotest.test_case "identity" `Quick test_identity;
       ] );
     ( "uncontended",
       List.map

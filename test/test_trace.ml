@@ -1,7 +1,8 @@
 (* Tests for lib/trace: the no-op sink leaves benchmark results
    untouched (the property that keeps golden pins valid by default), the
    ring captures the exact deterministic event sequence of a 2-cluster
-   C-BO-MCS run, JSONL and Chrome exports round-trip through a schema
+   C-BO-MCS run, every registry lock stamps its events with the identity
+   its handle was registered with, JSONL and Chrome exports round-trip through a schema
    check, the metrics rollup is self-consistent, and a native smoke run
    confirms events carry valid thread and cluster ids. *)
 
@@ -41,6 +42,16 @@ let scenario ?(n_threads = 8) ?(iters = 25) () =
   T.Ring.events ring
 
 let count p events = List.length (List.filter (fun e -> p e.Ev.kind) events)
+
+(* An event names a fiber of the run and that fiber's placement: the
+   identity the lock was handed at [register]. *)
+let check_identity ~n_threads e =
+  Alcotest.(check bool)
+    "tid is a fiber of the run" true
+    (e.Ev.tid >= 0 && e.Ev.tid < n_threads);
+  Alcotest.(check int) "cluster matches placement"
+    (Topology.cluster_of_thread topo e.Ev.tid)
+    e.Ev.cluster
 let count_kind k events = count (fun k' -> k' = k) events
 
 (* --- default no-op sink: results unchanged ---------------------------- *)
@@ -128,10 +139,7 @@ let test_cohort_sequence () =
     (fun e ->
       Alcotest.(check bool) "timestamps nondecreasing" true (e.Ev.at >= !prev);
       prev := e.Ev.at;
-      Alcotest.(check bool) "tid in range" true (e.Ev.tid >= 0 && e.Ev.tid < 8);
-      Alcotest.(check int) "cluster matches placement"
-        (Topology.cluster_of_thread topo e.Ev.tid)
-        e.Ev.cluster;
+      check_identity ~n_threads:8 e;
       if Ev.is_acquire e.Ev.kind then begin
         Alcotest.(check bool) "acquire only when free" false !held;
         held := true
@@ -144,6 +152,34 @@ let test_cohort_sequence () =
         Alcotest.(check bool) "limit hit only while held" true !held)
     events;
   Alcotest.(check bool) "history ends released" false !held
+
+(* The same check over every registry lock, contended on both clusters:
+   [run cfg] drives one LBench run with [cfg]'s trace. *)
+let test_registry_identity run () =
+  let ring = T.Ring.create ~capacity:65_536 in
+  run { (Harness.Experiments.cfg_for topo [ 8 ]) with trace = T.Ring.sink ring };
+  Alcotest.(check bool) "events traced" true (T.Ring.length ring > 0);
+  Alcotest.(check int) "ring dropped nothing" 0 (T.Ring.dropped ring);
+  List.iter (check_identity ~n_threads:8) (T.Ring.events ring)
+
+let identity_cases =
+  List.map
+    (fun (e : LR.entry) ->
+      Alcotest.test_case e.LR.name `Quick
+        (test_registry_identity (fun cfg ->
+             ignore
+               (LB.run e.LR.lock ~topology:topo ~cfg:(e.LR.tweak cfg)
+                  ~n_threads:8 ~duration:200_000 ~seed:5))))
+    LR.all_locks
+  @ List.map
+      (fun (e : LR.abortable_entry) ->
+        Alcotest.test_case e.LR.a_name `Quick
+          (test_registry_identity (fun cfg ->
+               ignore
+                 (LB.run_abortable e.LR.a_lock ~topology:topo
+                    ~cfg:(e.LR.a_tweak cfg) ~n_threads:8 ~duration:200_000
+                    ~seed:5 ~patience:20_000))))
+      LR.abortable_locks
 
 let test_sequence_deterministic () =
   let a = scenario () and b = scenario () in
@@ -362,6 +398,7 @@ let suite =
           test_cohort_sequence;
         Alcotest.test_case "deterministic" `Quick test_sequence_deterministic;
       ] );
+    ("identity", identity_cases);
     ( "export",
       [
         Alcotest.test_case "jsonl round-trip" `Quick test_jsonl_roundtrip;
