@@ -2,8 +2,8 @@
    counts, windows and thresholds are usage errors (exit 124), rejected
    before anything runs: a zero thread count reaches [Engine.run] or
    [Nat_runtime.run], a zero budget or window checks or measures nothing,
-   and a negative threshold flags every entry. So is an output path in a
-   missing directory. *)
+   and a negative threshold flags every entry. So is a thread count
+   listed twice, and an output path in a missing directory. *)
 
 open Cmdliner
 
@@ -22,6 +22,36 @@ let bounded ~strict ~zero what conv =
 
 let positive what = bounded ~strict:true ~zero:0 what Arg.int
 let non_negative what = bounded ~strict:false ~zero:0 what Arg.int
+
+(* A comma-separated list of distinct positive thread counts. A repeated
+   count would print a duplicate row and write two artifact entries
+   under one (experiment, lock, threads) key, which readers collapse. *)
+let thread_counts =
+  let parse s =
+    match
+      String.split_on_char ',' s
+      |> List.map String.trim
+      |> List.filter (fun x -> x <> "")
+    with
+    | [] -> Error (`Msg (Printf.sprintf "empty thread-count list %S" s))
+    | items -> (
+        match
+          List.fold_right
+            (fun x acc ->
+              Result.bind (Arg.conv_parser (positive "thread count") x)
+                (fun n -> Result.map (List.cons n) acc))
+            items (Ok [])
+        with
+        | Ok ns when List.length (List.sort_uniq compare ns) < List.length ns
+          ->
+            Error
+              (`Msg (Printf.sprintf "thread-count list %S repeats a count" s))
+        | r -> r)
+  in
+  let print ppf l =
+    Format.fprintf ppf "%s" (String.concat "," (List.map string_of_int l))
+  in
+  Arg.conv (parse, print)
 
 let topology =
   let parse s =

@@ -14,26 +14,6 @@ open Cmdliner
 module C = Harness.Catalogue
 module W = Apps.Kv_workload
 
-let threads_conv =
-  let parse s =
-    match
-      String.split_on_char ',' s
-      |> List.map String.trim
-      |> List.filter (fun x -> x <> "")
-    with
-    | [] -> Error (`Msg (Printf.sprintf "empty thread-count list %S" s))
-    | items ->
-        List.fold_right
-          (fun x acc ->
-            Result.bind (Arg.conv_parser (Cli.positive "thread count") x)
-              (fun n -> Result.map (List.cons n) acc))
-          items (Ok [])
-  in
-  let print ppf l =
-    Format.fprintf ppf "%s" (String.concat "," (List.map string_of_int l))
-  in
-  Arg.conv (parse, print)
-
 (* Unknown lock names are usage errors, caught before anything runs. *)
 let lock_conv names =
   let parse s =
@@ -69,7 +49,7 @@ let knob_term (d : C.params) knob : (C.params -> C.params) Term.t =
             Thread counts beyond its capacity run oversubscribed."
   | Threads ->
       set (fun threads p -> { p with C.threads })
-      @@ opt threads_conv d.threads [ "threads" ] "N,N,..."
+      @@ opt Cli.thread_counts d.threads [ "threads" ] "N,N,..."
            "Thread counts to sweep."
   | N_threads doc ->
       set (fun n_threads p -> { p with C.n_threads })
@@ -119,9 +99,11 @@ let profile_arg =
     value & flag
     & info [ "profile" ]
         ~doc:
-          "Also print a per-site coherence attribution table (remote \
-           transfers, invalidations, stall-ns split) for every lock at the \
-           highest thread count of the sweep.")
+          "Also print, for every lock at the highest thread count of the \
+           sweep, a per-site coherence attribution table (remote \
+           transfers, invalidations, stall-ns split) and the engine's \
+           events per acquisition by class, inlined and scheduled apart \
+           (collapse: the events alone).")
 
 (* Artifacts must be byte-identical either way (ci.sh diffs them); the
    flag exists so that check is cheap to run. *)

@@ -2,9 +2,10 @@
     repository is written against.
 
     There are two implementations:
-    - {!Numasim.Sim_mem}: every operation is an OCaml effect handled by the
-      discrete-event simulation engine, which charges latency from a
-      cache-coherence model and advances simulated time;
+    - {!Numasim.Sim_mem}: every operation is charged by the
+      discrete-event simulation engine, which takes latency from a
+      cache-coherence model and advances simulated time (inline on its
+      fast path, otherwise through an OCaml effect);
     - {!Numa_native.Nat_mem}: operations map directly onto [Atomic], for
       real multicore execution.
 

@@ -16,6 +16,13 @@
     measured harness and the shipped harness are the same code, exactly
     as the locks themselves are written once over [MEMORY]. *)
 
+type event_class = {
+  ec_class : string;  (** the engine's name for the event class. *)
+  ec_inlined : int;  (** events retired inline by the engine fast path. *)
+  ec_scheduled : int;  (** events run from the engine's pending set. *)
+}
+(** One row of the simulation engine's event ledger. *)
+
 type run_stats = {
   elapsed_ns : int;
       (** simulated end time, or wall-clock ns from first spawn to last
@@ -31,6 +38,10 @@ type run_stats = {
       (** per-level interconnect stats, outermost level first; simulation
           substrate only. *)
   sim_events : int option;  (** simulation substrate only. *)
+  event_classes : event_class list option;
+      (** [sim_events] by class, inlined and scheduled apart; simulation
+          substrate only. Which events inline depends on the fast path;
+          the per-class totals do not. *)
   sites : Numa_trace.Profile.site list option;
       (** per-site coherence attribution; [Some] iff the run was both on
           the simulation substrate and started with [~profile:true]. *)

@@ -19,6 +19,7 @@ type result = {
   rollup : Numa_trace.Metrics.t option;
   profile : Numa_trace.Profile.t option;
   predicted : Numa_trace.Predict.t option;
+  event_classes : Runtime_intf.event_class list;
 }
 
 module Make (M : Memory_intf.MEMORY) (RT : Runtime_intf.RUNTIME) = struct
@@ -70,6 +71,7 @@ module Make (M : Memory_intf.MEMORY) (RT : Runtime_intf.RUNTIME) = struct
       acquire_max = float_of_int (Stats.Histogram.max_seen latencies);
       rollup = None;
       predicted = None;
+      event_classes = Option.value stats.Runtime_intf.event_classes ~default:[];
       profile =
         (* Coherence totals and interconnect stats come with every
            simulated run; the per-site table is filled only when the run

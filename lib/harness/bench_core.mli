@@ -50,6 +50,12 @@ type result = {
           calibration only — never the per-site table — so it is
           identical with and without [~profile] and cannot perturb a
           schedule. *)
+  event_classes : Numa_base.Runtime_intf.event_class list;
+      (** the simulation engine's event ledger for the run: events by
+          class, inlined and scheduled apart; [[]] on the native
+          substrate. Printed by [--profile], never written to an
+          artifact (the inlined/scheduled split depends on the engine
+          fast path). *)
 }
 
 module Make (M : Numa_base.Memory_intf.MEMORY) (RT : Numa_base.Runtime_intf.RUNTIME) : sig

@@ -119,8 +119,30 @@ let points (s : X.sweep) =
          |> List.map (fun (r : Lbench.result) -> (name, r)))
        s.X.columns)
 
+(* The engine's event ledger, per acquisition counted in the window. *)
+let print_classes ~name (r : Lbench.result) =
+  if r.Lbench.event_classes <> [] then begin
+    let per n = float_of_int n /. float_of_int r.Lbench.iterations in
+    Printf.printf
+      "\n-- %s @ %d threads: engine events / acquisition by class --\n" name
+      r.Lbench.n_threads;
+    Printf.printf "  %-10s %10s %10s\n" "class" "inlined" "scheduled";
+    let row cls i s =
+      Printf.printf "  %-10s %10.3f %10.3f\n" cls (per i) (per s)
+    in
+    let ti, ts =
+      List.fold_left
+        (fun (ti, ts) (c : Runtime_intf.event_class) ->
+          row c.ec_class c.ec_inlined c.ec_scheduled;
+          (ti + c.ec_inlined, ts + c.ec_scheduled))
+        (0, 0) r.Lbench.event_classes
+    in
+    row "total" ti ts;
+    flush stdout
+  end
+
 let print_profile ~name (r : Lbench.result) =
-  match r.Lbench.profile with
+  (match r.Lbench.profile with
   | None -> ()
   | Some p ->
       let acquires = r.Lbench.iterations in
@@ -131,7 +153,16 @@ let print_profile ~name (r : Lbench.result) =
         "remote transfers / acquisition = %.3f   invalidations / release = \
          %.3f\n%!"
         (Numa_trace.Profile.remote_transfers_per_acquire p ~acquires)
-        (Numa_trace.Profile.invalidations_per_release p ~releases:acquires)
+        (Numa_trace.Profile.invalidations_per_release p ~releases:acquires));
+  print_classes ~name r
+
+(* [print ~name] at the sweep's highest thread count, one per lock. *)
+let print_top print (s : X.sweep) =
+  List.iteri
+    (fun i name ->
+      let col = s.X.cells.(i) in
+      print ~name col.(Array.length col - 1))
+    s.X.columns
 
 let err_pct (r : Lbench.result) =
   match r.Lbench.predicted with
@@ -200,13 +231,7 @@ let fig name which doc =
         X.print_fig5_latency s;
         csv env "fig5" ~columns:s.X.columns ~rows:(X.fairness_rows s)
       end;
-      (* Attribution at the sweep's highest thread count, one per lock. *)
-      if env.profile then
-        List.iteri
-          (fun i name ->
-            let col = s.X.cells.(i) in
-            print_profile ~name col.(Array.length col - 1))
-          s.X.columns;
+      if env.profile then print_top print_profile s;
       [ Sweep ("lbench", s) ])
 
 let figs = fig "figs" [ `F2; `F3; `F4; `F5 ] "Figures 2-5 from one sweep."
@@ -387,7 +412,7 @@ let collapse =
          Locks
            ( "Subset of the collapse line-up to run (default: all seven).",
              names LR.collapse_locks );
-         Threads; Duration; Seed;
+         Threads; Duration; Seed; Profile;
        ]
       @ observed)
     ~defaults:
@@ -412,6 +437,7 @@ let collapse =
           ~threads:p.threads ~duration:p.duration ~seed:p.seed ()
       in
       X.print_collapse ~topology:p.topology s;
+      if env.profile then print_top print_classes s;
       csv env "collapse" ~columns:s.X.columns ~rows:(X.throughput_rows s);
       [ Sweep ("collapse", s) ])
 

@@ -768,56 +768,57 @@ let collapse_run (e : R.entry) ~topology ~n_threads ~duration ~seed =
   let per_thread = Array.make n_threads 0 in
   let migrations = ref 0 in
   let last_cluster = ref (-1) in
-  ignore
-    (E.run ~topology ~n_threads (fun ~tid ~cluster ->
-         let th = L.register l ~tid ~cluster in
-         let rng = Prng.create (seed + (tid * 7919) + 11) in
-         (* Quanta staggered so the first round of deschedules is not one
-            synchronized convoy. *)
-         let next = ref (Prng.int rng collapse_quantum) in
-         let preempt () =
-           if oversub > 1 && M.now () >= !next then begin
-             let r = round () in
-             if r > 0 then M.pause r;
-             next := M.now () + collapse_quantum
-           end
-         in
-         let rec loop () =
-           if M.now () < duration then begin
-             preempt ();
-             let t0 = M.now () in
-             L.acquire th;
-             let parked = woke.(tid) in
-             woke.(tid) <- false;
-             if parked then
-               (* Just dispatched from a wakeup: fresh quantum. *)
-               next := M.now () + collapse_quantum
-             else if oversub > 1 && M.now () - t0 > collapse_quantum then begin
-               (* Waiter preemption: the spin outlived the quantum, so
-                  ownership arrived while this thread was descheduled —
-                  charged while holding, for a round over the runnable
-                  population. *)
-               let r = round () in
-               if r > 0 then M.pause r;
-               next := M.now () + collapse_quantum
-             end;
-             (* Only work inside the measurement window counts; the
-                post-window queue drain must still run (blocked acquires
-                have to complete) but not inflate the collapsed locks. *)
-             if M.now () < duration then begin
-               per_thread.(tid) <- per_thread.(tid) + 1;
-               if !last_cluster <> cluster then begin
-                 if !last_cluster >= 0 then incr migrations;
-                 last_cluster := cluster
-               end
-             end;
-             M.pause collapse_cs;
-             L.release th;
-             M.pause (collapse_noncs + Prng.int rng 300);
-             loop ()
-           end
-         in
-         loop ()));
+  let run =
+    E.run ~topology ~n_threads (fun ~tid ~cluster ->
+        let th = L.register l ~tid ~cluster in
+        let rng = Prng.create (seed + (tid * 7919) + 11) in
+        (* Quanta staggered so the first round of deschedules is not one
+           synchronized convoy. *)
+        let next = ref (Prng.int rng collapse_quantum) in
+        let preempt () =
+          if oversub > 1 && M.now () >= !next then begin
+            let r = round () in
+            if r > 0 then M.pause r;
+            next := M.now () + collapse_quantum
+          end
+        in
+        let rec loop () =
+          if M.now () < duration then begin
+            preempt ();
+            let t0 = M.now () in
+            L.acquire th;
+            let parked = woke.(tid) in
+            woke.(tid) <- false;
+            if parked then
+              (* Just dispatched from a wakeup: fresh quantum. *)
+              next := M.now () + collapse_quantum
+            else if oversub > 1 && M.now () - t0 > collapse_quantum then begin
+              (* Waiter preemption: the spin outlived the quantum, so
+                 ownership arrived while this thread was descheduled —
+                 charged while holding, for a round over the runnable
+                 population. *)
+              let r = round () in
+              if r > 0 then M.pause r;
+              next := M.now () + collapse_quantum
+            end;
+            (* Only work inside the measurement window counts; the
+               post-window queue drain must still run (blocked acquires
+               have to complete) but not inflate the collapsed locks. *)
+            if M.now () < duration then begin
+              per_thread.(tid) <- per_thread.(tid) + 1;
+              if !last_cluster <> cluster then begin
+                if !last_cluster >= 0 then incr migrations;
+                last_cluster := cluster
+              end
+            end;
+            M.pause collapse_cs;
+            L.release th;
+            M.pause (collapse_noncs + Prng.int rng 300);
+            loop ()
+          end
+        in
+        loop ())
+  in
   let iterations = Array.fold_left ( + ) 0 per_thread in
   let dur_s = float_of_int duration *. 1e-9 in
   let mean = float_of_int iterations /. float_of_int n_threads in
@@ -855,6 +856,7 @@ let collapse_run (e : R.entry) ~topology ~n_threads ~duration ~seed =
        workload (preemption, different CS/idle constants) is out of its
        stated scope. *)
     predicted = None;
+    event_classes = Numasim.Sim_runtime.event_classes run;
   }
 
 let collapse_sweep ?(locks = R.collapse_locks) ~topology ~threads ~duration

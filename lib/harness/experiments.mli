@@ -206,7 +206,8 @@ val collapse_run :
     model; only work completed inside the measurement window counts
     (the post-window drain of blocked acquires still runs). Latency and
     miss metrics are [nan] — the experiment measures throughput,
-    iterations, fairness and migrations. *)
+    iterations, fairness and migrations — and [event_classes] holds the
+    whole run's event ledger, drain included. *)
 
 val collapse_sweep :
   ?locks:Lock_registry.entry list ->

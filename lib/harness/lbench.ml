@@ -23,6 +23,7 @@ type result = Bench_core.result = {
   rollup : Numa_trace.Metrics.t option;
   profile : Numa_trace.Profile.t option;
   predicted : Numa_trace.Predict.t option;
+  event_classes : Numa_base.Runtime_intf.event_class list;
 }
 
 let run = Core.run

@@ -39,6 +39,8 @@ type result = Bench_core.result = {
   predicted : Numa_trace.Predict.t option;
       (** analytic throughput prediction; [Some] whenever the run rolled
           up and completed at least one iteration (see {!Bench_core}). *)
+  event_classes : Numa_base.Runtime_intf.event_class list;
+      (** the engine's event ledger for the run (see {!Bench_core}). *)
 }
 
 val run :

@@ -60,5 +60,6 @@ let run ~topology ~n_threads ?stop_after ?profile:_ body =
         interconnect = None;
         interconnect_levels = None;
         sim_events = None;
+        event_classes = None;
         sites = None;
       }

@@ -14,7 +14,7 @@ type 'a wait_desc = {
   w_precharged : bool;
       (* the performer already charged the initial read, advanced the
          clock to the first check's time and found the predicate false
-         (the fast path in [Sim_mem.wait_until]): park directly instead
+         (the fast path in [Mem.wait_until]): park directly instead
          of charging and scheduling a Spin_check. Untimed waits only —
          a timeout deadline is computed from [now] at perform time, and
          precharging has already moved [now]. *)
@@ -25,17 +25,6 @@ type _ Effect.t +=
   | Wait : 'a wait_desc -> 'a option Effect.t
   | Pause : int -> unit Effect.t
   | Now : int Effect.t
-
-type result = {
-  end_time : int;
-  coherence : Coherence.stats;
-  events : int;
-  threads_finished : int;
-  fp_hits : int;
-  icx : Numa_trace.Profile.interconnect;
-  icx_levels : Numa_trace.Profile.interconnect_level list;
-  sites : Numa_trace.Profile.site list option;
-}
 
 exception Deadlock of { live : int; blocked : int; at : int }
 exception Thread_failure of { tid : int; exn : exn; backtrace : string }
@@ -66,6 +55,34 @@ let[@inline] op_class = function
   | Coherence.Read -> Op_read
   | Coherence.Write -> Op_write
   | Coherence.Rmw -> Op_rmw
+
+(* The event ledger's slot of a class: its declaration order. *)
+let[@inline] slot = function
+  | Start -> 0
+  | Op_read -> 1
+  | Op_write -> 2
+  | Op_rmw -> 3
+  | Spin_check -> 4
+  | Spin_wake -> 5
+  | Timeout -> 6
+  | Resume -> 7
+
+let all_classes =
+  [ Start; Op_read; Op_write; Op_rmw; Spin_check; Spin_wake; Timeout; Resume ]
+
+type class_count = { cls : ev_class; inlined : int; scheduled : int }
+
+type result = {
+  end_time : int;
+  coherence : Coherence.stats;
+  events : int;
+  threads_finished : int;
+  fp_hits : int;
+  classes : class_count list;
+  icx : Numa_trace.Profile.interconnect;
+  icx_levels : Numa_trace.Profile.interconnect_level list;
+  sites : Numa_trace.Profile.site list option;
+}
 
 (* Mutable so explore mode can reuse candidate arrays across steps
    instead of allocating n records per step (see [run_explore]): the
@@ -133,7 +150,10 @@ type t = {
       (* the run's [horizon] (or max_int): an inlined access may not
          complete past it — the heap path would have discarded its
          completion event unrun *)
-  mutable fp_hits : int;  (* events retired inline by the fast path *)
+  inlined : int array;
+  scheduled : int array;
+      (* events per class ([slot]), retired inline by the fast path or
+         popped from the pending set; together they sum to [events] *)
   mutable cur_tid : int;
   mutable cur_cluster : int;
       (* identity of the fiber currently executing — refreshed before
@@ -372,16 +392,23 @@ let cur_engine = ref Idle
 (* The most latency an inline completion may take: finishing strictly
    before every pending heap event and within the horizon makes it
    exactly the heap path's next pop. *)
-let room eng h =
+let[@inline] room eng h =
   let t = Event_heap.min_time h - 1 in
   (if t < eng.fp_limit then t else eng.fp_limit) - eng.now
 
-(* Replay the pop: advance the clock, count the event. *)
-let retire eng lat =
+(* Replay the pop: advance the clock, count the event and its class. *)
+let[@inline] retire eng cls lat =
+  let i = slot cls in
   eng.now <- eng.now + lat;
   eng.events <- eng.events + 1;
-  eng.fp_hits <- eng.fp_hits + 1;
+  eng.inlined.(i) <- eng.inlined.(i) + 1;
   true
+
+(* The popped event's class, bumped by each scheduled thunk as it runs:
+   events discarded at the horizon or the event cap are never counted. *)
+let[@inline] popped eng cls =
+  let i = slot cls in
+  eng.scheduled.(i) <- eng.scheduled.(i) + 1
 
 (* An explore step is forced when the running fiber's next event will be
    the only candidate: nothing else pending, budget left. *)
@@ -395,7 +422,7 @@ let retire_forced eng ex ~cls ~line time =
   set_candidate cands.(0) ~time ~tid:eng.cur_tid ~cls line;
   ignore (ex.ex_policy ~step:ex.ex_steps cands : int);
   ex.ex_steps <- ex.ex_steps + 1;
-  retire eng (time - eng.now)
+  retire eng cls (time - eng.now)
 
 let forced_access eng ex line kind ~cls =
   forced eng ex
@@ -409,9 +436,14 @@ let[@inline] waiterless eng line = function
   | Coherence.Read -> true
   | Coherence.Write | Coherence.Rmw ->
       let q = line.Coherence.wq in
-      Waitq.is_empty q || q.Waitq.epoch <> eng.epoch
+      q.Waitq.head == Waitq.nil || q.Waitq.epoch <> eng.epoch
 
-let fast_op line kind =
+(* [true]: the access was charged and the clock advanced — the caller
+   applies the operation's payload now, inline. [false]: perform the
+   [Op] (or [Wait]) effect; nothing was touched. [cls] is the class the
+   slow path would schedule the completion under: [op_class kind], or
+   [Spin_check] for a [wait_until]'s first read. *)
+let[@inline] fast_access line kind cls =
   match !cur_engine with
   | Idle -> false
   | Heap_run (eng, h) ->
@@ -421,38 +453,170 @@ let fast_op line kind =
         Coherence.try_hit eng.cstats eng.topo line ~epoch:eng.epoch
           ~domain:eng.cur_cluster ~thread:eng.cur_tid kind ~within:(room eng h)
       in
-      lat >= 0 && retire eng lat
+      lat >= 0 && retire eng cls lat
   | Explore_run (eng, ex) ->
-      waiterless eng line kind
-      && forced_access eng ex line kind ~cls:(op_class kind)
-
-(* A [wait_until]'s first read: the heap gate is [fast_op]'s, but a
-   forced explore step presents it as the [Spin_check] the handler would
-   have scheduled. *)
-let fast_check line =
-  match !cur_engine with
-  | Explore_run (eng, ex) ->
-      forced_access eng ex line Coherence.Read ~cls:Spin_check
-  | Idle | Heap_run _ -> fast_op line Coherence.Read
+      waiterless eng line kind && forced_access eng ex line kind ~cls
 
 (* A pause is pure scheduling: if its expiry would be the next event
    run, skip the round trip. *)
-let fast_pause d =
+let[@inline] fast_pause d =
   let d = if d > 0 then d else 0 in
   match !cur_engine with
   | Idle -> false
-  | Heap_run (eng, h) -> d <= room eng h && retire eng d
+  | Heap_run (eng, h) -> d <= room eng h && retire eng Resume d
   | Explore_run (eng, ex) ->
       forced eng ex
       && retire_forced eng ex ~cls:Resume ~line:no_line (eng.now + d)
 
-(* [Now] schedules nothing on the slow path either, so answering from
-   the engine record is unconditionally neutral; -1 = unavailable (no
-   run live with the fast path on), perform the effect. *)
-let fast_now () =
-  match !cur_engine with
-  | Heap_run (eng, _) | Explore_run (eng, _) -> eng.now
-  | Idle -> -1
+(* --- the MEMORY primitives ----------------------------------------------
+   They live in the fast path's compilation unit: the dev profile
+   compiles every module [-opaque], so nothing inlines across units.
+   Here the gates above inline into each primitive; an inline hit calls
+   only [Event_heap.min_time] and [Coherence.try_hit].
+
+   A cell's read effect [r_eff] is invariant, so a slow [read] performs
+   it verbatim (reads dominate lock instruction streams). Slow-path store
+   payloads go through [store], which flags the line only when the value
+   physically changes: [notify] walks parked waiters only after such a
+   store (waitq.ml). Inline stores need no flag — the fast path takes a
+   write or RMW only when nobody is parked on the line. *)
+
+module Mem = struct
+  type line = Coherence.line
+  type 'a cell = { v : 'a ref; cline : Coherence.line; r_eff : 'a Effect.t }
+
+  let mk_cell cline v =
+    let v = ref v in
+    {
+      v;
+      cline;
+      r_eff =
+        Op { o_line = cline; o_kind = Coherence.Read; o_run = (fun () -> !v) };
+    }
+
+  let line ?name () = Coherence.make_line ?name ()
+  let line_site (l : line) = l.Coherence.name
+  let cell cline v = mk_cell cline v
+  let cell' ?name v = mk_cell (Coherence.make_line ?name ()) v
+
+  (* Host-side, between runs: no effect, no charge, no wake (sim_mem.mli). *)
+  let init c x = c.v := x
+
+  let store c x =
+    if !(c.v) != x then begin
+      c.v := x;
+      c.cline.Coherence.wq.Waitq.changed <- true
+    end
+
+  let op c o_kind o_run = Op { o_line = c.cline; o_kind; o_run }
+
+  let read c =
+    if fast_access c.cline Coherence.Read Op_read then !(c.v)
+    else Effect.perform c.r_eff
+
+  let write c x =
+    if fast_access c.cline Coherence.Write Op_write then c.v := x
+    else
+      Effect.perform (op c Coherence.Write (fun () -> store c x))
+
+  let cas c ~expect ~desire =
+    if fast_access c.cline Coherence.Rmw Op_rmw then
+      if !(c.v) == expect then begin
+        c.v := desire;
+        true
+      end
+      else false
+    else
+      Effect.perform
+        (op c Coherence.Rmw (fun () ->
+             if !(c.v) == expect then begin
+               store c desire;
+               true
+             end
+             else false))
+
+  let swap c x =
+    if fast_access c.cline Coherence.Rmw Op_rmw then begin
+      let old = !(c.v) in
+      c.v := x;
+      old
+    end
+    else
+      Effect.perform
+        (op c Coherence.Rmw (fun () ->
+             let old = !(c.v) in
+             store c x;
+             old))
+
+  let fetch_and_add c d =
+    if fast_access c.cline Coherence.Rmw Op_rmw then begin
+      let old = !(c.v) in
+      c.v := old + d;
+      old
+    end
+    else
+      Effect.perform
+        (op c Coherence.Rmw (fun () ->
+             let old = !(c.v) in
+             store c (old + d);
+             old))
+
+  let[@inline] pred c p =
+    let v = !(c.v) in
+    if p v then Some v else None
+
+  (* When an untimed wait's first check (a charged read, the
+     [Spin_check] it replaces) fast-paths, the predicate is evaluated
+     here at the check's time: the wait returns with no effect, or parks
+     through a [w_precharged] descriptor that the handler neither
+     re-charges nor re-checks. Timed waits always take the effect path:
+     their deadline is computed from [now] at perform time. *)
+  let wait_until c p =
+    let precharged = fast_access c.cline Coherence.Read Spin_check in
+    let v = !(c.v) in
+    if precharged && p v then v
+    else
+      match
+        Effect.perform
+          (Wait
+             {
+               w_line = c.cline;
+               w_pred = (fun () -> pred c p);
+               w_timeout = None;
+               w_precharged = precharged;
+             })
+      with
+      | Some v -> v
+      | None -> assert false (* untimed waits never time out *)
+
+  let wait_until_for c p ~timeout =
+    Effect.perform
+      (Wait
+         {
+           w_line = c.cline;
+           w_pred = (fun () -> pred c p);
+           w_timeout = Some timeout;
+           w_precharged = false;
+         })
+
+  let pause d = if fast_pause d then () else Effect.perform (Pause d)
+  let cpu_relax () = pause 1
+
+  (* [Now] schedules nothing on the slow path either, so answering from
+     the live run is unconditionally neutral. *)
+  let now () =
+    match !cur_engine with
+    | Heap_run (eng, _) | Explore_run (eng, _) -> eng.now
+    | Idle -> Effect.perform Now
+end
+
+(* A wait's state flags, in one int (no allocation): [finished], the
+   fiber was continued; [unchecked], the scheduled Spin_check has not
+   run — unless precharged it is the first [attempt] to run, as the
+   fiber parks only after it. Top-level, so closures do not capture
+   them. *)
+let finished = 2
+let unchecked = 1
 
 (* [cluster] is the thread's leaf domain: it drives coherence distances
    and is what locks and trace events see. *)
@@ -464,6 +628,12 @@ let handler eng ~tid ~cluster =
   let set_ctx () =
     eng.cur_tid <- tid;
     eng.cur_cluster <- cluster
+  in
+  (* A pause's expiry, built once per fiber so that each scheduled
+     Resume thunk captures two values, not three. *)
+  let resumed () =
+    popped eng Resume;
+    set_ctx ()
   in
   {
     retc = (fun () -> eng.live <- eng.live - 1);
@@ -486,6 +656,7 @@ let handler eng ~tid ~cluster =
                 schedule eng ~tid ~cls:(op_class o.o_kind) ~line:o.o_line
                   (eng.now + lat)
                   (fun () ->
+                    popped eng (op_class o.o_kind);
                     let v = o.o_run () in
                     (match o.o_kind with
                     | Coherence.Read -> ()
@@ -501,7 +672,7 @@ let handler eng ~tid ~cluster =
                   | Some tmo -> eng.now + max 0 tmo
                 in
                 let untimed = deadline < 0 in
-                let finished = ref false in
+                let state = ref (if d.w_precharged then 0 else unchecked) in
                 let cur = ref None in
                 (* A waiter woken by a write re-reads the line (charged) and
                    re-checks the predicate at delivery time; if the value
@@ -534,10 +705,15 @@ let handler eng ~tid ~cluster =
                   if untimed then eng.blocked <- eng.blocked + 1;
                   add_waiter eng d.w_line wtr
                 and attempt () =
-                  if not !finished then
+                  if !state land unchecked <> 0 then begin
+                    state := !state land finished;
+                    popped eng Spin_check
+                  end
+                  else popped eng Spin_wake;
+                  if !state land finished = 0 then
                     match d.w_pred () with
                     | Some _ as r ->
-                        finished := true;
+                        state := finished;
                         set_ctx ();
                         continue k r
                     | None -> park ()
@@ -553,8 +729,9 @@ let handler eng ~tid ~cluster =
                     schedule eng ~tid ~cls:Timeout ~line:d.w_line
                       (if deadline > eng.now then deadline else eng.now)
                       (fun () ->
-                        if not !finished then begin
-                          finished := true;
+                        popped eng Timeout;
+                        if !state land finished = 0 then begin
+                          state := !state lor finished;
                           (match !cur with
                           | Some w ->
                               w.Waitq.active <- false;
@@ -575,7 +752,7 @@ let handler eng ~tid ~cluster =
                 schedule eng ~tid ~cls:Resume ~line:no_line
                   (eng.now + max 0 d)
                   (fun () ->
-                    set_ctx ();
+                    resumed ();
                     continue k ()))
         | Now -> Some (fun (k : (b, unit) continuation) -> continue k eng.now)
         | _ -> None);
@@ -587,7 +764,13 @@ let mk_result eng ~n_threads =
     coherence = eng.cstats;
     events = eng.events;
     threads_finished = n_threads - eng.live;
-    fp_hits = eng.fp_hits;
+    fp_hits = Array.fold_left ( + ) 0 eng.inlined;
+    classes =
+      List.map
+        (fun cls ->
+          let i = slot cls in
+          { cls; inlined = eng.inlined.(i); scheduled = eng.scheduled.(i) })
+        all_classes;
     icx = Interconnect.export eng.icx;
     icx_levels = Interconnect.export_levels eng.icx;
     sites = Option.map Coherence.sites eng.prof;
@@ -673,7 +856,8 @@ let run ~topology ~n_threads ?horizon ?policy ?max_events ?(profile = false)
       prof = (if profile then Some (Coherence.make_profiler ()) else None);
       trace;
       fp_limit = (match horizon with Some h -> h | None -> max_int);
-      fp_hits = 0;
+      inlined = Array.make (List.length all_classes) 0;
+      scheduled = Array.make (List.length all_classes) 0;
       cur_tid = -1;
       cur_cluster = -1;
     }
@@ -685,6 +869,7 @@ let run ~topology ~n_threads ?horizon ?policy ?max_events ?(profile = false)
     let h = handler eng ~tid ~cluster in
     (* 1 ns stagger breaks the t=0 symmetry deterministically. *)
     schedule eng ~tid ~cls:Start ~line:no_line tid (fun () ->
+        popped eng Start;
         eng.cur_tid <- tid;
         eng.cur_cluster <- cluster;
         match_with (fun () -> body ~tid ~cluster) () h)

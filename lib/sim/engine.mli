@@ -1,10 +1,13 @@
 (** Discrete-event simulation engine.
 
-    Simulated threads are OCaml 5 effect fibers. Every shared-memory
-    operation performed through {!Sim_mem} suspends the fiber; the engine
-    charges latency from the {!Coherence} and {!Interconnect} models and
-    resumes the fiber at the corresponding simulated time. Events at equal
-    times run in issue order, so a run is a pure function of its inputs.
+    Simulated threads are OCaml 5 effect fibers. A shared-memory
+    operation performed through {!Sim_mem} (the engine's own {!Mem}
+    primitives) is charged latency from the {!Coherence} and
+    {!Interconnect} models and completes at the corresponding simulated
+    time: either inline, when the fast path proves its completion would
+    be the very next event run (see "Fast path" below), or by suspending
+    the fiber until the engine resumes it. Events at equal times run in
+    issue order, so a run is a pure function of its inputs.
 
     A thread body must eventually return (e.g. by checking
     [Sim_mem.now ()] against a deadline); the engine runs until every
@@ -13,17 +16,45 @@
     {!Deadlock} is raised — mutual-exclusion bugs fail loudly under test
     rather than hanging. *)
 
+(** {1 Events and results}
+
+    Every event the engine runs has a class: it labels the candidates a
+    scheduling policy is shown (below) and keys the run's event ledger. *)
+
+type ev_class =
+  | Start  (** a thread's first step. *)
+  | Op_read
+  | Op_write
+  | Op_rmw  (** completion (linearisation) of a memory operation. *)
+  | Spin_check  (** first predicate check of a [wait_until]. *)
+  | Spin_wake  (** charged re-check after a wake-up write. *)
+  | Timeout  (** expiry of a [wait_until_for] deadline. *)
+  | Resume  (** end of a [pause]. *)
+
+val class_to_string : ev_class -> string
+
+type class_count = {
+  cls : ev_class;
+  inlined : int;  (** events of the class retired inline by the fast path. *)
+  scheduled : int;  (** events of the class run from the pending set. *)
+}
+(** The event ledger: every event a run processed, by class. *)
+
 type result = {
   end_time : int;  (** simulated ns at which the last event ran. *)
   coherence : Coherence.stats;
   events : int;  (** total events processed, inlined ones included. *)
   threads_finished : int;
   fp_hits : int;
-      (** events retired inline by the fast path (see {!set_fastpath});
-          a subset of [events]. In explore mode these are forced steps
-          only; always [0] with the fast path disabled. Diagnostic only —
-          every other field, and the schedule itself, is independent of
-          it. *)
+      (** events retired inline by the fast path (see {!set_fastpath}):
+          the sum of [classes]' [inlined] counts, a subset of [events].
+          In explore mode these are forced steps only; always [0] with
+          the fast path disabled. *)
+  classes : class_count list;
+      (** one row per {!ev_class}, in declaration order; the counts sum
+          to [events]. Which events retired inline is diagnostic only:
+          the per-class totals, every other field and the schedule
+          itself are independent of the fast path. *)
   icx : Numa_trace.Profile.interconnect;
       (** interconnect occupancy/queueing statistics for the run,
           aggregated over every level. *)
@@ -51,18 +82,6 @@ exception Thread_failure of { tid : int; exn : exn; backtrace : string }
     policy replays the default schedule exactly. Out-of-range answers are
     clamped to 0. Simulated time never goes backwards: running an event
     whose timestamp is in the past executes it at the current time. *)
-
-type ev_class =
-  | Start  (** a thread's first step. *)
-  | Op_read
-  | Op_write
-  | Op_rmw  (** completion (linearisation) of a memory operation. *)
-  | Spin_check  (** first predicate check of a [wait_until]. *)
-  | Spin_wake  (** charged re-check after a wake-up write. *)
-  | Timeout  (** expiry of a [wait_until_for] deadline. *)
-  | Resume  (** end of a [pause]. *)
-
-val class_to_string : ev_class -> string
 
 type candidate = {
   mutable c_time : int;  (** scheduled simulated time. *)
@@ -146,52 +165,17 @@ val set_fastpath : bool -> unit
     keeps the setting it started with). Turning it off forces every
     operation through the effect handler — same schedules, same stats,
     same artifacts, byte for byte (pinned by test_fastpath and the CI
-    determinism stage); only host speed and [result.fp_hits] change.
+    determinism stage); only host speed and which events retire inline
+    ([result.fp_hits], the split of each [result.classes] row) change.
     For A/B measurement (the repo benchmark's
     [engine.fastpath_saving_pct]) and differential testing. *)
 
 val fastpath_enabled : unit -> bool
 
-(**/**)
+(** {1 Memory primitives} *)
 
-(* Effects — exposed for {!Sim_mem}; not part of the user API. *)
-
-type 'a op = {
-  o_line : Coherence.line;
-  o_kind : Coherence.kind;
-  o_run : unit -> 'a;  (** executes at the linearisation point. *)
-}
-
-type 'a wait_desc = {
-  w_line : Coherence.line;
-  w_pred : unit -> 'a option;
-  w_timeout : int option;
-  w_precharged : bool;
-      (** the performer already charged the initial read inline and saw
-          the predicate fail: the handler parks directly instead of
-          charging and scheduling a first check. Only valid on untimed
-          descriptors ([w_timeout = None]). *)
-}
-
-val fast_op : Coherence.line -> Coherence.kind -> bool
-(** [true]: the access was charged and the clock advanced — the caller
-    must apply the operation's payload now, inline. [false]: perform
-    the {!Op} effect; nothing was touched. *)
-
-val fast_check : Coherence.line -> bool
-(** [fast_op line Read] for the first predicate check of an untimed
-    [wait_until]: in explore mode a forced step shows the policy a
-    [Spin_check], not an [Op_read]. *)
-
-val fast_pause : int -> bool
-(** [true]: the pause elapsed inline (clock advanced). *)
-
-val fast_now : unit -> int
-(** Current simulated time, or [-1] when no run with the fast path on is
-    live (then perform {!Now}). *)
-
-type _ Effect.t +=
-  | Op : 'a op -> 'a Effect.t
-  | Wait : 'a wait_desc -> 'a option Effect.t
-  | Pause : int -> unit Effect.t
-  | Now : int Effect.t
+module Mem : Numa_base.Memory_intf.MEMORY
+(** The simulated {!Numa_base.Memory_intf.MEMORY}, re-exported verbatim
+    as {!Sim_mem} (see there for the contract). The primitives live in
+    the engine's compilation unit so that the fast path inlines into
+    each of them. *)

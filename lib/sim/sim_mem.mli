@@ -1,4 +1,6 @@
-(** The simulated implementation of {!Numa_base.Memory_intf.MEMORY}.
+(** The simulated implementation of {!Numa_base.Memory_intf.MEMORY}:
+    the engine's own primitives ({!Engine.Mem}), re-exported so that a
+    lock's call reaches the engine fast path with no wrapper between.
 
     Operations may only be called from within a thread body running under
     {!Engine.run}; calling them elsewhere raises [Effect.Unhandled].

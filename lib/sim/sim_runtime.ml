@@ -26,6 +26,14 @@ let await b =
 
 let now = Sim_mem.now
 
+let event_classes (r : Engine.result) =
+  List.map
+    (fun { Engine.cls; inlined; scheduled } ->
+      Runtime_intf.
+        { ec_class = Engine.class_to_string cls; ec_inlined = inlined;
+          ec_scheduled = scheduled })
+    r.Engine.classes
+
 let run ~topology ~n_threads ?stop_after ?(profile = false) body =
   let stop = { deadline = stop_after; manual = false } in
   let r =
@@ -42,5 +50,6 @@ let run ~topology ~n_threads ?stop_after ?(profile = false) body =
     interconnect = Some r.Engine.icx;
     interconnect_levels = Some r.Engine.icx_levels;
     sim_events = Some r.Engine.events;
+    event_classes = Some (event_classes r);
     sites = r.Engine.sites;
   }

@@ -10,3 +10,7 @@
     propagates unchanged. *)
 
 include Numa_base.Runtime_intf.RUNTIME
+
+val event_classes : Engine.result -> Numa_base.Runtime_intf.event_class list
+(** The run's event ledger as [run] reports it in [run_stats]; for
+    callers of {!Engine.run} itself. *)

@@ -2,12 +2,15 @@
    the inline path must be observationally IDENTICAL to the effect path —
    value histories, timestamps, event counts, coherence stats, profiler
    attribution and trace streams all byte-equal with the fast path on vs
-   forced off. Only [result.fp_hits] (and host speed) may differ, so every
+   forced off. Only which events inline may differ ([result.fp_hits] and
+   the inlined/scheduled split of the event ledger; host speed), so every
    comparison here deliberately excludes it. Explore mode inlines only
    forced steps, so schedule exploration (steps, reports, fuzz traces)
    must agree on/off for every microbench lock and every mutant. Plus
    pins: explore mode inlines forced steps only and shows the policy
-   every step, and a disabled toggle takes the slow path. *)
+   every step, a disabled toggle takes the slow path, the event ledger
+   accounts for every event, and [Sim_mem] is the engine's own
+   primitives. *)
 
 module M = Numasim.Sim_mem
 module E = Numasim.Engine
@@ -236,16 +239,59 @@ let lbench_run ~fastpath ?(tweak = fun c -> c) (e : R.entry) =
     ~cfg:(tweak (e.R.tweak (base_cfg Topology.t5440)))
     ~n_threads:8 ~duration:150_000 ~seed:42
 
+(* A result with each ledger row's inlined/scheduled split folded into
+   its total: the split is the one thing the fast path may change. *)
+let unsplit (r : Harness.Lbench.result) =
+  {
+    r with
+    Harness.Lbench.event_classes =
+      List.map
+        (fun (c : Numa_base.Runtime_intf.event_class) ->
+          {
+            c with
+            ec_inlined = 0;
+            ec_scheduled = c.ec_inlined + c.ec_scheduled;
+          })
+        r.Harness.Lbench.event_classes;
+  }
+
+let check_agree what a b =
+  Alcotest.(check bool)
+    (what ^ ": identical result and per-class event totals")
+    true
+    (compare (unsplit a) (unsplit b) = 0)
+
 let test_registry_locks_agree () =
   List.iter
     (fun (e : R.entry) ->
-      let a = lbench_run ~fastpath:true e in
-      let b = lbench_run ~fastpath:false e in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: identical Lbench result" e.R.name)
-        true
-        (compare a b = 0))
+      check_agree e.R.name (lbench_run ~fastpath:true e)
+        (lbench_run ~fastpath:false e))
     R.microbench_locks
+
+(* One oversubscribed collapse point: quantum-expiry pauses, backoff and
+   the spinning herd's wakes, on 384 fibers over the T5440's 256
+   contexts. *)
+let test_collapse_point_agrees () =
+  let bo = List.find (fun (e : R.entry) -> e.R.name = "BO") R.collapse_locks in
+  let run ~fastpath =
+    with_fastpath fastpath @@ fun () ->
+    Harness.Experiments.collapse_run bo ~topology:Topology.t5440
+      ~n_threads:384 ~duration:200_000 ~seed:42
+  in
+  let on = run ~fastpath:true in
+  let count f cls =
+    List.fold_left
+      (fun acc (c : Numa_base.Runtime_intf.event_class) ->
+        if c.ec_class = cls then acc + f c else acc)
+      0 on.Harness.Lbench.event_classes
+  in
+  Alcotest.(check bool)
+    "the fast path engages" true
+    (count (fun c -> c.ec_inlined) "resume" > 0);
+  Alcotest.(check bool)
+    "the herd wakes" true
+    (count (fun c -> c.ec_scheduled) "spin-wake" > 0);
+  check_agree "BO @ 384" on (run ~fastpath:false)
 
 let test_trace_stream_agrees () =
   (* Full event stream — every lock event, in order, timestamp-exact. *)
@@ -318,6 +364,78 @@ let test_explore_forced_only () =
 let test_toggle_off_disables () =
   let r = with_fastpath false contended_run in
   Alcotest.(check int) "disabled toggle never inlines" 0 r.E.fp_hits
+
+(* The ledger accounts for every event exactly once: inlined counts sum
+   to [fp_hits] and all counts to [events], in both modes, on and off,
+   with timed waits (one times out, one is woken), and on a run cut at
+   its horizon (discarded events count nowhere). *)
+let test_ledger_sums () =
+  let check what (r : E.result) =
+    let sum f = List.fold_left (fun acc c -> acc + f c) 0 r.E.classes in
+    Alcotest.(check int)
+      (what ^ ": inlined sum to fp_hits")
+      r.E.fp_hits
+      (sum (fun c -> c.E.inlined));
+    Alcotest.(check int)
+      (what ^ ": all sum to events")
+      r.E.events
+      (sum (fun c -> c.E.inlined + c.E.scheduled))
+  in
+  let cut () =
+    let flag = M.cell' ~name:"fp.flag" 0 in
+    E.run ~topology:Topology.small ~n_threads:3 ~horizon:3_000
+      (fun ~tid ~cluster:_ ->
+        for i = 1 to 100 do
+          M.write flag (tid + i);
+          M.pause 50
+        done)
+  in
+  let timed () =
+    let flag = M.cell' ~name:"fp.flag" 0 in
+    E.run ~topology:Topology.small ~n_threads:3 (fun ~tid ~cluster:_ ->
+        if tid = 0 then begin
+          M.pause 2_000;
+          M.write flag 1
+        end
+        else
+          ignore
+            (M.wait_until_for flag (fun v -> v = 1)
+               ~timeout:(if tid = 1 then 500 else 1_000_000)))
+  in
+  List.iter
+    (fun fastpath ->
+      let on = if fastpath then "on" else "off" in
+      with_fastpath fastpath @@ fun () ->
+      check ("heap " ^ on) (contended_run ());
+      check ("explore " ^ on) (contended_run ~policy:(fun ~step:_ _ -> 0) ());
+      check ("timed " ^ on) (timed ());
+      let r = cut () in
+      Alcotest.(check bool) "the horizon cuts the run" true
+        (r.E.threads_finished < 3);
+      check ("horizon " ^ on) r)
+    [ true; false ]
+
+(* [Sim_mem] re-exports the engine's primitives: no wrapper hop between
+   a lock and the inlined fast path. *)
+let test_sim_mem_is_engine () =
+  let same what a b =
+    Alcotest.(check bool) (what ^ " is Engine.Mem's") true (Obj.repr a == Obj.repr b)
+  in
+  same "line" M.line E.Mem.line;
+  same "line_site" M.line_site E.Mem.line_site;
+  same "cell" M.cell E.Mem.cell;
+  same "cell'" M.cell' E.Mem.cell';
+  same "init" M.init E.Mem.init;
+  same "read" M.read E.Mem.read;
+  same "write" M.write E.Mem.write;
+  same "cas" M.cas E.Mem.cas;
+  same "swap" M.swap E.Mem.swap;
+  same "fetch_and_add" M.fetch_and_add E.Mem.fetch_and_add;
+  same "wait_until" M.wait_until E.Mem.wait_until;
+  same "wait_until_for" M.wait_until_for E.Mem.wait_until_for;
+  same "pause" M.pause E.Mem.pause;
+  same "cpu_relax" M.cpu_relax E.Mem.cpu_relax;
+  same "now" M.now E.Mem.now
 
 (* --- explore mode: schedule exploration on vs off ----------------------- *)
 
@@ -400,6 +518,7 @@ let () =
           Alcotest.test_case "all microbench locks" `Quick
             test_registry_locks_agree;
           Alcotest.test_case "trace streams" `Quick test_trace_stream_agrees;
+          Alcotest.test_case "collapse point" `Quick test_collapse_point_agrees;
         ] );
       ( "explore",
         [
@@ -413,5 +532,8 @@ let () =
           Alcotest.test_case "explore inlines forced steps only" `Quick
             test_explore_forced_only;
           Alcotest.test_case "toggle off" `Quick test_toggle_off_disables;
+          Alcotest.test_case "ledger sums" `Quick test_ledger_sums;
+          Alcotest.test_case "sim_mem is the engine's" `Quick
+            test_sim_mem_is_engine;
         ] );
     ]
