@@ -3,7 +3,8 @@
    before anything runs: a zero thread count reaches [Engine.run] or
    [Nat_runtime.run], a zero budget or window checks or measures nothing,
    and a negative threshold flags every entry. So is a thread count
-   listed twice, and an output path in a missing directory. *)
+   listed twice, a patience beyond [max_patience_ns], and an output
+   path in a missing directory. *)
 
 open Cmdliner
 
@@ -22,6 +23,24 @@ let bounded ~strict ~zero what conv =
 
 let positive what = bounded ~strict:true ~zero:0 what Arg.int
 let non_negative what = bounded ~strict:false ~zero:0 what Arg.int
+
+(* The patience ceiling, 10^15 ns (about 11.6 simulated days). An
+   abortable lock's deadline is [now () + patience]: a patience near
+   [max_int] wraps that sum negative, so every timed attempt aborts at
+   once, and so would a microsecond count whose conversion to ns wraps. *)
+let max_patience_ns = 1_000_000_000_000_000
+
+(* A patience in units of [ns] nanoseconds, from 0 to the ceiling. *)
+let patience ~ns =
+  let most = max_patience_ns / ns in
+  let parse s =
+    match Arg.conv_parser Arg.int (String.trim s) with
+    | Ok n when n >= 0 && n <= most -> Ok n
+    | _ ->
+        Error
+          (`Msg (Printf.sprintf "patience %S must be between 0 and %d" s most))
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
 
 (* A comma-separated list of distinct positive thread counts. A repeated
    count would print a duplicate row and write two artifact entries

@@ -174,8 +174,11 @@ let abortable =
   Arg.(value & flag & info [ "abortable" ] ~doc)
 
 let patience =
-  let doc = "Patience for abortable acquires, ns." in
-  Arg.(value & opt int 1_000_000 & info [ "patience" ] ~docv:"NS" ~doc)
+  let doc = "Patience for abortable acquires, ns, at most 10^15." in
+  Arg.(
+    value
+    & opt (Cli.patience ~ns:1) 1_000_000
+    & info [ "patience" ] ~docv:"NS" ~doc)
 
 let seed =
   let doc = "Seed for the non-critical-section delay PRNG." in

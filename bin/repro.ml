@@ -63,9 +63,10 @@ let knob_term (d : C.params) knob : (C.params -> C.params) Term.t =
       @@ opt Arg.int d.seed [ "seed" ] "SEED" "PRNG seed."
   | Patience ->
       set (fun v p -> { p with C.patience = v * 1_000 })
-      @@ opt (Cli.non_negative "patience") (d.patience / 1_000)
+      @@ opt (Cli.patience ~ns:1_000) (d.patience / 1_000)
            [ "patience-us" ] "US"
-           "Abortable-lock patience in microseconds (Figure 6)."
+           "Abortable-lock patience in microseconds (Figure 6), at most \
+            10^12 (10^15 ns)."
   | Mix ->
       set (fun mixes p -> { p with C.mixes })
       @@ opt mix_conv d.mixes [ "mix" ] "MIX"

@@ -256,6 +256,13 @@ let schedule eng ~tid ~cls ~line time thunk =
         };
       ex.ex_seq <- ex.ex_seq + 1
 
+(* [now + d] for a delay [d >= 0], saturating just below the queue's
+   [max_int] sentinel: a pause or timeout past the end of simulated time
+   fires at [max_int - 1] instead of wrapping into the past. *)
+let[@inline] later now d =
+  let t = now + d in
+  if t < 0 || t = max_int then max_int - 1 else t
+
 (* The tail of an access whose transition crossed domains: queueing on
    the interconnect channel pool of its crossing level ([last_xlevel];
    always pool 0 on flat machines), then one coherence trace event. *)
@@ -349,8 +356,8 @@ let add_waiter eng line w =
      reads [busy_until], crosses the interconnect or emits a coherence
      trace event.
 
-   - Completion strictly before every pending heap event
-     ([Event_heap.min_time], one array load) and within the horizon. A
+   - Completion strictly before every pending heap event (the queue's
+     cached minimum, one field load) and within the horizon. A
      tie loses: the pending event carries an older issue seq and would
      pop first, and running it could change the line, the value read,
      or even the hit classification. Strictness also keeps quantum/
@@ -377,7 +384,7 @@ let set_fastpath b = fp_enabled := b
 let fastpath_enabled () = !fp_enabled
 
 (* The run whose loop is currently live, with its mode's state in hand
-   (one load reaches both engine and heap on the heap-mode hot path) —
+   (one load reaches both engine and queue on the heap-mode hot path) —
    installed at run start only when the fast path is on, so this one
    load is the whole guard. The sim substrate is single-domain by
    design (fibers, not domains), so a plain ref is safe; nested runs
@@ -392,8 +399,8 @@ let cur_engine = ref Idle
 (* The most latency an inline completion may take: finishing strictly
    before every pending heap event and within the horizon makes it
    exactly the heap path's next pop. *)
-let[@inline] room eng h =
-  let t = Event_heap.min_time h - 1 in
+let[@inline] room eng (h : _ Event_heap.t) =
+  let t = h.min - 1 in
   (if t < eng.fp_limit then t else eng.fp_limit) - eng.now
 
 (* Replay the pop: advance the clock, count the event and its class. *)
@@ -472,7 +479,7 @@ let[@inline] fast_pause d =
    They live in the fast path's compilation unit: the dev profile
    compiles every module [-opaque], so nothing inlines across units.
    Here the gates above inline into each primitive; an inline hit calls
-   only [Event_heap.min_time] and [Coherence.try_hit].
+   only [Coherence.try_hit].
 
    A cell's read effect [r_eff] is invariant, so a slow [read] performs
    it verbatim (reads dominate lock instruction streams). Slow-path store
@@ -669,7 +676,7 @@ let handler eng ~tid ~cluster =
                 let deadline =
                   match d.w_timeout with
                   | None -> -1
-                  | Some tmo -> eng.now + max 0 tmo
+                  | Some tmo -> later eng.now (if tmo > 0 then tmo else 0)
                 in
                 let untimed = deadline < 0 in
                 let state = ref (if d.w_precharged then 0 else unchecked) in
@@ -750,7 +757,7 @@ let handler eng ~tid ~cluster =
             Some
               (fun (k : (b, unit) continuation) ->
                 schedule eng ~tid ~cls:Resume ~line:no_line
-                  (eng.now + max 0 d)
+                  (later eng.now (if d > 0 then d else 0))
                   (fun () ->
                     resumed ();
                     continue k ()))
@@ -802,11 +809,11 @@ let run_explore eng ex ~n_threads =
     raise (Deadlock { live = eng.live; blocked = eng.blocked; at = eng.now });
   mk_result eng ~n_threads
 
-let run_heap eng heap ~n_threads ~horizon =
+let run_heap eng (heap : _ Event_heap.t) ~n_threads ~horizon =
   let hit_horizon = ref false in
   let stop = ref false in
   while not !stop do
-    let t = Event_heap.min_time heap in
+    let t = heap.min in
     if t = max_int then stop := true
     else
       match horizon with
@@ -823,12 +830,34 @@ let run_heap eng heap ~n_threads ~horizon =
     raise (Deadlock { live = eng.live; blocked = eng.blocked; at = eng.now });
   mk_result eng ~n_threads
 
+(* Each domain keeps one emptied queue between heap-mode runs: its
+   bucket window is 4096 words, which the runtime allocates straight
+   into the major heap, so a queue per run would grow the peak heap of
+   a sweep of short runs. A run takes the spare (a nested run finds the
+   slot empty and builds its own) and [run] hands it back cleared, so a
+   spare holds no payloads and no trace of the run before. *)
+let spare : (unit -> unit) Event_heap.t option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let take_queue () =
+  let slot = Domain.DLS.get spare in
+  match !slot with
+  | Some h ->
+      slot := None;
+      h
+  | None -> Event_heap.create ~dummy:nop
+
+let release_queue h =
+  Event_heap.clear h;
+  let slot = Domain.DLS.get spare in
+  if Option.is_none !slot then slot := Some h
+
 let run ~topology ~n_threads ?horizon ?policy ?max_events ?(profile = false)
     ?(trace = Numa_trace.Sink.noop) body =
   if n_threads < 1 then invalid_arg "Engine.run: n_threads < 1";
   let mode =
     match policy with
-    | None -> Heap (Event_heap.create ~dummy:nop)
+    | None -> Heap (take_queue ())
     | Some p ->
         Explore
           {
@@ -884,6 +913,7 @@ let run ~topology ~n_threads ?horizon ?policy ?max_events ?(profile = false)
   Fun.protect
     ~finally:(fun () ->
       cur_engine := saved;
+      (match eng.mode with Heap h -> release_queue h | Explore _ -> ());
       (* Waiters still parked (deadlock, horizon, event cap) or parked
          dead (woken but never unlinked) hold continuations; don't let
          them leak past the run through long-lived lock lines. *)

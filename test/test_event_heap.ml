@@ -1,16 +1,19 @@
-(* Event_heap property suite. The heap's sift loops use unchecked array
-   accesses (Array.unsafe_get/set) for the engine hot path; this suite
-   is the
-   safety net backing that choice: randomized drains exercise growth
-   well past the initial 64-slot capacity, interleaved add/pop/clear
-   sequences, and the exact (time, seq) FIFO tie-break the golden
-   schedules depend on.
+(* Event_heap property suite. The calendar queue and its far-tier heap
+   use unchecked array accesses (Array.unsafe_get/set) for the engine
+   hot path; this suite is the safety net backing that choice:
+   randomized drains exercise growth well past the initial 64-slot
+   capacity, interleaved add/pop/clear sequences, the add precondition
+   (no time before the last pop), and the exact (time, seq) FIFO
+   tie-break the golden schedules depend on — including a differential
+   check of the calendar queue against the 4-ary heap ([H.Far]) across
+   the window's edge, its wrap-around and its far/near migration.
 
-   Also here: the payload-retention regression tests (popped and cleared
-   slots must not keep closures reachable from the backing array) and a
-   differential check that heap mode and explore mode under the
-   identity policy execute the same program identically — the invariant
-   that lets the explorer reuse every engine pin. *)
+   Also here: the payload-retention regression tests (popped, cleared
+   and released slots must not keep closures reachable from the backing
+   arrays), a check that the engine's recycled queue is invisible to
+   the next run, and a differential check that heap mode and explore
+   mode under the identity policy execute the same program identically
+   — the invariant that lets the explorer reuse every engine pin. *)
 
 open Numa_base
 module E = Numasim.Engine
@@ -53,14 +56,22 @@ let prop_interleaved =
     QCheck.(list_of_size (Gen.int_bound 200) (option (int_bound 20)))
     (fun script ->
       (* [Some t] = add at time t; [None] = pop (if non-empty). The model
-         is a sorted association list keyed by (time, seq). *)
+         is a sorted association list keyed by (time, seq). An add below
+         the last popped time must raise and leave the queue as it was. *)
       let h = H.create ~dummy:(-1) in
       let model = ref [] in
       let seq = ref 0 in
+      let last = ref 0 in
       let ok = ref true in
       List.iter
         (fun step ->
           match step with
+          | Some t when t < !last ->
+              let n = H.size h and m = H.min_time h in
+              (match H.add h ~time:t !seq with
+              | () -> ok := false
+              | exception Invalid_argument _ -> ());
+              if H.size h <> n || H.min_time h <> m then ok := false
           | Some t ->
               H.add h ~time:t !seq;
               model :=
@@ -74,9 +85,144 @@ let prop_interleaved =
               | [] -> if not (H.is_empty h) then ok := false
               | ((t, _), payload) :: rest ->
                   model := rest;
+                  last := t;
                   if H.min_time h <> t || H.pop h <> payload then ok := false))
         script;
       !ok && H.size h = List.length !model)
+
+(* --- the calendar queue against the 4-ary heap --------------------------- *)
+
+(* The window width (Event_heap's [w]): the deltas that matter sit on
+   either side of it. *)
+let w = 4096
+
+(* A script step: add an event [delta] ns after the last popped time
+   (the engine's rule: nothing is scheduled before [now]), pop, or
+   clear. *)
+type step = Add of int | Pop | Clear
+
+let pp_step = function
+  | Add d -> Printf.sprintf "add +%d" d
+  | Pop -> "pop"
+  | Clear -> "clear"
+
+(* Deltas concentrated on the window's edges and on a few repeated
+   values, so same-time ties straddle the far/near boundary: an event
+   added [w + 1] ahead waits in the far tier, and later adds at the
+   same time land in its bucket after it migrated. *)
+let gen_delta =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, int_bound 40);
+        (2, oneofl [ 0; w - 1; w; w + 1; 2 * w; (2 * w) + 1 ]);
+        (1, int_range (w - 8) (w + 8));
+        (1, int_range w (20 * w));
+        (1, oneofl [ 1_000_000; 1_000_000_000 ]);
+      ])
+
+let gen_script ~phases =
+  QCheck.Gen.(
+    let step delta =
+      frequency [ (5, map (fun d -> Add d) delta); (4, return Pop) ]
+    in
+    let phase =
+      oneof
+        [
+          (* mixed traffic, with the odd clear *)
+          list_size (int_bound 150)
+            (frequency [ (50, step gen_delta); (1, return Clear) ]);
+          (* near only *)
+          list_size (int_bound 150) (step (int_bound (w - 1)));
+          (* far only *)
+          list_size (int_bound 150) (step (int_range w (50 * w)));
+          (* long strides: the bucket index wraps over many windows *)
+          list_size (int_bound 300)
+            (step (oneofl [ w - 1; w / 2; (w / 2) + 1; 3 * w / 4 ]));
+        ]
+    in
+    map List.concat (list_repeat phases phase))
+
+(* Run [script] against both queues, checking every pop (time and
+   payload), every size and, at the end, the full drain. *)
+let calendar_matches_far script =
+  let cal = H.create ~dummy:(-1) and far = H.Far.create ~dummy:(-1) in
+  let last = ref 0 and seq = ref 0 and ok = ref true in
+  let pop () =
+    let t = H.min_time cal in
+    if t <> H.Far.min_time far then ok := false;
+    if H.pop cal <> H.Far.pop far then ok := false;
+    last := t
+  in
+  List.iter
+    (fun step ->
+      (match step with
+      | Add d ->
+          H.add cal ~time:(!last + d) !seq;
+          H.Far.add far ~time:(!last + d) !seq;
+          incr seq
+      | Pop -> if not (H.Far.is_empty far) then pop ()
+      | Clear ->
+          H.clear cal;
+          H.Far.clear far;
+          last := 0);
+      if H.size cal <> H.Far.size far || H.is_empty cal <> H.Far.is_empty far
+      then ok := false)
+    script;
+  while not (H.Far.is_empty far) do
+    pop ()
+  done;
+  !ok && H.is_empty cal && H.min_time cal = max_int
+
+let prop_calendar_vs_far =
+  QCheck.Test.make ~name:"calendar queue = 4-ary heap" ~count:400
+    (QCheck.make
+       ~print:(fun s -> String.concat "; " (List.map pp_step s))
+       (gen_script ~phases:3))
+    calendar_matches_far
+
+(* Deterministic cases for each edge the generator aims at. *)
+let calendar_edges () =
+  let check name script =
+    Alcotest.(check bool) name true (calendar_matches_far script)
+  in
+  List.iter
+    (fun d ->
+      check (Printf.sprintf "delta %d" d)
+        [ Add d; Add 0; Add d; Pop; Add d; Add (d + 1); Pop; Pop; Pop ])
+    [ 0; w - 1; w; w + 1; 1_000_000_000 ];
+  (* Ties across the boundary: three far events at 2w, the window
+     reaches them when the event at w + 1 pops, and direct adds at 2w
+     must queue behind them. *)
+  check "ties across the far/near boundary"
+    ([ Add (2 * w); Add (2 * w); Add (w + 1); Add (2 * w); Pop ]
+    @ [ Add (w - 1); Add (w - 1); Add (w - 1); Pop; Pop; Pop; Pop ]);
+  (* 200 windows of strides just under w: the bucket index wraps. *)
+  check "wrap over many windows"
+    (List.concat (List.init 200 (fun _ -> [ Add (w - 1); Add (w / 2); Pop ])));
+  check "far only" (List.concat (List.init 50 (fun i -> [ Add (w + i); Pop ])));
+  check "near only"
+    (List.concat (List.init 50 (fun i -> [ Add (i mod 7); Add 3; Pop ])));
+  (* The precondition guards both tiers and the sentinel. *)
+  let h = H.create ~dummy:0 in
+  H.add h ~time:10 1;
+  H.add h ~time:(10 * w) 2;
+  ignore (H.pop h);
+  List.iter
+    (fun t ->
+      Alcotest.check_raises (Printf.sprintf "add at %d" t)
+        (Invalid_argument
+           "Event_heap.add: time before the last pop, or max_int")
+        (fun () -> H.add h ~time:t 3))
+    [ 9; -1; max_int ];
+  Alcotest.(check (pair int int))
+    "unchanged" (1, 10 * w)
+    (H.size h, H.min_time h);
+  H.add h ~time:10 4;
+  let first = H.pop h in
+  let second = H.pop h in
+  Alcotest.(check (pair int int)) "a tie with the last pop is fine" (4, 2)
+    (first, second)
 
 let prop_clear_reuse =
   QCheck.Test.make ~name:"clear then reuse drains correctly" ~count:200
@@ -107,13 +253,15 @@ let prop_clear_reuse =
    scheduled. Observed through weak pointers: once the only strong
    reference is (potentially) the heap's array, a major GC must reclaim
    the payloads while the heap itself stays live. *)
-let payloads_unreachable ~via () =
+let payloads_unreachable ~via ~far () =
   let h = H.create ~dummy:[||] in
   let weak = Weak.create 8 in
+  (* Far-tier events sit beyond the window; the pops migrate them. *)
+  let time i = if far then (i + 1) * w else i in
   for i = 0 to 7 do
     let p = Array.make 4 i in
     Weak.set weak i (Some p);
-    H.add h ~time:i p
+    H.add h ~time:(time i) p
   done;
   (match via with
   | `Pop ->
@@ -128,9 +276,32 @@ let payloads_unreachable ~via () =
       false
       (Weak.check weak i)
   done;
-  (* The heap must still be usable — its arrays were retained. *)
-  H.add h ~time:1 [| 42 |];
-  Alcotest.(check int) "heap still works" 42 (H.pop h).(0)
+  (* The queue must still be usable — its arrays were retained. *)
+  H.add h ~time:(time 8) [| 42 |];
+  Alcotest.(check int) "queue still works" 42 (H.pop h).(0)
+
+(* A run that ends with events pending (here: cut at the horizon while
+   a fiber sleeps past it) hands its queue back to the engine for the
+   next run. The released queue must not keep the pending events'
+   closures, nor the fiber stacks they hold, reachable. *)
+let released_queue_holds_nothing () =
+  let weak = Weak.create 2 in
+  let r =
+    E.run ~topology:Topology.small ~n_threads:2 ~horizon:1_000
+      (fun ~tid ~cluster:_ ->
+        let marker = Array.make 4 tid in
+        Weak.set weak tid (Some marker);
+        (* tid 0 sleeps in the window, tid 1 in the far tier *)
+        M.pause (if tid = 0 then 2_000 else 100 * w);
+        ignore (Sys.opaque_identity marker))
+  in
+  Alcotest.(check int) "horizon cut both" 0 r.E.threads_finished;
+  Gc.full_major ();
+  for tid = 0 to 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "fiber %d's stack reclaimed" tid)
+      false (Weak.check weak tid)
+  done
 
 (* --- heap mode vs explore mode ------------------------------------------ *)
 
@@ -138,7 +309,7 @@ let payloads_unreachable ~via () =
    exactly: same event order, same timings, same observed values. Random
    programs of reads/writes/CAS/pauses over shared cells, logging
    (tid, now, observation) at every step. *)
-let random_program rng ~steps () =
+let random_program ?(max_pause = 50) rng ~steps () =
   let log = ref [] in
   let cells = Array.init 4 (fun _ -> M.cell' 0) in
   let body ~tid ~cluster:_ =
@@ -153,13 +324,73 @@ let random_program rng ~steps () =
             -1
         | 2 -> if M.cas c ~expect:(M.read c) ~desire:tid then -2 else -3
         | _ ->
-            M.pause (Prng.int r 50);
+            M.pause (Prng.int r max_pause);
             -4
       in
       log := (tid, M.now (), obs) :: !log
     done
   in
   (body, log)
+
+(* --- the recycled queue ------------------------------------------------- *)
+
+(* Each domain's engine keeps its emptied queue for the next run. A run
+   after runs that ended early — cut at the horizon, deadlocked, or
+   aborted by a failing thread, each with events or waiters pending —
+   must be result-identical to the same run on a fresh queue. A new
+   domain has no spare queue, so the reference runs there, as in a
+   fresh process. The program pauses up to 3w ns, so both tiers and the
+   migration between them take part. *)
+let recycled_queue_invisible () =
+  let program () =
+    let body, log =
+      random_program (Prng.create 99) ~steps:40 ~max_pause:(3 * w) ()
+    in
+    let r = E.run ~topology:Topology.small ~n_threads:6 body in
+    (r, List.rev !log)
+  in
+  let reference = Domain.join (Domain.spawn program) in
+  let early_exits =
+    [
+      ( "horizon",
+        fun () ->
+          let body, _ =
+            random_program (Prng.create 5) ~steps:40 ~max_pause:(3 * w) ()
+          in
+          ignore
+            (E.run ~topology:Topology.small ~n_threads:6 ~horizon:5_000 body)
+      );
+      ( "deadlock",
+        fun () ->
+          let c = M.cell' 0 in
+          match
+            E.run ~topology:Topology.small ~n_threads:3 (fun ~tid ~cluster:_ ->
+                if tid = 0 then ignore (M.wait_until c (fun v -> v = 1))
+                else M.pause (tid * 10 * w))
+          with
+          | _ -> Alcotest.fail "expected Deadlock"
+          | exception E.Deadlock _ -> () );
+      ( "thread failure",
+        fun () ->
+          match
+            E.run ~topology:Topology.small ~n_threads:4 (fun ~tid ~cluster:_ ->
+                M.pause (if tid = 0 then 100 else 5 * w);
+                if tid = 0 then failwith "boom")
+          with
+          | _ -> Alcotest.fail "expected Thread_failure"
+          | exception E.Thread_failure _ -> () );
+    ]
+  in
+  List.iter
+    (fun (name, early) ->
+      early ();
+      let r, log = program () in
+      Alcotest.(check bool)
+        (Printf.sprintf "after a %s run: result and log as on a fresh queue"
+           name)
+        true
+        ((r, log) = reference))
+    early_exits
 
 let diff_heap_vs_explore () =
   let rng = Prng.create 2026 in
@@ -186,12 +417,29 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_drain_order; prop_interleaved; prop_clear_reuse ] );
+      ( "calendar",
+        [
+          QCheck_alcotest.to_alcotest prop_calendar_vs_far;
+          Alcotest.test_case "window edges, ties, wrap, tiers" `Quick
+            calendar_edges;
+        ] );
       ( "retention",
         [
           Alcotest.test_case "pop blanks payload slots" `Quick
-            (payloads_unreachable ~via:`Pop);
+            (payloads_unreachable ~via:`Pop ~far:false);
           Alcotest.test_case "clear blanks payload slots" `Quick
-            (payloads_unreachable ~via:`Clear);
+            (payloads_unreachable ~via:`Clear ~far:false);
+          Alcotest.test_case "pop blanks far-tier payload slots" `Quick
+            (payloads_unreachable ~via:`Pop ~far:true);
+          Alcotest.test_case "clear blanks far-tier payload slots" `Quick
+            (payloads_unreachable ~via:`Clear ~far:true);
+          Alcotest.test_case "a released queue holds no payloads" `Quick
+            released_queue_holds_nothing;
+        ] );
+      ( "recycling",
+        [
+          Alcotest.test_case "a recycled queue is invisible to the next run"
+            `Quick recycled_queue_invisible;
         ] );
       ( "differential",
         [

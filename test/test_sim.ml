@@ -167,6 +167,55 @@ let test_wait_until_for_succeeds () =
          else result := M.wait_until_for flag (fun v -> v = 1) ~timeout:1_000_000));
   Alcotest.(check bool) "got value" true (!result = Some 1)
 
+(* Pauses and timeouts past the end of simulated time saturate at
+   [max_int - 1] ([max_int] is the event queue's empty sentinel): they
+   neither wrap into the past and fire first, nor break the queue's rule
+   that nothing is scheduled before the last popped event. Checked on the
+   heap path with the fast path on and off, and in explore mode. *)
+let test_huge_delays_saturate () =
+  let check name ?policy () =
+    let flag = M.cell' 0 and other = M.cell' 0 in
+    let woke0 = ref 0 and got = ref None and never = ref (Some 0) in
+    let now3 = ref 0 and writer_done = ref max_int in
+    let r =
+      E.run ~topology:topo ~n_threads:4 ?policy (fun ~tid ~cluster:_ ->
+          match tid with
+          | 0 ->
+              M.pause 100;
+              M.pause max_int;
+              woke0 := M.now ()
+          | 1 -> got := M.wait_until_for flag (fun v -> v = 1) ~timeout:max_int
+          | 2 ->
+              M.pause 500;
+              M.write flag 1;
+              writer_done := M.now ()
+          | _ ->
+              M.pause 50;
+              never :=
+                M.wait_until_for other (fun v -> v = 1) ~timeout:(max_int - 10);
+              now3 := M.now ())
+    in
+    let eot = max_int - 1 in
+    Alcotest.(check int) (name ^ ": all finished") 4 r.E.threads_finished;
+    Alcotest.(check bool)
+      (name ^ ": writer ran early")
+      true (!writer_done < 10_000);
+    Alcotest.(check int)
+      (name ^ ": pause max_int ends at the end of time")
+      eot !woke0;
+    Alcotest.(check bool) (name ^ ": huge timeout did not fire early") true
+      (!got = Some 1);
+    Alcotest.(check bool)
+      (name ^ ": unmet wait times out")
+      true (!never = None);
+    Alcotest.(check int) (name ^ ": ... at the end of time") eot !now3;
+    Alcotest.(check int) (name ^ ": end time") eot r.E.end_time
+  in
+  check "heap" ();
+  E.set_fastpath false;
+  Fun.protect ~finally:(fun () -> E.set_fastpath true) (check "fast path off");
+  check "explore" ~policy:(fun ~step:_ _ -> 0) ()
+
 let test_deadlock_detected () =
   let flag = M.cell' 0 in
   let raised =
@@ -554,6 +603,8 @@ let suite =
           test_waiter_repark_on_stale_value;
         Alcotest.test_case "pause edge values" `Quick
           test_pause_zero_and_negative;
+        Alcotest.test_case "huge delays saturate" `Quick
+          test_huge_delays_saturate;
         Alcotest.test_case "thread count validation" `Quick
           test_engine_rejects_bad_thread_counts;
         Alcotest.test_case "events counted" `Quick test_events_counted;
