@@ -3,8 +3,8 @@
    before anything runs: a zero thread count reaches [Engine.run] or
    [Nat_runtime.run], a zero budget or window checks or measures nothing,
    and a negative threshold flags every entry. So is a thread count
-   listed twice, a patience beyond [max_patience_ns], and an output
-   path in a missing directory. *)
+   listed twice, a patience beyond [max_patience_ns], an unknown lock
+   name and an output path in a missing directory. *)
 
 open Cmdliner
 
@@ -71,6 +71,21 @@ let thread_counts =
     Format.fprintf ppf "%s" (String.concat "," (List.map string_of_int l))
   in
   Arg.conv (parse, print)
+
+(* One of [names], matched without regard to case and returned as
+   spelled in [names]. *)
+let lock names =
+  let parse s =
+    let key = String.lowercase_ascii s in
+    match List.find_opt (fun n -> String.lowercase_ascii n = key) names with
+    | Some n -> Ok n
+    | None ->
+        Error
+          (`Msg
+            (Printf.sprintf "unknown lock %S (expected one of: %s)" s
+               (String.concat " " names)))
+  in
+  Arg.conv (parse, Format.pp_print_string)
 
 let topology =
   let parse s =

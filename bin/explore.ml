@@ -19,9 +19,10 @@
 
    Lock names resolve through the registry first, then the mutants
    (C-BO-MCS!skip-limit, TKT!lost-ticket, MCS!late-reset,
-   GCR-MCS!dropped-unpark). Exit status is nonzero when a genuine lock
-   fails, when a mutant is NOT caught, or when a --replay trace does not
-   parse or does not apply in full. *)
+   GCR-MCS!dropped-unpark); any other name is a usage error (exit 124).
+   Exit status is otherwise nonzero when a genuine lock fails, when a
+   mutant is NOT caught, or when a --replay trace does not parse or does
+   not apply in full. *)
 
 module E = Numa_check.Explore
 module D = Numa_check.Decision
@@ -30,10 +31,15 @@ module Mut = Numa_check.Mutants.Make (Numasim.Sim_mem)
 module R = Harness.Lock_registry
 module LI = Cohort.Lock_intf
 
+let names =
+  List.map (fun e -> e.R.name) R.all_locks
+  @ List.map (fun (module L : LI.LOCK) -> L.name) Mut.all
+
+(* [name] is one of [names]: the command line admits no other. *)
 let find_lock name =
   match R.find name with
-  | Some e -> Some e.R.lock
-  | None -> Mut.find name
+  | Some e -> e.R.lock
+  | None -> Option.get (Mut.find name)
 
 let pp_failure sc (trace, v) =
   match E.shrunk_counterexample sc (trace, v) with
@@ -46,40 +52,35 @@ let pp_failure sc (trace, v) =
 
 let explore_one ~mode ~preemptions ~budget ?topology ~threads ~sections ~seed
     ~runs ~prune name =
-  match find_lock name with
-  | None ->
-      Printf.printf "%-20s unknown lock\n%!" name;
-      `Error
-  | Some lock -> (
-      let sc = E.scenario ?topology ~n_threads:threads ~sections lock in
-      match mode with
-      | `Exhaustive -> (
-          let r = E.exhaustive ~preemptions ~budget ~prune sc in
-          match r.E.failure with
-          | None ->
-              Printf.printf
-                "%-20s clean: %d schedules, %d pruned (preemptions<=%d%s)\n%!"
-                name r.E.schedules r.E.pruned preemptions
-                (if r.E.exhausted then ", exhausted"
-                 else ", budget " ^ string_of_int budget ^ " hit");
-              `Clean
-          | Some f ->
-              Printf.printf "%-20s FAILED after %d schedules\n%!" name
-                r.E.schedules;
-              pp_failure sc f;
-              `Caught)
-      | `Fuzz -> (
-          let r = E.fuzz ~seed ~runs sc in
-          match r.E.fuzz_failure with
-          | None ->
-              Printf.printf "%-20s clean: %d fuzzed schedules (seed %d)\n%!"
-                name r.E.fuzz_runs seed;
-              `Clean
-          | Some f ->
-              Printf.printf "%-20s FAILED after %d fuzzed schedules\n%!" name
-                r.E.fuzz_runs;
-              pp_failure sc f;
-              `Caught))
+  let sc = E.scenario ?topology ~n_threads:threads ~sections (find_lock name) in
+  match mode with
+  | `Exhaustive -> (
+      let r = E.exhaustive ~preemptions ~budget ~prune sc in
+      match r.E.failure with
+      | None ->
+          Printf.printf
+            "%-20s clean: %d schedules, %d pruned (preemptions<=%d%s)\n%!"
+            name r.E.schedules r.E.pruned preemptions
+            (if r.E.exhausted then ", exhausted"
+             else ", budget " ^ string_of_int budget ^ " hit");
+          `Clean
+      | Some f ->
+          Printf.printf "%-20s FAILED after %d schedules\n%!" name
+            r.E.schedules;
+          pp_failure sc f;
+          `Caught)
+  | `Fuzz -> (
+      let r = E.fuzz ~seed ~runs sc in
+      match r.E.fuzz_failure with
+      | None ->
+          Printf.printf "%-20s clean: %d fuzzed schedules (seed %d)\n%!"
+            name r.E.fuzz_runs seed;
+          `Clean
+      | Some f ->
+          Printf.printf "%-20s FAILED after %d fuzzed schedules\n%!" name
+            r.E.fuzz_runs;
+          pp_failure sc f;
+          `Caught)
 
 (* Why a requested deviation left no mark in [r.taken]: its decision
    point had too few candidates, or the run never got that far. *)
@@ -95,16 +96,15 @@ let print_unapplied (r : E.run) (d : D.deviation) =
         (List.length (List.filter (fun st -> st.D.s_dp >= 0) r.E.steps))
 
 let run_replay ?topology ~threads ~sections name trace_str =
-  match (find_lock name, D.of_string trace_str) with
-  | None, _ ->
-      Printf.printf "unknown lock %S\n" name;
-      1
-  | _, None ->
+  match D.of_string trace_str with
+  | None ->
       Printf.printf "malformed decision trace %S (want \"at:pick,...\")\n"
         trace_str;
       1
-  | Some lock, Some trace -> (
-      let sc = E.scenario ?topology ~n_threads:threads ~sections lock in
+  | Some trace -> (
+      let sc =
+        E.scenario ?topology ~n_threads:threads ~sections (find_lock name)
+      in
       let r = E.run_once ~record:true sc trace in
       (* A deviation that did not take effect means the run was some
          other schedule: report which, never that schedule's verdict. *)
@@ -137,8 +137,7 @@ let run_mutants ~preemptions ~budget ?topology ~threads ~sections ~prune () =
       | `Caught -> ()
       | `Clean ->
           incr bad;
-          Printf.printf "MUTANT ESCAPED: %s was not caught\n%!" L.name
-      | `Error -> incr bad)
+          Printf.printf "MUTANT ESCAPED: %s was not caught\n%!" L.name)
     Mut.all;
   if !bad = 0 then Printf.printf "all %d mutants caught\n" (List.length Mut.all);
   if !bad = 0 then 0 else 1
@@ -151,12 +150,7 @@ let run_quick ?topology () =
      leg stays on the default machine, where round-robin placement
      co-locates two of the three threads so a skip-limit bug can fire at
      all. *)
-  let get name =
-    match find_lock name with
-    | Some l -> l
-    | None -> failwith ("explore --quick: missing lock " ^ name)
-  in
-  let sc = E.scenario ?topology (get "C-BO-MCS") in
+  let sc = E.scenario ?topology (find_lock "C-BO-MCS") in
   let r = E.exhaustive ~preemptions:2 ~budget:10_000 ~prune:true sc in
   (match r.E.failure with
   | None ->
@@ -187,7 +181,7 @@ let run_quick ?topology () =
 open Cmdliner
 
 let locks_arg =
-  Arg.(value & pos_all string [] & info [] ~docv:"LOCK" ~doc:"Locks to explore (default: the whole registry).")
+  Arg.(value & pos_all (Cli.lock names) [] & info [] ~docv:"LOCK" ~doc:"Locks to explore, by registry or mutant name (default: the whole registry).")
 
 let mode_arg =
   Arg.(
@@ -270,7 +264,7 @@ let main locks mode preemptions budget topology threads sections seed runs
               ~sections ~seed ~runs ~prune name
           with
           | `Clean -> ()
-          | `Caught | `Error -> incr failures)
+          | `Caught -> incr failures)
         names;
       if !failures > 0 then exit 1
 

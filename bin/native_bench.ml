@@ -74,22 +74,19 @@ let run_bench domains clusters millis filters abortable patience seed trace
   in
   let cfg = { LI.default with LI.clusters; max_threads = domains } in
   let duration = millis * 1_000_000 in
-  let wanted name =
-    filters = [] || List.exists (fun f -> String.lowercase_ascii f = String.lowercase_ascii name) filters
+  (* Without -l: the registry line-up, plus the abortable one on
+     --abortable. With -l: exactly the named locks. *)
+  let wanted ~line_up name =
+    if filters = [] then line_up else List.mem name filters
   in
-  let entries = List.filter (fun e -> wanted e.LR.name) Registry.all_locks in
+  let entries =
+    List.filter (fun e -> wanted ~line_up:true e.LR.name) Registry.all_locks
+  in
   let aentries =
-    if abortable then
-      List.filter (fun e -> wanted e.LR.a_name) Registry.abortable_locks
-    else []
+    List.filter
+      (fun e -> wanted ~line_up:abortable e.LR.a_name)
+      Registry.abortable_locks
   in
-  if entries = [] && aentries = [] then begin
-    Printf.eprintf "no lock matches the filter; known locks:\n  %s\n  %s\n"
-      (String.concat ", " (List.map (fun e -> e.LR.name) Registry.all_locks))
-      (String.concat ", "
-         (List.map (fun e -> e.LR.a_name) Registry.abortable_locks));
-    exit 2
-  end;
   Printf.printf
     "native contended LBench: %d domains over %d clusters (round-robin), %d \
      ms window, seed %d\n\
@@ -164,10 +161,14 @@ let millis =
 
 let locks =
   let doc =
-    "Benchmark only this lock (repeatable, case-insensitive); default: the \
-     whole registry line-up."
+    "Benchmark only this lock (repeatable, case-insensitive; abortable \
+     names too); default: the whole registry line-up."
   in
-  Arg.(value & opt_all string [] & info [ "l"; "lock" ] ~docv:"NAME" ~doc)
+  let names =
+    List.map (fun e -> e.LR.name) Registry.all_locks
+    @ List.map (fun e -> e.LR.a_name) Registry.abortable_locks
+  in
+  Arg.(value & opt_all (Cli.lock names) [] & info [ "l"; "lock" ] ~docv:"NAME" ~doc)
 
 let abortable =
   let doc = "Also run the abortable line-up (with $(b,--patience))." in

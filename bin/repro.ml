@@ -14,18 +14,6 @@ open Cmdliner
 module C = Harness.Catalogue
 module W = Apps.Kv_workload
 
-(* Unknown lock names are usage errors, caught before anything runs. *)
-let lock_conv names =
-  let parse s =
-    if List.mem s names then Ok s
-    else
-      Error
-        (`Msg
-          (Printf.sprintf "unknown lock %S (expected one of: %s)" s
-             (String.concat " " names)))
-  in
-  Arg.conv (parse, Format.pp_print_string)
-
 let mix_conv =
   Arg.enum
     [ ("read", [ W.read_heavy ]); ("mixed", [ W.mixed ]);
@@ -73,7 +61,7 @@ let knob_term (d : C.params) knob : (C.params -> C.params) Term.t =
            "Table 1 get/set mix: read|mixed|write|all."
   | Locks (doc, names) ->
       set (fun locks p -> { p with C.locks })
-      @@ Arg.(value & pos_all (lock_conv names) d.locks & info [] ~docv:"LOCK" ~doc)
+      @@ Arg.(value & pos_all (Cli.lock names) d.locks & info [] ~docv:"LOCK" ~doc)
   | Check doc ->
       set (fun check p -> { p with C.check })
       @@ Arg.(value & flag & info [ "check" ] ~doc)

@@ -53,10 +53,10 @@ let () =
     n_threads;
   let module Fibbo = Baselines.Fib_bo.Make (M) in
   let module Mcs = Cohort.Mcs_lock.Make (M) in
-  let module C_tkt_mcs = Cohort.Cohort_locks.C_tkt_mcs (M) in
+  let module Table = Cohort.Cohort_locks.Make (M) in
   run_candidate "Fib-BO" (module Fibbo);
   run_candidate "MCS" (module Mcs.Plain);
-  run_candidate "C-TKT-MCS" (module C_tkt_mcs);
+  run_candidate "C-TKT-MCS" (Table.get ~global:"TKT" ~local:"MCS");
   Printf.printf
     "\nSame allocator, same recycling rate — the cohort lock just recycles \
      blocks\nwithin a cluster, so the block headers and tree lines stay in \

@@ -61,10 +61,10 @@ let () =
     n_threads;
   let module Pthread = Baselines.Pthread_like.Make (M) in
   let module Mcs = Cohort.Mcs_lock.Make (M) in
-  let module C_bo_mcs = Cohort.Cohort_locks.C_bo_mcs (M) in
+  let module Table = Cohort.Cohort_locks.Make (M) in
   run_candidate "pthread" (module Pthread);
   run_candidate "MCS" (module Mcs.Plain);
-  run_candidate "C-BO-MCS" (module C_bo_mcs);
+  run_candidate "C-BO-MCS" (Table.get ~global:"BO" ~local:"MCS");
   Printf.printf
     "\nThe cohort lock keeps consecutive operations on one socket, so the \
      store's\nhot cache lines stop ping-ponging across the interconnect.\n"

@@ -11,7 +11,8 @@
    identity from its handle, never from the substrate. *)
 
 module Mem = Numa_native.Nat_mem
-module Lock = Cohort.Cohort_locks.C_bo_mcs (Mem)
+module Table = Cohort.Cohort_locks.Make (Mem)
+module Lock = (val Table.get ~global:"BO" ~local:"MCS")
 
 let n_domains = 4
 let increments = 10_000

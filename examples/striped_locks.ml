@@ -13,7 +13,8 @@ module E = Numasim.Engine
 module LI = Cohort.Lock_intf
 module Kv = Apps.Kvstore.Make (M)
 module W = Apps.Kv_workload
-module Lock = Cohort.Cohort_locks.C_tkt_mcs (M)
+module Table = Cohort.Cohort_locks.Make (M)
+module Lock = (val Table.get ~global:"TKT" ~local:"MCS")
 module Mcs = Cohort.Mcs_lock.Make (M)
 
 let topology = Numa_base.Topology.t5440

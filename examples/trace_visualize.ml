@@ -54,7 +54,7 @@ let () =
     "Lock ownership timeline (digit = cluster holding the lock):\n\n";
   let module Mcs = Cohort.Mcs_lock.Make (M) in
   let module Hbo = Baselines.Hbo_lock.Make (M) in
-  let module C_bo_mcs = Cohort.Cohort_locks.C_bo_mcs (M) in
+  let module Table = Cohort.Cohort_locks.Make (M) in
   show "MCS" (module Mcs.Plain);
   show "HBO" (module Hbo.Lock);
-  show "C-BO-MCS" (module C_bo_mcs)
+  show "C-BO-MCS" (Table.get ~global:"BO" ~local:"MCS")

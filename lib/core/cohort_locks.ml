@@ -1,117 +1,66 @@
-(** The five non-abortable cohort locks of the paper (section 3),
-    as one-line instantiations of the {!Cohorting} transformation. *)
+(* The composition table: every cohort lock is one application of
+   {!Cohorting.Make}, made here and nowhere else. *)
 
-module Memory = Numa_base.Memory_intf
+module LI = Lock_intf
 
-(** C-BO-BO (section 3.1): global BO lock, local 3-state BO locks with a
-    successor-exists flag. *)
-module C_bo_bo (M : Memory.MEMORY) = struct
-  module B = Bo_lock.Make (M)
+module Make (M : Numa_base.Memory_intf.MEMORY) = struct
+  module Bo = Bo_lock.Make (M)
+  module Tkt = Ticket_lock.Make (M)
+  module Mcs = Mcs_lock.Make (M)
+  module Clh = Clh_lock.Make (M)
+  module Blk = Park_lock.Make (M)
 
-  include
-    Cohorting.Make
-      (struct
-        let name = "C-BO-BO"
-      end)
-      (M)
-      (B.Global)
-      (B.Local)
-end
+  let globals : (string * (module LI.GLOBAL)) list =
+    [
+      ("BO", (module Bo.Global)); ("TKT", (module Tkt.Global));
+      ("MCS", (module Mcs.Global)); ("CLH", (module Clh.Global));
+    ]
 
-(** C-TKT-TKT (section 3.2): ticket locks at both levels; cohort
-    detection compares the request and grant counters, local handoff sets
-    the top-granted flag. *)
-module C_tkt_tkt (M : Memory.MEMORY) = struct
-  module T = Ticket_lock.Make (M)
+  let locals : (string * (module LI.LOCAL)) list =
+    [
+      ("BO", (module Bo.Local)); ("TKT", (module Tkt.Local));
+      ("MCS", (module Mcs.Local)); ("CLH", (module Clh.Local));
+    ]
 
-  include
-    Cohorting.Make
-      (struct
-        let name = "C-TKT-TKT"
-      end)
-      (M)
-      (T.Global)
-      (T.Local)
-end
+  let name g l = Printf.sprintf "C-%s-%s" g l
 
-(** C-BO-MCS (section 3.3, Figure 1): global BO lock, local MCS queues —
-    the best-scaling lock in the paper's evaluation. *)
-module C_bo_mcs (M : Memory.MEMORY) = struct
-  module B = Bo_lock.Make (M)
-  module Q = Mcs_lock.Make (M)
+  let compose ~global:(g, (module G : LI.GLOBAL))
+      ~local:(l, (module L : LI.LOCAL)) : (module LI.LOCK) =
+    (module Cohorting.Make
+              (struct
+                let name = name g l
+              end)
+              (M)
+              (G)
+              (L))
 
-  include
-    Cohorting.Make
-      (struct
-        let name = "C-BO-MCS"
-      end)
-      (M)
-      (B.Global)
-      (Q.Local)
-end
+  (* Row-major, globals x locals. *)
+  let all =
+    List.concat_map
+      (fun g ->
+        List.map
+          (fun l -> (name (fst g) (fst l), compose ~global:g ~local:l))
+          locals)
+      globals
 
-(** C-TKT-MCS (section 3.5): global ticket lock (fair, no node
-    circulation), local MCS queues (local spinning). *)
-module C_tkt_mcs (M : Memory.MEMORY) = struct
-  module T = Ticket_lock.Make (M)
-  module Q = Mcs_lock.Make (M)
+  let get ~global ~local =
+    let check what axis n =
+      if not (List.mem_assoc n axis) then
+        invalid_arg (Printf.sprintf "Cohort_locks.get: unknown %s lock %S" what n)
+    in
+    check "global" globals global;
+    check "local" locals local;
+    List.assoc (name global local) all
 
-  include
-    Cohorting.Make
-      (struct
-        let name = "C-TKT-MCS"
-      end)
-      (M)
-      (T.Global)
-      (Q.Local)
-end
+  let c_blk_blk =
+    compose ~global:("BLK", (module Blk.Global)) ~local:("BLK", (module Blk.Local))
 
-(** C-MCS-MCS (section 3.4): MCS at both levels; the global MCS is made
-    thread-oblivious by circulating queue nodes through per-thread
-    pools. *)
-module C_mcs_mcs (M : Memory.MEMORY) = struct
-  module Q = Mcs_lock.Make (M)
-
-  include
-    Cohorting.Make
-      (struct
-        let name = "C-MCS-MCS"
-      end)
-      (M)
-      (Q.Global)
-      (Q.Local)
-end
-
-(** C-BLK-BLK: a {e blocking} cohort lock — spin-then-park mutexes at both
-    levels. Not in the paper, which only notes (section 2.1) that the
-    transformation applies to blocking locks as easily as to spin locks;
-    this instantiation demonstrates it. The cohort keeps the lock inside a
-    cluster while the remote waiters sleep, so the park/resume costs that
-    make plain blocking mutexes slow under contention are paid off the
-    critical path. *)
-module C_blk_blk (M : Memory.MEMORY) = struct
-  module B = Park_lock.Make (M)
-
-  include
-    Cohorting.Make
-      (struct
-        let name = "C-BLK-BLK"
-      end)
-      (M)
-      (B.Global)
-      (B.Local)
-end
-
-(** C-RW-WP: a NUMA-aware writer-preference reader-writer lock whose
-    writers serialise through C-BO-MCS (see {!Rw_cohort}). *)
-module C_rw_bo_mcs (M : Memory.MEMORY) = struct
-  module Mutex = C_bo_mcs (M)
-
-  include
-    Rw_cohort.Make
-      (struct
-        let name = "C-RW-WP<BO-MCS>"
-      end)
-      (M)
-      (Mutex)
+  let c_rw_wp : (module LI.RW_LOCK) =
+    let module W = (val get ~global:"BO" ~local:"MCS") in
+    (module Rw_cohort.Make
+              (struct
+                let name = "C-RW-WP<BO-MCS>"
+              end)
+              (M)
+              (W))
 end

@@ -1,6 +1,14 @@
-(** The named cohort locks: the paper's five non-abortable compositions
-    (section 3) plus the two extension locks this repository adds. Each is
-    a one-line instantiation of {!Cohorting.Make}; apply to
+(** The composition table: the paper's generality claim (sections 2.1
+    and 3) as one functor over the memory substrate. Any thread-oblivious
+    global lock composes with any cohort-detecting local lock through
+    {!Cohorting.Make}; [compose] is the only place that applies it.
+
+    The paper names five of the 16 compositions of its four components:
+    C-BO-BO (section 3.1), C-TKT-TKT (3.2), C-BO-MCS (3.3, Figure 1: the
+    best-scaling lock, and deeply unfair, Figure 5), C-MCS-MCS (3.4: the
+    global MCS circulates queue nodes through per-thread pools to be
+    thread-oblivious) and C-TKT-MCS (3.5: fair global, local spinning).
+    Look them up with {!Make.get}. Apply the functor to
     {!Numasim.Sim_mem} for simulated experiments or
     {!Numa_native.Nat_mem} for real domains.
 
@@ -8,32 +16,38 @@
     {!A_c_bo_bo} and {!A_c_bo_clh} (their release protocols do not fit
     the plain transformation). *)
 
-(** C-BO-BO (section 3.1): global BO lock, local 3-state BO locks with a
-    successor-exists flag. *)
-module C_bo_bo (_ : Numa_base.Memory_intf.MEMORY) : Lock_intf.LOCK
+module Make (_ : Numa_base.Memory_intf.MEMORY) : sig
+  val globals : (string * (module Lock_intf.GLOBAL)) list
+  (** The thread-oblivious global components by name: BO, TKT, MCS,
+      CLH. *)
 
-(** C-TKT-TKT (section 3.2): ticket locks at both levels. *)
-module C_tkt_tkt (_ : Numa_base.Memory_intf.MEMORY) : Lock_intf.LOCK
+  val locals : (string * (module Lock_intf.LOCAL)) list
+  (** The cohort-detecting local components by name: BO, TKT, MCS,
+      CLH. *)
 
-(** C-BO-MCS (section 3.3, Figure 1): global BO lock, local MCS queues —
-    the best-scaling lock in the paper's evaluation (and deeply unfair,
-    Figure 5: the releasing cluster re-wins the global BO race through
-    cache residency). *)
-module C_bo_mcs (_ : Numa_base.Memory_intf.MEMORY) : Lock_intf.LOCK
+  val compose :
+    global:string * (module Lock_intf.GLOBAL) ->
+    local:string * (module Lock_intf.LOCAL) ->
+    (module Lock_intf.LOCK)
+  (** [compose ~global:(g, G) ~local:(l, L)] is the cohort lock
+      [C-g-l] over [G] and [L]. Each call applies {!Cohorting.Make}
+      afresh; use {!all} or {!get} for the table's own instances. *)
 
-(** C-TKT-MCS (section 3.5): fair global ticket lock, local-spinning MCS
-    local locks — the paper's "best of both". *)
-module C_tkt_mcs (_ : Numa_base.Memory_intf.MEMORY) : Lock_intf.LOCK
+  val all : (string * (module Lock_intf.LOCK)) list
+  (** All 16 compositions of {!globals} with {!locals}, row-major
+      (C-BO-BO, C-BO-TKT, ..., C-CLH-CLH), with their names. *)
 
-(** C-MCS-MCS (section 3.4): MCS at both levels, with queue nodes
-    circulating through per-thread pools to make the global MCS lock
-    thread-oblivious. *)
-module C_mcs_mcs (_ : Numa_base.Memory_intf.MEMORY) : Lock_intf.LOCK
+  val get : global:string -> local:string -> (module Lock_intf.LOCK)
+  (** The composition of {!all} with these axis names.
+      @raise Invalid_argument naming an unknown axis name. *)
 
-(** C-BLK-BLK (extension): spin-then-park blocking locks at both levels;
-    see {!Park_lock}. *)
-module C_blk_blk (_ : Numa_base.Memory_intf.MEMORY) : Lock_intf.LOCK
+  val c_blk_blk : (module Lock_intf.LOCK)
+  (** C-BLK-BLK (extension): spin-then-park blocking locks at both
+      levels, the composition section 2.1 claims but never builds; see
+      {!Park_lock}. *)
 
-(** C-RW-WP (extension): NUMA-aware writer-preference reader-writer lock
-    whose writers serialise through C-BO-MCS; see {!Rw_cohort}. *)
-module C_rw_bo_mcs (_ : Numa_base.Memory_intf.MEMORY) : Lock_intf.RW_LOCK
+  val c_rw_wp : (module Lock_intf.RW_LOCK)
+  (** C-RW-WP<BO-MCS> (extension): a NUMA-aware writer-preference
+      reader-writer lock whose writers serialise through the table's
+      C-BO-MCS; see {!Rw_cohort}. *)
+end

@@ -17,7 +17,7 @@
       cohort while one is arriving forces an unnecessary global release;
       reporting a cohort implies a committed, non-abortable waiter).
 
-    The resulting C-BLK-BLK lock (see {!Cohort_locks.C_blk_blk}) parks
+    The resulting C-BLK-BLK lock (see {!Cohort_locks.Make.c_blk_blk}) parks
     the {e tail} of a cluster's waiters while the head of the cohort
     passes the lock locally — the natural NUMA-aware shape for blocking
     locks. *)

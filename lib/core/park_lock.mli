@@ -3,7 +3,7 @@
     spin briefly, then pay a kernel-trap cost to sleep and a wakeup cost
     to resume; the {!Make.Local} variant detects its cohort through a
     waiter counter maintained with fetch-and-add. See
-    {!Cohort_locks.C_blk_blk}. *)
+    {!Cohort_locks.Make.c_blk_blk}. *)
 
 module Make (M : Numa_base.Memory_intf.MEMORY) : sig
   val spin_before_park : int

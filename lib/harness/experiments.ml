@@ -6,6 +6,7 @@ module R = Lock_registry
 module Kv = Apps.Kvstore.Make (Numasim.Sim_mem)
 module W = Apps.Kv_workload
 module Alloc = Apps.Allocator.Make (Numasim.Sim_mem)
+module Table = Cohort.Cohort_locks.Make (Numasim.Sim_mem)
 
 type sweep = {
   threads : int list;
@@ -444,12 +445,14 @@ let ablation_policy ~topology ~n_threads ~duration ~seed () =
 
 (* --- Extension: blocking cohort lock ------------------------------------ *)
 
+module Blk = Cohort.Park_lock.Make (Numasim.Sim_mem)
+
 let extension_blocking ~topology ~threads ~duration ~seed () =
   let locks =
     [
       Option.get (R.find "pthread");
-      R.plain "BLK" (module R.Blk.Plain : LI.LOCK);
-      R.plain "C-BLK-BLK" (module R.C_blk_blk : LI.LOCK);
+      R.plain "BLK" (module Blk.Plain : LI.LOCK);
+      R.plain "C-BLK-BLK" Table.c_blk_blk;
       Option.get (R.find "C-BO-MCS");
     ]
   in
@@ -465,8 +468,8 @@ let extension_blocking ~topology ~threads ~duration ~seed () =
 
 (* --- Extension: NUMA-aware reader-writer lock --------------------------- *)
 
-module Rw = Cohort.Cohort_locks.C_rw_bo_mcs (Numasim.Sim_mem)
-module RwMutex = Cohort.Cohort_locks.C_bo_mcs (Numasim.Sim_mem)
+module Rw = (val Table.c_rw_wp)
+module RwMutex = (val Table.get ~global:"BO" ~local:"MCS")
 
 (* Threads share a structure under either a plain cohort mutex (writers
    and readers both take it) or the RW cohort lock; returns Mops/s. *)
@@ -879,19 +882,21 @@ let print_collapse ~topology s =
 
 let composition_matrix ~topology ~n_threads ~duration ~seed () =
   let cfg = cfg_for_n topology n_threads in
+  let globals = List.map fst Table.globals in
+  let locals = List.map fst Table.locals in
   let rows =
     List.mapi
-      (fun gi g ->
+      (fun gi global ->
         let vals =
           List.map
-            (fun l ->
-              let (module L : LI.LOCK) = Matrix.get ~global:g ~local:l in
-              (Lbench.run (module L) ~topology ~cfg ~n_threads ~duration ~seed)
+            (fun local ->
+              (Lbench.run (Table.get ~global ~local) ~topology ~cfg ~n_threads
+                 ~duration ~seed)
                 .Lbench.throughput /. 1e6)
-            Matrix.locals
+            locals
         in
         (gi, Array.of_list vals))
-      Matrix.globals
+      globals
   in
   {
     t_title =
@@ -899,8 +904,8 @@ let composition_matrix ~topology ~n_threads ~duration ~seed () =
         "Composition matrix at %d threads (Mops/s; rows = global lock %s, \
          columns = local lock)"
         n_threads
-        (String.concat "/" Matrix.globals);
+        (String.concat "/" globals);
     t_xlabel = "global#";
-    t_columns = Matrix.locals;
+    t_columns = locals;
     t_rows = rows;
   }

@@ -43,13 +43,14 @@ val hbo_app : LI.config -> LI.config
 (** What a registry instantiation provides. *)
 module type S = sig
   val microbench_locks : entry list
-  (** The Figure 2-5 line-up, in the paper's legend order (9 locks). *)
+  (** The Figure 2-5 line-up, in the paper's legend order, then the
+      successors CNA and PTL (11 locks). *)
 
   val abortable_locks : abortable_entry list
   (** The Figure 6 line-up (4 locks). *)
 
   val app_locks : entry list
-  (** The Table 1/2 line-up (11 locks; pthread first, as the
+  (** The Table 1/2 line-up (13 locks; pthread first, as the
       normalisation baseline). *)
 
   val extra_locks : entry list
@@ -61,20 +62,12 @@ module type S = sig
       reference (7 locks; see the [collapse] experiment). *)
 
   val all_locks : entry list
-  (** Every entry, deduplicated by name. *)
+  (** Every entry above, deduplicated by name, then the 11 compositions
+      of {!Cohort.Cohort_locks} the paper never names (C-BO-TKT, ...,
+      C-CLH-CLH): 31 locks. *)
 
   val find : string -> entry option
   val find_abortable : string -> abortable_entry option
-
-  (** Direct instantiations needed by extension experiments. *)
-
-  module Blk : sig
-    module Plain : LI.LOCK
-    module Global : LI.GLOBAL
-    module Local : LI.LOCAL
-  end
-
-  module C_blk_blk : LI.LOCK
 end
 
 module Make (M : Numa_base.Memory_intf.MEMORY) : S

@@ -12,11 +12,13 @@ module Mt = Numa_trace.Metrics
 let topo = Topology.small
 let cfg = { LI.default with LI.clusters = topo.Topology.clusters }
 
-module C_bo_mcs = Cohort.Cohort_locks.C_bo_mcs (M)
-module C_tkt_mcs = Cohort.Cohort_locks.C_tkt_mcs (M)
+module Table = Cohort.Cohort_locks.Make (M)
+
+let c_bo_mcs = Table.get ~global:"BO" ~local:"MCS"
+let c_tkt_mcs = Table.get ~global:"TKT" ~local:"MCS"
+
 module Blk = Cohort.Park_lock.Make (M)
-module C_blk_blk = Cohort.Cohort_locks.C_blk_blk (M)
-module Rw = Cohort.Cohort_locks.C_rw_bo_mcs (M)
+module Rw = (val Table.c_rw_wp)
 
 (* --- handoff policies ------------------------------------------------- *)
 
@@ -40,11 +42,11 @@ let cohort_metrics ?(iters = 50) (module L : LI.LOCK) cfg =
   Numa_trace.Metrics.of_events (Numa_trace.Ring.events ring)
 
 let run_policy (policy : LI.handoff_policy) =
-  cohort_metrics (module C_tkt_mcs) { cfg with LI.handoff_policy = policy }
+  cohort_metrics c_tkt_mcs { cfg with LI.handoff_policy = policy }
 
 let test_policy_counted_bounds_batches () =
   let m =
-    cohort_metrics (module C_tkt_mcs) { cfg with LI.max_local_handoffs = 4 }
+    cohort_metrics c_tkt_mcs { cfg with LI.max_local_handoffs = 4 }
   in
   Alcotest.(check bool)
     (Printf.sprintf "batch_max %d <= bound+1" m.Mt.batch_max)
@@ -78,7 +80,7 @@ let test_policy_counted_or_timed () =
 
 let test_stats_consistency () =
   let acquires = 8 * 40 in
-  let m = cohort_metrics ~iters:40 (module C_bo_mcs) cfg in
+  let m = cohort_metrics ~iters:40 c_bo_mcs cfg in
   Alcotest.(check int) "every acquisition traced" acquires m.Mt.acquires;
   Alcotest.(check int) "every release counted" acquires
     (m.Mt.handoffs_within_cohort + m.Mt.handoffs_global);
@@ -119,12 +121,12 @@ let test_blk_mutual_exclusion () =
   Alcotest.(check int) "BLK: all done" 320 d
 
 let test_c_blk_blk_mutual_exclusion () =
-  let v, d = exercise (module C_blk_blk) ~n_threads:8 ~iters:40 in
+  let v, d = exercise Table.c_blk_blk ~n_threads:8 ~iters:40 in
   Alcotest.(check int) "C-BLK-BLK: no violations" 0 v;
   Alcotest.(check int) "C-BLK-BLK: all done" 320 d
 
 let test_c_blk_blk_batches () =
-  let m = cohort_metrics (module C_blk_blk) cfg in
+  let m = cohort_metrics Table.c_blk_blk cfg in
   Alcotest.(check bool)
     (Printf.sprintf "blocking cohort batches locally (avg %.1f)"
        m.Mt.batch_mean)
@@ -250,8 +252,9 @@ let test_rw_register_validation () =
 (* --- native smoke for the extensions ------------------------------------ *)
 
 module Nm = Numa_native.Nat_mem
-module NRw = Cohort.Cohort_locks.C_rw_bo_mcs (Nm)
-module NBlk = Cohort.Cohort_locks.C_blk_blk (Nm)
+module NTable = Cohort.Cohort_locks.Make (Nm)
+module NRw = (val NTable.c_rw_wp)
+module NBlk = (val NTable.c_blk_blk)
 
 let test_native_rw () =
   let cfg = { LI.default with LI.clusters = 2; max_threads = 4 } in

@@ -18,6 +18,7 @@ module C = Numasim.Coherence
 module Topology = Numa_base.Topology
 module LI = Cohort.Lock_intf
 module R = Harness.Lock_registry
+module Table = Cohort.Cohort_locks.Make (M)
 
 let with_fastpath b f =
   let saved = E.fastpath_enabled () in
@@ -313,7 +314,7 @@ let test_trace_stream_agrees () =
 (* --- pins: when the fast path must NOT engage -------------------------- *)
 
 let contended_run ?policy () =
-  let module L = Cohort.Cohort_locks.C_bo_mcs (M) in
+  let module L = (val Table.get ~global:"BO" ~local:"MCS") in
   let topology = Topology.small in
   let cfg = base_cfg topology in
   let lock = L.create cfg in

@@ -33,6 +33,18 @@ let golden =
     ("C-MCS-MCS", 4156, 449);
     ("CNA", 2137, 133);
     ("PTL", 1567, 1195);
+    (* The compositions of the table the paper never names. *)
+    ("C-BO-TKT", 3513, 264);
+    ("C-BO-CLH", 3400, 250);
+    ("C-TKT-BO", 2515, 697);
+    ("C-TKT-CLH", 4043, 429);
+    ("C-MCS-BO", 2474, 676);
+    ("C-MCS-TKT", 4183, 450);
+    ("C-MCS-CLH", 3977, 424);
+    ("C-CLH-BO", 2467, 690);
+    ("C-CLH-TKT", 4217, 454);
+    ("C-CLH-MCS", 4176, 454);
+    ("C-CLH-CLH", 4006, 428);
   ]
 
 let golden_test (name, iters, migs) () =

@@ -199,7 +199,10 @@ let test_registry_expected_lineups () =
   (* 9 paper locks + the two successors (CNA, PTL). *)
   Alcotest.(check int) "fig2 has 11 locks" 11 (List.length R.microbench_locks);
   Alcotest.(check int) "fig6 has 4 locks" 4 (List.length R.abortable_locks);
-  Alcotest.(check int) "tables have 13 locks" 13 (List.length R.app_locks)
+  Alcotest.(check int) "tables have 13 locks" 13 (List.length R.app_locks);
+  (* Every line-up's locks, then the 11 compositions the paper never
+     names. *)
+  Alcotest.(check int) "registry has 31 locks" 31 (List.length R.all_locks)
 
 (* --- report -------------------------------------------------------------- *)
 

@@ -14,11 +14,9 @@ module Bo = Cohort.Bo_lock.Make (M)
 module Tkt = Cohort.Ticket_lock.Make (M)
 module Mcs = Cohort.Mcs_lock.Make (M)
 module Clh = Cohort.Clh_lock.Make (M)
-module C_bo_bo = Cohort.Cohort_locks.C_bo_bo (M)
-module C_tkt_tkt = Cohort.Cohort_locks.C_tkt_tkt (M)
-module C_bo_mcs = Cohort.Cohort_locks.C_bo_mcs (M)
-module C_tkt_mcs = Cohort.Cohort_locks.C_tkt_mcs (M)
-module C_mcs_mcs = Cohort.Cohort_locks.C_mcs_mcs (M)
+module Table = Cohort.Cohort_locks.Make (M)
+module C_bo_mcs = (val Table.get ~global:"BO" ~local:"MCS")
+module C_tkt_mcs = (val Table.get ~global:"TKT" ~local:"MCS")
 module Cna = Cohort.Cna_lock.Make (M)
 module Ptl = Cohort.Ptl_lock.Make (M)
 module Aclh = Cohort.Aclh_lock.Make (M)
@@ -67,11 +65,11 @@ let all_locks : (string * (module LI.LOCK)) list =
     ("TKT", (module Tkt.Plain));
     ("MCS", (module Mcs.Plain));
     ("CLH", (module Clh.Plain));
-    ("C-BO-BO", (module C_bo_bo));
-    ("C-TKT-TKT", (module C_tkt_tkt));
+    ("C-BO-BO", Table.get ~global:"BO" ~local:"BO");
+    ("C-TKT-TKT", Table.get ~global:"TKT" ~local:"TKT");
     ("C-BO-MCS", (module C_bo_mcs));
     ("C-TKT-MCS", (module C_tkt_mcs));
-    ("C-MCS-MCS", (module C_mcs_mcs));
+    ("C-MCS-MCS", Table.get ~global:"MCS" ~local:"MCS");
     ("CNA", (module Cna.Plain));
     ("PTL", (module Ptl.Plain));
   ]

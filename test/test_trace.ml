@@ -14,7 +14,8 @@ module T = Numa_trace
 module Ev = Numa_trace.Event
 module LR = Harness.Lock_registry
 module LB = Harness.Lbench
-module C_bo_mcs = Cohort.Cohort_locks.C_bo_mcs (M)
+module Table = Cohort.Cohort_locks.Make (M)
+module C_bo_mcs = (val Table.get ~global:"BO" ~local:"MCS")
 
 let topo = Topology.small (* 2 clusters x 4 threads *)
 
