@@ -3,6 +3,8 @@
 open Numa_base
 module X = Experiments
 module LR = Lock_registry
+module LI = Cohort.Lock_intf
+module M = Numasim.Sim_mem
 module W = Apps.Kv_workload
 
 type params = {
@@ -83,15 +85,38 @@ let observed = [ Csv; Trace; Emit ]
 
 let traced env = List.map (LR.with_trace env.sink)
 
-let csv env name ~columns ~rows =
-  Option.iter
-    (fun dir ->
+let print (t : X.table) =
+  Report.print_series ~title:t.t_title ~x_label:t.t_xlabel ~columns:t.t_columns
+    ~rows:t.t_rows ~fmt:t.t_fmt ()
+
+(* Print [t], then its [companion] if any, and under --csv-dir write [t]
+   to [csv].csv. *)
+let show env ?csv ?companion (t : X.table) =
+  print t;
+  Option.iter print companion;
+  match (csv, env.csv_dir) with
+  | Some name, Some dir ->
       if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
       let path = Filename.concat dir (name ^ ".csv") in
       Report.write_file path
-        (Report.csv_of_series ~x_label:"threads" ~columns ~rows);
-      Printf.printf "wrote %s\n%!" path)
-    env.csv_dir
+        (Report.csv_of_series ~x_label:t.t_xlabel ~columns:t.t_columns
+           ~rows:t.t_rows);
+      Printf.printf "wrote %s\n%!" path
+  | _ -> ()
+
+(* A table of two-decimal cells, shown: a single-table entry's output. *)
+let table env ~title ~xlabel ~columns rows =
+  let t =
+    {
+      X.t_title = title;
+      t_xlabel = xlabel;
+      t_columns = columns;
+      t_rows = rows;
+      t_fmt = Report.fmt_fixed2;
+    }
+  in
+  show env t;
+  [ Table t ]
 
 let artifact ~seed outputs =
   List.concat_map
@@ -104,10 +129,6 @@ let artifact ~seed outputs =
       | Table _ -> [])
     outputs
   |> Bench_json.make ~substrate:"sim" ~seed
-
-let table t =
-  X.print_table t;
-  [ Table t ]
 
 (* --- Profile and prediction printers ------------------------------------ *)
 
@@ -211,26 +232,64 @@ let lbench ?(locks = LR.microbench_locks) ?(profile = false) env p =
     ~topology:p.topology ~threads:p.threads ~duration:p.duration ~seed:p.seed
     ()
 
+(* One LBench point of [e] under [cfg] at the entry's machine, thread
+   count, window and seed. *)
+let point ?profile p (e : LR.entry) cfg =
+  Lbench.run ~name:e.name ?profile e.lock ~topology:p.topology ~cfg
+    ~n_threads:p.n_threads ~duration:p.duration ~seed:p.seed
+
+let tput (r : Lbench.result) = r.throughput
+let mops (r : Lbench.result) = r.throughput /. 1e6
+let find name = Option.get (LR.find name)
+
+(* "0=a, 1=b, ...": the row legend of a table whose rows are indices. *)
+let legend names =
+  String.concat ", " (List.mapi (fun i n -> Printf.sprintf "%d=%s" i n) names)
+
 let fig name which doc =
   entry name doc ~quick:fig_quick
     ~knobs:([ Topology; Threads; Duration; Seed; Profile ] @ observed)
     (fun env p ->
       let s = lbench ~profile:env.profile env p in
       let has f = List.mem f which in
-      if has `F2 then begin
-        X.print_fig2 s;
-        csv env "fig2" ~columns:s.X.columns ~rows:(X.throughput_rows s)
-      end;
-      if has `F3 then begin
-        X.print_fig3 s;
-        csv env "fig3" ~columns:s.X.columns ~rows:(X.misses_rows s)
-      end;
-      if has `F4 then X.print_fig4 s;
-      if has `F5 then begin
-        X.print_fig5 s;
-        X.print_fig5_latency s;
-        csv env "fig5" ~columns:s.X.columns ~rows:(X.fairness_rows s)
-      end;
+      if has `F2 then
+        show env ~csv:"fig2"
+          (X.series
+             ~title:
+               "Figure 2: LBench throughput (critical+non-critical pairs / s)"
+             ~fmt:Report.fmt_si tput s);
+      if has `F3 then
+        show env ~csv:"fig3"
+          (X.series
+             ~title:
+               "Figure 3: L2 coherence misses per critical section (lower is \
+                better)"
+             ~fmt:Report.fmt_fixed2
+             (fun r -> r.Lbench.misses_per_cs)
+             s);
+      if has `F4 then
+        show env
+          (X.series
+             ~title:
+               "Figure 4: LBench throughput at low contention (1-16 threads)"
+             ~fmt:Report.fmt_si tput (X.low_contention s));
+      if has `F5 then
+        show env ~csv:"fig5"
+          ~companion:
+            (X.series
+               ~title:
+                 "Figure 5 (companion): p99 acquire latency (ns) — the \
+                  per-acquisition face of unfairness"
+               ~fmt:Report.fmt_si
+               (fun r -> r.Lbench.acquire_p99)
+               s)
+          (X.series
+             ~title:
+               "Figure 5: fairness — stddev of per-thread throughput (% of \
+                mean, lower is fairer)"
+             ~fmt:Report.fmt_fixed1
+             (fun r -> r.Lbench.fairness_stddev_pct)
+             s);
       if env.profile then print_top print_profile s;
       [ Sweep ("lbench", s) ])
 
@@ -240,14 +299,35 @@ let fig6 =
   entry "fig6" "Abortable lock throughput (Figure 6)." ~quick:fig_quick
     ~knobs:([ Topology; Threads; Duration; Seed; Patience ] @ observed)
     (fun env p ->
-      let s =
-        X.abortable_sweep
-          ~locks:(List.map (LR.with_trace_abortable env.sink) LR.abortable_locks)
-          ~rollup:env.rollup ~topology:p.topology ~threads:p.threads
-          ~duration:p.duration ~seed:p.seed ~patience:p.patience ()
+      let locks =
+        List.map (LR.with_trace_abortable env.sink) LR.abortable_locks
       in
-      X.print_fig6 s;
-      csv env "fig6" ~columns:s.X.columns ~rows:(X.throughput_rows s);
+      let cfg = X.cfg_for p.topology p.threads in
+      let column (e : LR.abortable_entry) =
+        let cfg = e.a_tweak cfg in
+        Array.of_list
+          (List.map
+             (fun n ->
+               Lbench.run_abortable ~name:e.a_name ~rollup:env.rollup e.a_lock
+                 ~topology:p.topology ~cfg ~n_threads:n ~duration:p.duration
+                 ~seed:p.seed ~patience:p.patience)
+             p.threads)
+      in
+      let s =
+        {
+          X.threads = p.threads;
+          columns = List.map (fun (e : LR.abortable_entry) -> e.a_name) locks;
+          cells = Array.of_list (List.map column locks);
+        }
+      in
+      show env ~csv:"fig6"
+        ~companion:
+          (X.series ~title:"Figure 6 (companion): abort rate (%)"
+             ~fmt:Report.fmt_fixed2
+             (fun r -> 100. *. r.Lbench.abort_rate)
+             s)
+        (X.series ~title:"Figure 6: abortable lock throughput (pairs / s)"
+           ~fmt:Report.fmt_si tput s);
       [ Sweep ("lbench-abortable", s) ])
 
 let table1 =
@@ -255,17 +335,17 @@ let table1 =
     ~knobs:[ Topology; Threads; Duration; Seed; Mix; Csv; Trace ]
     ~defaults:{ base with threads = app_threads } ~quick:app_quick
     (fun env p ->
-      List.concat_map
+      List.map
         (fun mix ->
           let t =
             X.table1 ~locks:(traced env LR.app_locks) ~topology:p.topology
               ~threads:p.threads ~duration:p.duration ~seed:p.seed ~mix ()
           in
-          let out = table t in
-          csv env
-            (Printf.sprintf "table1_%.0fpct_sets" (mix.W.set_ratio *. 100.))
-            ~columns:t.X.t_columns ~rows:t.X.t_rows;
-          out)
+          show env
+            ~csv:
+              (Printf.sprintf "table1_%.0fpct_sets" (mix.W.set_ratio *. 100.))
+            t;
+          Table t)
         p.mixes)
 
 let table2 =
@@ -278,84 +358,392 @@ let table2 =
         X.table2 ~locks:(traced env LR.app_locks) ~topology:p.topology
           ~threads:p.threads ~duration:p.duration ~seed:p.seed ()
       in
-      let out = table t in
-      csv env "table2" ~columns:t.X.t_columns ~rows:t.X.t_rows;
-      out)
+      show env ~csv:"table2" t;
+      [ Table t ])
 
-(* The single-table experiments that take a contending-thread count. *)
-let at_n name doc ?(knobs = [ Topology; contending; Duration; Seed ])
-    ?(defaults = base) f =
-  entry name doc ~knobs ~defaults (fun _ p ->
-      table
-        (f ~topology:p.topology ~n_threads:p.n_threads ~duration:p.duration
-           ~seed:p.seed ()))
+(* The knobs of the single-table experiments at one contending-thread
+   count. *)
+let at_one_count = [ Topology; contending; Duration; Seed ]
 
 let ablation_handoff =
-  at_n "ablation-handoff" "Sweep of the may-pass-local bound (section 3.7)."
-    X.ablation_handoff_bound
+  entry "ablation-handoff" "Sweep of the may-pass-local bound (section 3.7)."
+    ~knobs:at_one_count
+    (fun env p ->
+      let cfg = X.cfg_for p.topology [ p.n_threads ] in
+      let locks = [ "C-BO-MCS"; "C-TKT-MCS" ] in
+      table env
+        ~title:
+          (Printf.sprintf
+             "Ablation: may-pass-local bound at %d threads (throughput Mops/s \
+              and fairness stddev%%)"
+             p.n_threads)
+        ~xlabel:"bound"
+        ~columns:
+          (List.concat_map (fun n -> [ n ^ " tput"; n ^ " unfair%" ]) locks)
+        (List.map
+           (fun bound ->
+             ( bound,
+               Array.of_list
+                 (List.concat_map
+                    (fun name ->
+                      let e = find name in
+                      let r =
+                        point p e
+                          { (e.tweak cfg) with LI.max_local_handoffs = bound }
+                      in
+                      [ mops r; r.Lbench.fairness_stddev_pct ])
+                    locks) ))
+           [ 0; 1; 4; 16; 64; 256; 100_000 ]))
 
+(* HBO parameter instability (section 4.2): the microbenchmark-tuned and
+   application-tuned presets, each on LBench and on the write-heavy KV
+   workload. *)
 let ablation_hbo =
   entry "ablation-hbo" "HBO backoff-parameter instability across workloads."
-    (fun _ p ->
-      table
-        (X.ablation_hbo_tuning ~topology:p.topology ~duration:p.duration
-           ~seed:p.seed ()))
+    (fun env p ->
+      let presets =
+        [ ("HBO micro-tuned", LR.hbo_micro); ("HBO app-tuned", LR.hbo_app) ]
+      in
+      let hbo = find "HBO" in
+      let store = X.kv_store () in
+      table env
+        ~title:
+          "Ablation: HBO backoff-parameter instability (Mops/s; columns: \
+           preset x workload)"
+        ~xlabel:"threads"
+        ~columns:
+          (List.concat_map
+             (fun (p, _) -> [ p ^ " | LBench"; p ^ " | KV wr-heavy" ])
+             presets)
+        (List.map
+           (fun n ->
+             ( n,
+               Array.of_list
+                 (List.concat_map
+                    (fun (_, tweak) ->
+                      let lb =
+                        point { p with n_threads = n } hbo
+                          (tweak (X.cfg_for p.topology [ n ]))
+                      in
+                      let kv =
+                        X.kv_ops_per_sec store { hbo with tweak }
+                          ~topology:p.topology ~n_threads:n
+                          ~duration:p.duration ~seed:p.seed ~mix:W.write_heavy
+                      in
+                      [ mops lb; kv /. 1e6 ])
+                    presets) ))
+           [ 32; 128 ]))
 
+(* The paper's counted policy (bound 64) vs the time-budget policy its
+   section 2.1 suggests, on a fair-global cohort lock so fairness
+   reflects the policy rather than global-lock arbitration. *)
 let ablation_policy =
-  at_n "ablation-policy"
+  entry "ablation-policy"
     "Counted vs time-budget may-pass-local policies (section 2.1)."
-    X.ablation_policy
+    ~knobs:at_one_count
+    (fun env p ->
+      let cfg = X.cfg_for p.topology [ p.n_threads ] in
+      let policies =
+        [
+          ("counted 64", { cfg with LI.handoff_policy = LI.Counted });
+          ( "counted 16",
+            { cfg with LI.handoff_policy = LI.Counted; max_local_handoffs = 16 }
+          );
+          ("timed 5us", { cfg with LI.handoff_policy = LI.Timed 5_000 });
+          ("timed 50us", { cfg with LI.handoff_policy = LI.Timed 50_000 });
+          ( "count|time 10us",
+            { cfg with LI.handoff_policy = LI.Counted_or_timed 10_000 } );
+          ("unbounded", { cfg with LI.handoff_policy = LI.Unbounded });
+        ]
+      in
+      let e = find "C-TKT-MCS" in
+      table env
+        ~title:
+          (Printf.sprintf
+             "Ablation: may-pass-local policy on C-TKT-MCS at %d threads \
+              (rows: %s)"
+             p.n_threads
+             (legend (List.map fst policies)))
+        ~xlabel:"policy#"
+        ~columns:[ "Mops/s"; "unfair%"; "migrations" ]
+        (List.mapi
+           (fun i (_, cfg) ->
+             let r = point p e cfg in
+             ( i,
+               [|
+                 mops r;
+                 r.Lbench.fairness_stddev_pct;
+                 float_of_int r.Lbench.migrations;
+               |] ))
+           policies))
 
+module Blk = Cohort.Park_lock.Make (Numasim.Sim_mem)
+
+(* The blocking cohort lock C-BLK-BLK against the plain blocking mutex
+   and C-BO-MCS on the write-heavy KV workload. *)
 let ext_blocking =
   entry "ext-blocking" "Extension: the blocking cohort lock C-BLK-BLK."
     ~knobs:[ Topology; Threads; Duration; Seed ]
     ~defaults:{ base with threads = app_threads } ~quick:app_quick
-    (fun _ p ->
-      table
-        (X.extension_blocking ~topology:p.topology ~threads:p.threads
-           ~duration:p.duration ~seed:p.seed ()))
+    (fun env p ->
+      let locks =
+        [
+          find "pthread";
+          LR.plain "BLK" (module Blk.Plain : LI.LOCK);
+          LR.plain "C-BLK-BLK" LR.Table.c_blk_blk;
+          find "C-BO-MCS";
+        ]
+      in
+      let t =
+        {
+          (X.table1 ~locks ~topology:p.topology ~threads:p.threads
+             ~duration:p.duration ~seed:p.seed ~mix:W.write_heavy ())
+          with
+          X.t_title =
+            "Extension: blocking cohort lock (C-BLK-BLK) on the write-heavy \
+             KV workload (speedup over pthread @ 1 thread)";
+        }
+      in
+      show env t;
+      [ Table t ])
+
+module Rw = (val LR.Table.c_rw_wp)
+module RwMutex = (val LR.Table.get ~global:"BO" ~local:"MCS")
+
+(* Threads share a structure under either a plain cohort mutex or the RW
+   cohort lock; one loop for both: a thread's [lock]/[unlock] take
+   [write], which the plain mutex ignores. Returns operations / s. *)
+let rw_run ~use_rw ~topology ~n_threads ~write_ratio ~duration ~seed =
+  let cfg = X.cfg_for topology [ n_threads ] in
+  let ops = ref 0 in
+  let shared = M.cell' 0 in
+  let register =
+    if use_rw then begin
+      let l = Rw.create cfg in
+      fun ~tid ~cluster ->
+        let th = Rw.register l ~tid ~cluster in
+        ( (fun write -> if write then Rw.write_lock th else Rw.read_lock th),
+          fun write -> if write then Rw.write_unlock th else Rw.read_unlock th )
+    end
+    else begin
+      let l = RwMutex.create cfg in
+      fun ~tid ~cluster ->
+        let th = RwMutex.register l ~tid ~cluster in
+        ((fun _ -> RwMutex.acquire th), fun _ -> RwMutex.release th)
+    end
+  in
+  ignore
+    (Numasim.Engine.run ~topology ~n_threads (fun ~tid ~cluster ->
+         let lock, unlock = register ~tid ~cluster in
+         let rng = Prng.create (seed + tid) in
+         let rec loop () =
+           if M.now () < duration then begin
+             let write = Prng.chance rng write_ratio in
+             lock write;
+             if write then M.write shared (M.read shared + 1)
+             else ignore (M.read shared);
+             M.pause 150;
+             unlock write;
+             incr ops;
+             M.pause (500 + Prng.int rng 500);
+             loop ()
+           end
+         in
+         loop ()));
+  float_of_int !ops /. (float_of_int duration *. 1e-9)
 
 let ext_rw =
-  at_n "ext-rw" "Extension: the NUMA-aware reader-writer lock C-RW-WP."
-    X.extension_rw
+  entry "ext-rw" "Extension: the NUMA-aware reader-writer lock C-RW-WP."
+    ~knobs:at_one_count
+    (fun env p ->
+      let run use_rw write_ratio =
+        rw_run ~use_rw ~topology:p.topology ~n_threads:p.n_threads ~write_ratio
+          ~duration:p.duration ~seed:p.seed
+      in
+      table env
+        ~title:
+          (Printf.sprintf
+             "Extension: NUMA-aware reader-writer lock (C-RW-WP) vs cohort \
+              mutex at %d threads"
+             p.n_threads)
+        ~xlabel:"write%"
+        ~columns:[ "mutex Mops/s"; "C-RW-WP Mops/s"; "speedup" ]
+        (List.map
+           (fun ratio ->
+             let mutex = run false ratio in
+             let rw = run true ratio in
+             ( int_of_float (ratio *. 100.),
+               [| mutex /. 1e6; rw /. 1e6; rw /. mutex |] ))
+           [ 0.01; 0.1; 0.5; 0.9 ]))
 
+(* The paper motivates write-heavy testing with servers that "exhibit
+   bi-modal behavior, alternating between write-heavy and read-heavy
+   phases" (section 4.2). Cohort locks need no retuning across phases;
+   HBO's fixed backoff parameters cannot suit both. *)
 let ext_bimodal =
-  at_n "ext-bimodal" "Extension: bi-modal (phase-alternating) KV workload."
+  entry "ext-bimodal" "Extension: bi-modal (phase-alternating) KV workload."
     ~knobs:[ Topology; N_threads "Server threads."; Duration; Seed ]
-    ~defaults:{ base with n_threads = 32 } X.extension_bimodal
+    ~defaults:{ base with n_threads = 32 }
+    (fun env p ->
+      let locks =
+        List.filter
+          (fun (e : LR.entry) ->
+            List.mem e.name
+              [ "pthread"; "MCS"; "HBO"; "C-BO-MCS"; "C-TKT-MCS" ])
+          LR.app_locks
+      in
+      let store = X.kv_store () in
+      let run e =
+        X.kv_run store
+          ~make_workload:(fun ~tid ->
+            W.make_bimodal ~seed:(p.seed + (tid * 131) + 7) ~n_keys:X.kv_keys
+              ~period:500 ~mix_a:W.read_heavy ~mix_b:W.write_heavy)
+          e ~topology:p.topology ~n_threads:p.n_threads ~duration:p.duration
+          ~seed:p.seed
+      in
+      let base = run (find "pthread") in
+      table env
+        ~title:
+          (Printf.sprintf
+             "Extension: bi-modal workload (alternating read-/write-heavy \
+              phases) at %d threads (speedup over pthread)"
+             p.n_threads)
+        ~xlabel:"threads"
+        ~columns:(names locks)
+        [
+          ( p.n_threads,
+            Array.of_list (List.map (fun e -> run e /. base) locks) );
+        ])
 
-(* These two fix their machines; the banner shows the default topology. *)
+(* MCS vs C-BO-MCS on each machine, at the entry's thread count capped to
+   the machine's contexts. *)
+let cohort_gain ~title ~topologies env p =
+  table env
+    ~title:
+      (Printf.sprintf "%s at %d threads (rows: %s)" title p.n_threads
+         (legend (List.map fst topologies)))
+    ~xlabel:"machine#"
+    ~columns:[ "MCS Mops/s"; "C-BO-MCS Mops/s"; "cohort gain" ]
+    (List.mapi
+       (fun i (_, topology) ->
+         let n = min p.n_threads (Topology.total_threads topology) in
+         let p = { p with topology; n_threads = n } in
+         let run (e : LR.entry) =
+           mops (point p e (e.tweak (X.cfg_for topology [ n ])))
+         in
+         let m = run (find "MCS") and c = run (find "C-BO-MCS") in
+         (i, [| m; c; c /. m |]))
+       topologies)
+
+(* These two fix their machines; the banner shows the default topology.
+   The cohort advantage should grow with the machine's NUMA factor and
+   vanish on a UMA machine (negative control). *)
 let topology =
-  at_n "topology"
+  entry "topology"
     "Cohort gain across machine shapes (UMA control, 2/4/8 sockets)."
     ~knobs:[ contending; Duration; Seed ]
-    (fun ~topology:_ -> X.topology_sensitivity)
+    (cohort_gain ~title:"Topology sensitivity"
+       ~topologies:
+         [
+           ( "uma",
+             Topology.make ~name:"uma" ~clusters:4 ~threads_per_cluster:64
+               Latency.uniform );
+           ( "2-socket",
+             Topology.make ~name:"2s" ~clusters:2 ~threads_per_cluster:32
+               Latency.two_socket_x86 );
+           ("t5440", Topology.t5440);
+           ( "8-socket",
+             Topology.make ~name:"8s" ~clusters:8 ~threads_per_cluster:32
+               Latency.t5440 );
+         ])
 
+(* Same shape (4 clusters x 64), different cost structure: t5440 pays one
+   flat tier for every cross-cluster transfer, the rack preset pays a
+   cheap socket tier or an expensive rack tier depending on how far the
+   lock migrates. Cohorting should widen its lead when migration can
+   cross a rack. *)
 let hier =
-  at_n "hier"
+  entry "hier"
     "Flat T5440 vs the rack preset (two racks of two sockets, three latency \
      tiers): the cohort gain under deeper distance structure."
     ~knobs:[ contending; Duration; Seed ]
     ~defaults:{ base with topology = Topology.rack }
-    (fun ~topology:_ -> X.hierarchy_comparison)
+    (cohort_gain
+       ~title:
+         "Extension: hierarchical machine (flat t5440 vs 2-rack x 2-socket)"
+       ~topologies:[ ("t5440", Topology.t5440); ("rack", Topology.rack) ])
 
+(* The paper's generality claim, measured: rows are the global locks in
+   table order, columns the local locks. *)
 let matrix =
-  at_n "matrix"
+  entry "matrix"
     "LBench throughput of all 16 global x local cohort compositions."
-    X.composition_matrix
+    ~knobs:at_one_count
+    (fun env p ->
+      let cfg = X.cfg_for p.topology [ p.n_threads ] in
+      let globals = List.map fst LR.Table.globals in
+      let locals = List.map fst LR.Table.locals in
+      table env
+        ~title:
+          (Printf.sprintf
+             "Composition matrix at %d threads (Mops/s; rows = global lock \
+              %s, columns = local lock)"
+             p.n_threads
+             (String.concat "/" globals))
+        ~xlabel:"global#" ~columns:locals
+        (List.mapi
+           (fun gi global ->
+             ( gi,
+               Array.of_list
+                 (List.map
+                    (fun local ->
+                      mops
+                        (Lbench.run (LR.Table.get ~global ~local)
+                           ~topology:p.topology ~cfg ~n_threads:p.n_threads
+                           ~duration:p.duration ~seed:p.seed))
+                    locals) ))
+           globals))
 
+(* The first paper-vs-successor table: the 2012 cohort flagship against
+   two later designs — CNA (Dice & Kogan, arXiv 1810.05600), which gets
+   NUMA-aware handoff out of a single MCS-compatible lock word, and the
+   partition ticket lock, which buys waiter-local spinning with a
+   per-thread slot array. Throughput plus the two profiler metrics the
+   competing claims rest on: remote transfers per acquisition (NUMA
+   locality) and distinct lock-metadata cache lines touched (memory
+   footprint — CNA's headline advantage, PTL's headline cost). The
+   profile is stats-only, so schedules match the unprofiled sweeps. *)
 let successors =
-  at_n "successors"
+  entry "successors"
     "Paper-vs-successor table: MCS and C-BO-MCS against CNA (compact \
      NUMA-aware lock) and the partition ticket lock \u{2014} throughput, \
      remote transfers per acquisition, and lock-metadata cache-line \
      footprint."
-    X.successor_comparison
-
-(* The LBench throughput curves of a sweep, under [title]. *)
-let print_curves title (s : X.sweep) =
-  Report.print_series ~title ~x_label:"threads" ~columns:s.X.columns
-    ~rows:(X.throughput_rows s) ~fmt:Report.fmt_si ()
+    ~knobs:at_one_count
+    (fun env p ->
+      let locks = [ "MCS"; "C-BO-MCS"; "CNA"; "PTL" ] in
+      let cfg = X.cfg_for p.topology [ p.n_threads ] in
+      table env
+        ~title:
+          (Printf.sprintf
+             "Successors: cohort flagship vs CNA and partition ticket at %d \
+              threads (rows: %s)"
+             p.n_threads (legend locks))
+        ~xlabel:"lock#"
+        ~columns:[ "Mops/s"; "xfers/acq"; "lock lines" ]
+        (List.mapi
+           (fun i name ->
+             let e = find name in
+             let r = point ~profile:true p e (e.tweak cfg) in
+             let pr = Option.get r.Lbench.profile in
+             ( i,
+               [|
+                 mops r;
+                 Numa_trace.Profile.remote_transfers_per_acquire pr
+                   ~acquires:r.Lbench.iterations;
+                 float_of_int (Numa_trace.Profile.lock_lines pr);
+               |] ))
+           locks))
 
 (* The full LBench line-up on the hierarchical rack preset (two racks x
    two sockets, three latency tiers); only the plan runs it. *)
@@ -364,10 +752,12 @@ let rack =
     ~in_all:(fun p -> { p with topology = Topology.rack })
     (fun env p ->
       let s = lbench env p in
-      print_curves
-        "Extension: LBench throughput on the rack preset (2 racks x 2 \
-         sockets, pairs / s)"
-        s;
+      show env
+        (X.series
+           ~title:
+             "Extension: LBench throughput on the rack preset (2 racks x 2 \
+              sockets, pairs / s)"
+           ~fmt:Report.fmt_si tput s);
       [ Sweep ("lbench-rack", s) ])
 
 (* Oversubscription: 2048 logical threads wrap onto the T5440's 256
@@ -388,10 +778,12 @@ let oversub =
           LR.microbench_locks
       in
       let s = lbench ~locks env p in
-      print_curves
-        "Extension: oversubscribed LBench (logical threads wrapped onto the \
-         T5440's 256 contexts, pairs / s)"
-        s;
+      show env
+        (X.series
+           ~title:
+             "Extension: oversubscribed LBench (logical threads wrapped onto \
+              the T5440's 256 contexts, pairs / s)"
+           ~fmt:Report.fmt_si tput s);
       [ Sweep ("lbench-oversub", s) ])
 
 (* Saturation collapse: thread counts from capacity to far past it, under
@@ -436,13 +828,20 @@ let collapse =
         X.collapse_sweep ~locks:(traced env locks) ~topology:p.topology
           ~threads:p.threads ~duration:p.duration ~seed:p.seed ()
       in
-      X.print_collapse ~topology:p.topology s;
+      show env ~csv:"collapse"
+        (X.series
+           ~title:
+             (Printf.sprintf
+                "Collapse: throughput under oversubscription on %s (%d \
+                 contexts; pairs / s)"
+                p.topology.Topology.name
+                (Topology.total_threads p.topology))
+           ~fmt:Report.fmt_si tput s);
       if env.profile then print_top print_classes s;
-      csv env "collapse" ~columns:s.X.columns ~rows:(X.throughput_rows s);
       [ Sweep ("collapse", s) ])
 
 let registry_locks doc = Locks (doc, names LR.all_locks)
-let find_all = List.map (fun n -> Option.get (LR.find n))
+let find_all = List.map find
 
 (* The paper-claim gate (ci.sh): C-BO-MCS must move the lock data across
    clusters less often than plain MCS \u{2014} section 4's explanation of the
@@ -624,8 +1023,8 @@ let commands =
 let run ?csv_dir ?trace ?emit ?(profile = false) e p =
   let sink, finish = Numa_trace.Chrome.open_trace trace in
   let env = { sink; rollup = emit <> None; profile; csv_dir } in
-  Printf.printf "%s\n%!"
-    (X.params_summary ~topology:p.topology ~duration:p.duration ~seed:p.seed);
+  Printf.printf "topology=%s duration=%dms seed=%d\n%!" p.topology.Topology.name
+    (p.duration / 1_000_000) p.seed;
   let outputs = e.run env p in
   finish ();
   Option.iter (Printf.printf "wrote %s\n%!") trace;

@@ -1,11 +1,14 @@
-(** Per-figure / per-table experiment runners (see DESIGN.md section 3).
+(** The experiment runners that more than one caller shares (see
+    DESIGN.md section 3): the LBench and collapse sweeps, Tables 1 and 2,
+    and the KV-store run the KV ablations and extensions build on. Each
+    experiment's own runner lives in its {!Catalogue} entry.
 
     Figures 2-5 all derive from one microbenchmark sweep, so
-    {!microbench_sweep} runs once and the four [figN_*] accessors render
-    its views. Every runner is deterministic in [seed]. Durations are
-    simulated nanoseconds: the paper measures 60 s windows, but LBench
-    reaches steady state in well under a millisecond, so the default
-    windows (set by {!Catalogue}) are 0.4-10 ms. *)
+    {!microbench_sweep} runs once and each figure is a {!series} view of
+    it. Every runner is deterministic in [seed]. Durations are simulated
+    nanoseconds: the paper measures 60 s windows, but LBench reaches
+    steady state in well under a millisecond, so the default windows (set
+    by {!Catalogue}) are 0.4-10 ms. *)
 
 type sweep = {
   threads : int list;
@@ -14,7 +17,22 @@ type sweep = {
       (** [cells.(col).(row)] for column lock, row thread-count. *)
 }
 
-val params_summary : topology:Numa_base.Topology.t -> duration:int -> seed:int -> string
+(** One printed figure or table: what {!Catalogue} prints, and writes as
+    CSV under [--csv-dir]. *)
+type table = {
+  t_title : string;
+  t_xlabel : string;
+  t_columns : string list;
+  t_rows : (int * float array) list;
+      (** (x, one value per column) rows; [nan] cells print as "-". *)
+  t_fmt : float -> string;  (** cell format. *)
+}
+
+val cfg_for :
+  Numa_base.Topology.t -> int list -> Cohort.Lock_intf.config
+(** The default config for the topology's clusters, with [max_threads]
+    covering its contexts and the largest thread count in a sweep —
+    required for oversubscribed sweeps, a no-op for in-capacity ones. *)
 
 val microbench_sweep :
   ?locks:Lock_registry.entry list ->
@@ -32,43 +50,52 @@ val microbench_sweep :
     table with per-site coherence attribution (see
     {!Bench_core.Make.run}). *)
 
-val abortable_sweep :
-  ?locks:Lock_registry.abortable_entry list ->
-  ?rollup:bool ->
-  ?profile:bool ->
-  topology:Numa_base.Topology.t ->
-  threads:int list ->
-  duration:int ->
-  seed:int ->
-  patience:int ->
-  unit ->
-  sweep
-(** The Figure 6 data. *)
-
-(** Views over a sweep; each returns (x, per-column values) rows. *)
-
 val throughput_rows : sweep -> (int * float array) list
-val misses_rows : sweep -> (int * float array) list
-val fairness_rows : sweep -> (int * float array) list
-val abort_rate_rows : sweep -> (int * float array) list
+(** (thread count, per-column throughput) rows. *)
+
+val series :
+  title:string -> fmt:(float -> string) -> (Lbench.result -> float) -> sweep ->
+  table
+(** One metric of every cell, rows by thread count, one column per lock. *)
 
 val low_contention : sweep -> sweep
 (** Restrict to thread counts <= 16 (Figure 4). *)
 
-val print_fig2 : sweep -> unit
-val print_fig3 : sweep -> unit
-val print_fig4 : sweep -> unit
-val print_fig5 : sweep -> unit
-val print_fig6 : sweep -> unit
+(** {1 The KV store} *)
 
-(** Table 1: memcached-style KV store speedups over pthread at 1 thread. *)
+type kv_store
+(** One populated memcached-style store that a table's cells share. *)
 
-type table = {
-  t_title : string;
-  t_xlabel : string;
-  t_columns : string list;
-  t_rows : (int * float array) list;
-}
+val kv_keys : int
+
+val kv_store : unit -> kv_store
+
+val kv_run :
+  kv_store ->
+  make_workload:(tid:int -> Apps.Kv_workload.t) ->
+  Lock_registry.entry ->
+  topology:Numa_base.Topology.t ->
+  n_threads:int ->
+  duration:int ->
+  seed:int ->
+  float
+(** One KV-store run behind the lock (the store reset first, so cells are
+    independent): [n_threads] server threads draw requests from
+    [make_workload ~tid], fed by a fixed 32-fiber client. Operations per
+    simulated second. *)
+
+val kv_ops_per_sec :
+  kv_store ->
+  Lock_registry.entry ->
+  topology:Numa_base.Topology.t ->
+  n_threads:int ->
+  duration:int ->
+  seed:int ->
+  mix:Apps.Kv_workload.mix ->
+  float
+(** {!kv_run} on a fixed get/set mix. *)
+
+(** {1 Tables 1 and 2} *)
 
 val table1 :
   ?locks:Lock_registry.entry list ->
@@ -79,6 +106,7 @@ val table1 :
   mix:Apps.Kv_workload.mix ->
   unit ->
   table
+(** Table 1: memcached-style KV store speedups over pthread at 1 thread. *)
 
 val table2 :
   ?locks:Lock_registry.entry list ->
@@ -90,106 +118,7 @@ val table2 :
   table
 (** Table 2: allocator stress (mmicro), malloc-free pairs per millisecond. *)
 
-val print_table : table -> unit
-
-(** Ablations motivated by the paper's design discussion. *)
-
-val ablation_handoff_bound :
-  topology:Numa_base.Topology.t ->
-  n_threads:int ->
-  duration:int ->
-  seed:int ->
-  unit ->
-  table
-(** Sweep of [max_local_handoffs] (section 3.7): throughput and fairness
-    of C-BO-MCS and C-TKT-MCS as the may-pass-local budget grows. Rows are
-    bounds; the columns interleave throughput (Mops/s) and fairness
-    (stddev %). *)
-
-val ablation_hbo_tuning :
-  topology:Numa_base.Topology.t ->
-  duration:int ->
-  seed:int ->
-  unit ->
-  table
-(** HBO parameter instability (section 4.2): the microbenchmark-tuned and
-    application-tuned presets, each run on LBench and on the write-heavy
-    KV workload. *)
-
-val ablation_policy :
-  topology:Numa_base.Topology.t ->
-  n_threads:int ->
-  duration:int ->
-  seed:int ->
-  unit ->
-  table
-(** The counted may-pass-local policy vs the time-budget policy suggested
-    in section 2.1: throughput, fairness and migrations per variant. *)
-
-val extension_blocking :
-  topology:Numa_base.Topology.t ->
-  threads:int list ->
-  duration:int ->
-  seed:int ->
-  unit ->
-  table
-(** The blocking cohort lock C-BLK-BLK against the plain blocking mutex
-    and C-BO-MCS on the write-heavy KV workload. *)
-
-val extension_rw :
-  topology:Numa_base.Topology.t ->
-  n_threads:int ->
-  duration:int ->
-  seed:int ->
-  unit ->
-  table
-(** The NUMA-aware reader-writer lock against a cohort mutex across
-    write ratios. *)
-
-val latency_p99_rows : sweep -> (int * float array) list
-val print_fig5_latency : sweep -> unit
-
-val topology_sensitivity :
-  n_threads:int -> duration:int -> seed:int -> unit -> table
-(** The cohort gain across machine shapes: UMA (negative control),
-    2-socket x86, the paper's T5440, and a hypothetical 8-socket
-    machine. *)
-
-val hierarchy_comparison :
-  n_threads:int -> duration:int -> seed:int -> unit -> table
-(** The flat T5440 against the {!Numa_base.Topology.rack} preset (two
-    racks of two sockets, three latency tiers): same cluster shape,
-    different distance structure, so the cohort gain isolates the cost of
-    cross-rack lock migration. *)
-
-val cfg_for :
-  Numa_base.Topology.t -> int list -> Cohort.Lock_intf.config
-(** [base_cfg] widened so [max_threads] covers the largest thread count
-    in a sweep — required for oversubscribed sweeps, a no-op for
-    in-capacity ones. *)
-
-val extension_bimodal :
-  topology:Numa_base.Topology.t ->
-  n_threads:int ->
-  duration:int ->
-  seed:int ->
-  unit ->
-  table
-(** The bi-modal (alternating read-heavy / write-heavy) server scenario
-    the paper's section 4.2 motivates. *)
-
-val successor_comparison :
-  topology:Numa_base.Topology.t ->
-  n_threads:int ->
-  duration:int ->
-  seed:int ->
-  unit ->
-  table
-(** The first paper-vs-successor table: MCS and C-BO-MCS against CNA
-    (single-word compact NUMA-aware lock) and the partition ticket lock.
-    Columns are throughput, remote transfers per acquisition, and
-    distinct lock-metadata cache lines touched (from a profiled run —
-    stats-only, so schedules match the unprofiled sweeps). *)
+(** {1 Saturation collapse} *)
 
 val collapse_run :
   Lock_registry.entry ->
@@ -219,16 +148,3 @@ val collapse_sweep :
   sweep
 (** {!collapse_run} for every (lock, thread-count); defaults to
     {!Lock_registry.collapse_locks}. *)
-
-val print_collapse : topology:Numa_base.Topology.t -> sweep -> unit
-
-val composition_matrix :
-  topology:Numa_base.Topology.t ->
-  n_threads:int ->
-  duration:int ->
-  seed:int ->
-  unit ->
-  table
-(** LBench throughput for all 16 global x local compositions (rows are
-    the global locks BO/TKT/MCS/CLH in order, columns the local locks) —
-    the paper's generality claim, measured. *)

@@ -75,3 +75,8 @@ module Make (M : Numa_base.Memory_intf.MEMORY) : S
 
 include S
 (** The simulated-substrate registry. *)
+
+module Table : module type of Cohort.Cohort_locks.Make (Numasim.Sim_mem)
+(** The composition table over the simulated substrate: the instance the
+    simulated registry's cohort locks come from, and the one experiments
+    use for the compositions no line-up lists. *)

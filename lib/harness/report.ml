@@ -15,7 +15,7 @@ let fmt_fixed1 v = Printf.sprintf "%.1f" v
 
 (* A series table: first column is the x value (thread count), then one
    column per lock. *)
-let print_series ?(out = Format.std_formatter) ~title ~x_label ~columns
+let print_series ~title ~x_label ~columns
     ~(rows : (int * float array) list) ~fmt () =
   let ncols = List.length columns in
   let widths = Array.make (ncols + 1) (String.length x_label) in
@@ -34,21 +34,21 @@ let print_series ?(out = Format.std_formatter) ~title ~x_label ~columns
         row)
       rows
   in
-  Format.fprintf out "@.=== %s ===@." title;
+  Format.printf "@.=== %s ===@." title;
   let pad i s = Printf.sprintf "%*s" widths.(i) s in
   let header =
     String.concat "  " (List.mapi (fun i c -> pad (i + 1) c) columns)
   in
-  Format.fprintf out "%s  %s@." (pad 0 x_label) header;
+  Format.printf "%s  %s@." (pad 0 x_label) header;
   List.iter
     (fun row ->
       let line =
         String.concat "  "
           (List.mapi (fun i s -> pad i s) (Array.to_list row))
       in
-      Format.fprintf out "%s@." line)
+      Format.printf "%s@." line)
     cells;
-  Format.fprintf out "@."
+  Format.printf "@."
 
 let csv_of_series ~x_label ~columns ~(rows : (int * float array) list) =
   let b = Buffer.create 1024 in

@@ -9,7 +9,6 @@ val fmt_fixed2 : float -> string
 val fmt_fixed1 : float -> string
 
 val print_series :
-  ?out:Format.formatter ->
   title:string ->
   x_label:string ->
   columns:string list ->

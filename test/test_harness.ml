@@ -8,6 +8,7 @@ module LB = Harness.Lbench
 module X = Harness.Experiments
 module R = Harness.Lock_registry
 module Rep = Harness.Report
+module C = Harness.Catalogue
 
 let topo = Topology.t5440
 let cfg = { LI.default with LI.clusters = 4; max_threads = 256 }
@@ -172,9 +173,21 @@ let test_table2_smoke () =
   Alcotest.(check bool) "mmicro scales" true (v8.(1) > v1.(1))
 
 let test_ablation_handoff_smoke () =
+  let e =
+    List.find (fun e -> e.C.name = "ablation-handoff") C.commands
+  in
+  let env =
+    { C.sink = Numa_trace.Sink.noop; rollup = false; profile = false;
+      csv_dir = None }
+  in
   let t =
-    X.ablation_handoff_bound ~topology:topo ~n_threads:16 ~duration:200_000
-      ~seed:1 ()
+    match
+      e.C.run env
+        { e.C.defaults with C.topology = topo; n_threads = 16;
+          duration = 200_000; seed = 1 }
+    with
+    | [ C.Table t ] -> t
+    | _ -> Alcotest.fail "ablation-handoff: expected one table"
   in
   Alcotest.(check int) "7 bounds" 7 (List.length t.X.t_rows);
   (* Throughput with a generous bound beats always-global (bound 0). *)
@@ -285,7 +298,6 @@ let test_check_lock_reentrant_acquire () =
 (* Every catalogue entry at tiny parameters: the subcommands (bar [all]
    and [quick], the folds over the plan) plus the plan steps that are not
    subcommands. *)
-module C = Harness.Catalogue
 
 let names es = List.map (fun e -> e.C.name) es
 
@@ -330,7 +342,13 @@ let test_catalogue_entries_run () =
                 s.X.cells
           | C.Table t ->
               Alcotest.(check bool) (e.C.name ^ " table rows") true
-                (t.X.t_rows <> []))
+                (t.X.t_rows <> []);
+              List.iter
+                (fun (x, vs) ->
+                  Alcotest.(check int)
+                    (Printf.sprintf "%s row %d width" e.C.name x)
+                    (List.length t.X.t_columns) (Array.length vs))
+                t.X.t_rows)
         outputs)
     entries
 
