@@ -124,7 +124,7 @@ module Make (M : Memory_intf.MEMORY) (RT : Runtime_intf.RUNTIME) = struct
               if acquire () then begin
                 Stats.Histogram.add latencies (M.now () - t0);
                 if !last_cluster <> cluster then begin
-                  incr migrations;
+                  if !last_cluster >= 0 then incr migrations;
                   last_cluster := cluster
                 end;
                 run_cs data;

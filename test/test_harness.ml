@@ -65,6 +65,23 @@ let test_lbench_migrations_bounded () =
   Alcotest.(check bool) "batching visible" true
     (r.LB.migrations * 4 < r.LB.iterations)
 
+(* A migration is an acquisition by a different cluster than the previous
+   holder's; the first acquisition has no previous holder. The loop's
+   count must match the lock's own trace. *)
+let test_lbench_migrations_exact () =
+  let small = Topology.small in
+  let cfg = X.cfg_for small [ 8 ] in
+  let run ?rollup n =
+    LB.run ~name:"MCS" ?rollup mcs.R.lock ~topology:small ~cfg ~n_threads:n
+      ~duration:200_000 ~seed:1
+  in
+  Alcotest.(check int) "1 thread: none" 0 (run 1).LB.migrations;
+  let r = run ~rollup:true 8 in
+  let m = Option.get r.LB.rollup in
+  Alcotest.(check bool) "8 threads: some" true (r.LB.migrations > 0);
+  Alcotest.(check int) "8 threads: the trace rollup's"
+    m.Numa_trace.Metrics.migrations r.LB.migrations
+
 let test_lbench_single_thread_zero_misses () =
   let r =
     LB.run ~name:"MCS" mcs.R.lock ~topology:topo ~cfg ~n_threads:1
@@ -367,6 +384,8 @@ let suite =
         Alcotest.test_case "seed matters" `Quick test_lbench_seed_matters;
         Alcotest.test_case "migrations bounded" `Quick
           test_lbench_migrations_bounded;
+        Alcotest.test_case "migrations exact" `Quick
+          test_lbench_migrations_exact;
         Alcotest.test_case "single thread clean" `Quick
           test_lbench_single_thread_zero_misses;
         Alcotest.test_case "abortable runs" `Quick test_lbench_abortable_runs;
