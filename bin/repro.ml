@@ -62,7 +62,7 @@ let knob_term (d : C.params) knob : (C.params -> C.params) Term.t =
   | Locks (doc, names) ->
       set (fun locks p -> { p with C.locks })
       @@ Arg.(value & pos_all (Cli.lock names) d.locks & info [] ~docv:"LOCK" ~doc)
-  | Check doc ->
+  | Check (doc, _) ->
       set (fun check p -> { p with C.check })
       @@ Arg.(value & flag & info [ "check" ] ~doc)
   | Csv | Trace | Emit | Profile | Fastpath -> Term.const Fun.id
@@ -113,15 +113,27 @@ let cmd (e : C.entry) =
       (Term.const Fun.id) e.knobs
   in
   let only k arg none = if List.mem k e.knobs then arg else Term.const none in
+  (* A --check whose gate needs a point the run lacks is a usage error,
+     reported before anything runs. *)
   let run f csv_dir trace emit profile fastpath =
-    Numasim.Engine.set_fastpath fastpath;
-    C.run ?csv_dir ?trace ?emit ~profile e (f e.defaults)
+    let p = f e.defaults in
+    match
+      List.find_map
+        (function C.Check (_, needs) when p.C.check -> needs p | _ -> None)
+        e.knobs
+    with
+    | Some msg -> `Error (true, msg)
+    | None ->
+        Numasim.Engine.set_fastpath fastpath;
+        C.run ?csv_dir ?trace ?emit ~profile e p;
+        `Ok ()
   in
   Cmd.v (Cmd.info e.name ~doc:e.doc)
     Term.(
-      const run $ params $ only Csv csv_dir_arg None $ only Trace trace_arg None
-      $ only Emit emit_arg None $ only Profile profile_arg false
-      $ only Fastpath fastpath_arg true)
+      ret
+        (const run $ params $ only Csv csv_dir_arg None
+        $ only Trace trace_arg None $ only Emit emit_arg None
+        $ only Profile profile_arg false $ only Fastpath fastpath_arg true))
 
 let () =
   let info =

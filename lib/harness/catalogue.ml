@@ -37,7 +37,7 @@ type knob =
   | Patience
   | Mix
   | Locks of string * string list
-  | Check of string
+  | Check of string * (params -> string option)
   | Csv
   | Trace
   | Emit
@@ -861,10 +861,18 @@ let profile =
           "Registry locks to profile (default: MCS C-BO-MCS CNA PTL).";
         contending; Duration; Seed;
         Check
-          "Exit non-zero unless C-BO-MCS shows strictly fewer remote \
-           transfers per acquisition than MCS, and CNA touches fewer \
-           distinct lock-metadata cache lines than C-BO-MCS (the \
-           paper-claim gate used by scripts/ci.sh).";
+          ( "Exit non-zero unless C-BO-MCS shows strictly fewer remote \
+             transfers per acquisition than MCS, and CNA touches fewer \
+             distinct lock-metadata cache lines than C-BO-MCS (the \
+             paper-claim gate used by scripts/ci.sh).",
+            fun p ->
+              List.find_opt
+                (fun n -> not (List.mem n p.locks))
+                [ "MCS"; "C-BO-MCS"; "CNA" ]
+              |> Option.map
+                   (Printf.sprintf
+                      "profile --check: lock %S not in the run (need MCS, \
+                       C-BO-MCS and CNA)") );
       ]
     ~defaults:{ base with locks = core_locks }
     (fun _ p ->
@@ -894,17 +902,7 @@ let profile =
           Printf.printf "  %-12s %8.3f %6d lines\n" name (per_acq r) (lines r))
         results;
       if p.check then begin
-        let get name =
-          match List.assoc_opt name results with
-          | Some r -> r
-          | None ->
-              Printf.eprintf
-                "profile --check: lock %S not in the run (need MCS, C-BO-MCS \
-                 and CNA)\n\
-                 %!"
-                name;
-              exit 2
-        in
+        let get name = List.assoc name results in
         gate
           (Gates.transfers_claim ~mcs_per_acq:(per_acq (get "MCS"))
              ~cohort_per_acq:(per_acq (get "C-BO-MCS")));
@@ -929,10 +927,25 @@ let predict =
           "Registry locks to predict (default: MCS C-BO-MCS CNA PTL).";
         Threads; Duration; Seed;
         Check
-          "Exit non-zero unless the median absolute prediction error on the \
-           core curves (MCS, C-BO-MCS, CNA at the pinned thread counts) \
-           stays within the stated band (the prediction gate used by \
-           scripts/ci.sh).";
+          ( "Exit non-zero unless the median absolute prediction error on \
+             the core curves (MCS, C-BO-MCS, CNA at the pinned thread \
+             counts) stays within the stated band (the prediction gate used \
+             by scripts/ci.sh).",
+            fun p ->
+              List.concat_map
+                (fun lock ->
+                  List.map (fun n -> (lock, n)) Gates.pred_core_threads)
+                Gates.pred_core_locks
+              |> List.find_opt (fun (lock, n) ->
+                     not (List.mem lock p.locks && List.mem n p.threads))
+              |> Option.map (fun (lock, n) ->
+                     Printf.sprintf
+                       "predict --check: core point %s @ %d threads not in \
+                        the run (need %s at threads %s)"
+                       lock n
+                       (String.concat ", " Gates.pred_core_locks)
+                       (String.concat ","
+                          (List.map string_of_int Gates.pred_core_threads))) );
       ]
     ~defaults:{ base with threads = Gates.pred_core_threads; locks = core_locks }
     (fun _ p ->
@@ -945,22 +958,12 @@ let predict =
       if p.check then begin
         let pts = points s in
         let err lock n =
-          match
-            List.find_opt
-              (fun (name, (r : Lbench.result)) ->
-                name = lock && r.Lbench.n_threads = n)
-              pts
-          with
-          | Some (_, r) -> err_pct r
-          | None ->
-              Printf.eprintf
-                "predict --check: core point %s @ %d threads not in the run \
-                 (need %s at threads %s)\n\
-                 %!"
-                lock n
-                (String.concat ", " Gates.pred_core_locks)
-                (String.concat "," (List.map string_of_int Gates.pred_core_threads));
-              exit 2
+          err_pct
+            (snd
+               (List.find
+                  (fun (name, (r : Lbench.result)) ->
+                    name = lock && r.Lbench.n_threads = n)
+                  pts))
         in
         gate
           (Gates.prediction_claim

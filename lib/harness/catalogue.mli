@@ -39,7 +39,9 @@ type knob =
   | Patience
   | Mix
   | Locks of string * string list  (** doc, accepted names. *)
-  | Check of string  (** doc. *)
+  | Check of string * (params -> string option)
+      (** doc, and what the gate needs that a run's params lack, if
+          anything: a usage error, found before anything runs. *)
   | Csv
   | Trace
   | Emit
