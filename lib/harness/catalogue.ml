@@ -241,6 +241,7 @@ let point ?profile p (e : LR.entry) cfg =
 let tput (r : Lbench.result) = r.throughput
 let mops (r : Lbench.result) = r.throughput /. 1e6
 let find name = Option.get (LR.find name)
+let find_all = List.map find
 
 (* "0=a, 1=b, ...": the row legend of a table whose rows are indices. *)
 let legend names =
@@ -819,14 +820,10 @@ let collapse =
     ~quick:(fun p ->
       { p with threads = [ 64; 1024; 2048 ]; duration = 500_000 })
     (fun env p ->
-      let locks =
-        List.map
-          (fun n -> List.find (fun (e : LR.entry) -> e.LR.name = n) LR.collapse_locks)
-          p.locks
-      in
       let s =
-        X.collapse_sweep ~locks:(traced env locks) ~topology:p.topology
-          ~threads:p.threads ~duration:p.duration ~seed:p.seed ()
+        X.collapse_sweep ~locks:(traced env (find_all p.locks))
+          ~topology:p.topology ~threads:p.threads ~duration:p.duration
+          ~seed:p.seed ()
       in
       show env ~csv:"collapse"
         (X.series
@@ -841,7 +838,6 @@ let collapse =
       [ Sweep ("collapse", s) ])
 
 let registry_locks doc = Locks (doc, names LR.all_locks)
-let find_all = List.map find
 
 (* The paper-claim gate (ci.sh): C-BO-MCS must move the lock data across
    clusters less often than plain MCS \u{2014} section 4's explanation of the

@@ -1,5 +1,9 @@
 (** The experiment catalogue: one entry per experiment of the evaluation
-    (Figures 2-6, Tables 1-2, the ablations and extensions).
+    (Figures 2-6, Tables 1-2, the ablations and extensions). An entry
+    holds its experiment's runner; only what the benchmark, a test or
+    several entries share lives in {!Experiments}. Every figure and
+    table an entry prints is one {!Experiments.table}, which the
+    catalogue also writes as CSV under [--csv-dir].
     [bin/repro.exe] builds one subcommand per entry of {!commands}, its
     flags from the entry's {!knob}s; [repro all] and [repro quick] both
     fold over {!plan}. *)
