@@ -22,6 +22,34 @@ type result = {
   event_classes : Runtime_intf.event_class list;
 }
 
+type cs = Counters | Pause of int
+
+type hooks = { before_acquire : unit -> unit; granted : waited:int -> bool }
+
+type workload = {
+  salt : int;
+  cs : cs;
+  idle_min : int;
+  idle_spread : int;
+  thread : tid:int -> Prng.t -> hooks;
+}
+
+let lbench =
+  {
+    salt = 13;
+    cs = Counters;
+    idle_min = 0;
+    idle_spread = 4_000 (* idle spin of up to 4 us *);
+    thread =
+      (fun ~tid:_ _ ->
+        { before_acquire = ignore; granted = (fun ~waited:_ -> true) });
+  }
+
+(* Mean of LBench's uniform non-critical delay: the analytic model's
+   per-iteration idle term. *)
+let lbench_idle_mean_ns =
+  float_of_int lbench.idle_min +. (float_of_int lbench.idle_spread /. 2.)
+
 module Make (M : Memory_intf.MEMORY) (RT : Runtime_intf.RUNTIME) = struct
   (* The shared critical-section data: four counters on each of two cache
      lines (paper, Figure 2 caption). *)
@@ -92,60 +120,6 @@ module Make (M : Memory_intf.MEMORY) (RT : Runtime_intf.RUNTIME) = struct
         | _ -> None);
     }
 
-  let non_cs_delay rng = Prng.int rng 4_000 (* idle spin of up to 4 us *)
-
-  (* Mean of the uniform non-critical delay above — the analytic model's
-     per-iteration idle term. Keep in lock-step with [non_cs_delay]. *)
-  let non_cs_delay_mean_ns = 2_000.
-
-  (* The one measurement loop behind both entry points: [register]
-     returns a thread's [acquire] (false = aborted) and [release].
-     Instrumentation state is either per-thread (counts, aborts, latency
-     histograms, merged after the join) or mutated only inside the
-     critical section (migrations), so it is race-free under native
-     domains and does not perturb the simulation. *)
-  let run_generic ~lock_name ~profile ~register ~topology ~n_threads ~duration
-      ~seed =
-    let counts = Array.make n_threads 0 in
-    let aborts = Array.make n_threads 0 in
-    let migrations = ref 0 in
-    let last_cluster = ref (-1) in
-    let latencies = Array.init n_threads (fun _ -> Stats.Histogram.create ()) in
-    let data = make_cs_data () in
-    let stats =
-      RT.run ~topology ~n_threads ~stop_after:duration ~profile
-        (fun ~stop ~tid ~cluster ->
-          let rng = Prng.create (seed + (tid * 7919) + 13) in
-          let acquire, release = register ~tid ~cluster in
-          let latencies = latencies.(tid) in
-          let rec loop () =
-            if not (RT.stopped stop) then begin
-              let t0 = M.now () in
-              if acquire () then begin
-                Stats.Histogram.add latencies (M.now () - t0);
-                if !last_cluster <> cluster then begin
-                  if !last_cluster >= 0 then incr migrations;
-                  last_cluster := cluster
-                end;
-                run_cs data;
-                counts.(tid) <- counts.(tid) + 1;
-                release ()
-              end
-              else aborts.(tid) <- aborts.(tid) + 1;
-              M.pause (non_cs_delay rng);
-              loop ()
-            end
-          in
-          loop ())
-    in
-    let merged =
-      Array.fold_left Stats.Histogram.merge (Stats.Histogram.create ())
-        latencies
-    in
-    summarise ~lock_name ~n_threads ~duration ~counts ~migrations:!migrations
-      ~aborts:(Array.fold_left ( + ) 0 aborts)
-      ~latencies:merged ~stats
-
   (* Analytic throughput prediction (doc/SIMULATOR.md "Model
      validation"): pure arithmetic over the rollup + engine-global
      interconnect stats, computed after the run — never per-site rows,
@@ -164,7 +138,7 @@ module Make (M : Memory_intf.MEMORY) (RT : Runtime_intf.RUNTIME) = struct
         let pred =
           Numa_trace.Predict.predict
             ~calib:(Topology.predict_calib topology)
-            ~noncrit_ns:non_cs_delay_mean_ns ~n_threads:res.n_threads
+            ~noncrit_ns:lbench_idle_mean_ns ~n_threads:res.n_threads
             ~hold_mean_ns:m.Numa_trace.Metrics.hold_mean
             ~batch_p50:m.Numa_trace.Metrics.batch_p50 ~icx_queue_mean_ns
             ~measured:res.throughput ()
@@ -198,32 +172,105 @@ module Make (M : Memory_intf.MEMORY) (RT : Runtime_intf.RUNTIME) = struct
       { res with rollup = Some m }
     end
 
+  (* The one measurement loop behind every entry point. [lock cfg]
+     creates the lock: its name and [register], which returns a thread's
+     [acquire] (false = aborted) and [release]. The workload gives the
+     critical section, the idle delay and the hooks around each acquire;
+     a grant the hooks leave uncounted still runs its critical section
+     and release. Instrumentation state is either per-thread (counts,
+     aborts, latency histograms, merged after the join) or mutated only
+     inside the critical section (migrations), so it is race-free under
+     native domains and does not perturb the simulation. *)
+  let run_generic ~workload:w ?name ~rollup ~profile lock ~topology ~cfg
+      ~n_threads ~duration ~seed =
+    with_rollup ~rollup cfg @@ fun cfg ->
+    let lock_name, register = lock cfg in
+    let counts = Array.make n_threads 0 in
+    let aborts = Array.make n_threads 0 in
+    let migrations = Numa_trace.Metrics.Migrations.create () in
+    (* A thread's histogram is made at its first counted grant: past
+       capacity most threads never get one. *)
+    let latencies = Array.make n_threads None in
+    let data = make_cs_data () in
+    let stats =
+      RT.run ~topology ~n_threads ~stop_after:duration ~profile
+        (fun ~stop ~tid ~cluster ->
+          let rng = Prng.create (seed + (tid * 7919) + w.salt) in
+          let acquire, release = register ~tid ~cluster in
+          let hooks = w.thread ~tid rng in
+          let rec loop () =
+            if not (RT.stopped stop) then begin
+              hooks.before_acquire ();
+              let t0 = M.now () in
+              if acquire () then begin
+                let waited = M.now () - t0 in
+                if hooks.granted ~waited then begin
+                  (match latencies.(tid) with
+                  | Some h -> Stats.Histogram.add h waited
+                  | None ->
+                      let h = Stats.Histogram.create () in
+                      Stats.Histogram.add h waited;
+                      latencies.(tid) <- Some h);
+                  Numa_trace.Metrics.Migrations.note migrations ~cluster;
+                  counts.(tid) <- counts.(tid) + 1
+                end;
+                (match w.cs with
+                | Counters -> run_cs data
+                | Pause ns -> M.pause ns);
+                release ()
+              end
+              else aborts.(tid) <- aborts.(tid) + 1;
+              M.pause (w.idle_min + Prng.int rng w.idle_spread);
+              loop ()
+            end
+          in
+          loop ())
+    in
+    let merged =
+      Array.fold_left
+        (fun acc -> Option.fold ~none:acc ~some:(Stats.Histogram.merge acc))
+        (Stats.Histogram.create ()) latencies
+    in
+    summarise
+      ~lock_name:(Option.value name ~default:lock_name)
+      ~n_threads ~duration ~counts
+      ~migrations:(Numa_trace.Metrics.Migrations.count migrations)
+      ~aborts:(Array.fold_left ( + ) 0 aborts)
+      ~latencies:merged ~stats
+
   (* A plain lock is the abortable case whose acquire always succeeds. *)
-  let run ?name ?(rollup = false) ?(profile = false) (module L : LI.LOCK)
-      ~topology ~cfg ~n_threads ~duration ~seed =
-    attach_prediction ~topology
-    @@ with_rollup ~rollup cfg
-    @@ fun cfg ->
+  let plain (module L : LI.LOCK) cfg =
     let l = L.create cfg in
-    run_generic ~lock_name:(Option.value name ~default:L.name) ~profile
-      ~register:(fun ~tid ~cluster ->
+    ( L.name,
+      fun ~tid ~cluster ->
         let th = L.register l ~tid ~cluster in
         ( (fun () ->
             L.acquire th;
             true),
-          fun () -> L.release th ))
-      ~topology ~n_threads ~duration ~seed
+          fun () -> L.release th ) )
+
+  let run ?name ?(rollup = false) ?(profile = false) lock ~topology ~cfg
+      ~n_threads ~duration ~seed =
+    attach_prediction ~topology
+    @@ run_generic ~workload:lbench ?name ~rollup ~profile (plain lock)
+         ~topology ~cfg ~n_threads ~duration ~seed
 
   let run_abortable ?name ?(rollup = false) ?(profile = false)
       (module L : LI.ABORTABLE_LOCK) ~topology ~cfg ~n_threads ~duration ~seed
       ~patience =
+    let abortable cfg =
+      let l = L.create cfg in
+      ( L.name,
+        fun ~tid ~cluster ->
+          let th = L.register l ~tid ~cluster in
+          ((fun () -> L.try_acquire th ~patience), fun () -> L.release th) )
+    in
     attach_prediction ~topology
-    @@ with_rollup ~rollup cfg
-    @@ fun cfg ->
-    let l = L.create cfg in
-    run_generic ~lock_name:(Option.value name ~default:L.name) ~profile
-      ~register:(fun ~tid ~cluster ->
-        let th = L.register l ~tid ~cluster in
-        ((fun () -> L.try_acquire th ~patience), fun () -> L.release th))
-      ~topology ~n_threads ~duration ~seed
+    @@ run_generic ~workload:lbench ?name ~rollup ~profile abortable ~topology
+         ~cfg ~n_threads ~duration ~seed
+
+  (* The analytic model is calibrated to LBench's loop, so another
+     workload's point is rolled up but never predicted. *)
+  let run_workload workload ?name lock =
+    run_generic ~workload ?name ~rollup:true ~profile:false (plain lock)
 end

@@ -4,7 +4,9 @@
     Each thread loops: acquire the central lock; execute a critical
     section that increments four integer counters on each of two distinct
     cache lines; release; then idle for a non-critical section of up to
-    4 µs. The same functor body measures the simulated substrate
+    4 µs. Other workloads (the saturation-collapse experiment) run the
+    same loop with their own constants and hooks: see {!workload}. The
+    same functor body measures the simulated substrate
     (deterministic, with coherence statistics) and the native one (real
     domains, wall-clock). {!Lbench} is its simulation instance and the
     historical entry point; {!Native.Bench} is the native instance. *)
@@ -58,6 +60,31 @@ type result = {
           fast path). *)
 }
 
+(** A critical section: LBench's four counters on each of two lines, or
+    a pause of that many ns. *)
+type cs = Counters | Pause of int
+
+(** One thread's hooks: [before_acquire] runs before the acquire's
+    latency clock starts; [granted ~waited] right after a grant that took
+    [waited] ns, and [false] leaves the grant out of the iterations,
+    migrations and latencies (its critical section and release still
+    run). *)
+type hooks = { before_acquire : unit -> unit; granted : waited:int -> bool }
+
+(** A loop iteration: [before_acquire], acquire, [granted], the critical
+    section, release, then an idle pause of [idle_min] +
+    U\[0, [idle_spread]) ns. Thread [tid]'s PRNG is seeded
+    [seed + tid * 7919 + salt], and [thread] makes its hooks from it
+    before the first iteration. LBench is salt 13, [Counters], idle
+    0 + U\[0, 4000), and hooks that count every grant. *)
+type workload = {
+  salt : int;
+  cs : cs;
+  idle_min : int;
+  idle_spread : int;
+  thread : tid:int -> Numa_base.Prng.t -> hooks;
+}
+
 module Make (M : Numa_base.Memory_intf.MEMORY) (RT : Numa_base.Runtime_intf.RUNTIME) : sig
   val run :
     ?name:string ->
@@ -91,7 +118,21 @@ module Make (M : Numa_base.Memory_intf.MEMORY) (RT : Numa_base.Runtime_intf.RUNT
     result
   (** Like [run], but acquires with [try_acquire ~patience]; timed-out
       attempts count as aborts and the thread retries after its
-      non-critical delay. *)
+      non-critical delay (keeping abort rates low, as in the paper's
+      Figure 6 runs, takes a patience well above the queueing delay). *)
+
+  val run_workload :
+    workload ->
+    ?name:string ->
+    (module Cohort.Lock_intf.LOCK) ->
+    topology:Numa_base.Topology.t ->
+    cfg:Cohort.Lock_intf.config ->
+    n_threads:int ->
+    duration:int ->
+    seed:int ->
+    result
+  (** Like [run ~rollup:true], but on [workload]'s loop. The result has
+      no prediction: the analytic model is calibrated to LBench's. *)
 end
 (** [M] and [RT] must belong to the same substrate
     (e.g. [Sim_mem]/[Sim_runtime] or [Nat_mem]/[Nat_runtime]). *)

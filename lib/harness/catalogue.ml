@@ -26,7 +26,7 @@ type env = {
   csv_dir : string option;
 }
 
-type output = Sweep of string * X.sweep | Table of X.table
+type output = Sweep of string * X.sweep | Table of string * X.table
 
 type knob =
   | Topology
@@ -74,7 +74,7 @@ let base =
     check = false;
   }
 
-let entry ?(knobs = [ Topology; Duration; Seed ]) ?(defaults = base)
+let entry ?(knobs = [ Topology; Duration; Seed; Csv ]) ?(defaults = base)
     ?(in_all = Fun.id) ?(quick = Fun.id) name doc run =
   { name; doc; knobs; defaults; in_all; quick; run }
 
@@ -85,38 +85,36 @@ let observed = [ Csv; Trace; Emit ]
 
 let traced env = List.map (LR.with_trace env.sink)
 
-let print (t : X.table) =
-  Report.print_series ~title:t.t_title ~x_label:t.t_xlabel ~columns:t.t_columns
-    ~rows:t.t_rows ~fmt:t.t_fmt ()
-
-(* Print [t], then its [companion] if any, and under --csv-dir write [t]
-   to [csv].csv. *)
-let show env ?csv ?companion (t : X.table) =
-  print t;
-  Option.iter print companion;
-  match (csv, env.csv_dir) with
-  | Some name, Some dir ->
+(* Print each (name, table), then under --csv-dir write each to
+   [name].csv; the tables are the outputs. *)
+let show env tables =
+  List.iter (fun (_, t) -> Report.print_series t) tables;
+  Option.iter
+    (fun dir ->
       if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      let path = Filename.concat dir (name ^ ".csv") in
-      Report.write_file path
-        (Report.csv_of_series ~x_label:t.t_xlabel ~columns:t.t_columns
-           ~rows:t.t_rows);
-      Printf.printf "wrote %s\n%!" path
-  | _ -> ()
+      List.iter
+        (fun (name, t) ->
+          let path = Filename.concat dir (name ^ ".csv") in
+          Report.write_file path (Report.csv_of_series t);
+          Printf.printf "wrote %s\n%!" path)
+        tables)
+    env.csv_dir;
+  List.map (fun (name, t) -> Table (name, t)) tables
 
-(* A table of two-decimal cells, shown: a single-table entry's output. *)
-let table env ~title ~xlabel ~columns rows =
-  let t =
-    {
-      X.t_title = title;
-      t_xlabel = xlabel;
-      t_columns = columns;
-      t_rows = rows;
-      t_fmt = Report.fmt_fixed2;
-    }
-  in
-  show env t;
-  [ Table t ]
+(* A table of two-decimal cells, shown as [name]: a single-table entry's
+   output. *)
+let table env name ~title ~xlabel ~columns rows =
+  show env
+    [
+      ( name,
+        {
+          X.t_title = title;
+          t_xlabel = xlabel;
+          t_columns = columns;
+          t_rows = rows;
+          t_fmt = Report.fmt_fixed2;
+        } );
+    ]
 
 let artifact ~seed outputs =
   List.concat_map
@@ -252,47 +250,39 @@ let fig name which doc =
     ~knobs:([ Topology; Threads; Duration; Seed; Profile ] @ observed)
     (fun env p ->
       let s = lbench ~profile:env.profile env p in
-      let has f = List.mem f which in
-      if has `F2 then
-        show env ~csv:"fig2"
-          (X.series
-             ~title:
-               "Figure 2: LBench throughput (critical+non-critical pairs / s)"
-             ~fmt:Report.fmt_si tput s);
-      if has `F3 then
-        show env ~csv:"fig3"
-          (X.series
-             ~title:
-               "Figure 3: L2 coherence misses per critical section (lower is \
-                better)"
-             ~fmt:Report.fmt_fixed2
-             (fun r -> r.Lbench.misses_per_cs)
-             s);
-      if has `F4 then
-        show env
-          (X.series
-             ~title:
-               "Figure 4: LBench throughput at low contention (1-16 threads)"
-             ~fmt:Report.fmt_si tput (X.low_contention s));
-      if has `F5 then
-        show env ~csv:"fig5"
-          ~companion:
-            (X.series
-               ~title:
-                 "Figure 5 (companion): p99 acquire latency (ns) — the \
-                  per-acquisition face of unfairness"
-               ~fmt:Report.fmt_si
-               (fun r -> r.Lbench.acquire_p99)
-               s)
-          (X.series
-             ~title:
-               "Figure 5: fairness — stddev of per-thread throughput (% of \
-                mean, lower is fairer)"
-             ~fmt:Report.fmt_fixed1
-             (fun r -> r.Lbench.fairness_stddev_pct)
-             s);
+      let view csv title fmt f s = (csv, X.series ~title ~fmt f s) in
+      let shown =
+        List.concat_map
+          (fun (f, tables) -> if List.mem f which then show env tables else [])
+          [
+            ( `F2,
+              [ view "fig2"
+                  "Figure 2: LBench throughput (critical+non-critical pairs \
+                   / s)"
+                  Report.fmt_si tput s ] );
+            ( `F3,
+              [ view "fig3"
+                  "Figure 3: L2 coherence misses per critical section (lower \
+                   is better)"
+                  Report.fmt_fixed2 (fun r -> r.Lbench.misses_per_cs) s ] );
+            ( `F4,
+              [ view "fig4"
+                  "Figure 4: LBench throughput at low contention (1-16 \
+                   threads)"
+                  Report.fmt_si tput (X.low_contention s) ] );
+            ( `F5,
+              [ view "fig5"
+                  "Figure 5: fairness — stddev of per-thread throughput (% of \
+                   mean, lower is fairer)"
+                  Report.fmt_fixed1 (fun r -> r.Lbench.fairness_stddev_pct) s;
+                view "fig5-p99"
+                  "Figure 5 (companion): p99 acquire latency (ns) — the \
+                   per-acquisition face of unfairness"
+                  Report.fmt_si (fun r -> r.Lbench.acquire_p99) s ] );
+          ]
+      in
       if env.profile then print_top print_profile s;
-      [ Sweep ("lbench", s) ])
+      shown @ [ Sweep ("lbench", s) ])
 
 let figs = fig "figs" [ `F2; `F3; `F4; `F5 ] "Figures 2-5 from one sweep."
 
@@ -304,49 +294,44 @@ let fig6 =
         List.map (LR.with_trace_abortable env.sink) LR.abortable_locks
       in
       let cfg = X.cfg_for p.topology p.threads in
-      let column (e : LR.abortable_entry) =
-        let cfg = e.a_tweak cfg in
-        Array.of_list
-          (List.map
-             (fun n ->
-               Lbench.run_abortable ~name:e.a_name ~rollup:env.rollup e.a_lock
-                 ~topology:p.topology ~cfg ~n_threads:n ~duration:p.duration
-                 ~seed:p.seed ~patience:p.patience)
-             p.threads)
-      in
       let s =
-        {
-          X.threads = p.threads;
-          columns = List.map (fun (e : LR.abortable_entry) -> e.a_name) locks;
-          cells = Array.of_list (List.map column locks);
-        }
+        X.grid ~threads:p.threads
+          ~name:(fun (e : LR.abortable_entry) -> e.a_name)
+          locks
+          (fun e ->
+            let cfg = e.a_tweak cfg in
+            fun n ->
+              Lbench.run_abortable ~name:e.a_name ~rollup:env.rollup e.a_lock
+                ~topology:p.topology ~cfg ~n_threads:n ~duration:p.duration
+                ~seed:p.seed ~patience:p.patience)
       in
-      show env ~csv:"fig6"
-        ~companion:
-          (X.series ~title:"Figure 6 (companion): abort rate (%)"
-             ~fmt:Report.fmt_fixed2
-             (fun r -> 100. *. r.Lbench.abort_rate)
-             s)
-        (X.series ~title:"Figure 6: abortable lock throughput (pairs / s)"
-           ~fmt:Report.fmt_si tput s);
-      [ Sweep ("lbench-abortable", s) ])
+      show env
+        [
+          ( "fig6",
+            X.series ~title:"Figure 6: abortable lock throughput (pairs / s)"
+              ~fmt:Report.fmt_si tput s );
+          ( "fig6-abort-rate",
+            X.series ~title:"Figure 6 (companion): abort rate (%)"
+              ~fmt:Report.fmt_fixed2
+              (fun r -> 100. *. r.Lbench.abort_rate)
+              s );
+        ]
+      @ [ Sweep ("lbench-abortable", s) ])
 
 let table1 =
   entry "table1" "memcached-style KV store speedups (Table 1)."
     ~knobs:[ Topology; Threads; Duration; Seed; Mix; Csv; Trace ]
     ~defaults:{ base with threads = app_threads } ~quick:app_quick
     (fun env p ->
-      List.map
+      List.concat_map
         (fun mix ->
-          let t =
-            X.table1 ~locks:(traced env LR.app_locks) ~topology:p.topology
-              ~threads:p.threads ~duration:p.duration ~seed:p.seed ~mix ()
-          in
           show env
-            ~csv:
-              (Printf.sprintf "table1_%.0fpct_sets" (mix.W.set_ratio *. 100.))
-            t;
-          Table t)
+            [
+              ( Printf.sprintf "table1_%.0fpct_sets" (mix.W.set_ratio *. 100.),
+                X.table1 ~locks:(traced env LR.app_locks) ~topology:p.topology
+                  ~threads:p.threads ~duration:p.duration ~seed:p.seed ~mix ()
+              );
+            ])
         p.mixes)
 
 let table2 =
@@ -355,16 +340,16 @@ let table2 =
     ~defaults:{ base with threads = [ 1; 2; 4; 8; 16; 32; 64; 128; 255 ] }
     ~quick:(fun p -> { p with threads = [ 1; 8; 64; 255 ] })
     (fun env p ->
-      let t =
-        X.table2 ~locks:(traced env LR.app_locks) ~topology:p.topology
-          ~threads:p.threads ~duration:p.duration ~seed:p.seed ()
-      in
-      show env ~csv:"table2" t;
-      [ Table t ])
+      show env
+        [
+          ( "table2",
+            X.table2 ~locks:(traced env LR.app_locks) ~topology:p.topology
+              ~threads:p.threads ~duration:p.duration ~seed:p.seed () );
+        ])
 
 (* The knobs of the single-table experiments at one contending-thread
    count. *)
-let at_one_count = [ Topology; contending; Duration; Seed ]
+let at_one_count = [ Topology; contending; Duration; Seed; Csv ]
 
 let ablation_handoff =
   entry "ablation-handoff" "Sweep of the may-pass-local bound (section 3.7)."
@@ -372,7 +357,7 @@ let ablation_handoff =
     (fun env p ->
       let cfg = X.cfg_for p.topology [ p.n_threads ] in
       let locks = [ "C-BO-MCS"; "C-TKT-MCS" ] in
-      table env
+      table env "ablation-handoff"
         ~title:
           (Printf.sprintf
              "Ablation: may-pass-local bound at %d threads (throughput Mops/s \
@@ -407,7 +392,7 @@ let ablation_hbo =
       in
       let hbo = find "HBO" in
       let store = X.kv_store () in
-      table env
+      table env "ablation-hbo"
         ~title:
           "Ablation: HBO backoff-parameter instability (Mops/s; columns: \
            preset x workload)"
@@ -458,7 +443,7 @@ let ablation_policy =
         ]
       in
       let e = find "C-TKT-MCS" in
-      table env
+      table env "ablation-policy"
         ~title:
           (Printf.sprintf
              "Ablation: may-pass-local policy on C-TKT-MCS at %d threads \
@@ -484,7 +469,7 @@ module Blk = Cohort.Park_lock.Make (Numasim.Sim_mem)
    and C-BO-MCS on the write-heavy KV workload. *)
 let ext_blocking =
   entry "ext-blocking" "Extension: the blocking cohort lock C-BLK-BLK."
-    ~knobs:[ Topology; Threads; Duration; Seed ]
+    ~knobs:[ Topology; Threads; Duration; Seed; Csv ]
     ~defaults:{ base with threads = app_threads } ~quick:app_quick
     (fun env p ->
       let locks =
@@ -495,18 +480,18 @@ let ext_blocking =
           find "C-BO-MCS";
         ]
       in
-      let t =
-        {
-          (X.table1 ~locks ~topology:p.topology ~threads:p.threads
-             ~duration:p.duration ~seed:p.seed ~mix:W.write_heavy ())
-          with
-          X.t_title =
-            "Extension: blocking cohort lock (C-BLK-BLK) on the write-heavy \
-             KV workload (speedup over pthread @ 1 thread)";
-        }
-      in
-      show env t;
-      [ Table t ])
+      show env
+        [
+          ( "ext-blocking",
+            {
+              (X.table1 ~locks ~topology:p.topology ~threads:p.threads
+                 ~duration:p.duration ~seed:p.seed ~mix:W.write_heavy ())
+              with
+              X.t_title =
+                "Extension: blocking cohort lock (C-BLK-BLK) on the \
+                 write-heavy KV workload (speedup over pthread @ 1 thread)";
+            } );
+        ])
 
 module Rw = (val LR.Table.c_rw_wp)
 module RwMutex = (val LR.Table.get ~global:"BO" ~local:"MCS")
@@ -561,7 +546,7 @@ let ext_rw =
         rw_run ~use_rw ~topology:p.topology ~n_threads:p.n_threads ~write_ratio
           ~duration:p.duration ~seed:p.seed
       in
-      table env
+      table env "ext-rw"
         ~title:
           (Printf.sprintf
              "Extension: NUMA-aware reader-writer lock (C-RW-WP) vs cohort \
@@ -583,7 +568,7 @@ let ext_rw =
    HBO's fixed backoff parameters cannot suit both. *)
 let ext_bimodal =
   entry "ext-bimodal" "Extension: bi-modal (phase-alternating) KV workload."
-    ~knobs:[ Topology; N_threads "Server threads."; Duration; Seed ]
+    ~knobs:[ Topology; N_threads "Server threads."; Duration; Seed; Csv ]
     ~defaults:{ base with n_threads = 32 }
     (fun env p ->
       let locks =
@@ -603,7 +588,7 @@ let ext_bimodal =
           ~seed:p.seed
       in
       let base = run (find "pthread") in
-      table env
+      table env "ext-bimodal"
         ~title:
           (Printf.sprintf
              "Extension: bi-modal workload (alternating read-/write-heavy \
@@ -618,8 +603,8 @@ let ext_bimodal =
 
 (* MCS vs C-BO-MCS on each machine, at the entry's thread count capped to
    the machine's contexts. *)
-let cohort_gain ~title ~topologies env p =
-  table env
+let cohort_gain name ~title ~topologies env p =
+  table env name
     ~title:
       (Printf.sprintf "%s at %d threads (rows: %s)" title p.n_threads
          (legend (List.map fst topologies)))
@@ -642,8 +627,8 @@ let cohort_gain ~title ~topologies env p =
 let topology =
   entry "topology"
     "Cohort gain across machine shapes (UMA control, 2/4/8 sockets)."
-    ~knobs:[ contending; Duration; Seed ]
-    (cohort_gain ~title:"Topology sensitivity"
+    ~knobs:[ contending; Duration; Seed; Csv ]
+    (cohort_gain "topology" ~title:"Topology sensitivity"
        ~topologies:
          [
            ( "uma",
@@ -667,9 +652,9 @@ let hier =
   entry "hier"
     "Flat T5440 vs the rack preset (two racks of two sockets, three latency \
      tiers): the cohort gain under deeper distance structure."
-    ~knobs:[ contending; Duration; Seed ]
+    ~knobs:[ contending; Duration; Seed; Csv ]
     ~defaults:{ base with topology = Topology.rack }
-    (cohort_gain
+    (cohort_gain "hier"
        ~title:
          "Extension: hierarchical machine (flat t5440 vs 2-rack x 2-socket)"
        ~topologies:[ ("t5440", Topology.t5440); ("rack", Topology.rack) ])
@@ -684,7 +669,7 @@ let matrix =
       let cfg = X.cfg_for p.topology [ p.n_threads ] in
       let globals = List.map fst LR.Table.globals in
       let locals = List.map fst LR.Table.locals in
-      table env
+      table env "matrix"
         ~title:
           (Printf.sprintf
              "Composition matrix at %d threads (Mops/s; rows = global lock \
@@ -724,7 +709,7 @@ let successors =
     (fun env p ->
       let locks = [ "MCS"; "C-BO-MCS"; "CNA"; "PTL" ] in
       let cfg = X.cfg_for p.topology [ p.n_threads ] in
-      table env
+      table env "successors"
         ~title:
           (Printf.sprintf
              "Successors: cohort flagship vs CNA and partition ticket at %d \
@@ -754,12 +739,15 @@ let rack =
     (fun env p ->
       let s = lbench env p in
       show env
-        (X.series
-           ~title:
-             "Extension: LBench throughput on the rack preset (2 racks x 2 \
-              sockets, pairs / s)"
-           ~fmt:Report.fmt_si tput s);
-      [ Sweep ("lbench-rack", s) ])
+        [
+          ( "rack",
+            X.series
+              ~title:
+                "Extension: LBench throughput on the rack preset (2 racks x 2 \
+                 sockets, pairs / s)"
+              ~fmt:Report.fmt_si tput s );
+        ]
+      @ [ Sweep ("lbench-rack", s) ])
 
 (* Oversubscription: 2048 logical threads wrap onto the T5440's 256
    contexts (8 fibers per hardware thread); short window, queue-lock
@@ -780,12 +768,15 @@ let oversub =
       in
       let s = lbench ~locks env p in
       show env
-        (X.series
-           ~title:
-             "Extension: oversubscribed LBench (logical threads wrapped onto \
-              the T5440's 256 contexts, pairs / s)"
-           ~fmt:Report.fmt_si tput s);
-      [ Sweep ("lbench-oversub", s) ])
+        [
+          ( "oversub",
+            X.series
+              ~title:
+                "Extension: oversubscribed LBench (logical threads wrapped \
+                 onto the T5440's 256 contexts, pairs / s)"
+              ~fmt:Report.fmt_si tput s );
+        ]
+      @ [ Sweep ("lbench-oversub", s) ])
 
 (* Saturation collapse: thread counts from capacity to far past it, under
    the explicit preemption model (Experiments.collapse_run). Plain
@@ -825,17 +816,22 @@ let collapse =
           ~topology:p.topology ~threads:p.threads ~duration:p.duration
           ~seed:p.seed ()
       in
-      show env ~csv:"collapse"
-        (X.series
-           ~title:
-             (Printf.sprintf
-                "Collapse: throughput under oversubscription on %s (%d \
-                 contexts; pairs / s)"
-                p.topology.Topology.name
-                (Topology.total_threads p.topology))
-           ~fmt:Report.fmt_si tput s);
+      let shown =
+        show env
+          [
+            ( "collapse",
+              X.series
+                ~title:
+                  (Printf.sprintf
+                     "Collapse: throughput under oversubscription on %s (%d \
+                      contexts; pairs / s)"
+                     p.topology.Topology.name
+                     (Topology.total_threads p.topology))
+                ~fmt:Report.fmt_si tput s );
+          ]
+      in
       if env.profile then print_top print_classes s;
-      [ Sweep ("collapse", s) ])
+      shown @ [ Sweep ("collapse", s) ])
 
 let registry_locks doc = Locks (doc, names LR.all_locks)
 

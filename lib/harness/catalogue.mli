@@ -3,7 +3,12 @@
     holds its experiment's runner; only what the benchmark, a test or
     several entries share lives in {!Experiments}. Every figure and
     table an entry prints is one {!Experiments.table}, which the
-    catalogue also writes as CSV under [--csv-dir].
+    catalogue also writes as CSV under [--csv-dir]: Tables 1 and 2 and
+    the figures keep their historical names ([fig2] .. [fig6],
+    [table1_<N>pct_sets], [table2], [collapse]), companions add a suffix
+    ([fig5-p99], [fig6-abort-rate]), and every other table is named
+    after its entry ([fig4], [rack], [oversub], [ablation-handoff],
+    [matrix], ...).
     [bin/repro.exe] builds one subcommand per entry of {!commands}, its
     flags from the entry's {!knob}s; [repro all] and [repro quick] both
     fold over {!plan}. *)
@@ -30,8 +35,13 @@ type env = {
   csv_dir : string option;
 }
 
-(** A sweep carries the artifact experiment its entries are filed under. *)
-type output = Sweep of string * Experiments.sweep | Table of Experiments.table
+(** A sweep carries the artifact experiment its entries are filed under;
+    a table, the name of its CSV file. Every table an entry prints,
+    companions included, is one [Table] output, written as [NAME.csv]
+    under [--csv-dir]. *)
+type output =
+  | Sweep of string * Experiments.sweep
+  | Table of string * Experiments.table
 
 (** The command-line knobs an entry exposes. *)
 type knob =

@@ -13,7 +13,7 @@ type sweep = {
   cells : Lbench.result array array;
 }
 
-type table = {
+type table = Report.table = {
   t_title : string;
   t_xlabel : string;
   t_columns : string list;
@@ -68,6 +68,20 @@ let series ~title ~fmt f s =
     t_columns = s.columns;
     t_rows = rows_of s f;
     t_fmt = fmt;
+  }
+
+(* Two-decimal cells [f lock n], a row per thread count [n] (computed in
+   order), a column per lock. *)
+let lock_table ~title locks threads f =
+  {
+    t_title = title;
+    t_xlabel = "threads";
+    t_columns = List.map (fun (e : R.entry) -> e.name) locks;
+    t_rows =
+      List.map
+        (fun n -> (n, Array.of_list (List.map (fun e -> f e n) locks)))
+        threads;
+    t_fmt = Report.fmt_fixed2;
   }
 
 let low_contention s =
@@ -186,30 +200,16 @@ let table1 ?(locks = R.app_locks) ~topology ~threads ~duration ~seed ~mix () =
   let base =
     kv_ops_per_sec store pthread ~topology ~n_threads:1 ~duration ~seed ~mix
   in
-  let rows =
-    List.map
-      (fun n ->
-        ( n,
-          Array.of_list
-            (List.map
-               (fun e ->
-                 kv_ops_per_sec store e ~topology ~n_threads:n ~duration ~seed
-                   ~mix
-                 /. base)
-               locks) ))
-      threads
-  in
-  {
-    t_title =
-      Printf.sprintf
-        "Table 1: memcached-style KV store, %s (speedup over pthread @ 1 \
-         thread)"
-        mix.W.label;
-    t_xlabel = "threads";
-    t_columns = List.map (fun (e : R.entry) -> e.name) locks;
-    t_rows = rows;
-    t_fmt = Report.fmt_fixed2;
-  }
+  lock_table
+    ~title:
+      (Printf.sprintf
+         "Table 1: memcached-style KV store, %s (speedup over pthread @ 1 \
+          thread)"
+         mix.W.label)
+    locks threads
+    (fun e n ->
+      kv_ops_per_sec store e ~topology ~n_threads:n ~duration ~seed ~mix
+      /. base)
 
 (* --- Table 2: allocator stress (mmicro) -------------------------------- *)
 
@@ -247,24 +247,10 @@ let mmicro_pairs_per_ms (e : R.entry) ~topology ~n_threads ~duration ~seed =
   float_of_int !pairs /. (float_of_int duration /. 1e6)
 
 let table2 ?(locks = R.app_locks) ~topology ~threads ~duration ~seed () =
-  let rows =
-    List.map
-      (fun n ->
-        ( n,
-          Array.of_list
-            (List.map
-               (fun e ->
-                 mmicro_pairs_per_ms e ~topology ~n_threads:n ~duration ~seed)
-               locks) ))
-      threads
-  in
-  {
-    t_title = "Table 2: libc-style allocator, mmicro (malloc-free pairs / ms)";
-    t_xlabel = "threads";
-    t_columns = List.map (fun (e : R.entry) -> e.name) locks;
-    t_rows = rows;
-    t_fmt = Report.fmt_fixed2;
-  }
+  lock_table
+    ~title:"Table 2: libc-style allocator, mmicro (malloc-free pairs / ms)"
+    locks threads (fun e n ->
+      mmicro_pairs_per_ms e ~topology ~n_threads:n ~duration ~seed)
 
 (* --- Extension: saturation collapse (GCR concurrency restriction) -------- *)
 
@@ -309,11 +295,15 @@ let table2 ?(locks = R.app_locks) ~topology ~threads ~duration ~seed () =
 
 let collapse_quantum = 10_000 (* ns *)
 let collapse_cs = 150 (* ns inside the critical section *)
-let collapse_noncs = 200 (* ns between sections, + up to 300 random *)
+let collapse_noncs = 200 (* ns between sections, + U[0,300) *)
 
+(* The LBench loop with the scheduler model as its hooks: quanta
+   staggered by the thread's PRNG (so the first round of deschedules is
+   not one synchronized convoy), CPU sharing before the acquire, and the
+   park/waiter-preemption check right after the grant. Only grants inside
+   the window count; the post-window drain still runs (blocked acquires
+   have to complete) but does not inflate the collapsed locks. *)
 let collapse_run (e : R.entry) ~topology ~n_threads ~duration ~seed =
-  let module L = (val e.lock : LI.LOCK) in
-  let cfg = e.tweak (cfg_for topology [ n_threads ]) in
   (* Park observation channel: [woke.(tid)] means tid's current acquire
      slept on the GCR passive list (so its long wait was off-CPU), and
      [parked_now] is the current passive population — what the model
@@ -329,115 +319,49 @@ let collapse_run (e : R.entry) ~topology ~n_threads ~duration ~seed =
             decr parked_now
         | _ -> ())
   in
-  let cfg = { cfg with LI.trace = Numa_trace.Sink.tee park_sink cfg.LI.trace } in
-  (* Trace-ring rollup, as in Bench_core: hold/batch quantiles for the
-     collapse trajectory. No latency histogram here, so the wait
-     quantiles stay unset (null in the artifact). *)
-  let ring = Numa_trace.Ring.create ~capacity:65_536 in
+  let cfg = e.tweak (cfg_for topology [ n_threads ]) in
   let cfg =
-    { cfg with LI.trace = Numa_trace.Sink.tee (Numa_trace.Ring.sink ring) cfg.LI.trace }
+    { cfg with LI.trace = Numa_trace.Sink.tee park_sink cfg.LI.trace }
   in
-  let l = L.create cfg in
   let contexts = Topology.total_threads topology in
   let oversub = (n_threads + contexts - 1) / contexts in
-  let round () =
+  (* Descheduled for a round over the runnable population, then a fresh
+     quantum. *)
+  let deschedule next =
     let runnable = n_threads - !parked_now in
-    let ov = (runnable + contexts - 1) / contexts in
-    (ov - 1) * collapse_quantum
+    let r = (((runnable + contexts - 1) / contexts) - 1) * collapse_quantum in
+    if r > 0 then M.pause r;
+    next := M.now () + collapse_quantum
   in
-  let per_thread = Array.make n_threads 0 in
-  let migrations = ref 0 in
-  let last_cluster = ref (-1) in
-  let run =
-    E.run ~topology ~n_threads (fun ~tid ~cluster ->
-        let th = L.register l ~tid ~cluster in
-        let rng = Prng.create (seed + (tid * 7919) + 11) in
-        (* Quanta staggered so the first round of deschedules is not one
-           synchronized convoy. *)
-        let next = ref (Prng.int rng collapse_quantum) in
-        let preempt () =
-          if oversub > 1 && M.now () >= !next then begin
-            let r = round () in
-            if r > 0 then M.pause r;
+  let thread ~tid rng =
+    let next = ref (Prng.int rng collapse_quantum) in
+    {
+      Bench_core.before_acquire =
+        (fun () -> if oversub > 1 && M.now () >= !next then deschedule next);
+      granted =
+        (fun ~waited ->
+          let parked = woke.(tid) in
+          woke.(tid) <- false;
+          if parked then
+            (* Just dispatched from a wakeup: fresh quantum. *)
             next := M.now () + collapse_quantum
-          end
-        in
-        let rec loop () =
-          if M.now () < duration then begin
-            preempt ();
-            let t0 = M.now () in
-            L.acquire th;
-            let parked = woke.(tid) in
-            woke.(tid) <- false;
-            if parked then
-              (* Just dispatched from a wakeup: fresh quantum. *)
-              next := M.now () + collapse_quantum
-            else if oversub > 1 && M.now () - t0 > collapse_quantum then begin
-              (* Waiter preemption: the spin outlived the quantum, so
-                 ownership arrived while this thread was descheduled —
-                 charged while holding, for a round over the runnable
-                 population. *)
-              let r = round () in
-              if r > 0 then M.pause r;
-              next := M.now () + collapse_quantum
-            end;
-            (* Only work inside the measurement window counts; the
-               post-window queue drain must still run (blocked acquires
-               have to complete) but not inflate the collapsed locks. *)
-            if M.now () < duration then begin
-              per_thread.(tid) <- per_thread.(tid) + 1;
-              if !last_cluster <> cluster then begin
-                if !last_cluster >= 0 then incr migrations;
-                last_cluster := cluster
-              end
-            end;
-            M.pause collapse_cs;
-            L.release th;
-            M.pause (collapse_noncs + Prng.int rng 300);
-            loop ()
-          end
-        in
-        loop ())
+          else if oversub > 1 && waited > collapse_quantum then
+            (* Waiter preemption: the spin outlived the quantum, so
+               ownership arrived while this thread was descheduled —
+               charged while holding. *)
+            deschedule next;
+          M.now () < duration);
+    }
   in
-  let iterations = Array.fold_left ( + ) 0 per_thread in
-  let dur_s = float_of_int duration *. 1e-9 in
-  let mean = float_of_int iterations /. float_of_int n_threads in
-  let fairness_stddev_pct =
-    if iterations = 0 then Float.nan
-    else
-      let var =
-        Array.fold_left
-          (fun acc c ->
-            let d = float_of_int c -. mean in
-            acc +. (d *. d))
-          0. per_thread
-        /. float_of_int n_threads
-      in
-      100. *. sqrt var /. mean
-  in
-  {
-    Lbench.lock_name = e.name;
-    n_threads;
-    duration_ns = duration;
-    iterations;
-    throughput = float_of_int iterations /. dur_s;
-    per_thread;
-    fairness_stddev_pct;
-    migrations = !migrations;
-    misses_per_cs = Float.nan;
-    aborts = 0;
-    abort_rate = 0.;
-    acquire_p50 = Float.nan;
-    acquire_p99 = Float.nan;
-    acquire_max = Float.nan;
-    rollup = Some (Numa_trace.Metrics.of_events (Numa_trace.Ring.events ring));
-    profile = None;
-    (* The analytic model is calibrated to the LBench loop; the collapse
-       workload (preemption, different CS/idle constants) is out of its
-       stated scope. *)
-    predicted = None;
-    event_classes = Numasim.Sim_runtime.event_classes run;
-  }
+  Lbench.run_workload ~name:e.name
+    {
+      Bench_core.salt = 11;
+      cs = Pause collapse_cs;
+      idle_min = collapse_noncs;
+      idle_spread = 300;
+      thread;
+    }
+    e.lock ~topology ~cfg ~n_threads ~duration ~seed
 
 let collapse_sweep ?(locks = R.collapse_locks) ~topology ~threads ~duration
     ~seed () =

@@ -19,13 +19,12 @@ type sweep = {
 
 (** One printed figure or table: what {!Catalogue} prints, and writes as
     CSV under [--csv-dir]. *)
-type table = {
+type table = Report.table = {
   t_title : string;
   t_xlabel : string;
   t_columns : string list;
   t_rows : (int * float array) list;
-      (** (x, one value per column) rows; [nan] cells print as "-". *)
-  t_fmt : float -> string;  (** cell format. *)
+  t_fmt : float -> string;
 }
 
 val cfg_for :
@@ -33,6 +32,15 @@ val cfg_for :
 (** The default config for the topology's clusters, with [max_threads]
     covering its contexts and the largest thread count in a sweep —
     required for oversubscribed sweeps, a no-op for in-capacity ones. *)
+
+val grid :
+  threads:int list ->
+  name:('lock -> string) ->
+  'lock list ->
+  ('lock -> int -> Lbench.result) ->
+  sweep
+(** The (lock x thread count) sweep: [run lock n] is one cell, and the
+    cells run lock by lock, thread counts in order. *)
 
 val microbench_sweep :
   ?locks:Lock_registry.entry list ->
@@ -127,15 +135,19 @@ val collapse_run :
   duration:int ->
   seed:int ->
   Lbench.result
-(** One saturation-collapse data point: the LBench-style loop with an
-    explicit preemption model (quantum expiry at the pre-acquire and
-    post-acquire checkpoints costs a full descheduling round of
-    [(ceil(n/contexts) - 1) * 10us]), which makes oversubscription hurt
-    the way a real scheduler does. In-capacity runs are untouched by the
-    model; only work completed inside the measurement window counts
-    (the post-window drain of blocked acquires still runs). Latency and
-    miss metrics are [nan] — the experiment measures throughput,
-    iterations, fairness and migrations — and [event_classes] holds the
+(** One saturation-collapse data point: {!Lbench.run_workload} with a
+    150 ns critical section, 200 ns + U\[0, 300) ns idle and an explicit
+    preemption model as its hooks (quantum expiry at the pre-acquire and
+    post-grant checkpoints costs a descheduling round of
+    [(ceil(runnable/contexts) - 1) * 10us], where GCR-parked threads are
+    not runnable), which makes oversubscription hurt the way a real
+    scheduler does. In-capacity runs are untouched by the model; only
+    grants inside the measurement window count toward iterations,
+    migrations and acquire latencies (the post-window drain of blocked
+    acquires still runs). The result carries acquire latencies,
+    misses/CS (the whole run's coherence misses, drain included, per
+    counted iteration) and the trace rollup, but no prediction: the
+    analytic model is calibrated to LBench. [event_classes] holds the
     whole run's event ledger, drain included. *)
 
 val collapse_sweep :

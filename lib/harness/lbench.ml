@@ -3,8 +3,6 @@
    example and golden test keeps calling [Lbench.run] and reading
    [result] fields unchanged. *)
 
-module Core = Bench_core.Make (Numasim.Sim_mem) (Numasim.Sim_runtime)
-
 type result = Bench_core.result = {
   lock_name : string;
   n_threads : int;
@@ -26,5 +24,4 @@ type result = Bench_core.result = {
   event_classes : Numa_base.Runtime_intf.event_class list;
 }
 
-let run = Core.run
-let run_abortable = Core.run_abortable
+include Bench_core.Make (Numasim.Sim_mem) (Numasim.Sim_runtime)

@@ -13,10 +13,17 @@ let fmt_si v =
 let fmt_fixed2 v = Printf.sprintf "%.2f" v
 let fmt_fixed1 v = Printf.sprintf "%.1f" v
 
-(* A series table: first column is the x value (thread count), then one
-   column per lock. *)
-let print_series ~title ~x_label ~columns
-    ~(rows : (int * float array) list) ~fmt () =
+type table = {
+  t_title : string;
+  t_xlabel : string;
+  t_columns : string list;
+  t_rows : (int * float array) list;
+  t_fmt : float -> string;
+}
+
+(* First column the x value (thread count), then one column per lock. *)
+let print_series t =
+  let x_label = t.t_xlabel and columns = t.t_columns in
   let ncols = List.length columns in
   let widths = Array.make (ncols + 1) (String.length x_label) in
   List.iteri
@@ -28,13 +35,13 @@ let print_series ~title ~x_label ~columns
         let row =
           Array.append
             [| string_of_int x |]
-            (Array.map (fun v -> if Float.is_nan v then "-" else fmt v) vs)
+            (Array.map (fun v -> if Float.is_nan v then "-" else t.t_fmt v) vs)
         in
         Array.iteri (fun i s -> widths.(i) <- max widths.(i) (String.length s)) row;
         row)
-      rows
+      t.t_rows
   in
-  Format.printf "@.=== %s ===@." title;
+  Format.printf "@.=== %s ===@." t.t_title;
   let pad i s = Printf.sprintf "%*s" widths.(i) s in
   let header =
     String.concat "  " (List.mapi (fun i c -> pad (i + 1) c) columns)
@@ -50,9 +57,9 @@ let print_series ~title ~x_label ~columns
     cells;
   Format.printf "@."
 
-let csv_of_series ~x_label ~columns ~(rows : (int * float array) list) =
+let csv_of_series t =
   let b = Buffer.create 1024 in
-  Buffer.add_string b (String.concat "," (x_label :: columns));
+  Buffer.add_string b (String.concat "," (t.t_xlabel :: t.t_columns));
   Buffer.add_char b '\n';
   List.iter
     (fun (x, vs) ->
@@ -64,7 +71,7 @@ let csv_of_series ~x_label ~columns ~(rows : (int * float array) list) =
             (if Float.is_nan v then "" else Printf.sprintf "%.6g" v))
         vs;
       Buffer.add_char b '\n')
-    rows;
+    t.t_rows;
   Buffer.contents b
 
 let write_file path contents =

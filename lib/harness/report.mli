@@ -8,19 +8,20 @@ val fmt_si : float -> string
 val fmt_fixed2 : float -> string
 val fmt_fixed1 : float -> string
 
-val print_series :
-  title:string ->
-  x_label:string ->
-  columns:string list ->
-  rows:(int * float array) list ->
-  fmt:(float -> string) ->
-  unit ->
-  unit
-(** Aligned text table; NaN cells render as "-". *)
+(** One printed figure or table. *)
+type table = {
+  t_title : string;
+  t_xlabel : string;
+  t_columns : string list;
+  t_rows : (int * float array) list;
+      (** (x, one value per column) rows; [nan] cells print as "-". *)
+  t_fmt : float -> string;  (** cell format. *)
+}
 
-val csv_of_series :
-  x_label:string -> columns:string list -> rows:(int * float array) list ->
-  string
+val print_series : table -> unit
+(** Aligned text table under its title; NaN cells render as "-". *)
+
+val csv_of_series : table -> string
 (** CSV with a header row; NaN cells are empty. *)
 
 val write_file : string -> string -> unit

@@ -20,6 +20,20 @@ type t = {
   wait_p99 : float;
 }
 
+module Migrations = struct
+  type t = { mutable last_cluster : int; mutable count : int }
+
+  let create () = { last_cluster = -1; count = 0 }
+
+  let note t ~cluster =
+    if t.last_cluster <> cluster then begin
+      if t.last_cluster >= 0 then t.count <- t.count + 1;
+      t.last_cluster <- cluster
+    end
+
+  let count t = t.count
+end
+
 let quantile q xs =
   (* Exact quantile over the sorted sample (host-side; samples are the
      captured window, typically thousands of points). *)
@@ -42,9 +56,8 @@ let of_events ?(wait_p50 = Float.nan) ?(wait_p99 = Float.nan) events =
   and handoffs_local = ref 0
   and handoffs_global = ref 0
   and aborts = ref 0
-  and starvation = ref 0
-  and migrations = ref 0 in
-  let last_cluster = ref (-1) in
+  and starvation = ref 0 in
+  let migrations = Migrations.create () in
   (* Batch = run of consecutive within-cohort handoffs closed by a global
      handoff (length counts acquisitions, so a lone global handoff is a
      batch of 1). *)
@@ -59,10 +72,7 @@ let of_events ?(wait_p50 = Float.nan) ?(wait_p99 = Float.nan) events =
           incr acquires;
           if e.kind = Event.Acquire_local then incr local_acquires
           else incr global_acquires;
-          if !last_cluster <> e.cluster then begin
-            if !last_cluster >= 0 then incr migrations;
-            last_cluster := e.cluster
-          end;
+          Migrations.note migrations ~cluster:e.cluster;
           Hashtbl.replace pending e.tid e.at
       | Handoff_within_cohort | Handoff_global ->
           (match Hashtbl.find_opt pending e.tid with
@@ -91,6 +101,7 @@ let of_events ?(wait_p50 = Float.nan) ?(wait_p99 = Float.nan) events =
   Array.sort compare batch_arr;
   let hold_arr = Array.of_list !holds in
   Array.sort compare hold_arr;
+  let migrations = Migrations.count migrations in
   {
     events = n_events;
     acquires = !acquires;
@@ -100,10 +111,10 @@ let of_events ?(wait_p50 = Float.nan) ?(wait_p99 = Float.nan) events =
     handoffs_global = !handoffs_global;
     aborts = !aborts;
     starvation_limit_hits = !starvation;
-    migrations = !migrations;
+    migrations;
     migration_rate =
       (if !acquires = 0 then 0.
-       else float_of_int !migrations /. float_of_int !acquires);
+       else float_of_int migrations /. float_of_int !acquires);
     batches = Array.length batch_arr;
     batch_mean = mean batch_arr;
     batch_p50 = quantile 0.5 batch_arr;

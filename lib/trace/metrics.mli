@@ -28,6 +28,20 @@ type t = {
   wait_p99 : float;
 }
 
+(** The one migration rule, shared by the benchmark loop and
+    {!of_events}: the first acquisition is not a migration; afterwards
+    each acquisition whose cluster differs from the previous one's is. *)
+module Migrations : sig
+  type t
+
+  val create : unit -> t
+
+  val note : t -> cluster:int -> unit
+  (** One acquisition, on [cluster]. *)
+
+  val count : t -> int
+end
+
 val of_events : ?wait_p50:float -> ?wait_p99:float -> Event.t list -> t
 (** Events must be chronological. Quantile fields are [nan] when the
     window holds no sample. *)

@@ -33,13 +33,16 @@
 #                the core curves (MCS, C-BO-MCS, CNA at the pinned
 #                thread counts) must stay within the band stated in
 #                Harness.Gates / EXPERIMENTS.md "Prediction"
-#   determinism  the quick plan (repro quick) emitting BENCH_head.json —
-#                run with --profile — then the same seed re-run without
-#                it byte-compared against it (profiling is pure
-#                observation, so the artifacts must be identical); the
-#                same seed re-run with
-#                --fastpath off byte-compared too (the engine fast path
-#                must be invisible in every simulated result); plus a
+#   determinism  the quick plan (repro quick) emitting BENCH_head.json
+#                and every printed table as CSV (--csv-dir) — run with
+#                --profile — then the same seed re-run without it, its
+#                artifact byte-compared and its CSV directory diffed
+#                against the first (profiling is pure observation, so
+#                both must be identical); the same seed re-run with
+#                --fastpath off compared the same way (the engine fast
+#                path must be invisible in every simulated result, and
+#                the CSVs cover what the artifact does not: Tables 1
+#                and 2, the ablations and the extensions); plus a
 #                same-seed fig2 byte-diff on the rack preset (the
 #                multi-level path must be as deterministic as the flat
 #                one); and a same-seed byte-diff of a write-heavy
@@ -245,9 +248,9 @@ fi
 # --- determinism ----------------------------------------------------------
 
 emit_bench_head() {
-  echo "   quick plan -> BENCH_head.json (with --profile)"
+  echo "   quick plan -> BENCH_head.json and CSVs (with --profile)"
   repro quick --profile --emit-bench-json "$tmp/BENCH_head.json" \
-    >"$tmp/bench1.log"
+    --csv-dir "$tmp/CSV_head" >"$tmp/bench1.log"
   tail -n 3 "$tmp/bench1.log"
 }
 
@@ -255,25 +258,28 @@ if want determinism; then
   begin determinism
   emit_bench_head
   echo "   same-seed re-run without --profile, byte diff"
-  repro quick --emit-bench-json "$tmp/BENCH_head2.json" >"$tmp/bench2.log"
-  if ! cmp "$tmp/BENCH_head.json" "$tmp/BENCH_head2.json"; then
-    echo "ci: FAIL — same-seed benchmark artifacts differ; the simulation" >&2
-    echo "has picked up wall-clock or global-Random nondeterminism (or" >&2
-    echo "--profile perturbed schedules/artifacts, which it must never" >&2
-    echo "do)." >&2
+  repro quick --emit-bench-json "$tmp/BENCH_head2.json" \
+    --csv-dir "$tmp/CSV_head2" >"$tmp/bench2.log"
+  if ! cmp "$tmp/BENCH_head.json" "$tmp/BENCH_head2.json" ||
+    ! diff -r "$tmp/CSV_head" "$tmp/CSV_head2"; then
+    echo "ci: FAIL — same-seed benchmark artifacts or tables differ; the" >&2
+    echo "simulation has picked up wall-clock or global-Random" >&2
+    echo "nondeterminism (or --profile perturbed schedules/artifacts," >&2
+    echo "which it must never do)." >&2
     exit 1
   fi
-  echo "   artifacts byte-identical"
+  echo "   artifacts and tables byte-identical"
   echo "   same-seed re-run with --fastpath off, byte diff"
   repro quick --fastpath off --emit-bench-json "$tmp/BENCH_head3.json" \
-    >"$tmp/bench3.log"
-  if ! cmp "$tmp/BENCH_head.json" "$tmp/BENCH_head3.json"; then
+    --csv-dir "$tmp/CSV_head3" >"$tmp/bench3.log"
+  if ! cmp "$tmp/BENCH_head.json" "$tmp/BENCH_head3.json" ||
+    ! diff -r "$tmp/CSV_head" "$tmp/CSV_head3"; then
     echo "ci: FAIL — the engine fast path changed a simulated result;" >&2
     echo "inline retirement must replay the heap schedule bit-exactly" >&2
     echo "(see doc/SIMULATOR.md \"Engine fast path\")." >&2
     exit 1
   fi
-  echo "   artifacts byte-identical"
+  echo "   artifacts and tables byte-identical"
   echo "   rack-preset determinism (same-seed fig2 byte diff)"
   repro fig2 --topology rack --threads 1,8,64 --duration-ms 2 \
     --emit-bench-json "$tmp/RACK_a.json" >/dev/null

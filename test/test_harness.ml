@@ -203,7 +203,7 @@ let test_ablation_handoff_smoke () =
         { e.C.defaults with C.topology = topo; n_threads = 16;
           duration = 200_000; seed = 1 }
     with
-    | [ C.Table t ] -> t
+    | [ C.Table (_, t) ] -> t
     | _ -> Alcotest.fail "ablation-handoff: expected one table"
   in
   Alcotest.(check int) "7 bounds" 7 (List.length t.X.t_rows);
@@ -244,8 +244,14 @@ let test_fmt_si () =
 
 let test_csv_roundtrip () =
   let csv =
-    Rep.csv_of_series ~x_label:"threads" ~columns:[ "A"; "B" ]
-      ~rows:[ (1, [| 1.5; 2.5 |]); (2, [| 3.0; Float.nan |]) ]
+    Rep.csv_of_series
+      {
+        Rep.t_title = "roundtrip";
+        t_xlabel = "threads";
+        t_columns = [ "A"; "B" ];
+        t_rows = [ (1, [| 1.5; 2.5 |]); (2, [| 3.0; Float.nan |]) ];
+        t_fmt = Rep.fmt_fixed2;
+      }
   in
   let lines = String.split_on_char '\n' (String.trim csv) in
   Alcotest.(check int) "3 lines" 3 (List.length lines);
@@ -326,6 +332,26 @@ let test_catalogue_names_unique () =
         (List.length (List.sort_uniq compare ns)))
     [ ("commands", C.commands); ("plan", C.plan) ]
 
+(* [f ()] with stdout sent to a file: its result and what it printed. *)
+let capture_stdout f =
+  let path = Filename.temp_file "catalogue" ".out" in
+  Format.print_flush ();
+  flush stdout;
+  let saved = Unix.dup Unix.stdout in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stdout;
+  Unix.close fd;
+  let restore () =
+    Format.print_flush ();
+    flush stdout;
+    Unix.dup2 saved Unix.stdout;
+    Unix.close saved
+  in
+  let r = Fun.protect ~finally:restore f in
+  let printed = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  (r, printed)
+
 let test_catalogue_entries_run () =
   let entries =
     List.filter (fun e -> not (List.mem e.C.name [ "all"; "quick" ])) C.commands
@@ -334,15 +360,16 @@ let test_catalogue_entries_run () =
   List.iter
     (fun e ->
       let events = ref 0 in
+      let dir = Filename.temp_dir "catalogue" "" in
       let env =
         { C.sink = Numa_trace.Sink.make (fun _ -> incr events); rollup = false;
-          profile = false; csv_dir = None }
+          profile = false; csv_dir = Some dir }
       in
       let p =
         { e.C.defaults with C.topology = Topology.small; threads = [ 1; 4 ];
           n_threads = 4; duration = 200_000 }
       in
-      let outputs = e.C.run env p in
+      let outputs, printed = capture_stdout (fun () -> e.C.run env p) in
       Alcotest.(check bool) (e.C.name ^ " produced output") true (outputs <> []);
       (* An entry with --trace records its runs, in the plan as alone. *)
       if List.mem C.Trace e.C.knobs then
@@ -357,7 +384,7 @@ let test_catalogue_entries_run () =
                   Alcotest.(check int) (e.C.name ^ " rows")
                     (List.length s.X.threads) (Array.length col))
                 s.X.cells
-          | C.Table t ->
+          | C.Table (_, t) ->
               Alcotest.(check bool) (e.C.name ^ " table rows") true
                 (t.X.t_rows <> []);
               List.iter
@@ -366,7 +393,37 @@ let test_catalogue_entries_run () =
                     (Printf.sprintf "%s row %d width" e.C.name x)
                     (List.length t.X.t_columns) (Array.length vs))
                 t.X.t_rows)
-        outputs)
+        outputs;
+      (* Under --csv-dir every printed table, companions included, is one
+         file holding that table, and the entry takes --csv-dir. *)
+      let tables =
+        List.filter_map
+          (function C.Table (name, t) -> Some (name, t) | C.Sweep _ -> None)
+          outputs
+      in
+      let headers =
+        String.split_on_char '\n' printed
+        |> List.filter (fun l -> String.starts_with ~prefix:"=== " l)
+      in
+      Alcotest.(check int) (e.C.name ^ " a Table per printed table")
+        (List.length headers) (List.length tables);
+      let files = List.sort compare (Array.to_list (Sys.readdir dir)) in
+      Alcotest.(check (list string)) (e.C.name ^ " one CSV per table")
+        (List.sort compare (List.map (fun (name, _) -> name ^ ".csv") tables))
+        files;
+      List.iter
+        (fun (name, t) ->
+          Alcotest.(check string) (name ^ ".csv holds its table")
+            (Rep.csv_of_series t)
+            (In_channel.with_open_bin
+               (Filename.concat dir (name ^ ".csv"))
+               In_channel.input_all))
+        tables;
+      if tables <> [] then
+        Alcotest.(check bool) (e.C.name ^ " takes --csv-dir") true
+          (List.mem C.Csv e.C.knobs);
+      List.iter (fun f -> Sys.remove (Filename.concat dir f)) files;
+      Sys.rmdir dir)
     entries
 
 let suite =
