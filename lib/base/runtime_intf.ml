@@ -23,6 +23,16 @@ type event_class = {
 }
 (** One row of the simulation engine's event ledger. *)
 
+type queue_tiers = {
+  qt_near : int;  (** events added to the near tier's 1-ns buckets. *)
+  qt_coarse : int;  (** events added to the coarse tier's buckets. *)
+  qt_overflow : int;  (** events added to the overflow heap. *)
+}
+(** The simulation engine's scheduled events by the tier of its event
+    queue that each was added to (a later cascade or migration does not
+    move the count). A host-cost split: the schedule does not depend on
+    it. *)
+
 type run_stats = {
   elapsed_ns : int;
       (** simulated end time, or wall-clock ns from first spawn to last
@@ -42,6 +52,8 @@ type run_stats = {
       (** [sim_events] by class, inlined and scheduled apart; simulation
           substrate only. Which events inline depends on the fast path;
           the per-class totals do not. *)
+  queue_tiers : queue_tiers option;
+      (** scheduled events by queue tier; simulation substrate only. *)
   sites : Numa_trace.Profile.site list option;
       (** per-site coherence attribution; [Some] iff the run was both on
           the simulation substrate and started with [~profile:true]. *)

@@ -20,6 +20,7 @@ type result = {
   profile : Numa_trace.Profile.t option;
   predicted : Numa_trace.Predict.t option;
   event_classes : Runtime_intf.event_class list;
+  queue_tiers : Runtime_intf.queue_tiers option;
 }
 
 type cs = Counters | Pause of int
@@ -100,6 +101,7 @@ module Make (M : Memory_intf.MEMORY) (RT : Runtime_intf.RUNTIME) = struct
       rollup = None;
       predicted = None;
       event_classes = Option.value stats.Runtime_intf.event_classes ~default:[];
+      queue_tiers = stats.Runtime_intf.queue_tiers;
       profile =
         (* Coherence totals and interconnect stats come with every
            simulated run; the per-site table is filled only when the run

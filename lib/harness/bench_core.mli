@@ -58,6 +58,10 @@ type result = {
           substrate. Printed by [--profile], never written to an
           artifact (the inlined/scheduled split depends on the engine
           fast path). *)
+  queue_tiers : Numa_base.Runtime_intf.queue_tiers option;
+      (** the engine's scheduled events by event-queue tier; [None] on
+          the native substrate. Printed by [--profile] next to the
+          ledger, never written to an artifact. *)
 }
 
 (** A critical section: LBench's four counters on each of two lines, or

@@ -157,6 +157,11 @@ let print_classes ~name (r : Lbench.result) =
         (0, 0) r.Lbench.event_classes
     in
     row "total" ti ts;
+    Option.iter
+      (fun (q : Runtime_intf.queue_tiers) ->
+        Printf.printf "  queue tier: near %.3f  coarse %.3f  overflow %.3f\n"
+          (per q.qt_near) (per q.qt_coarse) (per q.qt_overflow))
+      r.Lbench.queue_tiers;
     flush stdout
   end
 

@@ -22,6 +22,7 @@ type result = Bench_core.result = {
   profile : Numa_trace.Profile.t option;
   predicted : Numa_trace.Predict.t option;
   event_classes : Numa_base.Runtime_intf.event_class list;
+  queue_tiers : Numa_base.Runtime_intf.queue_tiers option;
 }
 
 include Bench_core.Make (Numasim.Sim_mem) (Numasim.Sim_runtime)

@@ -30,6 +30,7 @@ type result = Bench_core.result = {
           [~profile:true]. *)
   predicted : Numa_trace.Predict.t option;
   event_classes : Numa_base.Runtime_intf.event_class list;
+  queue_tiers : Numa_base.Runtime_intf.queue_tiers option;
 }
 
 include module type of Bench_core.Make (Numasim.Sim_mem) (Numasim.Sim_runtime)

@@ -61,5 +61,6 @@ let run ~topology ~n_threads ?stop_after ?profile:_ body =
         interconnect_levels = None;
         sim_events = None;
         event_classes = None;
+        queue_tiers = None;
         sites = None;
       }

@@ -7,10 +7,17 @@ type 'a op = {
   o_run : unit -> 'a;
 }
 
+(* A simulated cell ([Mem.cell]). Its read effect [r_eff] is invariant,
+   so a slow [read] performs it verbatim (reads dominate lock
+   instruction streams). *)
+type 'a cell = { v : 'a ref; cline : Coherence.line; r_eff : 'a Effect.t }
+
+(* A wait names its cell and predicate, not a closure over them: the
+   handler reads [!(w_cell.v)] at each check. *)
 type 'a wait_desc = {
-  w_line : Coherence.line;
-  w_pred : unit -> 'a option;
-  w_timeout : int option;
+  w_cell : 'a cell;
+  w_p : 'a -> bool;
+  w_timeout : int;  (* >= 0, or [untimed] *)
   w_precharged : bool;
       (* the performer already charged the initial read, advanced the
          clock to the first check's time and found the predicate false
@@ -20,8 +27,13 @@ type 'a wait_desc = {
          precharging has already moved [now]. *)
 }
 
+let untimed = -1
+
+(* [Store (c, x)] is a plain write: one block, where an [Op] would also
+   allocate its record and payload closure. *)
 type _ Effect.t +=
   | Op : 'a op -> 'a Effect.t
+  | Store : 'a cell * 'a -> unit Effect.t
   | Wait : 'a wait_desc -> 'a option Effect.t
   | Pause : int -> unit Effect.t
   | Now : int Effect.t
@@ -79,6 +91,7 @@ type result = {
   threads_finished : int;
   fp_hits : int;
   classes : class_count list;
+  tiers : Runtime_intf.queue_tiers;
   icx : Numa_trace.Profile.interconnect;
   icx_levels : Numa_trace.Profile.interconnect_level list;
   sites : Numa_trace.Profile.site list option;
@@ -481,16 +494,23 @@ let[@inline] fast_pause d =
    Here the gates above inline into each primitive; an inline hit calls
    only [Coherence.try_hit].
 
-   A cell's read effect [r_eff] is invariant, so a slow [read] performs
-   it verbatim (reads dominate lock instruction streams). Slow-path store
+   A slow [read] performs the cell's invariant [r_eff]. Slow-path store
    payloads go through [store], which flags the line only when the value
    physically changes: [notify] walks parked waiters only after such a
    store (waitq.ml). Inline stores need no flag — the fast path takes a
    write or RMW only when nobody is parked on the line. *)
 
+(* A slow-path store payload: flag the line only when the value
+   physically changes, so that [notify] walks its waiters. *)
+let store c x =
+  if !(c.v) != x then begin
+    c.v := x;
+    c.cline.Coherence.wq.Waitq.changed <- true
+  end
+
 module Mem = struct
   type line = Coherence.line
-  type 'a cell = { v : 'a ref; cline : Coherence.line; r_eff : 'a Effect.t }
+  type nonrec 'a cell = 'a cell
 
   let mk_cell cline v =
     let v = ref v in
@@ -509,12 +529,6 @@ module Mem = struct
   (* Host-side, between runs: no effect, no charge, no wake (sim_mem.mli). *)
   let init c x = c.v := x
 
-  let store c x =
-    if !(c.v) != x then begin
-      c.v := x;
-      c.cline.Coherence.wq.Waitq.changed <- true
-    end
-
   let op c o_kind o_run = Op { o_line = c.cline; o_kind; o_run }
 
   let read c =
@@ -523,8 +537,7 @@ module Mem = struct
 
   let write c x =
     if fast_access c.cline Coherence.Write Op_write then c.v := x
-    else
-      Effect.perform (op c Coherence.Write (fun () -> store c x))
+    else Effect.perform (Store (c, x))
 
   let cas c ~expect ~desire =
     if fast_access c.cline Coherence.Rmw Op_rmw then
@@ -568,10 +581,6 @@ module Mem = struct
              store c (old + d);
              old))
 
-  let[@inline] pred c p =
-    let v = !(c.v) in
-    if p v then Some v else None
-
   (* When an untimed wait's first check (a charged read, the
      [Spin_check] it replaces) fast-paths, the predicate is evaluated
      here at the check's time: the wait returns with no effect, or parks
@@ -587,9 +596,9 @@ module Mem = struct
         Effect.perform
           (Wait
              {
-               w_line = c.cline;
-               w_pred = (fun () -> pred c p);
-               w_timeout = None;
+               w_cell = c;
+               w_p = p;
+               w_timeout = untimed;
                w_precharged = precharged;
              })
       with
@@ -600,9 +609,9 @@ module Mem = struct
     Effect.perform
       (Wait
          {
-           w_line = c.cline;
-           w_pred = (fun () -> pred c p);
-           w_timeout = Some timeout;
+           w_cell = c;
+           w_p = p;
+           w_timeout = (if timeout > 0 then timeout else 0);
            w_precharged = false;
          })
 
@@ -617,31 +626,146 @@ module Mem = struct
     | Idle -> Effect.perform Now
 end
 
-(* A wait's state flags, in one int (no allocation): [finished], the
-   fiber was continued; [unchecked], the scheduled Spin_check has not
-   run — unless precharged it is the first [attempt] to run, as the
-   fiber parks only after it. Top-level, so closures do not capture
-   them. *)
+(* A fiber's identity, built once per thread: what the handler's
+   closures capture instead of the engine, tid and cluster apart.
+   [cluster] is the thread's leaf domain: it drives coherence distances
+   and is what locks and trace events see. *)
+type fiber = { eng : t; tid : int; cluster : int }
+
+(* Fibers only (re)gain control through a [continue] (or the Start
+   thunk's [match_with]); stamping the engine there keeps
+   [cur_tid]/[cur_cluster] equal to the running fiber, which the fast
+   path's hit classification depends on. *)
+let[@inline] set_ctx fb =
+  fb.eng.cur_tid <- fb.tid;
+  fb.eng.cur_cluster <- fb.cluster
+
+(* One [Wait], from perform to continue: the one record its events
+   share. [flags]: [finished], the fiber was continued; [unchecked], the
+   scheduled Spin_check has not run — unless precharged it is the first
+   check to run, as the fiber parks only after it. [waiter] is made at
+   the first park and reused by every later one (a woken waiter is
+   unlinked before its re-check runs); it is [active] exactly while the
+   fiber is parked. [run] is the wait's one closure (see [step]). *)
+type 'a wait = {
+  fb : fiber;
+  d : 'a wait_desc;
+  k : ('a option, unit) continuation;
+  mutable flags : int;
+  mutable waiter : Waitq.waiter;
+  mutable run : unit -> unit;
+}
+
 let finished = 2
 let unchecked = 1
 
-(* [cluster] is the thread's leaf domain: it drives coherence distances
-   and is what locks and trace events see. *)
-let handler eng ~tid ~cluster =
-  (* Fibers only (re)gain control through a [continue] below (or the
-     Start thunk's [match_with]); stamping the engine there keeps
-     [cur_tid]/[cur_cluster] equal to the running fiber, which
-     the fast path's hit classification depends on. *)
-  let set_ctx () =
-    eng.cur_tid <- tid;
-    eng.cur_cluster <- cluster
+(* A parked waiter's check after a value-changing store: if the
+   predicate holds, deactivate (the walk unlinks it) and schedule the
+   re-check, which re-reads the line (charged) and re-checks the
+   predicate at delivery time; if the value changed back meanwhile —
+   e.g. another thread already took the lock — it re-parks instead of
+   acting on the stale observation. *)
+let wake w =
+  let d = w.d in
+  if d.w_p !(d.w_cell.v) then begin
+    let fb = w.fb in
+    let eng = fb.eng and line = d.w_cell.cline in
+    w.waiter.Waitq.active <- false;
+    if d.w_timeout = untimed then eng.blocked <- eng.blocked - 1;
+    let lat =
+      access eng ~cluster:fb.cluster ~thread:fb.tid line Coherence.Read
+    in
+    schedule eng ~tid:fb.tid ~cls:Spin_wake ~line (eng.now + lat) w.run
+  end
+
+let park w =
+  let eng = w.fb.eng in
+  let wtr = w.waiter in
+  let wtr =
+    if wtr == Waitq.nil then begin
+      let wtr = { Waitq.active = true; next = Waitq.nil; check = w.run } in
+      w.waiter <- wtr;
+      wtr
+    end
+    else begin
+      wtr.Waitq.active <- true;
+      wtr
+    end
   in
-  (* A pause's expiry, built once per fiber so that each scheduled
-     Resume thunk captures two values, not three. *)
-  let resumed () =
-    popped eng Resume;
-    set_ctx ()
+  if w.d.w_timeout = untimed then eng.blocked <- eng.blocked + 1;
+  add_waiter eng w.d.w_cell.cline wtr
+
+(* The scheduled check (Spin_check, then Spin_wake after each wake):
+   continue the fiber if the predicate holds, else park. A no-op once
+   the wait finished (a timeout fired first). *)
+let attempt w =
+  let eng = w.fb.eng in
+  if w.flags land unchecked <> 0 then begin
+    w.flags <- w.flags land finished;
+    popped eng Spin_check
+  end
+  else popped eng Spin_wake;
+  if w.flags land finished = 0 then begin
+    let v = !(w.d.w_cell.v) in
+    if w.d.w_p v then begin
+      w.flags <- finished;
+      set_ctx w.fb;
+      continue w.k (Some v)
+    end
+    else park w
+  end
+
+(* [run] in both of its roles: the parked waiter's [check], which a wake
+   walk calls only while the waiter is active; and the scheduled check,
+   which runs only while it is not — a parked wait has no check pending,
+   and [wake] deactivates the waiter before scheduling one. *)
+let step w = if w.waiter.Waitq.active then wake w else attempt w
+
+let expire w =
+  popped w.fb.eng Timeout;
+  if w.flags land finished = 0 then begin
+    w.flags <- w.flags lor finished;
+    let wtr = w.waiter in
+    if wtr.Waitq.active then wtr.Waitq.active <- false;
+    set_ctx w.fb;
+    continue w.k None
+  end
+
+let wait fb d k =
+  let eng = fb.eng in
+  let w =
+    {
+      fb;
+      d;
+      k;
+      flags = (if d.w_precharged then 0 else unchecked);
+      waiter = Waitq.nil;
+      run = nop;
+    }
   in
+  w.run <- (fun () -> step w);
+  if d.w_precharged then
+    (* The performer's fast path already charged the read, advanced the
+       clock to the first check's time and saw the predicate fail — the
+       heap path would park here (precharged descs are untimed by
+       contract). *)
+    park w
+  else begin
+    let line = d.w_cell.cline in
+    if d.w_timeout <> untimed then begin
+      let deadline = later eng.now d.w_timeout in
+      schedule eng ~tid:fb.tid ~cls:Timeout ~line
+        (if deadline > eng.now then deadline else eng.now)
+        (fun () -> expire w)
+    end;
+    let lat =
+      access eng ~cluster:fb.cluster ~thread:fb.tid line Coherence.Read
+    in
+    schedule eng ~tid:fb.tid ~cls:Spin_check ~line (eng.now + lat) w.run
+  end
+
+let handler fb =
+  let eng = fb.eng in
   {
     retc = (fun () -> eng.live <- eng.live - 1);
     exnc =
@@ -650,116 +774,53 @@ let handler eng ~tid ~cluster =
         | Thread_failure _ -> raise e
         | _ ->
             let backtrace = Printexc.get_backtrace () in
-            raise (Thread_failure { tid; exn = e; backtrace }));
+            raise (Thread_failure { tid = fb.tid; exn = e; backtrace }));
     effc =
       (fun (type b) (eff : b Effect.t) ->
         match eff with
         | Op o ->
             Some
               (fun (k : (b, unit) continuation) ->
+                let eng = fb.eng in
                 let lat =
-                  access eng ~cluster ~thread:tid o.o_line o.o_kind
+                  access eng ~cluster:fb.cluster ~thread:fb.tid o.o_line
+                    o.o_kind
                 in
-                schedule eng ~tid ~cls:(op_class o.o_kind) ~line:o.o_line
-                  (eng.now + lat)
-                  (fun () ->
-                    popped eng (op_class o.o_kind);
+                schedule eng ~tid:fb.tid ~cls:(op_class o.o_kind)
+                  ~line:o.o_line (eng.now + lat) (fun () ->
+                    popped fb.eng (op_class o.o_kind);
                     let v = o.o_run () in
                     (match o.o_kind with
                     | Coherence.Read -> ()
-                    | Coherence.Write | Coherence.Rmw -> notify eng o.o_line);
-                    set_ctx ();
+                    | Coherence.Write | Coherence.Rmw ->
+                        notify fb.eng o.o_line);
+                    set_ctx fb;
                     continue k v))
-        | Wait d ->
+        | Store (c, x) ->
             Some
               (fun (k : (b, unit) continuation) ->
-                let deadline =
-                  match d.w_timeout with
-                  | None -> -1
-                  | Some tmo -> later eng.now (if tmo > 0 then tmo else 0)
+                let eng = fb.eng in
+                let lat =
+                  access eng ~cluster:fb.cluster ~thread:fb.tid c.cline
+                    Coherence.Write
                 in
-                let untimed = deadline < 0 in
-                let state = ref (if d.w_precharged then 0 else unchecked) in
-                let cur = ref None in
-                (* A waiter woken by a write re-reads the line (charged) and
-                   re-checks the predicate at delivery time; if the value
-                   changed back meanwhile — e.g. another thread already took
-                   the lock — it re-parks instead of acting on the stale
-                   observation. *)
-                let rec park () =
-                  let rec wtr =
-                    {
-                      Waitq.active = true;
-                      next = Waitq.nil;
-                      check =
-                        (fun () ->
-                          match d.w_pred () with
-                          | None -> false
-                          | Some _ ->
-                              wtr.Waitq.active <- false;
-                              if untimed then eng.blocked <- eng.blocked - 1;
-                              cur := None;
-                              let lat =
-                                access eng ~cluster ~thread:tid d.w_line
-                                  Coherence.Read
-                              in
-                              schedule eng ~tid ~cls:Spin_wake ~line:d.w_line
-                                (eng.now + lat) attempt;
-                              true);
-                    }
-                  in
-                  cur := Some wtr;
-                  if untimed then eng.blocked <- eng.blocked + 1;
-                  add_waiter eng d.w_line wtr
-                and attempt () =
-                  if !state land unchecked <> 0 then begin
-                    state := !state land finished;
-                    popped eng Spin_check
-                  end
-                  else popped eng Spin_wake;
-                  if !state land finished = 0 then
-                    match d.w_pred () with
-                    | Some _ as r ->
-                        state := finished;
-                        set_ctx ();
-                        continue k r
-                    | None -> park ()
-                in
-                if d.w_precharged then
-                  (* The performer's fast path already charged the read,
-                     advanced the clock to the first check's time and saw
-                     the predicate fail — the heap path would park here
-                     (precharged descs are untimed by contract). *)
-                  park ()
-                else begin
-                  if not untimed then
-                    schedule eng ~tid ~cls:Timeout ~line:d.w_line
-                      (if deadline > eng.now then deadline else eng.now)
-                      (fun () ->
-                        popped eng Timeout;
-                        if !state land finished = 0 then begin
-                          state := !state lor finished;
-                          (match !cur with
-                          | Some w ->
-                              w.Waitq.active <- false;
-                              cur := None
-                          | None -> ());
-                          set_ctx ();
-                          continue k None
-                        end);
-                  let lat =
-                    access eng ~cluster ~thread:tid d.w_line Coherence.Read
-                  in
-                  schedule eng ~tid ~cls:Spin_check ~line:d.w_line
-                    (eng.now + lat) attempt
-                end)
+                schedule eng ~tid:fb.tid ~cls:Op_write ~line:c.cline
+                  (eng.now + lat) (fun () ->
+                    popped fb.eng Op_write;
+                    store c x;
+                    notify fb.eng c.cline;
+                    set_ctx fb;
+                    continue k ()))
+        | Wait d -> Some (fun (k : (b, unit) continuation) -> wait fb d k)
         | Pause d ->
             Some
               (fun (k : (b, unit) continuation) ->
-                schedule eng ~tid ~cls:Resume ~line:no_line
+                let eng = fb.eng in
+                schedule eng ~tid:fb.tid ~cls:Resume ~line:no_line
                   (later eng.now (if d > 0 then d else 0))
                   (fun () ->
-                    resumed ();
+                    popped fb.eng Resume;
+                    set_ctx fb;
                     continue k ()))
         | Now -> Some (fun (k : (b, unit) continuation) -> continue k eng.now)
         | _ -> None);
@@ -778,6 +839,13 @@ let mk_result eng ~n_threads =
           let i = slot cls in
           { cls; inlined = eng.inlined.(i); scheduled = eng.scheduled.(i) })
         all_classes;
+    tiers =
+      (let qt_near, qt_coarse, qt_overflow =
+         match eng.mode with
+         | Heap h -> Event_heap.tier_adds h
+         | Explore _ -> (0, 0, 0)
+       in
+       { Runtime_intf.qt_near; qt_coarse; qt_overflow });
     icx = Interconnect.export eng.icx;
     icx_levels = Interconnect.export_levels eng.icx;
     sites = Option.map Coherence.sites eng.prof;
@@ -895,12 +963,12 @@ let run ~topology ~n_threads ?horizon ?policy ?max_events ?(profile = false)
     (* Oversubscription: logical threads beyond the machine's contexts
        wrap onto hardware contexts inside [cluster_of_thread]. *)
     let cluster = Topology.cluster_of_thread topology tid in
-    let h = handler eng ~tid ~cluster in
+    let fb = { eng; tid; cluster } in
+    let h = handler fb in
     (* 1 ns stagger breaks the t=0 symmetry deterministically. *)
     schedule eng ~tid ~cls:Start ~line:no_line tid (fun () ->
         popped eng Start;
-        eng.cur_tid <- tid;
-        eng.cur_cluster <- cluster;
+        set_ctx fb;
         match_with (fun () -> body ~tid ~cluster) () h)
   done;
   let saved = !cur_engine in

@@ -55,6 +55,10 @@ type result = {
           to [events]. Which events retired inline is diagnostic only:
           the per-class totals, every other field and the schedule
           itself are independent of the fast path. *)
+  tiers : Numa_base.Runtime_intf.queue_tiers;
+      (** the scheduled events by the queue tier each was added to;
+          zeros in explore mode, which has no queue. Like the
+          inlined/scheduled split, it depends on the fast path. *)
   icx : Numa_trace.Profile.interconnect;
       (** interconnect occupancy/queueing statistics for the run,
           aggregated over every level. *)

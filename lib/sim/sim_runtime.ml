@@ -51,5 +51,6 @@ let run ~topology ~n_threads ?stop_after ?(profile = false) body =
     interconnect_levels = Some r.Engine.icx_levels;
     sim_events = Some r.Engine.events;
     event_classes = Some (event_classes r);
+    queue_tiers = Some r.Engine.tiers;
     sites = r.Engine.sites;
   }

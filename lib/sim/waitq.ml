@@ -30,14 +30,14 @@ type waiter = {
   mutable active : bool;
       (** cleared when the waiter is woken or its timeout fires; an
           inactive waiter is unlinked by the next scan that reaches it. *)
-  check : unit -> bool;
+  check : unit -> unit;
       (** re-evaluate the predicate after a value-changing store to the
-          line; [true] means the waiter woke (and deactivated itself) —
-          unlink it. *)
+          line; a waiter that wakes deactivates itself, and the walk
+          unlinks it. *)
   mutable next : waiter;  (** [nil]-terminated. *)
 }
 
-let rec nil = { active = false; check = (fun () -> false); next = nil }
+let rec nil = { active = false; check = (fun () -> ()); next = nil }
 
 type t = {
   mutable head : waiter;
@@ -74,7 +74,7 @@ let push q w =
 
 (* A value-changing store to the line landed: walk the queue in
    registration order, unlinking waiters that are no longer active and
-   waiters whose [check] fires (each check charges its own re-read, so
+   waiters whose [check] woke them (each check charges its own re-read, so
    a crowd re-fetches the line serially — see the notify comment in
    engine.ml). [check] never touches waiter queues (it only schedules
    future engine events), so in-place unlinking during the walk is
@@ -85,7 +85,13 @@ let wake q =
   while !w != nil do
     let cur = !w in
     let next = cur.next in
-    let keep = cur.active && not (cur.check ()) in
+    let keep =
+      cur.active
+      && begin
+           cur.check ();
+           cur.active
+         end
+    in
     if keep then prev := cur
     else begin
       if !prev == nil then q.head <- next else !prev.next <- next;

@@ -7,7 +7,9 @@
 
 type waiter = {
   mutable active : bool;
-  check : unit -> bool;
+  check : unit -> unit;
+      (** called by {!wake} while [active]; a waiter that wakes clears
+          [active], which unlinks it. *)
   mutable next : waiter;  (** link field, owned by the queue; set [nil]. *)
 }
 
@@ -42,5 +44,5 @@ val push : t -> waiter -> unit
 
 val wake : t -> unit
 (** Scan in registration order, unlinking inactive waiters and waiters
-    whose [check] returns [true]. Called only after a store that changed
+    whose [check] deactivated them. Called only after a store that changed
     a value on the line. *)

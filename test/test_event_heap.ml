@@ -6,7 +6,9 @@
    (no time before the last pop), and the exact (time, seq) FIFO
    tie-break the golden schedules depend on — including a differential
    check of the calendar queue against the 4-ary heap ([H.Far]) across
-   the window's edge, its wrap-around and its far/near migration.
+   the near window's edge, the coarse buckets' edges and the coarse
+   span's, the wrap-around of both tiers, the coarse-to-near cascade
+   and the overflow migration.
 
    Also here: the payload-retention regression tests (popped, cleared
    and released slots must not keep closures reachable from the backing
@@ -92,39 +94,59 @@ let prop_interleaved =
 
 (* --- the calendar queue against the 4-ary heap --------------------------- *)
 
-(* The window width (Event_heap's [w]): the deltas that matter sit on
-   either side of it. *)
+(* The queue's geometry (Event_heap's [w], [g] and [span]): the deltas
+   that matter sit on either side of the near window's width, of a
+   coarse bucket's edge and of the coarse span's end. *)
 let w = 4096
+let g = 2048
+let span = 128 * g
 
 (* A script step: add an event [delta] ns after the last popped time
-   (the engine's rule: nothing is scheduled before [now]), pop, or
-   clear. *)
-type step = Add of int | Pop | Clear
+   (the engine's rule: nothing is scheduled before [now]), add one at
+   an offset from a tier boundary, pop, or clear. [Edge (k, off)] aims
+   at [off] ns from the [k]-th coarse-bucket edge after the last popped
+   time; [Limit (k, off)] at [off] ns from the near tier's direct-add
+   bound plus [k] coarse spans ([k = 0]: near/coarse, [k = 1]:
+   coarse/overflow). Aimed times below the last pop are clamped to it. *)
+type step = Add of int | Edge of int * int | Limit of int * int | Pop | Clear
 
 let pp_step = function
   | Add d -> Printf.sprintf "add +%d" d
+  | Edge (k, off) -> Printf.sprintf "edge %d %+d" k off
+  | Limit (k, off) -> Printf.sprintf "limit+%d*span %+d" k off
   | Pop -> "pop"
   | Clear -> "clear"
 
-(* Deltas concentrated on the window's edges and on a few repeated
-   values, so same-time ties straddle the far/near boundary: an event
-   added [w + 1] ahead waits in the far tier, and later adds at the
-   same time land in its bucket after it migrated. *)
+(* Deltas concentrated on the tiers' edges and on a few repeated values,
+   so same-time ties straddle every boundary: an event added [span + 1]
+   ahead waits in the overflow tier, later adds at the same time land
+   in its coarse bucket after it migrated, and still later ones in its
+   near bucket after the cascade. *)
 let gen_delta =
   QCheck.Gen.(
     frequency
       [
         (4, int_bound 40);
-        (2, oneofl [ 0; w - 1; w; w + 1; 2 * w; (2 * w) + 1 ]);
+        (2, oneofl [ 0; g - 1; g; g + 1; w - 1; w; w + 1; 2 * w; (2 * w) + 1 ]);
         (1, int_range (w - 8) (w + 8));
         (1, int_range w (20 * w));
+        (1, oneofl [ span - 1; span; span + 1; span + w; 2 * span ]);
+        (1, int_range (span - g) (span + g));
         (1, oneofl [ 1_000_000; 1_000_000_000 ]);
       ])
+
+let gen_off = QCheck.Gen.oneofl [ -1; 0; 1 ]
 
 let gen_script ~phases =
   QCheck.Gen.(
     let step delta =
-      frequency [ (5, map (fun d -> Add d) delta); (4, return Pop) ]
+      frequency
+        [
+          (5, map (fun d -> Add d) delta);
+          (1, map2 (fun k off -> Edge (k, off)) (int_bound 4) gen_off);
+          (1, map2 (fun k off -> Limit (k, off)) (int_bound 1) gen_off);
+          (4, return Pop);
+        ]
     in
     let phase =
       oneof
@@ -133,12 +155,17 @@ let gen_script ~phases =
           list_size (int_bound 150)
             (frequency [ (50, step gen_delta); (1, return Clear) ]);
           (* near only *)
-          list_size (int_bound 150) (step (int_bound (w - 1)));
-          (* far only *)
-          list_size (int_bound 150) (step (int_range w (50 * w)));
-          (* long strides: the bucket index wraps over many windows *)
+          list_size (int_bound 150) (step (int_bound (g - 1)));
+          (* coarse only *)
+          list_size (int_bound 150) (step (int_range w (span - 1)));
+          (* overflow and beyond *)
+          list_size (int_bound 150) (step (int_range span (50 * span)));
+          (* long strides: both tiers' bucket indices wrap *)
           list_size (int_bound 300)
-            (step (oneofl [ w - 1; w / 2; (w / 2) + 1; 3 * w / 4 ]));
+            (step
+               (oneofl
+                  [ w - 1; w / 2; (w / 2) + 1; 3 * w / 4; g + 1; span - 1;
+                    (span / 2) + 1 ]));
         ]
     in
     map List.concat (list_repeat phases phase))
@@ -148,6 +175,12 @@ let gen_script ~phases =
 let calendar_matches_far script =
   let cal = H.create ~dummy:(-1) and far = H.Far.create ~dummy:(-1) in
   let last = ref 0 and seq = ref 0 and ok = ref true in
+  let add time =
+    let time = if time < !last then !last else time in
+    H.add cal ~time !seq;
+    H.Far.add far ~time !seq;
+    incr seq
+  in
   let pop () =
     let t = H.min_time cal in
     if t <> H.Far.min_time far then ok := false;
@@ -157,10 +190,9 @@ let calendar_matches_far script =
   List.iter
     (fun step ->
       (match step with
-      | Add d ->
-          H.add cal ~time:(!last + d) !seq;
-          H.Far.add far ~time:(!last + d) !seq;
-          incr seq
+      | Add d -> add (!last + d)
+      | Edge (k, off) -> add ((((!last / g) + k) * g) + off)
+      | Limit (k, off) -> add (cal.H.limit + (k * span) + off)
       | Pop -> if not (H.Far.is_empty far) then pop ()
       | Clear ->
           H.clear cal;
@@ -175,7 +207,7 @@ let calendar_matches_far script =
   !ok && H.is_empty cal && H.min_time cal = max_int
 
 let prop_calendar_vs_far =
-  QCheck.Test.make ~name:"calendar queue = 4-ary heap" ~count:400
+  QCheck.Test.make ~name:"calendar queue = 4-ary heap" ~count:600
     (QCheck.make
        ~print:(fun s -> String.concat "; " (List.map pp_step s))
        (gen_script ~phases:3))
@@ -190,20 +222,52 @@ let calendar_edges () =
     (fun d ->
       check (Printf.sprintf "delta %d" d)
         [ Add d; Add 0; Add d; Pop; Add d; Add (d + 1); Pop; Pop; Pop ])
-    [ 0; w - 1; w; w + 1; 1_000_000_000 ];
-  (* Ties across the boundary: three far events at 2w, the window
-     reaches them when the event at w + 1 pops, and direct adds at 2w
-     must queue behind them. *)
-  check "ties across the far/near boundary"
+    [
+      0; g - 1; g; g + 1; w - 1; w; w + 1; span - 1; span; span + 1;
+      span + w; 1_000_000_000;
+    ];
+  List.iter
+    (fun (k, off) ->
+      check (Printf.sprintf "edge %d %+d" k off)
+        [ Edge (k, off); Add 1; Edge (k, off); Pop; Edge (k, off); Pop; Pop ];
+      check (Printf.sprintf "limit + %d spans %+d" k off)
+        [ Limit (k, off); Add 1; Limit (k, off); Pop; Limit (k, off); Pop ])
+    [ (0, -1); (0, 0); (0, 1); (1, -1); (1, 0); (1, 1); (3, -1); (3, 1) ];
+  (* Ties across the near/coarse boundary: three coarse events at 2w,
+     the window reaches them when the event at w + 1 pops, and direct
+     adds at 2w must queue behind them. *)
+  check "ties across the coarse/near boundary"
     ([ Add (2 * w); Add (2 * w); Add (w + 1); Add (2 * w); Pop ]
     @ [ Add (w - 1); Add (w - 1); Add (w - 1); Pop; Pop; Pop; Pop ]);
-  (* 200 windows of strides just under w: the bucket index wraps. *)
+  (* The same across the overflow/coarse boundary, then on into the
+     near tier: a tie at [span + w] sits in all three tiers over time. *)
+  check "ties across all three tiers"
+    ([ Add (span + w); Add (span + w); Add (w + 1); Pop; Add (span - 1) ]
+    @ [ Add (span - 1); Pop; Add (w - 1); Add 1; Pop; Add 0; Pop; Pop ]
+    @ [ Pop; Pop ]);
+  (* A cascade meets direct adds at the same time: coarse events at one
+     time, a pop that moves the bound past their bucket, direct adds at
+     that time, more pops. *)
+  check "cascade meets direct adds"
+    (List.concat
+       (List.init 20 (fun i ->
+            [ Add (w + (i * 37)); Add (w + (i * 37)); Add g; Pop ]
+            @ [ Add (w - g + (i * 37)); Pop; Add 0; Pop ])));
+  (* 200 windows of strides just under w: the near index wraps; 300
+     strides of about half the span: the coarse index wraps. *)
   check "wrap over many windows"
     (List.concat (List.init 200 (fun _ -> [ Add (w - 1); Add (w / 2); Pop ])));
-  check "far only" (List.concat (List.init 50 (fun i -> [ Add (w + i); Pop ])));
+  check "wrap over many spans"
+    (List.concat
+       (List.init 300 (fun i ->
+            [ Add ((span / 2) + i); Add (g + 1); Add (span - 1); Pop ])));
+  check "overflow only"
+    (List.concat (List.init 50 (fun i -> [ Add (span + i); Pop ])));
+  check "coarse only"
+    (List.concat (List.init 50 (fun i -> [ Add (w + (i * 1000)); Pop ])));
   check "near only"
     (List.concat (List.init 50 (fun i -> [ Add (i mod 7); Add 3; Pop ])));
-  (* The precondition guards both tiers and the sentinel. *)
+  (* The precondition guards every tier and the sentinel. *)
   let h = H.create ~dummy:0 in
   H.add h ~time:10 1;
   H.add h ~time:(10 * w) 2;
@@ -222,7 +286,26 @@ let calendar_edges () =
   let first = H.pop h in
   let second = H.pop h in
   Alcotest.(check (pair int int)) "a tie with the last pop is fine" (4, 2)
-    (first, second)
+    (first, second);
+  (* Times next to [max_int]: the direct-add bound saturates. *)
+  H.add h ~time:(max_int - 1) 5;
+  H.add h ~time:(max_int - w - 1) 6;
+  H.add h ~time:(max_int - 1) 7;
+  let order = List.init 3 (fun _ -> H.pop h) in
+  Alcotest.(check (list int)) "near max_int" [ 6; 5; 7 ] order;
+  H.add h ~time:(max_int - 1) 8;
+  Alcotest.(check int) "after a pop at max_int - 1" 8 (H.pop h)
+
+(* Each add is counted once, by the tier it lands in directly. *)
+let tier_counts () =
+  let h = H.create ~dummy:0 in
+  List.iter
+    (fun t -> H.add h ~time:t 0)
+    [ 0; w - 1; w; span; span + w; 10 * span ];
+  Alcotest.(check (triple int int int))
+    "near, coarse, overflow" (2, 2, 2) (H.tier_adds h);
+  H.clear h;
+  Alcotest.(check (triple int int int)) "cleared" (0, 0, 0) (H.tier_adds h)
 
 let prop_clear_reuse =
   QCheck.Test.make ~name:"clear then reuse drains correctly" ~count:200
@@ -420,8 +503,9 @@ let () =
       ( "calendar",
         [
           QCheck_alcotest.to_alcotest prop_calendar_vs_far;
-          Alcotest.test_case "window edges, ties, wrap, tiers" `Quick
+          Alcotest.test_case "tier edges, ties, wrap, cascades" `Quick
             calendar_edges;
+          Alcotest.test_case "adds counted per tier" `Quick tier_counts;
         ] );
       ( "retention",
         [

@@ -241,11 +241,14 @@ let lbench_run ~fastpath ?(tweak = fun c -> c) (e : R.entry) =
     ~n_threads:8 ~duration:150_000 ~seed:42
 
 (* A result with each ledger row's inlined/scheduled split folded into
-   its total: the split is the one thing the fast path may change. *)
+   its total and the queue-tier split dropped: which events are
+   scheduled, and so queued, is the one thing the fast path may
+   change. *)
 let unsplit (r : Harness.Lbench.result) =
   {
     r with
-    Harness.Lbench.event_classes =
+    Harness.Lbench.queue_tiers = None;
+    event_classes =
       List.map
         (fun (c : Numa_base.Runtime_intf.event_class) ->
           {
