@@ -144,10 +144,11 @@ val collapse_run :
     scheduler does. In-capacity runs are untouched by the model; only
     grants inside the measurement window count toward iterations,
     migrations and acquire latencies (the post-window drain of blocked
-    acquires still runs). The result carries acquire latencies,
-    misses/CS (the whole run's coherence misses, drain included, per
-    counted iteration) and the trace rollup, but no prediction: the
-    analytic model is calibrated to LBench. [event_classes] holds the
+    acquires still runs). The result carries acquire latencies and the
+    trace rollup, but no prediction: the analytic model is calibrated
+    to LBench. [misses_per_cs] is [nan] (null in an artifact): the
+    engine counts the whole run's misses, and the drain's cannot be
+    told apart from the window's. [event_classes] holds the
     whole run's event ledger, drain included. *)
 
 val collapse_sweep :

@@ -183,6 +183,29 @@ let test_collapse_ordering () =
     true
     (gcr >= 2 * mcs)
 
+(* A collapse point has no misses-per-CS figure: the engine counts the
+   whole run's misses, and past capacity the post-window drain makes
+   most of them (the whole-run figure read 2.08 for BO at 8 threads and
+   146.10 at 64, on 8 contexts). The artifact writes null, in capacity
+   and past it. *)
+let test_collapse_misses_null () =
+  let e = Option.get (R.find "BO") in
+  List.iter
+    (fun n_threads ->
+      let r =
+        X.collapse_run e ~topology:small ~n_threads ~duration:500_000
+          ~seed:2024
+      in
+      let entry =
+        Harness.Bench_json.entry_of_result ~experiment:"collapse" r
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "BO @ %d: misses_per_cs is null" n_threads)
+        true
+        (Float.is_nan r.LB.misses_per_cs
+        && Float.is_nan (List.assoc "misses_per_cs" entry.metrics)))
+    [ 8; 64 ]
+
 let () =
   Alcotest.run "gcr"
     [
@@ -203,4 +226,9 @@ let () =
                Alcotest.test_case (name ^ " pins") `Quick
                  (collapse_golden_test (name, i, m)))
              collapse_golden );
+      ( "collapse_misses",
+        [
+          Alcotest.test_case "misses_per_cs is null" `Quick
+            test_collapse_misses_null;
+        ] );
     ]
