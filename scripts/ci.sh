@@ -45,14 +45,11 @@
 #                and 2, the ablations and the extensions); plus a
 #                same-seed fig2 byte-diff on the rack preset (the
 #                multi-level path must be as deterministic as the flat
-#                one); and a same-seed byte-diff of a write-heavy
-#                Table 1 CSV at 1 and 32 threads (tables emit no BENCH
-#                artifact, so the CSV is what gets compared); and a
-#                same-seed byte-diff of the JSONL lock-event traces of
-#                fig2 and fig6 at 1, 8 and 64 threads (the artifacts'
-#                rollups drop tids, so only the trace shows who
-#                acquired when). Only
-#                freshly emitted artifacts participate;
+#                one); and a same-seed byte-diff of the JSONL lock-event
+#                traces of fig2 and fig6 at 1, 8 and 64 threads (the
+#                artifacts' rollups drop tids, so only the trace shows
+#                who acquired when). Only freshly emitted artifacts
+#                participate;
 #                HOSTPERF_*.json is host wall-clock and never
 #                byte-compared.
 #   bench-diff   regression gate: bench_diff of BENCH_head.json against
@@ -291,17 +288,6 @@ if want determinism; then
     exit 1
   fi
   echo "   artifacts byte-identical"
-  echo "   Table 1 determinism (same-seed table1 CSV byte diff)"
-  for side in a b; do
-    repro table1 --mix write --threads 1,32 --duration-ms 1 \
-      --csv-dir "$tmp/T1_$side" >/dev/null
-  done
-  if ! cmp "$tmp"/T1_{a,b}/table1_90pct_sets.csv; then
-    echo "ci: FAIL — same-seed Table 1 CSVs differ; the KV runner or the" >&2
-    echo "store reset between its cells is nondeterministic." >&2
-    exit 1
-  fi
-  echo "   tables byte-identical"
   echo "   lock-trace determinism (same-seed fig2/fig6 JSONL byte diff)"
   for fig in fig2 fig6; do
     for side in a b; do
