@@ -21,6 +21,7 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
     value : int M.cell;
     lru : int M.cell;
     seeded : bool;  (* loaded by [populate], not inserted by [set] *)
+    mutable dirty : bool;  (* on [t.dirtied]: [reset] must restore it *)
   }
 
   (* memcached bumps an item's LRU recency at most once per interval, so
@@ -36,6 +37,11 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
            counters do not become a coherence hot spot. *)
     mutable n_items : int;
     mutable n_seeded : int;
+    mutable dirtied : item list;
+        (* host-side: every item a [set] or an LRU touch wrote, and every
+           item a [set] inserted, since the last [reset] *)
+    mutable stats_hi : int;
+        (* host-side: stats counters at or above it are still 0 *)
   }
 
   let hash k =
@@ -56,14 +62,24 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
             M.cell' ~name:(Printf.sprintf "kv.stats.%d" i) 0);
       n_items = 0;
       n_seeded = 0;
+      dirtied = [];
+      stats_hi = 0;
     }
 
   let n_items t = t.n_items
 
   let bump_stats t ~tid =
-    let c = t.thread_stats.(tid mod Array.length t.thread_stats) in
+    let i = tid mod Array.length t.thread_stats in
+    if i >= t.stats_hi then t.stats_hi <- i + 1;
+    let c = t.thread_stats.(i) in
     let v = M.read c in
     M.write c (v + 1)
+
+  let mark t it =
+    if not it.dirty then begin
+      it.dirty <- true;
+      t.dirtied <- it :: t.dirtied
+    end
 
   let find_item t k =
     let b = hash k mod t.n_buckets in
@@ -78,7 +94,10 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
         (* Rate-limited LRU touch (see [lru_resolution]). *)
         let last = M.read it.lru in
         let now = M.now () in
-        if now - last > lru_resolution then M.write it.lru now;
+        if now - last > lru_resolution then begin
+          mark t it;
+          M.write it.lru now
+        end;
         Some v
     | _, None -> None
 
@@ -89,14 +108,22 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
         (* Stores also maintain the bucket's LRU chain in memcached, so
            every set dirties the bucket line — part of why write-heavy
            mixes stress the cache lock harder (Table 1c). *)
+        mark t it;
         M.write t.bucket_tags.(b) 1;
         M.write it.value v;
         M.write it.lru (M.now ())
     | b, None ->
         let ln = M.line ~name:"kv.item" () in
         let it =
-          { key = k; value = M.cell ln v; lru = M.cell ln 0; seeded = false }
+          {
+            key = k;
+            value = M.cell ln v;
+            lru = M.cell ln 0;
+            seeded = false;
+            dirty = false;
+          }
         in
+        mark t it;
         M.write t.bucket_tags.(b) 1;
         M.write it.lru (M.now ());
         t.buckets.(b) <- it :: t.buckets.(b);
@@ -117,29 +144,52 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
       let b = hash k mod t.n_buckets in
       let ln = M.line ~name:"kv.item" () in
       let it =
-        { key = k; value = M.cell ln k; lru = M.cell ln 0; seeded = true }
+        {
+          key = k;
+          value = M.cell ln k;
+          lru = M.cell ln 0;
+          seeded = true;
+          dirty = false;
+        }
       in
       t.buckets.(b) <- it :: t.buckets.(b);
       t.n_items <- t.n_items + 1;
       t.n_seeded <- t.n_seeded + 1
     done
 
-  (* Host-side, between runs: [List.filter] keeps the seeded items in
-     their populate order, so lookups walk the same chains as in a fresh
-     store. *)
+  (* Host-side, between runs. Only what a run wrote can differ from
+     [populate]'s state: the items on [t.dirtied], their buckets' tags
+     (only a [set] writes a tag, and it marks the item it writes or
+     inserts) and the stats counters below [stats_hi]. A Table 1 cell
+     writes a few thousand of the 16,384 items, so this skips the rest.
+     [List.filter] keeps the seeded items of a bucket an insert touched
+     in their populate order, so lookups walk the same chains as in a
+     fresh store. *)
   let reset t =
-    if t.n_items > t.n_seeded then begin
-      Array.iteri
-        (fun b items ->
-          t.buckets.(b) <- List.filter (fun it -> it.seeded) items)
-        t.buckets;
-      t.n_items <- t.n_seeded
-    end;
-    Array.iter
-      (List.iter (fun it ->
-           M.init it.value it.key;
-           M.init it.lru 0))
-      t.buckets;
-    Array.iter (fun c -> M.init c 0) t.bucket_tags;
-    Array.iter (fun c -> M.init c 0) t.thread_stats
+    List.iter
+      (fun it ->
+        let b = hash it.key mod t.n_buckets in
+        if it.seeded then begin
+          it.dirty <- false;
+          M.init it.value it.key;
+          M.init it.lru 0
+        end
+        else t.buckets.(b) <- List.filter (fun it -> it.seeded) t.buckets.(b);
+        M.init t.bucket_tags.(b) 0)
+      t.dirtied;
+    t.dirtied <- [];
+    t.n_items <- t.n_seeded;
+    for i = 0 to t.stats_hi - 1 do
+      M.init t.thread_stats.(i) 0
+    done;
+    t.stats_hi <- 0
+
+  let cells t =
+    List.concat
+      (List.mapi
+         (fun b items ->
+           t.bucket_tags.(b)
+           :: List.concat_map (fun it -> [ it.value; it.lru ]) items)
+         (Array.to_list t.buckets))
+    @ Array.to_list t.thread_stats
 end

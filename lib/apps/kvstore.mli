@@ -9,7 +9,7 @@
     memcached). The request parsing/response work outside the lock is the
     harness's job to model. *)
 
-module Make (_ : Numa_base.Memory_intf.MEMORY) : sig
+module Make (M : Numa_base.Memory_intf.MEMORY) : sig
   type t
 
   val create : ?max_threads:int -> n_buckets:int -> unit -> t
@@ -39,5 +39,12 @@ module Make (_ : Numa_base.Memory_intf.MEMORY) : sig
   (** Restore the state {!populate} left: every value is its key again,
       every LRU stamp and every bucket and stats counter is 0, and any
       item a {!set} inserted is removed. Host-side, between runs (it
-      writes through [MEMORY.init]), so one store can serve many runs. *)
+      writes through [MEMORY.init]), so one store can serve many runs.
+      It re-initialises only the cells the operations since the last
+      reset may have written, tracked host-side. *)
+
+  val cells : t -> int M.cell list
+  (** Every cell of the store, in a fixed order: each bucket's tag and
+      then its items' value and LRU cells, in chain order; then the
+      stats counters. For tests that compare two stores. *)
 end

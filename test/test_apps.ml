@@ -458,6 +458,36 @@ let test_kv_reset_exact () =
   Alcotest.(check int) "events" r1.events r2.events;
   Alcotest.(check bool) "coherence counters" true (r1.coherence = r2.coherence)
 
+(* [reset] re-initialises only the cells the runs wrote: a store used by
+   two runs (sets, LRU-touching gets, inserts, every stats counter) and
+   then reset must read, cell by cell and in chain order, exactly like a
+   freshly populated one. *)
+let test_kv_reset_equals_fresh () =
+  let store () =
+    let t = SKv.create ~max_threads:4 ~n_buckets:8 () in
+    SKv.populate t ~n_keys:32;
+    t
+  in
+  let values t =
+    let out = ref [] in
+    ignore
+      (Numasim.Engine.run ~topology:Topology.small ~n_threads:1
+         (fun ~tid:_ ~cluster:_ -> out := List.map Sm.read (SKv.cells t)));
+    !out
+  in
+  let used = store () in
+  ignore (kv_set_heavy used);
+  SKv.reset used;
+  ignore (kv_set_heavy used);
+  ignore
+    (Numasim.Engine.run ~topology:Topology.small ~n_threads:4
+       (fun ~tid ~cluster:_ -> SKv.set used ~tid (200 + tid) tid));
+  SKv.reset used;
+  let fresh = values (store ()) in
+  Alcotest.(check int) "as many cells" (List.length fresh)
+    (List.length (values used));
+  Alcotest.(check (list int)) "every cell as fresh" fresh (values used)
+
 let suite =
   [
     ( "splay",
@@ -502,6 +532,8 @@ let suite =
         Alcotest.test_case "allocator charged" `Quick test_alloc_charged_in_sim;
         Alcotest.test_case "kvstore charged" `Quick test_kv_charged_in_sim;
         Alcotest.test_case "kvstore reset exact" `Quick test_kv_reset_exact;
+        Alcotest.test_case "kvstore reset = fresh store" `Quick
+          test_kv_reset_equals_fresh;
       ] );
   ]
 
