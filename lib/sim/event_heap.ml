@@ -206,11 +206,14 @@ let cmask = cw - 1
 let span = cw * g
 let cwords = cw / 32
 
+(* At most 19 fields: a larger record would sit in a major-heap size
+   class of its own, one more 32 KB pool in every process's peak (as
+   for [debruijn] below). Hence no total count (it is the three tiers'
+   sum) and one array for the tier counters. *)
 type 'a t = {
   mutable min : int;
   mutable base : int;
   mutable limit : int;
-  mutable n : int;
   mutable near_n : int;
   mutable coarse_n : int;
   tails : int array;
@@ -226,9 +229,7 @@ type 'a t = {
   mutable hwm : int;
   far : 'a Far.t;
   dummy : 'a;
-  mutable to_near : int;
-  mutable to_coarse : int;
-  mutable to_far : int;
+  adds : int array;
 }
 
 let create ~dummy =
@@ -236,7 +237,6 @@ let create ~dummy =
     min = max_int;
     base = 0;
     limit = w;
-    n = 0;
     near_n = 0;
     coarse_n = 0;
     tails = Array.make w 0;
@@ -252,15 +252,13 @@ let create ~dummy =
     hwm = 0;
     far = Far.create ~dummy;
     dummy;
-    to_near = 0;
-    to_coarse = 0;
-    to_far = 0;
+    adds = Array.make 3 0;
   }
 
-let size t = t.n
-let is_empty t = t.n = 0
+let size t = t.near_n + t.coarse_n + Far.size t.far
+let is_empty t = t.min = max_int
 let min_time t = t.min
-let tier_adds t = (t.to_near, t.to_coarse, t.to_far)
+let tier_adds t = (t.adds.(0), t.adds.(1), t.adds.(2))
 
 (* The de Bruijn table as a string literal, which is static data: an
    array literal would be allocated at start-up, in a major-heap size
@@ -397,19 +395,21 @@ let advance t lim =
 let add t ~time payload =
   if time < t.base || time = max_int then
     invalid_arg "Event_heap.add: time before the last pop, or max_int";
-  t.n <- t.n + 1;
-  if time < t.limit then begin
-    t.to_near <- t.to_near + 1;
-    link_near t time (slot t payload)
-  end
-  else if time - t.limit < span then begin
-    t.to_coarse <- t.to_coarse + 1;
-    link_coarse t time (slot t payload)
-  end
-  else begin
-    t.to_far <- t.to_far + 1;
-    Far.add t.far ~time payload
-  end;
+  let tier =
+    if time < t.limit then begin
+      link_near t time (slot t payload);
+      0
+    end
+    else if time - t.limit < span then begin
+      link_coarse t time (slot t payload);
+      1
+    end
+    else begin
+      Far.add t.far ~time payload;
+      2
+    end
+  in
+  Array.unsafe_set t.adds tier (Array.unsafe_get t.adds tier + 1);
   if time < t.min then t.min <- time
 
 (* The first non-empty bitmap word at or after word [from], circularly;
@@ -466,8 +466,8 @@ let next_coarse t =
   Array.unsafe_get t.cmins idx
 
 let pop t =
-  if t.n = 0 then invalid_arg "Event_heap.pop: empty heap";
   let time = t.min in
+  if time = max_int then invalid_arg "Event_heap.pop: empty heap";
   if time > t.base then begin
     (* The window moves to [time]; with the near tier empty, [time] is
        in a later tier, and the advance brings it in. The last coarse
@@ -486,7 +486,6 @@ let pop t =
   let nx = Array.unsafe_get t.next s in
   Array.unsafe_set t.next s t.free;
   t.free <- s;
-  t.n <- t.n - 1;
   t.near_n <- t.near_n - 1;
   if s <> tail then Array.unsafe_set t.next tail nx
   else begin
@@ -512,13 +511,10 @@ let clear t =
   Array.fill t.cbits 0 cwords 0;
   t.free <- -1;
   t.hwm <- 0;
-  t.n <- 0;
   t.near_n <- 0;
   t.coarse_n <- 0;
   t.min <- max_int;
   t.base <- 0;
   t.limit <- w;
-  t.to_near <- 0;
-  t.to_coarse <- 0;
-  t.to_far <- 0;
+  Array.fill t.adds 0 3 0;
   Far.clear t.far

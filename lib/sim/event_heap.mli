@@ -50,7 +50,6 @@ type 'a t = private {
           {!min_time} returns, readable as a field load. *)
   mutable base : int;  (** the last popped time (0 before the first). *)
   mutable limit : int;
-  mutable n : int;
   mutable near_n : int;
   mutable coarse_n : int;
   tails : int array;
@@ -66,9 +65,7 @@ type 'a t = private {
   mutable hwm : int;
   far : 'a Far.t;
   dummy : 'a;
-  mutable to_near : int;
-  mutable to_coarse : int;
-  mutable to_far : int;
+  adds : int array;
 }
 (** Private so that the engine's fast path reads [min] directly; every
     other field is internal. *)
