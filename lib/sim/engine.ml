@@ -743,6 +743,7 @@ let wait fb d k =
       run = nop;
     }
   in
+  (* Tied after the fact: a [let rec] record would be built twice. *)
   w.run <- (fun () -> step w);
   if d.w_precharged then
     (* The performer's fast path already charged the read, advanced the

@@ -1,4 +1,4 @@
-(* Event_heap property suite. The calendar queue and its far-tier heap
+(* Event_heap property suite. The calendar queue and its overflow heap
    use unchecked array accesses (Array.unsafe_get/set) for the engine
    hot path; this suite is the safety net backing that choice:
    randomized drains exercise growth well past the initial 64-slot
@@ -339,8 +339,11 @@ let prop_clear_reuse =
 let payloads_unreachable ~via ~far () =
   let h = H.create ~dummy:[||] in
   let weak = Weak.create 8 in
-  (* Far-tier events sit beyond the window; the pops migrate them. *)
-  let time i = if far then (i + 1) * w else i in
+  (* Far events sit beyond the window, alternately in the coarse tier
+     and the overflow heap; the pops cascade and migrate them. *)
+  let time i =
+    if not far then i else (i + 1) * if i land 1 = 0 then w else span
+  in
   for i = 0 to 7 do
     let p = Array.make 4 i in
     Weak.set weak i (Some p);
@@ -360,7 +363,7 @@ let payloads_unreachable ~via ~far () =
       (Weak.check weak i)
   done;
   (* The queue must still be usable — its arrays were retained. *)
-  H.add h ~time:(time 8) [| 42 |];
+  H.add h ~time:(time 7 + 1) [| 42 |];
   Alcotest.(check int) "queue still works" 42 (H.pop h).(0)
 
 (* A run that ends with events pending (here: cut at the horizon while
@@ -374,7 +377,7 @@ let released_queue_holds_nothing () =
       (fun ~tid ~cluster:_ ->
         let marker = Array.make 4 tid in
         Weak.set weak tid (Some marker);
-        (* tid 0 sleeps in the window, tid 1 in the far tier *)
+        (* tid 0 sleeps in the window, tid 1 in the overflow heap *)
         M.pause (if tid = 0 then 2_000 else 100 * w);
         ignore (Sys.opaque_identity marker))
   in
@@ -503,7 +506,7 @@ let () =
       ( "calendar",
         [
           QCheck_alcotest.to_alcotest prop_calendar_vs_far;
-          Alcotest.test_case "tier edges, ties, wrap, cascades" `Quick
+          Alcotest.test_case "window edges, ties, wrap, tiers" `Quick
             calendar_edges;
           Alcotest.test_case "adds counted per tier" `Quick tier_counts;
         ] );
