@@ -301,9 +301,8 @@ let collapse_noncs = 200 (* ns between sections, + U[0,300) *)
    staggered by the thread's PRNG (so the first round of deschedules is
    not one synchronized convoy), CPU sharing before the acquire, and the
    park/waiter-preemption check right after the grant. Only grants inside
-   the window count; the post-window drain still runs (blocked acquires
-   have to complete) but does not inflate the collapsed locks. *)
-let collapse_run (e : R.entry) ~topology ~n_threads ~duration ~seed =
+   the window count. *)
+let collapse_workload (e : R.entry) ~topology ~n_threads ~duration =
   (* Park observation channel: [woke.(tid)] means tid's current acquire
      slept on the GCR passive list (so its long wait was off-CPU), and
      [parked_now] is the current passive population — what the model
@@ -353,16 +352,28 @@ let collapse_run (e : R.entry) ~topology ~n_threads ~duration ~seed =
           M.now () < duration);
     }
   in
+  ( {
+      Bench_core.salt = 11;
+      cs = Pause collapse_cs;
+      idle_min = collapse_noncs;
+      idle_spread = 300;
+      thread;
+    },
+    cfg )
+
+(* The loop over the windowed runtime: the run ends at the window, so
+   the blocked acquires a draining run would finish afterwards (one
+   thundering-herd round each for the spinning locks, O(n^2) events)
+   never run. No event after the window can change a grant before it,
+   so every counted figure is the draining run's. *)
+module Windowed_bench =
+  Bench_core.Make (Numasim.Sim_mem) (Numasim.Sim_runtime.Windowed)
+
+let collapse_run (e : R.entry) ~topology ~n_threads ~duration ~seed =
+  let workload, cfg = collapse_workload e ~topology ~n_threads ~duration in
   let r =
-    Lbench.run_workload ~name:e.name
-      {
-        Bench_core.salt = 11;
-        cs = Pause collapse_cs;
-        idle_min = collapse_noncs;
-        idle_spread = 300;
-        thread;
-      }
-      e.lock ~topology ~cfg ~n_threads ~duration ~seed
+    Windowed_bench.run_workload workload ~name:e.name e.lock ~topology ~cfg
+      ~n_threads ~duration ~seed
   in
   (* The engine's miss counter covers the whole run, and past capacity
      the post-window drain dominates it (BO at 2048 threads read

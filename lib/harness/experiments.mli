@@ -128,6 +128,26 @@ val table2 :
 
 (** {1 Saturation collapse} *)
 
+val collapse_workload :
+  Lock_registry.entry ->
+  topology:Numa_base.Topology.t ->
+  n_threads:int ->
+  duration:int ->
+  Bench_core.workload * Cohort.Lock_intf.config
+(** The saturation-collapse point's loop and lock config: a 150 ns
+    critical section, 200 ns + U\[0, 300) ns idle and an explicit
+    preemption model as its hooks (quantum expiry at the pre-acquire and
+    post-grant checkpoints costs a descheduling round of
+    [(ceil(runnable/contexts) - 1) * 10us], where GCR-parked threads are
+    not runnable), which makes oversubscription hurt the way a real
+    scheduler does. In-capacity runs are untouched by the model; only
+    grants inside the window count toward iterations, migrations and
+    acquire latencies. The config tees the model's park observer into
+    the entry's trace sink. Fresh state per call: one point per value.
+    {!collapse_run} runs it windowed; {!Lbench.run_workload} runs it to
+    the end of every blocked acquire (what a test of a finished run's
+    invariants needs). *)
+
 val collapse_run :
   Lock_registry.entry ->
   topology:Numa_base.Topology.t ->
@@ -135,21 +155,16 @@ val collapse_run :
   duration:int ->
   seed:int ->
   Lbench.result
-(** One saturation-collapse data point: {!Lbench.run_workload} with a
-    150 ns critical section, 200 ns + U\[0, 300) ns idle and an explicit
-    preemption model as its hooks (quantum expiry at the pre-acquire and
-    post-grant checkpoints costs a descheduling round of
-    [(ceil(runnable/contexts) - 1) * 10us], where GCR-parked threads are
-    not runnable), which makes oversubscription hurt the way a real
-    scheduler does. In-capacity runs are untouched by the model; only
-    grants inside the measurement window count toward iterations,
-    migrations and acquire latencies (the post-window drain of blocked
-    acquires still runs). The result carries acquire latencies and the
+(** One saturation-collapse data point: {!collapse_workload} on the
+    {!Numasim.Sim_runtime.Windowed} runtime, so the run ends at
+    [duration] and the blocked acquires it leaves are unwound, not
+    drained. No event after the window can change a grant before it, so
+    iterations, migrations, per-thread counts and acquire latencies are
+    the draining run's; the whole-run fields (the profile's coherence
+    and interconnect totals, the rollup, [event_classes], [queue_tiers])
+    cover the window. The result carries acquire latencies and the
     trace rollup, but no prediction: the analytic model is calibrated
-    to LBench. [misses_per_cs] is [nan] (null in an artifact): the
-    engine counts the whole run's misses, and the drain's cannot be
-    told apart from the window's. [event_classes] holds the
-    whole run's event ledger, drain included. *)
+    to LBench. [misses_per_cs] is [nan] (null in an artifact). *)
 
 val collapse_sweep :
   ?locks:Lock_registry.entry list ->

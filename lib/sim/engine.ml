@@ -41,6 +41,10 @@ type _ Effect.t +=
 exception Deadlock of { live : int; blocked : int; at : int }
 exception Thread_failure of { tid : int; exn : exn; backtrace : string }
 
+(* Raised into every fiber a stopped run leaves unfinished (see
+   [unwind]): only [discontinue] frees a suspended fiber's stack. *)
+exception Unwind
+
 (* --- scheduling policy (schedule exploration) -------------------------- *)
 
 type ev_class =
@@ -171,6 +175,10 @@ type t = {
   mutable cur_cluster : int;
       (* identity of the fiber currently executing — refreshed before
          every [continue]/[match_with], read by the fast path below *)
+  mutable unwinding : bool;
+      (* the run has stopped and [unwind] is discontinuing what is left:
+         every pending event and every effect raises [Unwind] into its
+         fiber instead of running *)
 }
 
 let epoch_counter = Atomic.make 0
@@ -715,20 +723,35 @@ let attempt w =
     else park w
   end
 
+(* The run stopped with the wait unfinished: discontinue the fiber, once
+   — a timed wait has two events, and a parked one is on a line too. *)
+let abandon w =
+  if w.flags land finished = 0 then begin
+    w.flags <- finished;
+    w.waiter.Waitq.active <- false;
+    discontinue w.k Unwind
+  end
+
 (* [run] in both of its roles: the parked waiter's [check], which a wake
    walk calls only while the waiter is active; and the scheduled check,
    which runs only while it is not — a parked wait has no check pending,
    and [wake] deactivates the waiter before scheduling one. *)
-let step w = if w.waiter.Waitq.active then wake w else attempt w
+let step w =
+  if w.fb.eng.unwinding then abandon w
+  else if w.waiter.Waitq.active then wake w
+  else attempt w
 
 let expire w =
-  popped w.fb.eng Timeout;
-  if w.flags land finished = 0 then begin
-    w.flags <- w.flags lor finished;
-    let wtr = w.waiter in
-    if wtr.Waitq.active then wtr.Waitq.active <- false;
-    set_ctx w.fb;
-    continue w.k None
+  if w.fb.eng.unwinding then abandon w
+  else begin
+    popped w.fb.eng Timeout;
+    if w.flags land finished = 0 then begin
+      w.flags <- w.flags lor finished;
+      let wtr = w.waiter in
+      if wtr.Waitq.active then wtr.Waitq.active <- false;
+      set_ctx w.fb;
+      continue w.k None
+    end
   end
 
 let wait fb d k =
@@ -771,14 +794,18 @@ let handler fb =
     retc = (fun () -> eng.live <- eng.live - 1);
     exnc =
       (fun e ->
-        match e with
-        | Thread_failure _ -> raise e
-        | _ ->
-            let backtrace = Printexc.get_backtrace () in
-            raise (Thread_failure { tid = fb.tid; exn = e; backtrace }));
+        if fb.eng.unwinding then fb.eng.live <- fb.eng.live - 1
+        else
+          match e with
+          | Thread_failure _ -> raise e
+          | _ ->
+              let backtrace = Printexc.get_backtrace () in
+              raise (Thread_failure { tid = fb.tid; exn = e; backtrace }));
     effc =
       (fun (type b) (eff : b Effect.t) ->
         match eff with
+        | (Op _ | Store _ | Wait _ | Pause _ | Now) when eng.unwinding ->
+            Some (fun (k : (b, unit) continuation) -> discontinue k Unwind)
         | Op o ->
             Some
               (fun (k : (b, unit) continuation) ->
@@ -789,14 +816,17 @@ let handler fb =
                 in
                 schedule eng ~tid:fb.tid ~cls:(op_class o.o_kind)
                   ~line:o.o_line (eng.now + lat) (fun () ->
-                    popped fb.eng (op_class o.o_kind);
-                    let v = o.o_run () in
-                    (match o.o_kind with
-                    | Coherence.Read -> ()
-                    | Coherence.Write | Coherence.Rmw ->
-                        notify fb.eng o.o_line);
-                    set_ctx fb;
-                    continue k v))
+                    if fb.eng.unwinding then discontinue k Unwind
+                    else begin
+                      popped fb.eng (op_class o.o_kind);
+                      let v = o.o_run () in
+                      (match o.o_kind with
+                      | Coherence.Read -> ()
+                      | Coherence.Write | Coherence.Rmw ->
+                          notify fb.eng o.o_line);
+                      set_ctx fb;
+                      continue k v
+                    end))
         | Store (c, x) ->
             Some
               (fun (k : (b, unit) continuation) ->
@@ -807,11 +837,14 @@ let handler fb =
                 in
                 schedule eng ~tid:fb.tid ~cls:Op_write ~line:c.cline
                   (eng.now + lat) (fun () ->
-                    popped fb.eng Op_write;
-                    store c x;
-                    notify fb.eng c.cline;
-                    set_ctx fb;
-                    continue k ()))
+                    if fb.eng.unwinding then discontinue k Unwind
+                    else begin
+                      popped fb.eng Op_write;
+                      store c x;
+                      notify fb.eng c.cline;
+                      set_ctx fb;
+                      continue k ()
+                    end))
         | Wait d -> Some (fun (k : (b, unit) continuation) -> wait fb d k)
         | Pause d ->
             Some
@@ -820,9 +853,12 @@ let handler fb =
                 schedule eng ~tid:fb.tid ~cls:Resume ~line:no_line
                   (later eng.now (if d > 0 then d else 0))
                   (fun () ->
-                    popped fb.eng Resume;
-                    set_ctx fb;
-                    continue k ()))
+                    if fb.eng.unwinding then discontinue k Unwind
+                    else begin
+                      popped fb.eng Resume;
+                      set_ctx fb;
+                      continue k ()
+                    end))
         | Now -> Some (fun (k : (b, unit) continuation) -> continue k eng.now)
         | _ -> None);
   }
@@ -899,6 +935,35 @@ let run_heap eng (heap : _ Event_heap.t) ~n_threads ~horizon =
     raise (Deadlock { live = eng.live; blocked = eng.blocked; at = eng.now });
   mk_result eng ~n_threads
 
+(* A run that stopped with fibers unfinished (at the horizon or the
+   event cap, on [Deadlock] or [Thread_failure]) leaves each of them
+   suspended in one place: a pending event — a timed wait has its
+   timeout pending too — or a parked waiter on a line in [wlines]. A
+   suspended fiber's stack is freed only when the fiber ends, so each is
+   discontinued with [Unwind], once: in unwinding mode every pending
+   event and every parked waiter's check raises into its fiber instead
+   of running, a Start event of a fiber that never ran does nothing, and
+   so does an effect a fiber performs while it unwinds. No payload, wake
+   or host hook runs, so no cell changes. *)
+let unwind eng =
+  if eng.live > 0 then begin
+    eng.unwinding <- true;
+    (match eng.mode with
+    | Heap h ->
+        while not (Event_heap.is_empty h) do
+          (Event_heap.pop h) ()
+        done
+    | Explore ex ->
+        for i = 0 to ex.ex_n - 1 do
+          ex.ex_pend.(i).pe_run ()
+        done);
+    List.iter
+      (fun l ->
+        let q = l.Coherence.wq in
+        if q.Waitq.epoch = eng.epoch then Waitq.wake q)
+      eng.wlines
+  end
+
 (* Each domain keeps one emptied queue between heap-mode runs: its
    bucket window is 4096 words, which the runtime allocates straight
    into the major heap, so a queue per run would grow the peak heap of
@@ -958,6 +1023,7 @@ let run ~topology ~n_threads ?horizon ?policy ?max_events ?(profile = false)
       scheduled = Array.make (List.length all_classes) 0;
       cur_tid = -1;
       cur_cluster = -1;
+      unwinding = false;
     }
   in
   for tid = 0 to n_threads - 1 do
@@ -968,9 +1034,11 @@ let run ~topology ~n_threads ?horizon ?policy ?max_events ?(profile = false)
     let h = handler fb in
     (* 1 ns stagger breaks the t=0 symmetry deterministically. *)
     schedule eng ~tid ~cls:Start ~line:no_line tid (fun () ->
-        popped eng Start;
-        set_ctx fb;
-        match_with (fun () -> body ~tid ~cluster) () h)
+        if not eng.unwinding then begin
+          popped eng Start;
+          set_ctx fb;
+          match_with (fun () -> body ~tid ~cluster) () h
+        end)
   done;
   let saved = !cur_engine in
   (cur_engine :=
@@ -981,11 +1049,14 @@ let run ~topology ~n_threads ?horizon ?policy ?max_events ?(profile = false)
        | Explore ex -> Explore_run (eng, ex));
   Fun.protect
     ~finally:(fun () ->
+      (* Unwinding fibers take the effect path, which discontinues. *)
+      cur_engine := Idle;
+      unwind eng;
       cur_engine := saved;
       (match eng.mode with Heap h -> release_queue h | Explore _ -> ());
-      (* Waiters still parked (deadlock, horizon, event cap) or parked
-         dead (woken but never unlinked) hold continuations; don't let
-         them leak past the run through long-lived lock lines. *)
+      (* Waiters parked dead (woken but never unlinked) still hold
+         closures; don't let them outlive the run through long-lived
+         lock lines. *)
       List.iter (fun l -> Waitq.clear l.Coherence.wq) eng.wlines;
       eng.wlines <- [])
     (fun () ->

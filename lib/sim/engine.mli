@@ -10,11 +10,21 @@
     issue order, so a run is a pure function of its inputs.
 
     A thread body must eventually return (e.g. by checking
-    [Sim_mem.now ()] against a deadline); the engine runs until every
-    fiber has finished. If the event queue drains while fibers are still
-    blocked on {!Sim_mem.wait_until}, the run is genuinely deadlocked and
-    {!Deadlock} is raised — mutual-exclusion bugs fail loudly under test
-    rather than hanging. *)
+    [Sim_mem.now ()] against a deadline); without a [horizon] the engine
+    runs until every fiber has finished. If the event queue drains while
+    fibers are still blocked on {!Sim_mem.wait_until}, the run is
+    genuinely deadlocked and {!Deadlock} is raised — mutual-exclusion
+    bugs fail loudly under test rather than hanging.
+
+    However a run stops — every fiber finished, the horizon or the event
+    cap reached, {!Deadlock} or {!Thread_failure} raised — it leaves no
+    fiber suspended: each unfinished one is discontinued once, so its
+    stack is freed (OCaml frees a suspended fiber's stack only when the
+    fiber ends). The exception unwinds the fiber's body, running its
+    [Fun.protect] finalisers; no pending operation completes, nothing
+    wakes, and any simulated operation a finaliser issues is abandoned
+    the same way, so no cell changes. A body must not catch every
+    exception. *)
 
 (** {1 Events and results}
 
@@ -129,10 +139,16 @@ val run :
     deterministic — fibers are cooperative, so wrapping changes placement
     only, not the event machinery.
 
-    [horizon] is a hard stop: events after it are discarded and the run
-    returns with [threads_finished < n_threads] instead of raising. Use it
-    only as a backstop in tests. It applies to the default heap schedule
-    only; under a [policy] use [max_events] instead.
+    [horizon] is a hard stop: events after it are discarded, the
+    fibers still running are unwound (above), and the run returns with
+    [threads_finished < n_threads] instead of raising. A workload that
+    counts only what happens before its deadline runs to it this way
+    (the KV-store runs; the collapse points, through
+    {!Sim_runtime.Windowed}): nothing after the horizon can change what
+    happened before it, and the result's statistics then cover the
+    window alone. It
+    applies to the default heap schedule only; under a [policy] use
+    [max_events] instead.
 
     [policy] switches the engine into explore mode (see above).
     [max_events] bounds the number of events processed in explore mode;

@@ -11,6 +11,19 @@
 
 include Numa_base.Runtime_intf.RUNTIME
 
+(** The same runtime with the deadline as a hard end: [run ~stop_after]
+    is {!Engine.run} with [~horizon:stop_after], so the run returns at
+    the deadline with [threads_finished < n_threads] instead of letting
+    every thread finish what it was doing, and {!Engine.run} unwinds the
+    threads it leaves unfinished. Nothing after the deadline runs, so it
+    suits a workload that counts only what happens before it; every
+    whole-run statistic ([coherence], [interconnect], the event ledger)
+    then covers the window alone. Without [stop_after] it is [run]. *)
+module Windowed :
+  Numa_base.Runtime_intf.RUNTIME
+    with type stop_flag = stop_flag
+     and type barrier = barrier
+
 val event_classes : Engine.result -> Numa_base.Runtime_intf.event_class list
 (** The run's event ledger as [run] reports it in [run_stats]; for
     callers of {!Engine.run} itself. *)

@@ -16,9 +16,10 @@
 #                mutant caught; repeated on the hierarchical rack preset
 #                (soundness leg only — the mutant leg always runs on the
 #                default machine, where threads are co-located)
-#   collapse     saturation-collapse smoke: a quick oversubscribed sweep
-#                (64 and 1024 logical threads on the 256-context T5440,
-#                all seven collapse locks) run twice with the same seed
+#   collapse     saturation-collapse smoke: the default oversubscribed
+#                sweep (64 to 8192 logical threads on the 256-context
+#                T5440, 2 ms windows, all seven collapse locks; each point
+#                ends at its window) run twice with the same seed
 #                and byte-compared — the preemption model and the GCR
 #                parking/rotation machinery must be as deterministic as
 #                the rest of the sim (the >= 2x survival claim itself is
@@ -204,11 +205,9 @@ fi
 
 if want collapse; then
   begin collapse
-  repro collapse --threads 64,1024 --duration-ms 1 \
-    --emit-bench-json "$tmp/COLLAPSE_a.json" >"$tmp/collapse.log"
-  tail -n 4 "$tmp/collapse.log"
-  repro collapse --threads 64,1024 --duration-ms 1 \
-    --emit-bench-json "$tmp/COLLAPSE_b.json" >/dev/null
+  repro collapse --emit-bench-json "$tmp/COLLAPSE_a.json" >"$tmp/collapse.log"
+  tail -n 8 "$tmp/collapse.log"
+  repro collapse --emit-bench-json "$tmp/COLLAPSE_b.json" >/dev/null
   if ! cmp "$tmp/COLLAPSE_a.json" "$tmp/COLLAPSE_b.json"; then
     echo "ci: FAIL — same-seed collapse artifacts differ; the preemption" >&2
     echo "model or the GCR parking/rotation machinery is nondeterministic." >&2

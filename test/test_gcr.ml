@@ -43,6 +43,16 @@ let gcr_entry ?(wrap = Fun.id) ~k ~rotate sink =
   in
   R.with_trace sink e
 
+(* The collapse workload on the draining LBench loop: the run goes on
+   until every blocked acquire is granted, so only it ends with a
+   balanced stream ({!X.collapse_run} stops at the window). *)
+let drained_collapse (e : R.entry) ~n_threads ~duration ~seed =
+  let workload, cfg =
+    X.collapse_workload e ~topology:small ~n_threads ~duration
+  in
+  LB.run_workload workload ~name:e.R.name e.R.lock ~topology:small ~cfg
+    ~n_threads ~duration ~seed
+
 (* --- Admission bound, qcheck over traced runs --------------------------- *)
 
 (* Replay the event stream: the counted active set stays within [0, k],
@@ -78,12 +88,15 @@ let admission_bound_prop (n_threads, k, rotate, seed) =
   let events = ref [] in
   let sink = Sink.make (fun ev -> events := ev :: !events) in
   let e = gcr_entry ~k ~rotate sink in
-  let r = X.collapse_run e ~topology:small ~n_threads ~duration:200_000 ~seed in
+  let r = drained_collapse e ~n_threads ~duration:200_000 ~seed in
   r.LB.iterations > 0 && check_event_stream ~k (List.rev !events)
 
+(* QCheck2's ranges shrink inside themselves: a counterexample shrinks to
+   a smaller valid point, never to an invalid thread count. *)
 let admission_bound_qcheck =
-  QCheck.Test.make ~name:"admission bound holds on traced runs" ~count:25
-    QCheck.(
+  QCheck2.Test.make ~name:"admission bound holds on traced runs" ~count:25
+    ~print:QCheck2.Print.(quad int int int int)
+    QCheck2.Gen.(
       quad (int_range 6 40) (int_range 1 4) (int_range 1 8) (int_range 0 999))
     admission_bound_prop
 
@@ -138,7 +151,7 @@ let test_rotation_fairness () =
   in
   let checks = Numa_check.Oracle.for_lock "GCR-MCS" in
   let e = gcr_entry ~wrap:(O.wrap ~checks) ~k:1 ~rotate:2 sink in
-  let r = X.collapse_run e ~topology:small ~n_threads:24 ~duration:300_000 ~seed:7 in
+  let r = drained_collapse e ~n_threads:24 ~duration:300_000 ~seed:7 in
   Alcotest.(check bool) "run made progress" true (r.LB.iterations > 0);
   Alcotest.(check bool) "rotation promoted parked threads" true (!unparks > 0);
   Alcotest.(check bool) "stream balanced at k=1" true
@@ -183,6 +196,27 @@ let test_collapse_ordering () =
     true
     (gcr >= 2 * mcs)
 
+(* --- The window cut -------------------------------------------------------- *)
+
+(* Every collapse lock, 8x oversubscribed on 8 contexts. The draining
+   loop must finish every blocked acquire without [Engine.Deadlock] (a
+   liveness check the windowed points no longer make), and the windowed
+   point must count exactly what the draining one does: no event after
+   the window can change a grant before it. *)
+let test_window_cut (e : R.entry) () =
+  let n_threads = 64 and duration = 500_000 and seed = 2024 in
+  let drained = drained_collapse e ~n_threads ~duration ~seed in
+  let cut = X.collapse_run e ~topology:small ~n_threads ~duration ~seed in
+  let same what f = Alcotest.(check int) what (f drained) (f cut) in
+  same "iterations" (fun r -> r.LB.iterations);
+  same "migrations" (fun r -> r.LB.migrations);
+  Alcotest.(check (array int))
+    "per-thread counts" drained.LB.per_thread cut.LB.per_thread;
+  Alcotest.(check (list (float 0.)))
+    "acquire p50/p99/max"
+    [ drained.LB.acquire_p50; drained.LB.acquire_p99; drained.LB.acquire_max ]
+    [ cut.LB.acquire_p50; cut.LB.acquire_p99; cut.LB.acquire_max ]
+
 (* A collapse point has no misses-per-CS figure: the engine counts the
    whole run's misses, and past capacity the post-window drain makes
    most of them (the whole-run figure read 2.08 for BO at 8 threads and
@@ -226,6 +260,12 @@ let () =
                Alcotest.test_case (name ^ " pins") `Quick
                  (collapse_golden_test (name, i, m)))
              collapse_golden );
+      ( "window_cut",
+        List.map
+          (fun (e : R.entry) ->
+            Alcotest.test_case (e.R.name ^ " drains; window counts the same")
+              `Quick (test_window_cut e))
+          R.collapse_locks );
       ( "collapse_misses",
         [
           Alcotest.test_case "misses_per_cs is null" `Quick

@@ -273,6 +273,76 @@ let test_horizon_stops () =
   Alcotest.(check int) "no thread finished" 0 r.E.threads_finished;
   Alcotest.(check bool) "stopped near horizon" true (r.E.end_time <= 5_000)
 
+(* A stopped run discontinues every fiber it leaves unfinished, so each
+   body's [finally] runs once: after a cut at the horizon, a [Deadlock],
+   an explore run cut at its event cap and a [Thread_failure]. The stuck
+   fibers sit in every place one can: a pause, an untimed park and a
+   timed wait (parked, with its timeout pending). *)
+let test_stopped_runs_unwind () =
+  let n_threads = 6 in
+  let exception Boom in
+  let pause_forever () =
+    let rec loop () =
+      M.pause 1_000;
+      loop ()
+    in
+    loop ()
+  in
+  let stuck flag ~tid =
+    match tid mod 3 with
+    | 0 -> pause_forever ()
+    | 1 -> ignore (M.wait_until flag (fun v -> v = 1))
+    | _ ->
+        ignore (M.wait_until_for flag (fun v -> v = 1) ~timeout:1_000_000_000)
+  in
+  let check name ~expect run body =
+    let unwound = ref 0 in
+    let outcome =
+      match
+        run (fun ~tid ~cluster:_ ->
+            Fun.protect ~finally:(fun () -> incr unwound) (fun () -> body ~tid))
+      with
+      | (r : E.result) -> Printf.sprintf "cut, %d finished" r.E.threads_finished
+      | exception E.Deadlock _ -> "deadlock"
+      | exception E.Thread_failure { exn = Boom; _ } -> "thread failure"
+    in
+    Alcotest.(check string) (name ^ ": outcome") expect outcome;
+    Alcotest.(check int) (name ^ ": every body unwound") n_threads !unwound
+  in
+  let flag = M.cell' 0 in
+  check "horizon" ~expect:"cut, 0 finished"
+    (E.run ~topology:topo ~n_threads ~horizon:5_000)
+    (stuck flag);
+  check "deadlock" ~expect:"deadlock"
+    (E.run ~topology:topo ~n_threads)
+    (fun ~tid:_ -> ignore (M.wait_until flag (fun v -> v = 1)));
+  check "explore event cap" ~expect:"cut, 0 finished"
+    (E.run ~topology:topo ~n_threads
+       ~policy:(fun ~step:_ _ -> 0)
+       ~max_events:200)
+    (stuck flag);
+  check "thread failure" ~expect:"thread failure"
+    (E.run ~topology:topo ~n_threads)
+    (fun ~tid ->
+      if tid = 0 then begin
+        M.pause 5_000;
+        raise Boom
+      end
+      else stuck flag ~tid);
+  (* A store a fiber issues while it unwinds is discontinued too. *)
+  let wrote = M.cell' 0 in
+  ignore
+    (E.run ~topology:topo ~n_threads ~horizon:5_000 (fun ~tid ~cluster:_ ->
+         Fun.protect
+           ~finally:(fun () -> M.write wrote 1)
+           (fun () -> stuck flag ~tid)));
+  let seen = ref (-1) in
+  ignore
+    (E.run ~topology:topo ~n_threads:1 (fun ~tid:_ ~cluster:_ ->
+         seen := M.read wrote));
+  Alcotest.(check int) "no store while unwinding" 0 !seen
+
+(* --- Coherence model --------------------------------------------------- *)
 (* --- Coherence model --------------------------------------------------- *)
 
 let test_remote_costs_more () =
@@ -631,6 +701,8 @@ let suite =
         Alcotest.test_case "thread failure" `Quick test_thread_failure_propagates;
         Alcotest.test_case "determinism" `Quick test_determinism;
         Alcotest.test_case "horizon" `Quick test_horizon_stops;
+        Alcotest.test_case "stopped runs unwind" `Quick
+          test_stopped_runs_unwind;
       ] );
     ( "engine_edge",
       [
