@@ -371,15 +371,8 @@ module Windowed_bench =
 
 let collapse_run (e : R.entry) ~topology ~n_threads ~duration ~seed =
   let workload, cfg = collapse_workload e ~topology ~n_threads ~duration in
-  let r =
-    Windowed_bench.run_workload workload ~name:e.name e.lock ~topology ~cfg
-      ~n_threads ~duration ~seed
-  in
-  (* The engine's miss counter covers the whole run, and past capacity
-     the post-window drain dominates it (BO at 2048 threads read
-     427,355 misses per counted grant): no per-CS figure, so null in
-     the artifact. *)
-  { r with misses_per_cs = Float.nan }
+  Windowed_bench.run_workload workload ~name:e.name e.lock ~topology ~cfg
+    ~n_threads ~duration ~seed
 
 let collapse_sweep ?(locks = R.collapse_locks) ~topology ~threads ~duration
     ~seed () =

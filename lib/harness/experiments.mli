@@ -164,7 +164,8 @@ val collapse_run :
     and interconnect totals, the rollup, [event_classes], [queue_tiers])
     cover the window. The result carries acquire latencies and the
     trace rollup, but no prediction: the analytic model is calibrated
-    to LBench. [misses_per_cs] is [nan] (null in an artifact). *)
+    to LBench. [misses_per_cs] is the window's coherence misses per
+    counted grant. *)
 
 val collapse_sweep :
   ?locks:Lock_registry.entry list ->

@@ -217,15 +217,18 @@ let test_window_cut (e : R.entry) () =
     [ drained.LB.acquire_p50; drained.LB.acquire_p99; drained.LB.acquire_max ]
     [ cut.LB.acquire_p50; cut.LB.acquire_p99; cut.LB.acquire_max ]
 
-(* A collapse point has no misses-per-CS figure: the engine counts the
-   whole run's misses, and past capacity the post-window drain makes
-   most of them (the whole-run figure read 2.08 for BO at 8 threads and
-   146.10 at 64, on 8 contexts). The artifact writes null, in capacity
-   and past it. *)
-let test_collapse_misses_null () =
+(* A collapse point's misses per CS cover its window: the run ends
+   there, so the figure is the window's coherence misses over the grants
+   it counted. Pinned for BO in capacity and 8x past it, in the result
+   and in its artifact entry. With the post-window drain the engine's
+   count read 2.08 at 8 threads (the in-capacity drain is a few events)
+   and 146.10 at 64, on 8 contexts. *)
+let collapse_misses_golden = [ (8, "2.08"); (64, "37.80") ]
+
+let test_collapse_misses () =
   let e = Option.get (R.find "BO") in
   List.iter
-    (fun n_threads ->
+    (fun (n_threads, expected) ->
       let r =
         X.collapse_run e ~topology:small ~n_threads ~duration:500_000
           ~seed:2024
@@ -233,12 +236,15 @@ let test_collapse_misses_null () =
       let entry =
         Harness.Bench_json.entry_of_result ~experiment:"collapse" r
       in
-      Alcotest.(check bool)
-        (Printf.sprintf "BO @ %d: misses_per_cs is null" n_threads)
-        true
-        (Float.is_nan r.LB.misses_per_cs
-        && Float.is_nan (List.assoc "misses_per_cs" entry.metrics)))
-    [ 8; 64 ]
+      let show = Printf.sprintf "%.2f" in
+      Alcotest.(check string)
+        (Printf.sprintf "BO @ %d: misses_per_cs (golden)" n_threads)
+        expected (show r.LB.misses_per_cs);
+      Alcotest.(check string)
+        (Printf.sprintf "BO @ %d: artifact misses_per_cs" n_threads)
+        expected
+        (show (List.assoc "misses_per_cs" entry.metrics)))
+    collapse_misses_golden
 
 let () =
   Alcotest.run "gcr"
@@ -268,7 +274,7 @@ let () =
           R.collapse_locks );
       ( "collapse_misses",
         [
-          Alcotest.test_case "misses_per_cs is null" `Quick
-            test_collapse_misses_null;
+          Alcotest.test_case "misses_per_cs covers the window" `Quick
+            test_collapse_misses;
         ] );
     ]
