@@ -942,9 +942,9 @@ let run_heap eng (heap : _ Event_heap.t) ~n_threads ~horizon =
    suspended fiber's stack is freed only when the fiber ends, so each is
    discontinued with [Unwind], once: in unwinding mode every pending
    event and every parked waiter's check raises into its fiber instead
-   of running, a Start event of a fiber that never ran does nothing, and
-   so does an effect a fiber performs while it unwinds. No payload, wake
-   or host hook runs, so no cell changes. *)
+   of running, a Start event of a fiber that never ran is dropped, and
+   an effect a fiber performs while it unwinds is discontinued too. No
+   payload, wake or host hook runs, so no cell changes. *)
 let unwind eng =
   if eng.live > 0 then begin
     eng.unwinding <- true;

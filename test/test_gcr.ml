@@ -220,9 +220,7 @@ let test_window_cut (e : R.entry) () =
 (* A collapse point's misses per CS cover its window: the run ends
    there, so the figure is the window's coherence misses over the grants
    it counted. Pinned for BO in capacity and 8x past it, in the result
-   and in its artifact entry. With the post-window drain the engine's
-   count read 2.08 at 8 threads (the in-capacity drain is a few events)
-   and 146.10 at 64, on 8 contexts. *)
+   and in its artifact entry. *)
 let collapse_misses_golden = [ (8, "2.08"); (64, "37.80") ]
 
 let test_collapse_misses () =
