@@ -11,6 +11,7 @@ module D = Numa_check.Decision
 module V = Numa_check.Violation
 module Mut = Numa_check.Mutants.Make (Numasim.Sim_mem)
 module R = Harness.Lock_registry
+module LI = Cohort.Lock_intf
 
 (* --- Genuine locks: clean under exploration ----------------------------- *)
 
@@ -54,6 +55,39 @@ let successor_deep name ~schedules () =
   | Some (trace, v) ->
       Alcotest.failf "%s: trace %s: %s" name (D.to_string trace)
         (V.to_string v));
+  Alcotest.(check int) "schedule count (golden)" schedules r.E.schedules
+
+(* --- Abortable locks: abort-and-retry ------------------------------------ *)
+
+(* An abortable lock as a plain one: [acquire] repeats [try_acquire]
+   until it succeeds, with a patience short enough that the scenario's
+   waits time out. Exploring it runs every abort path under the oracle
+   and the lost-update check, in the cohort locks also the section 3.6
+   races: A-C-BO-BO's rescue of a stranded release-local state and its
+   reclaim of an untaken handoff, A-C-BO-CLH's abort against a local
+   handoff. *)
+let retrying ~patience (module A : LI.ABORTABLE_LOCK) : (module LI.LOCK) =
+  (module struct
+    include A
+
+    let acquire th = while not (A.try_acquire th ~patience) do () done
+  end)
+
+(* Of the patiences 50, 100, 200 and 300 ns, 300 is the only one at
+   which every lock finishes the scenario on every explored schedule:
+   below it two threads can time out of each other's way forever. At
+   300 ns the waits still time out often enough that A-C-BO-BO rescues
+   and reclaims and A-C-BO-CLH loses its handoff CAS to an abort. The
+   schedule counts are pinned like the other exploration counts. *)
+let abortable_clean (e : R.abortable_entry) ~schedules () =
+  let sc = E.scenario (retrying ~patience:300 e.R.a_lock) in
+  let r = E.exhaustive ~preemptions:1 ~budget:5_000 sc in
+  (match r.E.failure with
+  | None -> ()
+  | Some (trace, v) ->
+      Alcotest.failf "%s: trace %s: %s" e.R.a_name (D.to_string trace)
+        (V.to_string v));
+  Alcotest.(check bool) "exhausted" true r.E.exhausted;
   Alcotest.(check int) "schedule count (golden)" schedules r.E.schedules
 
 (* --- Pruning: sound (same verdicts) and effective (fewer schedules) ----- *)
@@ -206,6 +240,12 @@ let () =
           (fun (e : R.entry) ->
             Alcotest.test_case e.R.name `Quick (registry_clean e))
           R.all_locks );
+      ( "abortable",
+        List.map2
+          (fun (e : R.abortable_entry) schedules ->
+            Alcotest.test_case e.R.a_name `Quick
+              (abortable_clean e ~schedules))
+          R.abortable_locks [ 268; 80; 463; 470 ] );
       ( "deep",
         [
           Alcotest.test_case "C-BO-MCS preemptions=2" `Quick cbomcs_deep;
