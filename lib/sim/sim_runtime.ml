@@ -31,14 +31,6 @@ end
 
 include Common
 
-let event_classes (r : Engine.result) =
-  List.map
-    (fun { Engine.cls; inlined; scheduled } ->
-      Runtime_intf.
-        { ec_class = Engine.class_to_string cls; ec_inlined = inlined;
-          ec_scheduled = scheduled })
-    r.Engine.classes
-
 (* [windowed]: the deadline is also the engine's horizon. *)
 let run_with ~windowed ~topology ~n_threads ?stop_after ?(profile = false)
     body =
@@ -58,7 +50,14 @@ let run_with ~windowed ~topology ~n_threads ?stop_after ?(profile = false)
     interconnect = Some r.Engine.icx;
     interconnect_levels = Some r.Engine.icx_levels;
     sim_events = Some r.Engine.events;
-    event_classes = Some (event_classes r);
+    event_classes =
+      Some
+        (List.map
+           (fun { Engine.cls; inlined; scheduled } ->
+             Runtime_intf.
+               { ec_class = Engine.class_to_string cls; ec_inlined = inlined;
+                 ec_scheduled = scheduled })
+           r.Engine.classes);
     queue_tiers = Some r.Engine.tiers;
     sites = r.Engine.sites;
   }

@@ -24,6 +24,3 @@ module Windowed :
     with type stop_flag = stop_flag
      and type barrier = barrier
 
-val event_classes : Engine.result -> Numa_base.Runtime_intf.event_class list
-(** The run's event ledger as [run] reports it in [run_stats]; for
-    callers of {!Engine.run} itself. *)
