@@ -55,11 +55,11 @@ let () =
     "Latency-budgeted handlers (%d ns lock budget), %d threads:\n\n" budget
     n_threads;
   let module Aclh = Cohort.Aclh_lock.Make (M) in
-  let module A_c_bo_clh = Cohort.A_c_bo_clh.Make (M) in
+  let module Table = Cohort.Cohort_locks.Make (M) in
   let module A_hbo = Baselines.Hbo_lock.Make (M) in
   run_candidate "A-CLH" (module Aclh.Abortable);
   run_candidate "A-HBO" (module A_hbo.Abortable);
-  run_candidate "A-C-BO-CLH" (module A_c_bo_clh);
+  run_candidate "A-C-BO-CLH" Table.a_c_bo_clh;
   Printf.printf
     "\nThe cohort lock completes the most lock-protected work per second \
      and handles\nthe most requests overall; its extra stale responses are \

@@ -10,7 +10,9 @@
     - {!Make.Local}: the 3-state local BO lock of C-BO-BO (section 3.1),
       with the [successor-exists] flag providing cohort detection. The
       flag lives on the same cache line as the lock word, as in the paper
-      (the line is only contended intra-cluster). *)
+      (the line is only contended intra-cluster).
+    - {!Make.Abortable_local}: the local lock of A-C-BO-BO
+      (section 3.6.1), the same three states with timeouts. *)
 
 module Make (M : Numa_base.Memory_intf.MEMORY) = struct
   module I = Instr.Make (M)
@@ -129,5 +131,84 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
         (match kind with
         | Lock_intf.Local_release -> free_local
         | Lock_intf.Global_release -> free_global)
+  end
+
+  (* An aborting waiter retracts the successor-exists flag; the
+     releaser double-checks it after publishing a local release and
+     reclaims a release nobody will take. The word is a fresh box per
+     transition and every CAS expects the box it read, so the reclaim
+     CAS can only take back the release it published (no ABA). A waiter
+     that aborts after the double-check and finds the word still in
+     release-local state rescues it: it becomes the holder and releases
+     globally, so the global lock is never stranded. *)
+  module Abortable_local : Lock_intf.ABORTABLE_LOCAL = struct
+    type word = { ls : int }
+
+    let mk ls = { ls }
+
+    type t = {
+      state : word M.cell;
+      succ_exists : bool M.cell;  (* same line as [state] *)
+    }
+
+    type thread = { l : t; back : Backoff.t }
+
+    let create _cfg =
+      let ln = M.line ~name:"bo.alocal" () in
+      { state = M.cell ln (mk free_global); succ_exists = M.cell ln false }
+
+    let register l back = { l; back }
+
+    let try_acquire th ~deadline =
+      let l = th.l in
+      let rec loop () =
+        let remaining = deadline - M.now () in
+        if remaining <= 0 then abort ()
+        else begin
+          M.write l.succ_exists true;
+          match
+            M.wait_until_for l.state (fun w -> w.ls <> busy)
+              ~timeout:remaining
+          with
+          | None -> abort ()
+          | Some w ->
+              if M.cas l.state ~expect:w ~desire:(mk busy) then begin
+                M.write l.succ_exists false;
+                Backoff.reset th.back;
+                Lock_intf.Granted
+                  (if w.ls = free_local then Lock_intf.Local_release
+                   else Lock_intf.Global_release)
+              end
+              else begin
+                M.pause (Backoff.next th.back);
+                loop ()
+              end
+        end
+      and abort () =
+        M.write l.succ_exists false;
+        let w = M.read l.state in
+        if w.ls = free_local && M.cas l.state ~expect:w ~desire:(mk busy)
+        then Lock_intf.Rescued
+        else Lock_intf.Aborted
+      in
+      loop ()
+
+    let pass th ~may_pass ~commit =
+      let l = th.l in
+      if may_pass () && M.read l.succ_exists then begin
+        commit ();
+        let handoff = mk free_local in
+        M.write l.state handoff;
+        (* Double-check (section 3.6.1). A failed reclaim CAS means a
+           waiter took the handoff. *)
+        if
+          (not (M.read l.succ_exists))
+          && M.cas l.state ~expect:handoff ~desire:(mk free_global)
+        then Lock_intf.Reclaimed
+        else Lock_intf.Passed
+      end
+      else Lock_intf.Declined
+
+    let release th = M.write th.l.state (mk free_global)
   end
 end

@@ -24,4 +24,7 @@ module Make (M : Numa_base.Memory_intf.MEMORY) : sig
   (** The 3-state local BO lock of C-BO-BO with the successor-exists
       cohort-detection flag (section 3.1). *)
   module Local : Lock_intf.LOCAL
+
+  (** The abortable local BO lock of A-C-BO-BO (section 3.6.1). *)
+  module Abortable_local : Lock_intf.ABORTABLE_LOCAL
 end

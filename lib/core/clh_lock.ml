@@ -127,4 +127,96 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
       let n = M.read th.l.holder in
       M.write n.locked false
   end
+
+  (* The local lock of A-C-BO-CLH (section 3.6.2): A-CLH ({!Aclh_lock})
+     with cohort states. A node's word colocates its release state with
+     a successor-aborted flag. An aborting waiter first CASes its
+     predecessor's word from [(Busy, _)] to [(Busy, true)]; if that CAS
+     loses to a local release, it must take the lock (section 3.6's
+     strengthened cohort detection). The releaser passes locally with
+     one CAS of its own word from [(Busy, false)] to
+     [(Release_local, false)], which a successor's abort cannot race; a
+     set flag or a lost CAS falls back to a global release. *)
+  module Abortable_local : Lock_intf.ABORTABLE_LOCAL = struct
+    type wstate =
+      | Busy
+      | Release_local
+      | Release_global
+      | Aborted_to of anode
+
+    and word = { wst : wstate; wsa : bool }  (* wsa: successor aborted *)
+    and anode = { w : word M.cell }
+
+    let make_anode st =
+      { w = M.cell (M.line ~name:"clh.anode" ()) { wst = st; wsa = false } }
+
+    type t = { tail : anode M.cell }
+
+    type thread = {
+      l : t;
+      mutable cur : anode;  (* our node from the local grant on *)
+    }
+
+    let create _cfg =
+      { tail = M.cell' ~name:"clh.alocal.tail" (make_anode Release_global) }
+
+    let register l _back = { l; cur = make_anode Release_global }
+
+    let try_acquire th ~deadline =
+      let n = make_anode Busy in
+      let pred0 = M.swap th.l.tail n in
+      let granted kind =
+        th.cur <- n;
+        Lock_intf.Granted kind
+      in
+      let rec watch pred =
+        let remaining = deadline - M.now () in
+        if remaining <= 0 then abort pred
+        else
+          match
+            M.wait_until_for pred.w (fun w -> w.wst <> Busy) ~timeout:remaining
+          with
+          | Some { wst = Release_local; _ } -> granted Lock_intf.Local_release
+          | Some { wst = Release_global; _ } ->
+              granted Lock_intf.Global_release
+          | Some { wst = Aborted_to p; _ } -> watch p
+          | Some { wst = Busy; _ } -> assert false
+          | None -> abort pred
+      and abort pred =
+        let wv = M.read pred.w in
+        match wv.wst with
+        | Release_local ->
+            (* The handoff CAS beat our abort: we are the viable
+               successor and must take the lock. *)
+            granted Lock_intf.Local_release
+        | Release_global -> granted Lock_intf.Global_release
+        | Aborted_to p -> abort p
+        | Busy ->
+            if M.cas pred.w ~expect:wv ~desire:{ wst = Busy; wsa = true }
+            then begin
+              (* Predecessor warned; make it explicit for our successor. *)
+              M.write n.w { wst = Aborted_to pred; wsa = false };
+              Lock_intf.Aborted
+            end
+            else (* The word changed under us: re-examine. *)
+              abort pred
+      in
+      watch pred0
+
+    let pass th ~may_pass ~commit =
+      let n = th.cur in
+      let wv = M.read n.w in
+      let has_cohort = M.read th.l.tail != n in
+      if may_pass () && has_cohort && (not wv.wsa) && wv.wst = Busy then
+        if M.cas n.w ~expect:wv ~desire:{ wst = Release_local; wsa = false }
+        then begin
+          commit ();
+          Lock_intf.Passed
+        end
+        else (* Our successor aborted between the read and the CAS. *)
+          Lock_intf.Declined
+      else Lock_intf.Declined
+
+    let release th = M.write th.cur.w { wst = Release_global; wsa = false }
+  end
 end

@@ -14,4 +14,7 @@ module Make (_ : Numa_base.Memory_intf.MEMORY) : sig
   (** Thread-oblivious CLH: per-acquisition nodes with the holder's node
       published under the lock, so any thread can release. *)
   module Global : Lock_intf.GLOBAL
+
+  (** The abortable local CLH lock of A-C-BO-CLH (section 3.6.2). *)
+  module Abortable_local : Lock_intf.ABORTABLE_LOCAL
 end

@@ -1,5 +1,6 @@
 (* The composition table: every cohort lock is one application of
-   {!Cohorting.Make}, made here and nowhere else. *)
+   {!Cohorting.Make} or {!Cohorting.Abortable}, made here and nowhere
+   else. *)
 
 module LI = Lock_intf
 
@@ -51,6 +52,17 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
     check "global" globals global;
     check "local" locals local;
     List.assoc (name global local) all
+
+  let abortable l (module L : LI.ABORTABLE_LOCAL) : (module LI.ABORTABLE_LOCK) =
+    (module Cohorting.Abortable
+              (struct
+                let name = "A-" ^ name "BO" l
+              end)
+              (M)
+              (L))
+
+  let a_c_bo_bo = abortable "BO" (module Bo.Abortable_local)
+  let a_c_bo_clh = abortable "CLH" (module Clh.Abortable_local)
 
   let c_blk_blk =
     compose ~global:("BLK", (module Blk.Global)) ~local:("BLK", (module Blk.Local))

@@ -12,9 +12,9 @@
     {!Numasim.Sim_mem} for simulated experiments or
     {!Numa_native.Nat_mem} for real domains.
 
-    The abortable cohort locks A-C-BO-BO and A-C-BO-CLH live in
-    {!A_c_bo_bo} and {!A_c_bo_clh} (their release protocols do not fit
-    the plain transformation). *)
+    The abortable cohort locks A-C-BO-BO and A-C-BO-CLH (section 3.6)
+    are the same transformation in its abortable form,
+    {!Cohorting.Abortable}, over abortable BO and CLH local locks. *)
 
 module Make (_ : Numa_base.Memory_intf.MEMORY) : sig
   val globals : (string * (module Lock_intf.GLOBAL)) list
@@ -40,6 +40,12 @@ module Make (_ : Numa_base.Memory_intf.MEMORY) : sig
   val get : global:string -> local:string -> (module Lock_intf.LOCK)
   (** The composition of {!all} with these axis names.
       @raise Invalid_argument naming an unknown axis name. *)
+
+  val a_c_bo_bo : (module Lock_intf.ABORTABLE_LOCK)
+  (** A-C-BO-BO (section 3.6.1). *)
+
+  val a_c_bo_clh : (module Lock_intf.ABORTABLE_LOCK)
+  (** A-C-BO-CLH (section 3.6.2), the best abortable lock of Figure 6. *)
 
   val c_blk_blk : (module Lock_intf.LOCK)
   (** C-BLK-BLK (extension): spin-then-park blocking locks at both

@@ -27,3 +27,17 @@ end)
 (M : Numa_base.Memory_intf.MEMORY)
 (_ : Lock_intf.GLOBAL)
 (_ : Lock_intf.LOCAL) : Lock_intf.LOCK
+
+(** [Abortable (Name) (M) (L)] is the transformation with timeouts
+    (section 3.6) over a global BO lock, acquired by the attempt's
+    deadline, and abortable local locks [L]. A [Global_release] grant
+    whose global acquire times out releases the local lock again and
+    aborts; a rescued abort releases globally first. On release [L]
+    tries to pass within the cohort, asking the same may-pass-local
+    predicate as {!Make}; if it declines, release the global lock, then
+    the local lock. *)
+module Abortable (_ : sig
+  val name : string
+end)
+(M : Numa_base.Memory_intf.MEMORY)
+(_ : Lock_intf.ABORTABLE_LOCAL) : Lock_intf.ABORTABLE_LOCK

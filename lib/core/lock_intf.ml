@@ -9,7 +9,8 @@
       acquire the local lock ([alone?]).
 
     These contracts are captured by {!GLOBAL} and {!LOCAL} below; the
-    transformation itself is {!Cohort.Make}. *)
+    transformation itself is {!Cohorting.Make}, and {!ABORTABLE_LOCAL} is
+    the contract of its abortable form, {!Cohorting.Abortable}. *)
 
 (** When must a cohort surrender the global lock? The paper's
     may-pass-local predicate "could, for example, be based on how long the
@@ -154,6 +155,50 @@ module type LOCAL = sig
   val acquire : thread -> release_kind
   val alone : thread -> bool
   val release : thread -> release_kind -> unit
+end
+
+(** How a timed local acquire ended (see {!ABORTABLE_LOCAL}). *)
+type attempt =
+  | Granted of release_kind  (** the local lock is held. *)
+  | Aborted  (** the deadline passed; nothing is held. *)
+  | Rescued
+      (** the deadline passed, but the thread took a stranded
+          release-local state on its way out: it holds the cohort lock
+          and must release it globally (section 3.6.1). *)
+
+(** What a holder's within-cohort handoff attempt did. *)
+type handoff =
+  | Passed  (** a cohort peer takes the lock in [Local_release] state. *)
+  | Reclaimed
+      (** published, then taken back because its takers aborted: the
+          local lock is free in [Global_release] state, the global lock
+          still held. *)
+  | Declined  (** nothing published: release globally. *)
+
+(** The local-lock contract of the abortable cohort locks (section 3.6,
+    {!Cohorting.Abortable}): {!LOCAL} with timeouts, where a peer the
+    holder passes the lock to never aborts afterwards, or the handoff is
+    reclaimed or rescued, so the global lock is never stranded.
+
+    [register] takes the thread's one backoff sequence, which the global
+    lock's acquire shares. [try_acquire ~deadline] waits until the
+    absolute time [deadline]. [pass] calls [may_pass] once, where the
+    protocol decides, and [commit] once on the way to [Passed] or
+    [Reclaimed], where it counts the handoff. [release] publishes
+    [Global_release], also to undo a grant whose global acquire timed
+    out. *)
+module type ABORTABLE_LOCAL = sig
+  type t
+  type thread
+
+  val create : config -> t
+  val register : t -> Backoff.t -> thread
+  val try_acquire : thread -> deadline:int -> attempt
+
+  val pass :
+    thread -> may_pass:(unit -> bool) -> commit:(unit -> unit) -> handoff
+
+  val release : thread -> unit
 end
 
 (** A NUMA-aware reader-writer lock (see {!Rw_cohort}): many concurrent

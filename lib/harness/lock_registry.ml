@@ -69,8 +69,6 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
   module Clh = Cohort.Clh_lock.Make (M)
   module Table = Cohort.Cohort_locks.Make (M)
   module Aclh = Cohort.Aclh_lock.Make (M)
-  module A_c_bo_bo = Cohort.A_c_bo_bo.Make (M)
-  module A_c_bo_clh = Cohort.A_c_bo_clh.Make (M)
   module Hbo = Baselines.Hbo_lock.Make (M)
   module Hclh = Baselines.Hclh_lock.Make (M)
   module Fcmcs = Baselines.Fc_mcs.Make (M)
@@ -112,8 +110,8 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
     [
       { a_name = "A-CLH"; a_lock = (module Aclh.Abortable); a_tweak = Fun.id };
       { a_name = "A-HBO"; a_lock = (module Hbo.Abortable); a_tweak = hbo_micro };
-      { a_name = "A-C-BO-BO"; a_lock = (module A_c_bo_bo); a_tweak = Fun.id };
-      { a_name = "A-C-BO-CLH"; a_lock = (module A_c_bo_clh); a_tweak = Fun.id };
+      { a_name = "A-C-BO-BO"; a_lock = Table.a_c_bo_bo; a_tweak = Fun.id };
+      { a_name = "A-C-BO-CLH"; a_lock = Table.a_c_bo_clh; a_tweak = Fun.id };
     ]
 
   (* The Table 1/2 line-up (pthread is the normalisation baseline and the

@@ -91,6 +91,50 @@ let test_stats_consistency () =
   Alcotest.(check bool) "batch_max sane" true
     (m.Mt.batch_max >= 1 && m.Mt.batch_max <= cfg.LI.max_local_handoffs + 1)
 
+(* The abortable cohort locks read the same policy: 8 threads x 50
+   timed attempts of the registry's [name] under [policy], counting the
+   [Starvation_limit_hit] events its trace records. *)
+let abortable_starvation_hits name policy =
+  let e = Option.get (Harness.Lock_registry.find_abortable name) in
+  let (module A : LI.ABORTABLE_LOCK) = e.Harness.Lock_registry.a_lock in
+  let ring = Numa_trace.Ring.create ~capacity:16_384 in
+  let l =
+    A.create
+      {
+        cfg with
+        LI.max_local_handoffs = 4;
+        handoff_policy = policy;
+        trace = Numa_trace.Ring.sink ring;
+      }
+  in
+  ignore
+    (E.run ~topology:topo ~n_threads:8 (fun ~tid ~cluster ->
+         let th = A.register l ~tid ~cluster in
+         for _ = 1 to 50 do
+           if A.try_acquire th ~patience:2_000 then begin
+             M.pause 80;
+             A.release th
+           end;
+           M.pause 120
+         done));
+  Alcotest.(check int) "trace ring kept every event" 0
+    (Numa_trace.Ring.dropped ring);
+  List.length
+    (List.filter
+       (fun (ev : Numa_trace.Event.t) ->
+         ev.Numa_trace.Event.kind = Numa_trace.Event.Starvation_limit_hit)
+       (Numa_trace.Ring.events ring))
+
+(* Under [Counted] the count is pinned; [Unbounded] never forces a
+   global release, and a 500 ns [Timed] budget forces some. *)
+let test_abortable_policy name ~counted () =
+  Alcotest.(check int) "Counted (golden)" counted
+    (abortable_starvation_hits name LI.Counted);
+  Alcotest.(check int) "Unbounded" 0
+    (abortable_starvation_hits name LI.Unbounded);
+  Alcotest.(check bool) "Timed 500 ns forces releases" true
+    (abortable_starvation_hits name (LI.Timed 500) > 0)
+
 (* --- blocking cohort lock ---------------------------------------------- *)
 
 let exercise (module L : LI.LOCK) ~n_threads ~iters =
@@ -313,6 +357,10 @@ let suite =
         Alcotest.test_case "counted_or_timed" `Quick
           test_policy_counted_or_timed;
         Alcotest.test_case "stats consistency" `Quick test_stats_consistency;
+        Alcotest.test_case "A-C-BO-BO obeys the policy" `Quick
+          (test_abortable_policy "A-C-BO-BO" ~counted:55);
+        Alcotest.test_case "A-C-BO-CLH obeys the policy" `Quick
+          (test_abortable_policy "A-C-BO-CLH" ~counted:62);
       ] );
     ( "blocking_cohort",
       [

@@ -20,8 +20,8 @@ module C_tkt_mcs = (val Table.get ~global:"TKT" ~local:"MCS")
 module Cna = Cohort.Cna_lock.Make (M)
 module Ptl = Cohort.Ptl_lock.Make (M)
 module Aclh = Cohort.Aclh_lock.Make (M)
-module A_c_bo_bo = Cohort.A_c_bo_bo.Make (M)
-module A_c_bo_clh = Cohort.A_c_bo_clh.Make (M)
+module A_c_bo_bo = (val Table.a_c_bo_bo)
+module A_c_bo_clh = (val Table.a_c_bo_clh)
 
 let cfg = { LI.default with LI.clusters = topo.Topology.clusters }
 
