@@ -23,4 +23,3 @@ module Windowed :
   Numa_base.Runtime_intf.RUNTIME
     with type stop_flag = stop_flag
      and type barrier = barrier
-
