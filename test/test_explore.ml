@@ -240,7 +240,7 @@ let () =
           (fun (e : R.entry) ->
             Alcotest.test_case e.R.name `Quick (registry_clean e))
           R.all_locks );
-      ( "abortable_retry",
+      ( "abortable",
         List.map2
           (fun (e : R.abortable_entry) schedules ->
             Alcotest.test_case e.R.a_name `Quick
