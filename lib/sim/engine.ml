@@ -7,13 +7,11 @@ type 'a op = {
   o_run : unit -> 'a;
 }
 
-(* A simulated cell ([Mem.cell]). Its read effect [r_eff] is invariant,
-   so a slow [read] performs it verbatim (reads dominate lock
-   instruction streams). *)
-type 'a cell = { v : 'a ref; cline : Coherence.line; r_eff : 'a Effect.t }
+(* A simulated cell ([Mem.cell]): one block, its value and its line. *)
+type 'a cell = { mutable v : 'a; cline : Coherence.line }
 
 (* A wait names its cell and predicate, not a closure over them: the
-   handler reads [!(w_cell.v)] at each check. *)
+   handler reads [w_cell.v] at each check. *)
 type 'a wait_desc = {
   w_cell : 'a cell;
   w_p : 'a -> bool;
@@ -29,9 +27,10 @@ type 'a wait_desc = {
 
 let untimed = -1
 
-(* [Store (c, x)] is a plain write: one block, where an [Op] would also
-   allocate its record and payload closure. *)
+(* [Read c] and [Store (c, x)] are a plain read and write: one block,
+   where an [Op] would also allocate its record and payload closure. *)
 type _ Effect.t +=
+  | Read : 'a cell -> 'a Effect.t
   | Op : 'a op -> 'a Effect.t
   | Store : 'a cell * 'a -> unit Effect.t
   | Wait : 'a wait_desc -> 'a option Effect.t
@@ -502,7 +501,7 @@ let[@inline] fast_pause d =
    Here the gates above inline into each primitive; an inline hit calls
    only [Coherence.try_hit].
 
-   A slow [read] performs the cell's invariant [r_eff]. Slow-path store
+   A slow [read] performs [Read c]. Slow-path store
    payloads go through [store], which flags the line only when the value
    physically changes: [notify] walks parked waiters only after such a
    store (waitq.ml). Inline stores need no flag — the fast path takes a
@@ -511,8 +510,8 @@ let[@inline] fast_pause d =
 (* A slow-path store payload: flag the line only when the value
    physically changes, so that [notify] walks its waiters. *)
 let store c x =
-  if !(c.v) != x then begin
-    c.v := x;
+  if c.v != x then begin
+    c.v <- x;
     c.cline.Coherence.wq.Waitq.changed <- true
   end
 
@@ -520,44 +519,35 @@ module Mem = struct
   type line = Coherence.line
   type nonrec 'a cell = 'a cell
 
-  let mk_cell cline v =
-    let v = ref v in
-    {
-      v;
-      cline;
-      r_eff =
-        Op { o_line = cline; o_kind = Coherence.Read; o_run = (fun () -> !v) };
-    }
-
   let line ?name () = Coherence.make_line ?name ()
   let line_site (l : line) = l.Coherence.name
-  let cell cline v = mk_cell cline v
-  let cell' ?name v = mk_cell (Coherence.make_line ?name ()) v
+  let cell cline v = { v; cline }
+  let cell' ?name v = { v; cline = Coherence.make_line ?name () }
 
   (* Host-side, between runs: no effect, no charge, no wake (sim_mem.mli). *)
-  let init c x = c.v := x
+  let init c x = c.v <- x
 
   let op c o_kind o_run = Op { o_line = c.cline; o_kind; o_run }
 
   let read c =
-    if fast_access c.cline Coherence.Read Op_read then !(c.v)
-    else Effect.perform c.r_eff
+    if fast_access c.cline Coherence.Read Op_read then c.v
+    else Effect.perform (Read c)
 
   let write c x =
-    if fast_access c.cline Coherence.Write Op_write then c.v := x
+    if fast_access c.cline Coherence.Write Op_write then c.v <- x
     else Effect.perform (Store (c, x))
 
   let cas c ~expect ~desire =
     if fast_access c.cline Coherence.Rmw Op_rmw then
-      if !(c.v) == expect then begin
-        c.v := desire;
+      if c.v == expect then begin
+        c.v <- desire;
         true
       end
       else false
     else
       Effect.perform
         (op c Coherence.Rmw (fun () ->
-             if !(c.v) == expect then begin
+             if c.v == expect then begin
                store c desire;
                true
              end
@@ -565,27 +555,27 @@ module Mem = struct
 
   let swap c x =
     if fast_access c.cline Coherence.Rmw Op_rmw then begin
-      let old = !(c.v) in
-      c.v := x;
+      let old = c.v in
+      c.v <- x;
       old
     end
     else
       Effect.perform
         (op c Coherence.Rmw (fun () ->
-             let old = !(c.v) in
+             let old = c.v in
              store c x;
              old))
 
   let fetch_and_add c d =
     if fast_access c.cline Coherence.Rmw Op_rmw then begin
-      let old = !(c.v) in
-      c.v := old + d;
+      let old = c.v in
+      c.v <- old + d;
       old
     end
     else
       Effect.perform
         (op c Coherence.Rmw (fun () ->
-             let old = !(c.v) in
+             let old = c.v in
              store c (old + d);
              old))
 
@@ -597,7 +587,7 @@ module Mem = struct
      their deadline is computed from [now] at perform time. *)
   let wait_until c p =
     let precharged = fast_access c.cline Coherence.Read Spin_check in
-    let v = !(c.v) in
+    let v = c.v in
     if precharged && p v then v
     else
       match
@@ -675,7 +665,7 @@ let unchecked = 1
    acting on the stale observation. *)
 let wake w =
   let d = w.d in
-  if d.w_p !(d.w_cell.v) then begin
+  if d.w_p d.w_cell.v then begin
     let fb = w.fb in
     let eng = fb.eng and line = d.w_cell.cline in
     w.waiter.Waitq.active <- false;
@@ -714,7 +704,7 @@ let attempt w =
   end
   else popped eng Spin_wake;
   if w.flags land finished = 0 then begin
-    let v = !(w.d.w_cell.v) in
+    let v = w.d.w_cell.v in
     if w.d.w_p v then begin
       w.flags <- finished;
       set_ctx w.fb;
@@ -804,8 +794,25 @@ let handler fb =
     effc =
       (fun (type b) (eff : b Effect.t) ->
         match eff with
-        | (Op _ | Store _ | Wait _ | Pause _ | Now) when eng.unwinding ->
+        | (Read _ | Op _ | Store _ | Wait _ | Pause _ | Now) when eng.unwinding
+          ->
             Some (fun (k : (b, unit) continuation) -> discontinue k Unwind)
+        | Read c ->
+            Some
+              (fun (k : (b, unit) continuation) ->
+                let eng = fb.eng in
+                let lat =
+                  access eng ~cluster:fb.cluster ~thread:fb.tid c.cline
+                    Coherence.Read
+                in
+                schedule eng ~tid:fb.tid ~cls:Op_read ~line:c.cline
+                  (eng.now + lat) (fun () ->
+                    if fb.eng.unwinding then discontinue k Unwind
+                    else begin
+                      popped fb.eng Op_read;
+                      set_ctx fb;
+                      continue k c.v
+                    end))
         | Op o ->
             Some
               (fun (k : (b, unit) continuation) ->
