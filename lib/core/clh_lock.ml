@@ -207,14 +207,17 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
       let n = th.cur in
       let wv = M.read n.w in
       let has_cohort = M.read th.l.tail != n in
-      if may_pass () && has_cohort && (not wv.wsa) && wv.wst = Busy then
+      if may_pass () && has_cohort && (not wv.wsa) && wv.wst = Busy then begin
+        (* Count before the CAS: once it lands the successor holds the
+           lock and may release globally, resetting the count. *)
+        commit ();
         if M.cas n.w ~expect:wv ~desire:{ wst = Release_local; wsa = false }
-        then begin
-          commit ();
-          Lock_intf.Passed
-        end
-        else (* Our successor aborted between the read and the CAS. *)
+        then Lock_intf.Passed
+        else
+          (* Our successor aborted between the read and the CAS; the
+             global release resets the count. *)
           Lock_intf.Declined
+      end
       else Lock_intf.Declined
 
     let release th = M.write th.cur.w { wst = Release_global; wsa = false }

@@ -183,10 +183,12 @@ type handoff =
     [register] takes the thread's one backoff sequence, which the global
     lock's acquire shares. [try_acquire ~deadline] waits until the
     absolute time [deadline]. [pass] calls [may_pass] once, where the
-    protocol decides, and [commit] once on the way to [Passed] or
-    [Reclaimed], where it counts the handoff. [release] publishes
-    [Global_release], also to undo a grant whose global acquire timed
-    out. *)
+    protocol decides, and [commit] once before it publishes a handoff,
+    where it counts it: a taker may release globally, resetting the
+    count, as soon as the handoff is visible. A handoff that then fails
+    returns [Declined], whose global release resets the count. [release]
+    publishes [Global_release], also to undo a grant whose global
+    acquire timed out. *)
 module type ABORTABLE_LOCAL = sig
   type t
   type thread

@@ -90,6 +90,29 @@ let abortable_clean (e : R.abortable_entry) ~schedules () =
   Alcotest.(check bool) "exhausted" true r.E.exhausted;
   Alcotest.(check int) "schedule count (golden)" schedules r.E.schedules
 
+(* A-C-BO-CLH's cohort handoffs under the handoff oracle (its "A-" name
+   keeps it out of [Oracle.for_lock]'s cohort checks): the handoff must
+   be counted before the CAS that grants it, and its trace event emitted
+   in the same engine event as that CAS, while the taker still waits. *)
+let a_c_bo_clh_handoff () =
+  let e =
+    List.find (fun (e : R.abortable_entry) -> e.R.a_name = "A-C-BO-CLH")
+      R.abortable_locks
+  in
+  let sc =
+    E.scenario
+      ~checks:{ Numa_check.Oracle.me_only with handoff = true }
+      (retrying ~patience:300 e.R.a_lock)
+  in
+  let r = E.exhaustive ~preemptions:1 ~budget:5_000 sc in
+  (match r.E.failure with
+  | None -> ()
+  | Some (trace, v) ->
+      Alcotest.failf "A-C-BO-CLH: trace %s: %s" (D.to_string trace)
+        (V.to_string v));
+  Alcotest.(check bool) "exhausted" true r.E.exhausted;
+  Alcotest.(check int) "schedule count (golden)" 470 r.E.schedules
+
 (* --- Pruning: sound (same verdicts) and effective (fewer schedules) ----- *)
 
 (* The commuting-deviation reduction must preserve the deep pin's clean
@@ -245,7 +268,11 @@ let () =
           (fun (e : R.abortable_entry) schedules ->
             Alcotest.test_case e.R.a_name `Quick
               (abortable_clean e ~schedules))
-          R.abortable_locks [ 268; 80; 463; 470 ] );
+          R.abortable_locks [ 268; 80; 463; 470 ]
+        @ [
+            Alcotest.test_case "A-C-BO-CLH handoff oracle" `Quick
+              a_c_bo_clh_handoff;
+          ] );
       ( "deep",
         [
           Alcotest.test_case "C-BO-MCS preemptions=2" `Quick cbomcs_deep;

@@ -360,7 +360,7 @@ let suite =
         Alcotest.test_case "A-C-BO-BO obeys the policy" `Quick
           (test_abortable_policy "A-C-BO-BO" ~counted:55);
         Alcotest.test_case "A-C-BO-CLH obeys the policy" `Quick
-          (test_abortable_policy "A-C-BO-CLH" ~counted:62);
+          (test_abortable_policy "A-C-BO-CLH" ~counted:57);
       ] );
     ( "blocking_cohort",
       [
