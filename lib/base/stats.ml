@@ -65,8 +65,10 @@ module Histogram = struct
       go 1
 
   let add h v =
-    let v = Stdlib.max 0 v in
-    let b = Stdlib.min (buckets - 1) (bucket_of v) in
+    (* Int comparisons, not the polymorphic [Stdlib.min]/[max]. *)
+    let v = if v > 0 then v else 0 in
+    let b = bucket_of v in
+    let b = if b < buckets - 1 then b else buckets - 1 in
     h.counts.(b) <- h.counts.(b) + 1;
     h.n <- h.n + 1;
     h.sum <- h.sum + v;

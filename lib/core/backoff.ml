@@ -21,19 +21,24 @@ let mix a b =
   let h = h * 0xC2B2AE35 in
   abs (h lxor (h lsr 16))
 
+(* Int comparisons: [Stdlib.min]/[max] are polymorphic, a call into
+   [compare_val] wherever the compiler cannot see the type. *)
+let[@inline] imin (a : int) b = if a <= b then a else b
+let[@inline] imax (a : int) b = if a >= b then a else b
+
 let next t =
   let base = t.cur in
   t.attempt <- t.attempt + 1;
   (match t.policy with
   | Exponential ->
-      t.cur <- min t.b_max (t.cur * 2)
+      t.cur <- imin t.b_max (t.cur * 2)
   | Fibonacci ->
       let s = t.cur + t.fib_prev in
       t.fib_prev <- t.cur;
-      t.cur <- min t.b_max (max s 1));
+      t.cur <- imin t.b_max (imax s 1));
   (* Jitter in [base/2, base]: keeps expected delay close to the policy
      value while breaking lockstep between identical contenders. *)
-  let half = max 1 (base / 2) in
+  let half = imax 1 (base / 2) in
   half + (mix t.salt t.attempt mod (half + 1))
 
 let reset t =
