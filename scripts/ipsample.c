@@ -5,8 +5,11 @@
    Runs CMD, interrupts its main thread every PERIOD_US microseconds and
    appends the thread's instruction pointer to OUT, one decimal address
    per line. The first line of OUT is "base LO HI": the address range of
-   the executable's own mappings, read from /proc at exec. Exits with
-   CMD's status. Used by scripts/hostprof.sh, which symbolizes OUT. */
+   the executable's own mappings, read from /proc at exec. The shared
+   objects are mapped only later, by the loader, so the maps are read
+   again after the first sample: one "so LO HI OFFSET PATH" line for each
+   executable mapping of another file. Exits with CMD's status. Used by
+   scripts/hostprof.sh, which symbolizes OUT. */
 #define _GNU_SOURCE
 #include <signal.h>
 #include <stdio.h>
@@ -17,19 +20,42 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-static void exe_range(pid_t pid, FILE *out) {
-  char path[64], line[4096], first[4096] = "";
-  unsigned long lo = 0, hi = 0, a, b;
+static char exe[4096];
+
+static FILE *maps(pid_t pid) {
+  char path[64];
   snprintf(path, sizeof path, "/proc/%d/maps", pid);
-  FILE *m = fopen(path, "r");
+  return fopen(path, "r");
+}
+
+static void exe_range(pid_t pid, FILE *out) {
+  char line[4096];
+  unsigned long lo = 0, hi = 0, a, b;
+  FILE *m = maps(pid);
   while (m && fgets(line, sizeof line, m)) {
     char *name = strchr(line, '/');
     if (!name || sscanf(line, "%lx-%lx", &a, &b) != 2) continue;
-    if (!*first) { strcpy(first, name); lo = a; }
-    if (!strcmp(first, name) && b > hi) hi = b;
+    if (!*exe) { strcpy(exe, name); lo = a; }
+    if (!strcmp(exe, name) && b > hi) hi = b;
   }
   if (m) fclose(m);
   fprintf(out, "base %lu %lu\n", lo, hi);
+}
+
+static void so_ranges(pid_t pid, FILE *out) {
+  char line[4096], perms[8];
+  unsigned long a, b, off;
+  FILE *m = maps(pid);
+  while (m && fgets(line, sizeof line, m)) {
+    char *name = strchr(line, '/');
+    if (!name || strcmp(name, exe) == 0 ||
+        sscanf(line, "%lx-%lx %7s %lx", &a, &b, perms, &off) != 4 ||
+        perms[2] != 'x')
+      continue;
+    name[strcspn(name, "\n")] = 0;
+    fprintf(out, "so %lu %lu %lu %s\n", a, b, off, name);
+  }
+  if (m) fclose(m);
 }
 
 int main(int argc, char **argv) {
@@ -39,7 +65,7 @@ int main(int argc, char **argv) {
   }
   FILE *out = fopen(argv[2], "w");
   if (!out) { perror(argv[2]); return 2; }
-  int go[2], st;
+  int go[2], st, samples = 0;
   char c = 0;
   if (pipe(go) != 0) { perror("pipe"); return 2; }
   pid_t pid = fork();
@@ -64,8 +90,10 @@ int main(int argc, char **argv) {
     if (event) {
       struct user_regs_struct r;
       if (event == PTRACE_EVENT_STOP && sig == SIGTRAP &&
-          ptrace(PTRACE_GETREGS, pid, 0, &r) == 0)
+          ptrace(PTRACE_GETREGS, pid, 0, &r) == 0) {
         fprintf(out, "%llu\n", (unsigned long long)r.rip);
+        if (samples++ == 0) so_ranges(pid, out);
+      }
       sig = 0;
     }
     ptrace(PTRACE_CONT, pid, 0, sig);
