@@ -569,6 +569,26 @@ let test_wait_alloc_budget () =
     Alcotest.failf "%.1f minor words per wait; the budget is %.1f" per_wait
       (0.6 *. 100.0)
 
+(* A simulated cell is one block of two fields, its value and its line:
+   3 words beyond the line it sits on. A cell that also carried a ref
+   and a pre-built read effect (an op record and a closure) was 16. *)
+let test_cell_footprint () =
+  let line = M.line ~name:"footprint" () in
+  let c = M.cell line 0 in
+  Alcotest.(check int) "words a cell adds to its line" 3
+    (Obj.reachable_words (Obj.repr c) - Obj.reachable_words (Obj.repr line))
+
+(* Table 1's store, two cells per item on the item's own line: at most
+   60% of the 1,099,292 words it reached when each cell was 16 words. *)
+let test_kv_store_footprint () =
+  let words =
+    Obj.reachable_words (Obj.repr (Harness.Experiments.kv_store ()))
+  in
+  let budget = 1_099_292 * 6 / 10 in
+  if words > budget then
+    Alcotest.failf "the KV store reaches %d words; the budget is %d" words
+      budget
+
 let test_waiter_scans_counted () =
   (* Writes to lines nobody waits on must skip the waiter machinery
      entirely: the zero-waiter fast path is a single field load, counted
@@ -724,6 +744,9 @@ let suite =
           test_waiter_scans_counted;
         Alcotest.test_case "wait allocation budget" `Quick
           test_wait_alloc_budget;
+        Alcotest.test_case "cell footprint" `Quick test_cell_footprint;
+        Alcotest.test_case "KV store footprint" `Quick
+          test_kv_store_footprint;
         Alcotest.test_case "fastpath counter parity" `Quick
           test_fastpath_counter_parity;
       ] );
