@@ -537,7 +537,7 @@ let test_events_counted () =
    wait's record, its waiter and its scheduled re-check. The previous
    wait path (two refs, a park/attempt closure block, a waiter, check
    closure and option per park, an [Op] record and payload closure per
-   write) allocated 100.0 words per wait here; this one allocates 55.0.
+   write) allocated 100.0 words per wait here; this one allocates 54.0.
    The budget is 40% below the former. *)
 let test_wait_alloc_budget () =
   let rounds = 5_000 in
