@@ -1,6 +1,12 @@
 open Numa_base
 open Effect.Deep
 
+type 'a op = {
+  o_line : Coherence.line;
+  o_kind : Coherence.kind;
+  o_run : unit -> 'a;
+}
+
 (* A simulated cell ([Mem.cell]): one block, its value and its line. *)
 type 'a cell = { mutable v : 'a; cline : Coherence.line }
 
@@ -21,14 +27,12 @@ type 'a wait_desc = {
 
 let untimed = -1
 
-(* A slow memory operation is described by data, one block: the handler
-   charges it at perform time and [complete] applies it at completion. *)
+(* [Read c] and [Store (c, x)] are a plain read and write: one block,
+   where an [Op] would also allocate its record and payload closure. *)
 type _ Effect.t +=
   | Read : 'a cell -> 'a Effect.t
+  | Op : 'a op -> 'a Effect.t
   | Store : 'a cell * 'a -> unit Effect.t
-  | Cas : 'a cell * 'a * 'a -> bool Effect.t
-  | Swap : 'a cell * 'a -> 'a Effect.t
-  | Fetch_add : int cell * int -> int Effect.t
   | Wait : 'a wait_desc -> 'a option Effect.t
   | Pause : int -> unit Effect.t
   | Now : int Effect.t
@@ -61,6 +65,11 @@ let class_to_string = function
   | Spin_wake -> "spin-wake"
   | Timeout -> "timeout"
   | Resume -> "resume"
+
+let[@inline] op_class = function
+  | Coherence.Read -> Op_read
+  | Coherence.Write -> Op_write
+  | Coherence.Rmw -> Op_rmw
 
 (* The event ledger's slot of a class: its declaration order. *)
 let[@inline] slot = function
@@ -458,9 +467,9 @@ let[@inline] waiterless eng line = function
 
 (* [true]: the access was charged and the clock advanced — the caller
    applies the operation's payload now, inline. [false]: perform the
-   operation's effect (or [Wait]); nothing was touched. [cls] is the
-   class the slow path would schedule the completion under: the
-   operation's own, or [Spin_check] for a [wait_until]'s first read. *)
+   [Op] (or [Wait]) effect; nothing was touched. [cls] is the class the
+   slow path would schedule the completion under: [op_class kind], or
+   [Spin_check] for a [wait_until]'s first read. *)
 let[@inline] fast_access line kind cls =
   match !cur_engine with
   | Idle -> false
@@ -519,6 +528,8 @@ module Mem = struct
   (* Host-side, between runs: no effect, no charge, no wake (sim_mem.mli). *)
   let init c x = c.v <- x
 
+  let op c o_kind o_run = Op { o_line = c.cline; o_kind; o_run }
+
   let read c =
     if fast_access c.cline Coherence.Read Op_read then c.v
     else Effect.perform (Read c)
@@ -534,7 +545,14 @@ module Mem = struct
         true
       end
       else false
-    else Effect.perform (Cas (c, expect, desire))
+    else
+      Effect.perform
+        (op c Coherence.Rmw (fun () ->
+             if c.v == expect then begin
+               store c desire;
+               true
+             end
+             else false))
 
   let swap c x =
     if fast_access c.cline Coherence.Rmw Op_rmw then begin
@@ -542,7 +560,12 @@ module Mem = struct
       c.v <- x;
       old
     end
-    else Effect.perform (Swap (c, x))
+    else
+      Effect.perform
+        (op c Coherence.Rmw (fun () ->
+             let old = c.v in
+             store c x;
+             old))
 
   let fetch_and_add c d =
     if fast_access c.cline Coherence.Rmw Op_rmw then begin
@@ -550,7 +573,12 @@ module Mem = struct
       c.v <- old + d;
       old
     end
-    else Effect.perform (Fetch_add (c, d))
+    else
+      Effect.perform
+        (op c Coherence.Rmw (fun () ->
+             let old = c.v in
+             store c (old + d);
+             old))
 
   (* When an untimed wait's first check (a charged read, the
      [Spin_check] it replaces) fast-paths, the predicate is evaluated
@@ -751,49 +779,6 @@ let wait fb d k =
     schedule eng ~tid:fb.tid ~cls:Spin_check ~line (eng.now + lat) w.run
   end
 
-(* A slow memory operation's completion event: count it, apply the
-   operation (a store wakes the line's waiters), and yield its result. *)
-let complete (type a) eng (eff : a Effect.t) : a =
-  match eff with
-  | Read c ->
-      popped eng Op_read;
-      c.v
-  | Store (c, x) ->
-      popped eng Op_write;
-      store c x;
-      notify eng c.cline
-  | Cas (c, expect, desire) ->
-      popped eng Op_rmw;
-      let ok = c.v == expect in
-      if ok then store c desire;
-      notify eng c.cline;
-      ok
-  | Swap (c, x) ->
-      popped eng Op_rmw;
-      let old = c.v in
-      store c x;
-      notify eng c.cline;
-      old
-  | Fetch_add (c, d) ->
-      popped eng Op_rmw;
-      let old = c.v in
-      store c (old + d);
-      notify eng c.cline;
-      old
-  | _ -> invalid_arg "Engine.complete"
-
-(* Charge a slow memory operation now and schedule its completion. *)
-let charge fb k eff line kind cls =
-  let eng = fb.eng in
-  let lat = access eng ~cluster:fb.cluster ~thread:fb.tid line kind in
-  schedule eng ~tid:fb.tid ~cls ~line (eng.now + lat) (fun () ->
-      if fb.eng.unwinding then discontinue k Unwind
-      else begin
-        let v = complete fb.eng eff in
-        set_ctx fb;
-        continue k v
-      end)
-
 let handler fb =
   let eng = fb.eng in
   {
@@ -809,49 +794,81 @@ let handler fb =
               raise (Thread_failure { tid = fb.tid; exn = e; backtrace }));
     effc =
       (fun (type b) (eff : b Effect.t) ->
-        if eng.unwinding then
-          match eff with
-          | Read _ | Store _ | Cas _ | Swap _ | Fetch_add _ | Wait _ | Pause _
-          | Now ->
-              Some (fun (k : (b, unit) continuation) -> discontinue k Unwind)
-          | _ -> None
-        else
-          match eff with
-          | Read c ->
-              Some
-                (fun (k : (b, unit) continuation) ->
-                  charge fb k eff c.cline Coherence.Read Op_read)
-          | Store (c, _) ->
-              Some
-                (fun (k : (b, unit) continuation) ->
-                  charge fb k eff c.cline Coherence.Write Op_write)
-          | Cas (c, _, _) ->
-              Some
-                (fun (k : (b, unit) continuation) ->
-                  charge fb k eff c.cline Coherence.Rmw Op_rmw)
-          | Swap (c, _) ->
-              Some
-                (fun (k : (b, unit) continuation) ->
-                  charge fb k eff c.cline Coherence.Rmw Op_rmw)
-          | Fetch_add (c, _) ->
-              Some
-                (fun (k : (b, unit) continuation) ->
-                  charge fb k eff c.cline Coherence.Rmw Op_rmw)
-          | Wait d -> Some (fun (k : (b, unit) continuation) -> wait fb d k)
-          | Pause d ->
-              Some
-                (fun (k : (b, unit) continuation) ->
-                  schedule eng ~tid:fb.tid ~cls:Resume ~line:no_line
-                    (later eng.now (if d > 0 then d else 0))
-                    (fun () ->
-                      if fb.eng.unwinding then discontinue k Unwind
-                      else begin
-                        popped fb.eng Resume;
-                        set_ctx fb;
-                        continue k ()
-                      end))
-          | Now -> Some (fun (k : (b, unit) continuation) -> continue k eng.now)
-          | _ -> None);
+        match eff with
+        | (Read _ | Op _ | Store _ | Wait _ | Pause _ | Now) when eng.unwinding
+          ->
+            Some (fun (k : (b, unit) continuation) -> discontinue k Unwind)
+        | Read c ->
+            Some
+              (fun (k : (b, unit) continuation) ->
+                let eng = fb.eng in
+                let lat =
+                  access eng ~cluster:fb.cluster ~thread:fb.tid c.cline
+                    Coherence.Read
+                in
+                schedule eng ~tid:fb.tid ~cls:Op_read ~line:c.cline
+                  (eng.now + lat) (fun () ->
+                    if fb.eng.unwinding then discontinue k Unwind
+                    else begin
+                      popped fb.eng Op_read;
+                      set_ctx fb;
+                      continue k c.v
+                    end))
+        | Op o ->
+            Some
+              (fun (k : (b, unit) continuation) ->
+                let eng = fb.eng in
+                let lat =
+                  access eng ~cluster:fb.cluster ~thread:fb.tid o.o_line
+                    o.o_kind
+                in
+                schedule eng ~tid:fb.tid ~cls:(op_class o.o_kind)
+                  ~line:o.o_line (eng.now + lat) (fun () ->
+                    if fb.eng.unwinding then discontinue k Unwind
+                    else begin
+                      popped fb.eng (op_class o.o_kind);
+                      let v = o.o_run () in
+                      (match o.o_kind with
+                      | Coherence.Read -> ()
+                      | Coherence.Write | Coherence.Rmw ->
+                          notify fb.eng o.o_line);
+                      set_ctx fb;
+                      continue k v
+                    end))
+        | Store (c, x) ->
+            Some
+              (fun (k : (b, unit) continuation) ->
+                let eng = fb.eng in
+                let lat =
+                  access eng ~cluster:fb.cluster ~thread:fb.tid c.cline
+                    Coherence.Write
+                in
+                schedule eng ~tid:fb.tid ~cls:Op_write ~line:c.cline
+                  (eng.now + lat) (fun () ->
+                    if fb.eng.unwinding then discontinue k Unwind
+                    else begin
+                      popped fb.eng Op_write;
+                      store c x;
+                      notify fb.eng c.cline;
+                      set_ctx fb;
+                      continue k ()
+                    end))
+        | Wait d -> Some (fun (k : (b, unit) continuation) -> wait fb d k)
+        | Pause d ->
+            Some
+              (fun (k : (b, unit) continuation) ->
+                let eng = fb.eng in
+                schedule eng ~tid:fb.tid ~cls:Resume ~line:no_line
+                  (later eng.now (if d > 0 then d else 0))
+                  (fun () ->
+                    if fb.eng.unwinding then discontinue k Unwind
+                    else begin
+                      popped fb.eng Resume;
+                      set_ctx fb;
+                      continue k ()
+                    end))
+        | Now -> Some (fun (k : (b, unit) continuation) -> continue k eng.now)
+        | _ -> None);
   }
 
 let mk_result eng ~n_threads =
