@@ -501,12 +501,12 @@ let[@inline] fast_pause d =
    Here the gates above inline into each primitive; an inline hit calls
    only [Coherence.try_hit].
 
-   A slow operation performs its effect ([Read c], [Cas (c, e, d)], ...),
-   which [complete] applies. Slow-path stores go through [store], which
-   flags the line only when the value physically changes: [notify] walks
-   parked waiters only after such a store (waitq.ml). Inline stores need
-   no flag — the fast path takes a write or RMW only when nobody is
-   parked on the line. *)
+   A slow [read] performs [Read c] and a slow [write] [Store (c, x)].
+   Slow-path store payloads go through [store], which flags the line
+   only when the value physically changes: [notify] walks parked waiters
+   only after such a store (waitq.ml). Inline stores need no flag — the
+   fast path takes a write or RMW only when nobody is parked on the
+   line. *)
 
 (* A slow-path store payload: flag the line only when the value
    physically changes, so that [notify] walks its waiters. *)

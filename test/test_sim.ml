@@ -537,7 +537,7 @@ let test_events_counted () =
    wait's record, its waiter and its scheduled re-check. The previous
    wait path (two refs, a park/attempt closure block, a waiter, check
    closure and option per park, an [Op] record and payload closure per
-   write) allocated 100.0 words per wait here; this one allocates 54.0.
+   write) allocated 100.0 words per wait here; this one allocates 55.0.
    The budget is 40% below the former. *)
 let test_wait_alloc_budget () =
   let rounds = 5_000 in
@@ -570,8 +570,7 @@ let test_wait_alloc_budget () =
       (0.6 *. 100.0)
 
 (* A simulated cell is one block of two fields, its value and its line:
-   3 words beyond the line it sits on. A cell that also carried a ref
-   and a pre-built read effect (an op record and a closure) was 16. *)
+   3 words beyond the line it sits on. *)
 let test_cell_footprint () =
   let line = M.line ~name:"footprint" () in
   let c = M.cell line 0 in
