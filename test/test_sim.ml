@@ -578,7 +578,8 @@ let test_cell_footprint () =
     (Obj.reachable_words (Obj.repr c) - Obj.reachable_words (Obj.repr line))
 
 (* Table 1's store, two cells per item on the item's own line: at most
-   60% of the 1,099,292 words it reached when each cell was 16 words. *)
+   60% of the 1,099,292 words it reached when each cell also held a ref
+   and a pre-built read effect. *)
 let test_kv_store_footprint () =
   let words =
     Obj.reachable_words (Obj.repr (Harness.Experiments.kv_store ()))
