@@ -178,8 +178,10 @@ module Make (M : Memory_intf.MEMORY) (RT : Runtime_intf.RUNTIME) = struct
      creates the lock: its name and [register], which returns a thread's
      [acquire] (false = aborted) and [release]. The workload gives the
      critical section, the idle delay and the hooks around each acquire;
-     a grant the hooks leave uncounted still runs its critical section
-     and release. Instrumentation state is either per-thread (counts,
+     a grant the hooks leave uncounted, or one made at or after the
+     window's end, still runs its critical section and release. The
+     hooks run first, so a pause they take counts toward the window.
+     Instrumentation state is either per-thread (counts,
      aborts, latency histograms, merged after the join) or mutated only
      inside the critical section (migrations), so it is race-free under
      native domains and does not perturb the simulation. *)
@@ -206,7 +208,7 @@ module Make (M : Memory_intf.MEMORY) (RT : Runtime_intf.RUNTIME) = struct
               let t0 = M.now () in
               if acquire () then begin
                 let waited = M.now () - t0 in
-                if hooks.granted ~waited then begin
+                if hooks.granted ~waited && not (RT.stopped stop) then begin
                   (match latencies.(tid) with
                   | Some h -> Stats.Histogram.add h waited
                   | None ->

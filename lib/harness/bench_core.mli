@@ -72,7 +72,9 @@ type cs = Counters | Pause of int
     latency clock starts; [granted ~waited] right after a grant that took
     [waited] ns, and [false] leaves the grant out of the iterations,
     migrations and latencies (its critical section and release still
-    run). *)
+    run). A grant is counted only when [granted] returns [true] and the
+    window has not ended after it returned: on either runtime only work
+    done inside the window counts. *)
 type hooks = { before_acquire : unit -> unit; granted : waited:int -> bool }
 
 (** A loop iteration: [before_acquire], acquire, [granted], the critical

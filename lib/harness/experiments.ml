@@ -216,7 +216,8 @@ let table1 ?(locks = R.app_locks) ~topology ~threads ~duration ~seed ~mix () =
 (* One mmicro run; returns malloc-free pairs per millisecond. Each thread
    repeatedly allocates a 64-byte block, initialises its first words, and
    frees it, with a ~2 us delay after each call (calibrated to the paper's
-   ~200 pairs/ms single-thread rate). *)
+   ~200 pairs/ms single-thread rate). The run ends at [duration] and
+   counts the pairs completed before it. *)
 let mmicro_pairs_per_ms (e : R.entry) ~topology ~n_threads ~duration ~seed =
   let module L = (val e.lock : LI.LOCK) in
   let cfg = e.tweak (cfg_for topology [ n_threads ]) in
@@ -224,7 +225,7 @@ let mmicro_pairs_per_ms (e : R.entry) ~topology ~n_threads ~duration ~seed =
   let alloc = Alloc.create () in
   let pairs = ref 0 in
   ignore
-    (E.run ~topology ~n_threads (fun ~tid ~cluster ->
+    (E.run ~topology ~n_threads ~horizon:duration (fun ~tid ~cluster ->
          let th = L.register l ~tid ~cluster in
          let rng = Prng.create (seed + (tid * 977) + 3) in
          let delay () = M.pause (1_700 + Prng.int rng 700) in
@@ -238,7 +239,7 @@ let mmicro_pairs_per_ms (e : R.entry) ~topology ~n_threads ~duration ~seed =
              L.acquire th;
              Alloc.free alloc b;
              L.release th;
-             incr pairs;
+             if M.now () < duration then incr pairs;
              delay ();
              loop ()
            end
@@ -251,6 +252,55 @@ let table2 ?(locks = R.app_locks) ~topology ~threads ~duration ~seed () =
     ~title:"Table 2: libc-style allocator, mmicro (malloc-free pairs / ms)"
     locks threads (fun e n ->
       mmicro_pairs_per_ms e ~topology ~n_threads:n ~duration ~seed)
+
+(* --- Extension: the reader-writer cohort lock -------------------------- *)
+
+module Rw = (val R.Table.c_rw_wp)
+module RwMutex = (val R.Table.get ~global:"BO" ~local:"MCS")
+
+(* Threads share a structure under either a plain cohort mutex or the RW
+   cohort lock; one loop for both: a thread's [lock]/[unlock] take
+   [write], which the plain mutex ignores. The run ends at [duration]
+   and counts the operations completed before it. Returns operations /
+   s. *)
+let rw_run ~use_rw ~topology ~n_threads ~write_ratio ~duration ~seed =
+  let cfg = cfg_for topology [ n_threads ] in
+  let ops = ref 0 in
+  let shared = M.cell' 0 in
+  let register =
+    if use_rw then begin
+      let l = Rw.create cfg in
+      fun ~tid ~cluster ->
+        let th = Rw.register l ~tid ~cluster in
+        ( (fun write -> if write then Rw.write_lock th else Rw.read_lock th),
+          fun write -> if write then Rw.write_unlock th else Rw.read_unlock th )
+    end
+    else begin
+      let l = RwMutex.create cfg in
+      fun ~tid ~cluster ->
+        let th = RwMutex.register l ~tid ~cluster in
+        ((fun _ -> RwMutex.acquire th), fun _ -> RwMutex.release th)
+    end
+  in
+  ignore
+    (E.run ~topology ~n_threads ~horizon:duration (fun ~tid ~cluster ->
+         let lock, unlock = register ~tid ~cluster in
+         let rng = Prng.create (seed + tid) in
+         let rec loop () =
+           if M.now () < duration then begin
+             let write = Prng.chance rng write_ratio in
+             lock write;
+             if write then M.write shared (M.read shared + 1)
+             else ignore (M.read shared);
+             M.pause 150;
+             unlock write;
+             if M.now () < duration then incr ops;
+             M.pause (500 + Prng.int rng 500);
+             loop ()
+           end
+         in
+         loop ()));
+  float_of_int !ops /. (float_of_int duration *. 1e-9)
 
 (* --- Extension: saturation collapse (GCR concurrency restriction) -------- *)
 
@@ -300,9 +350,8 @@ let collapse_noncs = 200 (* ns between sections, + U[0,300) *)
 (* The LBench loop with the scheduler model as its hooks: quanta
    staggered by the thread's PRNG (so the first round of deschedules is
    not one synchronized convoy), CPU sharing before the acquire, and the
-   park/waiter-preemption check right after the grant. Only grants inside
-   the window count. *)
-let collapse_workload (e : R.entry) ~topology ~n_threads ~duration =
+   park/waiter-preemption check right after the grant. *)
+let collapse_workload (e : R.entry) ~topology ~n_threads =
   (* Park observation channel: [woke.(tid)] means tid's current acquire
      slept on the GCR passive list (so its long wait was off-CPU), and
      [parked_now] is the current passive population — what the model
@@ -349,7 +398,7 @@ let collapse_workload (e : R.entry) ~topology ~n_threads ~duration =
                ownership arrived while this thread was descheduled —
                charged while holding. *)
             deschedule next;
-          M.now () < duration);
+          true);
     }
   in
   ( {
@@ -361,18 +410,10 @@ let collapse_workload (e : R.entry) ~topology ~n_threads ~duration =
     },
     cfg )
 
-(* The loop over the windowed runtime: the run ends at the window, so
-   the blocked acquires a draining run would finish afterwards (one
-   thundering-herd round each for the spinning locks, O(n^2) events)
-   never run. No event after the window can change a grant before it,
-   so every counted figure is the draining run's. *)
-module Windowed_bench =
-  Bench_core.Make (Numasim.Sim_mem) (Numasim.Sim_runtime.Windowed)
-
 let collapse_run (e : R.entry) ~topology ~n_threads ~duration ~seed =
-  let workload, cfg = collapse_workload e ~topology ~n_threads ~duration in
-  Windowed_bench.run_workload workload ~name:e.name e.lock ~topology ~cfg
-    ~n_threads ~duration ~seed
+  let workload, cfg = collapse_workload e ~topology ~n_threads in
+  Lbench.run_workload workload ~name:e.name e.lock ~topology ~cfg ~n_threads
+    ~duration ~seed
 
 let collapse_sweep ?(locks = R.collapse_locks) ~topology ~threads ~duration
     ~seed () =

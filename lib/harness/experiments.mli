@@ -126,13 +126,37 @@ val table2 :
   table
 (** Table 2: allocator stress (mmicro), malloc-free pairs per millisecond. *)
 
+val mmicro_pairs_per_ms :
+  Lock_registry.entry ->
+  topology:Numa_base.Topology.t ->
+  n_threads:int ->
+  duration:int ->
+  seed:int ->
+  float
+(** One Table 2 cell: the run ends at [duration] and counts the
+    malloc-free pairs completed before it, per millisecond. *)
+
+(** {1 The reader-writer cohort lock} *)
+
+val rw_run :
+  use_rw:bool ->
+  topology:Numa_base.Topology.t ->
+  n_threads:int ->
+  write_ratio:float ->
+  duration:int ->
+  seed:int ->
+  float
+(** One [ext-rw] cell: threads read or (with probability [write_ratio])
+    write one shared cell under C-RW-WP ([use_rw]) or the C-BO-MCS
+    mutex. The run ends at [duration] and counts the operations
+    completed before it, per second. *)
+
 (** {1 Saturation collapse} *)
 
 val collapse_workload :
   Lock_registry.entry ->
   topology:Numa_base.Topology.t ->
   n_threads:int ->
-  duration:int ->
   Bench_core.workload * Cohort.Lock_intf.config
 (** The saturation-collapse point's loop and lock config: a 150 ns
     critical section, 200 ns + U\[0, 300) ns idle and an explicit
@@ -140,13 +164,9 @@ val collapse_workload :
     post-grant checkpoints costs a descheduling round of
     [(ceil(runnable/contexts) - 1) * 10us], where GCR-parked threads are
     not runnable), which makes oversubscription hurt the way a real
-    scheduler does. In-capacity runs are untouched by the model; only
-    grants inside the window count toward iterations, migrations and
-    acquire latencies. The config tees the model's park observer into
-    the entry's trace sink. Fresh state per call: one point per value.
-    {!collapse_run} runs it windowed; {!Lbench.run_workload} runs it to
-    the end of every blocked acquire (what a test of a finished run's
-    invariants needs). *)
+    scheduler does. In-capacity runs are untouched by the model. The
+    config tees the model's park observer into the entry's trace sink.
+    Fresh state per call: one point per value. *)
 
 val collapse_run :
   Lock_registry.entry ->
@@ -155,17 +175,14 @@ val collapse_run :
   duration:int ->
   seed:int ->
   Lbench.result
-(** One saturation-collapse data point: {!collapse_workload} on the
-    {!Numasim.Sim_runtime.Windowed} runtime, so the run ends at
-    [duration] and the blocked acquires it leaves are unwound, not
-    drained. No event after the window can change a grant before it, so
-    iterations, migrations, per-thread counts and acquire latencies are
-    the draining run's; the whole-run fields (the profile's coherence
-    and interconnect totals, the rollup, [event_classes], [queue_tiers])
-    cover the window. The result carries acquire latencies and the
-    trace rollup, but no prediction: the analytic model is calibrated
-    to LBench. [misses_per_cs] is the window's coherence misses per
-    counted grant. *)
+(** One saturation-collapse data point: {!collapse_workload} on
+    {!Lbench.run_workload}. Like every LBench point it ends at
+    [duration] and counts only the grants inside it; the whole-run
+    fields (the profile's coherence and interconnect totals, the rollup,
+    [event_classes], [queue_tiers]) cover the window too. The result
+    carries acquire latencies and the trace rollup, but no prediction:
+    the analytic model is calibrated to LBench. [misses_per_cs] is the
+    window's coherence misses per counted grant. *)
 
 val collapse_sweep :
   ?locks:Lock_registry.entry list ->

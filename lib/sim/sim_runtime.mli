@@ -1,25 +1,19 @@
 (** {!Numa_base.Runtime_intf.RUNTIME} over the simulation engine.
 
-    [run] is {!Engine.run} with a stop flag derived from the deadline:
-    [stopped] compares [Sim_mem.now ()] against it, which is a free
-    effect, so polling frequency cannot perturb simulated time and runs
-    stay deterministic. Barriers are built from a simulated cell
-    (fetch-and-add + monitored wait), so they are charged like any other
-    shared-memory rendezvous. [Engine.Thread_failure] is re-raised as
+    [run ~stop_after:d] is {!Engine.run} with [~horizon:d]: the run ends
+    at its deadline, returning with [threads_finished < n_threads] when
+    threads were still busy, and {!Engine.run} unwinds the threads it
+    leaves. Nothing after the deadline runs, so no event after it can
+    change what happened before it, and every whole-run statistic
+    ([coherence], [interconnect], the event ledger) covers the window
+    alone. Without [stop_after] every thread runs to completion (torture
+    campaigns, exploration). [stopped] compares [Sim_mem.now ()] against
+    the deadline, which is a free effect, so polling frequency cannot
+    perturb simulated time and runs stay deterministic. Barriers are
+    built from a simulated cell (fetch-and-add + monitored wait), so they
+    are charged like any other shared-memory rendezvous.
+    [Engine.Thread_failure] is re-raised as
     {!Numa_base.Runtime_intf.Thread_failure}; [Engine.Deadlock]
     propagates unchanged. *)
 
 include Numa_base.Runtime_intf.RUNTIME
-
-(** The same runtime with the deadline as a hard end: [run ~stop_after]
-    is {!Engine.run} with [~horizon:stop_after], so the run returns at
-    the deadline with [threads_finished < n_threads] instead of letting
-    every thread finish what it was doing, and {!Engine.run} unwinds the
-    threads it leaves unfinished. Nothing after the deadline runs, so it
-    suits a workload that counts only what happens before it; every
-    whole-run statistic ([coherence], [interconnect], the event ledger)
-    then covers the window alone. Without [stop_after] it is [run]. *)
-module Windowed :
-  Numa_base.Runtime_intf.RUNTIME
-    with type stop_flag = stop_flag
-     and type barrier = barrier

@@ -43,14 +43,47 @@ let gcr_entry ?(wrap = Fun.id) ~k ~rotate sink =
   in
   R.with_trace sink e
 
-(* The collapse workload on the draining LBench loop: the run goes on
-   until every blocked acquire is granted, so only it ends with a
+(* A runtime that drains: the run goes on until every thread has
+   finished, so blocked acquires are granted after the deadline instead
+   of being cut at it. The deadline lives in its own flag, so the
+   bodies wind down exactly where they would on [Sim_runtime], and the
+   benchmark loop still counts only the grants before it. *)
+module Draining = struct
+  module S = Numasim.Sim_runtime
+
+  let name = "sim-draining"
+  let deterministic = true
+
+  type stop_flag = { deadline : int option; mutable manual : bool }
+
+  let request_stop f = f.manual <- true
+
+  let stopped f =
+    f.manual
+    ||
+    match f.deadline with
+    | Some d -> Numasim.Sim_mem.now () >= d
+    | None -> false
+
+  type barrier = S.barrier
+
+  let make_barrier = S.make_barrier
+  let await = S.await
+  let now = S.now
+
+  let run ~topology ~n_threads ?stop_after ?profile body =
+    let stop = { deadline = stop_after; manual = false } in
+    S.run ~topology ~n_threads ?profile (fun ~stop:_ ~tid ~cluster ->
+        body ~stop ~tid ~cluster)
+end
+
+module Drained = Harness.Bench_core.Make (Numasim.Sim_mem) (Draining)
+
+(* The collapse workload on the draining loop: only it ends with a
    balanced stream ({!X.collapse_run} stops at the window). *)
 let drained_collapse (e : R.entry) ~n_threads ~duration ~seed =
-  let workload, cfg =
-    X.collapse_workload e ~topology:small ~n_threads ~duration
-  in
-  LB.run_workload workload ~name:e.R.name e.R.lock ~topology:small ~cfg
+  let workload, cfg = X.collapse_workload e ~topology:small ~n_threads in
+  Drained.run_workload workload ~name:e.R.name e.R.lock ~topology:small ~cfg
     ~n_threads ~duration ~seed
 
 (* --- Admission bound, qcheck over traced runs --------------------------- *)
@@ -198,15 +231,10 @@ let test_collapse_ordering () =
 
 (* --- The window cut -------------------------------------------------------- *)
 
-(* Every collapse lock, 8x oversubscribed on 8 contexts. The draining
-   loop must finish every blocked acquire without [Engine.Deadlock] (a
-   liveness check the windowed points no longer make), and the windowed
-   point must count exactly what the draining one does: no event after
-   the window can change a grant before it. *)
-let test_window_cut (e : R.entry) () =
-  let n_threads = 64 and duration = 500_000 and seed = 2024 in
-  let drained = drained_collapse e ~n_threads ~duration ~seed in
-  let cut = X.collapse_run e ~topology:small ~n_threads ~duration ~seed in
+(* A point that ends at its window must count exactly the grants the
+   draining run stamps before the deadline: no event after the window can
+   change a grant before it. *)
+let check_same_counts ~(drained : LB.result) ~(cut : LB.result) =
   let same what f = Alcotest.(check int) what (f drained) (f cut) in
   same "iterations" (fun r -> r.LB.iterations);
   same "migrations" (fun r -> r.LB.migrations);
@@ -216,6 +244,23 @@ let test_window_cut (e : R.entry) () =
     "acquire p50/p99/max"
     [ drained.LB.acquire_p50; drained.LB.acquire_p99; drained.LB.acquire_max ]
     [ cut.LB.acquire_p50; cut.LB.acquire_p99; cut.LB.acquire_max ]
+
+(* Every collapse lock, on the collapse workload 8x oversubscribed on 8
+   contexts and on LBench's own loop 4x oversubscribed. The draining
+   loop must also finish every blocked acquire without [Engine.Deadlock]
+   (a liveness check the windowed points no longer make). *)
+let test_window_cut (e : R.entry) () =
+  let seed = 2024 in
+  let n_threads = 64 and duration = 500_000 in
+  check_same_counts
+    ~drained:(drained_collapse e ~n_threads ~duration ~seed)
+    ~cut:(X.collapse_run e ~topology:small ~n_threads ~duration ~seed);
+  let n_threads = 32 and duration = 200_000 in
+  let cfg = e.R.tweak (X.cfg_for small [ n_threads ]) in
+  check_same_counts
+    ~drained:
+      (Drained.run e.R.lock ~topology:small ~cfg ~n_threads ~duration ~seed)
+    ~cut:(LB.run e.R.lock ~topology:small ~cfg ~n_threads ~duration ~seed)
 
 (* A collapse point's misses per CS cover its window: the run ends
    there, so the figure is the window's coherence misses over the grants

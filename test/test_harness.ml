@@ -189,6 +189,28 @@ let test_table2_smoke () =
   let v8 = snd (List.nth t.X.t_rows 1) in
   Alcotest.(check bool) "mmicro scales" true (v8.(1) > v1.(1))
 
+(* A run ends at its window and counts only what completes inside it. A
+   malloc-free pair takes two delays of at least 1.7 us, and an RW
+   operation holds its lock for 150 ns, so a shorter window completes
+   none of them; a longer one completes some. *)
+let test_mmicro_window () =
+  let pairs duration =
+    X.mmicro_pairs_per_ms mcs ~topology:topo ~n_threads:8 ~duration ~seed:1
+  in
+  Alcotest.(check (float 0.)) "no pair inside 1 us" 0. (pairs 1_000);
+  Alcotest.(check bool) "pairs inside 50 us" true (pairs 50_000 > 0.)
+
+let test_rw_window () =
+  List.iter
+    (fun use_rw ->
+      let ops duration =
+        X.rw_run ~use_rw ~topology:topo ~n_threads:8 ~write_ratio:0.5 ~duration
+          ~seed:1
+      in
+      Alcotest.(check (float 0.)) "no operation inside 100 ns" 0. (ops 100);
+      Alcotest.(check bool) "operations inside 20 us" true (ops 20_000 > 0.))
+    [ false; true ]
+
 let test_ablation_handoff_smoke () =
   let e =
     List.find (fun e -> e.C.name = "ablation-handoff") C.commands
@@ -460,6 +482,9 @@ let suite =
         Alcotest.test_case "table1 cells independent" `Quick
           test_table1_cells_independent;
         Alcotest.test_case "table2 smoke" `Quick test_table2_smoke;
+        Alcotest.test_case "mmicro counts its window" `Quick
+          test_mmicro_window;
+        Alcotest.test_case "rw counts its window" `Quick test_rw_window;
         Alcotest.test_case "ablation handoff" `Quick
           test_ablation_handoff_smoke;
       ] );

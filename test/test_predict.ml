@@ -173,7 +173,7 @@ let test_pinned_small () =
   in
   Alcotest.(check string)
     "pinned prediction"
-    "tput=2103060.8 serial=3375783.7 contended=2103060.8 svc=339.82 hand=135.68"
+    "tput=2104717.1 serial=3376319.4 contended=2104717.1 svc=339.44 hand=135.68"
     render;
   Alcotest.(check bool)
     "prediction within 2x of measurement" true

@@ -48,13 +48,14 @@ struct
         declared.(tid)
     done
 
-  (* On the simulator the deadline is deterministic, so every thread must
-     have made progress before it. Natively that would measure the host
-     scheduler (a domain may not get a core before the deadline), so the
-     check there is scheduling-independent: each thread reads [now] right
-     after it sees the flag set, and no reading may precede [start +
-     stop_after] ([start] is taken before [run], so the runtime's own
-     clock start is no earlier). Every thread must exit either way. *)
+  (* On the simulator the deadline is deterministic and ends the run:
+     [run] returns at [stop_after], and every thread must have made
+     progress before it. Natively that would measure the host scheduler
+     (a domain may not get a core before the deadline), so the check
+     there is scheduling-independent: each thread reads [now] right after
+     it sees the flag set, no reading may precede [start + stop_after]
+     ([start] is taken before [run], so the runtime's own clock start is
+     no earlier), and every thread must exit. *)
   let test_stop_after () =
     let n = 4 in
     let stop_after = 100 * P.tick in
@@ -70,8 +71,13 @@ struct
           done;
           seen_at.(tid) <- RT.now ())
     in
-    Alcotest.(check int)
-      "all threads finished" n stats.Runtime_intf.threads_finished;
+    if RT.deterministic then
+      Alcotest.(check bool)
+        "the run returned at the deadline" true
+        (stats.Runtime_intf.elapsed_ns <= stop_after)
+    else
+      Alcotest.(check int)
+        "all threads finished" n stats.Runtime_intf.threads_finished;
     Array.iteri
       (fun tid it ->
         if RT.deterministic then
