@@ -28,13 +28,10 @@ let load what path =
       Printf.eprintf "bench_diff: cannot read %s artifact %s: %s\n" what path e;
       exit 2
 
-(* Informational (non-gating) rollup deltas, compared per-metric by
-   presence so mixed-version pairs work: a cohort-bench/2 baseline has
-   no pred_*/quantile fields and those rows simply don't print, while
-   the shared coh_*/icx_* curves still do (and a version-1 baseline has
-   none of them). Coherence traffic and prediction accuracy are model
-   properties, so shifts here explain throughput moves rather than gate
-   them. *)
+(* Informational (non-gating) rollup deltas, compared per metric where
+   both entries carry it. Coherence traffic and prediction accuracy are
+   model properties, so shifts here explain throughput moves rather
+   than gate them. *)
 let coh_metrics =
   [
     "coh_remote_transfers_per_acq";

@@ -1,7 +1,6 @@
 module J = Numa_trace.Json
 
 let schema_version = "cohort-bench/3"
-let accepted_schemas = [ "cohort-bench/1"; "cohort-bench/2"; schema_version ]
 
 type entry = {
   experiment : string;
@@ -11,14 +10,13 @@ type entry = {
 }
 
 type t = {
-  schema : string;
   substrate : string;
   seed : int;
   entries : entry list;
 }
 
 let make ~substrate ~seed entries =
-  { schema = schema_version; substrate; seed; entries }
+  { substrate; seed; entries }
 
 let entry_of_result ~experiment (r : Bench_core.result) =
   {
@@ -68,7 +66,7 @@ let entry_to_json e =
 let to_json t =
   J.Obj
     [
-      ("schema", J.String t.schema);
+      ("schema", J.String schema_version);
       ("substrate", J.String t.substrate);
       ("seed", J.Int t.seed);
       ("entries", J.List (List.map entry_to_json t.entries));
@@ -104,11 +102,10 @@ let entry_of_json j =
 let of_json j =
   let* schema = str_field "schema" j in
   let* () =
-    if List.mem schema accepted_schemas then Ok ()
+    if schema = schema_version then Ok ()
     else
       Error
-        (Printf.sprintf "unsupported schema %S (want one of %s)" schema
-           (String.concat ", " (List.map (Printf.sprintf "%S") accepted_schemas)))
+        (Printf.sprintf "unsupported schema %S (want %S)" schema schema_version)
   in
   let substrate =
     Option.value
@@ -128,7 +125,7 @@ let of_json j =
         |> Result.map List.rev
     | _ -> Error "missing entries field"
   in
-  Ok { schema; substrate; seed; entries }
+  Ok { substrate; seed; entries }
 
 let to_string t = J.to_string ~pretty:true (to_json t) ^ "\n"
 

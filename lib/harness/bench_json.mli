@@ -10,14 +10,8 @@
     byte-identical files — the property [scripts/ci.sh] checks. *)
 
 val schema_version : string
-(** ["cohort-bench/3"]; bumped on any entry/metric shape change. Version
-    2 added the coherence/interconnect rollup metrics ([coh_*], [icx_*])
-    to every simulated entry; version 3 adds the analytic-prediction
-    fields ([pred_*]) to every rolled-up simulated entry and the trace
-    rollup (hold/wait/batch quantiles) to collapse entries.
-    {!read}/{!of_json} still accept version-1/2 artifacts (the
-    [t.schema] field keeps whatever was read), so older committed
-    baselines keep gating. *)
+(** ["cohort-bench/3"]; bumped on any entry/metric shape change. Every
+    artifact carries it, and {!read}/{!of_json} accept no other. *)
 
 type entry = {
   experiment : string;  (** e.g. ["lbench"], ["lbench-abortable"]. *)
@@ -27,7 +21,6 @@ type entry = {
 }
 
 type t = {
-  schema : string;
   substrate : string;  (** ["sim"] or ["native"]. *)
   seed : int;
   entries : entry list;

@@ -82,7 +82,7 @@ let lock_lines ?(exclude = [ "lbench."; "cs." ]) t =
       else a + s.s_lines)
     0 t
 
-(* Flat metric fields for the cohort-bench/2 artifact. Totals come from
+(* Flat metric fields for the benchmark artifact. Totals come from
    the engine-global counters (always meaningful on the simulator);
    per-site rows stay in [t.sites] for reports and are not flattened. *)
 let to_fields ?acquires ?releases t =

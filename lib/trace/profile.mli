@@ -105,7 +105,7 @@ val lock_lines : ?exclude:string list -> t -> int
     C-BO-MCS on this. 0 when the run was not profiled per-site. *)
 
 val to_fields : ?acquires:int -> ?releases:int -> t -> (string * float) list
-(** Flat [coh_*] / [icx_*] metrics for the cohort-bench/2 artifact.
+(** Flat [coh_*] / [icx_*] metrics for the benchmark artifact.
     Ratio fields are [nan] unless the corresponding count is given.
     Multi-level profiles additionally emit [icx_<level>_*] fields;
     single-level ones do not, keeping flat-machine artifacts
