@@ -11,8 +11,11 @@
 # the top TOP (default 25) symbols and the share per OCaml module; the C
 # runtime and GC (caml_* and other C symbols in the executable) form one
 # group. Samples in a shared object are named LIB:SYMBOL (`libc:read`)
-# from its dynamic symbols (`nm -D`) and grouped by library; the rest
-# outside the executable (vdso, anonymous code) form one more group. No
+# from its dynamic symbols and their sizes (`nm -D -S`) and grouped by
+# library; a sample past the end of the exported symbol below it is in
+# one of the library's internal functions and is named LIB:(internal).
+# The rest outside the executable (vdso, anonymous code) form one more
+# group. No
 # hook in the program: the split costs the run nothing but the
 # interrupts.
 #
@@ -37,16 +40,22 @@ readelf -h "$exe" | grep -q 'Type: *DYN' && pie=1
 nm -n -t d "$exe" | awk '$2 ~ /^[tTwW]$/ { print $1, $3 }' > "$work/syms"
 
 # Each shared object's dynamic symbols at their mapped addresses, as
-# "ADDR END LIB:SYMBOL" (END: the end of the mapping), sorted.
+# "ADDR SYMEND MAPEND LIB SYMBOL" (SYMEND: ADDR + the symbol's size;
+# MAPEND: the end of the mapping), sorted. Each mapping also gets an
+# empty "(internal)" entry at its start, so every sample inside it
+# names its library.
 awk '$1 == "so"' "$work/samples" | while read -r _ lo hi off path; do
   lib=$(basename "$path")
-  nm -D --defined-only -t d "$path" 2>/dev/null |
-    awk -v lo="$lo" -v hi="$hi" -v off="$off" -v lib="${lib%%.so*}" '
-      $2 ~ /^[tTwWi]$/ {
-        a = lo - off + $1; s = $3; sub(/@.*/, "", s)
-        if (a >= lo + 0 && a < hi + 0) printf "%.0f %.0f %s:%s\n", a, hi, lib, s
+  lib=${lib%%.so*}
+  echo "$lo $lo $hi $lib (internal)"
+  nm -D -S --defined-only -t d "$path" 2>/dev/null |
+    awk -v lo="$lo" -v hi="$hi" -v off="$off" -v lib="$lib" '
+      NF == 4 && $3 ~ /^[tTwWi]$/ {
+        a = lo - off + $1; s = $4; sub(/@.*/, "", s)
+        if (a >= lo + 0 && a < hi + 0)
+          printf "%.0f %.0f %.0f %s %s\n", a, a + $2, hi, lib, s
       }'
-done | sort -n > "$work/sosyms"
+done | sort -n -k1,1 -k2,2 > "$work/sosyms"
 
 awk -v pie="$pie" -v top="${TOP:-25}" '
   # camlNumasim__Event_heap.pop_123 -> Numasim.Event_heap.pop; the
@@ -60,7 +69,10 @@ awk -v pie="$pie" -v top="${TOP:-25}" '
     if ($2 ~ /^caml[A-Z]/) seen[ocaml($2)]++
     next
   }
-  FILENAME == ARGV[2] { sa[sn] = $1 + 0; send[sn] = $2 + 0; sname[sn] = $3; sn++; next }
+  FILENAME == ARGV[2] {
+    sa[sn] = $1 + 0; send[sn] = $2 + 0; mend[sn] = $3 + 0
+    slib[sn] = $4; sname[sn] = $5; sn++; next
+  }
   $1 == "base" { lo = $2 + 0; hi = $3 + 0; next }
   $1 == "so" { next }
   {
@@ -72,7 +84,10 @@ awk -v pie="$pie" -v top="${TOP:-25}" '
       if (sn > 0 && ip >= sa[0]) {
         l = 0; h = sn - 1
         while (l < h) { m = int((l + h + 1) / 2); if (sa[m] <= ip) l = m; else h = m - 1 }
-        if (ip < send[l]) { sym = sname[l]; mod = sym; sub(/:.*/, "", mod) }
+        if (ip < mend[l]) {
+          mod = slib[l]
+          sym = mod ":" (ip < send[l] ? sname[l] : "(internal)")
+        }
       }
     }
     else if (n == 0 || off < addr[0]) { sym = "(unknown)"; mod = "runtime/GC (C)" }
