@@ -3,7 +3,7 @@
 
     A {!RUNTIME} knows how to start [n] threads placed on clusters by a
     {!Topology}, give them a shared stop flag and barriers, and report
-    aggregate statistics when every thread has finished. There are two
+    aggregate statistics when the run ends. There are two
     implementations:
     - {!Numasim.Sim_runtime}: wraps [Engine.run]; threads are effect
       fibers, runs are deterministic, and the coherence statistics of the
@@ -103,9 +103,14 @@ module type RUNTIME = sig
   (** [run ~topology ~n_threads body] starts [n_threads] threads; thread
       [tid] runs [body ~stop ~tid ~cluster] on cluster
       [Topology.cluster_of_thread topology tid] (round-robin over the
-      clusters), and the call returns when every thread has.
-      [stop_after] arms the stop flag [stop_after] ns into the run;
-      bodies poll [stopped] and wind down cooperatively. [profile] asks
+      clusters). [stop_after] arms the stop flag [stop_after] ns into
+      the run, and bodies poll [stopped] and wind down cooperatively.
+      The simulated runtime ends the run at [stop_after], leaving
+      unfinished the threads still busy there; the native one returns
+      when every thread has finished. Either way, work done after the
+      flag is set is outside the run's window, and a caller that
+      measures counts none of it. Without [stop_after] the call returns
+      when every thread has finished. [profile] asks
       for per-site coherence attribution ([run_stats.sites]); runtimes
       that cannot attribute (the native one) accept and ignore it.
 

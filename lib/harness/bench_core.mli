@@ -15,7 +15,7 @@ type result = {
   lock_name : string;
   n_threads : int;
   duration_ns : int;  (** measurement window (simulated or wall ns). *)
-  iterations : int;  (** critical/non-critical section pairs completed. *)
+  iterations : int;  (** pairs whose grant came inside the window. *)
   throughput : float;  (** iterations per second of the window. *)
   per_thread : int array;
   fairness_stddev_pct : float;

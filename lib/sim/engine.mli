@@ -141,13 +141,12 @@ val run :
 
     [horizon] is a hard stop: events after it are discarded, the
     fibers still running are unwound (above), and the run returns with
-    [threads_finished < n_threads] instead of raising. A workload that
-    counts only what happens before its deadline runs to it this way
-    (the KV-store runs; the collapse points, through
-    {!Sim_runtime.Windowed}): nothing after the horizon can change what
-    happened before it, and the result's statistics then cover the
-    window alone. It
-    applies to the default heap schedule only; under a [policy] use
+    [threads_finished < n_threads] instead of raising. Every measured
+    run ends at its deadline this way ({!Sim_runtime.run} passes
+    [stop_after] as the horizon; the KV-store, allocator and RW runs
+    pass theirs): nothing after the horizon can change what happened
+    before it, and the result's statistics then cover the window alone.
+    It applies to the default heap schedule only; under a [policy] use
     [max_events] instead.
 
     [policy] switches the engine into explore mode (see above).

@@ -50,9 +50,7 @@
 #                traces of fig2 and fig6 at 1, 8 and 64 threads (the
 #                artifacts' rollups drop tids, so only the trace shows
 #                who acquired when). Only freshly emitted artifacts
-#                participate;
-#                HOSTPERF_*.json is host wall-clock and never
-#                byte-compared.
+#                participate.
 #   bench-diff   regression gate: bench_diff of BENCH_head.json against
 #                the newest committed BENCH_*.json (>10% throughput drop
 #                on any entry fails; every registry lock must have a
