@@ -25,7 +25,7 @@ type result = {
 
 type cs = Counters | Pause of int
 
-type hooks = { before_acquire : unit -> unit; granted : waited:int -> bool }
+type hooks = { before_acquire : unit -> unit; granted : waited:int -> unit }
 
 type workload = {
   salt : int;
@@ -43,7 +43,7 @@ let lbench =
     idle_spread = 4_000 (* idle spin of up to 4 us *);
     thread =
       (fun ~tid:_ _ ->
-        { before_acquire = ignore; granted = (fun ~waited:_ -> true) });
+        { before_acquire = ignore; granted = (fun ~waited:_ -> ()) });
   }
 
 (* Mean of LBench's uniform non-critical delay: the analytic model's
@@ -177,11 +177,10 @@ module Make (M : Memory_intf.MEMORY) (RT : Runtime_intf.RUNTIME) = struct
   (* The one measurement loop behind every entry point. [lock cfg]
      creates the lock: its name and [register], which returns a thread's
      [acquire] (false = aborted) and [release]. The workload gives the
-     critical section, the idle delay and the hooks around each acquire;
-     a grant the hooks leave uncounted, or one made at or after the
-     window's end, still runs its critical section and release. The
-     hooks run first, so a pause they take counts toward the window.
-     Instrumentation state is either per-thread (counts,
+     critical section, the idle delay and the hooks around each acquire.
+     A grant counts only if the window has not ended once [granted] has
+     run (a pause the hook takes comes first); an uncounted grant still
+     runs its critical section and release. Instrumentation state is either per-thread (counts,
      aborts, latency histograms, merged after the join) or mutated only
      inside the critical section (migrations), so it is race-free under
      native domains and does not perturb the simulation. *)
@@ -208,7 +207,8 @@ module Make (M : Memory_intf.MEMORY) (RT : Runtime_intf.RUNTIME) = struct
               let t0 = M.now () in
               if acquire () then begin
                 let waited = M.now () - t0 in
-                if hooks.granted ~waited && not (RT.stopped stop) then begin
+                hooks.granted ~waited;
+                if not (RT.stopped stop) then begin
                   (match latencies.(tid) with
                   | Some h -> Stats.Histogram.add h waited
                   | None ->

@@ -70,19 +70,18 @@ type cs = Counters | Pause of int
 
 (** One thread's hooks: [before_acquire] runs before the acquire's
     latency clock starts; [granted ~waited] right after a grant that took
-    [waited] ns, and [false] leaves the grant out of the iterations,
-    migrations and latencies (its critical section and release still
-    run). A grant is counted only when [granted] returns [true] and the
-    window has not ended after it returned: on either runtime only work
-    done inside the window counts. *)
-type hooks = { before_acquire : unit -> unit; granted : waited:int -> bool }
+    [waited] ns. A grant counts toward the iterations, migrations and
+    latencies only if the window has not ended once [granted] has
+    returned: on either runtime only work done inside the window counts
+    (an uncounted grant still runs its critical section and release). *)
+type hooks = { before_acquire : unit -> unit; granted : waited:int -> unit }
 
 (** A loop iteration: [before_acquire], acquire, [granted], the critical
     section, release, then an idle pause of [idle_min] +
     U\[0, [idle_spread]) ns. Thread [tid]'s PRNG is seeded
     [seed + tid * 7919 + salt], and [thread] makes its hooks from it
     before the first iteration. LBench is salt 13, [Counters], idle
-    0 + U\[0, 4000), and hooks that count every grant. *)
+    0 + U\[0, 4000), and hooks that do nothing. *)
 type workload = {
   salt : int;
   cs : cs;

@@ -397,8 +397,7 @@ let collapse_workload (e : R.entry) ~topology ~n_threads =
             (* Waiter preemption: the spin outlived the quantum, so
                ownership arrived while this thread was descheduled —
                charged while holding. *)
-            deschedule next;
-          true);
+            deschedule next);
     }
   in
   ( {

@@ -7,7 +7,7 @@ let deterministic = true
    the [Sim_mem.now () < stop] check the harness historically performed:
    [Now] is a free effect (no event, no simulated time), so golden
    results are unaffected by how often a body polls. *)
-type stop_flag = { mutable deadline : int option; mutable manual : bool }
+type stop_flag = { deadline : int option; mutable manual : bool }
 
 let request_stop f = f.manual <- true
 
