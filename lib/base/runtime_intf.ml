@@ -104,13 +104,12 @@ module type RUNTIME = sig
       [tid] runs [body ~stop ~tid ~cluster] on cluster
       [Topology.cluster_of_thread topology tid] (round-robin over the
       clusters). [stop_after] arms the stop flag [stop_after] ns into
-      the run, and bodies poll [stopped] and wind down cooperatively.
-      The simulated runtime ends the run at [stop_after], leaving
-      unfinished the threads still busy there; the native one returns
-      when every thread has finished. Either way, work done after the
-      flag is set is outside the run's window, and a caller that
-      measures counts none of it. Without [stop_after] the call returns
-      when every thread has finished. [profile] asks
+      the run, and bodies poll [stopped] and wind down cooperatively;
+      work done after the flag is set is outside the run's window, and
+      a caller that measures counts none of it. The simulated runtime
+      ends the run at [stop_after], leaving unfinished the threads
+      still busy there; otherwise (natively, or without [stop_after])
+      the call returns when every thread has. [profile] asks
       for per-site coherence attribution ([run_stats.sites]); runtimes
       that cannot attribute (the native one) accept and ignore it.
 

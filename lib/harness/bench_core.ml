@@ -180,10 +180,11 @@ module Make (M : Memory_intf.MEMORY) (RT : Runtime_intf.RUNTIME) = struct
      critical section, the idle delay and the hooks around each acquire.
      A grant counts only if the window has not ended once [granted] has
      run (a pause the hook takes comes first); an uncounted grant still
-     runs its critical section and release. Instrumentation state is either per-thread (counts,
-     aborts, latency histograms, merged after the join) or mutated only
-     inside the critical section (migrations), so it is race-free under
-     native domains and does not perturb the simulation. *)
+     runs its critical section and release. Instrumentation state is
+     either per-thread (counts, aborts, latency histograms, merged after
+     the join) or mutated only inside the critical section (migrations),
+     so it is race-free under native domains and does not perturb the
+     simulation. *)
   let run_generic ~workload:w ?name ~rollup ~profile lock ~topology ~cfg
       ~n_threads ~duration ~seed =
     with_rollup ~rollup cfg @@ fun cfg ->

@@ -498,12 +498,60 @@ let ext_blocking =
             } );
         ])
 
+module Rw = (val LR.Table.c_rw_wp)
+module RwMutex = (val LR.Table.get ~global:"BO" ~local:"MCS")
+
+(* Threads share a structure under either a plain cohort mutex or the RW
+   cohort lock; one loop for both: a thread's [lock]/[unlock] take
+   [write], which the plain mutex ignores. The run ends at [duration]
+   and counts the operations completed before it. Returns operations /
+   s. *)
+let rw_run ~use_rw ~topology ~n_threads ~write_ratio ~duration ~seed =
+  let cfg = X.cfg_for topology [ n_threads ] in
+  let ops = ref 0 in
+  let shared = M.cell' 0 in
+  let register =
+    if use_rw then begin
+      let l = Rw.create cfg in
+      fun ~tid ~cluster ->
+        let th = Rw.register l ~tid ~cluster in
+        ( (fun write -> if write then Rw.write_lock th else Rw.read_lock th),
+          fun write -> if write then Rw.write_unlock th else Rw.read_unlock th )
+    end
+    else begin
+      let l = RwMutex.create cfg in
+      fun ~tid ~cluster ->
+        let th = RwMutex.register l ~tid ~cluster in
+        ((fun _ -> RwMutex.acquire th), fun _ -> RwMutex.release th)
+    end
+  in
+  ignore
+    (Numasim.Engine.run ~topology ~n_threads ~horizon:duration
+       (fun ~tid ~cluster ->
+         let lock, unlock = register ~tid ~cluster in
+         let rng = Prng.create (seed + tid) in
+         let rec loop () =
+           if M.now () < duration then begin
+             let write = Prng.chance rng write_ratio in
+             lock write;
+             if write then M.write shared (M.read shared + 1)
+             else ignore (M.read shared);
+             M.pause 150;
+             unlock write;
+             if M.now () < duration then incr ops;
+             M.pause (500 + Prng.int rng 500);
+             loop ()
+           end
+         in
+         loop ()));
+  float_of_int !ops /. (float_of_int duration *. 1e-9)
+
 let ext_rw =
   entry "ext-rw" "Extension: the NUMA-aware reader-writer lock C-RW-WP."
     ~knobs:at_one_count
     (fun env p ->
       let run use_rw write_ratio =
-        X.rw_run ~use_rw ~topology:p.topology ~n_threads:p.n_threads
+        rw_run ~use_rw ~topology:p.topology ~n_threads:p.n_threads
           ~write_ratio ~duration:p.duration ~seed:p.seed
       in
       table env "ext-rw"

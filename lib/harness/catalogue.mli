@@ -98,3 +98,16 @@ val run :
     lands the trace file ([.jsonl] streams JSONL, anything else writes a
     Chrome trace) and the cohort-bench artifact of its sweeps. Rollups
     are on under [emit]. *)
+
+val rw_run :
+  use_rw:bool ->
+  topology:Numa_base.Topology.t ->
+  n_threads:int ->
+  write_ratio:float ->
+  duration:int ->
+  seed:int ->
+  float
+(** One [ext-rw] cell: threads read or (with probability [write_ratio])
+    write one shared cell under C-RW-WP ([use_rw]) or the C-BO-MCS
+    mutex. The run ends at [duration] and counts the operations
+    completed before it, per second. *)

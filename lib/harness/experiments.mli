@@ -136,21 +136,6 @@ val mmicro_pairs_per_ms :
 (** One Table 2 cell: the run ends at [duration] and counts the
     malloc-free pairs completed before it, per millisecond. *)
 
-(** {1 The reader-writer cohort lock} *)
-
-val rw_run :
-  use_rw:bool ->
-  topology:Numa_base.Topology.t ->
-  n_threads:int ->
-  write_ratio:float ->
-  duration:int ->
-  seed:int ->
-  float
-(** One [ext-rw] cell: threads read or (with probability [write_ratio])
-    write one shared cell under C-RW-WP ([use_rw]) or the C-BO-MCS
-    mutex. The run ends at [duration] and counts the operations
-    completed before it, per second. *)
-
 (** {1 Saturation collapse} *)
 
 val collapse_workload :

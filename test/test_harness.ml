@@ -204,7 +204,7 @@ let test_rw_window () =
   List.iter
     (fun use_rw ->
       let ops duration =
-        X.rw_run ~use_rw ~topology:topo ~n_threads:8 ~write_ratio:0.5 ~duration
+        C.rw_run ~use_rw ~topology:topo ~n_threads:8 ~write_ratio:0.5 ~duration
           ~seed:1
       in
       Alcotest.(check (float 0.)) "no operation inside 100 ns" 0. (ops 100);
