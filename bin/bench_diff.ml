@@ -48,17 +48,11 @@ let coh_metrics =
 
 let print_coherence_deltas (b : BJ.t) (c : BJ.t) =
   begin
-    let index = Hashtbl.create 64 in
-    List.iter
-      (fun (e : BJ.entry) ->
-        Hashtbl.replace index
-          (Printf.sprintf "%s/%s/t%d" e.experiment e.lock e.threads)
-          e)
-      c.BJ.entries;
+    let index = BJ.index c in
     let shown = ref 0 in
     List.iter
       (fun (be : BJ.entry) ->
-        let key = Printf.sprintf "%s/%s/t%d" be.experiment be.lock be.threads in
+        let key = BJ.key_of be in
         match Hashtbl.find_opt index key with
         | None -> ()
         | Some ce ->

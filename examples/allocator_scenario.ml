@@ -45,7 +45,7 @@ let run_candidate name (module L : LI.LOCK) =
     "%-10s  %7.0f pairs/ms   %5.1f%% recycled   %9d coherence misses\n" name
     (float_of_int !pairs /. (float_of_int duration /. 1e6))
     (100. *. float_of_int st.Alloc.recycled /. float_of_int st.Alloc.allocs)
-    r.E.coherence.Numasim.Coherence.coherence_misses
+    r.E.profile.Numa_trace.Profile.totals.coherence_misses
 
 let () =
   Printf.printf

@@ -52,7 +52,7 @@ let run_candidate name (module L : LI.LOCK) =
     name
     (Harness.Report.fmt_si tput)
     (100. *. float_of_int !migrations /. float_of_int !ops)
-    r.E.coherence.Numasim.Coherence.coherence_misses
+    r.E.profile.Numa_trace.Profile.totals.coherence_misses
 
 let () =
   Printf.printf

@@ -2,19 +2,19 @@
     written against — the runtime-side counterpart of {!Memory_intf}.
 
     A {!RUNTIME} knows how to start [n] threads placed on clusters by a
-    {!Topology}, give them a shared stop flag and barriers, and report
-    aggregate statistics when the run ends. There are two
-    implementations:
+    {!Topology}, give them a shared stop flag, and report the run's
+    statistics when it ends. There are two implementations:
     - {!Numasim.Sim_runtime}: wraps [Engine.run]; threads are effect
-      fibers, runs are deterministic, and the coherence statistics of the
-      simulation are reported;
+      fibers, runs are deterministic, and the engine's [Profile.t] and
+      event ledger are reported;
     - {!Numa_native.Nat_runtime}: threads are [Domain]s with their
       declared cluster registered in [Nat_mem]; timing is wall-clock.
 
     Writing harness components (benchmark cores, stress campaigns,
     conformance checks) once over [MEMORY] x [RUNTIME] guarantees the
     measured harness and the shipped harness are the same code, exactly
-    as the locks themselves are written once over [MEMORY]. *)
+    as the locks themselves are written once over [MEMORY]. A body reads
+    the clock with [MEMORY]'s [now]. *)
 
 type event_class = {
   ec_class : string;  (** the engine's name for the event class. *)
@@ -38,15 +38,10 @@ type run_stats = {
       (** simulated end time, or wall-clock ns from first spawn to last
           join. *)
   threads_finished : int;
-  coherence : Numa_trace.Profile.coherence option;
-      (** the run's full engine-global coherence counters; simulation
-          substrate only. *)
-  interconnect : Numa_trace.Profile.interconnect option;
-      (** interconnect occupancy/queueing stats; simulation substrate
-          only. *)
-  interconnect_levels : Numa_trace.Profile.interconnect_level list option;
-      (** per-level interconnect stats, outermost level first; simulation
-          substrate only. *)
+  profile : Numa_trace.Profile.t option;
+      (** the run's coherence totals and interconnect statistics, with
+          the per-site table when the run was started with
+          [~profile:true]; simulation substrate only. *)
   sim_events : int option;  (** simulation substrate only. *)
   event_classes : event_class list option;
       (** [sim_events] by class, inlined and scheduled apart; simulation
@@ -54,44 +49,26 @@ type run_stats = {
           the per-class totals do not. *)
   queue_tiers : queue_tiers option;
       (** scheduled events by queue tier; simulation substrate only. *)
-  sites : Numa_trace.Profile.site list option;
-      (** per-site coherence attribution; [Some] iff the run was both on
-          the simulation substrate and started with [~profile:true]. *)
 }
 
 exception Thread_failure of { tid : int; exn : exn; backtrace : string }
-(** An exception escaped a thread body; the run is aborted. Both
-    runtimes translate their internal failure reports into this one
-    exception so substrate-generic callers can match on it. *)
+(** An exception escaped a thread body; the run is aborted. It is the
+    one failure report of both runtimes: [Engine.Thread_failure] is
+    this exception, and the native runtime raises it after the join, so
+    substrate-generic callers match on it alone. *)
 
 module type RUNTIME = sig
-  val name : string
-
   val deterministic : bool
   (** [true] when a run is a pure function of its inputs (the
       simulator); [false] under real parallelism. *)
 
   type stop_flag
-  (** A cooperative shutdown signal visible to every thread of a run.
-      Under the simulator the deadline given to {!run} is part of the
-      flag, so polling it is the deterministic analogue of checking the
-      clock. *)
+  (** A shutdown signal visible to every thread of a run, raised at the
+      deadline given to {!run} (natively, also when a thread fails).
+      Under the simulator the flag is the deadline itself, so polling
+      it is the deterministic analogue of checking the clock. *)
 
-  val request_stop : stop_flag -> unit
   val stopped : stop_flag -> bool
-
-  type barrier
-
-  val make_barrier : n:int -> barrier
-  (** A reusable-once rendezvous for [n] threads. Creation is pure (may
-      happen before the run starts). *)
-
-  val await : barrier -> unit
-  (** Blocks until [n] threads have arrived. *)
-
-  val now : unit -> int
-  (** Monotonic nanoseconds. Inside a run only for the simulated
-      runtime; any time for the native one. *)
 
   val run :
     topology:Topology.t ->
@@ -110,8 +87,9 @@ module type RUNTIME = sig
       ends the run at [stop_after], leaving unfinished the threads
       still busy there; otherwise (natively, or without [stop_after])
       the call returns when every thread has. [profile] asks
-      for per-site coherence attribution ([run_stats.sites]); runtimes
-      that cannot attribute (the native one) accept and ignore it.
+      for per-site coherence attribution (the site table of
+      [run_stats.profile]); runtimes that cannot attribute (the native
+      one) accept and ignore it.
 
       [n_threads] may exceed [Topology.total_threads topology]: surplus
       logical threads wrap onto hardware contexts via

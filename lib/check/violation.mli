@@ -2,9 +2,9 @@
     which lock, who was involved and when (substrate clock).
 
     Raised (as {!Violation}) by the {!Oracle} wrappers from inside a
-    thread body, so inside an engine-managed run it surfaces wrapped in
-    [Engine.Thread_failure] / [Runtime_intf.Thread_failure]; the
-    explorer ({!Explore}) unwraps either and also synthesises violations
+    thread body, so inside a run it surfaces wrapped in
+    [Runtime_intf.Thread_failure] (which [Engine.Thread_failure] is);
+    the explorer ({!Explore}) unwraps it and also synthesises violations
     for deadlock and no-progress outcomes. *)
 
 type t = {

@@ -84,12 +84,12 @@ module Make (M : Memory_intf.MEMORY) (RT : Runtime_intf.RUNTIME) = struct
       fairness_stddev_pct = Stats.stddev_pct spread;
       migrations;
       misses_per_cs =
-        (match stats.Runtime_intf.coherence with
+        (match stats.Runtime_intf.profile with
         | None -> Float.nan
-        | Some c ->
+        | Some p ->
             if iterations = 0 then 0.
             else
-              float_of_int c.Numa_trace.Profile.coherence_misses
+              float_of_int p.Numa_trace.Profile.totals.coherence_misses
               /. float_of_int iterations);
       aborts;
       abort_rate =
@@ -102,24 +102,7 @@ module Make (M : Memory_intf.MEMORY) (RT : Runtime_intf.RUNTIME) = struct
       predicted = None;
       event_classes = Option.value stats.Runtime_intf.event_classes ~default:[];
       queue_tiers = stats.Runtime_intf.queue_tiers;
-      profile =
-        (* Coherence totals and interconnect stats come with every
-           simulated run; the per-site table is filled only when the run
-           was profiled. The native runtime reports neither. *)
-        (match (stats.Runtime_intf.coherence, stats.Runtime_intf.interconnect)
-         with
-        | Some totals, Some icx ->
-            Some
-              {
-                Numa_trace.Profile.sites =
-                  Option.value stats.Runtime_intf.sites ~default:[];
-                totals;
-                icx;
-                icx_levels =
-                  Option.value stats.Runtime_intf.interconnect_levels
-                    ~default:[];
-              }
-        | _ -> None);
+      profile = stats.Runtime_intf.profile;
     }
 
   (* Analytic throughput prediction (doc/SIMULATOR.md "Model

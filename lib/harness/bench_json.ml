@@ -159,6 +159,11 @@ type comparison = {
 
 let key_of e = Printf.sprintf "%s/%s/t%d" e.experiment e.lock e.threads
 
+let index t =
+  let tbl = Hashtbl.create 64 in
+  List.iter (fun e -> Hashtbl.replace tbl (key_of e) e) t.entries;
+  tbl
+
 (* Higher-is-better metrics worth gating on; everything else in the
    artifact is descriptive. *)
 let gated_metrics = [ "throughput" ]
@@ -166,11 +171,7 @@ let gated_metrics = [ "throughput" ]
 let compare_artifacts ~baseline ~current ~threshold_pct =
   let warnings = ref [] in
   let warn fmt = Printf.ksprintf (fun s -> warnings := s :: !warnings) fmt in
-  let index =
-    let tbl = Hashtbl.create 64 in
-    List.iter (fun e -> Hashtbl.replace tbl (key_of e) e) current.entries;
-    tbl
-  in
+  let index = index current in
   let regressions = ref [] in
   List.iter
     (fun be ->

@@ -38,8 +38,15 @@ val to_string : t -> string
 val write : string -> t -> unit
 val read : string -> (t, string) result
 
+val key_of : entry -> string
+(** An entry's key, ["experiment/lock/t<threads>"]: what two artifacts'
+    entries are matched by. *)
+
+val index : t -> (string, entry) Hashtbl.t
+(** The artifact's entries by {!key_of}. *)
+
 type comparison = {
-  key : string;  (** "experiment/lock/t<threads>". *)
+  key : string;  (** {!key_of} of the compared entries. *)
   metric : string;
   baseline : float;
   current : float;

@@ -1,6 +1,5 @@
 open Numa_base
 
-let name = "native"
 let deterministic = false
 
 type stop_flag = bool Nat_mem.cell
@@ -8,24 +7,11 @@ type stop_flag = bool Nat_mem.cell
 let request_stop f = Nat_mem.write f true
 let stopped f = Nat_mem.read f
 
-(* Barriers reuse Nat_mem's monitored wait so parked threads fall back to
-   its sleep escalation — mandatory for progress when domains outnumber
-   cores. *)
-type barrier = { arrived : int Nat_mem.cell; n : int }
-
-let make_barrier ~n = { arrived = Nat_mem.cell' 0; n }
-
-let await b =
-  ignore (Nat_mem.fetch_and_add b.arrived 1);
-  ignore (Nat_mem.wait_until b.arrived (fun v -> v >= b.n))
-
-let now = Nat_mem.now
-
 let run ~topology ~n_threads ?stop_after ?profile:_ body =
   if n_threads < 1 then invalid_arg "Nat_runtime.run: n_threads < 1";
   let stop = Nat_mem.cell' false in
   let failure = Atomic.make None in
-  let t0 = now () in
+  let t0 = Nat_mem.now () in
   let domains =
     List.init n_threads (fun tid ->
         (* Oversubscribed tids wrap onto hardware contexts; each Domain
@@ -54,13 +40,10 @@ let run ~topology ~n_threads ?stop_after ?profile:_ body =
       raise (Runtime_intf.Thread_failure { tid; exn; backtrace })
   | None ->
       {
-        Runtime_intf.elapsed_ns = now () - t0;
+        Runtime_intf.elapsed_ns = Nat_mem.now () - t0;
         threads_finished = n_threads;
-        coherence = None;
-        interconnect = None;
-        interconnect_levels = None;
+        profile = None;
         sim_events = None;
         event_classes = None;
         queue_tiers = None;
-        sites = None;
       }

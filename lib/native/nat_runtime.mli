@@ -3,12 +3,11 @@
     [run] spawns one [Domain] per thread, hands its body the cluster
     [Topology.cluster_of_thread] assigns (the body passes it on to the
     locks' [register]), and joins them all. [stop_after] is served by the
-    spawning thread sleeping and then raising the stop flag — bodies must
-    poll [stopped] to terminate. The stop flag and barriers are built
-    from [Nat_mem] cells, so waiters inherit its sleep-escalation backoff
-    (domains here usually outnumber cores). An exception escaping any body stops the run and is re-raised
-    as {!Numa_base.Runtime_intf.Thread_failure} after all domains have
-    been joined.
+    spawning thread sleeping and then raising the stop flag, a [Nat_mem]
+    cell — bodies must poll [stopped] to terminate. An exception escaping
+    any body raises the flag too, so the other threads wind down, and is
+    re-raised as {!Numa_base.Runtime_intf.Thread_failure} after all
+    domains have been joined.
 
     Oversubscription: [n_threads] beyond the topology's hardware contexts
     is accepted — surplus tids wrap via [Topology.context_of_thread] and

@@ -13,27 +13,7 @@ type transition =
   | Miss_invalidate
   | Memory
 
-(* Per-site attribution row (see profiler below). Mutable so the hot
-   path bumps fields in place; exported immutably via [sites]. *)
-type site_stats = {
-  sp_site : string;
-  mutable sp_lines : int;
-      (* distinct cache lines of this site touched this run: lines
-         attach to a row once per epoch, so the attach point below
-         counts each exactly once. *)
-  mutable sp_accesses : int;
-  mutable sp_l1_hits : int;
-  mutable sp_local_hits : int;
-  mutable sp_remote_transfers : int;
-  mutable sp_memory_misses : int;
-  mutable sp_inval_sent : int;
-  mutable sp_inval_received : int;
-  mutable sp_remote_txns : int;
-  mutable sp_stall_local_ns : int;
-  mutable sp_stall_remote_ns : int;
-  mutable sp_stall_memory_ns : int;
-  mutable sp_stall_interconnect_ns : int;
-}
+module P = Numa_trace.Profile
 
 type line = {
   name : string;
@@ -42,7 +22,9 @@ type line = {
   mutable last_thread : int;
   mutable busy_until : int;
   mutable epoch : int;
-  mutable prow : site_stats option;
+  mutable prow : P.site option;
+      (* the line's profiler row this epoch; its [s_lines] counts the
+         lines attached to it, each once per epoch (see [charge]) *)
   wq : Waitq.t;
 }
 
@@ -58,7 +40,7 @@ type stats = {
   mutable last_xlevel : int;
 }
 
-type profiler = (string, site_stats) Hashtbl.t
+type profiler = (string, P.site) Hashtbl.t
 
 let make_line ?(name = "") () =
   {
@@ -87,58 +69,38 @@ let fresh_stats () =
 
 let make_profiler () : profiler = Hashtbl.create 64
 
-let site_row (p : profiler) name =
-  match Hashtbl.find_opt p name with
+let site_row (p : profiler) site =
+  match Hashtbl.find_opt p site with
   | Some r -> r
   | None ->
       let r =
         {
-          sp_site = name;
-          sp_lines = 0;
-          sp_accesses = 0;
-          sp_l1_hits = 0;
-          sp_local_hits = 0;
-          sp_remote_transfers = 0;
-          sp_memory_misses = 0;
-          sp_inval_sent = 0;
-          sp_inval_received = 0;
-          sp_remote_txns = 0;
-          sp_stall_local_ns = 0;
-          sp_stall_remote_ns = 0;
-          sp_stall_memory_ns = 0;
-          sp_stall_interconnect_ns = 0;
+          P.site;
+          s_lines = 0;
+          s_accesses = 0;
+          s_l1_hits = 0;
+          s_local_hits = 0;
+          s_remote_transfers = 0;
+          s_memory_misses = 0;
+          s_inval_sent = 0;
+          s_inval_received = 0;
+          s_remote_txns = 0;
+          s_stall_local_ns = 0;
+          s_stall_remote_ns = 0;
+          s_stall_memory_ns = 0;
+          s_stall_interconnect_ns = 0;
         }
       in
-      Hashtbl.add p name r;
+      Hashtbl.add p site r;
       r
 
 let sites (p : profiler) =
-  Hashtbl.fold
-    (fun _ (r : site_stats) acc ->
-      {
-        Numa_trace.Profile.site = r.sp_site;
-        s_lines = r.sp_lines;
-        s_accesses = r.sp_accesses;
-        s_l1_hits = r.sp_l1_hits;
-        s_local_hits = r.sp_local_hits;
-        s_remote_transfers = r.sp_remote_transfers;
-        s_memory_misses = r.sp_memory_misses;
-        s_inval_sent = r.sp_inval_sent;
-        s_inval_received = r.sp_inval_received;
-        s_remote_txns = r.sp_remote_txns;
-        s_stall_local_ns = r.sp_stall_local_ns;
-        s_stall_remote_ns = r.sp_stall_remote_ns;
-        s_stall_memory_ns = r.sp_stall_memory_ns;
-        s_stall_interconnect_ns = r.sp_stall_interconnect_ns;
-      }
-      :: acc)
-    p []
-  |> List.sort (fun a b ->
-         compare a.Numa_trace.Profile.site b.Numa_trace.Profile.site)
+  Hashtbl.fold (fun _ r acc -> r :: acc) p []
+  |> List.sort (fun (a : P.site) b -> compare a.site b.site)
 
 let export st =
   {
-    Numa_trace.Profile.accesses = st.accesses;
+    P.accesses = st.accesses;
     l1_hits = st.l1_hits;
     local_hits = st.local_hits;
     coherence_misses = st.coherence_misses;
@@ -205,25 +167,25 @@ let p_local row l =
   match row with
   | None -> ()
   | Some r ->
-      r.sp_local_hits <- r.sp_local_hits + 1;
-      r.sp_stall_local_ns <- r.sp_stall_local_ns + l
+      r.P.s_local_hits <- r.P.s_local_hits + 1;
+      r.P.s_stall_local_ns <- r.P.s_stall_local_ns + l
 
 let p_remote ?(transfer = true) ?(inval_sent = 0) ?(inval_received = 0) row l =
   match row with
   | None -> ()
   | Some r ->
-      if transfer then r.sp_remote_transfers <- r.sp_remote_transfers + 1;
-      r.sp_inval_sent <- r.sp_inval_sent + inval_sent;
-      r.sp_inval_received <- r.sp_inval_received + inval_received;
-      r.sp_remote_txns <- r.sp_remote_txns + 1;
-      r.sp_stall_remote_ns <- r.sp_stall_remote_ns + l
+      if transfer then r.P.s_remote_transfers <- r.P.s_remote_transfers + 1;
+      r.P.s_inval_sent <- r.P.s_inval_sent + inval_sent;
+      r.P.s_inval_received <- r.P.s_inval_received + inval_received;
+      r.P.s_remote_txns <- r.P.s_remote_txns + 1;
+      r.P.s_stall_remote_ns <- r.P.s_stall_remote_ns + l
 
 let p_memory row l =
   match row with
   | None -> ()
   | Some r ->
-      r.sp_memory_misses <- r.sp_memory_misses + 1;
-      r.sp_stall_memory_ns <- r.sp_stall_memory_ns + l
+      r.P.s_memory_misses <- r.P.s_memory_misses + 1;
+      r.P.s_stall_memory_ns <- r.P.s_stall_memory_ns + l
 
 (* The one place each transition's conditions are written. Pure, so the
    engine fast path can classify a line and fall back to the effect path
@@ -265,7 +227,7 @@ let[@inline] settle st line row ~domain ~thread kind =
   st.accesses <- st.accesses + 1;
   (match row with
   | None -> ()
-  | Some r -> r.sp_accesses <- r.sp_accesses + 1);
+  | Some r -> r.P.s_accesses <- r.P.s_accesses + 1);
   (match kind with
   | Read -> ()
   | Write | Rmw ->
@@ -274,15 +236,15 @@ let[@inline] settle st line row ~domain ~thread kind =
   line.last_thread <- thread
 
 (* Counters and attribution of a same-domain hit. The Rmw [atomic_extra]
-   is latency only: it never lands in [sp_stall_local_ns]. *)
+   is latency only: it never lands in [s_stall_local_ns]. *)
 let[@inline] count_hit st row tr ns =
   if tr = L1_hit then begin
     st.l1_hits <- st.l1_hits + 1;
     match row with
     | None -> ()
     | Some r ->
-        r.sp_l1_hits <- r.sp_l1_hits + 1;
-        r.sp_stall_local_ns <- r.sp_stall_local_ns + ns
+        r.P.s_l1_hits <- r.P.s_l1_hits + 1;
+        r.P.s_stall_local_ns <- r.P.s_stall_local_ns + ns
   end
   else begin
     st.local_hits <- st.local_hits + 1;
@@ -330,7 +292,7 @@ let charge ?prof st (topo : Tp.t) line ~now ~epoch ~domain ~thread kind tr =
         | None ->
             let r = site_row p line.name in
             line.prow <- Some r;
-            r.sp_lines <- r.sp_lines + 1;
+            r.P.s_lines <- r.P.s_lines + 1;
             Some r)
   in
   let lat = topo.Tp.latency in

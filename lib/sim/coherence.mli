@@ -51,28 +51,6 @@ type transition =
           every sharer. *)
   | Memory  (** no cache holds the line. *)
 
-type site_stats = {
-  sp_site : string;  (** the site label this row attributes to. *)
-  mutable sp_lines : int;
-      (** distinct lines of this site touched this run (rows attach to
-          a line once per epoch). *)
-  mutable sp_accesses : int;
-  mutable sp_l1_hits : int;
-  mutable sp_local_hits : int;
-  mutable sp_remote_transfers : int;
-  mutable sp_memory_misses : int;
-  mutable sp_inval_sent : int;
-  mutable sp_inval_received : int;
-  mutable sp_remote_txns : int;
-  mutable sp_stall_local_ns : int;
-  mutable sp_stall_remote_ns : int;
-  mutable sp_stall_memory_ns : int;
-  mutable sp_stall_interconnect_ns : int;
-}
-(** One profiler row. Fields are mutable (and the record public) so the
-    engine can charge interconnect queueing to [sp_stall_interconnect_ns]
-    at its own call site; export via {!sites} for immutable data. *)
-
 type line = private {
   name : string;  (** allocation-site label; [""] if unlabelled. *)
   mutable owner : int;  (** cluster holding the line Modified; -1 if none *)
@@ -80,10 +58,11 @@ type line = private {
   mutable last_thread : int;  (** last accessing thread, for L1 modelling *)
   mutable busy_until : int;  (** line occupied by a transfer until then *)
   mutable epoch : int;  (** run id; state auto-resets across runs *)
-  mutable prow : site_stats option;
+  mutable prow : Numa_trace.Profile.site option;
       (** cached profiler row for [name]; reset with the epoch so stale
           rows never leak across runs. Filled by [access] when a
-          profiler is passed. *)
+          profiler is passed; the engine charges interconnect queueing
+          to its [s_stall_interconnect_ns] at its own call site. *)
   wq : Waitq.t;
       (** threads parked on this line ([Engine]'s wait queue; stored
           here so a write reaches its waiters with one field load and a
@@ -121,7 +100,8 @@ val fresh_stats : unit -> stats
 val make_profiler : unit -> profiler
 
 val sites : profiler -> Numa_trace.Profile.site list
-(** Immutable snapshot of the attribution table, sorted by site label. *)
+(** The attribution table's rows, sorted by site label. The rows are the
+    profiler's own: read them once the run has ended. *)
 
 val export : stats -> Numa_trace.Profile.coherence
 (** Immutable snapshot of the engine-global counters. *)

@@ -38,7 +38,7 @@ type _ Effect.t +=
   | Now : int Effect.t
 
 exception Deadlock of { live : int; blocked : int; at : int }
-exception Thread_failure of { tid : int; exn : exn; backtrace : string }
+exception Thread_failure = Runtime_intf.Thread_failure
 
 (* Raised into every fiber a stopped run leaves unfinished (see
    [unwind]): only [discontinue] frees a suspended fiber's stack. *)
@@ -85,19 +85,13 @@ let[@inline] slot = function
 let all_classes =
   [ Start; Op_read; Op_write; Op_rmw; Spin_check; Spin_wake; Timeout; Resume ]
 
-type class_count = { cls : ev_class; inlined : int; scheduled : int }
-
 type result = {
   end_time : int;
-  coherence : Coherence.stats;
   events : int;
   threads_finished : int;
-  fp_hits : int;
-  classes : class_count list;
+  classes : Runtime_intf.event_class list;
   tiers : Runtime_intf.queue_tiers;
-  icx : Numa_trace.Profile.interconnect;
-  icx_levels : Numa_trace.Profile.interconnect_level list;
-  sites : Numa_trace.Profile.site list option;
+  profile : Numa_trace.Profile.t;
 }
 
 (* Mutable so explore mode can reuse candidate arrays across steps
@@ -294,8 +288,8 @@ let cross eng ~cluster ~thread line lat ~inval =
   (if q > 0 then
      match line.Coherence.prow with
      | Some r ->
-         r.Coherence.sp_stall_interconnect_ns <-
-           r.Coherence.sp_stall_interconnect_ns + q
+         r.Numa_trace.Profile.s_stall_interconnect_ns <-
+           r.Numa_trace.Profile.s_stall_interconnect_ns + q
      | None -> ());
   let ns = lat + q in
   (if Numa_trace.Sink.enabled eng.trace then
@@ -874,15 +868,17 @@ let handler fb =
 let mk_result eng ~n_threads =
   {
     end_time = eng.now;
-    coherence = eng.cstats;
     events = eng.events;
     threads_finished = n_threads - eng.live;
-    fp_hits = Array.fold_left ( + ) 0 eng.inlined;
     classes =
       List.map
         (fun cls ->
           let i = slot cls in
-          { cls; inlined = eng.inlined.(i); scheduled = eng.scheduled.(i) })
+          {
+            Runtime_intf.ec_class = class_to_string cls;
+            ec_inlined = eng.inlined.(i);
+            ec_scheduled = eng.scheduled.(i);
+          })
         all_classes;
     tiers =
       (let qt_near, qt_coarse, qt_overflow =
@@ -891,9 +887,14 @@ let mk_result eng ~n_threads =
          | Explore _ -> (0, 0, 0)
        in
        { Runtime_intf.qt_near; qt_coarse; qt_overflow });
-    icx = Interconnect.export eng.icx;
-    icx_levels = Interconnect.export_levels eng.icx;
-    sites = Option.map Coherence.sites eng.prof;
+    profile =
+      {
+        Numa_trace.Profile.sites =
+          (match eng.prof with Some p -> Coherence.sites p | None -> []);
+        totals = Coherence.export eng.cstats;
+        icx = Interconnect.export eng.icx;
+        icx_levels = Interconnect.export_levels eng.icx;
+      };
   }
 
 let run_explore eng ex ~n_threads =
@@ -997,6 +998,10 @@ let release_queue h =
 let run ~topology ~n_threads ?horizon ?policy ?max_events ?(profile = false)
     ?(trace = Numa_trace.Sink.noop) body =
   if n_threads < 1 then invalid_arg "Engine.run: n_threads < 1";
+  (match (policy, horizon, max_events) with
+  | Some _, Some _, _ -> invalid_arg "Engine.run: ~horizon with ~policy"
+  | None, _, Some _ -> invalid_arg "Engine.run: ~max_events without ~policy"
+  | _ -> ());
   let mode =
     match policy with
     | None -> Heap (take_queue ())

@@ -43,40 +43,28 @@ type ev_class =
 
 val class_to_string : ev_class -> string
 
-type class_count = {
-  cls : ev_class;
-  inlined : int;  (** events of the class retired inline by the fast path. *)
-  scheduled : int;  (** events of the class run from the pending set. *)
-}
-(** The event ledger: every event a run processed, by class. *)
-
 type result = {
   end_time : int;  (** simulated ns at which the last event ran. *)
-  coherence : Coherence.stats;
   events : int;  (** total events processed, inlined ones included. *)
   threads_finished : int;
-  fp_hits : int;
-      (** events retired inline by the fast path (see {!set_fastpath}):
-          the sum of [classes]' [inlined] counts, a subset of [events].
-          In explore mode these are forced steps only; always [0] with
-          the fast path disabled. *)
-  classes : class_count list;
-      (** one row per {!ev_class}, in declaration order; the counts sum
-          to [events]. Which events retired inline is diagnostic only:
-          the per-class totals, every other field and the schedule
-          itself are independent of the fast path. *)
+  classes : Numa_base.Runtime_intf.event_class list;
+      (** the event ledger: one row per {!ev_class}, in declaration
+          order, named by {!class_to_string}, with the events of the
+          class retired inline by the fast path (see {!set_fastpath};
+          in explore mode forced steps only) and those run from the
+          pending set apart; the counts sum to [events]. Which events
+          retired inline is diagnostic only: the per-class totals,
+          every other field and the schedule itself are independent of
+          the fast path. *)
   tiers : Numa_base.Runtime_intf.queue_tiers;
       (** the scheduled events by the queue tier each was added to;
           zeros in explore mode, which has no queue. Like the
           inlined/scheduled split, it depends on the fast path. *)
-  icx : Numa_trace.Profile.interconnect;
-      (** interconnect occupancy/queueing statistics for the run,
-          aggregated over every level. *)
-  icx_levels : Numa_trace.Profile.interconnect_level list;
-      (** per-level interconnect statistics, outermost level first; a
-          single row on flat machines. *)
-  sites : Numa_trace.Profile.site list option;
-      (** per-site attribution table; [Some] iff run with [~profile:true]. *)
+  profile : Numa_trace.Profile.t;
+      (** the run's coherence totals and interconnect statistics
+          (aggregate and per level, outermost level first; a single
+          level on flat machines), and the per-site attribution table
+          when run with [~profile:true] ([[]] otherwise). *)
 }
 
 exception Deadlock of { live : int; blocked : int; at : int }
@@ -84,7 +72,9 @@ exception Deadlock of { live : int; blocked : int; at : int }
     untimed [wait_until]. *)
 
 exception Thread_failure of { tid : int; exn : exn; backtrace : string }
-(** An exception escaped a thread body; the run is aborted. *)
+(** An exception escaped a thread body; the run is aborted. This is
+    {!Numa_base.Runtime_intf.Thread_failure} itself (the implementation
+    rebinds it), so a match on either name catches it. *)
 
 (** {1 Scheduling policy (schedule exploration)}
 
@@ -150,20 +140,23 @@ val run :
     [max_events] instead.
 
     [policy] switches the engine into explore mode (see above).
-    [max_events] bounds the number of events processed in explore mode;
-    reaching the bound returns with [threads_finished < n_threads]
+    [max_events] bounds the number of events processed in explore mode
+    only; reaching the bound returns with [threads_finished < n_threads]
     instead of raising [Deadlock] — a livelock backstop.
 
-    [profile] turns on per-site coherence attribution (the run's
-    [result.sites]); [trace] receives one {!Numa_trace.Event.Coh_transfer}
-    or [Coh_invalidate] event per cross-cluster transaction. Both are
+    [profile] turns on per-site coherence attribution (the site table
+    of the run's [result.profile]); [trace] receives one
+    {!Numa_trace.Event.Coh_transfer} or [Coh_invalidate] event per
+    cross-cluster transaction. Both are
     stats-/event-side only — a profiled or coherence-traced run is
     schedule-identical to a plain one (pinned by test_profile). The
     coherence trace is deliberately a separate sink from lock-event
     tracing: it fires per remote transaction and would flood a lock-event
     rollup ring.
 
-    @raise Invalid_argument if [n_threads < 1]. *)
+    @raise Invalid_argument if [n_threads < 1], if [horizon] is given
+    with a [policy], or if [max_events] is given without one: each mode
+    has its own stop rule and would ignore the other's. *)
 
 (** {1 Fast path}
 
@@ -185,7 +178,7 @@ val set_fastpath : bool -> unit
     operation through the effect handler — same schedules, same stats,
     same artifacts, byte for byte (pinned by test_fastpath and the CI
     determinism stage); only host speed and which events retire inline
-    ([result.fp_hits], the split of each [result.classes] row) change.
+    (the split of each [result.classes] row, and [result.tiers]) change.
     For A/B measurement (the repo benchmark's
     [engine.fastpath_saving_pct]) and differential testing. *)
 

@@ -26,19 +26,19 @@ type interconnect_level = {
 
 type site = {
   site : string;
-  s_lines : int;
-  s_accesses : int;
-  s_l1_hits : int;
-  s_local_hits : int;
-  s_remote_transfers : int;
-  s_memory_misses : int;
-  s_inval_sent : int;
-  s_inval_received : int;
-  s_remote_txns : int;
-  s_stall_local_ns : int;
-  s_stall_remote_ns : int;
-  s_stall_memory_ns : int;
-  s_stall_interconnect_ns : int;
+  mutable s_lines : int;
+  mutable s_accesses : int;
+  mutable s_l1_hits : int;
+  mutable s_local_hits : int;
+  mutable s_remote_transfers : int;
+  mutable s_memory_misses : int;
+  mutable s_inval_sent : int;
+  mutable s_inval_received : int;
+  mutable s_remote_txns : int;
+  mutable s_stall_local_ns : int;
+  mutable s_stall_remote_ns : int;
+  mutable s_stall_memory_ns : int;
+  mutable s_stall_interconnect_ns : int;
 }
 
 type t = {

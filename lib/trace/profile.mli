@@ -6,10 +6,12 @@
     coherence counters, interconnect occupancy/queueing statistics, and —
     when per-site profiling was enabled for the run — a table of per-site
     rows attributing traffic and stall time to the allocation site (the
-    [?name] label) of each cache line. Everything here is immutable
-    host-side data; collecting it mutates statistics only, never simulated
-    latencies, so profiles are schedule-neutral by construction (see
-    doc/SIMULATOR.md, "Profiling and attribution"). *)
+    [?name] label) of each cache line. A {!site} row is the
+    profiler's own counter record, which the engine bumps in place during
+    the run; once the run has returned nothing mutates it. Collecting a
+    profile mutates statistics only, never simulated latencies, so
+    profiles are schedule-neutral by construction (see doc/SIMULATOR.md,
+    "Profiling and attribution"). *)
 
 type coherence = {
   accesses : int;
@@ -48,26 +50,29 @@ type interconnect_level = {
 
 type site = {
   site : string;  (** the line's [?name] label; [""] if unlabelled. *)
-  s_lines : int;
+  mutable s_lines : int;
       (** distinct cache lines of this site touched during the run —
           the site's memory footprint in lines (e.g. one per queue node
           for ["mcs.node"], one per partition for ["ptl.slot"]). *)
-  s_accesses : int;
-  s_l1_hits : int;
-  s_local_hits : int;  (** cluster-local hits and silent upgrades. *)
-  s_remote_transfers : int;  (** cache-to-cache transfers of this line. *)
-  s_memory_misses : int;
-  s_inval_sent : int;  (** writes here that invalidated remote copies. *)
-  s_inval_received : int;  (** remote copies of this line invalidated. *)
-  s_remote_txns : int;
-  s_stall_local_ns : int;  (** latency paid on local hits/upgrades. *)
-  s_stall_remote_ns : int;
+  mutable s_accesses : int;
+  mutable s_l1_hits : int;
+  mutable s_local_hits : int;  (** cluster-local hits and silent upgrades. *)
+  mutable s_remote_transfers : int;  (** cache-to-cache transfers of this line. *)
+  mutable s_memory_misses : int;
+  mutable s_inval_sent : int;  (** writes here that invalidated remote copies. *)
+  mutable s_inval_received : int;  (** remote copies of this line invalidated. *)
+  mutable s_remote_txns : int;
+  mutable s_stall_local_ns : int;  (** latency paid on local hits/upgrades. *)
+  mutable s_stall_remote_ns : int;
       (** latency paid on cross-cluster transfers, incl. per-line
           queueing. *)
-  s_stall_memory_ns : int;
-  s_stall_interconnect_ns : int;
+  mutable s_stall_memory_ns : int;
+  mutable s_stall_interconnect_ns : int;
       (** additional queueing for an interconnect channel. *)
 }
+(** One site's row. The counters are mutable because the row is the
+    profiler's own: the simulation engine bumps them in place during
+    the run, so the run's profile hands the rows over without a copy. *)
 
 type t = {
   sites : site list;

@@ -396,7 +396,7 @@ let test_alloc_charged_in_sim () =
     (r.Numasim.Engine.end_time > 0);
   Alcotest.(check bool)
     "memory accesses recorded" true
-    (r.Numasim.Engine.coherence.Numasim.Coherence.accesses > 4)
+    (r.Numasim.Engine.profile.Numa_trace.Profile.totals.accesses > 4)
 
 let test_kv_charged_in_sim () =
   let t = SKv.create ~n_buckets:8 () in
@@ -414,7 +414,7 @@ let test_kv_charged_in_sim () =
      cluster: at least one coherence miss. *)
   Alcotest.(check bool)
     "cross-cluster item traffic" true
-    (r.Numasim.Engine.coherence.Numasim.Coherence.coherence_misses >= 1)
+    (r.Numasim.Engine.profile.Numa_trace.Profile.totals.coherence_misses >= 1)
 
 (* A set-heavy body that also inserts an absent key per thread and
    spaces its operations past [lru_resolution], so LRU stamps, bucket
@@ -456,7 +456,7 @@ let test_kv_reset_exact () =
   let open Numasim.Engine in
   Alcotest.(check int) "end time" r1.end_time r2.end_time;
   Alcotest.(check int) "events" r1.events r2.events;
-  Alcotest.(check bool) "coherence counters" true (r1.coherence = r2.coherence)
+  Alcotest.(check bool) "coherence counters" true (r1.profile.totals = r2.profile.totals)
 
 (* [reset] re-initialises only the cells the runs wrote: a store used by
    two runs (sets, LRU-touching gets, inserts, every stats counter) and

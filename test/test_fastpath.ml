@@ -2,8 +2,8 @@
    the inline path must be observationally IDENTICAL to the effect path —
    value histories, timestamps, event counts, coherence stats, profiler
    attribution and trace streams all byte-equal with the fast path on vs
-   forced off. Only which events inline may differ ([result.fp_hits] and
-   the inlined/scheduled split of the event ledger; host speed), so every
+   forced off. Only which events inline may differ (the inlined/scheduled
+   split of the event ledger, the queue tiers; host speed), so every
    comparison here deliberately excludes it. Explore mode inlines only
    forced steps, so schedule exploration (steps, reports, fuzz traces)
    must agree on/off for every microbench lock and every mutant. Plus
@@ -14,7 +14,6 @@
 
 module M = Numasim.Sim_mem
 module E = Numasim.Engine
-module C = Numasim.Coherence
 module Topology = Numa_base.Topology
 module LI = Cohort.Lock_intf
 module R = Harness.Lock_registry
@@ -25,14 +24,19 @@ let with_fastpath b f =
   E.set_fastpath b;
   Fun.protect ~finally:(fun () -> E.set_fastpath saved) f
 
-(* Everything observable about a run except [fp_hits]. *)
+(* Events a run retired inline, over every class of its ledger. *)
+let inlined (r : E.result) =
+  List.fold_left
+    (fun a c -> a + c.Numa_base.Runtime_intf.ec_inlined)
+    0 r.E.classes
+
+(* Everything observable about a run except its ledger's split. *)
 type outcome = {
   o_log : (int * int) list;  (** (tid, value) in per-thread program order *)
   o_end_time : int;
   o_events : int;
   o_finished : int;
-  o_coh : Numa_trace.Profile.coherence;
-  o_sites : Numa_trace.Profile.site list option;
+  o_profile : Numa_trace.Profile.t;
 }
 
 let outcome_equal a b = compare a b = 0
@@ -86,8 +90,7 @@ let run_mops ~topology ~profile ~fastpath (threads_ops : mop list array) =
     o_end_time = r.E.end_time;
     o_events = r.E.events;
     o_finished = r.E.threads_finished;
-    o_coh = C.export r.E.coherence;
-    o_sites = r.E.sites;
+    o_profile = r.E.profile;
   }
 
 let mop_gen =
@@ -160,8 +163,7 @@ let scenario name mk =
       o_end_time = r.E.end_time;
       o_events = r.E.events;
       o_finished = r.E.threads_finished;
-      o_coh = C.export r.E.coherence;
-      o_sites = r.E.sites;
+      o_profile = r.E.profile;
     }
   in
   Alcotest.(check bool) name true (outcome_equal (go ~fastpath:true) (go ~fastpath:false))
@@ -353,12 +355,12 @@ let test_explore_forced_only () =
   let forced =
     List.length (List.filter (fun (_, n, _, _, _, _) -> n = 1) log_on)
   in
-  Alcotest.(check bool) "heap mode inlines" true (heap.E.fp_hits > 0);
-  Alcotest.(check bool) "explore mode inlines" true (on.E.fp_hits > 0);
+  Alcotest.(check bool) "heap mode inlines" true (inlined heap > 0);
+  Alcotest.(check bool) "explore mode inlines" true (inlined on > 0);
   Alcotest.(check bool)
-    "explore inlines forced steps only" true (on.E.fp_hits <= forced);
+    "explore inlines forced steps only" true (inlined on <= forced);
   Alcotest.(check int) "explore with the toggle off inlines nothing" 0
-    off.E.fp_hits;
+    (inlined off);
   Alcotest.(check bool) "policy sees identical steps" true (log_on = log_off);
   Alcotest.(check int) "every event is a step" on.E.events (List.length log_on);
   Alcotest.(check int)
@@ -367,23 +369,21 @@ let test_explore_forced_only () =
 
 let test_toggle_off_disables () =
   let r = with_fastpath false contended_run in
-  Alcotest.(check int) "disabled toggle never inlines" 0 r.E.fp_hits
+  Alcotest.(check int) "disabled toggle never inlines" 0 (inlined r)
 
-(* The ledger accounts for every event exactly once: inlined counts sum
-   to [fp_hits] and all counts to [events], in both modes, on and off,
+(* The ledger accounts for every event exactly once: its counts sum to
+   [events], in both modes, on and off,
    with timed waits (one times out, one is woken), and on a run cut at
    its horizon (discarded events count nowhere). *)
 let test_ledger_sums () =
   let check what (r : E.result) =
-    let sum f = List.fold_left (fun acc c -> acc + f c) 0 r.E.classes in
-    Alcotest.(check int)
-      (what ^ ": inlined sum to fp_hits")
-      r.E.fp_hits
-      (sum (fun c -> c.E.inlined));
     Alcotest.(check int)
       (what ^ ": all sum to events")
       r.E.events
-      (sum (fun c -> c.E.inlined + c.E.scheduled))
+      (List.fold_left
+         (fun acc (c : Numa_base.Runtime_intf.event_class) ->
+           acc + c.ec_inlined + c.ec_scheduled)
+         0 r.E.classes)
   in
   let cut () =
     let flag = M.cell' ~name:"fp.flag" 0 in

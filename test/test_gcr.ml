@@ -49,32 +49,16 @@ let gcr_entry ?(wrap = Fun.id) ~k ~rotate sink =
    bodies wind down exactly where they would on [Sim_runtime], and the
    benchmark loop still counts only the grants before it. *)
 module Draining = struct
-  module S = Numasim.Sim_runtime
-
-  let name = "sim-draining"
   let deterministic = true
 
-  type stop_flag = { deadline : int option; mutable manual : bool }
+  type stop_flag = int
 
-  let request_stop f = f.manual <- true
-
-  let stopped f =
-    f.manual
-    ||
-    match f.deadline with
-    | Some d -> Numasim.Sim_mem.now () >= d
-    | None -> false
-
-  type barrier = S.barrier
-
-  let make_barrier = S.make_barrier
-  let await = S.await
-  let now = S.now
+  let stopped deadline = Numasim.Sim_mem.now () >= deadline
 
   let run ~topology ~n_threads ?stop_after ?profile body =
-    let stop = { deadline = stop_after; manual = false } in
-    S.run ~topology ~n_threads ?profile (fun ~stop:_ ~tid ~cluster ->
-        body ~stop ~tid ~cluster)
+    let stop = Option.value stop_after ~default:max_int in
+    Numasim.Sim_runtime.run ~topology ~n_threads ?profile
+      (fun ~stop:_ ~tid ~cluster -> body ~stop ~tid ~cluster)
 end
 
 module Drained = Harness.Bench_core.Make (Numasim.Sim_mem) (Draining)

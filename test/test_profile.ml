@@ -13,7 +13,6 @@
 
 open Numa_base
 module E = Numasim.Engine
-module C = Numasim.Coherence
 module M = Numasim.Sim_mem
 module T = Numa_trace
 module P = Numa_trace.Profile
@@ -60,9 +59,9 @@ let scenario ?profile ?trace () =
       end)
 
 let sites_of r =
-  match r.E.sites with
-  | Some s -> s
-  | None -> Alcotest.fail "profiled run returned no site table"
+  match r.E.profile.P.sites with
+  | [] -> Alcotest.fail "profiled run returned no site table"
+  | s -> s
 
 let render (s : P.site) =
   Printf.sprintf "%s acc=%d l1=%d loc=%d xfer=%d mem=%d is=%d ir=%d rtx=%d"
@@ -107,7 +106,7 @@ let test_site_attribution () =
         = (s.P.s_remote_transfers > 0 || s.P.s_inval_sent > 0)))
     sites;
   (* Site rows must tie out against the engine-global totals. *)
-  let tot = C.export r.E.coherence in
+  let tot = r.E.profile.P.totals in
   let sum f = List.fold_left (fun a s -> a + f s) 0 sites in
   Alcotest.(check int) "accesses tie out" tot.P.accesses
     (sum (fun s -> s.P.s_accesses));
@@ -129,11 +128,11 @@ let test_profile_off_identical () =
   Alcotest.(check int) "event count identical" plain.E.events
     profiled.E.events;
   Alcotest.(check bool) "coherence totals identical" true
-    (C.export plain.E.coherence = C.export profiled.E.coherence);
+    (plain.E.profile.P.totals = profiled.E.profile.P.totals);
   Alcotest.(check bool) "interconnect stats identical" true
-    (plain.E.icx = profiled.E.icx);
+    (plain.E.profile.P.icx = profiled.E.profile.P.icx);
   Alcotest.(check bool) "plain run has no site table" true
-    (plain.E.sites = None);
+    (plain.E.profile.P.sites = []);
   Alcotest.(check bool) "trace captured coherence events" true
     (T.Ring.length ring > 0)
 
@@ -178,12 +177,12 @@ let test_coh_events () =
 
 let test_interconnect_stats () =
   let r = scenario () in
-  let tot = C.export r.E.coherence in
+  let tot = r.E.profile.P.totals in
   Alcotest.(check int) "one channel acquisition per remote txn"
-    tot.P.remote_txns r.E.icx.P.txns;
-  Alcotest.(check bool) "busy time accrued" true (r.E.icx.P.busy_ns > 0);
+    tot.P.remote_txns r.E.profile.P.icx.P.txns;
+  Alcotest.(check bool) "busy time accrued" true (r.E.profile.P.icx.P.busy_ns > 0);
   Alcotest.(check bool) "queue stats sane" true
-    (r.E.icx.P.queue_ns >= 0 && r.E.icx.P.peak_queue >= 0)
+    (r.E.profile.P.icx.P.queue_ns >= 0 && r.E.profile.P.icx.P.peak_queue >= 0)
 
 (* --- the paper claim as a test ------------------------------------------ *)
 

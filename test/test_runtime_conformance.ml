@@ -2,9 +2,9 @@
    both implementations: Numasim.Sim_runtime (effect fibers) and
    Numa_native.Nat_runtime (real domains). Mirrors
    test_memory_conformance.ml's role for MEMORY: every harness-visible
-   behaviour — topology placement, stop-flag visibility, barriers,
-   failure reporting (checker violations raised natively) — must hold on
-   both substrates. Native pacing uses pauses long enough to reach
+   behaviour — topology placement, the stop flag's deadline,
+   oversubscription, failure reporting (checker violations raised
+   natively) — must hold on both substrates. Native pacing uses pauses long enough to reach
    Nat_mem's sleeping tier, so oversubscribed domains still interleave. *)
 
 open Numa_base
@@ -61,7 +61,7 @@ struct
     let stop_after = 100 * P.tick in
     let iters = Array.make n 0 in
     let seen_at = Array.make n (-1) in
-    let start = if RT.deterministic then 0 else RT.now () in
+    let start = if RT.deterministic then 0 else M.now () in
     let stats =
       RT.run ~topology:topo4 ~n_threads:n ~stop_after
         (fun ~stop ~tid ~cluster:_ ->
@@ -69,7 +69,7 @@ struct
             M.pause P.tick;
             iters.(tid) <- iters.(tid) + 1
           done;
-          seen_at.(tid) <- RT.now ())
+          seen_at.(tid) <- M.now ())
     in
     if RT.deterministic then
       Alcotest.(check bool)
@@ -92,45 +92,7 @@ struct
             (seen_at.(tid) >= start + stop_after))
       iters;
     Alcotest.(check bool) "sim-only stats present iff deterministic" true
-      (RT.deterministic = (stats.Runtime_intf.coherence <> None));
-    Alcotest.(check bool) "interconnect stats ride with coherence stats" true
-      ((stats.Runtime_intf.coherence <> None)
-      = (stats.Runtime_intf.interconnect <> None))
-
-  let test_manual_stop () =
-    let n = 4 in
-    let finished = Array.make n false in
-    let stats =
-      RT.run ~topology:topo4 ~n_threads:n (fun ~stop ~tid ~cluster:_ ->
-          if tid = 0 then begin
-            M.pause (10 * P.tick);
-            RT.request_stop stop
-          end
-          else
-            while not (RT.stopped stop) do
-              M.pause P.tick
-            done;
-          finished.(tid) <- true)
-    in
-    Alcotest.(check int)
-      "stop propagated to every thread" n stats.Runtime_intf.threads_finished;
-    Alcotest.(check bool) "every body ran to completion" true
-      (Array.for_all Fun.id finished)
-
-  let test_barrier () =
-    let n = 4 in
-    let b = RT.make_barrier ~n in
-    let arrived = Array.make n false in
-    let stragglers = Atomic.make 0 in
-    ignore
-      (RT.run ~topology:topo4 ~n_threads:n (fun ~stop:_ ~tid ~cluster:_ ->
-           (* Stagger arrivals so the barrier actually holds threads. *)
-           M.pause (tid * P.tick);
-           arrived.(tid) <- true;
-           RT.await b;
-           if not (Array.for_all Fun.id arrived) then Atomic.incr stragglers));
-    Alcotest.(check int)
-      "no thread crossed before all arrived" 0 (Atomic.get stragglers)
+      (RT.deterministic = (stats.Runtime_intf.profile <> None))
 
   (* More logical threads than the machine has contexts: the runtime
      wraps them (tid mod contexts) instead of refusing, and every fiber
@@ -248,20 +210,18 @@ struct
         reused.Runtime_intf.elapsed_ns;
       Alcotest.(check bool)
         "same coherence counters as a fresh line" true
-        (fresh.Runtime_intf.coherence = reused.Runtime_intf.coherence);
+        (fresh.Runtime_intf.profile = reused.Runtime_intf.profile);
       Alcotest.(check (option int))
         "one memory miss" (Some 1)
         (Option.map
-           (fun c -> c.Numa_trace.Profile.memory_misses)
-           reused.Runtime_intf.coherence)
+           (fun p -> p.Numa_trace.Profile.totals.memory_misses)
+           reused.Runtime_intf.profile)
     end
 
   let suite speed =
     [
       Alcotest.test_case "topology placement" speed test_placement;
       Alcotest.test_case "stop flag: deadline" speed test_stop_after;
-      Alcotest.test_case "stop flag: manual request" speed test_manual_stop;
-      Alcotest.test_case "barrier" speed test_barrier;
       Alcotest.test_case "oversubscribed run" speed test_oversubscribed;
       Alcotest.test_case "park/unpark oversubscribed" speed
         test_park_oversubscribed;

@@ -4,6 +4,11 @@ open Numa_base
 module E = Numasim.Engine
 module M = Numasim.Sim_mem
 module H = Numasim.Event_heap
+module P = Numa_trace.Profile
+
+(* Events a run retired inline, over every class of its ledger. *)
+let inlined (r : E.result) =
+  List.fold_left (fun a c -> a + c.Runtime_intf.ec_inlined) 0 r.E.classes
 
 let topo = Topology.small
 
@@ -255,7 +260,7 @@ let test_determinism () =
             M.pause 17
           done)
     in
-    (r.E.end_time, r.E.events, r.E.coherence.Numasim.Coherence.accesses)
+    (r.E.end_time, r.E.events, r.E.profile.P.totals.P.accesses)
   in
   let a = run () and b = run () in
   Alcotest.(check bool) "identical runs" true (a = b)
@@ -384,7 +389,7 @@ let test_coherence_miss_counted () =
   in
   Alcotest.(check bool)
     "at least one coherence miss" true
-    (r.E.coherence.Numasim.Coherence.coherence_misses >= 1)
+    (r.E.profile.P.totals.P.coherence_misses >= 1)
 
 let test_uniform_latency_no_numa_penalty () =
   (* Under the uniform (UMA) profile remote and local transfers cost the
@@ -419,7 +424,7 @@ let test_false_sharing_costs () =
             M.write c 1
           done)
     in
-    r.E.coherence.Numasim.Coherence.coherence_misses
+    r.E.profile.P.totals.P.coherence_misses
   in
   let shared_misses = run true in
   let split_misses = run false in
@@ -496,6 +501,27 @@ let test_pause_zero_and_negative () =
          M.pause 1));
   Alcotest.(check pass) "no crash" () ()
 
+(* Each mode has its own stop rule: the heap schedule stops at its
+   horizon, explore mode at its event cap. Given to the other mode, the
+   rule would be ignored, so the engine rejects it before any fiber
+   starts. *)
+let test_engine_rejects_foreign_stop_rule () =
+  let ran = ref false in
+  let reject f =
+    try
+      ignore (f (fun ~tid:_ ~cluster:_ -> ran := true));
+      false
+    with Invalid_argument _ -> true
+  in
+  let first ~step:_ _ = 0 in
+  Alcotest.(check bool)
+    "horizon with a policy" true
+    (reject (E.run ~topology:topo ~n_threads:1 ~horizon:100 ~policy:first));
+  Alcotest.(check bool)
+    "max_events without a policy" true
+    (reject (E.run ~topology:topo ~n_threads:1 ~max_events:100));
+  Alcotest.(check bool) "no thread ran" false !ran
+
 let test_engine_rejects_bad_thread_counts () =
   let reject n =
     try
@@ -560,7 +586,10 @@ let test_wait_alloc_budget () =
   let per_wait = words /. float_of_int (2 * rounds) in
   let woken =
     List.fold_left
-      (fun acc c -> if c.E.cls = E.Spin_wake then acc + c.E.scheduled else acc)
+      (fun acc c ->
+        if c.Runtime_intf.ec_class = E.class_to_string E.Spin_wake then
+          acc + c.Runtime_intf.ec_scheduled
+        else acc)
       0 r.E.classes
   in
   Alcotest.(check bool) "every wait but the first parks and is woken" true
@@ -602,7 +631,7 @@ let test_waiter_scans_counted () =
             M.write c ((tid * 100) + i)
           done)
     in
-    r.E.coherence.Numasim.Coherence.waiter_scans
+    r.E.profile.P.totals.P.waiter_scans
   in
   Alcotest.(check int) "writes without waiters scan nothing" 0 no_waiters;
   let with_waiter =
@@ -615,7 +644,7 @@ let test_waiter_scans_counted () =
           end
           else ignore (M.wait_until flag (fun v -> v = 1)))
     in
-    r.E.coherence.Numasim.Coherence.waiter_scans
+    r.E.profile.P.totals.P.waiter_scans
   in
   Alcotest.(check bool)
     "write over a parked waiter scans the queue" true (with_waiter >= 1);
@@ -634,7 +663,7 @@ let test_waiter_scans_counted () =
           end
           else ignore (M.wait_until flag (fun v -> v = 1)))
     in
-    r.E.coherence.Numasim.Coherence.waiter_scans
+    r.E.profile.P.totals.P.waiter_scans
   in
   Alcotest.(check int)
     "failed CAS and same-value write over a parked waiter scan nothing" 1
@@ -652,14 +681,14 @@ let test_fastpath_counter_parity () =
     Fun.protect ~finally:(fun () -> E.set_fastpath saved) f
   in
   let stats_of (r : E.result) =
-    let c = r.E.coherence in
+    let c = r.E.profile.P.totals in
     ( r.E.end_time,
       r.E.events,
-      c.Numasim.Coherence.accesses,
-      c.Numasim.Coherence.l1_hits,
-      c.Numasim.Coherence.local_hits,
-      c.Numasim.Coherence.coherence_misses,
-      c.Numasim.Coherence.waiter_scans )
+      c.P.accesses,
+      c.P.l1_hits,
+      c.P.local_hits,
+      c.P.coherence_misses,
+      c.P.waiter_scans )
   in
   let waiter_workload () =
     let flag = M.cell' 0 in
@@ -691,7 +720,7 @@ let test_fastpath_counter_parity () =
          the CAS storm must actually exercise the inline path. *)
       Alcotest.(check bool)
         (name ^ ": fast path engagement") true
-        (on.E.fp_hits > 0 = engages && off.E.fp_hits = 0);
+        (inlined on > 0 = engages && inlined off = 0);
       Alcotest.(check bool)
         (name ^ ": counters identical on both paths")
         true
@@ -739,6 +768,8 @@ let suite =
           test_huge_delays_saturate;
         Alcotest.test_case "thread count validation" `Quick
           test_engine_rejects_bad_thread_counts;
+        Alcotest.test_case "stop rule of the other mode" `Quick
+          test_engine_rejects_foreign_stop_rule;
         Alcotest.test_case "events counted" `Quick test_events_counted;
         Alcotest.test_case "waiter scans counted" `Quick
           test_waiter_scans_counted;
