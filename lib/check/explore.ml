@@ -131,8 +131,7 @@ let run_with ?(record = false) sc ~chooser =
   let n_dps = ref 0 in
   let taken = ref [] in
   let steps = ref [] in
-  let policy ~step:_ (cands : Engine.candidate array) =
-    let n = Array.length cands in
+  let policy ~step:_ ~n (cands : Engine.candidate array) =
     let dp =
       if n < 2 then -1
       else begin
@@ -144,7 +143,7 @@ let run_with ?(record = false) sc ~chooser =
     let pick =
       if dp < 0 then 0
       else begin
-        let p = chooser ~dp cands in
+        let p = chooser ~dp ~n cands in
         let p = if p < 0 || p >= n then 0 else p in
         if p > 0 then taken := { Decision.at = dp; pick = p } :: !taken;
         p
@@ -200,7 +199,7 @@ let run_with ?(record = false) sc ~chooser =
   { outcome; taken = List.rev !taken; steps = List.rev !steps }
 
 let run_once ?record sc trace =
-  run_with ?record sc ~chooser:(fun ~dp _ -> Decision.pick_at trace dp)
+  run_with ?record sc ~chooser:(fun ~dp ~n:_ _ -> Decision.pick_at trace dp)
 
 (* --- exhaustive exploration ------------------------------------------- *)
 
@@ -242,9 +241,9 @@ let exhaustive ?(preemptions = 2) ?(budget = 10_000) ?(prune = false) sc =
     in
     let children = ref [] in
     let cut = ref 0 in
-    let chooser ~dp cands =
+    let chooser ~dp ~n cands =
       if dp > branch_after then
-        for p = 1 to Array.length cands - 1 do
+        for p = 1 to n - 1 do
           if eligible cands p then
             if (not prune) || interferes cands p then
               children := { Decision.at = dp; pick = p } :: !children
@@ -278,9 +277,9 @@ let fuzz ?(deviate_prob = 0.1) ~seed ~runs sc =
   let n = ref 0 in
   (* Most decision points do not deviate, so alternatives are only
      counted there; the [k]-th is located only when one is picked. *)
-  let chooser ~dp:_ cands =
+  let chooser ~dp:_ ~n cands =
     let k = ref 0 in
-    for p = 1 to Array.length cands - 1 do
+    for p = 1 to n - 1 do
       if eligible cands p then incr k
     done;
     let k = !k in

@@ -58,13 +58,14 @@ type run = {
 val run_with :
   ?record:bool ->
   scenario ->
-  chooser:(dp:int -> Numasim.Engine.candidate array -> int) ->
+  chooser:(dp:int -> n:int -> Numasim.Engine.candidate array -> int) ->
   run
 (** One run under an online chooser, called at every decision point
-    [dp] with the runnable candidates (index 0 = the default choice)
-    and answering the index to run; out-of-range answers run the
-    default. The array is the engine's, valid only during the call
-    (see {!Numasim.Engine.candidate}). *)
+    [dp] with the [n >= 2] runnable candidates (index 0 = the default
+    choice) and answering the index to run; out-of-range answers run
+    the default. The array is the engine's pending set: only indices
+    below [n] are candidates, and it is valid only during the call
+    (see {!Numasim.Engine.policy}). *)
 
 val run_once : ?record:bool -> scenario -> Decision.t -> run
 (** Replay a decision trace. Deterministic: same scenario + same trace =

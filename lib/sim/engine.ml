@@ -94,44 +94,32 @@ type result = {
   profile : Numa_trace.Profile.t;
 }
 
-(* Mutable so explore mode can reuse candidate arrays across steps
-   instead of allocating n records per step (see [run_explore]): the
-   array a policy receives is valid only for the duration of the call. *)
+(* What a pending event runs; abstract in the interface, so a policy
+   can see a candidate but not run it. *)
+type thunk = unit -> unit
+
+(* One record per pending explore event, made when the event is
+   scheduled: the policy reads the pending set itself, not a copy. *)
 type candidate = {
-  mutable c_time : int;
-  mutable c_tid : int;
-  mutable c_class : ev_class;
-  mutable c_line : string;
+  c_time : int;
+  c_tid : int;
+  c_class : ev_class;
+  c_line : string;
+  c_run : thunk;
 }
 
-type policy = step:int -> candidate array -> int
-
-(* A pending event in explore mode: the heap entry plus the decision
-   metadata a policy gets to see. *)
-type pend = {
-  pe_time : int;
-  pe_seq : int;
-  pe_tid : int;
-  pe_class : ev_class;
-  pe_line : Coherence.line;
-  pe_run : unit -> unit;
-}
+type policy = step:int -> n:int -> candidate array -> int
 
 (* The pending set lives in a growable array kept sorted by
-   (time, seq) — the event heap's pop order — so each step presents
-   candidates by straight indexing instead of the former re-sort of a
-   cons list (O(n log n) + three list rebuilds per step). New events
-   always carry the largest seq so far, so the insertion point is the
-   upper bound by time alone. *)
+   (time, issue order) — the event heap's pop order — and its live
+   prefix is what the policy is shown. New events are always the latest
+   issued, so the insertion point is the upper bound by time alone. *)
 type explore_state = {
   ex_policy : policy;
   ex_cap : int;  (* [max_events], or [max_int] *)
-  mutable ex_pend : pend array;  (* first [ex_n] slots live, sorted *)
+  mutable ex_pend : candidate array;  (* first [ex_n] slots live, sorted *)
   mutable ex_n : int;
-  mutable ex_seq : int;
   mutable ex_steps : int;
-  mutable ex_pool : candidate array array;
-      (* ex_pool.(n), once built, is the reused n-candidate array *)
 }
 
 type mode =
@@ -182,74 +170,35 @@ let no_line = Coherence.make_line ~name:"(engine)" ()
 
 let nop () = ()
 
-let dummy_pend =
-  {
-    pe_time = 0;
-    pe_seq = -1;
-    pe_tid = -1;
-    pe_class = Start;
-    pe_line = no_line;
-    pe_run = nop;
-  }
-
-let ex_insert ex p =
+(* The live prefix is a handful of events, so both shifts are plain
+   loops; [Array.blit] runs only when the array grows. Slots past the
+   prefix are never cleared: they hold only records of this run, and
+   the array goes with the run. *)
+let ex_insert ex c =
   let n = ex.ex_n in
   if n = Array.length ex.ex_pend then begin
-    let cap' = if n = 0 then 64 else 2 * n in
-    let a' = Array.make cap' dummy_pend in
+    let a' = Array.make (if n = 0 then 64 else 2 * n) c in
     Array.blit ex.ex_pend 0 a' 0 n;
     ex.ex_pend <- a'
   end;
   let a = ex.ex_pend in
-  (* Upper bound by time: first index whose event is later than [p].
-     Entries at p's time all have smaller seqs, so p sorts after them. *)
-  let lo = ref 0 and hi = ref n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if a.(mid).pe_time <= p.pe_time then lo := mid + 1 else hi := mid
+  (* Upper bound by time, scanning from the right: entries at [c]'s
+     time were issued earlier, so [c] sorts after them. *)
+  let j = ref n in
+  while !j > 0 && a.(!j - 1).c_time > c.c_time do
+    a.(!j) <- a.(!j - 1);
+    decr j
   done;
-  Array.blit a !lo a (!lo + 1) (n - !lo);
-  a.(!lo) <- p;
+  a.(!j) <- c;
   ex.ex_n <- n + 1
 
 let ex_remove ex i =
   let a = ex.ex_pend in
   let n = ex.ex_n - 1 in
-  Array.blit a (i + 1) a i (n - i);
-  a.(n) <- dummy_pend;
-  ex.ex_n <- n
-
-(* The reused [n]-candidate array, built on first use. *)
-let ex_pool ex n =
-  if Array.length ex.ex_pool <= n then begin
-    let cap = max (n + 1) ((2 * Array.length ex.ex_pool) + 1) in
-    let pool' = Array.make cap [||] in
-    Array.blit ex.ex_pool 0 pool' 0 (Array.length ex.ex_pool);
-    ex.ex_pool <- pool'
-  end;
-  if Array.length ex.ex_pool.(n) <> n then
-    ex.ex_pool.(n) <-
-      Array.init n (fun _ ->
-          { c_time = 0; c_tid = -1; c_class = Start; c_line = "" });
-  ex.ex_pool.(n)
-
-let set_candidate c ~time ~tid ~cls line =
-  c.c_time <- time;
-  c.c_tid <- tid;
-  c.c_class <- cls;
-  c.c_line <- line.Coherence.name
-
-(* Hand the policy the pending events as candidates, in (time, seq)
-   order — [ex_pend] is already sorted, so this is a straight copy into
-   a per-length array reused across steps. *)
-let ex_candidates ex n =
-  let cands = ex_pool ex n in
-  for i = 0 to n - 1 do
-    let p = ex.ex_pend.(i) in
-    set_candidate cands.(i) ~time:p.pe_time ~tid:p.pe_tid ~cls:p.pe_class
-      p.pe_line
+  for j = i to n - 1 do
+    a.(j) <- a.(j + 1)
   done;
-  cands
+  ex.ex_n <- n
 
 (* The metadata arguments are immediates (or values already in hand), so
    the default heap path allocates and branches exactly as before the
@@ -261,14 +210,12 @@ let schedule eng ~tid ~cls ~line time thunk =
   | Explore ex ->
       ex_insert ex
         {
-          pe_time = time;
-          pe_seq = ex.ex_seq;
-          pe_tid = tid;
-          pe_class = cls;
-          pe_line = line;
-          pe_run = thunk;
-        };
-      ex.ex_seq <- ex.ex_seq + 1
+          c_time = time;
+          c_tid = tid;
+          c_class = cls;
+          c_line = line.Coherence.name;
+          c_run = thunk;
+        }
 
 (* [now + d] for a delay [d >= 0], saturating just below the queue's
    [max_int] sentinel: a pause or timeout past the end of simulated time
@@ -435,13 +382,21 @@ let[@inline] popped eng cls =
    the only candidate: nothing else pending, budget left. *)
 let forced eng ex = ex.ex_n = 0 && eng.events < ex.ex_cap
 
-(* Replay a forced explore step: show the policy its one candidate (its
-   answer is clamped to 0 on the slow path too), then retire the event
-   at [time]. *)
+(* Replay a forced explore step: show the policy its one candidate in
+   slot 0 of the empty pending set (its answer is clamped to 0 on the
+   slow path too), then retire the event at [time]. The running fiber
+   began with a Start event, so the array has a slot. *)
 let retire_forced eng ex ~cls ~line time =
-  let cands = ex_pool ex 1 in
-  set_candidate cands.(0) ~time ~tid:eng.cur_tid ~cls line;
-  ignore (ex.ex_policy ~step:ex.ex_steps cands : int);
+  let a = ex.ex_pend in
+  a.(0) <-
+    {
+      c_time = time;
+      c_tid = eng.cur_tid;
+      c_class = cls;
+      c_line = line.Coherence.name;
+      c_run = nop;
+    };
+  ignore (ex.ex_policy ~step:ex.ex_steps ~n:1 a : int);
   ex.ex_steps <- ex.ex_steps + 1;
   retire eng cls (time - eng.now)
 
@@ -908,15 +863,14 @@ let run_explore eng ex ~n_threads =
     end
     else begin
       let n = ex.ex_n in
-      let cands = ex_candidates ex n in
-      let idx = ex.ex_policy ~step:ex.ex_steps cands in
+      let idx = ex.ex_policy ~step:ex.ex_steps ~n ex.ex_pend in
       let idx = if idx < 0 || idx >= n then 0 else idx in
       ex.ex_steps <- ex.ex_steps + 1;
       let chosen = ex.ex_pend.(idx) in
       ex_remove ex idx;
-      if chosen.pe_time > eng.now then eng.now <- chosen.pe_time;
+      if chosen.c_time > eng.now then eng.now <- chosen.c_time;
       eng.events <- eng.events + 1;
-      chosen.pe_run ()
+      chosen.c_run ()
     end
   done;
   if (not !hit_cap) && eng.live > 0 then
@@ -964,7 +918,7 @@ let unwind eng =
         done
     | Explore ex ->
         for i = 0 to ex.ex_n - 1 do
-          ex.ex_pend.(i).pe_run ()
+          ex.ex_pend.(i).c_run ()
         done);
     List.iter
       (fun l ->
@@ -1012,9 +966,7 @@ let run ~topology ~n_threads ?horizon ?policy ?max_events ?(profile = false)
             ex_cap = (match max_events with Some m -> m | None -> max_int);
             ex_pend = [||];
             ex_n = 0;
-            ex_seq = 0;
             ex_steps = 0;
-            ex_pool = [||];
           }
   in
   let eng =

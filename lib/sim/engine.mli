@@ -80,32 +80,41 @@ exception Thread_failure of { tid : int; exn : exn; backtrace : string }
 
     With no policy, the engine pops events from a (time, issue-order)
     min-heap — the historical deterministic schedule. A [policy] replaces
-    the pop: at every step it is shown all pending events sorted in that
-    same (time, issue-order) order and picks one by index. Index 0 is
-    always the event the default schedule would run, so the constant-0
-    policy replays the default schedule exactly. Out-of-range answers are
-    clamped to 0. Simulated time never goes backwards: running an event
-    whose timestamp is in the past executes it at the current time. *)
+    the pop: at every step it is shown the engine's pending set itself,
+    sorted in that same (time, issue-order) order, and picks one by
+    index. Index 0 is always the event the default schedule would run,
+    so the constant-0 policy replays the default schedule exactly.
+    Out-of-range answers are clamped to 0. Simulated time never goes
+    backwards: running an event whose timestamp is in the past executes
+    it at the current time. *)
 
-type candidate = {
-  mutable c_time : int;  (** scheduled simulated time. *)
-  mutable c_tid : int;  (** thread the event belongs to. *)
-  mutable c_class : ev_class;
-  mutable c_line : string;
-      (** name of the cache line involved, or ["(engine)"]. *)
+type thunk
+(** What a pending event runs; opaque, so a policy cannot run it. *)
+
+type candidate = private {
+  c_time : int;  (** scheduled simulated time. *)
+  c_tid : int;  (** thread the event belongs to. *)
+  c_class : ev_class;
+  c_line : string;  (** name of the cache line involved, or ["(engine)"]. *)
+  c_run : thunk;
 }
-(** Fields are mutable because the engine reuses candidate arrays across
-    steps: the array a policy receives is valid only for the duration of
-    that call. Policies that retain candidates must copy the scalar
-    fields out (every in-tree policy does). *)
+(** One pending event, as the engine holds it: the record is made when
+    the event is scheduled and never copied for a policy. A policy sees
+    candidates in the engine's pending array (see {!policy}): only
+    indices below [n] are candidates, and the array is valid only for
+    the call. *)
 
-type policy = step:int -> candidate array -> int
-(** [policy ~step candidates] returns the index of the event to run at
+type policy = step:int -> n:int -> candidate array -> int
+(** [policy ~step ~n pending] returns the index of the event to run at
     decision [step] (0-based, counted over every event including forced
-    singleton choices). The candidate array is never empty and is owned
-    by the engine — see {!candidate}. A forced singleton step may be
-    presented from inside the running fiber (see "Fast path" below), so
-    a policy must not raise or call into {!Sim_mem}. *)
+    singleton choices). [pending] is the engine's pending set: only
+    indices below [n] are candidates ([n >= 1]); later slots are
+    unspecified. The array is valid only for the duration of the call:
+    the engine shifts it in place afterwards, so a policy must not keep
+    it, write to it, or read it after returning. The records themselves
+    are immutable, so keeping one is safe. A forced singleton
+    step may be presented from inside the running fiber (see "Fast
+    path" below), so a policy must not raise or call into {!Sim_mem}. *)
 
 val run :
   topology:Numa_base.Topology.t ->

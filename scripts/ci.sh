@@ -15,7 +15,10 @@
 #   explore      explorer smoke: exhaustive C-BO-MCS clean + skip-limit
 #                mutant caught; repeated on the hierarchical rack preset
 #                (soundness leg only — the mutant leg always runs on the
-#                default machine, where threads are co-located)
+#                default machine, where threads are co-located); then the
+#                fuzz driver (200 schedules per lock, seed 1) run twice
+#                and its reports byte-compared — a fuzzed schedule must
+#                be a pure function of the seed
 #   collapse     saturation-collapse smoke: the default oversubscribed
 #                sweep (64 to 8192 logical threads on the 256-context
 #                T5440, 2 ms windows, all seven collapse locks; each point
@@ -194,6 +197,15 @@ if want explore; then
   begin explore
   explore --quick
   explore --quick --topology rack
+  explore --mode fuzz --runs 200 --seed 1 >"$tmp/fuzz_a.log"
+  tail -n 2 "$tmp/fuzz_a.log"
+  explore --mode fuzz --runs 200 --seed 1 >"$tmp/fuzz_b.log"
+  if ! cmp "$tmp/fuzz_a.log" "$tmp/fuzz_b.log"; then
+    echo "ci: FAIL — same-seed fuzz reports differ; explore mode is" >&2
+    echo "nondeterministic." >&2
+    exit 1
+  fi
+  echo "   fuzz reports byte-identical"
   end
 else
   skip explore "skipped (--stage)"

@@ -82,6 +82,20 @@ let prop_prng_float_in_range =
       let v = Prng.float t 4.0 in
       v >= 0.0 && v < 4.0)
 
+(* [float] converts its top 53 bits without going through [Int64]'s
+   float conversion; the draws must be those of the [int64] formula. *)
+let prop_prng_float_matches_int64 =
+  QCheck.Test.make ~name:"Prng.float = top 53 bits of next_int64 / 2^53"
+    ~count:500 QCheck.int (fun seed ->
+      let t = Prng.create seed in
+      List.for_all
+        (fun _ ->
+          let t' = Prng.copy t in
+          let v = Prng.float t 1.0 in
+          let bits = Int64.shift_right_logical (Prng.next_int64 t') 11 in
+          Float.equal v (Int64.to_float bits /. 9007199254740992.0))
+        (List.init 8 Fun.id))
+
 let test_prng_rough_uniformity () =
   let t = Prng.create 1234 in
   let buckets = Array.make 10 0 in
@@ -256,6 +270,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_prng_int_in_range;
         QCheck_alcotest.to_alcotest prop_prng_int_in_bounds;
         QCheck_alcotest.to_alcotest prop_prng_float_in_range;
+        QCheck_alcotest.to_alcotest prop_prng_float_matches_int64;
       ] );
     ( "stats",
       [

@@ -15,7 +15,9 @@
    arrays), a check that the engine's recycled queue is invisible to
    the next run, and a differential check that heap mode and explore
    mode under the identity policy execute the same program identically
-   — the invariant that lets the explorer reuse every engine pin. *)
+   — the invariant that lets the explorer reuse every engine pin — and
+   a property that explore mode's pending set stays sorted, and the
+   fast path invisible, under random picks. *)
 
 open Numa_base
 module E = Numasim.Engine
@@ -394,8 +396,10 @@ let released_queue_holds_nothing () =
 (* The explorer's index-0 policy must replay the default (heap) schedule
    exactly: same event order, same timings, same observed values. Random
    programs of reads/writes/CAS/pauses over shared cells, logging
-   (tid, now, observation) at every step. *)
-let random_program ?(max_pause = 50) rng ~steps () =
+   (tid, now, observation) at every step. [timed] adds waits for the
+   cell to hold another thread's tid, timing out within
+   [10 * max_pause]: Spin_check, Spin_wake and Timeout events. *)
+let random_program ?(max_pause = 50) ?(timed = false) rng ~steps () =
   let log = ref [] in
   let cells = Array.init 4 (fun _ -> M.cell' 0) in
   let body ~tid ~cluster:_ =
@@ -403,15 +407,22 @@ let random_program ?(max_pause = 50) rng ~steps () =
     for _ = 1 to steps do
       let c = cells.(Prng.int r (Array.length cells)) in
       let obs =
-        match Prng.int r 4 with
+        match Prng.int r (if timed then 5 else 4) with
         | 0 -> M.read c
         | 1 ->
             M.write c tid;
             -1
         | 2 -> if M.cas c ~expect:(M.read c) ~desire:tid then -2 else -3
-        | _ ->
+        | 3 ->
             M.pause (Prng.int r max_pause);
             -4
+        | _ -> (
+            match
+              M.wait_until_for c (fun v -> v <> tid)
+                ~timeout:(Prng.int r (10 * max_pause))
+            with
+            | Some v -> v
+            | None -> -5)
       in
       log := (tid, M.now (), obs) :: !log
     done
@@ -488,7 +499,7 @@ let diff_heap_vs_explore () =
       ((r.E.end_time, r.E.events, r.E.threads_finished), List.rev !log)
     in
     let heap_r, heap_log = run None in
-    let ex_r, ex_log = run (Some (fun ~step:_ _ -> 0)) in
+    let ex_r, ex_log = run (Some (fun ~step:_ ~n:_ _ -> 0)) in
     Alcotest.(check (triple int int int))
       (Printf.sprintf "case %d: result fields identical" case)
       heap_r ex_r;
@@ -496,6 +507,46 @@ let diff_heap_vs_explore () =
       (Printf.sprintf "case %d: event log identical" case)
       heap_log ex_log
   done
+
+(* The pending set under arbitrary picks: a seeded policy runs a random
+   candidate at every step, so events leave the pending set from every
+   index, not only the front. Each array it is shown must hold [n >= 1]
+   live candidates sorted by time, and the fast path (forced steps
+   inline) must leave the run unchanged. *)
+let prop_random_picks =
+  QCheck.Test.make ~name:"explore mode under random picks" ~count:200
+    QCheck.(pair small_nat small_nat)
+    (fun (seed, pick_seed) ->
+      let run fastpath =
+        let body, log =
+          random_program ~timed:true (Prng.create seed) ~steps:25 ()
+        in
+        let picks = Prng.create pick_seed in
+        let bad = ref 0 in
+        let policy ~step:_ ~n (cands : E.candidate array) =
+          if n < 1 then incr bad;
+          for i = 1 to n - 1 do
+            if cands.(i - 1).E.c_time > cands.(i).E.c_time then incr bad
+          done;
+          Prng.int picks (if n > 0 then n else 1)
+        in
+        let saved = E.fastpath_enabled () in
+        E.set_fastpath fastpath;
+        let r =
+          Fun.protect
+            ~finally:(fun () -> E.set_fastpath saved)
+            (fun () -> E.run ~topology:Topology.small ~n_threads:4 ~policy body)
+        in
+        ( !bad,
+          (r.E.end_time, r.E.events, r.E.threads_finished),
+          List.rev !log )
+      in
+      let bad_on, r_on, log_on = run true in
+      let bad_off, r_off, log_off = run false in
+      if bad_on + bad_off > 0 then
+        QCheck.Test.fail_reportf "%d arrays empty or unsorted"
+          (bad_on + bad_off);
+      r_on = r_off && log_on = log_off)
 
 let () =
   Alcotest.run "event_heap"
@@ -532,5 +583,6 @@ let () =
         [
           Alcotest.test_case "heap mode = explore mode under index-0 policy"
             `Quick diff_heap_vs_explore;
+          QCheck_alcotest.to_alcotest prop_random_picks;
         ] );
     ]

@@ -339,11 +339,9 @@ let test_explore_forced_only () =
   let logged ~fastpath =
     with_fastpath fastpath @@ fun () ->
     let log = ref [] in
-    let policy ~step (cands : E.candidate array) =
+    let policy ~step ~n (cands : E.candidate array) =
       let c = cands.(0) in
-      log :=
-        (step, Array.length cands, c.E.c_time, c.E.c_tid, c.E.c_class, c.E.c_line)
-        :: !log;
+      log := (step, n, c.E.c_time, c.E.c_tid, c.E.c_class, c.E.c_line) :: !log;
       0
     in
     let r = contended_run ~policy () in
@@ -411,7 +409,7 @@ let test_ledger_sums () =
       let on = if fastpath then "on" else "off" in
       with_fastpath fastpath @@ fun () ->
       check ("heap " ^ on) (contended_run ());
-      check ("explore " ^ on) (contended_run ~policy:(fun ~step:_ _ -> 0) ());
+      check ("explore " ^ on) (contended_run ~policy:(fun ~step:_ ~n:_ _ -> 0) ());
       check ("timed " ^ on) (timed ());
       let r = cut () in
       Alcotest.(check bool) "the horizon cuts the run" true

@@ -219,7 +219,7 @@ let test_huge_delays_saturate () =
   check "heap" ();
   E.set_fastpath false;
   Fun.protect ~finally:(fun () -> E.set_fastpath true) (check "fast path off");
-  check "explore" ~policy:(fun ~step:_ _ -> 0) ()
+  check "explore" ~policy:(fun ~step:_ ~n:_ _ -> 0) ()
 
 let test_deadlock_detected () =
   let flag = M.cell' 0 in
@@ -323,7 +323,7 @@ let test_stopped_runs_unwind () =
     (fun ~tid:_ -> ignore (M.wait_until flag (fun v -> v = 1)));
   check "explore event cap" ~expect:"cut, 0 finished"
     (E.run ~topology:topo ~n_threads
-       ~policy:(fun ~step:_ _ -> 0)
+       ~policy:(fun ~step:_ ~n:_ _ -> 0)
        ~max_events:200)
     (stuck flag);
   check "thread failure" ~expect:"thread failure"
@@ -513,7 +513,7 @@ let test_engine_rejects_foreign_stop_rule () =
       false
     with Invalid_argument _ -> true
   in
-  let first ~step:_ _ = 0 in
+  let first ~step:_ ~n:_ _ = 0 in
   Alcotest.(check bool)
     "horizon with a policy" true
     (reject (E.run ~topology:topo ~n_threads:1 ~horizon:100 ~policy:first));
