@@ -163,7 +163,7 @@ let transfer line ~now ~cost =
 (* Attribution helpers: every [p_*] call mutates the site row only —
    never the line state, the latency, or the engine-global counters — so
    a profiled run takes exactly the schedule of an unprofiled one. *)
-let p_local row l =
+let[@inline] p_local row l =
   match row with
   | None -> ()
   | Some r ->
@@ -251,11 +251,12 @@ let[@inline] count_hit st row tr ns =
     p_local row ns
   end
 
-(* The engine fast path: with the helpers above inlined, one call into
-   the model per access. [line.prow] is [Some] exactly when a profiler
-   attributed this line this epoch, so profiled runs keep attributing
-   every access. *)
-let try_hit st (topo : Tp.t) line ~epoch ~domain ~thread kind ~within =
+(* The engine fast path: with the helpers above inlined, and itself
+   inlined into each [Engine.Mem] primitive (the build compiles without
+   [-opaque]), an inline hit makes no call. [line.prow] is [Some] exactly
+   when a profiler attributed this line this epoch, so profiled runs
+   keep attributing every access. *)
+let[@inline] try_hit st (topo : Tp.t) line ~epoch ~domain ~thread kind ~within =
   let tr = classify line ~epoch ~domain ~thread kind in
   let ns = hit_ns topo tr in
   let l =

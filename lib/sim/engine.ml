@@ -445,10 +445,9 @@ let[@inline] fast_pause d =
       && retire_forced eng ex ~cls:Resume ~line:no_line (eng.now + d)
 
 (* --- the MEMORY primitives ----------------------------------------------
-   They live in the fast path's compilation unit: the dev profile
-   compiles every module [-opaque], so nothing inlines across units.
-   Here the gates above inline into each primitive; an inline hit calls
-   only [Coherence.try_hit].
+   They live in the fast path's compilation unit. The gates above inline
+   into each primitive, and so does [Coherence.try_hit] (the build
+   compiles without [-opaque]): an inline hit makes no call.
 
    A slow [read] performs [Read c] and a slow [write] [Store (c, x)].
    Slow-path store payloads go through [store], which flags the line

@@ -9,7 +9,14 @@
 # fast on the first nonzero exit. A summary table (stage, status, wall
 # seconds) prints at the end of every run, pass or fail:
 #
-#   check        warning-clean build of everything (dune build @check)
+#   check        warning-clean build of everything (dune build @check),
+#                then the build-flags guard: the compile rule of
+#                lib/sim/engine.ml (dune rules) must carry no -opaque
+#                (dune-workspace's release profile: modules inline
+#                across units, so an inline hit makes no call) and must
+#                keep the dev profile's warning set and -strict-sequence
+#                (the root dune file's env) — a silent revert to either
+#                default fails here
 #   runtest      all test suites (dune runtest --force)
 #   torture      fixed-seed torture smoke (50 random schedules, seed 42)
 #   explore      explorer smoke: exhaustive C-BO-MCS clean + skip-limit
@@ -64,7 +71,8 @@
 # and tests already ran as alias dependencies (the check/runtest stages
 # report "pass (alias dep)"), and the executables are invoked directly
 # from the build context instead of through `dune exec` (dune holds the
-# build lock, so nested dune invocations would hang).
+# build lock, so nested dune invocations would hang; for the same reason
+# the build-flags guard reports "skipped (inside dune)").
 set -euo pipefail
 
 STAGES=(check runtest torture explore collapse paper-claim predict determinism bench-diff)
@@ -158,13 +166,36 @@ trap on_exit EXIT
 
 # --- check / runtest ------------------------------------------------------
 
+# The flags every module compiles with, read off one rule: no -opaque,
+# and the dev profile's warnings and strictness.
+check_build_flags() {
+  local rule flag
+  rule=$(dune rules --root . --no-config \
+    _build/default/lib/sim/.numasim.objs/native/numasim__Engine.cmx)
+  if grep -qF -- -opaque <<<"$rule"; then
+    echo "ci: FAIL — engine.ml compiles with -opaque; the build must use" >&2
+    echo "the release profile (dune-workspace)." >&2
+    exit 1
+  fi
+  for flag in -strict-sequence @1..3@5..28@30..39@43@46..47@49..57@61..62-40; do
+    if ! grep -qF -- "$flag" <<<"$rule"; then
+      echo "ci: FAIL — engine.ml compiles without $flag; the root dune" >&2
+      echo "file's env must keep the dev profile's flags." >&2
+      exit 1
+    fi
+  done
+  echo "   build flags: no -opaque, dev warnings kept"
+}
+
 if [[ -n "${INSIDE_DUNE:-}" ]]; then
   skip check "pass (alias dep)"
+  echo "== ci: build-flags guard skipped (inside dune)"
   skip runtest "pass (alias dep)"
 else
   if want check; then
     begin check
     dune build @check
+    check_build_flags
     end
   else
     skip check "skipped (--stage)"

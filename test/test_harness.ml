@@ -92,6 +92,23 @@ let test_lbench_single_thread_zero_misses () =
   Alcotest.(check (float 0.0001)) "perfect fairness alone" 0.
     r.LB.fairness_stddev_pct
 
+(* The uncontended acquisition (paper Fig. 4): one MCS thread for 50 ms.
+   The critical section bumps its eight counters through a function
+   built once per benchmark instance, so a section allocates no
+   closure. *)
+let test_lbench_alloc_per_acq () =
+  let before = Gc.minor_words () in
+  let r =
+    LB.run ~name:"MCS" mcs.R.lock ~topology:topo ~cfg ~n_threads:1
+      ~duration:50_000_000 ~seed:5
+  in
+  let per_acq =
+    (Gc.minor_words () -. before) /. float_of_int r.LB.iterations
+  in
+  if per_acq > 5. then
+    Alcotest.failf "%.2f minor words per acquisition; the budget is 5"
+      per_acq
+
 let test_lbench_abortable_runs () =
   let e = Option.get (R.find_abortable "A-C-BO-CLH") in
   let r =
@@ -467,6 +484,8 @@ let suite =
           test_lbench_migrations_exact;
         Alcotest.test_case "single thread clean" `Quick
           test_lbench_single_thread_zero_misses;
+        Alcotest.test_case "critical section allocates no closure" `Quick
+          test_lbench_alloc_per_acq;
         Alcotest.test_case "abortable runs" `Quick test_lbench_abortable_runs;
         Alcotest.test_case "tiny patience aborts" `Quick
           test_lbench_tiny_patience_aborts;

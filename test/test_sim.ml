@@ -598,6 +598,45 @@ let test_wait_alloc_budget () =
     Alcotest.failf "%.1f minor words per wait; the budget is %.1f" per_wait
       (0.6 *. 100.0)
 
+(* One fiber on its own cell: after the first touch, a memory miss,
+   every access is an L1 hit the fast path retires inline, so the run
+   schedules nothing but its Start and that miss; and the hits allocate
+   nothing (the build inlines across modules, so an inline hit makes no
+   call). *)
+let test_inline_hit_alloc () =
+  let rounds = 20_000 in
+  let c = M.cell' 0 in
+  let body ~tid:_ ~cluster:_ =
+    for _ = 1 to rounds do
+      let v = M.read c in
+      M.write c (v + 1);
+      ignore (M.cas c ~expect:(v + 1) ~desire:(v + 2));
+      ignore (M.swap c (v + 3));
+      ignore (M.fetch_and_add c 1)
+    done
+  in
+  let fastpath = E.fastpath_enabled () in
+  E.set_fastpath true;
+  Fun.protect ~finally:(fun () -> E.set_fastpath fastpath) @@ fun () ->
+  (* A first run warms the engine's recycled queue. *)
+  ignore (E.run ~topology:topo ~n_threads:1 body);
+  let before = Gc.minor_words () in
+  let r = E.run ~topology:topo ~n_threads:1 body in
+  let words = Gc.minor_words () -. before in
+  List.iter
+    (fun c ->
+      let k = c.Runtime_intf.ec_class in
+      let once = [ E.class_to_string E.Start; E.class_to_string E.Op_read ] in
+      Alcotest.(check int)
+        (k ^ " events scheduled")
+        (if List.mem k once then 1 else 0)
+        c.Runtime_intf.ec_scheduled)
+    r.E.classes;
+  let per_op = words /. float_of_int (5 * rounds) in
+  if per_op > 0.01 then
+    Alcotest.failf "%.4f minor words per inline hit; the budget is 0.01"
+      per_op
+
 (* A simulated cell is one block of two fields, its value and its line:
    3 words beyond the line it sits on. *)
 let test_cell_footprint () =
@@ -775,6 +814,8 @@ let suite =
           test_waiter_scans_counted;
         Alcotest.test_case "wait allocation budget" `Quick
           test_wait_alloc_budget;
+        Alcotest.test_case "inline hits allocate nothing" `Quick
+          test_inline_hit_alloc;
         Alcotest.test_case "cell footprint" `Quick test_cell_footprint;
         Alcotest.test_case "KV store footprint" `Quick
           test_kv_store_footprint;
