@@ -80,8 +80,9 @@ let trace_arg =
 let emit_arg =
   Cli.output [ "emit-bench-json" ]
     ~doc:
-      "Write a versioned benchmark artifact (throughput plus trace-derived \
-       lock metrics per lock and thread count) to $(docv)."
+      "Write a versioned benchmark artifact to $(docv): throughput plus \
+       trace-derived lock metrics for each LBench point of a sweep, and \
+       every printed table row, one metric per column."
 
 let profile_arg =
   Arg.(

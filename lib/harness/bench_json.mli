@@ -9,10 +9,6 @@
     so two runs of the simulated benchmark with the same seed produce
     byte-identical files — the property [scripts/ci.sh] checks. *)
 
-val schema_version : string
-(** ["cohort-bench/3"]; bumped on any entry/metric shape change. Every
-    artifact carries it, and {!read}/{!of_json} accept no other. *)
-
 type entry = {
   experiment : string;  (** e.g. ["lbench"], ["lbench-abortable"]. *)
   lock : string;
@@ -30,7 +26,8 @@ val make : substrate:string -> seed:int -> entry list -> t
 val entry_of_result : experiment:string -> Bench_core.result -> entry
 
 val to_json : t -> Numa_trace.Json.t
-val of_json : Numa_trace.Json.t -> (t, string) result
+(** Carries the schema, ["cohort-bench/3"], bumped on any entry/metric
+    shape change; {!read} accepts no other. *)
 
 val to_string : t -> string
 (** Pretty-rendered with a trailing newline — the exact file contents. *)

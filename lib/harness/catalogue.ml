@@ -4,7 +4,6 @@ open Numa_base
 module X = Experiments
 module LR = Lock_registry
 module LI = Cohort.Lock_intf
-module M = Numasim.Sim_mem
 module W = Apps.Kv_workload
 
 type params = {
@@ -26,8 +25,6 @@ type env = {
   csv_dir : string option;
 }
 
-type output = Sweep of string * X.sweep | Table of string * X.table
-
 type knob =
   | Topology
   | Threads
@@ -44,6 +41,8 @@ type knob =
   | Profile
   | Fastpath
 
+type rows = (X.point * X.row) list
+
 type entry = {
   name : string;
   doc : string;
@@ -51,8 +50,14 @@ type entry = {
   defaults : params;
   in_all : params -> params;
   quick : params -> params;
-  run : env -> params -> output list;
+  body : body;
 }
+
+and body =
+  | Points of
+      (env -> params -> X.point list)
+      * (params -> rows -> (string * X.table) list)
+  | Plan of bool
 
 let default_threads = [ 1; 2; 4; 8; 16; 32; 64; 128; 192; 256 ]
 let app_threads = [ 1; 4; 8; 16; 32; 64; 96; 128 ]
@@ -75,152 +80,130 @@ let base =
   }
 
 let entry ?(knobs = [ Topology; Duration; Seed; Csv ]) ?(defaults = base)
-    ?(in_all = Fun.id) ?(quick = Fun.id) name doc run =
-  { name; doc; knobs; defaults; in_all; quick; run }
+    ?(in_all = Fun.id) ?(quick = Fun.id) name doc points render =
+  { name; doc; knobs; defaults; in_all; quick; body = Points (points, render) }
 
 let contending = N_threads "Contending threads."
 let observed = [ Csv; Trace; Emit ]
-
-(* --- Observation: trace sink, CSV, artifact ----------------------------- *)
-
 let traced env = List.map (LR.with_trace env.sink)
+let find name = Option.get (LR.find name)
+let find_all = List.map find
 
-(* Print each (name, table), then under --csv-dir write each to
-   [name].csv; the tables are the outputs. *)
-let show env tables =
-  List.iter (fun (_, t) -> Report.print_series t) tables;
-  Option.iter
-    (fun dir ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      List.iter
-        (fun (name, t) ->
-          let path = Filename.concat dir (name ^ ".csv") in
-          Report.write_file path (Report.csv_of_series t);
-          Printf.printf "wrote %s\n%!" path)
-        tables)
-    env.csv_dir;
-  List.map (fun (name, t) -> Table (name, t)) tables
+(* --- Points and rows ------------------------------------------------------ *)
 
-(* A table of two-decimal cells, shown as [name]: a single-table entry's
-   output. *)
-let table env name ~title ~xlabel ~columns rows =
-  show env
-    [
-      ( name,
-        {
-          X.t_title = title;
-          t_xlabel = xlabel;
-          t_columns = columns;
-          t_rows = rows;
-          t_fmt = Report.fmt_fixed2;
-        } );
-    ]
+(* A point at the entry's machine, window and seed. *)
+let point p ~experiment ~lock ~cfg n workload =
+  {
+    X.experiment;
+    lock;
+    n_threads = n;
+    topology = p.topology;
+    duration = p.duration;
+    seed = p.seed;
+    cfg;
+    workload;
+  }
 
-let artifact ~seed outputs =
-  List.concat_map
-    (function
-      | Sweep (experiment, s) ->
-          Array.to_list s.X.cells
-          |> List.concat_map (fun col ->
-                 Array.to_list col
-                 |> List.map (Bench_json.entry_of_result ~experiment))
-      | Table _ -> [])
-    outputs
-  |> Bench_json.make ~substrate:"sim" ~seed
+(* [locks] x [threads] at the entry's machine, window and seed. *)
+let grid ?cfg ?by_thread p ~experiment threads locks workload =
+  X.lock_points ?cfg ?by_thread ~experiment ~topology:p.topology ~threads
+    ~duration:p.duration ~seed:p.seed locks workload
 
-(* --- Profile and prediction printers ------------------------------------ *)
+(* LBench points of [locks] at [n] threads. *)
+let lb ?(profile = false) ?cfg p ~experiment n locks =
+  grid ?cfg p ~experiment [ n ] locks (fun e ->
+      X.Lbench { lock = e.lock; rollup = false; profile })
 
-let points (s : X.sweep) =
-  List.concat
-    (List.mapi
-       (fun i name ->
-         Array.to_list s.X.cells.(i)
-         |> List.map (fun (r : Lbench.result) -> (name, r)))
-       s.X.columns)
+(* An LBench sweep: the run's sink, and rollups under --emit-bench-json. *)
+let lbench ?(locks = LR.microbench_locks) ?(profile = false) ~experiment env p
+    =
+  grid p ~experiment p.threads (traced env locks)
+    ~cfg:(fun e _ -> e.tweak (X.cfg_for p.topology p.threads))
+    (fun e -> X.Lbench { lock = e.lock; rollup = env.rollup; profile })
 
-(* The engine's event ledger, per acquisition counted in the window. *)
-let print_classes ~name (r : Lbench.result) =
-  if r.Lbench.event_classes <> [] then begin
-    let per n = float_of_int n /. float_of_int r.Lbench.iterations in
-    Printf.printf
-      "\n-- %s @ %d threads: engine events / acquisition by class --\n" name
-      r.Lbench.n_threads;
-    Printf.printf "  %-10s %10s %10s\n" "class" "inlined" "scheduled";
-    let row cls i s =
-      Printf.printf "  %-10s %10.3f %10.3f\n" cls (per i) (per s)
-    in
-    let ti, ts =
-      List.fold_left
-        (fun (ti, ts) (c : Runtime_intf.event_class) ->
-          row c.ec_class c.ec_inlined c.ec_scheduled;
-          (ti + c.ec_inlined, ts + c.ec_scheduled))
-        (0, 0) r.Lbench.event_classes
-    in
-    row "total" ti ts;
-    Option.iter
-      (fun (q : Runtime_intf.queue_tiers) ->
-        Printf.printf "  queue tier: near %.3f  coarse %.3f  overflow %.3f\n"
-          (per q.qt_near) (per q.qt_coarse) (per q.qt_overflow))
-      r.Lbench.queue_tiers;
-    flush stdout
-  end
+let kv_mix store mix (e : LR.entry) = X.Kv_mix { lock = e.lock; store; mix }
+let res ((_, r) : X.point * X.row) = Option.get r.X.result
+let tput (r : Lbench.result) = r.throughput
+let ops (_, r) = X.metric "throughput" r
+let mops row = ops row /. 1e6
 
-let print_profile ~name (r : Lbench.result) =
-  (match r.Lbench.profile with
-  | None -> ()
-  | Some p ->
-      let acquires = r.Lbench.iterations in
-      Printf.printf "\n-- %s @ %d threads: coherence attribution --\n" name
-        r.Lbench.n_threads;
-      Format.printf "%a" Numa_trace.Profile.pp p;
-      Printf.printf
-        "remote transfers / acquisition = %.3f   invalidations / release = \
-         %.3f\n%!"
-        (Numa_trace.Profile.remote_transfers_per_acquire p ~acquires)
-        (Numa_trace.Profile.invalidations_per_release p ~releases:acquires));
-  print_classes ~name r
-
-(* [print ~name] at the sweep's highest thread count, one per lock. *)
-let print_top print (s : X.sweep) =
-  List.iteri
-    (fun i name ->
-      let col = s.X.cells.(i) in
-      print ~name col.(Array.length col - 1))
-    s.X.columns
-
-let err_pct (r : Lbench.result) =
-  match r.Lbench.predicted with
-  | Some p -> 100. *. p.Numa_trace.Predict.err
-  | None -> Float.nan
-
-let print_predictions (s : X.sweep) =
-  let ranked =
-    List.stable_sort
-      (fun (_, a) (_, b) ->
-        (* |err| descending; nan (no prediction) sorts last. *)
-        let key r =
-          let e = Float.abs (err_pct r) in
-          if Float.is_nan e then Float.neg_infinity else e
-        in
-        Float.compare (key b) (key a))
-      (points s)
+(* One result field of an LBench sweep: a row per thread count, a column
+   per lock. *)
+let series ?(keep = fun _ -> true) p ~title fmt f rows =
+  let first = List.hd p.threads in
+  let locks =
+    List.filter_map
+      (fun ((q : X.point), _) ->
+        if q.n_threads = first then Some q.lock else None)
+      rows
   in
-  Printf.printf "\npredicted vs measured throughput (LBench), worst first:\n";
-  Printf.printf "  %-12s %4s  %11s  %11s  %7s  %9s ns  %8s ns\n" "lock" "thr"
-    "measured" "predicted" "err" "service" "handoff";
+  X.lock_table ~title ~fmt ~locks ~threads:(List.filter keep p.threads)
+    (fun r -> f (Option.get r.X.result))
+    rows
+
+(* A plan sweep's one table: throughput. *)
+let throughput name title p rows =
+  [ (name, series p ~title:(title p) Report.fmt_si tput rows) ]
+
+(* "0=a, 1=b, ...": the row legend of a table whose rows are indices. *)
+let legend names =
+  String.concat ", " (List.mapi (fun i n -> Printf.sprintf "%d=%s" i n) names)
+
+let indices l = List.init (List.length l) Fun.id
+
+(* An entry that prints one two-decimal table named after it: row [x] of
+   [xs] holds [cells] of the rows of [row p x]'s points. [row p] may hold
+   state its rows share, such as a KV store. *)
+let one_table ?(knobs = [ Topology; contending; Duration; Seed; Csv ])
+    ?defaults name doc ~title ~xlabel ~columns ~xs row cells =
+  entry ~knobs ?defaults name doc
+    (fun _ p -> List.concat_map (row p) xs)
+    (fun p rows ->
+      let k = List.length rows / List.length xs in
+      let cells i =
+        Array.of_list (cells (List.filteri (fun j _ -> j / k = i) rows))
+      in
+      [
+        ( name,
+          {
+            X.t_title = title p;
+            t_xlabel = xlabel;
+            t_columns = columns;
+            t_rows = List.mapi (fun i x -> (x, cells i)) xs;
+            t_fmt = Report.fmt_fixed2;
+          } );
+      ])
+
+let write_csv dir (name, t) =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let path = Filename.concat dir (name ^ ".csv") in
+  Report.write_file path (Report.csv_of_series t);
+  Printf.printf "wrote %s\n%!" path
+
+(* The artifact entries of a printed table: one per row, keyed by its CSV
+   name, x label and x, each column's full-precision cell a metric. *)
+let table_entries (name, (t : X.table)) =
+  let entry (x, vs) =
+    let metrics = List.combine t.t_columns (Array.to_list vs) in
+    { Bench_json.experiment = name; lock = t.t_xlabel; threads = x; metrics }
+  in
+  List.map entry t.t_rows
+
+(* --profile: each lock at its largest thread count, with its site table
+   if the point collected one. *)
+let print_top rows =
+  let top (p : X.point) =
+    List.for_all
+      (fun ((q : X.point), _) -> q.lock <> p.lock || q.n_threads <= p.n_threads)
+      rows
+  in
   List.iter
-    (fun (name, (r : Lbench.result)) ->
-      match r.Lbench.predicted with
-      | None ->
-          Printf.printf "  %-12s %4d  %11.3e  %11s  %7s\n" name
-            r.Lbench.n_threads r.Lbench.throughput "-" "-"
-      | Some p ->
-          Printf.printf
-            "  %-12s %4d  %11.3e  %11.3e  %+6.1f%%  %9.1f     %8.1f\n" name
-            r.Lbench.n_threads r.Lbench.throughput
-            p.Numa_trace.Predict.throughput (100. *. p.Numa_trace.Predict.err)
-            p.Numa_trace.Predict.service_ns p.Numa_trace.Predict.handoff_ns)
-    ranked
+    (fun (((p : X.point), _) as row) ->
+      if top p then
+        match p.workload with
+        | X.Lbench { profile = true; _ } -> Report.print_profile (res row)
+        | _ -> Report.print_classes (res row))
+    rows
 
 let gate = function
   | Ok msg -> Printf.printf "check OK: %s\n%!" msg
@@ -230,113 +213,104 @@ let gate = function
 
 (* --- The experiments ---------------------------------------------------- *)
 
-let lbench ?(locks = LR.microbench_locks) ?(profile = false) env p =
-  X.microbench_sweep ~locks:(traced env locks) ~rollup:env.rollup ~profile
-    ~topology:p.topology ~threads:p.threads ~duration:p.duration ~seed:p.seed
-    ()
-
-(* One LBench point of [e] under [cfg] at the entry's machine, thread
-   count, window and seed. *)
-let point ?profile p (e : LR.entry) cfg =
-  Lbench.run ~name:e.name ?profile e.lock ~topology:p.topology ~cfg
-    ~n_threads:p.n_threads ~duration:p.duration ~seed:p.seed
-
-let tput (r : Lbench.result) = r.throughput
-let mops (r : Lbench.result) = r.throughput /. 1e6
-let find name = Option.get (LR.find name)
-let find_all = List.map find
-
-(* "0=a, 1=b, ...": the row legend of a table whose rows are indices. *)
-let legend names =
-  String.concat ", " (List.mapi (fun i n -> Printf.sprintf "%d=%s" i n) names)
-
-let fig name which doc =
+(* Figures 2-5 are views of one LBench sweep; an entry prints the
+   [shown] ones. *)
+let fig name shown doc =
   entry name doc ~quick:fig_quick
     ~knobs:([ Topology; Threads; Duration; Seed; Profile ] @ observed)
-    (fun env p ->
-      let s = lbench ~profile:env.profile env p in
-      let view csv title fmt f s = (csv, X.series ~title ~fmt f s) in
-      let shown =
-        List.concat_map
-          (fun (f, tables) -> if List.mem f which then show env tables else [])
-          [
-            ( `F2,
-              [ view "fig2"
-                  "Figure 2: LBench throughput (critical+non-critical pairs \
-                   / s)"
-                  Report.fmt_si tput s ] );
-            ( `F3,
-              [ view "fig3"
-                  "Figure 3: L2 coherence misses per critical section (lower \
-                   is better)"
-                  Report.fmt_fixed2 (fun r -> r.Lbench.misses_per_cs) s ] );
-            ( `F4,
-              [ view "fig4"
-                  "Figure 4: LBench throughput at low contention (1-16 \
-                   threads)"
-                  Report.fmt_si tput (X.low_contention s) ] );
-            ( `F5,
-              [ view "fig5"
-                  "Figure 5: fairness — stddev of per-thread throughput (% of \
-                   mean, lower is fairer)"
-                  Report.fmt_fixed1 (fun r -> r.Lbench.fairness_stddev_pct) s;
-                view "fig5-p99"
-                  "Figure 5 (companion): p99 acquire latency (ns) — the \
-                   per-acquisition face of unfairness"
-                  Report.fmt_si (fun r -> r.Lbench.acquire_p99) s ] );
-          ]
+    (fun env p -> lbench ~profile:env.profile ~experiment:"lbench" env p)
+    (fun p rows ->
+      let view ?keep csv title fmt f =
+        (csv, series ?keep p ~title fmt f rows)
       in
-      if env.profile then print_top print_profile s;
-      shown @ [ Sweep ("lbench", s) ])
+      List.filter
+        (fun (csv, _) -> List.mem csv shown)
+        [
+          view "fig2"
+            "Figure 2: LBench throughput (critical+non-critical pairs / s)"
+            Report.fmt_si tput;
+          view "fig3"
+            "Figure 3: L2 coherence misses per critical section (lower is \
+             better)"
+            Report.fmt_fixed2 (fun r -> r.Lbench.misses_per_cs);
+          view "fig4" ~keep:(fun n -> n <= 16)
+            "Figure 4: LBench throughput at low contention (1-16 threads)"
+            Report.fmt_si tput;
+          view "fig5"
+            "Figure 5: fairness — stddev of per-thread throughput (% of mean, \
+             lower is fairer)"
+            Report.fmt_fixed1 (fun r -> r.Lbench.fairness_stddev_pct);
+          view "fig5-p99"
+            "Figure 5 (companion): p99 acquire latency (ns) — the \
+             per-acquisition face of unfairness"
+            Report.fmt_si (fun r -> r.Lbench.acquire_p99);
+        ])
 
-let figs = fig "figs" [ `F2; `F3; `F4; `F5 ] "Figures 2-5 from one sweep."
-
+let figs =
+  fig "figs" [ "fig2"; "fig3"; "fig4"; "fig5"; "fig5-p99" ]
+    "Figures 2-5 from one sweep."
 let fig6 =
   entry "fig6" "Abortable lock throughput (Figure 6)." ~quick:fig_quick
     ~knobs:([ Topology; Threads; Duration; Seed; Patience ] @ observed)
     (fun env p ->
-      let locks =
-        List.map (LR.with_trace_abortable env.sink) LR.abortable_locks
-      in
       let cfg = X.cfg_for p.topology p.threads in
-      let s =
-        X.grid ~threads:p.threads
-          ~name:(fun (e : LR.abortable_entry) -> e.a_name)
-          locks
-          (fun e ->
-            let cfg = e.a_tweak cfg in
-            fun n ->
-              Lbench.run_abortable ~name:e.a_name ~rollup:env.rollup e.a_lock
-                ~topology:p.topology ~cfg ~n_threads:n ~duration:p.duration
-                ~seed:p.seed ~patience:p.patience)
-      in
-      show env
-        [
-          ( "fig6",
-            X.series ~title:"Figure 6: abortable lock throughput (pairs / s)"
-              ~fmt:Report.fmt_si tput s );
-          ( "fig6-abort-rate",
-            X.series ~title:"Figure 6 (companion): abort rate (%)"
-              ~fmt:Report.fmt_fixed2
-              (fun r -> 100. *. r.Lbench.abort_rate)
-              s );
-        ]
-      @ [ Sweep ("lbench-abortable", s) ])
+      List.concat_map
+        (fun (e : LR.abortable_entry) ->
+          let e = LR.with_trace_abortable env.sink e in
+          List.map
+            (fun n ->
+              point p ~experiment:"lbench-abortable" ~lock:e.a_name
+                ~cfg:(e.a_tweak cfg) n
+                (X.Abortable
+                   {
+                     lock = e.a_lock;
+                     patience = p.patience;
+                     rollup = env.rollup;
+                   }))
+            p.threads)
+        LR.abortable_locks)
+    (fun p rows ->
+      [
+        ( "fig6",
+          series p ~title:"Figure 6: abortable lock throughput (pairs / s)"
+            Report.fmt_si tput rows );
+        ( "fig6-abort-rate",
+          series p ~title:"Figure 6 (companion): abort rate (%)"
+            Report.fmt_fixed2
+            (fun r -> 100. *. r.Lbench.abort_rate)
+            rows );
+      ])
+
+(* A KV speedup table's points: [locks] x [threads] thread count by
+   thread count, after the pthread baseline at [base_threads] unless a
+   cell is it. *)
+let kv_points ?base_threads p ~experiment threads locks workload =
+  X.kv_points ?base_threads ~experiment ~locks ~topology:p.topology ~threads
+    ~duration:p.duration ~seed:p.seed workload
+
+let table1_csv mix =
+  Printf.sprintf "table1_%.0fpct_sets" (mix.W.set_ratio *. 100.)
 
 let table1 =
   entry "table1" "memcached-style KV store speedups (Table 1)."
     ~knobs:[ Topology; Threads; Duration; Seed; Mix; Csv; Trace ]
     ~defaults:{ base with threads = app_threads } ~quick:app_quick
     (fun env p ->
+      let store = lazy (X.kv_store ()) in
       List.concat_map
         (fun mix ->
-          show env
-            [
-              ( Printf.sprintf "table1_%.0fpct_sets" (mix.W.set_ratio *. 100.),
-                X.table1 ~locks:(traced env LR.app_locks) ~topology:p.topology
-                  ~threads:p.threads ~duration:p.duration ~seed:p.seed ~mix ()
-              );
-            ])
+          kv_points p ~experiment:(table1_csv mix) p.threads
+            (traced env LR.app_locks) (kv_mix store mix))
+        p.mixes)
+    (fun p rows ->
+      List.map
+        (fun mix ->
+          let csv = table1_csv mix in
+          ( csv,
+            X.kv_table ~title:(X.table1_title mix) ~locks:(names LR.app_locks)
+              ~threads:p.threads
+              (List.filter (fun ((q : X.point), _) -> q.experiment = csv) rows)
+          ))
         p.mixes)
 
 let table2 =
@@ -345,311 +319,230 @@ let table2 =
     ~defaults:{ base with threads = [ 1; 2; 4; 8; 16; 32; 64; 128; 255 ] }
     ~quick:(fun p -> { p with threads = [ 1; 8; 64; 255 ] })
     (fun env p ->
-      show env
-        [
-          ( "table2",
-            X.table2 ~locks:(traced env LR.app_locks) ~topology:p.topology
-              ~threads:p.threads ~duration:p.duration ~seed:p.seed () );
-        ])
+      grid p ~by_thread:true ~experiment:"table2" p.threads
+        (traced env LR.app_locks) (fun e -> X.Mmicro e.lock))
+    (fun p rows ->
+      [
+        ( "table2",
+          X.lock_table
+            ~title:
+              "Table 2: libc-style allocator, mmicro (malloc-free pairs / ms)"
+            ~locks:(names LR.app_locks) ~threads:p.threads
+            (X.metric "pairs_per_ms") rows );
+      ])
 
-(* The knobs of the single-table experiments at one contending-thread
-   count. *)
-let at_one_count = [ Topology; contending; Duration; Seed; Csv ]
+let handoff_locks = [ "C-BO-MCS"; "C-TKT-MCS" ]
 
 let ablation_handoff =
-  entry "ablation-handoff" "Sweep of the may-pass-local bound (section 3.7)."
-    ~knobs:at_one_count
-    (fun env p ->
-      let cfg = X.cfg_for p.topology [ p.n_threads ] in
-      let locks = [ "C-BO-MCS"; "C-TKT-MCS" ] in
-      table env "ablation-handoff"
-        ~title:
-          (Printf.sprintf
-             "Ablation: may-pass-local bound at %d threads (throughput Mops/s \
-              and fairness stddev%%)"
-             p.n_threads)
-        ~xlabel:"bound"
-        ~columns:
-          (List.concat_map (fun n -> [ n ^ " tput"; n ^ " unfair%" ]) locks)
-        (List.map
-           (fun bound ->
-             ( bound,
-               Array.of_list
-                 (List.concat_map
-                    (fun name ->
-                      let e = find name in
-                      let r =
-                        point p e
-                          { (e.tweak cfg) with LI.max_local_handoffs = bound }
-                      in
-                      [ mops r; r.Lbench.fairness_stddev_pct ])
-                    locks) ))
-           [ 0; 1; 4; 16; 64; 256; 100_000 ]))
+  one_table "ablation-handoff"
+    "Sweep of the may-pass-local bound (section 3.7)."
+    ~title:(fun p ->
+      Printf.sprintf
+        "Ablation: may-pass-local bound at %d threads (throughput Mops/s and \
+         fairness stddev%%)"
+        p.n_threads)
+    ~xlabel:"bound"
+    ~columns:
+      (List.concat_map (fun n -> [ n ^ " tput"; n ^ " unfair%" ]) handoff_locks)
+    ~xs:[ 0; 1; 4; 16; 64; 256; 100_000 ]
+    (fun p bound ->
+      lb p ~experiment:"ablation-handoff" p.n_threads (find_all handoff_locks)
+        ~cfg:(fun e n ->
+          {
+            (e.tweak (X.cfg_for p.topology [ n ])) with
+            LI.max_local_handoffs = bound;
+          }))
+    (List.concat_map (fun r -> [ mops r; (res r).Lbench.fairness_stddev_pct ]))
 
 (* HBO parameter instability (section 4.2): the microbenchmark-tuned and
    application-tuned presets, each on LBench and on the write-heavy KV
    workload. *)
+let hbo_presets =
+  [ ("HBO micro-tuned", LR.hbo_micro); ("HBO app-tuned", LR.hbo_app) ]
+
 let ablation_hbo =
-  entry "ablation-hbo" "HBO backoff-parameter instability across workloads."
-    (fun env p ->
-      let presets =
-        [ ("HBO micro-tuned", LR.hbo_micro); ("HBO app-tuned", LR.hbo_app) ]
-      in
-      let hbo = find "HBO" in
-      let store = X.kv_store () in
-      table env "ablation-hbo"
-        ~title:
-          "Ablation: HBO backoff-parameter instability (Mops/s; columns: \
-           preset x workload)"
-        ~xlabel:"threads"
-        ~columns:
-          (List.concat_map
-             (fun (p, _) -> [ p ^ " | LBench"; p ^ " | KV wr-heavy" ])
-             presets)
-        (List.map
-           (fun n ->
-             ( n,
-               Array.of_list
-                 (List.concat_map
-                    (fun (_, tweak) ->
-                      let lb =
-                        point { p with n_threads = n } hbo
-                          (tweak (X.cfg_for p.topology [ n ]))
-                      in
-                      let kv =
-                        X.kv_ops_per_sec store { hbo with tweak }
-                          ~topology:p.topology ~n_threads:n
-                          ~duration:p.duration ~seed:p.seed ~mix:W.write_heavy
-                      in
-                      [ mops lb; kv /. 1e6 ])
-                    presets) ))
-           [ 32; 128 ]))
+  one_table "ablation-hbo" "HBO backoff-parameter instability across workloads."
+    ~knobs:[ Topology; Duration; Seed; Csv ]
+    ~title:(fun _ ->
+      "Ablation: HBO backoff-parameter instability (Mops/s; columns: preset x \
+       workload)")
+    ~xlabel:"threads"
+    ~columns:
+      (List.concat_map
+         (fun (p, _) -> [ p ^ " | LBench"; p ^ " | KV wr-heavy" ])
+         hbo_presets)
+    ~xs:[ 32; 128 ]
+    (fun p ->
+      let store = lazy (X.kv_store ()) in
+      fun n ->
+        List.concat_map
+          (fun (name, tweak) ->
+            let hbo = [ { (find "HBO") with name; tweak } ] in
+            lb p ~experiment:"ablation-hbo" n hbo
+            @ grid p ~experiment:"ablation-hbo" [ n ] hbo
+                (kv_mix store W.write_heavy))
+          hbo_presets)
+    (List.map mops)
 
 (* The paper's counted policy (bound 64) vs the time-budget policy its
    section 2.1 suggests, on a fair-global cohort lock so fairness
    reflects the policy rather than global-lock arbitration. *)
+let policies =
+  [
+    ("counted 64", fun cfg -> { cfg with LI.handoff_policy = LI.Counted });
+    ( "counted 16",
+      fun cfg ->
+        { cfg with LI.handoff_policy = LI.Counted; max_local_handoffs = 16 } );
+    ("timed 5us", fun cfg -> { cfg with LI.handoff_policy = LI.Timed 5_000 });
+    ("timed 50us", fun cfg -> { cfg with LI.handoff_policy = LI.Timed 50_000 });
+    ( "count|time 10us",
+      fun cfg -> { cfg with LI.handoff_policy = LI.Counted_or_timed 10_000 } );
+    ("unbounded", fun cfg -> { cfg with LI.handoff_policy = LI.Unbounded });
+  ]
+
 let ablation_policy =
-  entry "ablation-policy"
+  one_table "ablation-policy"
     "Counted vs time-budget may-pass-local policies (section 2.1)."
-    ~knobs:at_one_count
-    (fun env p ->
-      let cfg = X.cfg_for p.topology [ p.n_threads ] in
-      let policies =
-        [
-          ("counted 64", { cfg with LI.handoff_policy = LI.Counted });
-          ( "counted 16",
-            { cfg with LI.handoff_policy = LI.Counted; max_local_handoffs = 16 }
-          );
-          ("timed 5us", { cfg with LI.handoff_policy = LI.Timed 5_000 });
-          ("timed 50us", { cfg with LI.handoff_policy = LI.Timed 50_000 });
-          ( "count|time 10us",
-            { cfg with LI.handoff_policy = LI.Counted_or_timed 10_000 } );
-          ("unbounded", { cfg with LI.handoff_policy = LI.Unbounded });
-        ]
-      in
-      let e = find "C-TKT-MCS" in
-      table env "ablation-policy"
-        ~title:
-          (Printf.sprintf
-             "Ablation: may-pass-local policy on C-TKT-MCS at %d threads \
-              (rows: %s)"
-             p.n_threads
-             (legend (List.map fst policies)))
-        ~xlabel:"policy#"
-        ~columns:[ "Mops/s"; "unfair%"; "migrations" ]
-        (List.mapi
-           (fun i (_, cfg) ->
-             let r = point p e cfg in
-             ( i,
-               [|
-                 mops r;
-                 r.Lbench.fairness_stddev_pct;
-                 float_of_int r.Lbench.migrations;
-               |] ))
-           policies))
+    ~title:(fun p ->
+      Printf.sprintf
+        "Ablation: may-pass-local policy on C-TKT-MCS at %d threads (rows: %s)"
+        p.n_threads
+        (legend (List.map fst policies)))
+    ~xlabel:"policy#"
+    ~columns:[ "Mops/s"; "unfair%"; "migrations" ]
+    ~xs:(indices policies)
+    (fun p i ->
+      lb p ~experiment:"ablation-policy" p.n_threads [ find "C-TKT-MCS" ]
+        ~cfg:(fun _ n ->
+          snd (List.nth policies i) (X.cfg_for p.topology [ n ])))
+    (List.concat_map (fun row ->
+         let r = res row in
+         [
+           mops row;
+           r.Lbench.fairness_stddev_pct;
+           float_of_int r.Lbench.migrations;
+         ]))
 
 module Blk = Cohort.Park_lock.Make (Numasim.Sim_mem)
 
 (* The blocking cohort lock C-BLK-BLK against the plain blocking mutex
    and C-BO-MCS on the write-heavy KV workload. *)
+let blocking_locks =
+  [
+    find "pthread";
+    LR.plain "BLK" (module Blk.Plain : LI.LOCK);
+    LR.plain "C-BLK-BLK" LR.Table.c_blk_blk;
+    find "C-BO-MCS";
+  ]
+
 let ext_blocking =
   entry "ext-blocking" "Extension: the blocking cohort lock C-BLK-BLK."
     ~knobs:[ Topology; Threads; Duration; Seed; Csv ]
     ~defaults:{ base with threads = app_threads } ~quick:app_quick
-    (fun env p ->
-      let locks =
-        [
-          find "pthread";
-          LR.plain "BLK" (module Blk.Plain : LI.LOCK);
-          LR.plain "C-BLK-BLK" LR.Table.c_blk_blk;
-          find "C-BO-MCS";
-        ]
-      in
-      show env
-        [
-          ( "ext-blocking",
-            {
-              (X.table1 ~locks ~topology:p.topology ~threads:p.threads
-                 ~duration:p.duration ~seed:p.seed ~mix:W.write_heavy ())
-              with
-              X.t_title =
-                "Extension: blocking cohort lock (C-BLK-BLK) on the \
-                 write-heavy KV workload (speedup over pthread @ 1 thread)";
-            } );
-        ])
-
-module Rw = (val LR.Table.c_rw_wp)
-module RwMutex = (val LR.Table.get ~global:"BO" ~local:"MCS")
-
-(* Threads share a structure under either a plain cohort mutex or the RW
-   cohort lock; one loop for both: a thread's [lock]/[unlock] take
-   [write], which the plain mutex ignores. The run ends at [duration]
-   and counts the operations completed before it. Returns operations /
-   s. *)
-let rw_run ~use_rw ~topology ~n_threads ~write_ratio ~duration ~seed =
-  let cfg = X.cfg_for topology [ n_threads ] in
-  let ops = ref 0 in
-  let shared = M.cell' 0 in
-  let register =
-    if use_rw then begin
-      let l = Rw.create cfg in
-      fun ~tid ~cluster ->
-        let th = Rw.register l ~tid ~cluster in
-        ( (fun write -> if write then Rw.write_lock th else Rw.read_lock th),
-          fun write -> if write then Rw.write_unlock th else Rw.read_unlock th )
-    end
-    else begin
-      let l = RwMutex.create cfg in
-      fun ~tid ~cluster ->
-        let th = RwMutex.register l ~tid ~cluster in
-        ((fun _ -> RwMutex.acquire th), fun _ -> RwMutex.release th)
-    end
-  in
-  ignore
-    (Numasim.Engine.run ~topology ~n_threads ~horizon:duration
-       (fun ~tid ~cluster ->
-         let lock, unlock = register ~tid ~cluster in
-         let rng = Prng.create (seed + tid) in
-         let rec loop () =
-           if M.now () < duration then begin
-             let write = Prng.chance rng write_ratio in
-             lock write;
-             if write then M.write shared (M.read shared + 1)
-             else ignore (M.read shared);
-             M.pause 150;
-             unlock write;
-             if M.now () < duration then incr ops;
-             M.pause (500 + Prng.int rng 500);
-             loop ()
-           end
-         in
-         loop ()));
-  float_of_int !ops /. (float_of_int duration *. 1e-9)
+    (fun _ p ->
+      kv_points p ~experiment:"ext-blocking" p.threads blocking_locks
+        (kv_mix (lazy (X.kv_store ())) W.write_heavy))
+    (fun p rows ->
+      [
+        ( "ext-blocking",
+          X.kv_table
+            ~title:
+              "Extension: blocking cohort lock (C-BLK-BLK) on the write-heavy \
+               KV workload (speedup over pthread @ 1 thread)"
+            ~locks:(names blocking_locks) ~threads:p.threads rows );
+      ])
 
 let ext_rw =
-  entry "ext-rw" "Extension: the NUMA-aware reader-writer lock C-RW-WP."
-    ~knobs:at_one_count
-    (fun env p ->
-      let run use_rw write_ratio =
-        rw_run ~use_rw ~topology:p.topology ~n_threads:p.n_threads
-          ~write_ratio ~duration:p.duration ~seed:p.seed
-      in
-      table env "ext-rw"
-        ~title:
-          (Printf.sprintf
-             "Extension: NUMA-aware reader-writer lock (C-RW-WP) vs cohort \
-              mutex at %d threads"
-             p.n_threads)
-        ~xlabel:"write%"
-        ~columns:[ "mutex Mops/s"; "C-RW-WP Mops/s"; "speedup" ]
-        (List.map
-           (fun ratio ->
-             let mutex = run false ratio in
-             let rw = run true ratio in
-             ( int_of_float (ratio *. 100.),
-               [| mutex /. 1e6; rw /. 1e6; rw /. mutex |] ))
-           [ 0.01; 0.1; 0.5; 0.9 ]))
+  one_table "ext-rw" "Extension: the NUMA-aware reader-writer lock C-RW-WP."
+    ~title:(fun p ->
+      Printf.sprintf
+        "Extension: NUMA-aware reader-writer lock (C-RW-WP) vs cohort mutex at \
+         %d threads"
+        p.n_threads)
+    ~xlabel:"write%"
+    ~columns:[ "mutex Mops/s"; "C-RW-WP Mops/s"; "speedup" ]
+    ~xs:[ 1; 10; 50; 90 ]
+    (fun p pct ->
+      List.map
+        (fun (lock, use_rw) ->
+          point p ~experiment:"ext-rw" ~lock
+            ~cfg:(X.cfg_for p.topology [ p.n_threads ])
+            p.n_threads
+            (X.Rw { use_rw; write_ratio = float_of_int pct /. 100. }))
+        [ ("C-BO-MCS", false); ("C-RW-WP", true) ])
+    (function
+      | [ mutex; rw ] -> [ mops mutex; mops rw; ops rw /. ops mutex ]
+      | _ -> assert false)
 
 (* The paper motivates write-heavy testing with servers that "exhibit
    bi-modal behavior, alternating between write-heavy and read-heavy
    phases" (section 4.2). Cohort locks need no retuning across phases;
    HBO's fixed backoff parameters cannot suit both. *)
+let bimodal_locks =
+  find_all [ "pthread"; "MCS"; "HBO"; "C-BO-MCS"; "C-TKT-MCS" ]
+
 let ext_bimodal =
   entry "ext-bimodal" "Extension: bi-modal (phase-alternating) KV workload."
     ~knobs:[ Topology; N_threads "Server threads."; Duration; Seed; Csv ]
     ~defaults:{ base with n_threads = 32 }
-    (fun env p ->
-      let locks =
-        List.filter
-          (fun (e : LR.entry) ->
-            List.mem e.name
-              [ "pthread"; "MCS"; "HBO"; "C-BO-MCS"; "C-TKT-MCS" ])
-          LR.app_locks
-      in
-      let store = X.kv_store () in
-      let run e =
-        X.kv_run store
-          ~make_workload:(fun ~tid ->
-            W.make_bimodal ~seed:(p.seed + (tid * 131) + 7) ~n_keys:X.kv_keys
-              ~period:500 ~mix_a:W.read_heavy ~mix_b:W.write_heavy)
-          e ~topology:p.topology ~n_threads:p.n_threads ~duration:p.duration
-          ~seed:p.seed
-      in
-      let base = run (find "pthread") in
-      table env "ext-bimodal"
-        ~title:
-          (Printf.sprintf
-             "Extension: bi-modal workload (alternating read-/write-heavy \
-              phases) at %d threads (speedup over pthread)"
-             p.n_threads)
-        ~xlabel:"threads"
-        ~columns:(names locks)
-        [
-          ( p.n_threads,
-            Array.of_list (List.map (fun e -> run e /. base) locks) );
-        ])
+    (fun _ p ->
+      let store = lazy (X.kv_store ()) in
+      kv_points p ~base_threads:p.n_threads ~experiment:"ext-bimodal"
+        [ p.n_threads ] bimodal_locks (fun e ->
+          X.Kv_bimodal { lock = e.lock; store }))
+    (fun p rows ->
+      [
+        ( "ext-bimodal",
+          X.kv_table
+            ~title:
+              (Printf.sprintf
+                 "Extension: bi-modal workload (alternating read-/write-heavy \
+                  phases) at %d threads (speedup over pthread)"
+                 p.n_threads)
+            ~base_threads:p.n_threads ~locks:(names bimodal_locks)
+            ~threads:[ p.n_threads ] rows );
+      ])
 
 (* MCS vs C-BO-MCS on each machine, at the entry's thread count capped to
-   the machine's contexts. *)
-let cohort_gain name ~title ~topologies env p =
-  table env name
-    ~title:
-      (Printf.sprintf "%s at %d threads (rows: %s)" title p.n_threads
-         (legend (List.map fst topologies)))
+   the machine's contexts. These fix their machines; the banner shows the
+   default topology. *)
+let cohort_gain ?defaults name doc ~title ~topologies =
+  one_table ?defaults name doc ~knobs:[ contending; Duration; Seed; Csv ]
+    ~title:(fun p ->
+      Printf.sprintf "%s at %d threads (rows: %s)" title p.n_threads
+        (legend (List.map fst topologies)))
     ~xlabel:"machine#"
     ~columns:[ "MCS Mops/s"; "C-BO-MCS Mops/s"; "cohort gain" ]
-    (List.mapi
-       (fun i (_, topology) ->
-         let n = min p.n_threads (Topology.total_threads topology) in
-         let p = { p with topology; n_threads = n } in
-         let run (e : LR.entry) =
-           mops (point p e (e.tweak (X.cfg_for topology [ n ])))
-         in
-         let m = run (find "MCS") and c = run (find "C-BO-MCS") in
-         (i, [| m; c; c /. m |]))
-       topologies)
+    ~xs:(indices topologies)
+    (fun p i ->
+      let topology = snd (List.nth topologies i) in
+      lb { p with topology } ~experiment:name
+        (min p.n_threads (Topology.total_threads topology))
+        (find_all [ "MCS"; "C-BO-MCS" ]))
+    (fun cells ->
+      match List.map mops cells with
+      | [ m; c ] -> [ m; c; c /. m ]
+      | _ -> assert false)
 
-(* These two fix their machines; the banner shows the default topology.
-   The cohort advantage should grow with the machine's NUMA factor and
+(* The cohort advantage should grow with the machine's NUMA factor and
    vanish on a UMA machine (negative control). *)
 let topology =
-  entry "topology"
+  cohort_gain "topology"
     "Cohort gain across machine shapes (UMA control, 2/4/8 sockets)."
-    ~knobs:[ contending; Duration; Seed; Csv ]
-    (cohort_gain "topology" ~title:"Topology sensitivity"
-       ~topologies:
-         [
-           ( "uma",
-             Topology.make ~name:"uma" ~clusters:4 ~threads_per_cluster:64
-               Latency.uniform );
-           ( "2-socket",
-             Topology.make ~name:"2s" ~clusters:2 ~threads_per_cluster:32
-               Latency.two_socket_x86 );
-           ("t5440", Topology.t5440);
-           ( "8-socket",
-             Topology.make ~name:"8s" ~clusters:8 ~threads_per_cluster:32
-               Latency.t5440 );
-         ])
+    ~title:"Topology sensitivity"
+    ~topologies:
+      [
+        ( "uma",
+          Topology.make ~name:"uma" ~clusters:4 ~threads_per_cluster:64
+            Latency.uniform );
+        ( "2-socket",
+          Topology.make ~name:"2s" ~clusters:2 ~threads_per_cluster:32
+            Latency.two_socket_x86 );
+        ("t5440", Topology.t5440);
+        ( "8-socket",
+          Topology.make ~name:"8s" ~clusters:8 ~threads_per_cluster:32
+            Latency.t5440 );
+      ]
 
 (* Same shape (4 clusters x 64), different cost structure: t5440 pays one
    flat tier for every cross-cluster transfer, the rack preset pays a
@@ -657,46 +550,38 @@ let topology =
    lock migrates. Cohorting should widen its lead when migration can
    cross a rack. *)
 let hier =
-  entry "hier"
+  cohort_gain "hier"
     "Flat T5440 vs the rack preset (two racks of two sockets, three latency \
      tiers): the cohort gain under deeper distance structure."
-    ~knobs:[ contending; Duration; Seed; Csv ]
     ~defaults:{ base with topology = Topology.rack }
-    (cohort_gain "hier"
-       ~title:
-         "Extension: hierarchical machine (flat t5440 vs 2-rack x 2-socket)"
-       ~topologies:[ ("t5440", Topology.t5440); ("rack", Topology.rack) ])
+    ~title:"Extension: hierarchical machine (flat t5440 vs 2-rack x 2-socket)"
+    ~topologies:[ ("t5440", Topology.t5440); ("rack", Topology.rack) ]
 
 (* The paper's generality claim, measured: rows are the global locks in
    table order, columns the local locks. *)
+let globals = List.map fst LR.Table.globals
+let locals = List.map fst LR.Table.locals
+
 let matrix =
-  entry "matrix"
+  one_table "matrix"
     "LBench throughput of all 16 global x local cohort compositions."
-    ~knobs:at_one_count
-    (fun env p ->
-      let cfg = X.cfg_for p.topology [ p.n_threads ] in
-      let globals = List.map fst LR.Table.globals in
-      let locals = List.map fst LR.Table.locals in
-      table env "matrix"
-        ~title:
-          (Printf.sprintf
-             "Composition matrix at %d threads (Mops/s; rows = global lock \
-              %s, columns = local lock)"
-             p.n_threads
-             (String.concat "/" globals))
-        ~xlabel:"global#" ~columns:locals
-        (List.mapi
-           (fun gi global ->
-             ( gi,
-               Array.of_list
-                 (List.map
-                    (fun local ->
-                      mops
-                        (Lbench.run (LR.Table.get ~global ~local)
-                           ~topology:p.topology ~cfg ~n_threads:p.n_threads
-                           ~duration:p.duration ~seed:p.seed))
-                    locals) ))
-           globals))
+    ~title:(fun p ->
+      Printf.sprintf
+        "Composition matrix at %d threads (Mops/s; rows = global lock %s, \
+         columns = local lock)"
+        p.n_threads
+        (String.concat "/" globals))
+    ~xlabel:"global#" ~columns:locals ~xs:(indices globals)
+    (fun p i ->
+      lb p ~experiment:"matrix" p.n_threads
+        ~cfg:(fun _ n -> X.cfg_for p.topology [ n ])
+        (List.map
+           (fun local ->
+             let global = List.nth globals i in
+             let (module L : LI.LOCK) as lock = LR.Table.get ~global ~local in
+             LR.plain L.name lock)
+           locals))
+    (List.map mops)
 
 (* The first paper-vs-successor table: the 2012 cohort flagship against
    two later designs — CNA (Dice & Kogan, arXiv 1810.05600), which gets
@@ -707,55 +592,47 @@ let matrix =
    locality) and distinct lock-metadata cache lines touched (memory
    footprint — CNA's headline advantage, PTL's headline cost). The
    profile is stats-only, so schedules match the unprofiled sweeps. *)
+let per_acq (r : Lbench.result) =
+  match r.Lbench.profile with
+  | Some pr ->
+      Numa_trace.Profile.remote_transfers_per_acquire pr
+        ~acquires:r.Lbench.iterations
+  | None -> Float.nan
+
+let lines (r : Lbench.result) =
+  Option.fold ~none:0 ~some:Numa_trace.Profile.lock_lines r.Lbench.profile
+
 let successors =
-  entry "successors"
+  one_table "successors"
     "Paper-vs-successor table: MCS and C-BO-MCS against CNA (compact \
      NUMA-aware lock) and the partition ticket lock \u{2014} throughput, \
      remote transfers per acquisition, and lock-metadata cache-line \
      footprint."
-    ~knobs:at_one_count
-    (fun env p ->
-      let locks = [ "MCS"; "C-BO-MCS"; "CNA"; "PTL" ] in
-      let cfg = X.cfg_for p.topology [ p.n_threads ] in
-      table env "successors"
-        ~title:
-          (Printf.sprintf
-             "Successors: cohort flagship vs CNA and partition ticket at %d \
-              threads (rows: %s)"
-             p.n_threads (legend locks))
-        ~xlabel:"lock#"
-        ~columns:[ "Mops/s"; "xfers/acq"; "lock lines" ]
-        (List.mapi
-           (fun i name ->
-             let e = find name in
-             let r = point ~profile:true p e (e.tweak cfg) in
-             let pr = Option.get r.Lbench.profile in
-             ( i,
-               [|
-                 mops r;
-                 Numa_trace.Profile.remote_transfers_per_acquire pr
-                   ~acquires:r.Lbench.iterations;
-                 float_of_int (Numa_trace.Profile.lock_lines pr);
-               |] ))
-           locks))
+    ~title:(fun p ->
+      Printf.sprintf
+        "Successors: cohort flagship vs CNA and partition ticket at %d \
+         threads (rows: %s)"
+        p.n_threads (legend core_locks))
+    ~xlabel:"lock#"
+    ~columns:[ "Mops/s"; "xfers/acq"; "lock lines" ]
+    ~xs:(indices core_locks)
+    (fun p i ->
+      lb ~profile:true p ~experiment:"successors" p.n_threads
+        [ find (List.nth core_locks i) ])
+    (List.concat_map (fun row ->
+         let r = res row in
+         [ mops row; per_acq r; float_of_int (lines r) ]))
 
 (* The full LBench line-up on the hierarchical rack preset (two racks x
    two sockets, three latency tiers); only the plan runs it. *)
 let rack =
   entry "rack" "LBench throughput on the rack preset." ~quick:fig_quick
+    ~knobs:([ Topology; Duration; Seed ] @ observed)
     ~in_all:(fun p -> { p with topology = Topology.rack })
-    (fun env p ->
-      let s = lbench env p in
-      show env
-        [
-          ( "rack",
-            X.series
-              ~title:
-                "Extension: LBench throughput on the rack preset (2 racks x 2 \
-                 sockets, pairs / s)"
-              ~fmt:Report.fmt_si tput s );
-        ]
-      @ [ Sweep ("lbench-rack", s) ])
+    (lbench ~experiment:"lbench-rack")
+    (throughput "rack" (fun _ ->
+         "Extension: LBench throughput on the rack preset (2 racks x 2 \
+          sockets, pairs / s)"))
 
 (* Oversubscription: 2048 logical threads wrap onto the T5440's 256
    contexts (8 fibers per hardware thread); short window, queue-lock
@@ -763,31 +640,19 @@ let rack =
    ordering survives heavy multiplexing. Only the plan runs it. *)
 let oversub =
   entry "oversub" "Oversubscribed LBench on the T5440."
+    ~knobs:([ Topology; Duration; Seed ] @ observed)
     ~defaults:{ base with threads = [ 512; 2048 ] }
     ~in_all:(fun p ->
       { p with topology = Topology.t5440; duration = 1_000_000 })
     ~quick:(fun p -> { p with duration = 400_000 })
-    (fun env p ->
-      let locks =
-        List.filter
-          (fun (e : LR.entry) ->
-            List.mem e.LR.name [ "MCS"; "C-BO-MCS"; "C-TKT-MCS"; "CNA" ])
-          LR.microbench_locks
-      in
-      let s = lbench ~locks env p in
-      show env
-        [
-          ( "oversub",
-            X.series
-              ~title:
-                "Extension: oversubscribed LBench (logical threads wrapped \
-                 onto the T5440's 256 contexts, pairs / s)"
-              ~fmt:Report.fmt_si tput s );
-        ]
-      @ [ Sweep ("lbench-oversub", s) ])
+    (lbench ~experiment:"lbench-oversub"
+       ~locks:(find_all [ "MCS"; "C-BO-MCS"; "C-TKT-MCS"; "CNA" ]))
+    (throughput "oversub" (fun _ ->
+         "Extension: oversubscribed LBench (logical threads wrapped onto the \
+          T5440's 256 contexts, pairs / s)"))
 
 (* Saturation collapse: thread counts from capacity to far past it, under
-   the explicit preemption model (Experiments.collapse_run). Plain
+   the explicit preemption model (Experiments.collapse_workload). Plain
    BO/TKT/MCS collapse once logical threads exceed contexts, GCR-wrapped
    locks hold. Each point ends at its window, so the standalone sweep
    through 8192 threads takes seconds of host time; the plan keeps its
@@ -821,27 +686,15 @@ let collapse =
     ~quick:(fun p ->
       { p with threads = [ 64; 1024; 2048 ]; duration = 500_000 })
     (fun env p ->
-      let s =
-        X.collapse_sweep ~locks:(traced env (find_all p.locks))
-          ~topology:p.topology ~threads:p.threads ~duration:p.duration
-          ~seed:p.seed ()
-      in
-      let shown =
-        show env
-          [
-            ( "collapse",
-              X.series
-                ~title:
-                  (Printf.sprintf
-                     "Collapse: throughput under oversubscription on %s (%d \
-                      contexts; pairs / s)"
-                     p.topology.Topology.name
-                     (Topology.total_threads p.topology))
-                ~fmt:Report.fmt_si tput s );
-          ]
-      in
-      if env.profile then print_top print_classes s;
-      shown @ [ Sweep ("collapse", s) ])
+      grid p ~experiment:"collapse" p.threads
+        (traced env (find_all p.locks))
+        (fun e -> X.Collapse e.lock))
+    (throughput "collapse" (fun p ->
+         Printf.sprintf
+           "Collapse: throughput under oversubscription on %s (%d contexts; \
+            pairs / s)"
+           p.topology.Topology.name
+           (Topology.total_threads p.topology)))
 
 let registry_locks doc = Locks (doc, names LR.all_locks)
 
@@ -877,24 +730,15 @@ let profile =
                        C-BO-MCS and CNA)") );
       ]
     ~defaults:{ base with locks = core_locks }
-    (fun _ p ->
-      let s =
-        X.microbench_sweep ~locks:(find_all p.locks) ~profile:true
-          ~topology:p.topology ~threads:[ p.n_threads ] ~duration:p.duration
-          ~seed:p.seed ()
+    (fun env p ->
+      lbench ~locks:(find_all p.locks) ~profile:true ~experiment:"lbench"
+        { env with rollup = false }
+        { p with threads = [ p.n_threads ] })
+    (fun p rows ->
+      let results =
+        List.map (fun (((q : X.point), _) as r) -> (q.lock, res r)) rows
       in
-      let results = points s in
-      List.iter (fun (name, r) -> print_profile ~name r) results;
-      let per_acq (r : Lbench.result) =
-        match r.Lbench.profile with
-        | Some pr ->
-            Numa_trace.Profile.remote_transfers_per_acquire pr
-              ~acquires:r.Lbench.iterations
-        | None -> Float.nan
-      in
-      let lines (r : Lbench.result) =
-        Option.fold ~none:0 ~some:Numa_trace.Profile.lock_lines r.Lbench.profile
-      in
+      List.iter (fun (_, r) -> Report.print_profile r) results;
       Printf.printf
         "\nremote transfers per acquisition / lock-metadata lines @ %d \
          threads:\n"
@@ -912,7 +756,7 @@ let profile =
           (Gates.lines_claim ~cna_lines:(lines (get "CNA"))
              ~cohort_lines:(lines (get "C-BO-MCS")))
       end;
-      [ Sweep ("lbench", s) ])
+      [])
 
 (* The throughput oracle (doc/SIMULATOR.md "Model validation"): LBench
    with rollups on, predicted vs measured per point ranked by |error|;
@@ -950,31 +794,23 @@ let predict =
                           (List.map string_of_int Gates.pred_core_threads))) );
       ]
     ~defaults:{ base with threads = Gates.pred_core_threads; locks = core_locks }
-    (fun _ p ->
-      let s =
-        X.microbench_sweep ~locks:(find_all p.locks) ~rollup:true
-          ~topology:p.topology ~threads:p.threads ~duration:p.duration
-          ~seed:p.seed ()
-      in
-      print_predictions s;
-      if p.check then begin
-        let pts = points s in
-        let err lock n =
-          err_pct
-            (snd
-               (List.find
-                  (fun (name, (r : Lbench.result)) ->
-                    name = lock && r.Lbench.n_threads = n)
-                  pts))
-        in
+    (fun env p ->
+      lbench ~locks:(find_all p.locks) ~experiment:"lbench"
+        { env with rollup = true } p)
+    (fun p rows ->
+      Report.print_predictions (List.map res rows);
+      if p.check then
         gate
           (Gates.prediction_claim
              ~err_pcts:
                (List.concat_map
-                  (fun lock -> List.map (err lock) Gates.pred_core_threads)
-                  Gates.pred_core_locks))
-      end;
-      [ Sweep ("lbench", s) ])
+                  (fun lock ->
+                    List.map
+                      (fun n ->
+                        Report.err_pct (Option.get (X.at rows lock n).X.result))
+                      Gates.pred_core_threads)
+                  Gates.pred_core_locks));
+      [])
 
 (* --- The plan ------------------------------------------------------------ *)
 
@@ -1003,19 +839,19 @@ let all ~quick =
          windows, fewer thread counts)." )
     else ("all", "Run every figure and table.")
   in
-  entry name doc
-    ~knobs:([ Topology; Duration; Seed; Profile; Fastpath ] @ observed)
-    ~defaults:{ base with duration = (if quick then 2_000_000 else base.duration) }
-    (fun env g ->
-      List.concat_map (fun e -> e.run env (step_params ~quick g e)) plan)
+  let duration = if quick then 2_000_000 else base.duration in
+  let knobs = [ Topology; Duration; Seed; Profile; Fastpath ] @ observed in
+  let defaults = { base with duration } in
+  let body = Plan quick in
+  { name; doc; knobs; defaults; in_all = Fun.id; quick = Fun.id; body }
 
 (* The [repro] subcommands, in help order. *)
 let commands =
   [
-    fig "fig2" [ `F2 ] "LBench throughput (Figure 2).";
-    fig "fig3" [ `F3 ] "L2 coherence misses per CS (Figure 3).";
-    fig "fig4" [ `F4 ] "Low-contention throughput (Figure 4).";
-    fig "fig5" [ `F5 ] "Fairness (Figure 5).";
+    fig "fig2" [ "fig2" ] "LBench throughput (Figure 2).";
+    fig "fig3" [ "fig3" ] "L2 coherence misses per CS (Figure 3).";
+    fig "fig4" [ "fig4" ] "Low-contention throughput (Figure 4).";
+    fig "fig5" [ "fig5"; "fig5-p99" ] "Fairness (Figure 5).";
     figs; fig6; table1; table2; ablation_handoff; ablation_hbo;
     ablation_policy; topology; hier; ext_blocking; ext_rw; ext_bimodal;
     matrix; successors; collapse; profile; predict; all ~quick:false;
@@ -1024,17 +860,50 @@ let commands =
 
 (* --- One invocation ------------------------------------------------------ *)
 
-(* Banner, the entry's run, then the trace file and the artifact. *)
+(* One entry at its params: run its points in order, render, print each
+   table with its companions (named [NAME-...]) and write their CSVs, then
+   --profile. Its artifact entries are its LBench rows if it takes
+   --emit-bench-json, then one per printed table row. A plan runs its
+   steps so. *)
+let rec step env e p =
+  match e.body with
+  | Plan quick ->
+      List.concat_map (fun s -> step env s (step_params ~quick p s)) plan
+  | Points (points, render) ->
+      let rows = X.run_points (points env p) in
+      let tables = render p rows in
+      let rec show = function
+        | [] -> ()
+        | (name, _) :: _ as tables ->
+            let companion (n, _) =
+              n = name || String.starts_with ~prefix:(name ^ "-") n
+            in
+            let group, rest = List.partition companion tables in
+            List.iter (fun (_, t) -> Report.print_series t) group;
+            Option.iter (fun d -> List.iter (write_csv d) group) env.csv_dir;
+            show rest
+      in
+      show tables;
+      if env.profile && List.mem Profile e.knobs then print_top rows;
+      List.filter_map
+        (fun (_, r) ->
+          if List.mem Emit e.knobs && Option.is_some r.X.result then
+            Some r.X.entry
+          else None)
+        rows
+      @ List.concat_map table_entries tables
+
 let run ?csv_dir ?trace ?emit ?(profile = false) e p =
   let sink, finish = Numa_trace.Chrome.open_trace trace in
   let env = { sink; rollup = emit <> None; profile; csv_dir } in
   Printf.printf "topology=%s duration=%dms seed=%d\n%!" p.topology.Topology.name
     (p.duration / 1_000_000) p.seed;
-  let outputs = e.run env p in
+  let entries = step env e p in
   finish ();
   Option.iter (Printf.printf "wrote %s\n%!") trace;
   Option.iter
     (fun path ->
-      Bench_json.write path (artifact ~seed:p.seed outputs);
+      Bench_json.write path
+        (Bench_json.make ~substrate:"sim" ~seed:p.seed entries);
       Printf.printf "wrote %s\n%!" path)
     emit

@@ -1,17 +1,13 @@
 (** The experiment catalogue: one entry per experiment of the evaluation
-    (Figures 2-6, Tables 1-2, the ablations and extensions). An entry
-    holds its experiment's runner; only what the benchmark, a test or
-    several entries share lives in {!Experiments}. Every figure and
-    table an entry prints is one {!Experiments.table}, which the
-    catalogue also writes as CSV under [--csv-dir]: Tables 1 and 2 and
-    the figures keep their historical names ([fig2] .. [fig6],
-    [table1_<N>pct_sets], [table2], [collapse]), companions add a suffix
-    ([fig5-p99], [fig6-abort-rate]), and every other table is named
-    after its entry ([fig4], [rack], [oversub], [ablation-handoff],
-    [matrix], ...).
+    (Figures 2-6, Tables 1-2, the ablations and extensions), each a list
+    of {!Experiments.point}s plus a render of their rows into tables
+    (README "The catalogue"). Every table is also written as CSV under
+    [--csv-dir]: the figures and Tables 1 and 2 keep their historical
+    names ([fig2] .. [fig6], [table1_<N>pct_sets], [table2],
+    [collapse]), companions add a suffix ([fig5-p99],
+    [fig6-abort-rate]), and every other table is named after its entry.
     [bin/repro.exe] builds one subcommand per entry of {!commands}, its
-    flags from the entry's {!knob}s; [repro all] and [repro quick] both
-    fold over {!plan}. *)
+    flags from the entry's {!knob}s. *)
 
 type params = {
   topology : Numa_base.Topology.t;
@@ -34,14 +30,6 @@ type env = {
   profile : bool;
   csv_dir : string option;
 }
-
-(** A sweep carries the artifact experiment its entries are filed under;
-    a table, the name of its CSV file. Every table an entry prints,
-    companions included, is one [Table] output, written as [NAME.csv]
-    under [--csv-dir]. *)
-type output =
-  | Sweep of string * Experiments.sweep
-  | Table of string * Experiments.table
 
 (** The command-line knobs an entry exposes. *)
 type knob =
@@ -69,22 +57,30 @@ type entry = {
   defaults : params;  (** standalone defaults. *)
   in_all : params -> params;  (** adjustments as a step of the plan. *)
   quick : params -> params;  (** further adjustments under [repro quick]. *)
-  run : env -> params -> output list;  (** run and print. *)
+  body : body;
 }
 
+(** An experiment is its points and a render of their rows into its
+    tables, each named by its CSV. The render runs nothing: ratios,
+    speedups, companion tables and [--check] gates come from the rows
+    (profile and predict print a report and return no table). *)
+and body =
+  | Points of
+      (env -> params -> Experiments.point list)
+      * (params ->
+        (Experiments.point * Experiments.row) list ->
+        (string * Experiments.table) list)
+  | Plan of bool  (** the fold over {!plan}; [quick] if true. *)
+
 val commands : entry list
-(** The [repro] subcommands, in help order; the last two are
-    [all ~quick:false] and [all ~quick:true]. *)
+(** The [repro] subcommands, in help order; the last two are [all] and
+    [quick], the folds over {!plan}: each step takes the run's topology,
+    window and seed, then its [in_all] and, under [quick], its [quick]
+    adjustments. Under [quick] the default window is 2 ms. *)
 
 val plan : entry list
 (** Every step [repro all] and [repro quick] run, in order. It
     includes the plan-only [rack] and [oversub] LBench sweeps. *)
-
-val all : quick:bool -> entry
-(** The fold over {!plan}, named [all], or [quick] under [quick]: each
-    step takes the run's topology, window and seed, then its [in_all]
-    and, if [quick], its [quick] adjustments. Under [quick] the default
-    window is 2 ms. *)
 
 val run :
   ?csv_dir:string ->
@@ -94,20 +90,11 @@ val run :
   entry ->
   params ->
   unit
-(** One invocation: prints the parameter banner, runs the entry, then
-    lands the trace file ([.jsonl] streams JSONL, anything else writes a
-    Chrome trace) and the cohort-bench artifact of its sweeps. Rollups
-    are on under [emit]. *)
-
-val rw_run :
-  use_rw:bool ->
-  topology:Numa_base.Topology.t ->
-  n_threads:int ->
-  write_ratio:float ->
-  duration:int ->
-  seed:int ->
-  float
-(** One [ext-rw] cell: threads read or (with probability [write_ratio])
-    write one shared cell under C-RW-WP ([use_rw]) or the C-BO-MCS
-    mutex. The run ends at [duration] and counts the operations
-    completed before it, per second. *)
+(** One invocation: the parameter banner, then, for the entry or each
+    step of a plan, its points run in order, rendered, printed and
+    written as CSVs, and under [--profile] each lock at its largest
+    thread count. Then the trace file ([.jsonl] streams JSONL, anything
+    else writes a Chrome trace) and the artifact: the LBench rows of
+    entries that take [--emit-bench-json], then one entry per printed
+    table row, keyed (CSV name, x label, x), its cells the metrics.
+    Rollups are on under [emit]. *)

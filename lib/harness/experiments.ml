@@ -34,64 +34,6 @@ let cfg_for topology threads =
       List.fold_left max (Topology.total_threads topology) threads;
   }
 
-(* The (lock x thread count) grid every sweep fills: [run lock n] is one
-   cell; cells run lock by lock, thread counts in order. *)
-let grid ~threads ~name locks run =
-  let row lock = Array.of_list (List.map (run lock) threads) in
-  {
-    threads;
-    columns = List.map name locks;
-    cells = Array.of_list (List.map row locks);
-  }
-
-let microbench_sweep ?(locks = R.microbench_locks) ?(rollup = false)
-    ?(profile = false) ~topology ~threads ~duration ~seed () =
-  let cfg = cfg_for topology threads in
-  grid ~threads ~name:(fun (e : R.entry) -> e.name) locks (fun e ->
-      let cfg = e.tweak cfg in
-      fun n ->
-        Lbench.run ~name:e.name ~rollup ~profile e.lock ~topology ~cfg
-          ~n_threads:n ~duration ~seed)
-
-let rows_of sweep f =
-  List.mapi
-    (fun row n ->
-      (n, Array.map (fun col -> f col.(row)) sweep.cells))
-    sweep.threads
-
-let throughput_rows s = rows_of s (fun r -> r.Lbench.throughput)
-
-let series ~title ~fmt f s =
-  {
-    t_title = title;
-    t_xlabel = "threads";
-    t_columns = s.columns;
-    t_rows = rows_of s f;
-    t_fmt = fmt;
-  }
-
-(* Two-decimal cells [f lock n], a row per thread count [n] (computed in
-   order), a column per lock. *)
-let lock_table ~title locks threads f =
-  {
-    t_title = title;
-    t_xlabel = "threads";
-    t_columns = List.map (fun (e : R.entry) -> e.name) locks;
-    t_rows =
-      List.map
-        (fun n -> (n, Array.of_list (List.map (fun e -> f e n) locks)))
-        threads;
-    t_fmt = Report.fmt_fixed2;
-  }
-
-let low_contention s =
-  let keep = List.filteri (fun i _ -> List.nth s.threads i <= 16) in
-  {
-    threads = List.filter (fun n -> n <= 16) s.threads;
-    columns = s.columns;
-    cells = Array.map (fun col -> Array.of_list (keep (Array.to_list col))) s.cells;
-  }
-
 (* --- Table 1: memcached-style KV store -------------------------------- *)
 
 (* One KV-store run; returns operations per second.
@@ -123,10 +65,8 @@ let kv_store () =
   Kv.populate store ~n_keys:kv_keys;
   store
 
-let kv_run store ~make_workload (e : R.entry) ~topology ~n_threads ~duration
-    ~seed =
-  let module L = (val e.lock : LI.LOCK) in
-  let cfg = e.tweak (cfg_for topology [ n_threads ]) in
+let kv_run store ~make_workload (module L : LI.LOCK) ~cfg ~topology
+    ~n_threads ~duration ~seed =
   let l = L.create cfg in
   Kv.reset store;
   let ops = ref 0 in
@@ -184,33 +124,6 @@ let kv_run store ~make_workload (e : R.entry) ~topology ~n_threads ~duration
          end));
   float_of_int !ops /. (float_of_int duration *. 1e-9)
 
-let kv_ops_per_sec store (e : R.entry) ~topology ~n_threads ~duration ~seed
-    ~mix =
-  kv_run store
-    ~make_workload:(fun ~tid ->
-      W.make ~seed:(seed + (tid * 131) + 7) ~n_keys:kv_keys ~mix)
-    e ~topology ~n_threads ~duration ~seed
-
-let table1 ?(locks = R.app_locks) ~topology ~threads ~duration ~seed ~mix () =
-  (* Normalisation baseline: pthread at one thread, same mix. *)
-  let pthread =
-    match R.find "pthread" with Some e -> e | None -> assert false
-  in
-  let store = kv_store () in
-  let base =
-    kv_ops_per_sec store pthread ~topology ~n_threads:1 ~duration ~seed ~mix
-  in
-  lock_table
-    ~title:
-      (Printf.sprintf
-         "Table 1: memcached-style KV store, %s (speedup over pthread @ 1 \
-          thread)"
-         mix.W.label)
-    locks threads
-    (fun e n ->
-      kv_ops_per_sec store e ~topology ~n_threads:n ~duration ~seed ~mix
-      /. base)
-
 (* --- Table 2: allocator stress (mmicro) -------------------------------- *)
 
 (* One mmicro run; returns malloc-free pairs per millisecond. Each thread
@@ -218,9 +131,7 @@ let table1 ?(locks = R.app_locks) ~topology ~threads ~duration ~seed ~mix () =
    frees it, with a ~2 us delay after each call (calibrated to the paper's
    ~200 pairs/ms single-thread rate). The run ends at [duration] and
    counts the pairs completed before it. *)
-let mmicro_pairs_per_ms (e : R.entry) ~topology ~n_threads ~duration ~seed =
-  let module L = (val e.lock : LI.LOCK) in
-  let cfg = e.tweak (cfg_for topology [ n_threads ]) in
+let mmicro (module L : LI.LOCK) ~cfg ~topology ~n_threads ~duration ~seed =
   let l = L.create cfg in
   let alloc = Alloc.create () in
   let pairs = ref 0 in
@@ -247,52 +158,63 @@ let mmicro_pairs_per_ms (e : R.entry) ~topology ~n_threads ~duration ~seed =
          loop ()));
   float_of_int !pairs /. (float_of_int duration /. 1e6)
 
-let table2 ?(locks = R.app_locks) ~topology ~threads ~duration ~seed () =
-  lock_table
-    ~title:"Table 2: libc-style allocator, mmicro (malloc-free pairs / ms)"
-    locks threads (fun e n ->
-      mmicro_pairs_per_ms e ~topology ~n_threads:n ~duration ~seed)
+(* --- Extension: the NUMA-aware reader-writer lock ---------------------- *)
+
+module Rw = (val R.Table.c_rw_wp)
+module RwMutex = (val R.Table.get ~global:"BO" ~local:"MCS")
+
+(* Threads share a structure under either a plain cohort mutex or the RW
+   cohort lock; one loop for both: a thread's [lock]/[unlock] take
+   [write], which the plain mutex ignores. The run ends at [duration]
+   and counts the operations completed before it. Returns operations /
+   s. *)
+let rw_run ~use_rw ~cfg ~topology ~n_threads ~write_ratio ~duration ~seed =
+  let ops = ref 0 in
+  let shared = M.cell' 0 in
+  let register =
+    if use_rw then begin
+      let l = Rw.create cfg in
+      fun ~tid ~cluster ->
+        let th = Rw.register l ~tid ~cluster in
+        ( (fun write -> if write then Rw.write_lock th else Rw.read_lock th),
+          fun write -> if write then Rw.write_unlock th else Rw.read_unlock th )
+    end
+    else begin
+      let l = RwMutex.create cfg in
+      fun ~tid ~cluster ->
+        let th = RwMutex.register l ~tid ~cluster in
+        ((fun _ -> RwMutex.acquire th), fun _ -> RwMutex.release th)
+    end
+  in
+  ignore
+    (E.run ~topology ~n_threads ~horizon:duration (fun ~tid ~cluster ->
+         let lock, unlock = register ~tid ~cluster in
+         let rng = Prng.create (seed + tid) in
+         let rec loop () =
+           if M.now () < duration then begin
+             let write = Prng.chance rng write_ratio in
+             lock write;
+             if write then M.write shared (M.read shared + 1)
+             else ignore (M.read shared);
+             M.pause 150;
+             unlock write;
+             if M.now () < duration then incr ops;
+             M.pause (500 + Prng.int rng 500);
+             loop ()
+           end
+         in
+         loop ()));
+  float_of_int !ops /. (float_of_int duration *. 1e-9)
 
 (* --- Extension: saturation collapse (GCR concurrency restriction) -------- *)
 
 (* The sweeps above stop at the machine's contexts; this experiment goes
    past them, to thousands of logical threads, where spin locks hit
    scalability collapse (Dice & Kogan, arXiv 1905.10818). The simulator
-   has no timeslicing — oversubscribed fibers run concurrently in sim
-   time — so the scheduler is modelled explicitly in the workload:
-   whenever a thread's quantum has expired at a checkpoint it is
-   descheduled for a full round of its context's share of the
-   oversubscription ([(oversub - 1) * quantum]).
-
-   Two charges per iteration:
-   - {e CPU sharing}, before joining the lock competition: when a
-     thread's quantum has expired it pauses for the rest of the round —
-     every oversubscribed thread pays this, in parallel, so it scales
-     offered load down by the oversubscription factor without
-     serializing anyone;
-   - {e waiter preemption}, right after acquiring: a thread whose
-     acquire took longer than a quantum {e while spinning} necessarily
-     lost the CPU mid-wait, so the handoff landed on a descheduled
-     thread and the critical section cannot start until its next slot —
-     charged as a full round {e while holding the lock}. Under
-     saturation every FIFO-lock handoff hits this, so throughput
-     collapses to about one critical section per round.
-
-   The parked/runnable distinction is what GCR sells: a parked thread
-   yielded its CPU voluntarily, so it stops competing for quanta, and
-   both charges are computed over the {e currently runnable} thread
-   count — once enough threads park, the run queue fits the machine and
-   the round shrinks to zero. The workload learns the parked population
-   from the lock's own [Gcr_park]/[Gcr_unpark] trace events (a private
-   sink teed into the config; plain locks emit neither, so all their
-   threads stay runnable and the full round applies). A woken thread is
-   never charged for its park-side wait (the lock already charges
-   [resume_cost]) and gets a fresh quantum, as a real dispatch would
-   grant. Without the runnable-count feedback the model convoys: the
-   k warm actives queue behind each other, each wait then exceeds the
-   quantum, each holder is charged a round while holding, which is what
-   made the waits long — a bootstrapped collapse that a real scheduler
-   with an empty run queue does not produce. *)
+   has no timeslicing, so the workload models the scheduler: a quantum
+   expired at a checkpoint costs a descheduling round over the runnable
+   (not GCR-parked) threads. doc/SIMULATOR.md "Preemption model" gives
+   the two charges and why the runnable count matters. *)
 
 let collapse_quantum = 10_000 (* ns *)
 let collapse_cs = 150 (* ns inside the critical section *)
@@ -301,8 +223,9 @@ let collapse_noncs = 200 (* ns between sections, + U[0,300) *)
 (* The LBench loop with the scheduler model as its hooks: quanta
    staggered by the thread's PRNG (so the first round of deschedules is
    not one synchronized convoy), CPU sharing before the acquire, and the
-   park/waiter-preemption check right after the grant. *)
-let collapse_workload (e : R.entry) ~topology ~n_threads =
+   park/waiter-preemption check right after the grant. [cfg] gains the
+   park observer. *)
+let collapse_loop cfg ~topology ~n_threads =
   (* Park observation channel: [woke.(tid)] means tid's current acquire
      slept on the GCR passive list (so its long wait was off-CPU), and
      [parked_now] is the current passive population — what the model
@@ -318,7 +241,6 @@ let collapse_workload (e : R.entry) ~topology ~n_threads =
             decr parked_now
         | _ -> ())
   in
-  let cfg = e.tweak (cfg_for topology [ n_threads ]) in
   let cfg =
     { cfg with LI.trace = Numa_trace.Sink.tee park_sink cfg.LI.trace }
   in
@@ -360,12 +282,179 @@ let collapse_workload (e : R.entry) ~topology ~n_threads =
     },
     cfg )
 
-let collapse_run (e : R.entry) ~topology ~n_threads ~duration ~seed =
-  let workload, cfg = collapse_workload e ~topology ~n_threads in
-  Lbench.run_workload workload ~name:e.name e.lock ~topology ~cfg ~n_threads
-    ~duration ~seed
+let collapse_workload (e : R.entry) ~topology ~n_threads =
+  collapse_loop (e.tweak (cfg_for topology [ n_threads ])) ~topology ~n_threads
+
+(* --- Points ------------------------------------------------------------- *)
+
+type lock = (module LI.LOCK)
+
+type workload =
+  | Lbench of { lock : lock; rollup : bool; profile : bool }
+  | Abortable of {
+      lock : (module LI.ABORTABLE_LOCK);
+      patience : int;
+      rollup : bool;
+    }
+  | Collapse of lock
+  | Kv_mix of { lock : lock; store : kv_store Lazy.t; mix : W.mix }
+  | Kv_bimodal of { lock : lock; store : kv_store Lazy.t }
+  | Mmicro of lock
+  | Rw of { use_rw : bool; write_ratio : float }
+
+type point = {
+  experiment : string;
+  lock : string;
+  n_threads : int;
+  topology : Topology.t;
+  duration : int;
+  seed : int;
+  cfg : LI.config;
+  workload : workload;
+}
+
+type row = { entry : Bench_json.entry; result : Lbench.result option }
+
+let run_point p =
+  let { lock = name; topology; n_threads; duration; seed; cfg; _ } = p in
+  let lbench r =
+    {
+      entry = Bench_json.entry_of_result ~experiment:p.experiment r;
+      result = Some r;
+    }
+  in
+  let value metric v =
+    let entry =
+      { Bench_json.experiment = p.experiment; lock = name; threads = n_threads;
+        metrics = [ (metric, v) ] }
+    in
+    { entry; result = None }
+  in
+  let kv store lock make_workload =
+    value "throughput"
+      (kv_run (Lazy.force store) ~make_workload lock ~cfg ~topology ~n_threads
+         ~duration ~seed)
+  in
+  let keys tid = seed + (tid * 131) + 7 in
+  match p.workload with
+  | Lbench { lock; rollup; profile } ->
+      lbench
+        (Lbench.run ~name ~rollup ~profile lock ~topology ~cfg ~n_threads
+           ~duration ~seed)
+  | Abortable { lock; patience; rollup } ->
+      lbench
+        (Lbench.run_abortable ~name ~rollup lock ~topology ~cfg ~n_threads
+           ~duration ~seed ~patience)
+  | Collapse lock ->
+      let workload, cfg = collapse_loop cfg ~topology ~n_threads in
+      lbench
+        (Lbench.run_workload workload ~name lock ~topology ~cfg ~n_threads
+           ~duration ~seed)
+  | Kv_mix { lock; store; mix } ->
+      kv store lock (fun ~tid -> W.make ~seed:(keys tid) ~n_keys:kv_keys ~mix)
+  | Kv_bimodal { lock; store } ->
+      kv store lock (fun ~tid ->
+          W.make_bimodal ~seed:(keys tid) ~n_keys:kv_keys ~period:500
+            ~mix_a:W.read_heavy ~mix_b:W.write_heavy)
+  | Mmicro lock ->
+      value "pairs_per_ms"
+        (mmicro lock ~cfg ~topology ~n_threads ~duration ~seed)
+  | Rw { use_rw; write_ratio } ->
+      value "throughput"
+        (rw_run ~use_rw ~cfg ~topology ~n_threads ~write_ratio ~duration ~seed)
+
+let run_points = List.map (fun p -> (p, run_point p))
+
+let lock_points ?cfg ?(by_thread = false) ~experiment ~topology ~threads
+    ~duration ~seed locks workload =
+  let point (e : R.entry) n_threads =
+    let cfg =
+      match cfg with
+      | Some f -> f e n_threads
+      | None -> e.tweak (cfg_for topology [ n_threads ])
+    in
+    let lock = e.name and workload = workload e in
+    { experiment; lock; n_threads; topology; duration; seed; cfg; workload }
+  in
+  if by_thread then
+    List.concat_map (fun n -> List.map (fun e -> point e n) locks) threads
+  else List.concat_map (fun e -> List.map (point e) threads) locks
+
+let at rows lock n =
+  snd (List.find (fun (p, _) -> p.lock = lock && p.n_threads = n) rows)
+
+let metric name r = List.assoc name r.entry.Bench_json.metrics
+
+let lock_table ~title ?(fmt = Report.fmt_fixed2) ~locks ~threads f rows =
+  let row n = (n, Array.of_list (List.map (fun l -> f (at rows l n)) locks)) in
+  {
+    t_title = title;
+    t_xlabel = "threads";
+    t_columns = locks;
+    t_rows = List.map row threads;
+    t_fmt = fmt;
+  }
+
+(* --- The sweeps and Table 1 ----------------------------------------------- *)
+
+let names = List.map (fun (e : R.entry) -> e.name)
+
+(* A sweep keeps only its results: each row (its artifact entry) is
+   dropped as its point finishes, so no entry outlives the next run. *)
+let sweep ~threads locks points =
+  let result p = (p, Option.get (run_point p).result) in
+  let results = List.map result points in
+  let cell name n =
+    snd (List.find (fun (p, _) -> p.lock = name && p.n_threads = n) results)
+  in
+  let col name = Array.of_list (List.map (cell name) threads) in
+  let columns = names locks in
+  { threads; columns; cells = Array.of_list (List.map col columns) }
+
+let microbench_sweep ?(locks = R.microbench_locks) ?(rollup = false)
+    ?(profile = false) ~topology ~threads ~duration ~seed () =
+  lock_points ~experiment:"lbench" ~topology ~threads ~duration ~seed locks
+    ~cfg:(fun e _ -> e.tweak (cfg_for topology threads))
+    (fun e -> Lbench { lock = e.lock; rollup; profile })
+  |> sweep ~threads locks
 
 let collapse_sweep ?(locks = R.collapse_locks) ~topology ~threads ~duration
     ~seed () =
-  grid ~threads ~name:(fun (e : R.entry) -> e.name) locks (fun e n ->
-      collapse_run e ~topology ~n_threads:n ~duration ~seed)
+  lock_points ~experiment:"collapse" ~topology ~threads ~duration ~seed locks
+    (fun e -> Collapse e.lock)
+  |> sweep ~threads locks
+
+let collapse_run e ~topology ~n_threads ~duration ~seed =
+  (collapse_sweep ~locks:[ e ] ~topology ~threads:[ n_threads ] ~duration ~seed
+     ()).cells.(0).(0)
+
+let pthread = Option.get (R.find "pthread")
+
+let kv_points ?(base_threads = 1) ~experiment ~locks ~topology ~threads
+    ~duration ~seed workload =
+  let grid locks threads =
+    lock_points ~by_thread:true ~experiment ~topology ~threads ~duration ~seed
+      locks workload
+  in
+  let cells = grid locks threads in
+  let base p = p.lock = "pthread" && p.n_threads = base_threads in
+  if List.exists base cells then cells
+  else grid [ pthread ] [ base_threads ] @ cells
+
+let kv_table ~title ?(base_threads = 1) ~locks ~threads rows =
+  let base = metric "throughput" (at rows "pthread" base_threads) in
+  lock_table ~title ~locks ~threads
+    (fun r -> metric "throughput" r /. base)
+    rows
+
+let table1_title mix =
+  Printf.sprintf
+    "Table 1: memcached-style KV store, %s (speedup over pthread @ 1 thread)"
+    mix.W.label
+
+let table1 ?(locks = R.app_locks) ~topology ~threads ~duration ~seed ~mix () =
+  let store = lazy (kv_store ()) in
+  kv_points ~experiment:"table1" ~locks ~topology ~threads ~duration ~seed
+    (fun e -> Kv_mix { lock = e.lock; store; mix })
+  |> run_points
+  |> kv_table ~title:(table1_title mix) ~locks:(names locks) ~threads

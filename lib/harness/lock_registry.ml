@@ -55,7 +55,6 @@ module type S = sig
   val microbench_locks : entry list
   val abortable_locks : abortable_entry list
   val app_locks : entry list
-  val extra_locks : entry list
   val collapse_locks : entry list
   val all_locks : entry list
   val find : string -> entry option

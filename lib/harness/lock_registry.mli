@@ -53,9 +53,6 @@ module type S = sig
   (** The Table 1/2 line-up (13 locks; pthread first, as the
       normalisation baseline). *)
 
-  val extra_locks : entry list
-  (** Locks outside the paper's evaluation line-ups (plain BO/TKT/CLH). *)
-
   val collapse_locks : entry list
   (** The saturation-collapse line-up: plain BO/TKT/MCS (which collapse
       past capacity), their GCR-wrapped counterparts and the C-BO-MCS

@@ -79,3 +79,79 @@ let write_file path contents =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc contents)
+
+(* The engine's event ledger, per acquisition counted in the window. *)
+let print_classes (r : Bench_core.result) =
+  if r.event_classes <> [] then begin
+    let per n = float_of_int n /. float_of_int r.iterations in
+    Printf.printf
+      "\n-- %s @ %d threads: engine events / acquisition by class --\n"
+      r.lock_name r.n_threads;
+    Printf.printf "  %-10s %10s %10s\n" "class" "inlined" "scheduled";
+    let row cls i s =
+      Printf.printf "  %-10s %10.3f %10.3f\n" cls (per i) (per s)
+    in
+    let ti, ts =
+      List.fold_left
+        (fun (ti, ts) (c : Numa_base.Runtime_intf.event_class) ->
+          row c.ec_class c.ec_inlined c.ec_scheduled;
+          (ti + c.ec_inlined, ts + c.ec_scheduled))
+        (0, 0) r.event_classes
+    in
+    row "total" ti ts;
+    Option.iter
+      (fun (q : Numa_base.Runtime_intf.queue_tiers) ->
+        Printf.printf "  queue tier: near %.3f  coarse %.3f  overflow %.3f\n"
+          (per q.qt_near) (per q.qt_coarse) (per q.qt_overflow))
+      r.queue_tiers;
+    flush stdout
+  end
+
+let print_profile (r : Bench_core.result) =
+  (match r.profile with
+  | None -> ()
+  | Some p ->
+      let acquires = r.iterations in
+      Printf.printf "\n-- %s @ %d threads: coherence attribution --\n"
+        r.lock_name r.n_threads;
+      Format.printf "%a" Numa_trace.Profile.pp p;
+      Printf.printf
+        "remote transfers / acquisition = %.3f   invalidations / release = \
+         %.3f\n%!"
+        (Numa_trace.Profile.remote_transfers_per_acquire p ~acquires)
+        (Numa_trace.Profile.invalidations_per_release p ~releases:acquires));
+  print_classes r
+
+let err_pct (r : Bench_core.result) =
+  match r.predicted with
+  | Some p -> 100. *. p.Numa_trace.Predict.err
+  | None -> Float.nan
+
+let print_predictions results =
+  let ranked =
+    List.stable_sort
+      (fun a b ->
+        (* |err| descending; nan (no prediction) sorts last. *)
+        let key r =
+          let e = Float.abs (err_pct r) in
+          if Float.is_nan e then Float.neg_infinity else e
+        in
+        Float.compare (key b) (key a))
+      results
+  in
+  Printf.printf "\npredicted vs measured throughput (LBench), worst first:\n";
+  Printf.printf "  %-12s %4s  %11s  %11s  %7s  %9s ns  %8s ns\n" "lock" "thr"
+    "measured" "predicted" "err" "service" "handoff";
+  List.iter
+    (fun (r : Bench_core.result) ->
+      match r.predicted with
+      | None ->
+          Printf.printf "  %-12s %4d  %11.3e  %11s  %7s\n" r.lock_name
+            r.n_threads r.throughput "-" "-"
+      | Some p ->
+          Printf.printf
+            "  %-12s %4d  %11.3e  %11.3e  %+6.1f%%  %9.1f     %8.1f\n"
+            r.lock_name r.n_threads r.throughput p.Numa_trace.Predict.throughput
+            (100. *. p.Numa_trace.Predict.err)
+            p.Numa_trace.Predict.service_ns p.Numa_trace.Predict.handoff_ns)
+    ranked

@@ -1,5 +1,6 @@
 (** Plain-text table/series rendering and CSV export for the experiment
-    harness. Output mirrors the paper's figures (series over thread
+    harness, and the per-result reports of [--profile] and [repro
+    predict]. Output mirrors the paper's figures (series over thread
     counts, one column per lock) and tables (rows per thread count). *)
 
 val fmt_si : float -> string
@@ -25,3 +26,19 @@ val csv_of_series : table -> string
 (** CSV with a header row; NaN cells are empty. *)
 
 val write_file : string -> string -> unit
+
+(** {1 Per-result reports} *)
+
+val print_classes : Bench_core.result -> unit
+(** The engine's events per acquisition by class, inlined and scheduled
+    apart, then the queue tiers (nothing on a result without them). *)
+
+val print_profile : Bench_core.result -> unit
+(** The per-site coherence attribution table, if the run collected one,
+    then {!print_classes}. *)
+
+val err_pct : Bench_core.result -> float
+(** Signed prediction error in percent; [nan] without a prediction. *)
+
+val print_predictions : Bench_core.result list -> unit
+(** Predicted vs measured throughput, worst |error| first. *)

@@ -51,9 +51,9 @@
 #                against the first (profiling is pure observation, so
 #                both must be identical); the same seed re-run with
 #                --fastpath off compared the same way (the engine fast
-#                path must be invisible in every simulated result, and
-#                the CSVs cover what the artifact does not: Tables 1
-#                and 2, the ablations and the extensions); plus a
+#                path must be invisible in every simulated result; the
+#                artifact holds every printed table row, and the CSV
+#                diff checks the renderer); plus a
 #                same-seed fig2 byte-diff on the rack preset (the
 #                multi-level path must be as deterministic as the flat
 #                one); and a same-seed byte-diff of the JSONL lock-event

@@ -9,6 +9,7 @@ module X = Harness.Experiments
 module R = Harness.Lock_registry
 module Rep = Harness.Report
 module C = Harness.Catalogue
+module BJ = Harness.Bench_json
 
 let topo = Topology.t5440
 let cfg = { LI.default with LI.clusters = 4; max_threads = 256 }
@@ -149,21 +150,46 @@ let test_sweep_shape () =
   in
   Alcotest.(check (list string)) "columns" [ "MCS"; "C-BO-MCS" ] s.X.columns;
   Alcotest.(check int) "cols" 2 (Array.length s.X.cells);
-  Alcotest.(check int) "rows" 2 (Array.length s.X.cells.(0));
-  let rows = X.throughput_rows s in
-  Alcotest.(check int) "row count" 2 (List.length rows);
-  List.iter
-    (fun (_, vs) -> Array.iter (fun v -> assert (v > 0.)) vs)
-    rows
+  Array.iteri
+    (fun i col ->
+      Alcotest.(check (list int))
+        "a row per thread count, in order" [ 1; 8 ]
+        (Array.to_list (Array.map (fun (r : LB.result) -> r.LB.n_threads) col));
+      Array.iter
+        (fun (r : LB.result) ->
+          Alcotest.(check string) "cell of its column" (List.nth s.X.columns i)
+            r.LB.lock_name;
+          assert (r.LB.throughput > 0.))
+        col)
+    s.X.cells
 
+(* An entry's tables: its points run, then rendered. *)
+let render (e : C.entry) env p =
+  match e.C.body with
+  | C.Points (points, render) -> render p (X.run_points (points env p))
+  | C.Plan _ -> Alcotest.fail "a plan renders step by step"
+
+let quiet =
+  { C.sink = Numa_trace.Sink.noop; rollup = false; profile = false;
+    csv_dir = None }
+
+let command name = List.find (fun e -> e.C.name = name) C.commands
+
+(* Figure 4 keeps the sweep's thread counts up to 16, in order. *)
 let test_low_contention_filter () =
-  let s =
-    X.microbench_sweep ~locks:small_locks ~topology:topo
-      ~threads:[ 1; 8; 64 ] ~duration:200_000 ~seed:1 ()
-  in
-  let s' = X.low_contention s in
-  Alcotest.(check (list int)) "kept <=16" [ 1; 8 ] s'.X.threads;
-  Alcotest.(check int) "cells trimmed" 2 (Array.length s'.X.cells.(0))
+  let e = command "fig4" in
+  match
+    render e quiet
+      { e.C.defaults with C.topology = topo; threads = [ 8; 1; 64 ];
+        duration = 200_000; seed = 1 }
+  with
+  | [ ("fig4", t) ] ->
+      Alcotest.(check (list int))
+        "kept <=16" [ 8; 1 ] (List.map fst t.X.t_rows);
+      List.iter
+        (fun (_, vs) -> Array.iter (fun v -> assert (v > 0.)) vs)
+        t.X.t_rows
+  | _ -> Alcotest.fail "fig4: expected one table"
 
 let test_table1_smoke () =
   let t =
@@ -195,54 +221,52 @@ let test_table1_cells_independent () =
     (col 1 (table [ cbomcs; mcs ]))
 
 let test_table2_smoke () =
-  let t =
-    X.table2 ~locks:small_locks ~topology:topo ~threads:[ 1; 8 ]
-      ~duration:300_000 ~seed:1 ()
+  let rows =
+    X.lock_points ~experiment:"table2" ~topology:topo ~threads:[ 1; 8 ]
+      ~duration:300_000 ~seed:1 small_locks (fun e -> X.Mmicro e.R.lock)
+    |> X.run_points
   in
+  let pairs lock n = X.metric "pairs_per_ms" (X.at rows lock n) in
   List.iter
-    (fun (_, vs) -> Array.iter (fun v -> assert (v > 1.)) vs)
-    t.X.t_rows;
-  let v1 = snd (List.nth t.X.t_rows 0) in
-  let v8 = snd (List.nth t.X.t_rows 1) in
-  Alcotest.(check bool) "mmicro scales" true (v8.(1) > v1.(1))
+    (fun (p, _) -> assert (pairs p.X.lock p.X.n_threads > 1.))
+    rows;
+  Alcotest.(check bool) "mmicro scales" true
+    (pairs "C-BO-MCS" 8 > pairs "C-BO-MCS" 1)
 
 (* A run ends at its window and counts only what completes inside it. A
    malloc-free pair takes two delays of at least 1.7 us, and an RW
    operation holds its lock for 150 ns, so a shorter window completes
    none of them; a longer one completes some. *)
+(* One run of [workload] at 8 threads: its row's [metric]. *)
+let one ~metric workload duration =
+  X.lock_points ~experiment:"window" ~topology:topo ~threads:[ 8 ] ~duration
+    ~seed:1 [ mcs ] (fun _ -> workload)
+  |> List.hd |> X.run_point |> X.metric metric
+
 let test_mmicro_window () =
-  let pairs duration =
-    X.mmicro_pairs_per_ms mcs ~topology:topo ~n_threads:8 ~duration ~seed:1
-  in
+  let pairs = one ~metric:"pairs_per_ms" (X.Mmicro mcs.R.lock) in
   Alcotest.(check (float 0.)) "no pair inside 1 us" 0. (pairs 1_000);
   Alcotest.(check bool) "pairs inside 50 us" true (pairs 50_000 > 0.)
 
 let test_rw_window () =
   List.iter
     (fun use_rw ->
-      let ops duration =
-        C.rw_run ~use_rw ~topology:topo ~n_threads:8 ~write_ratio:0.5 ~duration
-          ~seed:1
+      let ops =
+        one ~metric:"throughput" (X.Rw { use_rw; write_ratio = 0.5 })
       in
       Alcotest.(check (float 0.)) "no operation inside 100 ns" 0. (ops 100);
       Alcotest.(check bool) "operations inside 20 us" true (ops 20_000 > 0.))
     [ false; true ]
 
 let test_ablation_handoff_smoke () =
-  let e =
-    List.find (fun e -> e.C.name = "ablation-handoff") C.commands
-  in
-  let env =
-    { C.sink = Numa_trace.Sink.noop; rollup = false; profile = false;
-      csv_dir = None }
-  in
+  let e = command "ablation-handoff" in
   let t =
     match
-      e.C.run env
+      render e quiet
         { e.C.defaults with C.topology = topo; n_threads = 16;
           duration = 200_000; seed = 1 }
     with
-    | [ C.Table (_, t) ] -> t
+    | [ (_, t) ] -> t
     | _ -> Alcotest.fail "ablation-handoff: expected one table"
   in
   Alcotest.(check int) "7 bounds" 7 (List.length t.X.t_rows);
@@ -391,6 +415,10 @@ let capture_stdout f =
   Sys.remove path;
   (r, printed)
 
+(* Every entry under --csv-dir, --emit-bench-json and (if it takes it)
+   --trace: every printed table is one CSV, and every CSV cell is, at
+   printed precision, the metric of the artifact entry keyed (CSV name,
+   x label, x). *)
 let test_catalogue_entries_run () =
   let entries =
     List.filter (fun e -> not (List.mem e.C.name [ "all"; "quick" ])) C.commands
@@ -398,70 +426,78 @@ let test_catalogue_entries_run () =
   in
   List.iter
     (fun e ->
-      let events = ref 0 in
       let dir = Filename.temp_dir "catalogue" "" in
-      let env =
-        { C.sink = Numa_trace.Sink.make (fun _ -> incr events); rollup = false;
-          profile = false; csv_dir = Some dir }
-      in
+      let path = Filename.concat dir in
+      let traced = List.mem C.Trace e.C.knobs in
       let p =
         { e.C.defaults with C.topology = Topology.small; threads = [ 1; 4 ];
           n_threads = 4; duration = 200_000 }
       in
-      let outputs, printed = capture_stdout (fun () -> e.C.run env p) in
-      Alcotest.(check bool) (e.C.name ^ " produced output") true (outputs <> []);
-      (* An entry with --trace records its runs, in the plan as alone. *)
-      if List.mem C.Trace e.C.knobs then
-        Alcotest.(check bool) (e.C.name ^ " traced") true (!events > 0);
-      List.iter
-        (function
-          | C.Sweep (_, s) ->
-              Alcotest.(check int) (e.C.name ^ " columns")
-                (List.length s.X.columns) (Array.length s.X.cells);
-              Array.iter
-                (fun col ->
-                  Alcotest.(check int) (e.C.name ^ " rows")
-                    (List.length s.X.threads) (Array.length col))
-                s.X.cells
-          | C.Table (_, t) ->
-              Alcotest.(check bool) (e.C.name ^ " table rows") true
-                (t.X.t_rows <> []);
-              List.iter
-                (fun (x, vs) ->
-                  Alcotest.(check int)
-                    (Printf.sprintf "%s row %d width" e.C.name x)
-                    (List.length t.X.t_columns) (Array.length vs))
-                t.X.t_rows)
-        outputs;
-      (* Under --csv-dir every printed table, companions included, is one
-         file holding that table, and the entry takes --csv-dir. *)
-      let tables =
-        List.filter_map
-          (function C.Table (name, t) -> Some (name, t) | C.Sweep _ -> None)
-          outputs
+      let (), printed =
+        capture_stdout (fun () ->
+            C.run ~csv_dir:dir ~emit:(path "bench.json")
+              ?trace:(if traced then Some (path "trace.jsonl") else None)
+              e p)
       in
+      let read f = In_channel.with_open_bin (path f) In_channel.input_all in
+      (* An entry with --trace records its runs, in the plan as alone. *)
+      if traced then
+        Alcotest.(check bool)
+          (e.C.name ^ " traced") true (read "trace.jsonl" <> "");
+      let artifact =
+        match BJ.read (path "bench.json") with
+        | Ok a -> a
+        | Error msg -> Alcotest.fail msg
+      in
+      let entries = artifact.BJ.entries in
+      (* profile and predict print a report and file no rows. *)
+      Alcotest.(check bool) (e.C.name ^ " produced output") true
+        (entries <> [] || List.length (String.split_on_char '\n' printed) > 2);
+      let keys = List.map BJ.key_of entries in
+      Alcotest.(check int) (e.C.name ^ " artifact keys unique")
+        (List.length keys) (List.length (List.sort_uniq compare keys));
+      let index = BJ.index artifact in
+      let files = List.sort compare (Array.to_list (Sys.readdir dir)) in
+      let csvs = List.filter (fun f -> Filename.check_suffix f ".csv") files in
       let headers =
         String.split_on_char '\n' printed
         |> List.filter (fun l -> String.starts_with ~prefix:"=== " l)
       in
-      Alcotest.(check int) (e.C.name ^ " a Table per printed table")
-        (List.length headers) (List.length tables);
-      let files = List.sort compare (Array.to_list (Sys.readdir dir)) in
-      Alcotest.(check (list string)) (e.C.name ^ " one CSV per table")
-        (List.sort compare (List.map (fun (name, _) -> name ^ ".csv") tables))
-        files;
-      List.iter
-        (fun (name, t) ->
-          Alcotest.(check string) (name ^ ".csv holds its table")
-            (Rep.csv_of_series t)
-            (In_channel.with_open_bin
-               (Filename.concat dir (name ^ ".csv"))
-               In_channel.input_all))
-        tables;
-      if tables <> [] then
+      Alcotest.(check int) (e.C.name ^ " one CSV per printed table")
+        (List.length headers) (List.length csvs);
+      if csvs <> [] then
         Alcotest.(check bool) (e.C.name ^ " takes --csv-dir") true
           (List.mem C.Csv e.C.knobs);
-      List.iter (fun f -> Sys.remove (Filename.concat dir f)) files;
+      List.iter
+        (fun file ->
+          let name = Filename.chop_suffix file ".csv" in
+          let split line =
+            match String.split_on_char ',' line with
+            | x :: cells -> (x, cells)
+            | [] -> assert false
+          in
+          match String.split_on_char '\n' (String.trim (read file)) with
+          | header :: (_ :: _ as rows) ->
+              let xlabel, columns = split header in
+              List.iter
+                (fun row ->
+                  let x, cells = split row in
+                  let key = Printf.sprintf "%s/%s/t%s" name xlabel x in
+                  match Hashtbl.find_opt index key with
+                  | None -> Alcotest.failf "%s: %s not in the artifact" file key
+                  | Some en ->
+                      let field column =
+                        match List.assoc_opt column en.BJ.metrics with
+                        | Some v when Float.is_nan v -> ""
+                        | Some v -> Printf.sprintf "%.6g" v
+                        | None -> Alcotest.failf "%s: no column %s" key column
+                      in
+                      Alcotest.(check (list string))
+                        (key ^ " cells") cells (List.map field columns))
+                rows
+          | _ -> Alcotest.failf "%s: no rows" file)
+        csvs;
+      List.iter (fun f -> Sys.remove (path f)) files;
       Sys.rmdir dir)
     entries
 
