@@ -25,7 +25,7 @@ type line = {
   mutable prow : P.site option;
       (* the line's profiler row this epoch; its [s_lines] counts the
          lines attached to it, each once per epoch (see [charge]) *)
-  wq : Waitq.t;
+  mutable wq : Waitq.t;
 }
 
 type stats = {
@@ -51,8 +51,17 @@ let make_line ?(name = "") () =
     busy_until = 0;
     epoch = -1;
     prow = None;
-    wq = Waitq.create ();
+    wq = Waitq.none;
   }
+
+let own_waitq line =
+  let q = line.wq in
+  if q != Waitq.none then q
+  else begin
+    let q = Waitq.create () in
+    line.wq <- q;
+    q
+  end
 
 let fresh_stats () =
   {

@@ -64,10 +64,12 @@ type line = private {
           rows never leak across runs. Filled by [access] when a
           profiler is passed; the engine charges interconnect queueing
           to its [s_stall_interconnect_ns] at its own call site. *)
-  wq : Waitq.t;
+  mutable wq : Waitq.t;
       (** threads parked on this line ([Engine]'s wait queue; stored
           here so a write reaches its waiters with one field load and a
-          waiterless write costs nothing — see waitq.ml). *)
+          waiterless write costs nothing — see waitq.ml). {!Waitq.none}
+          until a fiber first parks on the line, when {!own_waitq} gives
+          the line a queue of its own, kept for the line's lifetime. *)
 }
 
 type stats = {
@@ -97,6 +99,13 @@ type profiler
 (** Per-site attribution table, keyed by line label. One per run. *)
 
 val make_line : ?name:string -> unit -> line
+(** A fresh line: Invalid everywhere, sharing {!Waitq.none}. *)
+
+val own_waitq : line -> Waitq.t
+(** The line's own waiter queue, made (empty, owned by no run) and kept
+    on the line the first time it is asked for. [Engine.add_waiter] is
+    the one caller: only a park needs a queue. *)
+
 val fresh_stats : unit -> stats
 val make_profiler : unit -> profiler
 

@@ -273,21 +273,21 @@ let access eng ~cluster ~thread line kind =
    of the value already there could wake nobody, so it skips the walk
    (why that is exact: waitq.ml). The queue lives on the line itself,
    so a waiterless or unchanged store costs a field load or two — no
-   table lookup, no allocation. [waiter_scans] counts actual walks:
-   one per value-changing store over parked waiters. *)
+   table lookup, no allocation; a line nobody ever parked on shares
+   [Waitq.none], whose flag no store sets. [waiter_scans] counts actual
+   walks: one per value-changing store over parked waiters. *)
 let notify eng line =
   let q = line.Coherence.wq in
-  if q.Waitq.changed then begin
-    q.Waitq.changed <- false;
+  if Waitq.take_change q then
     if (not (Waitq.is_empty q)) && q.Waitq.epoch = eng.epoch then begin
       eng.cstats.Coherence.waiter_scans <-
         eng.cstats.Coherence.waiter_scans + 1;
       Waitq.wake q
     end
-  end
 
 let add_waiter eng line w =
-  let q = line.Coherence.wq in
+  (* A line's first park ever gives it a queue of its own. *)
+  let q = Coherence.own_waitq line in
   if q.Waitq.epoch <> eng.epoch then begin
     (* First park on this line this run: claim the queue (dropping any
        stale dead waiters from an earlier run) and remember to clear it
@@ -447,17 +447,19 @@ let[@inline] fast_pause d =
 
    A slow [read] performs [Read c] and a slow [write] [Store (c, x)].
    Slow-path store payloads go through [store], which flags the line
-   only when the value physically changes: [notify] walks parked waiters
-   only after such a store (waitq.ml). Inline stores need no flag — the
-   fast path takes a write or RMW only when nobody is parked on the
-   line. *)
+   only when the value physically changes and the line has a queue of
+   its own: [notify] walks parked waiters only after such a store
+   (waitq.ml). Inline stores need no flag — the fast path takes a write
+   or RMW only when nobody is parked on the line. *)
 
 (* A slow-path store payload: flag the line only when the value
-   physically changes, so that [notify] walks its waiters. *)
+   physically changes, so that [notify] walks its waiters. A line that
+   shares [Waitq.none] has no waiter, so [Waitq.note_change] leaves it
+   alone. *)
 let store c x =
   if c.v != x then begin
     c.v <- x;
-    c.cline.Coherence.wq.Waitq.changed <- true
+    Waitq.note_change c.cline.Coherence.wq
   end
 
 module Mem = struct

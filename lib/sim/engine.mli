@@ -195,8 +195,10 @@ val fastpath_enabled : unit -> bool
 
 (** {1 Memory primitives} *)
 
-module Mem : Numa_base.Memory_intf.MEMORY
+module Mem : Numa_base.Memory_intf.MEMORY with type line = Coherence.line
 (** The simulated {!Numa_base.Memory_intf.MEMORY}, re-exported verbatim
     as {!Sim_mem} (see there for the contract). The primitives live in
     the engine's compilation unit so that the fast path inlines into
-    each of them. *)
+    each of them. A line is a {!Coherence.line} (read-only outside
+    [Coherence]), so the engine's tests can inspect the lines they
+    build; {!Sim_mem} keeps the type abstract. *)

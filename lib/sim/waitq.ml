@@ -1,5 +1,5 @@
 (* Per-line waiter queue: a singly-linked FIFO with a tail pointer,
-   embedded in every [Coherence.line].
+   hung off [Coherence.line].
 
    This replaces the engine's former [(line-id -> waiter list ref)
    Hashtbl], whose [r := !r @ [w]] append was O(waiters) per park (O(n²)
@@ -7,7 +7,15 @@
    every write — including the overwhelmingly common case of a line
    nobody waits on. With the queue on the line itself, a write's waiter
    check is one field load, parking is a constant-time tail append, and
-   a wake scan unlinks in place: no allocation anywhere.
+   a wake scan unlinks in place.
+
+   Almost no line is ever parked on, so a line does not carry a queue
+   of its own until it is: it starts out sharing [none], one empty queue
+   that nothing writes, and [Engine.add_waiter] gives it a queue at its
+   first park (the only allocation here), which it then keeps. Sharing
+   [none] is exact: a line without a queue has no waiter, so
+   [note_change] skipping it only spares [Engine.notify] a walk of
+   nothing.
 
    Links use the [nil] sentinel (physical equality) instead of [option]
    so that linking and unlinking never allocates.
@@ -49,6 +57,7 @@ type t = {
 }
 
 let create () = { head = nil; tail = nil; epoch = min_int; changed = false }
+let none = create ()
 
 let is_empty q = q.head == nil
 
@@ -71,6 +80,15 @@ let push q w =
     q.tail.next <- w;
     q.tail <- w
   end
+
+let[@inline] note_change q = if q != none then q.changed <- true
+
+let[@inline] take_change q =
+  q.changed
+  && begin
+       q.changed <- false;
+       true
+     end
 
 (* A value-changing store to the line landed: walk the queue in
    registration order, unlinking waiters that are no longer active and

@@ -646,16 +646,106 @@ let test_cell_footprint () =
     (Obj.reachable_words (Obj.repr c) - Obj.reachable_words (Obj.repr line))
 
 (* Table 1's store, two cells per item on the item's own line: at most
-   60% of the 1,099,292 words it reached when each cell also held a ref
-   and a pre-built read effect. *)
+   480,000 words. It reached 1,099,292 when each cell also held a ref
+   and a pre-built read effect, and 576,021 when each line also carried
+   a waiter queue of its own (5 words) from birth. *)
 let test_kv_store_footprint () =
   let words =
     Obj.reachable_words (Obj.repr (Harness.Experiments.kv_store ()))
   in
-  let budget = 1_099_292 * 6 / 10 in
+  let budget = 480_000 in
   if words > budget then
     Alcotest.failf "the KV store reaches %d words; the budget is %d" words
       budget
+
+module C = Numasim.Coherence
+module W = Numasim.Waitq
+
+(* A fresh line is one 9-word block (8 fields): its label and the
+   shared empty waiter queue are not its own. A line that built its own
+   queue at birth reached 14. Reached from one block beside the line,
+   the queue and the label count once, and a triple's block is one word
+   more than a pair's. *)
+let test_line_footprint () =
+  let name = "footprint" in
+  let line = C.make_line ~name () in
+  let words o = Obj.reachable_words (Obj.repr o) in
+  Alcotest.(check int) "words a fresh line reaches of its own" 9
+    (words (line, W.none, name) - words (W.none, name) - 1)
+
+(* [Waitq.none] is never written: empty, owned by no run, unflagged. *)
+let check_none_pristine what =
+  Alcotest.(check bool)
+    (what ^ ": the shared queue stays empty and unflagged")
+    true
+    (W.is_empty W.none && W.none.W.tail == W.nil
+    && W.none.W.epoch = min_int && not W.none.W.changed)
+
+let test_lazy_waitq () =
+  let fresh = E.Mem.line () in
+  Alcotest.(check bool) "a fresh line shares the empty queue" true
+    (fresh.C.wq == W.none);
+  check_none_pristine "fresh";
+  W.note_change W.none;
+  check_none_pristine "a change noted on it";
+  (* Every kind of store, on both paths, to a line nobody waits on:
+     value-changing writes, failed and successful CASes, swaps and
+     fetch-and-adds, from two threads so that some go remote. *)
+  List.iter
+    (fun fp ->
+      let what = if fp then "fast path on" else "fast path off" in
+      let saved = E.fastpath_enabled () in
+      E.set_fastpath fp;
+      Fun.protect ~finally:(fun () -> E.set_fastpath saved) @@ fun () ->
+      let line = E.Mem.line ~name:"nobody waits" () in
+      let c = E.Mem.cell line 0 in
+      let r =
+        E.run ~topology:topo ~n_threads:2 (fun ~tid ~cluster:_ ->
+            for i = 1 to 20 do
+              E.Mem.write c ((tid * 100) + i);
+              let v = E.Mem.read c in
+              ignore (E.Mem.cas c ~expect:(v + 1_000) ~desire:(-1));
+              ignore (E.Mem.cas c ~expect:v ~desire:(v + 1));
+              ignore (E.Mem.swap c (v + 2));
+              ignore (E.Mem.fetch_and_add c 1)
+            done)
+      in
+      Alcotest.(check int)
+        (what ^ ": no walk") 0 r.E.profile.P.totals.P.waiter_scans;
+      Alcotest.(check bool)
+        (what ^ ": the line still shares the empty queue")
+        true (line.C.wq == W.none);
+      check_none_pristine what)
+    [ true; false ];
+  (* A park gives the line a queue of its own, which it keeps across
+     runs; the value-changing write that releases the waiter walks it
+     once, the failed CAS and the same-value write before it not at
+     all. *)
+  let line = E.Mem.line ~name:"parked on" () in
+  let flag = E.Mem.cell line 0 in
+  let park () =
+    E.Mem.init flag 0;
+    let r =
+      E.run ~topology:topo ~n_threads:2 (fun ~tid ~cluster:_ ->
+          if tid = 0 then begin
+            E.Mem.pause 5_000;
+            assert (not (E.Mem.cas flag ~expect:5 ~desire:1));
+            E.Mem.write flag 0;
+            E.Mem.write flag 1
+          end
+          else ignore (E.Mem.wait_until flag (fun v -> v = 1)))
+    in
+    r.E.profile.P.totals.P.waiter_scans
+  in
+  Alcotest.(check int) "the releasing write walks once" 1 (park ());
+  let own = line.C.wq in
+  Alcotest.(check bool) "a park gives the line its own queue" true
+    (own != W.none);
+  Alcotest.(check bool) "the run leaves the queue cleared" true
+    (W.is_empty own && own.W.epoch = min_int && not own.W.changed);
+  Alcotest.(check int) "a second run walks once too" 1 (park ());
+  Alcotest.(check bool) "the line keeps its queue" true (line.C.wq == own);
+  check_none_pristine "after parks"
 
 let test_waiter_scans_counted () =
   (* Writes to lines nobody waits on must skip the waiter machinery
@@ -819,6 +909,10 @@ let suite =
         Alcotest.test_case "cell footprint" `Quick test_cell_footprint;
         Alcotest.test_case "KV store footprint" `Quick
           test_kv_store_footprint;
+        Alcotest.test_case "line footprint" `Quick test_line_footprint;
+        Alcotest.test_case
+          "a line has no waiter queue until a fiber parks on it" `Quick
+          test_lazy_waitq;
         Alcotest.test_case "fastpath counter parity" `Quick
           test_fastpath_counter_parity;
       ] );
