@@ -62,7 +62,6 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
     }
 
   let stats t = t.stats
-  let free_blocks t = Splay.size t.free_tree
 
   (* Bump the hot metadata line: every malloc/free mutates allocator
      metadata, so this line ping-pongs between clusters exactly when the

@@ -29,8 +29,6 @@ module Make (M : Numa_base.Memory_intf.MEMORY) : sig
 
   val create : unit -> t
   val stats : t -> stats
-  val free_blocks : t -> int
-  (** Number of size classes currently in the free tree. *)
 
   val malloc : t -> size:int -> block
   (** Best-fit allocation (smallest free block of size >= [size]), LIFO

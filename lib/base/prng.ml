@@ -34,10 +34,6 @@ let int t n =
   let v = Int64.to_int (Int64.shift_right_logical (step t) 2) in
   v mod n
 
-let int_in t lo hi =
-  if hi < lo then invalid_arg "Prng.int_in: hi < lo";
-  lo + int t (hi - lo + 1)
-
 (* The top 53 bits fit an [int], and an [int] below 2^53 converts to
    the same double as the [int64]: [float_of_int] is an instruction
    where [Int64.to_float] is a C call. *)

@@ -21,9 +21,6 @@ val int : t -> int -> int
 (** [int t n] is uniform over [0, n).
     @raise Invalid_argument if [n <= 0]. *)
 
-val int_in : t -> int -> int -> int
-(** [int_in t lo hi] is uniform over [lo, hi] inclusive. *)
-
 val float : t -> float -> float
 (** [float t x] is uniform over [0, x). *)
 

@@ -19,8 +19,7 @@ let add t x =
 
 let count t = t.n
 let mean t = if t.n = 0 then 0. else t.mean
-let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int t.n
-let stddev t = sqrt (variance t)
+let stddev t = if t.n < 2 then 0. else sqrt (t.m2 /. float_of_int t.n)
 let min t = t.min
 let max t = t.max
 

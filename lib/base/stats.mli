@@ -7,10 +7,9 @@ val create : unit -> t
 val add : t -> float -> unit
 val count : t -> int
 val mean : t -> float
-val variance : t -> float
-(** Population variance; 0 for fewer than 2 samples. *)
-
 val stddev : t -> float
+(** Population standard deviation; 0 for fewer than 2 samples. *)
+
 val min : t -> float
 val max : t -> float
 

@@ -123,14 +123,11 @@ val cross_level : t -> int -> int -> int
 (** The index into [levels] of the outermost boundary separating two
     distinct clusters. *)
 
-val mean_remote_transfer_ns : t -> float
-(** Mean of {!xfer_cost} over the distinct cluster pairs — the
-    expected cost of a cross-cluster line transfer under uniformly
-    mixed traffic. Equals [remote_transfer] on a flat machine; a
-    degenerate single-cluster machine reports its level's transfer
-    cost. *)
-
 val predict_calib : t -> Numa_trace.Predict.calib
 (** Calibration constants for {!Numa_trace.Predict.predict}: context
-    count, [local_hit], {!mean_remote_transfer_ns} and [atomic_extra]
-    (see doc/SIMULATOR.md "Model validation"). *)
+    count, [local_hit], [atomic_extra] and, as [remote_ns], the mean of
+    {!xfer_cost} over the distinct cluster pairs — the expected cost of
+    a cross-cluster line transfer under uniformly mixed traffic. That
+    mean equals [remote_transfer] on a flat machine; a degenerate
+    single-cluster machine reports its level's transfer cost (see
+    doc/SIMULATOR.md "Model validation"). *)

@@ -59,6 +59,3 @@ let pp_interleaving ppf steps =
       Format.fprintf ppf "@,")
     steps;
   Format.fprintf ppf "@]"
-
-let interleaving_to_string steps =
-  Format.asprintf "%a" pp_interleaving steps

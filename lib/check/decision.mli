@@ -42,4 +42,3 @@ type step = {
 }
 
 val pp_interleaving : Format.formatter -> step list -> unit
-val interleaving_to_string : step list -> string

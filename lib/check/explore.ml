@@ -127,6 +127,9 @@ let interferes (cands : Engine.candidate array) p =
   in
   scan 0
 
+(* One run under an online chooser, asked at every decision point [dp]
+   for the index of one of the [n >= 2] runnable candidates (0 = the
+   default); an out-of-range answer runs the default. *)
 let run_with ?(record = false) sc ~chooser =
   let n_dps = ref 0 in
   let taken = ref [] in
@@ -271,7 +274,9 @@ type fuzz_report = {
   fuzz_failure : (Decision.t * Violation.t) option;
 }
 
-let fuzz ?(deviate_prob = 0.1) ~seed ~runs sc =
+let deviate_prob = 0.1
+
+let fuzz ~seed ~runs sc =
   let rng = Prng.create seed in
   let failure = ref None in
   let n = ref 0 in

@@ -55,18 +55,6 @@ type run = {
   steps : Decision.step list;  (** executed events, when [record]. *)
 }
 
-val run_with :
-  ?record:bool ->
-  scenario ->
-  chooser:(dp:int -> n:int -> Numasim.Engine.candidate array -> int) ->
-  run
-(** One run under an online chooser, called at every decision point
-    [dp] with the [n >= 2] runnable candidates (index 0 = the default
-    choice) and answering the index to run; out-of-range answers run
-    the default. The array is the engine's pending set: only indices
-    below [n] are candidates, and it is valid only during the call
-    (see {!Numasim.Engine.policy}). *)
-
 val run_once : ?record:bool -> scenario -> Decision.t -> run
 (** Replay a decision trace. Deterministic: same scenario + same trace =
     same run, bit for bit. *)
@@ -110,16 +98,10 @@ type fuzz_report = {
   fuzz_failure : (Decision.t * Violation.t) option;
 }
 
-val fuzz :
-  ?deviate_prob:float -> seed:int -> runs:int -> scenario -> fuzz_report
+val fuzz : seed:int -> runs:int -> scenario -> fuzz_report
 (** Random schedules: at each decision point deviate with probability
-    [deviate_prob] (default 0.1), picking alternative [j] with weight
-    [1/(j+1)]. The recorded trace of a failing run replays it exactly. *)
-
-val shrink : scenario -> Decision.t -> Violation.t -> Decision.t
-(** Greedy minimisation: drop deviations to a fixpoint, then lower the
-    surviving picks, accepting a candidate only if the same invariant
-    still fails. *)
+    0.1, picking alternative [j] with weight [1/(j+1)]. The recorded
+    trace of a failing run replays it exactly. *)
 
 type counterexample = {
   ce_trace : Decision.t;
@@ -127,12 +109,12 @@ type counterexample = {
   ce_steps : Decision.step list;
 }
 
-val counterexample : scenario -> Decision.t -> counterexample option
-(** Re-run with recording; [None] if the trace no longer fails. *)
-
 val shrunk_counterexample :
   scenario -> Decision.t * Violation.t -> counterexample option
-(** [shrink] then [counterexample]. *)
+(** Greedy minimisation of a failing trace (drop deviations to a
+    fixpoint, then lower the surviving picks, accepting a candidate only
+    if the same invariant still fails), re-run with recording; [None] if
+    the shrunk trace no longer fails. *)
 
 val pp_counterexample : Format.formatter -> counterexample -> unit
 (** Violation, decision trace, and the (tail of the) interleaving. *)

@@ -154,10 +154,14 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
       end)
 
   let skip_limit = (module Skip_limit : LI.LOCK)
-  let lost_ticket = (module Lost_ticket : LI.LOCK)
-  let late_reset = (module Late_reset : LI.LOCK)
-  let gcr_dropped_unpark = (module Gcr_dropped_unpark : LI.LOCK)
-  let all = [ skip_limit; lost_ticket; late_reset; gcr_dropped_unpark ]
+
+  let all =
+    [
+      skip_limit;
+      (module Lost_ticket : LI.LOCK);
+      (module Late_reset : LI.LOCK);
+      (module Gcr_dropped_unpark : LI.LOCK);
+    ]
 
   let find name =
     List.find_opt (fun (module L : LI.LOCK) -> L.name = name) all

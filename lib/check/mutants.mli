@@ -24,10 +24,10 @@
 
 module Make (M : Numa_base.Memory_intf.MEMORY) : sig
   val skip_limit : (module Cohort.Lock_intf.LOCK)
-  val lost_ticket : (module Cohort.Lock_intf.LOCK)
-  val late_reset : (module Cohort.Lock_intf.LOCK)
-  val gcr_dropped_unpark : (module Cohort.Lock_intf.LOCK)
 
   val all : (module Cohort.Lock_intf.LOCK) list
+  (** The four mutants, in the order listed above. *)
+
   val find : string -> (module Cohort.Lock_intf.LOCK) option
+  (** The mutant of [all] with that name (["TKT!lost-ticket"], ...). *)
 end

@@ -32,18 +32,16 @@ let intra_fifo_locks = [ "CNA" ]
    (event-counted active set <= gcr_max_active at every trace point, no
    admit/unpark of a parked thread) and the rotation starvation bound
    (a parked thread is promoted within a queue-position-proportional
-   number of gcr_rotate_every-grant periods). *)
-let admission_locks = [ "GCR-BO"; "GCR-MCS"; "GCR-C-BO-MCS" ]
-
+   number of gcr_rotate_every-grant periods). Every GCR wrapper is
+   registered under a "GCR-" name. *)
 let for_lock name =
   {
     me = true;
     handoff =
-      (String.length name >= 2 && String.sub name 0 2 = "C-")
-      || List.mem name intra_fifo_locks;
+      String.starts_with ~prefix:"C-" name || List.mem name intra_fifo_locks;
     fifo = List.mem name fifo_locks;
     fifo_intra = List.mem name intra_fifo_locks;
-    admission = List.mem name admission_locks;
+    admission = String.starts_with ~prefix:"GCR-" name;
   }
 
 module Make (M : Numa_base.Memory_intf.MEMORY) = struct

@@ -44,12 +44,7 @@ val for_lock : string -> checks
     locks (name starts with ["C-"]) and for CNA (its counted flush obeys
     the same starvation bound), [fifo] for the strict FIFO queue locks
     (TKT, MCS, CLH, PTL), [fifo_intra] for CNA, [admission] for the GCR
-    wrappers ({!admission_locks}), [me] always. *)
-
-val admission_locks : string list
-(** Registry locks carrying the GCR admission/rotation guarantee; a new
-    GCR-wrapped registry entry must be added here or torture [--oracle]
-    and the explorer silently under-check it. *)
+    wrappers (name starts with ["GCR-"]), [me] always. *)
 
 module Make (M : Numa_base.Memory_intf.MEMORY) : sig
   val wrap :

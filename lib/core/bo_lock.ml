@@ -1,7 +1,8 @@
 (** Test-and-test-and-set lock with exponential backoff (the paper's "BO"
     lock, after Agarwal & Cherian), plus its cohort adapters:
 
-    - {!Make.Plain}: the classic TATAS-BO lock.
+    - {!Make.Plain}: the classic TATAS-BO lock, the exponential instance
+      of {!Make.Tatas} (Fib-BO is its Fibonacci instance).
     - {!Make.Global}: thread-oblivious by construction (any thread may
       store 0 into the lock word). Per the paper (section 4.1.1), threads
       contending on the {e global} BO lock of a cohort lock spin without
@@ -23,20 +24,24 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
   let busy = 1
   let free_local = 2
 
-  module Plain : Lock_intf.LOCK = struct
+  module Tatas (P : sig
+    val name : string
+    val site : string
+    val policy : Backoff.policy
+  end) : Lock_intf.LOCK = struct
     type t = { state : int M.cell; cfg : Lock_intf.config }
 
     type thread = { l : t; back : Backoff.t; ev : Instr.t }
 
-    let name = "BO"
-    let create cfg = { state = M.cell' ~name:"bo.state" free_global; cfg }
+    let name = P.name
+    let create cfg = { state = M.cell' ~name:P.site free_global; cfg }
 
     let register l ~tid ~cluster =
       {
         l;
         back =
-          Backoff.make ~min:Lock_intf.bo_min ~max:Lock_intf.bo_max
-            ~salt:tid ();
+          Backoff.make ~policy:P.policy ~min:Lock_intf.bo_min
+            ~max:Lock_intf.bo_max ~salt:tid ();
         ev = Instr.make l.cfg ~tid ~cluster;
       }
 
@@ -58,6 +63,12 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
       I.emit th.ev Numa_trace.Event.Handoff_global;
       M.write th.l.state free_global
   end
+
+  module Plain = Tatas (struct
+    let name = "BO"
+    let site = "bo.state"
+    let policy = Backoff.Exponential
+  end)
 
   module Global : Lock_intf.GLOBAL = struct
     type t = { state : int M.cell }

@@ -13,7 +13,16 @@ module Make (M : Numa_base.Memory_intf.MEMORY) : sig
   val free_local : int
   (** Unlocked with implicit global ownership for the next local taker. *)
 
-  (** The classic TATAS-BO lock. *)
+  (** The TATAS loop with per-thread backoff under [policy]; its lock
+      word is one cell labelled [site]. *)
+  module Tatas (_ : sig
+    val name : string
+    val site : string
+    val policy : Backoff.policy
+  end) : Lock_intf.LOCK
+
+  (** The classic TATAS-BO lock: [Tatas] named ["BO"], site
+      ["bo.state"], exponential backoff. *)
   module Plain : Lock_intf.LOCK
 
   (** Thread-oblivious; spins without backoff, per the paper's

@@ -11,8 +11,6 @@ module Make (M : Numa_base.Memory_intf.MEMORY) : sig
   (** Granted (plain lock), or granted-with-implicit-global-ownership
       (cohort local lock). *)
 
-  val ngranted_global : int
-
   type node = {
     next : node option M.cell;
     nstate : int M.cell;

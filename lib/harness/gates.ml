@@ -33,21 +33,14 @@ let pred_core_locks = [ "MCS"; "C-BO-MCS"; "CNA" ]
 let pred_core_threads = [ 1; 8; 64 ]
 let pred_err_band_pct = 25.
 
-let median_abs_err_pct errs =
-  match List.sort compare (List.map Float.abs errs) with
-  | [] -> Float.nan
-  | sorted ->
-      let n = List.length sorted in
-      let nth i = List.nth sorted i in
-      if n mod 2 = 1 then nth (n / 2)
-      else (nth ((n / 2) - 1) +. nth (n / 2)) /. 2.
-
 let prediction_claim ~err_pcts =
   if err_pcts = [] then Error "no core-curve predictions to gate"
   else if List.exists Float.is_nan err_pcts then
     Error "a core point has no prediction (native run, or empty rollup?)"
   else
-    let med = median_abs_err_pct err_pcts in
+    let med =
+      Numa_base.Stats.percentile (Array.of_list (List.map Float.abs err_pcts)) 50.
+    in
     if med <= pred_err_band_pct then
       Ok
         (Printf.sprintf

@@ -26,17 +26,9 @@ val pred_core_threads : int list
 (** [[1; 8; 64]] — the pinned thread counts of the prediction gate:
     the serial regime, the transition, and saturation. *)
 
-val pred_err_band_pct : float
-(** Allowed median absolute prediction error on the core curves, in
-    percent (doc/SIMULATOR.md "Model validation" states the measured
-    value behind this band). *)
-
-val median_abs_err_pct : float list -> float
-(** Median of the absolute values, inputs in percent; [nan] on an empty
-    list. *)
-
 val prediction_claim : err_pcts:float list -> (string, string) result
 (** The prediction gate: median absolute error over the given core
-    points (percent) must be within {!pred_err_band_pct}. [Error] also
+    points (percent) must be within a 25% band (doc/SIMULATOR.md "Model
+    validation" states the measured value behind it). [Error] also
     when the list is empty or any input is [nan] (a core point without
     a prediction). *)

@@ -58,7 +58,6 @@ module type S = sig
   val collapse_locks : entry list
   val all_locks : entry list
   val find : string -> entry option
-  val find_abortable : string -> abortable_entry option
 end
 
 module Make (M : Numa_base.Memory_intf.MEMORY) = struct
@@ -166,9 +165,6 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
       @ List.map (fun (name, lock) -> plain name lock) Table.all)
 
   let find name = List.find_opt (fun e -> e.name = name) all_locks
-
-  let find_abortable name =
-    List.find_opt (fun e -> e.a_name = name) abortable_locks
 end
 
 include Make (Numasim.Sim_mem)

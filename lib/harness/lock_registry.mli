@@ -64,7 +64,6 @@ module type S = sig
       C-CLH-CLH): 31 locks. *)
 
   val find : string -> entry option
-  val find_abortable : string -> abortable_entry option
 end
 
 module Make (M : Numa_base.Memory_intf.MEMORY) : S

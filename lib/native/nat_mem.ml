@@ -1,40 +1,15 @@
 (* Natively a "line" is just its site label: OCaml gives no portable
    control over object layout, so placement hints cannot be honoured.
    Keeping the label makes labelled allocation observable (conformance
-   tests, cheap allocation-site accounting) at zero per-access cost —
-   cells are still bare [Atomic.t]s. *)
+   tests) at zero per-access cost — cells are still bare [Atomic.t]s. *)
 type line = string
 type 'a cell = 'a Atomic.t
 
-(* Allocation-site creation counts, the native stand-in for the
-   simulator's per-site profiler. Creation is cold path; a mutex is
-   fine. *)
-let sites_mu = Mutex.create ()
-let sites_tbl : (string, int ref) Hashtbl.t = Hashtbl.create 64
-
-let count_site name =
-  Mutex.lock sites_mu;
-  (match Hashtbl.find_opt sites_tbl name with
-  | Some r -> incr r
-  | None -> Hashtbl.add sites_tbl name (ref 1));
-  Mutex.unlock sites_mu
-
-let site_creations () =
-  Mutex.lock sites_mu;
-  let l = Hashtbl.fold (fun k r acc -> (k, !r) :: acc) sites_tbl [] in
-  Mutex.unlock sites_mu;
-  List.sort compare l
-
-let line ?(name = "") () =
-  count_site name;
-  name
-
+let line ?(name = "") () = name
 let line_site (l : line) = l
 let cell (_ : line) v = Atomic.make v
 
-let cell' ?(name = "") v =
-  count_site name;
-  Atomic.make v
+let cell' ?name:_ v = Atomic.make v
 let init = Atomic.set
 let read = Atomic.get
 let write = Atomic.set

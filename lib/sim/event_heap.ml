@@ -257,7 +257,6 @@ let create ~dummy =
 
 let size t = t.near_n + t.coarse_n + Far.size t.far
 let is_empty t = t.min = max_int
-let min_time t = t.min
 let tier_adds t = (t.adds.(0), t.adds.(1), t.adds.(2))
 
 (* The de Bruijn table as a string literal, which is static data: an

@@ -23,7 +23,7 @@
 
     The API is allocation-free on the hot path: {!add} and {!pop} cons
     nothing (growth of the backing arrays aside), and emptiness is
-    signalled by the {!min_time} sentinel rather than an option. Slots
+    signalled by the [min] field's sentinel rather than an option. Slots
     vacated by {!pop} and {!clear} are overwritten with the [dummy]
     payload, so dead payloads (closures holding continuations and lock
     state) are not retained by the backing arrays. *)
@@ -46,8 +46,9 @@ end
 
 type 'a t = private {
   mutable min : int;
-      (** time of the earliest event, or [max_int] when empty: what
-          {!min_time} returns, readable as a field load. *)
+      (** time of the earliest event, or [max_int] when empty — an
+          exception-free, allocation-free emptiness sentinel, read as a
+          field load. *)
   mutable base : int;  (** the last popped time (0 before the first). *)
   mutable limit : int;
   mutable near_n : int;
@@ -87,16 +88,11 @@ val add : 'a t -> time:int -> 'a -> unit
     @raise Invalid_argument if [time] is below the last popped time (or
     below [0]) or is [max_int]; the queue is then left unchanged. *)
 
-val min_time : 'a t -> int
-(** Time of the earliest event, or [max_int] when the queue is empty —
-    an exception-free, allocation-free emptiness sentinel. *)
-
 val pop : 'a t -> 'a
 (** Remove the earliest event and return its payload. Allocation-free;
     O(1) plus a bitmap scan to the next non-empty bucket, O(1) per
     coarse event a cascade moves, and O(log n) per overflow event the
-    coarse span reaches. Callers check {!is_empty} (or
-    {!min_time}) first.
+    coarse span reaches. Callers check {!is_empty} (or [min]) first.
 
     @raise Invalid_argument on an empty queue. *)
 

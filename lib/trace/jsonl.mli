@@ -3,9 +3,6 @@
     crashed or interrupted run. A mutex serialises concurrent native
     domains; on the simulator writes land in deterministic event order. *)
 
-val event_to_json : Event.t -> Json.t
-val event_of_json : Json.t -> (Event.t, string) result
-
 val to_file : string -> Sink.t
 (** Opens (truncates) [path]; [Sink.close] closes it. *)
 

@@ -53,8 +53,6 @@ let site_stall s =
   + s.s_stall_interconnect_ns
 
 let fold_sites f init t = List.fold_left f init t.sites
-let remote_transfers t = fold_sites (fun a s -> a + s.s_remote_transfers) 0 t
-let invalidations_sent t = fold_sites (fun a s -> a + s.s_inval_sent) 0 t
 
 let stall_split t =
   fold_sites

@@ -85,16 +85,10 @@ type t = {
           when the substrate cannot attribute (native runs). *)
 }
 
-val site_stall : site -> int
-(** Total stall ns attributed to the site, all causes. *)
-
-val remote_transfers : t -> int
-(** Sum of [s_remote_transfers] over the site table. *)
-
-val invalidations_sent : t -> int
-
 val stall_split : t -> int * int * int * int
-(** [(local, remote, memory, interconnect)] stall ns summed over sites. *)
+(** [(local, remote, memory, interconnect)] stall ns summed over sites.
+    Kept for ROADMAP item 8, which splits simulated ns per acquisition
+    by cause; today only {!pp} reads it. *)
 
 val remote_transfers_per_acquire : t -> acquires:int -> float
 (** Engine-total coherence misses per lock acquisition — the paper's
@@ -118,10 +112,8 @@ val to_fields : ?acquires:int -> ?releases:int -> t -> (string * float) list
 
 val to_json : t -> Json.t
 
-val ranked_sites : t -> site list
-(** Sites ordered by remote traffic (transfers + invalidations sent),
-    then total stall, then name — deterministic. *)
-
 val pp : Format.formatter -> t -> unit
-(** Two summary lines plus the ranked per-site table; multi-level
-    profiles insert a per-level interconnect rollup line between. *)
+(** Two summary lines plus the per-site table, ranked by remote traffic
+    (transfers + invalidations sent), then total stall, then name;
+    multi-level profiles insert a per-level interconnect rollup line
+    between. *)

@@ -37,6 +37,5 @@ let events r =
   Mutex.unlock r.mu;
   out
 
-let pushed r = r.pushed
 let dropped r = max 0 (r.pushed - Array.length r.buf)
 let length r = min r.pushed (Array.length r.buf)

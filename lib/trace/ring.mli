@@ -14,10 +14,8 @@ val push : t -> Event.t -> unit
 val events : t -> Event.t list
 (** Retained events, oldest first. *)
 
-val pushed : t -> int
-(** Total events ever pushed (including overwritten ones). *)
-
 val dropped : t -> int
-(** [pushed - retained]: how many old events were overwritten. *)
+(** How many old events were overwritten: events ever pushed minus
+    those retained. *)
 
 val length : t -> int

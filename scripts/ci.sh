@@ -16,7 +16,11 @@
 #                across units, so an inline hit makes no call) and must
 #                keep the dev profile's warning set and -strict-sequence
 #                (the root dune file's env) — a silent revert to either
-#                default fails here
+#                default fails here; then the surface lint
+#                (scripts/surface.sh): every val in lib/*/*.mli with no
+#                caller outside its module must be listed, with a
+#                reason, in scripts/surface.allow, and every listed
+#                entry must still be such a val
 #   runtest      all test suites (dune runtest --force)
 #   torture      fixed-seed torture smoke (50 random schedules, seed 42)
 #   explore      explorer smoke: exhaustive C-BO-MCS clean + skip-limit
@@ -72,7 +76,8 @@
 # report "pass (alias dep)"), and the executables are invoked directly
 # from the build context instead of through `dune exec` (dune holds the
 # build lock, so nested dune invocations would hang; for the same reason
-# the build-flags guard reports "skipped (inside dune)").
+# the build-flags guard and the surface lint report "skipped (inside
+# dune)").
 set -euo pipefail
 
 STAGES=(check runtest torture explore collapse paper-claim predict determinism bench-diff)
@@ -189,13 +194,14 @@ check_build_flags() {
 
 if [[ -n "${INSIDE_DUNE:-}" ]]; then
   skip check "pass (alias dep)"
-  echo "== ci: build-flags guard skipped (inside dune)"
+  echo "== ci: build-flags guard and surface lint skipped (inside dune)"
   skip runtest "pass (alias dep)"
 else
   if want check; then
     begin check
     dune build @check
     check_build_flags
+    scripts/surface.sh
     end
   else
     skip check "skipped (--stage)"

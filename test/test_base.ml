@@ -66,15 +66,6 @@ let prop_prng_int_in_range =
       let v = Prng.int t n in
       v >= 0 && v < n)
 
-let prop_prng_int_in_bounds =
-  QCheck.Test.make ~name:"Prng.int_in in [lo,hi]" ~count:500
-    QCheck.(triple small_nat (int_range (-100) 100) small_nat)
-    (fun (seed, lo, span) ->
-      let t = Prng.create seed in
-      let hi = lo + span in
-      let v = Prng.int_in t lo hi in
-      v >= lo && v <= hi)
-
 let prop_prng_float_in_range =
   QCheck.Test.make ~name:"Prng.float in [0,x)" ~count:500 QCheck.small_nat
     (fun seed ->
@@ -140,12 +131,12 @@ let test_prng_known_answers () =
   let c2 = Prng.chance t 0.5 in
   let c3 = Prng.chance t 0.1 in
   let c4 = Prng.chance t 0.9 in
-  let ii = Prng.int_in t (-5) 5 in
+  let ii = -5 + Prng.int t 11 in
   let b = Prng.bool t in
   let s = Prng.split t in
   let s1 = Prng.next_int64 s in
   let t1 = Prng.next_int64 t in
-  Alcotest.(check (list int)) "int, int_in" [ 53; 723072; 0 ] [ i1; i2; ii ];
+  Alcotest.(check (list int)) "int" [ 53; 723072; 0 ] [ i1; i2; ii ];
   Alcotest.(check (float 0.)) "float 1.0" 0x1.1d499d5c4c3e6p-2 f1;
   Alcotest.(check (float 0.)) "float 10.0" 0x1.b89069fb47766p+1 f2;
   Alcotest.(check (list bool))
@@ -268,7 +259,6 @@ let suite =
         Alcotest.test_case "copy" `Quick test_prng_copy_diverges_original;
         Alcotest.test_case "known answers" `Quick test_prng_known_answers;
         QCheck_alcotest.to_alcotest prop_prng_int_in_range;
-        QCheck_alcotest.to_alcotest prop_prng_int_in_bounds;
         QCheck_alcotest.to_alcotest prop_prng_float_in_range;
         QCheck_alcotest.to_alcotest prop_prng_float_matches_int64;
       ] );

@@ -35,7 +35,7 @@ let drain_matches_stable_sort times =
   let n = List.length times in
   let out = ref [] in
   while not (H.is_empty h) do
-    let t = H.min_time h in
+    let t = h.H.min in
     let i = H.pop h in
     out := (t, i) :: !out
   done;
@@ -71,11 +71,11 @@ let prop_interleaved =
         (fun step ->
           match step with
           | Some t when t < !last ->
-              let n = H.size h and m = H.min_time h in
+              let n = H.size h and m = h.H.min in
               (match H.add h ~time:t !seq with
               | () -> ok := false
               | exception Invalid_argument _ -> ());
-              if H.size h <> n || H.min_time h <> m then ok := false
+              if H.size h <> n || h.H.min <> m then ok := false
           | Some t ->
               H.add h ~time:t !seq;
               model :=
@@ -90,7 +90,7 @@ let prop_interleaved =
               | ((t, _), payload) :: rest ->
                   model := rest;
                   last := t;
-                  if H.min_time h <> t || H.pop h <> payload then ok := false))
+                  if h.H.min <> t || H.pop h <> payload then ok := false))
         script;
       !ok && H.size h = List.length !model)
 
@@ -184,7 +184,7 @@ let calendar_matches_far script =
     incr seq
   in
   let pop () =
-    let t = H.min_time cal in
+    let t = cal.H.min in
     if t <> H.Far.min_time far then ok := false;
     if H.pop cal <> H.Far.pop far then ok := false;
     last := t
@@ -206,7 +206,7 @@ let calendar_matches_far script =
   while not (H.Far.is_empty far) do
     pop ()
   done;
-  !ok && H.is_empty cal && H.min_time cal = max_int
+  !ok && H.is_empty cal && cal.H.min = max_int
 
 let prop_calendar_vs_far =
   QCheck.Test.make ~name:"calendar queue = 4-ary heap" ~count:600
@@ -283,7 +283,7 @@ let calendar_edges () =
     [ 9; -1; max_int ];
   Alcotest.(check (pair int int))
     "unchanged" (1, 10 * w)
-    (H.size h, H.min_time h);
+    (H.size h, h.H.min);
   H.add h ~time:10 4;
   let first = H.pop h in
   let second = H.pop h in

@@ -10,6 +10,8 @@ module E = Numa_check.Explore
 module D = Numa_check.Decision
 module V = Numa_check.Violation
 module Mut = Numa_check.Mutants.Make (Numasim.Sim_mem)
+
+let mutant name = Option.get (Mut.find name)
 module R = Harness.Lock_registry
 module LI = Cohort.Lock_intf
 
@@ -165,7 +167,11 @@ let catch_mutant ?(prune = false) lock ~invariant ~pin () =
   | None -> Alcotest.fail "mutant escaped exhaustive exploration"
   | Some (trace, v) ->
       Alcotest.(check string) "invariant caught" invariant v.V.invariant;
-      let shrunk = E.shrink sc trace v in
+      let shrunk =
+        match E.shrunk_counterexample sc (trace, v) with
+        | Some ce -> ce.E.ce_trace
+        | None -> Alcotest.fail "shrunk trace no longer fails"
+      in
       Alcotest.(check string) "shrunk trace (golden)" pin (D.to_string shrunk);
       (* The shrunk trace must replay the same failure, bit-identically,
          as many times as it is run. *)
@@ -179,8 +185,8 @@ let catch_mutant ?(prune = false) lock ~invariant ~pin () =
             (V.to_string v2);
           Alcotest.(check string)
             "two replays: identical interleaving"
-            (D.interleaving_to_string r1.E.steps)
-            (D.interleaving_to_string r2.E.steps)
+            (Format.asprintf "%a" D.pp_interleaving r1.E.steps)
+            (Format.asprintf "%a" D.pp_interleaving r2.E.steps)
       | _ -> Alcotest.fail "shrunk trace no longer fails on replay")
 
 let mutant_cases =
@@ -193,19 +199,21 @@ let mutant_cases =
     (* The split read-then-write ticket grab already loses a ticket on
        the default schedule; the oracle sees the FIFO break first. *)
     Alcotest.test_case "TKT!lost-ticket -> fifo" `Quick
-      (catch_mutant Mut.lost_ticket ~invariant:"fifo" ~pin:"default");
+      (catch_mutant (mutant "TKT!lost-ticket") ~invariant:"fifo"
+         ~pin:"default");
     (* The misordered successor publish needs a genuinely adversarial
        schedule: two deviations that land a grant inside the
        publish/reset window, wedging the queue. *)
     Alcotest.test_case "MCS!late-reset -> deadlock" `Quick
-      (catch_mutant Mut.late_reset ~invariant:"deadlock" ~pin:"0:1,5:1");
+      (catch_mutant (mutant "MCS!late-reset") ~invariant:"deadlock"
+         ~pin:"0:1,5:1");
     (* The dropped releaser-side rescue is a lost wakeup on the default
        schedule already: a thread parks while the holder is still
        active (so the parker's own rescue finds the gate occupied and
        stands down), and when that last active retires nobody is left
        to promote the passive list. *)
     Alcotest.test_case "GCR-MCS!dropped-unpark -> deadlock" `Quick
-      (catch_mutant Mut.gcr_dropped_unpark ~invariant:"deadlock"
+      (catch_mutant (mutant "GCR-MCS!dropped-unpark") ~invariant:"deadlock"
          ~pin:"default");
   ]
 
@@ -219,14 +227,14 @@ let mutant_cases_pruned =
       (catch_mutant ~prune:true Mut.skip_limit
          ~invariant:"cohort-handoff-limit" ~pin:"default");
     Alcotest.test_case "TKT!lost-ticket (pruned)" `Quick
-      (catch_mutant ~prune:true Mut.lost_ticket ~invariant:"fifo"
-         ~pin:"default");
+      (catch_mutant ~prune:true (mutant "TKT!lost-ticket")
+         ~invariant:"fifo" ~pin:"default");
     Alcotest.test_case "MCS!late-reset (pruned)" `Quick
-      (catch_mutant ~prune:true Mut.late_reset ~invariant:"deadlock"
-         ~pin:"0:1,5:1");
+      (catch_mutant ~prune:true (mutant "MCS!late-reset")
+         ~invariant:"deadlock" ~pin:"0:1,5:1");
     Alcotest.test_case "GCR-MCS!dropped-unpark (pruned)" `Quick
-      (catch_mutant ~prune:true Mut.gcr_dropped_unpark ~invariant:"deadlock"
-         ~pin:"default");
+      (catch_mutant ~prune:true (mutant "GCR-MCS!dropped-unpark")
+         ~invariant:"deadlock" ~pin:"default");
   ]
 
 (* --- Fuzzing ------------------------------------------------------------- *)
@@ -244,7 +252,7 @@ let fuzz_clean () =
         (D.to_string trace) (V.to_string v)
 
 let fuzz_catches_and_replays () =
-  let sc = E.scenario Mut.lost_ticket in
+  let sc = E.scenario (mutant "TKT!lost-ticket") in
   let r = E.fuzz ~seed:7 ~runs:100 sc in
   match r.E.fuzz_failure with
   | None -> Alcotest.fail "fuzz missed the lost-ticket mutant"

@@ -95,7 +95,11 @@ let test_stats_consistency () =
    timed attempts of the registry's [name] under [policy], counting the
    [Starvation_limit_hit] events its trace records. *)
 let abortable_starvation_hits name policy =
-  let e = Option.get (Harness.Lock_registry.find_abortable name) in
+  let e =
+    List.find
+      (fun e -> e.Harness.Lock_registry.a_name = name)
+      Harness.Lock_registry.abortable_locks
+  in
   let (module A : LI.ABORTABLE_LOCK) = e.Harness.Lock_registry.a_lock in
   let ring = Numa_trace.Ring.create ~capacity:16_384 in
   let l =

@@ -310,7 +310,7 @@ let test_trace_stream_agrees () =
     let ring = Numa_trace.Ring.create ~capacity:65_536 in
     let e = R.with_trace (Numa_trace.Ring.sink ring) entry in
     ignore (lbench_run ~fastpath e);
-    (Numa_trace.Ring.events ring, Numa_trace.Ring.pushed ring)
+    (Numa_trace.Ring.events ring, Numa_trace.Ring.dropped ring)
   in
   Alcotest.(check bool)
     "identical trace streams" true

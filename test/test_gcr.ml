@@ -273,6 +273,30 @@ let test_collapse_misses () =
         (show (List.assoc "misses_per_cs" entry.metrics)))
     collapse_misses_golden
 
+(* --- Oracle scope ------------------------------------------------------ *)
+
+(* [Oracle.for_lock] picks the admission check by registry name; it must
+   pick exactly the locks that run the GCR gate. A short traced run of
+   every registry lock shows which ones emit [Gcr_admit]. *)
+let test_admission_scope () =
+  List.iter
+    (fun (e : R.entry) ->
+      let ring = Numa_trace.Ring.create ~capacity:65_536 in
+      let e = R.with_trace (Numa_trace.Ring.sink ring) e in
+      ignore
+        (LB.run ~name:e.R.name e.R.lock ~topology:small
+           ~cfg:(e.R.tweak (X.cfg_for small [ 4 ]))
+           ~n_threads:4 ~duration:20_000 ~seed:1);
+      let admits =
+        List.exists
+          (fun ev -> ev.Event.kind = Event.Gcr_admit)
+          (Numa_trace.Ring.events ring)
+      in
+      Alcotest.(check bool)
+        (e.R.name ^ ": admission check iff Gcr_admit")
+        admits (Numa_check.Oracle.for_lock e.R.name).admission)
+    R.all_locks
+
 let () =
   Alcotest.run "gcr"
     [
@@ -303,5 +327,10 @@ let () =
         [
           Alcotest.test_case "misses_per_cs covers the window" `Quick
             test_collapse_misses;
+        ] );
+      ( "oracle_scope",
+        [
+          Alcotest.test_case "admission oracle follows Gcr_admit" `Quick
+            test_admission_scope;
         ] );
     ]

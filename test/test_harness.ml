@@ -110,8 +110,11 @@ let test_lbench_alloc_per_acq () =
     Alcotest.failf "%.2f minor words per acquisition; the budget is 5"
       per_acq
 
+let find_abortable name =
+  List.find (fun e -> e.R.a_name = name) R.abortable_locks
+
 let test_lbench_abortable_runs () =
-  let e = Option.get (R.find_abortable "A-C-BO-CLH") in
+  let e = find_abortable "A-C-BO-CLH" in
   let r =
     LB.run_abortable ~name:e.R.a_name e.R.a_lock ~topology:topo ~cfg
       ~n_threads:16 ~duration:500_000 ~seed:11 ~patience:2_000_000
@@ -121,7 +124,7 @@ let test_lbench_abortable_runs () =
     (r.LB.abort_rate >= 0. && r.LB.abort_rate < 0.5)
 
 let test_lbench_tiny_patience_aborts () =
-  let e = Option.get (R.find_abortable "A-HBO") in
+  let e = find_abortable "A-HBO" in
   let r =
     LB.run_abortable ~name:e.R.a_name e.R.a_lock ~topology:topo ~cfg
       ~n_threads:32 ~duration:500_000 ~seed:13 ~patience:200
@@ -286,7 +289,8 @@ let test_registry_find () =
   Alcotest.(check bool) "find MCS" true (R.find "MCS" <> None);
   Alcotest.(check bool) "find C-MCS-MCS" true (R.find "C-MCS-MCS" <> None);
   Alcotest.(check bool) "missing" true (R.find "nope" = None);
-  Alcotest.(check bool) "abortable" true (R.find_abortable "A-CLH" <> None)
+  Alcotest.(check bool) "abortable" true
+    (List.exists (fun e -> e.R.a_name = "A-CLH") R.abortable_locks)
 
 let test_registry_expected_lineups () =
   (* 9 paper locks + the two successors (CNA, PTL). *)

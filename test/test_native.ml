@@ -14,7 +14,8 @@ let cfg = { LI.default with LI.clusters = 2; max_threads = 8 }
 
 let entry name = Option.get (NR.find name)
 let lock name = (entry name).LR.lock
-let a_lock name = (Option.get (NR.find_abortable name)).LR.a_lock
+let a_lock name =
+  (List.find (fun e -> e.LR.a_name = name) NR.abortable_locks).LR.a_lock
 
 (* n domains each perform [iters] increments of an unprotected counter
    under the lock; torn updates would lose increments. *)

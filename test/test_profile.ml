@@ -99,7 +99,9 @@ let test_site_attribution () =
     (fun s ->
       Alcotest.(check bool)
         (s.P.site ^ " has stall time") true
-        (P.site_stall s > 0);
+        (s.P.s_stall_local_ns + s.P.s_stall_remote_ns + s.P.s_stall_memory_ns
+         + s.P.s_stall_interconnect_ns
+        > 0);
       Alcotest.(check bool)
         (s.P.site ^ " remote stall iff remote traffic") true
         (s.P.s_stall_remote_ns > 0

@@ -38,7 +38,7 @@ let prop_heap_sorted =
       let rec drain acc =
         if H.is_empty h then List.rev acc
         else
-          let t = H.min_time h in
+          let t = h.H.min in
           let _ = H.pop h in
           drain (t :: acc)
       in
@@ -46,11 +46,11 @@ let prop_heap_sorted =
 
 let test_heap_peek_clear () =
   let h = H.create ~dummy:0 in
-  Alcotest.(check int) "min_time empty" max_int (H.min_time h);
+  Alcotest.(check int) "min empty" max_int h.H.min;
   Alcotest.(check bool) "is_empty" true (H.is_empty h);
   H.add h ~time:7 1;
   H.add h ~time:3 2;
-  Alcotest.(check int) "min_time" 3 (H.min_time h);
+  Alcotest.(check int) "min" 3 h.H.min;
   Alcotest.(check int) "size" 2 (H.size h);
   H.clear h;
   Alcotest.(check bool) "cleared" true (H.is_empty h);

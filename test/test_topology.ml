@@ -145,12 +145,14 @@ let prop_flat_equivalence =
    reference loop over every ordered cluster pair (the matrix is
    symmetric, so ordered = unordered); a flat machine reports exactly
    the preset's remote_transfer. *)
+let mean_remote_transfer_ns t = (T.predict_calib t).Numa_trace.Predict.remote_ns
+
 let prop_mean_remote =
   QCheck.Test.make ~name:"mean_remote_transfer_ns = reference mean" ~count:200
     arb_spec (fun s ->
       let t = build s in
       if t.T.clusters = 1 then
-        T.mean_remote_transfer_ns t
+        mean_remote_transfer_ns t
         = float_of_int t.T.levels.(0).T.l_transfer
       else begin
         let sum = ref 0 and n = ref 0 in
@@ -163,7 +165,7 @@ let prop_mean_remote =
           done
         done;
         let reference = float_of_int !sum /. float_of_int !n in
-        Float.abs (T.mean_remote_transfer_ns t -. reference) < 1e-6
+        Float.abs (mean_remote_transfer_ns t -. reference) < 1e-6
       end)
 
 (* Both spec grammars enforce the coherence model's 62-cluster bound:
@@ -178,7 +180,7 @@ let test_of_spec_bounds () =
 let test_mean_remote_flat () =
   Alcotest.(check (float 0.))
     "t5440 mean transfer = remote_transfer" 125.
-    (T.mean_remote_transfer_ns T.t5440)
+    (mean_remote_transfer_ns T.t5440)
 
 let () =
   Alcotest.run "topology"
