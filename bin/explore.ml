@@ -13,9 +13,9 @@
    - --quick: the CI smoke — exhaustive C-BO-MCS clean + the skip-limit
      mutant caught.
 
-   Exhaustive search prunes commuting deviations by default (see
-   Explore.exhaustive); --no-prune runs the full BFS. Reports show both
-   schedules visited and deviations pruned.
+   Exhaustive search prunes commuting deviations (see
+   Explore.exhaustive). Reports show both schedules visited and
+   deviations pruned.
 
    Lock names resolve through the registry first, then the mutants
    (C-BO-MCS!skip-limit, TKT!lost-ticket, MCS!late-reset,
@@ -51,11 +51,11 @@ let pp_failure sc (trace, v) =
         (V.to_string v)
 
 let explore_one ~mode ~preemptions ~budget ?topology ~threads ~sections ~seed
-    ~runs ~prune name =
+    ~runs name =
   let sc = E.scenario ?topology ~n_threads:threads ~sections (find_lock name) in
   match mode with
   | `Exhaustive -> (
-      let r = E.exhaustive ~preemptions ~budget ~prune sc in
+      let r = E.exhaustive ~preemptions ~budget ~prune:true sc in
       match r.E.failure with
       | None ->
           Printf.printf
@@ -126,13 +126,13 @@ let run_replay ?topology ~threads ~sections name trace_str =
                 (D.to_string trace) name (V.to_string v);
               0))
 
-let run_mutants ~preemptions ~budget ?topology ~threads ~sections ~prune () =
+let run_mutants ~preemptions ~budget ?topology ~threads ~sections () =
   let bad = ref 0 in
   List.iter
     (fun (module L : LI.LOCK) ->
       match
         explore_one ~mode:`Exhaustive ~preemptions ~budget ?topology ~threads
-          ~sections ~seed:0 ~runs:0 ~prune L.name
+          ~sections ~seed:0 ~runs:0 L.name
       with
       | `Caught -> ()
       | `Clean ->
@@ -229,20 +229,12 @@ let topology_arg =
            machine, or RxSxT for a rack-of-sockets hierarchy (default: \
            small).")
 
-let no_prune_arg =
-  Arg.(
-    value & flag
-    & info [ "no-prune" ]
-        ~doc:"Disable the commuting-deviation reduction and run the full \
-              exhaustive BFS.")
-
 let main locks mode preemptions budget topology threads sections seed runs
-    replay mutants quick no_prune =
-  let prune = not no_prune in
+    replay mutants quick =
   if quick then exit (run_quick ?topology ());
   if mutants then
     exit
-      (run_mutants ~preemptions ~budget ?topology ~threads ~sections ~prune ());
+      (run_mutants ~preemptions ~budget ?topology ~threads ~sections ());
   match replay with
   | Some trace_str -> (
       match locks with
@@ -261,7 +253,7 @@ let main locks mode preemptions budget topology threads sections seed runs
         (fun name ->
           match
             explore_one ~mode ~preemptions ~budget ?topology ~threads
-              ~sections ~seed ~runs ~prune name
+              ~sections ~seed ~runs name
           with
           | `Clean -> ()
           | `Caught -> incr failures)
@@ -275,6 +267,6 @@ let cmd =
     Term.(
       const main $ locks_arg $ mode_arg $ preemptions_arg $ budget_arg
       $ topology_arg $ threads_arg $ sections_arg $ seed_arg $ runs_arg
-      $ replay_arg $ mutants_arg $ quick_arg $ no_prune_arg)
+      $ replay_arg $ mutants_arg $ quick_arg)
 
 let () = exit (Cmd.eval cmd)

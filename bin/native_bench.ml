@@ -119,10 +119,11 @@ let run_bench domains clusters millis filters abortable patience seed trace
           ("native-lbench-abortable", r))
         aentries
   in
-  finish_trace ();
+  let note = finish_trace () in
   (match trace with
   | Some path -> Printf.printf "Wrote lock-event trace to %s\n%!" path
   | None -> ());
+  Option.iter print_endline note;
   match emit with
   | None -> ()
   | Some path ->

@@ -129,15 +129,6 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
         t.buckets.(b) <- it :: t.buckets.(b);
         t.n_items <- t.n_items + 1
 
-  let mem t k = match find_item t k with _, Some _ -> true | _ -> false
-
-  let peek t k =
-    match find_item t k with
-    | _, Some it ->
-        let v = M.read it.value in
-        Some (v, M.read it.lru)
-    | _, None -> None
-
   (* Pre-populate without charging simulated time (host-side setup). *)
   let populate t ~n_keys =
     for k = 0 to n_keys - 1 do

@@ -25,12 +25,6 @@ module Make (M : Numa_base.Memory_intf.MEMORY) : sig
   (** Insert or update; additionally dirties the bucket line (LRU chain
       maintenance). *)
 
-  val mem : t -> int -> bool
-
-  val peek : t -> int -> (int * int) option
-  (** The item's value and LRU stamp. Charges the same bucket and item
-      reads as {!get} but writes nothing: no LRU touch, no stats bump. *)
-
   val populate : t -> n_keys:int -> unit
   (** Pre-load keys [0..n_keys-1] with value = key, without charging
       simulated time (host-side setup). *)

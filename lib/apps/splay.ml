@@ -1,9 +1,6 @@
 type 'v t = Leaf | Node of 'v t * int * 'v * 'v t
 
 let empty = Leaf
-let is_empty = function Leaf -> true | Node _ -> false
-
-let rec size = function Leaf -> 0 | Node (l, _, _, r) -> 1 + size l + size r
 
 (* Classic recursive splay: after [splay x t], the node holding [x] — or
    the last node on the search path for [x] — is the root. *)
@@ -59,11 +56,6 @@ let insert k v ~combine t =
       else if k < rk then Node (l, k, v, Node (Leaf, rk, rv, r))
       else Node (Node (l, rk, rv, Leaf), k, v, r)
 
-let find k t =
-  match splay k t with
-  | Leaf -> None
-  | Node (_, rk, rv, _) as t' -> if rk = k then Some (rv, t') else None
-
 (* Splay the minimum to the root: resulting root has a Leaf left child. *)
 let rec splay_min = function
   | Leaf -> Leaf
@@ -97,8 +89,6 @@ let find_ge k t =
         | Node (Node _, _, _, _) -> assert false
       end
 
-let root = function Leaf -> None | Node (_, k, v, _) -> Some (k, v)
-
 let replace_root v = function
   | Leaf -> invalid_arg "Splay.replace_root: empty tree"
   | Node (l, k, _, r) -> Node (l, k, v, r)
@@ -112,11 +102,6 @@ let join l r =
 let remove_root = function
   | Leaf -> invalid_arg "Splay.remove_root: empty tree"
   | Node (l, _, _, r) -> join l r
-
-let remove k t =
-  match splay k t with
-  | Leaf -> Leaf
-  | Node (l, rk, rv, r) -> if rk = k then join l r else Node (l, rk, rv, r)
 
 let rec depth_aux k t acc =
   match t with

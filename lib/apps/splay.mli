@@ -12,32 +12,22 @@
 type 'v t
 
 val empty : 'v t
-val is_empty : 'v t -> bool
-val size : 'v t -> int
-(** Number of nodes; O(n). *)
 
 val insert : int -> 'v -> combine:('v -> 'v -> 'v) -> 'v t -> 'v t
 (** [insert k v ~combine t] splays [k] to the root and stores [v] there;
     if [k] was present its old value [old] is replaced by
     [combine v old]. *)
 
-val find : int -> 'v t -> ('v * 'v t) option
-(** Exact lookup; the returned tree has the key splayed to the root. *)
-
 val find_ge : int -> 'v t -> (int * 'v * 'v t) option
 (** [find_ge k t] is the smallest key [>= k] with its value; the returned
     tree has that node at the root (so {!replace_root} / {!remove_root}
     apply to it). [None] if every key is smaller than [k]. *)
 
-val root : 'v t -> (int * 'v) option
 val replace_root : 'v -> 'v t -> 'v t
 (** @raise Invalid_argument on an empty tree. *)
 
 val remove_root : 'v t -> 'v t
 (** @raise Invalid_argument on an empty tree. *)
-
-val remove : int -> 'v t -> 'v t
-(** Remove the exact key if present. *)
 
 val depth_of : int -> 'v t -> int
 (** Number of nodes on the search path to [k] (or to where it would be);

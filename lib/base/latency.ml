@@ -44,10 +44,3 @@ let uniform =
     interconnect_occupancy = 0;
     interconnect_channels = 1;
   }
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>l1_hit=%dns local_hit=%dns remote=%dns mem=%dns upgrade=%dns@ \
-     atomic_extra=%dns interconnect=%dns x%d@]"
-    t.l1_hit t.local_hit t.remote_transfer t.mem_access t.upgrade_local
-    t.atomic_extra t.interconnect_occupancy t.interconnect_channels

@@ -33,5 +33,3 @@ val uniform : t
 (** Degenerate profile where remote == local: a UMA machine. With this
     profile NUMA-aware locks should show no advantage; used as a negative
     control in tests. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,6 +1,6 @@
 (* The splitmix64 state lives unboxed in 8 bytes: a [mutable int64]
    record field would box a fresh state on every draw. [step] is inlined
-   into each draw below, so [int], [float], [bool] and [chance] keep the
+   into each draw below, so [int], [float] and [chance] keep the
    whole computation in registers and allocate nothing; only
    [next_int64], which returns an [int64], boxes its result. *)
 type t = Bytes.t
@@ -8,13 +8,10 @@ type t = Bytes.t
 external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let of_state s =
+let create seed =
   let t = Bytes.create 8 in
-  set t 0 s;
+  set t 0 (Int64.of_int seed);
   t
-
-let create seed = of_state (Int64.of_int seed)
-let copy = Bytes.copy
 
 let[@inline] step t =
   let open Int64 in
@@ -25,7 +22,6 @@ let[@inline] step t =
   logxor z (shift_right_logical z 31)
 
 let next_int64 t = step t
-let split t = of_state (step t)
 
 let int t n =
   if n <= 0 then invalid_arg "Prng.int: n <= 0";
@@ -42,5 +38,4 @@ let[@inline] unit_float t =
   /. 9007199254740992.0 (* 2^53 *)
 
 let float t x = x *. unit_float t
-let bool t = Int64.logand (step t) 1L = 1L
 let chance t p = unit_float t < p

@@ -8,12 +8,6 @@ type t
 val create : int -> t
 (** [create seed] makes an independent generator. *)
 
-val copy : t -> t
-
-val split : t -> t
-(** [split t] derives a new independent generator from [t], advancing
-    [t]. Use to give each simulated thread its own stream. *)
-
 val next_int64 : t -> int64
 (** Uniform over all 64-bit values. *)
 
@@ -23,8 +17,6 @@ val int : t -> int -> int
 
 val float : t -> float -> float
 (** [float t x] is uniform over [0, x). *)
-
-val bool : t -> bool
 
 val chance : t -> float -> bool
 (** [chance t p] is true with probability [p]. *)

@@ -92,8 +92,8 @@ module type RUNTIME = sig
       one) accept and ignore it.
 
       [n_threads] may exceed [Topology.total_threads topology]: surplus
-      logical threads wrap onto hardware contexts via
-      [Topology.context_of_thread] (oversubscription) and inherit the
+      logical threads wrap onto hardware contexts, [tid mod
+      Topology.total_threads] (oversubscription), and inherit the
       wrapped context's cluster.
 
       @raise Invalid_argument if [n_threads] < 1.

@@ -1,36 +1,16 @@
-type t = {
-  mutable n : int;
-  mutable mean : float;
-  mutable m2 : float;
-  mutable min : float;
-  mutable max : float;
-}
-
-let create () =
-  { n = 0; mean = 0.; m2 = 0.; min = infinity; max = neg_infinity }
-
-let add t x =
-  t.n <- t.n + 1;
-  let delta = x -. t.mean in
-  t.mean <- t.mean +. (delta /. float_of_int t.n);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-  if x < t.min then t.min <- x;
-  if x > t.max then t.max <- x
-
-let count t = t.n
-let mean t = if t.n = 0 then 0. else t.mean
-let stddev t = if t.n < 2 then 0. else sqrt (t.m2 /. float_of_int t.n)
-let min t = t.min
-let max t = t.max
-
-let stddev_pct t =
-  let m = mean t in
-  if m = 0. then 0. else 100. *. stddev t /. m
-
-let of_array a =
-  let t = create () in
-  Array.iter (add t) a;
-  t
+(* Welford's one-pass mean and sum of squared deviations; the standard
+   deviation is the population one, 0 for fewer than 2 samples. *)
+let stddev_pct a =
+  let mean = ref 0. and m2 = ref 0. in
+  Array.iteri
+    (fun i x ->
+      let delta = x -. !mean in
+      mean := !mean +. (delta /. float_of_int (i + 1));
+      m2 := !m2 +. (delta *. (x -. !mean)))
+    a;
+  let n = Array.length a in
+  let stddev = if n < 2 then 0. else sqrt (!m2 /. float_of_int n) in
+  if !mean = 0. then 0. else 100. *. stddev /. !mean
 
 let percentile a p =
   if Array.length a = 0 then invalid_arg "Stats.percentile: empty array";
@@ -50,12 +30,10 @@ module Histogram = struct
   type h = {
     counts : int array;
     mutable n : int;
-    mutable sum : int;
     mutable maximum : int;
   }
 
-  let create () =
-    { counts = Array.make buckets 0; n = 0; sum = 0; maximum = 0 }
+  let create () = { counts = Array.make buckets 0; n = 0; maximum = 0 }
 
   let bucket_of v =
     if v <= 0 then 0
@@ -70,12 +48,8 @@ module Histogram = struct
     let b = if b < buckets - 1 then b else buckets - 1 in
     h.counts.(b) <- h.counts.(b) + 1;
     h.n <- h.n + 1;
-    h.sum <- h.sum + v;
     if v > h.maximum then h.maximum <- v
 
-  let count h = h.n
-  let total h = h.sum
-  let mean h = if h.n = 0 then 0. else float_of_int h.sum /. float_of_int h.n
   let max_seen h = h.maximum
 
   let quantile h q =
@@ -103,7 +77,6 @@ module Histogram = struct
     let h = create () in
     Array.iteri (fun i c -> h.counts.(i) <- c + b.counts.(i)) a.counts;
     h.n <- a.n + b.n;
-    h.sum <- a.sum + b.sum;
     h.maximum <- Stdlib.max a.maximum b.maximum;
     h
 end

@@ -105,14 +105,11 @@ let rack =
     ~threads_per_cluster:64 Latency.t5440
 
 let total_threads t = t.clusters * t.threads_per_cluster
-let depth t = Array.length t.levels
 
-let context_of_thread t tid =
+let cluster_of_thread t tid =
   if tid < 0 then
-    invalid_arg (Printf.sprintf "Topology.context_of_thread: tid %d < 0" tid);
-  tid mod total_threads t
-
-let cluster_of_thread t tid = context_of_thread t tid mod t.clusters
+    invalid_arg (Printf.sprintf "Topology.cluster_of_thread: tid %d < 0" tid);
+  tid mod total_threads t mod t.clusters
 let xfer_cost t a b = t.xfer.((a * t.clusters) + b)
 let cross_level t a b = t.xlevel.((a * t.clusters) + b)
 

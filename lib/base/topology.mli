@@ -101,17 +101,11 @@ val total_threads : t -> int
 (** Hardware contexts in the machine ([clusters * threads_per_cluster]).
     Logical thread counts may exceed this: thread ids wrap. *)
 
-val depth : t -> int
-(** Number of levels. *)
-
-val context_of_thread : t -> int -> int
-(** [context_of_thread t tid] is the hardware context of logical thread
-    [tid]: [tid mod total_threads t] — oversubscribed threads share
-    contexts round-robin. @raise Invalid_argument if [tid < 0]. *)
-
 val cluster_of_thread : t -> int -> int
 (** [cluster_of_thread t tid] is the cluster thread [tid] runs on:
-    [context_of_thread t tid mod clusters].
+    [tid mod total_threads t mod clusters]. Logical thread [tid] runs on
+    hardware context [tid mod total_threads t], so oversubscribed
+    threads share contexts round-robin.
     @raise Invalid_argument if [tid < 0]. *)
 
 val xfer_cost : t -> int -> int -> int

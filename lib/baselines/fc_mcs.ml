@@ -152,17 +152,6 @@ struct
 
   let release th =
     I.emit th.ev Numa_trace.Event.Handoff_global;
-    let n = th.slot.node in
-    match M.read n.Q.next with
-    | Some s -> M.write s.Q.nstate Q.ngranted_local
-    | None ->
-        if M.cas th.l.gtail ~expect:(Q.some n) ~desire:None then ()
-        else begin
-          let s =
-            match M.wait_until n.Q.next Option.is_some with
-            | Some s -> s
-            | None -> assert false
-          in
-          M.write s.Q.nstate Q.ngranted_local
-        end
+    Q.pass_or_close th.l.gtail th.slot.node ~code:Q.ngranted_local
+      ~may_close:true
 end

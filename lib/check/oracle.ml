@@ -194,9 +194,7 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
             Violation.fail ~lock:st.lock ~invariant:"gcr-admission" ~tid:ev.tid
               ~at:ev.at "active-set exit without a matching admission"
         end
-    | Event.Abort | Event.Starvation_limit_hit | Event.Coh_transfer _
-    | Event.Coh_invalidate _ ->
-        ()
+    | Event.Abort | Event.Starvation_limit_hit -> ()
 
   let wrap ?(checks = me_only) (module L : LI.LOCK) : (module LI.LOCK) =
     let module C = struct

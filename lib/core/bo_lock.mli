@@ -1,18 +1,8 @@
 (** Test-and-test-and-set lock with exponential backoff (the paper's
     "BO" lock) and its cohort adapters. See the implementation header for
-    the protocol details of each variant.
+    the protocol details of each variant. *)
 
-    The lock-word states are exposed for white-box tests. *)
-
-module Make (M : Numa_base.Memory_intf.MEMORY) : sig
-  val free_global : int
-  (** Unlocked; the next acquirer must take the global lock (also the
-      plain lock's "unlocked"). *)
-
-  val busy : int
-  val free_local : int
-  (** Unlocked with implicit global ownership for the next local taker. *)
-
+module Make (_ : Numa_base.Memory_intf.MEMORY) : sig
   (** The TATAS loop with per-thread backoff under [policy]; its lock
       word is one cell labelled [site]. *)
   module Tatas (_ : sig

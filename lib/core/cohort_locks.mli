@@ -1,7 +1,7 @@
 (** The composition table: the paper's generality claim (sections 2.1
     and 3) as one functor over the memory substrate. Any thread-oblivious
     global lock composes with any cohort-detecting local lock through
-    {!Cohorting.Make}; [compose] is the only place that applies it.
+    {!Cohorting.Make}; this table applies it once per composition.
 
     The paper names five of the 16 compositions of its four components:
     C-BO-BO (section 3.1), C-TKT-TKT (3.2), C-BO-MCS (3.3, Figure 1: the
@@ -24,14 +24,6 @@ module Make (_ : Numa_base.Memory_intf.MEMORY) : sig
   val locals : (string * (module Lock_intf.LOCAL)) list
   (** The cohort-detecting local components by name: BO, TKT, MCS,
       CLH. *)
-
-  val compose :
-    global:string * (module Lock_intf.GLOBAL) ->
-    local:string * (module Lock_intf.LOCAL) ->
-    (module Lock_intf.LOCK)
-  (** [compose ~global:(g, G) ~local:(l, L)] is the cohort lock
-      [C-g-l] over [G] and [L]. Each call applies {!Cohorting.Make}
-      afresh; use {!all} or {!get} for the table's own instances. *)
 
   val all : (string * (module Lock_intf.LOCK)) list
   (** All 16 compositions of {!globals} with {!locals}, row-major

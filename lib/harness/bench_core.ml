@@ -73,7 +73,6 @@ module Make (M : Memory_intf.MEMORY) (RT : Runtime_intf.RUNTIME) = struct
   let summarise ~lock_name ~n_threads ~duration ~counts ~migrations ~aborts
       ~latencies ~(stats : Runtime_intf.run_stats) =
     let iterations = Array.fold_left ( + ) 0 counts in
-    let spread = Stats.of_array (Array.map float_of_int counts) in
     let attempts = iterations + aborts in
     let pct q = float_of_int (Stats.Histogram.quantile latencies q) in
     {
@@ -83,7 +82,7 @@ module Make (M : Memory_intf.MEMORY) (RT : Runtime_intf.RUNTIME) = struct
       iterations;
       throughput = float_of_int iterations /. (float_of_int duration *. 1e-9);
       per_thread = counts;
-      fairness_stddev_pct = Stats.stddev_pct spread;
+      fairness_stddev_pct = Stats.stddev_pct (Array.map float_of_int counts);
       migrations;
       misses_per_cs =
         (match stats.Runtime_intf.profile with

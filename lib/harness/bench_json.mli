@@ -25,14 +25,11 @@ type t = {
 val make : substrate:string -> seed:int -> entry list -> t
 val entry_of_result : experiment:string -> Bench_core.result -> entry
 
-val to_json : t -> Numa_trace.Json.t
-(** Carries the schema, ["cohort-bench/3"], bumped on any entry/metric
-    shape change; {!read} accepts no other. *)
-
-val to_string : t -> string
-(** Pretty-rendered with a trailing newline — the exact file contents. *)
-
 val write : string -> t -> unit
+(** Pretty-rendered JSON with a trailing newline. It carries the schema,
+    ["cohort-bench/3"], bumped on any entry/metric shape change; {!read}
+    accepts no other. *)
+
 val read : string -> (t, string) result
 
 val key_of : entry -> string

@@ -899,8 +899,9 @@ let run ?csv_dir ?trace ?emit ?(profile = false) e p =
   Printf.printf "topology=%s duration=%dms seed=%d\n%!" p.topology.Topology.name
     (p.duration / 1_000_000) p.seed;
   let entries = step env e p in
-  finish ();
+  let note = finish () in
   Option.iter (Printf.printf "wrote %s\n%!") trace;
+  Option.iter print_endline note;
   Option.iter
     (fun path ->
       Bench_json.write path

@@ -10,7 +10,7 @@
     domains have been joined.
 
     Oversubscription: [n_threads] beyond the topology's hardware contexts
-    is accepted — surplus tids wrap via [Topology.context_of_thread] and
+    is accepted — surplus tids wrap onto context [tid mod Topology.total_threads] and
     are given the wrapped context's cluster. One [Domain] is still spawned
     per logical thread (the OS multiplexes them), so keep native
     oversubscription modest; thousands-of-threads sweeps belong on the

@@ -399,7 +399,3 @@ let charge ?prof st (topo : Tp.t) line ~now ~epoch ~domain ~thread kind tr =
     settle st line row ~domain ~thread kind;
     with_atomic topo kind l
   end
-
-let access ?prof st topo line ~now ~epoch ~domain ~thread kind =
-  charge ?prof st topo line ~now ~epoch ~domain ~thread kind
-    (classify line ~epoch ~domain ~thread kind)

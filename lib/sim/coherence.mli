@@ -19,7 +19,7 @@
     {!is_l1_hit}, which [classify] tests first) and its effects only in
     [charge] or code it shares with the engine fast path, {!try_hit}; so
     the two paths cannot drift apart (doc/SIMULATOR.md "Engine fast
-    path", step 1). {!access} is the two in sequence.
+    path", step 1).
 
     Optionally, a {!profiler} attributes every access to the line's
     allocation-site label ([?name] of {!make_line}): per-site hit/miss
@@ -61,7 +61,7 @@ type line = private {
   mutable epoch : int;  (** run id; state auto-resets across runs *)
   mutable prow : Numa_trace.Profile.site option;
       (** cached profiler row for [name]; reset with the epoch so stale
-          rows never leak across runs. Filled by [access] when a
+          rows never leak across runs. Filled by {!charge} when a
           profiler is passed; the engine charges interconnect queueing
           to its [s_stall_interconnect_ns] at its own call site. *)
   mutable wq : Waitq.t;
@@ -162,31 +162,17 @@ val charge :
   transition ->
   int
 (** Apply the transition {!classify} returned for the same arguments:
-    counters, attribution and state; returns the latency, as {!access}.
-    An [L1_hit] goes through the code {!try_hit} retires one with. *)
-
-val access :
-  ?prof:profiler ->
-  stats ->
-  Numa_base.Topology.t ->
-  line ->
-  now:int ->
-  epoch:int ->
-  domain:int ->
-  thread:int ->
-  kind ->
-  int
-(** [access stats topo line ~now ~epoch ~domain ~thread kind] is
-    [charge (classify …)]: it performs the state transition for [kind] by
-    [thread] on leaf domain [domain] at time [now] and returns the total
-    latency (including any queueing on a busy line). Cross-domain costs
-    come from [topo]'s distance matrix: a read fetches from the nearest
-    sharer, an invalidating write pays the round trip to the furthest
-    victim, and [stats.last_xlevel] records the crossing level so the
-    engine can charge the matching interconnect pool. On a single-level
-    machine every pair costs the flat [remote_transfer] and the model is
-    byte-identical to the historical one. [epoch] identifies the simulation run; a line first touched in a
-    new epoch starts Invalid. With [?prof] the access is additionally
-    attributed to the line's site row (found once per line per epoch,
-    then cached on [line.prow]); latencies and state transitions are
-    byte-identical with and without it. *)
+    counters, attribution and state. Returns the total latency of
+    [kind] by [thread] on leaf domain [domain] at time [now], including
+    any queueing on a busy line. Cross-domain costs come from [topo]'s
+    distance matrix: a read fetches from the nearest sharer, an
+    invalidating write pays the round trip to the furthest victim, and
+    [stats.last_xlevel] records the crossing level so the engine can
+    charge the matching interconnect pool. On a single-level machine
+    every pair costs the flat [remote_transfer]. [epoch] identifies the
+    simulation run; a line first touched in a new epoch starts Invalid.
+    With [?prof] the access is additionally attributed to the line's
+    site row (found once per line per epoch, then cached on
+    [line.prow]); latencies and state transitions are byte-identical
+    with and without it. An [L1_hit] goes through the code {!try_hit}
+    retires one with. *)

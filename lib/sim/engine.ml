@@ -140,10 +140,6 @@ type t = {
   mutable events : int;
   epoch : int;
   prof : Coherence.profiler option;
-  trace : Numa_trace.Sink.t;
-      (* coherence-class events only (Coh_transfer / Coh_invalidate); lock
-         events go through each lock's own sink. Kept separate so the
-         per-remote-txn firehose cannot flood a lock-event rollup ring. *)
   fp_limit : int;
       (* the run's [horizon] (or max_int): an inlined access may not
          complete past it — the heap path would have discarded its
@@ -226,8 +222,8 @@ let[@inline] later now d =
 
 (* The tail of an access whose transition crossed domains: queueing on
    the interconnect channel pool of its crossing level ([last_xlevel];
-   always pool 0 on flat machines), then one coherence trace event. *)
-let cross eng ~cluster ~thread line lat ~inval =
+   always pool 0 on flat machines). *)
+let cross eng line lat =
   let q =
     Interconnect.acquire eng.icx ~level:eng.cstats.Coherence.last_xlevel
       ~now:eng.now
@@ -238,17 +234,11 @@ let cross eng ~cluster ~thread line lat ~inval =
          r.Numa_trace.Profile.s_stall_interconnect_ns <-
            r.Numa_trace.Profile.s_stall_interconnect_ns + q
      | None -> ());
-  let ns = lat + q in
-  (if Numa_trace.Sink.enabled eng.trace then
-     let site = line.Coherence.name in
-     Numa_trace.Sink.record eng.trace ~at:eng.now ~tid:thread ~cluster
-       (if inval then Numa_trace.Event.Coh_invalidate { site; ns }
-        else Numa_trace.Event.Coh_transfer { site; ns }));
-  ns
+  lat + q
 
-(* Charge a memory access. Attribution (profiler rows, trace events)
-   mutates stats only, so the charged latency — and hence the schedule —
-   is independent of both. *)
+(* Charge a memory access. Attribution (profiler rows) mutates stats
+   only, so the charged latency — and hence the schedule — is
+   independent of it. *)
 let access eng ~cluster ~thread line kind =
   let tr =
     Coherence.classify line ~epoch:eng.epoch ~domain:cluster ~thread kind
@@ -259,10 +249,8 @@ let access eng ~cluster ~thread line kind =
   in
   match tr with
   | L1_hit | Local_hit | Upgrade | Memory -> lat
-  | Fetch_modified | Fetch_shared | Steal ->
-      cross eng ~cluster ~thread line lat ~inval:false
-  | Invalidate | Miss_invalidate ->
-      cross eng ~cluster ~thread line lat ~inval:true
+  | Fetch_modified | Fetch_shared | Steal | Invalidate | Miss_invalidate ->
+      cross eng line lat
 
 (* A write or RMW to [line] completed: if its payload changed a value on
    the line ([Waitq.changed], set by [Sim_mem]'s store payloads and
@@ -947,7 +935,7 @@ let release_queue h =
   if Option.is_none !slot then slot := Some h
 
 let run ~topology ~n_threads ?horizon ?policy ?max_events ?(profile = false)
-    ?(trace = Numa_trace.Sink.noop) body =
+    body =
   if n_threads < 1 then invalid_arg "Engine.run: n_threads < 1";
   (match (policy, horizon, max_events) with
   | Some _, Some _, _ -> invalid_arg "Engine.run: ~horizon with ~policy"
@@ -979,7 +967,6 @@ let run ~topology ~n_threads ?horizon ?policy ?max_events ?(profile = false)
       events = 0;
       epoch = Atomic.fetch_and_add epoch_counter 1;
       prof = (if profile then Some (Coherence.make_profiler ()) else None);
-      trace;
       fp_limit = (match horizon with Some h -> h | None -> max_int);
       inlined = Array.make (List.length all_classes) 0;
       scheduled = Array.make (List.length all_classes) 0;

@@ -123,7 +123,6 @@ val run :
   ?policy:policy ->
   ?max_events:int ->
   ?profile:bool ->
-  ?trace:Numa_trace.Sink.t ->
   (tid:int -> cluster:int -> unit) ->
   result
 (** [run ~topology ~n_threads body] starts [n_threads] fibers; thread
@@ -133,7 +132,7 @@ val run :
 
     [n_threads] may exceed the machine's hardware contexts
     ([Topology.total_threads]): the surplus logical threads wrap onto
-    contexts via [Topology.context_of_thread] (oversubscription), sharing
+    contexts, [tid mod Topology.total_threads] (oversubscription), sharing
     their context's cluster. The simulation is still
     deterministic — fibers are cooperative, so wrapping changes placement
     only, not the event machinery.
@@ -154,14 +153,8 @@ val run :
     instead of raising [Deadlock] — a livelock backstop.
 
     [profile] turns on per-site coherence attribution (the site table
-    of the run's [result.profile]); [trace] receives one
-    {!Numa_trace.Event.Coh_transfer} or [Coh_invalidate] event per
-    cross-cluster transaction. Both are
-    stats-/event-side only — a profiled or coherence-traced run is
-    schedule-identical to a plain one (pinned by test_profile). The
-    coherence trace is deliberately a separate sink from lock-event
-    tracing: it fires per remote transaction and would flood a lock-event
-    rollup ring.
+    of the run's [result.profile]). It is stats-side only — a profiled
+    run is schedule-identical to a plain one (pinned by test_profile).
 
     @raise Invalid_argument if [n_threads < 1], if [horizon] is given
     with a [policy], or if [max_events] is given without one: each mode

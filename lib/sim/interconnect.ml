@@ -52,16 +52,6 @@ let acquire t ~level ~now =
     start - now
   end
 
-let reset t =
-  Array.iter
-    (fun p ->
-      Array.fill p.chans 0 (Array.length p.chans) 0;
-      p.txns <- 0;
-      p.queue_ns <- 0;
-      p.busy_ns <- 0;
-      p.peak_queue <- 0)
-    t.pools
-
 let export t =
   Array.fold_left
     (fun (acc : Numa_trace.Profile.interconnect) p ->

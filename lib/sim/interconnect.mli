@@ -28,9 +28,6 @@ val acquire : t -> level:int -> now:int -> int
     level for one transaction starting at [now] and returns the queueing
     delay (0 if a channel is free). *)
 
-val reset : t -> unit
-(** Clear channel reservations and statistics (start of a run). *)
-
 val export : t -> Numa_trace.Profile.interconnect
 (** Aggregate snapshot over every level: txns/queue/busy summed, peak
     depth maxed. Identical to the single pool's stats on a flat

@@ -87,19 +87,29 @@ let of_events events =
       ("traceEvents", Json.List (metadata events @ List.rev !slices));
     ]
 
-let write_file path events =
+let write path ring =
+  let events = Ring.events ring in
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
       output_string oc (Json.to_string ~pretty:true (of_events events));
-      output_char oc '\n')
+      output_char oc '\n');
+  match Ring.dropped ring with
+  | 0 -> None
+  | dropped ->
+      let kept = List.length events in
+      Some
+        (Printf.sprintf
+           "%s keeps the last %d of %d events (%d dropped); a .jsonl trace \
+            keeps them all"
+           path kept (kept + dropped) dropped)
 
 let open_trace = function
-  | None -> (Sink.noop, fun () -> ())
+  | None -> (Sink.noop, fun () -> None)
   | Some path when Filename.check_suffix path ".jsonl" ->
       let sink = Jsonl.to_file path in
-      (sink, fun () -> Sink.close sink)
+      (sink, fun () -> Sink.close sink; None)
   | Some path ->
       let ring = Ring.create ~capacity:1_048_576 in
-      (Ring.sink ring, fun () -> write_file path (Ring.events ring))
+      (Ring.sink ring, fun () -> write path ring)

@@ -6,13 +6,14 @@
     Cohort batching is directly visible as runs of slices within one
     cluster row. *)
 
-val of_events : Event.t list -> Json.t
-(** Events must be in chronological order (as delivered by a sink). *)
+val write : string -> Ring.t -> string option
+(** [write path ring] writes the ring's events to [path] as a Chrome
+    trace. When the ring dropped older events, it returns a note for
+    the user: how many the file kept and dropped, and that a [.jsonl]
+    trace keeps them all. *)
 
-val write_file : string -> Event.t list -> unit
-
-val open_trace : string option -> Sink.t * (unit -> unit)
+val open_trace : string option -> Sink.t * (unit -> string option)
 (** The [--trace FILE] sink and the action that lands the file once the
     runs are done: a [.jsonl] suffix streams JSONL ({!Jsonl.to_file}),
-    anything else buffers the most recent 1 Mi events in a {!Ring} and
-    writes them as a Chrome trace. [None] is the no-op sink. *)
+    anything else keeps the most recent 1 Mi events in a {!Ring} and
+    {!write}s them. [None] is the no-op sink. *)

@@ -10,8 +10,6 @@ type kind =
   | Gcr_exit
   | Gcr_park
   | Gcr_unpark
-  | Coh_transfer of { site : string; ns : int }
-  | Coh_invalidate of { site : string; ns : int }
 
 type t = { at : int; tid : int; cluster : int; kind : kind }
 
@@ -27,23 +25,6 @@ let kind_to_string = function
   | Gcr_exit -> "gcr_exit"
   | Gcr_park -> "gcr_park"
   | Gcr_unpark -> "gcr_unpark"
-  | Coh_transfer { site; ns } -> Printf.sprintf "coh_transfer:%s:%d" site ns
-  | Coh_invalidate { site; ns } ->
-      Printf.sprintf "coh_invalidate:%s:%d" site ns
-
-(* The coherence kinds carry their payload inside the string. The site
-   label may itself contain ':', so the ns field is split off from the
-   right. *)
-let coh_payload s ~prefix =
-  let pl = String.length prefix and sl = String.length s in
-  if sl <= pl || not (String.starts_with ~prefix s) then None
-  else
-    match String.rindex_opt s ':' with
-    | Some i when i >= pl -> (
-        match int_of_string_opt (String.sub s (i + 1) (sl - i - 1)) with
-        | Some ns -> Some (String.sub s pl (i - pl), ns)
-        | None -> None)
-    | _ -> None
 
 let kind_of_string = function
   | "acquire_local" -> Some Acquire_local
@@ -57,28 +38,16 @@ let kind_of_string = function
   | "gcr_exit" -> Some Gcr_exit
   | "gcr_park" -> Some Gcr_park
   | "gcr_unpark" -> Some Gcr_unpark
-  | s -> (
-      match coh_payload s ~prefix:"coh_transfer:" with
-      | Some (site, ns) -> Some (Coh_transfer { site; ns })
-      | None -> (
-          match coh_payload s ~prefix:"coh_invalidate:" with
-          | Some (site, ns) -> Some (Coh_invalidate { site; ns })
-          | None -> None))
+  | _ -> None
 
 let is_acquire = function
   | Acquire_local | Acquire_global -> true
   | Handoff_within_cohort | Handoff_global | Abort | Starvation_limit_hit
-  | Enqueue | Gcr_admit | Gcr_exit | Gcr_park | Gcr_unpark | Coh_transfer _
-  | Coh_invalidate _ ->
+  | Enqueue | Gcr_admit | Gcr_exit | Gcr_park | Gcr_unpark ->
       false
 
 let is_release = function
   | Handoff_within_cohort | Handoff_global -> true
   | Acquire_local | Acquire_global | Abort | Starvation_limit_hit | Enqueue
-  | Gcr_admit | Gcr_exit | Gcr_park | Gcr_unpark | Coh_transfer _
-  | Coh_invalidate _ ->
+  | Gcr_admit | Gcr_exit | Gcr_park | Gcr_unpark ->
       false
-
-let pp ppf e =
-  Format.fprintf ppf "[%d] t%d@@c%d %s" e.at e.tid e.cluster
-    (kind_to_string e.kind)

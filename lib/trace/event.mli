@@ -45,15 +45,6 @@ type kind =
       (** a parked thread observed its promotion grant and re-entered the
           active set (it inherits the promoting thread's slot, so no
           [Gcr_admit] follows). *)
-  | Coh_transfer of { site : string; ns : int }
-      (** a cross-cluster cache-to-cache transfer of the line allocated
-          at [site], costing [ns] simulated nanoseconds (including
-          per-line queueing and interconnect-channel queueing). Emitted
-          only by the simulation engine when run with a coherence trace
-          sink; the serialised form is ["coh_transfer:SITE:NS"]. *)
-  | Coh_invalidate of { site : string; ns : int }
-      (** a write at [site] that had to invalidate remote sharers,
-          costing [ns] ns. Serialised as ["coh_invalidate:SITE:NS"]. *)
 
 type t = { at : int;  (** ns, substrate clock. *) tid : int; cluster : int; kind : kind }
 
@@ -65,5 +56,3 @@ val is_acquire : kind -> bool
 
 val is_release : kind -> bool
 (** [Handoff_within_cohort] or [Handoff_global]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -280,7 +280,6 @@ let member key = function
   | Obj kvs -> List.assoc_opt key kvs
   | _ -> None
 
-let to_list = function List xs -> Some xs | _ -> None
 let to_int = function Int i -> Some i | _ -> None
 let to_string_opt = function String s -> Some s | _ -> None
 

@@ -25,7 +25,6 @@ val of_string : string -> (t, string) result
 (** Shape accessors; [None] on type mismatch. *)
 
 val member : string -> t -> t option
-val to_list : t -> t list option
 val to_int : t -> int option
 val to_float : t -> float option
 (** Also accepts [Int] (promoted) and [Null] (as [nan]). *)

@@ -25,9 +25,7 @@ let event_of_json j =
 let to_file path =
   let oc = open_out path in
   let mu = Mutex.create () in
-  Sink.make
-    ~flush:(fun () -> flush oc)
-    ~close:(fun () -> close_out oc)
+  Sink.make ~close:(fun () -> close_out oc)
     (fun ev ->
       let line = Json.to_string (event_to_json ev) in
       Mutex.lock mu;

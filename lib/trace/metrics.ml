@@ -91,9 +91,7 @@ let of_events ?(wait_p50 = Float.nan) ?(wait_p99 = Float.nan) events =
           end
       | Abort -> incr aborts
       | Starvation_limit_hit -> incr starvation
-      | Enqueue | Gcr_admit | Gcr_exit | Gcr_park | Gcr_unpark
-      | Coh_transfer _ | Coh_invalidate _ ->
-          ())
+      | Enqueue | Gcr_admit | Gcr_exit | Gcr_park | Gcr_unpark -> ())
     events;
   let batch_arr =
     Array.of_list (List.rev_map float_of_int !batches)
@@ -175,23 +173,3 @@ let to_fields m =
     ("wait_p50_ns", m.wait_p50);
     ("wait_p99_ns", m.wait_p99);
   ]
-
-let to_json m =
-  Json.Obj
-    (List.map
-       (fun (k, v) ->
-         ( k,
-           if Float.is_nan v then Json.Null
-           else if Float.is_integer v && Float.abs v < 1e15 then
-             Json.Int (int_of_float v)
-           else Json.Float v ))
-       (to_fields m))
-
-let pp ppf m =
-  Format.fprintf ppf
-    "acquires=%d (%d local / %d global) migrations=%d (rate %.3f) batches=%d \
-     (mean %.1f max %d) starvation_hits=%d aborts=%d hold p50/p99 = %.0f/%.0f \
-     ns"
-    m.acquires m.local_acquires m.global_acquires m.migrations m.migration_rate
-    m.batches m.batch_mean m.batch_max m.starvation_limit_hits m.aborts
-    m.hold_p50 m.hold_p99

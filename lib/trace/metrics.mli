@@ -55,6 +55,3 @@ val render_timeline : ?width:int -> Event.t list -> string
 val to_fields : t -> (string * float) list
 (** Flat metric list, integral values exact — the form merged into
     [BENCH_*.json] entries. *)
-
-val to_json : t -> Json.t
-val pp : Format.formatter -> t -> unit

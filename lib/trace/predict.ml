@@ -55,11 +55,3 @@ let to_fields p =
     ("pred_contended_bound", p.contended_bound);
     ("pred_service_ns", p.service_ns);
     ("pred_handoff_ns", p.handoff_ns) ]
-
-let pp ppf p =
-  Format.fprintf ppf
-    "@[<v>predicted %.3e ops/s (serial %.3e, contended %.3e)@,\
-     service %.1f ns + handoff %.1f ns/acquire; err vs measured %s@]"
-    p.throughput p.serial_bound p.contended_bound p.service_ns p.handoff_ns
-    (if Float.is_nan p.err then "n/a"
-     else Printf.sprintf "%+.1f%%" (100. *. p.err))

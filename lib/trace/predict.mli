@@ -70,5 +70,3 @@ val predict :
 
 val to_fields : t -> (string * float) list
 (** Flat [pred_*] metrics merged into cohort-bench/3 artifact entries. *)
-
-val pp : Format.formatter -> t -> unit

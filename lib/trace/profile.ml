@@ -83,12 +83,8 @@ let lock_lines ?(exclude = [ "lbench."; "cs." ]) t =
 (* Flat metric fields for the benchmark artifact. Totals come from
    the engine-global counters (always meaningful on the simulator);
    per-site rows stay in [t.sites] for reports and are not flattened. *)
-let to_fields ?acquires ?releases t =
+let to_fields ~acquires ~releases t =
   let c = t.totals and i = t.icx in
-  let ratio v = function
-    | Some n -> per v n
-    | None -> Float.nan
-  in
   [
     ("coh_accesses", float_of_int c.accesses);
     ("coh_l1_hits", float_of_int c.l1_hits);
@@ -97,8 +93,8 @@ let to_fields ?acquires ?releases t =
     ("coh_memory_misses", float_of_int c.memory_misses);
     ("coh_invalidations", float_of_int c.invalidations);
     ("coh_remote_txns", float_of_int c.remote_txns);
-    ("coh_remote_transfers_per_acq", ratio c.coherence_misses acquires);
-    ("coh_invalidations_per_release", ratio c.invalidations releases);
+    ("coh_remote_transfers_per_acq", per c.coherence_misses acquires);
+    ("coh_invalidations_per_release", per c.invalidations releases);
     ("icx_txns", float_of_int i.txns);
     ("icx_queue_ns", float_of_int i.queue_ns);
     ("icx_busy_ns", float_of_int i.busy_ns);
@@ -119,69 +115,6 @@ let to_fields ?acquires ?releases t =
           f "peak_queue" l.lvl_peak_queue;
         ])
       t.icx_levels
-
-let site_to_json (s : site) =
-  Json.Obj
-    [
-      ("site", Json.String s.site);
-      ("lines", Json.Int s.s_lines);
-      ("accesses", Json.Int s.s_accesses);
-      ("l1_hits", Json.Int s.s_l1_hits);
-      ("local_hits", Json.Int s.s_local_hits);
-      ("remote_transfers", Json.Int s.s_remote_transfers);
-      ("memory_misses", Json.Int s.s_memory_misses);
-      ("invalidations_sent", Json.Int s.s_inval_sent);
-      ("invalidations_received", Json.Int s.s_inval_received);
-      ("remote_txns", Json.Int s.s_remote_txns);
-      ("stall_local_ns", Json.Int s.s_stall_local_ns);
-      ("stall_remote_ns", Json.Int s.s_stall_remote_ns);
-      ("stall_memory_ns", Json.Int s.s_stall_memory_ns);
-      ("stall_interconnect_ns", Json.Int s.s_stall_interconnect_ns);
-    ]
-
-let to_json t =
-  let c = t.totals and i = t.icx in
-  Json.Obj
-    ([
-       ( "coherence",
-         Json.Obj
-           [
-             ("accesses", Json.Int c.accesses);
-             ("l1_hits", Json.Int c.l1_hits);
-             ("local_hits", Json.Int c.local_hits);
-             ("coherence_misses", Json.Int c.coherence_misses);
-             ("memory_misses", Json.Int c.memory_misses);
-             ("invalidations", Json.Int c.invalidations);
-             ("remote_txns", Json.Int c.remote_txns);
-             ("waiter_scans", Json.Int c.waiter_scans);
-           ] );
-       ( "interconnect",
-         Json.Obj
-           [
-             ("txns", Json.Int i.txns);
-             ("queue_ns", Json.Int i.queue_ns);
-             ("busy_ns", Json.Int i.busy_ns);
-             ("peak_queue", Json.Int i.peak_queue);
-           ] );
-     ]
-    @ (if List.length t.icx_levels <= 1 then []
-       else
-         [
-           ( "interconnect_levels",
-             Json.List
-               (List.map
-                  (fun l ->
-                    Json.Obj
-                      [
-                        ("level", Json.String l.lvl_name);
-                        ("txns", Json.Int l.lvl_txns);
-                        ("queue_ns", Json.Int l.lvl_queue_ns);
-                        ("busy_ns", Json.Int l.lvl_busy_ns);
-                        ("peak_queue", Json.Int l.lvl_peak_queue);
-                      ])
-                  t.icx_levels) );
-         ])
-    @ [ ("sites", Json.List (List.map site_to_json t.sites)) ])
 
 (* Sites with the most remote traffic first: the attribution question is
    "which line is migrating", so rank by transfers + invalidations, then

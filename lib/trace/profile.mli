@@ -103,14 +103,12 @@ val lock_lines : ?exclude:string list -> t -> int
     cache lines. The successor paper-claim gate compares CNA against
     C-BO-MCS on this. 0 when the run was not profiled per-site. *)
 
-val to_fields : ?acquires:int -> ?releases:int -> t -> (string * float) list
-(** Flat [coh_*] / [icx_*] metrics for the benchmark artifact.
-    Ratio fields are [nan] unless the corresponding count is given.
+val to_fields : acquires:int -> releases:int -> t -> (string * float) list
+(** Flat [coh_*] / [icx_*] metrics for the benchmark artifact, the
+    ratio fields per [acquires] and [releases].
     Multi-level profiles additionally emit [icx_<level>_*] fields;
     single-level ones do not, keeping flat-machine artifacts
     byte-identical to the historical schema. *)
-
-val to_json : t -> Json.t
 
 val pp : Format.formatter -> t -> unit
 (** Two summary lines plus the per-site table, ranked by remote traffic

@@ -38,4 +38,3 @@ let events r =
   out
 
 let dropped r = max 0 (r.pushed - Array.length r.buf)
-let length r = min r.pushed (Array.length r.buf)

@@ -9,7 +9,6 @@ type t
 
 val create : capacity:int -> t
 val sink : t -> Sink.t
-val push : t -> Event.t -> unit
 
 val events : t -> Event.t list
 (** Retained events, oldest first. *)
@@ -17,5 +16,3 @@ val events : t -> Event.t list
 val dropped : t -> int
 (** How many old events were overwritten: events ever pushed minus
     those retained. *)
-
-val length : t -> int

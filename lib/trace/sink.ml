@@ -1,23 +1,16 @@
-type real = {
-  emit : Event.t -> unit;
-  flush : unit -> unit;
-  close : unit -> unit;
-}
+type real = { emit : Event.t -> unit; close : unit -> unit }
 
 type t = Noop | Real of real
 
 let noop = Noop
 
-let make ?(flush = fun () -> ()) ?(close = fun () -> ()) emit =
-  Real { emit; flush; close }
+let make ?(close = fun () -> ()) emit = Real { emit; close }
 
 let enabled = function Noop -> false | Real _ -> true
-let emit t ev = match t with Noop -> () | Real r -> r.emit ev
 
 let record t ~at ~tid ~cluster kind =
   match t with Noop -> () | Real r -> r.emit { Event.at; tid; cluster; kind }
 
-let flush = function Noop -> () | Real r -> r.flush ()
 let close = function Noop -> () | Real r -> r.close ()
 
 let tee a b =
@@ -30,10 +23,6 @@ let tee a b =
             (fun ev ->
               ra.emit ev;
               rb.emit ev);
-          flush =
-            (fun () ->
-              ra.flush ();
-              rb.flush ());
           close =
             (fun () ->
               ra.close ();

@@ -29,16 +29,14 @@ type t
 val noop : t
 (** Discards everything; [enabled] is [false]. *)
 
-val make : ?flush:(unit -> unit) -> ?close:(unit -> unit) -> (Event.t -> unit) -> t
+val make : ?close:(unit -> unit) -> (Event.t -> unit) -> t
 (** [make emit] is a sink delivering each event to [emit]. The producer
     is responsible for its own thread-safety: under the native runtime
     events arrive concurrently from every domain. *)
 
 val enabled : t -> bool
-val emit : t -> Event.t -> unit
 val record : t -> at:int -> tid:int -> cluster:int -> Event.kind -> unit
 
-val flush : t -> unit
 val close : t -> unit
 
 val tee : t -> t -> t

@@ -11,21 +11,36 @@ module W = Apps.Kv_workload
 
 (* --- Splay tree ---------------------------------------------------------- *)
 
+(* Exact lookup and removal as the allocator does them: [find_ge k]
+   splays the smallest key >= [k] to the root, so [k] itself is a hit,
+   and [remove_root] then deletes it. *)
+let find k t =
+  match Splay.find_ge k t with
+  | Some (k', v, t') when k' = k -> Some (v, t')
+  | _ -> None
+
+let remove k t =
+  match find k t with Some (_, t') -> Splay.remove_root t' | None -> t
+
+let size t = List.length (Splay.to_sorted_list t)
+
+(* [k], a key of [t], is its root: the only node one deep. *)
+let at_root k t = Splay.depth_of k t = 1
+
 let test_splay_basic () =
   let t = Splay.empty in
-  Alcotest.(check bool) "empty" true (Splay.is_empty t);
+  Alcotest.(check int) "empty" 0 (size t);
   let t = Splay.insert 5 "a" ~combine:( ^ ) t in
   let t = Splay.insert 3 "b" ~combine:( ^ ) t in
   let t = Splay.insert 8 "c" ~combine:( ^ ) t in
-  Alcotest.(check int) "size" 3 (Splay.size t);
+  Alcotest.(check int) "size" 3 (size t);
   Alcotest.(check bool) "invariant" true (Splay.check_invariant t);
-  (match Splay.find 5 t with
+  (match find 5 t with
   | Some (v, t') ->
       Alcotest.(check string) "find 5" "a" v;
-      Alcotest.(check (option (pair int string)))
-        "find splays to root" (Some (5, "a")) (Splay.root t')
+      Alcotest.(check bool) "find splays to root" true (at_root 5 t')
   | None -> Alcotest.fail "5 missing");
-  Alcotest.(check bool) "find miss" true (Splay.find 7 t = None)
+  Alcotest.(check bool) "find miss" true (find 7 t = None)
 
 let test_splay_insert_to_root () =
   let t =
@@ -33,14 +48,15 @@ let test_splay_insert_to_root () =
       (fun t k -> Splay.insert k k ~combine:(fun a _ -> a) t)
       Splay.empty [ 10; 2; 7; 14; 1 ]
   in
-  Alcotest.(check (option (pair int int)))
-    "last insert at root" (Some (1, 1)) (Splay.root t)
+  Alcotest.(check bool) "last insert at root" true (at_root 1 t);
+  Alcotest.(check (option int)) "with its value" (Some 1)
+    (Option.map fst (find 1 t))
 
 let test_splay_combine () =
   let t = Splay.empty in
   let t = Splay.insert 4 [ 1 ] ~combine:( @ ) t in
   let t = Splay.insert 4 [ 2 ] ~combine:( @ ) t in
-  match Splay.find 4 t with
+  match find 4 t with
   | Some (v, _) -> Alcotest.(check (list int)) "stacked" [ 2; 1 ] v
   | None -> Alcotest.fail "4 missing"
 
@@ -51,12 +67,10 @@ let test_splay_find_ge () =
       Splay.empty [ 10; 20; 30; 40 ]
   in
   (match Splay.find_ge 25 t with
-  | Some (k, _, t') ->
+  | Some (k, v, t') ->
       Alcotest.(check int) "smallest >= 25" 30 k;
-      Alcotest.(check (option (pair int string)))
-        "splayed to root"
-        (Some (30, "30"))
-        (Splay.root t')
+      Alcotest.(check string) "its value" "30" v;
+      Alcotest.(check bool) "splayed to root" true (at_root 30 t')
   | None -> Alcotest.fail "find_ge 25 failed");
   (match Splay.find_ge 10 t with
   | Some (k, _, _) -> Alcotest.(check int) "exact hit" 10 k
@@ -69,17 +83,18 @@ let test_splay_remove () =
       (fun t k -> Splay.insert k k ~combine:(fun a _ -> a) t)
       Splay.empty [ 5; 1; 9; 3 ]
   in
-  let t = Splay.remove 5 t in
-  Alcotest.(check int) "size after remove" 3 (Splay.size t);
-  Alcotest.(check bool) "removed" true (Splay.find 5 t = None);
-  Alcotest.(check bool) "others intact" true (Splay.find 3 t <> None);
-  let t = Splay.remove 42 t in
-  Alcotest.(check int) "remove absent is noop" 3 (Splay.size t)
+  let t = remove 5 t in
+  Alcotest.(check int) "size after remove" 3 (size t);
+  Alcotest.(check bool) "removed" true (find 5 t = None);
+  Alcotest.(check bool) "others intact" true (find 3 t <> None);
+  Alcotest.(check bool) "invariant" true (Splay.check_invariant t);
+  let t = remove 42 t in
+  Alcotest.(check int) "remove absent is noop" 3 (size t)
 
 let test_splay_remove_root () =
   let t = Splay.insert 2 "x" ~combine:( ^ ) Splay.empty in
   let t = Splay.remove_root t in
-  Alcotest.(check bool) "now empty" true (Splay.is_empty t);
+  Alcotest.(check int) "now empty" 0 (size t);
   Alcotest.check_raises "remove_root on empty"
     (Invalid_argument "Splay.remove_root: empty tree") (fun () ->
       ignore (Splay.remove_root Splay.empty))
@@ -133,7 +148,7 @@ let run_model ops =
             model
         in
         (tree, model, ok && Splay.check_invariant tree)
-    | Rem k -> (Splay.remove k tree, IM.remove k model, ok)
+    | Rem k -> (remove k tree, IM.remove k model, ok)
     | FindGe k ->
         let expected = IM.find_first_opt (fun x -> x >= k) model in
         let got = Splay.find_ge k tree in
@@ -280,8 +295,8 @@ let test_kv_populate () =
   Kv.populate t ~n_keys:100;
   Alcotest.(check int) "populated" 100 (Kv.n_items t);
   Alcotest.(check (option int)) "initial value" (Some 42) (Kv.get t ~tid:0 42);
-  Alcotest.(check bool) "mem" true (Kv.mem t 99);
-  Alcotest.(check bool) "absent" false (Kv.mem t 100)
+  Alcotest.(check bool) "present" true (Kv.get t ~tid:0 99 <> None);
+  Alcotest.(check bool) "absent" true (Kv.get t ~tid:0 100 = None)
 
 let prop_kv_vs_hashtbl =
   QCheck.Test.make ~name:"kvstore agrees with Hashtbl" ~count:100
@@ -430,28 +445,31 @@ let kv_set_heavy t =
       done;
       SKv.set t ~tid (100 + tid) 5)
 
-let test_kv_reset_exact () =
-  let t = SKv.create ~n_buckets:8 () in
+(* A store populated with keys [0..31], and what its cells hold, read
+   in a run (reads write nothing). *)
+let kv_store ?max_threads () =
+  let t = SKv.create ?max_threads ~n_buckets:8 () in
   SKv.populate t ~n_keys:32;
+  t
+
+let kv_values t =
+  let out = ref [] in
+  ignore
+    (Numasim.Engine.run ~topology:Topology.small ~n_threads:1
+       (fun ~tid:_ ~cluster:_ -> out := List.map Sm.read (SKv.cells t)));
+  !out
+
+let test_kv_reset_exact () =
+  let t = kv_store () in
   let r1 = kv_set_heavy t in
   Alcotest.(check int) "two inserts" 34 (SKv.n_items t);
   SKv.reset t;
   Alcotest.(check int) "n_items restored" 32 (SKv.n_items t);
-  let seen = Array.make 32 None and inserted = ref [] in
-  ignore
-    (Numasim.Engine.run ~topology:Topology.small ~n_threads:1
-       (fun ~tid:_ ~cluster:_ ->
-         Array.iteri (fun k _ -> seen.(k) <- SKv.peek t k) seen;
-         inserted := [ SKv.mem t 100; SKv.mem t 101 ]));
-  Alcotest.(check (list bool)) "inserts removed" [ false; false ] !inserted;
-  Array.iteri
-    (fun k p ->
-      Alcotest.(check (option (pair int int)))
-        (Printf.sprintf "key %d: value is its key, LRU stamp 0" k)
-        (Some (k, 0)) p)
-    seen;
-  (* [peek] wrote nothing, so the store is still as reset: the same body
-     costs it exactly what it cost the fresh store. *)
+  (* Every value is its key again, every LRU stamp 0, the inserts are
+     gone: cell for cell, the populated store. *)
+  Alcotest.(check (list int)) "cells as populated" (kv_values (kv_store ()))
+    (kv_values t);
+  (* So the same body costs it exactly what it cost the fresh store. *)
   let r2 = kv_set_heavy t in
   let open Numasim.Engine in
   Alcotest.(check int) "end time" r1.end_time r2.end_time;
@@ -463,19 +481,7 @@ let test_kv_reset_exact () =
    then reset must read, cell by cell and in chain order, exactly like a
    freshly populated one. *)
 let test_kv_reset_equals_fresh () =
-  let store () =
-    let t = SKv.create ~max_threads:4 ~n_buckets:8 () in
-    SKv.populate t ~n_keys:32;
-    t
-  in
-  let values t =
-    let out = ref [] in
-    ignore
-      (Numasim.Engine.run ~topology:Topology.small ~n_threads:1
-         (fun ~tid:_ ~cluster:_ -> out := List.map Sm.read (SKv.cells t)));
-    !out
-  in
-  let used = store () in
+  let used = kv_store ~max_threads:4 () in
   ignore (kv_set_heavy used);
   SKv.reset used;
   ignore (kv_set_heavy used);
@@ -483,10 +489,10 @@ let test_kv_reset_equals_fresh () =
     (Numasim.Engine.run ~topology:Topology.small ~n_threads:4
        (fun ~tid ~cluster:_ -> SKv.set used ~tid (200 + tid) tid));
   SKv.reset used;
-  let fresh = values (store ()) in
+  let fresh = kv_values (kv_store ~max_threads:4 ()) in
   Alcotest.(check int) "as many cells" (List.length fresh)
-    (List.length (values used));
-  Alcotest.(check (list int)) "every cell as fresh" fresh (values used)
+    (List.length (kv_values used));
+  Alcotest.(check (list int)) "every cell as fresh" fresh (kv_values used)
 
 let suite =
   [

@@ -43,21 +43,6 @@ let test_prng_different_seeds () =
   let sb = List.init 20 (fun _ -> Prng.int b 1_000_000) in
   Alcotest.(check bool) "streams differ" true (sa <> sb)
 
-let test_prng_split_independent () =
-  let a = Prng.create 7 in
-  let b = Prng.split a in
-  let sa = List.init 20 (fun _ -> Prng.int a 1_000_000) in
-  let sb = List.init 20 (fun _ -> Prng.int b 1_000_000) in
-  Alcotest.(check bool) "split streams differ" true (sa <> sb)
-
-let test_prng_copy_diverges_original () =
-  let a = Prng.create 7 in
-  ignore (Prng.int a 10);
-  let b = Prng.copy a in
-  let sa = List.init 10 (fun _ -> Prng.int a 1_000) in
-  let sb = List.init 10 (fun _ -> Prng.int b 1_000) in
-  Alcotest.(check (list int)) "copy continues the same stream" sa sb
-
 let prop_prng_int_in_range =
   QCheck.Test.make ~name:"Prng.int in [0,n)" ~count:500
     QCheck.(pair small_nat (int_range 1 10_000))
@@ -78,10 +63,10 @@ let prop_prng_float_in_range =
 let prop_prng_float_matches_int64 =
   QCheck.Test.make ~name:"Prng.float = top 53 bits of next_int64 / 2^53"
     ~count:500 QCheck.int (fun seed ->
-      let t = Prng.create seed in
+      (* Two generators in step: one draws floats, the other int64s. *)
+      let t = Prng.create seed and t' = Prng.create seed in
       List.for_all
         (fun _ ->
-          let t' = Prng.copy t in
           let v = Prng.float t 1.0 in
           let bits = Int64.shift_right_logical (Prng.next_int64 t') 11 in
           Float.equal v (Int64.to_float bits /. 9007199254740992.0))
@@ -112,6 +97,25 @@ let test_prng_chance () =
     "p=0.3 frequency" true
     (!hits > 2_700 && !hits < 3_300)
 
+let test_prng_int_rejects_empty_range () =
+  let t = Prng.create 5 in
+  List.iter
+    (fun n ->
+      Alcotest.check_raises
+        (Printf.sprintf "int t %d" n)
+        (Invalid_argument "Prng.int: n <= 0")
+        (fun () -> ignore (Prng.int t n)))
+    [ 0; -1; min_int ]
+
+(* A unit draw lies in [0, 1): [chance 0.] never holds and
+   [chance 1.] always does. *)
+let test_prng_chance_extremes () =
+  let t = Prng.create 17 in
+  for _ = 1 to 10_000 do
+    Alcotest.(check bool) "p=0" false (Prng.chance t 0.);
+    Alcotest.(check bool) "p=1" true (Prng.chance t 1.)
+  done
+
 (* Known answers: the splitmix64 reference outputs for seed 0, then a
    fixed draw sequence for seed 42 (one draw per [let], so evaluation
    order is explicit). Any change to the generator's state handling
@@ -132,36 +136,38 @@ let test_prng_known_answers () =
   let c3 = Prng.chance t 0.1 in
   let c4 = Prng.chance t 0.9 in
   let ii = -5 + Prng.int t 11 in
-  let b = Prng.bool t in
-  let s = Prng.split t in
-  let s1 = Prng.next_int64 s in
-  let t1 = Prng.next_int64 t in
+  let w1 = Prng.next_int64 t in
+  let w2 = Prng.next_int64 t in
+  let w3 = Prng.next_int64 t in
   Alcotest.(check (list int)) "int" [ 53; 723072; 0 ] [ i1; i2; ii ];
   Alcotest.(check (float 0.)) "float 1.0" 0x1.1d499d5c4c3e6p-2 f1;
   Alcotest.(check (float 0.)) "float 10.0" 0x1.b89069fb47766p+1 f2;
-  Alcotest.(check (list bool))
-    "chance, bool" [ true; false; false; true; false ] [ c1; c2; c3; c4; b ];
-  Alcotest.(check int64) "split stream" 0xd4403a5bfe881589L s1;
-  Alcotest.(check int64) "parent stream after split" 0x7e348a0e451650beL t1
+  Alcotest.(check (list bool)) "chance" [ true; false; false; true ] [ c1; c2; c3; c4 ];
+  Alcotest.(check (list int64))
+    "int64"
+    [ 0x9e54d738297f77aeL; 0x3474724a775b19bfL; 0x7e348a0e451650beL ]
+    [ w1; w2; w3 ]
 
+(* The sample below has mean 5 and population stddev 2. Shifting it by
+   5 moves only the mean, tripling it scales both: the three ratios pin
+   the mean and the stddev apart. *)
 let test_stats_basic () =
-  let s = Stats.of_array [| 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. |] in
-  Alcotest.(check (float 1e-9)) "mean" 5.0 (Stats.mean s);
-  Alcotest.(check (float 1e-9)) "stddev" 2.0 (Stats.stddev s);
-  Alcotest.(check (float 1e-9)) "min" 2.0 (Stats.min s);
-  Alcotest.(check (float 1e-9)) "max" 9.0 (Stats.max s);
-  Alcotest.(check int) "count" 8 (Stats.count s)
+  let a = [| 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. |] in
+  Alcotest.(check (float 1e-9)) "2 / 5" 40.0 (Stats.stddev_pct a);
+  Alcotest.(check (float 1e-9)) "2 / 10" 20.0
+    (Stats.stddev_pct (Array.map (fun x -> x +. 5.) a));
+  Alcotest.(check (float 1e-9)) "6 / 15" 40.0
+    (Stats.stddev_pct (Array.map (fun x -> x *. 3.) a))
 
 let test_stats_empty () =
-  let s = Stats.create () in
-  Alcotest.(check (float 0.)) "mean of empty" 0. (Stats.mean s);
-  Alcotest.(check (float 0.)) "stddev of empty" 0. (Stats.stddev s)
+  Alcotest.(check (float 0.)) "empty" 0. (Stats.stddev_pct [||]);
+  Alcotest.(check (float 0.)) "one sample has no spread" 0.
+    (Stats.stddev_pct [| 3. |])
 
 let test_stats_stddev_pct () =
-  let s = Stats.of_array [| 10.; 10.; 10. |] in
-  Alcotest.(check (float 1e-9)) "no spread" 0. (Stats.stddev_pct s);
-  let s2 = Stats.of_array [| 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. |] in
-  Alcotest.(check (float 1e-9)) "pct" 40.0 (Stats.stddev_pct s2)
+  Alcotest.(check (float 1e-9)) "no spread" 0.
+    (Stats.stddev_pct [| 10.; 10.; 10. |]);
+  Alcotest.(check (float 1e-9)) "zero mean" 0. (Stats.stddev_pct [| -1.; 1. |])
 
 let test_percentile () =
   let a = [| 1.; 2.; 3.; 4.; 5.; 6.; 7.; 8.; 9.; 10. |] in
@@ -169,13 +175,22 @@ let test_percentile () =
   Alcotest.(check (float 1e-9)) "p100" 10.0 (Stats.percentile a 100.);
   Alcotest.(check (float 1e-9)) "p50" 5.5 (Stats.percentile a 50.)
 
+(* One pass (Welford) against the two-pass textbook formula:
+   stddev_pct * mean = 100 * stddev, so the check holds whatever the
+   sign or size of the mean. *)
 let prop_stats_mean_matches_naive =
   QCheck.Test.make ~name:"Welford mean = naive mean" ~count:200
     QCheck.(list_of_size Gen.(int_range 1 50) (float_range (-1000.) 1000.))
     (fun xs ->
       let a = Array.of_list xs in
-      let naive = Array.fold_left ( +. ) 0. a /. float_of_int (Array.length a) in
-      abs_float (Stats.mean (Stats.of_array a) -. naive) < 1e-6)
+      let n = float_of_int (Array.length a) in
+      let mean = Array.fold_left ( +. ) 0. a /. n in
+      let var =
+        Array.fold_left (fun acc x -> acc +. ((x -. mean) ** 2.)) 0. a /. n
+      in
+      let stddev = if Array.length a < 2 then 0. else sqrt var in
+      abs_float ((Stats.stddev_pct a *. mean) -. (100. *. stddev))
+      < 1e-6 *. (1. +. (100. *. stddev)))
 
 (* --- Histogram ------------------------------------------------------- *)
 
@@ -183,16 +198,17 @@ module H = Stats.Histogram
 
 let test_hist_empty () =
   let h = H.create () in
-  Alcotest.(check int) "count" 0 (H.count h);
   Alcotest.(check int) "quantile" 0 (H.quantile h 0.5);
-  Alcotest.(check (float 0.)) "mean" 0. (H.mean h)
+  Alcotest.(check int) "max" 0 (H.max_seen h)
 
+(* Each value's bucket top, capped by the maximum: 10 -> 16, 20 and
+   30 -> 32, 40 -> 64, 1000 -> 1000; a q-quantile is the value of rank
+   ceil (q * 5). *)
 let test_hist_basic () =
   let h = H.create () in
   List.iter (H.add h) [ 10; 20; 30; 40; 1000 ];
-  Alcotest.(check int) "count" 5 (H.count h);
-  Alcotest.(check int) "total" 1100 (H.total h);
-  Alcotest.(check (float 0.001)) "mean" 220. (H.mean h);
+  Alcotest.(check (list int)) "quantiles" [ 16; 32; 32; 64; 1000 ]
+    (List.map (H.quantile h) [ 0.2; 0.4; 0.6; 0.8; 1.0 ]);
   Alcotest.(check int) "max" 1000 (H.max_seen h)
 
 let test_hist_quantile_bounds () =
@@ -217,15 +233,18 @@ let test_hist_negative_clamped () =
   let h = H.create () in
   H.add h (-5);
   Alcotest.(check int) "clamped to 0" 0 (H.quantile h 1.0);
-  Alcotest.(check int) "counted" 1 (H.count h)
+  H.add h 100;
+  Alcotest.(check int) "counted: the median of {0, 100}" 0 (H.quantile h 0.5)
 
 let test_hist_merge () =
   let a = H.create () and b = H.create () in
   List.iter (H.add a) [ 1; 2; 3 ];
   List.iter (H.add b) [ 100; 200 ];
-  let m = H.merge a b in
-  Alcotest.(check int) "count" 5 (H.count m);
-  Alcotest.(check int) "total" 306 (H.total m);
+  let m = H.merge a b and all = H.create () in
+  List.iter (H.add all) [ 1; 2; 3; 100; 200 ];
+  let qs = [ 0.; 0.2; 0.4; 0.5; 0.6; 0.8; 1.0 ] in
+  Alcotest.(check (list int)) "quantiles of the union"
+    (List.map (H.quantile all) qs) (List.map (H.quantile m) qs);
   Alcotest.(check int) "max" 200 (H.max_seen m)
 
 let prop_hist_quantile_upper_bound =
@@ -253,11 +272,12 @@ let suite =
       [
         Alcotest.test_case "deterministic" `Quick test_prng_deterministic;
         Alcotest.test_case "seeds differ" `Quick test_prng_different_seeds;
-        Alcotest.test_case "split" `Quick test_prng_split_independent;
         Alcotest.test_case "uniformity" `Quick test_prng_rough_uniformity;
         Alcotest.test_case "chance" `Quick test_prng_chance;
-        Alcotest.test_case "copy" `Quick test_prng_copy_diverges_original;
         Alcotest.test_case "known answers" `Quick test_prng_known_answers;
+        Alcotest.test_case "int rejects n <= 0" `Quick
+          test_prng_int_rejects_empty_range;
+        Alcotest.test_case "chance extremes" `Quick test_prng_chance_extremes;
         QCheck_alcotest.to_alcotest prop_prng_int_in_range;
         QCheck_alcotest.to_alcotest prop_prng_float_in_range;
         QCheck_alcotest.to_alcotest prop_prng_float_matches_int64;

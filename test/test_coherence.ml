@@ -14,8 +14,14 @@ let topo = Topology.t5440
 
 let fresh () = (C.make_line (), C.fresh_stats ())
 
+(* One access as the engine charges it: the transition [classify] picks,
+   applied by [charge]. *)
+let c_access ?prof st topo line ~now ~epoch ~domain ~thread kind =
+  C.charge ?prof st topo line ~now ~epoch ~domain ~thread kind
+    (C.classify line ~epoch ~domain ~thread kind)
+
 let access ?(now = 0) ?(epoch = 1) st line ~cluster ~thread kind =
-  C.access st topo line ~now ~epoch ~domain:cluster ~thread kind
+  c_access st topo line ~now ~epoch ~domain:cluster ~thread kind
 
 (* --- read transitions ----------------------------------------------------- *)
 
@@ -222,7 +228,7 @@ let set_up r =
   List.iteri
     (fun k (domain, thread, kind) ->
       ignore
-        (C.access ~prof st topo line ~now:(k * 1_000)
+        (c_access ~prof st topo line ~now:(k * 1_000)
            ~epoch:(if r.stale then 0 else 1) ~domain ~thread kind))
     r.setup;
   (line, st, prof)
@@ -344,7 +350,7 @@ let prop_fast_path_agrees =
             C.is_l1_hit la ~epoch ~domain ~thread kind = (tr = C.L1_hit)
           in
           let la_ns =
-            C.access ?prof:(prof pa) sa topo la ~now:!now ~epoch ~domain
+            c_access ?prof:(prof pa) sa topo la ~now:!now ~epoch ~domain
               ~thread kind
           in
           let tried =
@@ -353,7 +359,7 @@ let prop_fast_path_agrees =
           let lb_ns =
             if tried >= 0 then tried
             else
-              C.access ?prof:(prof pb) sb topo lb ~now:!now ~epoch ~domain
+              c_access ?prof:(prof pb) sb topo lb ~now:!now ~epoch ~domain
                 ~thread kind
           in
           now := !now + la_ns;
@@ -389,13 +395,21 @@ let test_interconnect_drains () =
   (* Far in the future all channels are free again. *)
   Alcotest.(check int) "drained" 0 (I.acquire i ~level:0 ~now:1_000_000)
 
+(* Every run starts on idle channels: a run that saturates the
+   interconnect leaves no queue for the next one. *)
 let test_interconnect_reset () =
-  let i = I.create topo in
-  for _ = 1 to 10 do
-    ignore (I.acquire i ~level:0 ~now:0)
-  done;
-  I.reset i;
-  Alcotest.(check int) "reset clears queue" 0 (I.acquire i ~level:0 ~now:0)
+  let run () =
+    let c = Numasim.Sim_mem.cell' ~name:"icx.hot" 0 in
+    Numasim.Engine.run ~topology:topo ~n_threads:8 (fun ~tid ~cluster:_ ->
+        for _ = 1 to 20 do
+          Numasim.Sim_mem.write c tid
+        done)
+  in
+  let first = run () and second = run () in
+  let icx r = r.Numasim.Engine.profile.Numa_trace.Profile.icx in
+  Alcotest.(check bool) "first run queued" true ((icx first).queue_ns > 0);
+  Alcotest.(check bool) "second run starts idle" true (icx first = icx second);
+  Alcotest.(check int) "same end time" first.end_time second.end_time
 
 let test_interconnect_zero_occupancy () =
   let i =
@@ -414,16 +428,16 @@ let test_hier_read_costs_by_level () =
   let outer = Topology.xfer_cost tr 0 2 in
   Alcotest.(check bool) "tiers differ" true (inner < outer);
   let line, st = fresh () in
-  ignore (C.access st tr line ~now:0 ~epoch:1 ~domain:0 ~thread:0 C.Write);
+  ignore (c_access st tr line ~now:0 ~epoch:1 ~domain:0 ~thread:0 C.Write);
   let l1 =
-    C.access st tr line ~now:10_000 ~epoch:1 ~domain:1 ~thread:1 C.Read
+    c_access st tr line ~now:10_000 ~epoch:1 ~domain:1 ~thread:1 C.Read
   in
   Alcotest.(check int) "socket-mate pays inner tier" inner l1;
   Alcotest.(check int) "crossing level inner" 1 st.C.last_xlevel;
   (* domain 2 is in the other rack: nearest sharer is 0 or 1, both at the
      outer tier. *)
   let l2 =
-    C.access st tr line ~now:20_000 ~epoch:1 ~domain:2 ~thread:2 C.Read
+    c_access st tr line ~now:20_000 ~epoch:1 ~domain:2 ~thread:2 C.Read
   in
   Alcotest.(check int) "cross-rack pays outer tier" outer l2;
   Alcotest.(check int) "crossing level outer" 0 st.C.last_xlevel
@@ -433,11 +447,11 @@ let test_hier_invalidate_pays_furthest () =
   let outer = Topology.xfer_cost tr 0 2 in
   let line, st = fresh () in
   (* Sharers in both racks; a write from domain 0 must reach domain 2. *)
-  ignore (C.access st tr line ~now:0 ~epoch:1 ~domain:0 ~thread:0 C.Read);
-  ignore (C.access st tr line ~now:10_000 ~epoch:1 ~domain:1 ~thread:1 C.Read);
-  ignore (C.access st tr line ~now:20_000 ~epoch:1 ~domain:2 ~thread:2 C.Read);
+  ignore (c_access st tr line ~now:0 ~epoch:1 ~domain:0 ~thread:0 C.Read);
+  ignore (c_access st tr line ~now:10_000 ~epoch:1 ~domain:1 ~thread:1 C.Read);
+  ignore (c_access st tr line ~now:20_000 ~epoch:1 ~domain:2 ~thread:2 C.Read);
   let l =
-    C.access st tr line ~now:30_000 ~epoch:1 ~domain:0 ~thread:0 C.Write
+    c_access st tr line ~now:30_000 ~epoch:1 ~domain:0 ~thread:0 C.Write
   in
   Alcotest.(check int) "round trip to furthest victim" outer l;
   Alcotest.(check int) "crossing level outer" 0 st.C.last_xlevel

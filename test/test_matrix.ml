@@ -114,7 +114,8 @@ let explore_test (name, lock) =
    lock whose [alone] always reports a waiter passes the lock to an
    empty cohort, stranding the global lock in its cluster. The handoff
    oracle must object on the default schedule already. Not in
-   [Numa_check.Mutants.all]: this mutant is built through the table. *)
+   [Numa_check.Mutants.all]: this mutant is the transformation applied
+   to the table's BO global and the lying local. *)
 module Mcs = Cohort.Mcs_lock.Make (M)
 
 module Lying_local = struct
@@ -124,10 +125,15 @@ module Lying_local = struct
 end
 
 let test_lying_alone () =
-  let lock =
-    Table.compose
-      ~global:("BO", List.assoc "BO" Table.globals)
-      ~local:("MCS!lying-alone", (module Lying_local))
+  let (module G : LI.GLOBAL) = List.assoc "BO" Table.globals in
+  let lock : (module LI.LOCK) =
+    (module Cohort.Cohorting.Make
+              (struct
+                let name = "C-BO-MCS!lying-alone"
+              end)
+              (M)
+              (G)
+              (Lying_local))
   in
   let r = X.exhaustive ~preemptions:2 ~prune:true (X.scenario lock) in
   match r.X.failure with

@@ -196,9 +196,14 @@ let test_pure_observation () =
   (* And the artifact pipeline is deterministic including pred_* fields:
      same seed, byte-identical rendering. *)
   let artifact r =
-    BJ.to_string
-      (BJ.make ~substrate:"sim" ~seed:42
-         [ BJ.entry_of_result ~experiment:"lbench" r ])
+    let path = Filename.temp_file "cohort_bench" ".json" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        BJ.write path
+          (BJ.make ~substrate:"sim" ~seed:42
+             [ BJ.entry_of_result ~experiment:"lbench" r ]);
+        In_channel.with_open_bin path In_channel.input_all)
   in
   Alcotest.(check string)
     "same-seed artifacts byte-identical" (artifact full)

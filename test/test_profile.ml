@@ -3,20 +3,16 @@
    The first suite pins the exact per-site counter table for a tiny
    scripted 2-cluster workload: one shared cell that migrates between
    clusters and one private cell that never leaves its home cluster.
-   The second pins the load-bearing invariant that profiling and
-   coherence tracing are pure observation: a profiled (and traced) run
-   is schedule-identical to a plain one — same end time, same event
-   count, same engine-global coherence stats. The rest covers the
-   coherence trace events the engine emits and the interconnect rollup,
-   and re-states the paper claim (C-BO-MCS moves the lock word across
+   The second pins the load-bearing invariant that profiling is pure
+   observation: a profiled run is schedule-identical to a plain one —
+   same end time, same event count, same engine-global coherence stats.
+   The rest covers the interconnect rollup and re-states the paper claim (C-BO-MCS moves the lock word across
    clusters less than MCS) as a test. *)
 
 open Numa_base
 module E = Numasim.Engine
 module M = Numasim.Sim_mem
-module T = Numa_trace
 module P = Numa_trace.Profile
-module Ev = Numa_trace.Event
 module LI = Cohort.Lock_intf
 module LR = Harness.Lock_registry
 module LB = Harness.Lbench
@@ -37,10 +33,10 @@ let remote_tid =
    (invalidating cluster 0's copy), and re-reads it (L1 hit). Pauses
    order the phases; everything else is a deterministic function of the
    coherence model. *)
-let scenario ?profile ?trace () =
+let scenario ?profile () =
   let hot = M.cell' ~name:"prof.hot" 0 in
   let priv = M.cell' ~name:"prof.priv" 0 in
-  E.run ~topology:topo ~n_threads:(remote_tid + 1) ?profile ?trace
+  E.run ~topology:topo ~n_threads:(remote_tid + 1) ?profile
     (fun ~tid ~cluster:_ ->
       if tid = 0 then begin
         M.write hot 1;
@@ -119,12 +115,11 @@ let test_site_attribution () =
   Alcotest.(check int) "remote txns tie out" tot.P.remote_txns
     (sum (fun s -> s.P.s_remote_txns))
 
-(* --- profiling/tracing is pure observation ------------------------------ *)
+(* --- profiling is pure observation ---------------------------------------- *)
 
 let test_profile_off_identical () =
   let plain = scenario () in
-  let ring = T.Ring.create ~capacity:65_536 in
-  let profiled = scenario ~profile:true ~trace:(T.Ring.sink ring) () in
+  let profiled = scenario ~profile:true () in
   Alcotest.(check int) "end_time identical" plain.E.end_time
     profiled.E.end_time;
   Alcotest.(check int) "event count identical" plain.E.events
@@ -134,46 +129,7 @@ let test_profile_off_identical () =
   Alcotest.(check bool) "interconnect stats identical" true
     (plain.E.profile.P.icx = profiled.E.profile.P.icx);
   Alcotest.(check bool) "plain run has no site table" true
-    (plain.E.profile.P.sites = []);
-  Alcotest.(check bool) "trace captured coherence events" true
-    (T.Ring.length ring > 0)
-
-(* --- coherence trace events --------------------------------------------- *)
-
-let test_coh_events () =
-  let ring = T.Ring.create ~capacity:65_536 in
-  let r = scenario ~trace:(T.Ring.sink ring) () in
-  let events = T.Ring.events ring in
-  let transfers, invals =
-    List.partition_map
-      (fun e ->
-        match e.Ev.kind with
-        | Ev.Coh_transfer { site; ns } -> Either.Left (e, site, ns)
-        | Ev.Coh_invalidate { site; ns } -> Either.Right (e, site, ns)
-        | k -> Alcotest.fail ("unexpected event kind " ^ Ev.kind_to_string k))
-      events
-  in
-  (* The two cross-cluster reads of prof.hot emit transfers; the remote
-     write emits the one invalidation. The private cell never crosses
-     clusters, so it never appears in the coherence trace. *)
-  Alcotest.(check int) "two transfer events" 2 (List.length transfers);
-  Alcotest.(check int) "one invalidate event" 1 (List.length invals);
-  List.iter
-    (fun (e, site, ns) ->
-      Alcotest.(check string) "event site" "prof.hot" site;
-      Alcotest.(check bool) "event charges latency" true (ns > 0);
-      Alcotest.(check bool) "tid in range" true
-        (e.Ev.tid >= 0 && e.Ev.tid <= remote_tid);
-      Alcotest.(check int) "cluster matches placement"
-        (Topology.cluster_of_thread topo e.Ev.tid)
-        e.Ev.cluster)
-    (transfers @ invals);
-  (* Emission is independent of --profile and bit-identical either way. *)
-  let ring2 = T.Ring.create ~capacity:65_536 in
-  ignore (scenario ~profile:true ~trace:(T.Ring.sink ring2) ());
-  Alcotest.(check bool) "same events with profiling on" true
-    (T.Ring.events ring2 = events);
-  ignore r
+    (plain.E.profile.P.sites = [])
 
 (* --- interconnect rollup ------------------------------------------------ *)
 
@@ -245,8 +201,6 @@ let suite =
         Alcotest.test_case "profiling is pure observation" `Quick
           test_profile_off_identical;
       ] );
-    ( "trace",
-      [ Alcotest.test_case "coherence events" `Quick test_coh_events ] );
     ( "interconnect",
       [ Alcotest.test_case "rollup" `Quick test_interconnect_stats ] );
     ( "paper-claim",

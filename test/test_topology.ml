@@ -56,8 +56,7 @@ let prop_cluster_in_range =
       let ok = ref true in
       for tid = 0 to (3 * total) - 1 do
         if T.cluster_of_thread t tid <> tid mod total mod t.T.clusters then
-          ok := false;
-        if T.context_of_thread t tid <> tid mod total then ok := false
+          ok := false
       done;
       !ok)
 

@@ -55,6 +55,9 @@ let check_identity ~n_threads e =
     e.Ev.cluster
 let count_kind k events = count (fun k' -> k' = k) events
 
+let emit sink (e : Ev.t) =
+  T.Sink.record sink ~at:e.at ~tid:e.tid ~cluster:e.cluster e.kind
+
 (* --- default no-op sink: results unchanged ---------------------------- *)
 
 let test_noop_disabled () =
@@ -79,7 +82,7 @@ let test_noop_leaves_golden_unchanged () =
   let plain = run cfg in
   let ring = T.Ring.create ~capacity:1_000_000 in
   let traced = run { cfg with LI.trace = T.Ring.sink ring } in
-  Alcotest.(check bool) "trace captured something" true (T.Ring.length ring > 0);
+  Alcotest.(check bool) "trace captured something" true (T.Ring.events ring <> []);
   Alcotest.(check int) "iterations" plain.LB.iterations traced.LB.iterations;
   Alcotest.(check int) "migrations" plain.LB.migrations traced.LB.migrations;
   Alcotest.(check (float 0.)) "throughput" plain.LB.throughput traced.LB.throughput;
@@ -159,7 +162,7 @@ let test_cohort_sequence () =
 let test_registry_identity run () =
   let ring = T.Ring.create ~capacity:65_536 in
   run { (Harness.Experiments.cfg_for topo [ 8 ]) with trace = T.Ring.sink ring };
-  Alcotest.(check bool) "events traced" true (T.Ring.length ring > 0);
+  Alcotest.(check bool) "events traced" true (T.Ring.events ring <> []);
   Alcotest.(check int) "ring dropped nothing" 0 (T.Ring.dropped ring);
   List.iter (check_identity ~n_threads:8) (T.Ring.events ring)
 
@@ -196,7 +199,7 @@ let test_jsonl_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let sink = T.Jsonl.to_file path in
-      List.iter (T.Sink.emit sink) events;
+      List.iter (emit sink) events;
       T.Sink.close sink;
       (* Every line of the file is one event object with the schema's
          fields. *)
@@ -221,88 +224,78 @@ let test_jsonl_roundtrip () =
             (List.length back);
           Alcotest.(check bool) "round-trips exactly" true (back = events))
 
-(* --- coherence attribution event kinds --------------------------------- *)
+(* --- Chrome trace_event schema ---------------------------------------- *)
 
-(* The profiler's event kinds carry their payload inside the kind string
-   ("coh_transfer:SITE:NS"); the site label may itself contain ':', so
-   parsing splits the ns field off from the right. *)
-let test_coh_kind_roundtrip () =
-  List.iter
-    (fun k ->
-      let s = Ev.kind_to_string k in
-      match Ev.kind_of_string s with
-      | Some k' -> Alcotest.(check bool) (s ^ " round-trips") true (k = k')
-      | None -> Alcotest.fail ("kind_of_string failed on " ^ s))
-    [
-      Ev.Coh_transfer { site = "mcs.tail"; ns = 240 };
-      Ev.Coh_invalidate { site = "bo.global"; ns = 90 };
-      Ev.Coh_transfer { site = "cohort.count.c:3"; ns = 0 };
-      Ev.Coh_invalidate { site = "a:b:c"; ns = 7 };
-      Ev.Coh_transfer { site = ""; ns = 1 };
-    ];
-  List.iter
-    (fun s ->
-      Alcotest.(check bool)
-        (s ^ " rejected") true
-        (Ev.kind_of_string s = None))
-    [ "coh_transfer:"; "coh_transfer:site"; "coh_invalidate:site:xyz" ]
-
-let test_coh_jsonl_roundtrip () =
-  let events =
-    [
-      { Ev.at = 10; tid = 1; cluster = 0;
-        kind = Ev.Coh_transfer { site = "mcs.node"; ns = 320 } };
-      { Ev.at = 20; tid = 5; cluster = 1;
-        kind = Ev.Coh_invalidate { site = "lbench.line:7"; ns = 180 } };
-    ]
-  in
-  let path = Filename.temp_file "cohort_coh" ".jsonl" in
+(* The Chrome trace of [events] kept in a ring of [capacity], parsed
+   back, and the note its writer returned. *)
+let chrome ?(capacity = 65_536) events =
+  let path = Filename.temp_file "cohort_trace" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let sink = T.Jsonl.to_file path in
-      List.iter (T.Sink.emit sink) events;
-      T.Sink.close sink;
-      match T.Jsonl.read_file path with
-      | Error e -> Alcotest.fail ("read_file: " ^ e)
-      | Ok back ->
-          Alcotest.(check bool) "coh events round-trip exactly" true
-            (back = events))
+      let ring = T.Ring.create ~capacity in
+      List.iter (emit (T.Ring.sink ring)) events;
+      let note = T.Chrome.write path ring in
+      match T.Json.of_string (In_channel.with_open_bin path In_channel.input_all) with
+      | Ok j -> (j, note)
+      | Error e -> Alcotest.fail ("chrome trace is not JSON: " ^ e))
 
-(* --- Chrome trace_event schema ---------------------------------------- *)
+let trace_events j =
+  match T.Json.member "traceEvents" j with
+  | Some (T.Json.List evs) -> evs
+  | _ -> Alcotest.fail "no traceEvents list"
 
 let test_chrome_schema () =
   let events = scenario () in
-  let j = T.Chrome.of_events events in
-  match T.Json.member "traceEvents" j with
-  | Some (T.Json.List evs) ->
-      let slices =
-        List.filter
-          (fun ev ->
-            match T.Json.member "ph" ev with
-            | Some (T.Json.String "X") -> true
-            | _ -> false)
-          evs
-      in
-      Alcotest.(check int) "one complete slice per acquisition"
-        (count Ev.is_acquire events)
-        (List.length slices);
+  let j, note = chrome events in
+  Alcotest.(check (option string)) "nothing dropped, no note" None note;
+  let evs = trace_events j in
+  let slices =
+    List.filter
+      (fun ev ->
+        match T.Json.member "ph" ev with
+        | Some (T.Json.String "X") -> true
+        | _ -> false)
+      evs
+  in
+  Alcotest.(check int) "one complete slice per acquisition"
+    (count Ev.is_acquire events)
+    (List.length slices);
+  List.iter
+    (fun ev ->
       List.iter
-        (fun ev ->
-          List.iter
-            (fun field ->
-              Alcotest.(check bool)
-                (Printf.sprintf "slice has %S" field)
-                true
-                (Option.is_some (T.Json.member field ev)))
-            [ "name"; "ts"; "dur"; "pid"; "tid" ];
-          match T.Json.member "pid" ev with
-          | Some (T.Json.Int pid) ->
-              Alcotest.(check bool) "pid is a cluster id" true
-                (pid >= 0 && pid < topo.Topology.clusters)
-          | _ -> Alcotest.fail "slice pid not an int")
-        slices
-  | _ -> Alcotest.fail "no traceEvents list"
+        (fun field ->
+          Alcotest.(check bool)
+            (Printf.sprintf "slice has %S" field)
+            true
+            (Option.is_some (T.Json.member field ev)))
+        [ "name"; "ts"; "dur"; "pid"; "tid" ];
+      match T.Json.member "pid" ev with
+      | Some (T.Json.Int pid) ->
+          Alcotest.(check bool) "pid is a cluster id" true
+            (pid >= 0 && pid < topo.Topology.clusters)
+      | _ -> Alcotest.fail "slice pid not an int")
+    slices
+
+(* A Chrome trace keeps the most recent [capacity] events; when it had
+   to drop older ones, its writer says how many and where the full
+   stream is. *)
+let test_chrome_drop_note () =
+  let events = scenario ~n_threads:1 ~iters:3 () in
+  Alcotest.(check int) "three acquire-release pairs" 6 (List.length events);
+  let j, note = chrome ~capacity:4 events in
+  Alcotest.(check int) "the last two pairs kept" 2
+    (List.length
+       (List.filter
+          (fun ev -> T.Json.member "ph" ev = Some (T.Json.String "X"))
+          (trace_events j)));
+  let tail =
+    " keeps the last 4 of 6 events (2 dropped); a .jsonl trace keeps them all"
+  in
+  match note with
+  | Some note when String.ends_with ~suffix:tail note -> ()
+  | Some note -> Alcotest.failf "note %S does not end with %S" note tail
+  | None -> Alcotest.fail "events dropped, but no note"
 
 (* --- metrics rollup ----------------------------------------------------- *)
 
@@ -408,12 +401,10 @@ let suite =
     ( "export",
       [
         Alcotest.test_case "jsonl round-trip" `Quick test_jsonl_roundtrip;
-        Alcotest.test_case "coherence kind round-trip" `Quick
-          test_coh_kind_roundtrip;
-        Alcotest.test_case "coherence jsonl round-trip" `Quick
-          test_coh_jsonl_roundtrip;
         Alcotest.test_case "chrome trace_event schema" `Quick
           test_chrome_schema;
+        Alcotest.test_case "chrome trace notes dropped events" `Quick
+          test_chrome_drop_note;
         Alcotest.test_case "metrics rollup" `Quick test_metrics_rollup;
       ] );
     ( "trace",
